@@ -1,11 +1,10 @@
-"""Perf-regression harness for the engine's accelerated execution modes.
+"""Perf-regression harness for the engine's batched execution path.
 
-Runs the full Fig. 2 kernel simulation on the same grid in three ways —
-the forced-scalar exact loop (the baseline), batched exact execution
-(the default), and fast-forward mode — verifies all three are
-bit-for-bit identical (cycle counts, per-stage fires and stalls, output
-arrays), and records wall times and both speedups to
-``benchmarks/BENCH_dataflow.json``.
+Runs the full Fig. 2 kernel simulation on the same grid two ways — the
+forced-scalar exact loop (the baseline) and batched exact execution (the
+default) — verifies both are bit-for-bit identical (cycle counts,
+per-stage fires and stalls, output arrays), and records wall times and
+the speedup to ``benchmarks/BENCH_dataflow.json``.
 
 Usage::
 
@@ -13,13 +12,12 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_engine.py --nx 32 --ny 32 \
         --nz 32 --min-batched-speedup 5
 
-Exit status is non-zero if any mode disagrees with the scalar baseline,
-the fast-mode speedup falls below ``--min-speedup`` (default 10x), or
-the batched exact speedup falls below ``--min-batched-speedup``
-(default 10x — the tentpole target on the 64^3 grid).  ``--smoke``
-shrinks the grid to 32^3 and relaxes the gates for CI: the batched gate
-stays at 5x there, which 32^3 clears with headroom while 16^3 would not
-(too little steady state to amortise the detection warm-up).
+Exit status is non-zero if the batched run disagrees with the scalar
+baseline or its speedup falls below ``--min-batched-speedup`` (default
+10x on the 64^3 grid).  ``--smoke`` shrinks the grid to 32^3 and relaxes
+the gates for CI: the batched gate drops to 5x there, which 32^3 clears
+with headroom while 16^3 would not (too little steady state to amortise
+the detection warm-up).
 
 A resilient run arms the checkpoint/restart machinery with an empty
 fault plan and gates its fault-free overhead against the plain batched
@@ -54,9 +52,9 @@ from repro.perf.bench import BenchRecord, BenchSuite, render_table, speedup
 DEFAULT_OUTPUT = "benchmarks/BENCH_dataflow.json"
 
 
-def run_once(config, fields, mode: str, **kwargs):
+def run_once(config, fields, **kwargs):
     start = time.perf_counter()
-    result = simulate_kernel(config, fields, mode=mode, **kwargs)
+    result = simulate_kernel(config, fields, **kwargs)
     return result, time.perf_counter() - start
 
 
@@ -67,8 +65,6 @@ def main(argv=None) -> int:
     parser.add_argument("--nz", type=int, default=64)
     parser.add_argument("--chunk-width", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--min-speedup", type=float, default=10.0,
-                        help="fail below this fast/scalar speedup")
     parser.add_argument("--min-batched-speedup", type=float, default=10.0,
                         help="fail below this batched-exact/scalar "
                              "speedup (default: %(default)s)")
@@ -97,7 +93,6 @@ def main(argv=None) -> int:
         parser.error("--overhead-repeats must be >= 1")
     if args.smoke:
         args.nx, args.ny, args.nz = 32, 32, 32
-        args.min_speedup = min(args.min_speedup, 5.0)
         args.min_batched_speedup = min(args.min_batched_speedup, 5.0)
         # Sub-second batched runs amplify timer noise; the 3% gates only
         # mean something on paper-scale runs.
@@ -111,16 +106,14 @@ def main(argv=None) -> int:
               if args.chunk_width else KernelConfig(grid=grid))
     label = f"{args.nx}x{args.ny}x{args.nz}"
 
-    scalar, t_scalar = run_once(config, fields, "exact", batched=False)
-    batched, t_batched = run_once(config, fields, "exact", batched=True)
-    fast, t_fast = run_once(config, fields, "fast")
+    scalar, t_scalar = run_once(config, fields, batched=False)
+    batched, t_batched = run_once(config, fields)
     # The overhead gates chase few-percent effects buried under
     # comparable wall-time noise, so measure them from interleaved
     # tuples and compare the minimums (systematic machine drift then
     # cancels).  All three legs run batched — the production config.
     resilient, t_resilient = run_once(
-        config, fields, "exact",
-        fault_plan=FaultPlan([]), retry=RetryPolicy())
+        config, fields, fault_plan=FaultPlan([]), retry=RetryPolicy())
 
     def observed_kwargs():
         # Compiled in, switched off: the gate measures exactly the cost a
@@ -128,38 +121,31 @@ def main(argv=None) -> int:
         return {"tracer": Tracer(enabled=False),
                 "metrics": MetricRegistry(enabled=False)}
 
-    observed, t_observed = run_once(config, fields, "exact",
-                                    **observed_kwargs())
+    observed, t_observed = run_once(config, fields, **observed_kwargs())
     batched_times, resilient_times = [t_batched], [t_resilient]
     observed_times = [t_observed]
     for _ in range(args.overhead_repeats - 1):
-        batched_times.append(run_once(config, fields, "exact")[1])
+        batched_times.append(run_once(config, fields)[1])
         resilient_times.append(run_once(
-            config, fields, "exact",
-            fault_plan=FaultPlan([]), retry=RetryPolicy())[1])
-        observed_times.append(run_once(config, fields, "exact",
-                                       **observed_kwargs())[1])
+            config, fields, fault_plan=FaultPlan([]), retry=RetryPolicy())[1])
+        observed_times.append(run_once(config, fields, **observed_kwargs())[1])
 
-    # The speedups are only meaningful if every mode is *the same
+    # The speedup is only meaningful if both legs are *the same
     # machine*; the scalar per-cycle loop is the reference.
     errors = []
     agg_scalar = scalar.aggregate_stats()
     agg_batched = batched.aggregate_stats()
-    agg_fast = fast.aggregate_stats()
-    for other, agg, what in ((batched, agg_batched, "batched exact"),
-                             (fast, agg_fast, "fast")):
-        if other.total_cycles != scalar.total_cycles:
-            errors.append(f"{what} cycle count differs: "
-                          f"{scalar.total_cycles} vs {other.total_cycles}")
-        if agg.fires != agg_scalar.fires:
-            errors.append(f"{what} per-stage fire counts differ")
-        if agg.stalls != agg_scalar.stalls:
-            errors.append(f"{what} per-stage stall counts differ")
-        for name in ("su", "sv", "sw"):
-            if not np.array_equal(getattr(scalar.sources, name),
-                                  getattr(other.sources, name)):
-                errors.append(f"{name} not bit-identical under {what}")
+    if batched.total_cycles != scalar.total_cycles:
+        errors.append(f"batched exact cycle count differs: "
+                      f"{scalar.total_cycles} vs {batched.total_cycles}")
+    if agg_batched.fires != agg_scalar.fires:
+        errors.append("batched exact per-stage fire counts differ")
+    if agg_batched.stalls != agg_scalar.stalls:
+        errors.append("batched exact per-stage stall counts differ")
     for name in ("su", "sv", "sw"):
+        if not np.array_equal(getattr(scalar.sources, name),
+                              getattr(batched.sources, name)):
+            errors.append(f"{name} not bit-identical under batched exact")
         if not np.array_equal(getattr(scalar.sources, name),
                               getattr(resilient.sources, name)):
             errors.append(f"{name} differs under the resilient path")
@@ -194,11 +180,6 @@ def main(argv=None) -> int:
         extra={"batched": True,
                "batched_windows": agg_batched.batched_windows,
                "batched_cycles": agg_batched.batched_cycles})
-    rec_fast = BenchRecord(
-        name=f"kernel-{label}-fast", wall_seconds=t_fast,
-        cycles=fast.total_cycles, cells=grid.num_cells, mode="fast",
-        extra={"ff_advances": agg_fast.ff_advances,
-               "ff_cycles": agg_fast.ff_cycles})
     best_batched = min(batched_times)
     best_resilient = min(resilient_times)
     overhead = (best_resilient / best_batched - 1.0 if best_batched > 0
@@ -220,12 +201,9 @@ def main(argv=None) -> int:
                "instruments": "tracer+metrics, disabled"})
     suite.add(rec_scalar)
     suite.add(rec_batched)
-    suite.add(rec_fast)
     suite.add(rec_resilient)
     suite.add(rec_observed)
     gain_batched = speedup(rec_scalar, rec_batched)
-    gain_fast = speedup(rec_scalar, rec_fast)
-    suite.context["speedup_fast"] = round(gain_fast, 2)
     suite.context["speedup_batched_exact"] = round(gain_batched, 2)
     suite.context["resilience_overhead"] = round(overhead, 4)
     suite.context["observe_overhead"] = round(observe_overhead, 4)
@@ -235,9 +213,6 @@ def main(argv=None) -> int:
     print(f"\nbatched exact speedup: {gain_batched:.2f}x "
           f"({agg_batched.batched_cycles}/{batched.total_cycles} cycles "
           f"batched in {agg_batched.batched_windows} windows)")
-    print(f"fast-forward speedup:  {gain_fast:.2f}x "
-          f"({agg_fast.ff_cycles}/{fast.total_cycles} cycles "
-          f"fast-forwarded in {agg_fast.ff_advances} advances)")
     print(f"fault-free resilience overhead: {overhead * 100:+.2f}%")
     print(f"disabled observability overhead: "
           f"{observe_overhead * 100:+.2f}%")
@@ -247,10 +222,6 @@ def main(argv=None) -> int:
         print(f"FAIL: batched exact speedup {gain_batched:.2f}x below "
               f"the {args.min_batched_speedup:.1f}x floor",
               file=sys.stderr)
-        failed = True
-    if gain_fast < args.min_speedup:
-        print(f"FAIL: fast speedup {gain_fast:.2f}x below the "
-              f"{args.min_speedup:.1f}x floor", file=sys.stderr)
         failed = True
     if overhead > args.max_resilience_overhead:
         print(f"FAIL: fault-free resilience overhead {overhead * 100:.2f}% "

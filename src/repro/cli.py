@@ -8,18 +8,20 @@ Commands
     One end-to-end run on a device model, with a Gantt timeline.
 ``validate [--nx 6 --ny 9 --nz 5]``
     Cross-check every kernel execution path against the reference.
-``simulate [--nx 32 --ny 32 --nz 32] [--mode fast] [--kernels N]``
-    Cycle-accurate simulation of one kernel invocation; ``--mode fast``
-    fast-forwards steady-state phases (identical cycle counts and data).
+``simulate [--nx 32 --ny 32 --nz 32] [--no-batched] [--kernels N]``
+    Cycle-accurate simulation of one kernel invocation; steady-state
+    windows run batched (identical cycle counts and data), and
+    ``--no-batched`` forces the per-cycle loop.  ``--mode fast`` is a
+    deprecated alias of the default ``--mode exact``.
     ``--scenario NAME`` runs a registered workload-suite scenario
     (diffusion, buoyancy, grid/boundary/batch variants of advection)
     instead, with a bitwise reference check and the scenario's derived
     ops-per-cycle roofline.
 ``scenarios [names...] [--conformance] [--check-cli] [--json]``
     The workload suite: list the scenario registry, run the cross-mode
-    conformance harness (forced-scalar vs batched vs fast vs NumPy
-    reference, plus an injected-fault leg, lint and static-analysis
-    coverage, per scenario), and verify every kernel reachable from the
+    conformance harness (forced-scalar vs batched vs NumPy reference,
+    plus an injected-fault leg, lint and static-analysis coverage, per
+    scenario), and verify every kernel reachable from the
     CLI is registered (non-zero exit on any failure).
 ``devices``
     Print the device catalog with kernel fits and clocks.
@@ -58,7 +60,7 @@ Commands
     accept the same ``--backend`` flag (see docs/backends.md).
 ``serve [--fleet 2xu280+1xstratix10] [--jobs 24] [--rate 300] [--chaos]``
     Advection-as-a-service fleet scheduler under a seeded Poisson load:
-    admission-priced jobs, exact->fast degradation, per-device circuit
+    admission-priced jobs, exact->functional degradation, per-device circuit
     breakers, and device-loss resharding with bit-identical results;
     ``--chaos`` injects device/transfer faults, ``--trace`` writes the
     per-lane Perfetto timeline (non-zero exit if a chaos leg breaks the
@@ -74,6 +76,12 @@ from repro import constants
 from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
+
+
+def _add_mode_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mode", choices=("exact", "fast"), default="exact",
+                        help="engine mode; 'fast' is a deprecated alias "
+                             "of 'exact'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,9 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--chunk-width", type=int, default=None)
     p_sim.add_argument("--read-ii", type=int, default=1,
                        help="read-stage initiation interval")
-    p_sim.add_argument("--mode", choices=("exact", "fast"), default="exact",
-                       help="'fast' fast-forwards steady-state phases "
-                            "(same results, far less wall time)")
+    _add_mode_flag(p_sim)
     p_sim.add_argument("--no-batched", action="store_true",
                        help="disable batched exact execution (escape "
                             "hatch: force the pure per-cycle loop)")
@@ -154,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "registry)")
     p_scen.add_argument("--conformance", action="store_true",
                         help="run the cross-mode conformance harness "
-                             "(scalar/batched/fast/reference + fault "
-                             "leg + lint + static analysis)")
+                             "(scalar/batched/reference + fault leg + "
+                             "lint + static analysis)")
     p_scen.add_argument("--check-cli", action="store_true",
                         help="fail if any kernel reachable from the CLI "
                              "has no registered scenario")
@@ -291,10 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--ny", type=int, default=64)
     p_trace.add_argument("--nz", type=int, default=64)
     p_trace.add_argument("--chunk-width", type=int, default=None)
-    p_trace.add_argument("--mode", choices=("exact", "fast"),
-                         default="fast",
-                         help="engine mode (fast keeps 64^3 tractable; "
-                              "identical spans modulo fast-forward marks)")
+    _add_mode_flag(p_trace)
     p_trace.add_argument("--device", default="u280",
                          help="device whose schedule and clock to trace "
                               "(u280 | stratix10)")
@@ -310,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--ny", type=int, default=64)
     p_metrics.add_argument("--nz", type=int, default=64)
     p_metrics.add_argument("--chunk-width", type=int, default=None)
-    p_metrics.add_argument("--mode", choices=("exact", "fast"),
-                          default="fast")
+    _add_mode_flag(p_metrics)
     p_metrics.add_argument("--clock-mhz", type=float, default=None,
                            help="also report achieved GFLOPS at this "
                                 "kernel clock")
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="open the float32/bfloat16 axis")
     p_tune.add_argument("--measure", type=int, default=0, metavar="K",
                         help="re-score the top K candidates with the "
-                             "fast-forward simulator")
+                             "batched exact simulator")
     p_tune.add_argument("--cache", default=None, metavar="PATH",
                         help="persistent JSON evaluation cache")
     p_tune.add_argument("--trace", default=None, metavar="PATH",
@@ -521,11 +523,8 @@ def _cmd_simulate_scenario(args) -> int:
           f"mode={args.mode}")
     print(f"cycles:   {result.total_cycles} "
           f"({result.cells_per_cycle:.3f} cells/cycle)")
-    stats = result.stats
-    if stats.ff_veto_reason:
-        print(f"demoted:  {stats.ff_veto_reason}")
-    if stats.batch_fallback_reason:
-        print(f"fallback: {stats.batch_fallback_reason}")
+    if result.stats.batch_fallback_reason:
+        print(f"fallback: {result.stats.batch_fallback_reason}")
     print(report.summary())
     status = "OK (bitwise)" if diff == 0.0 else f"FAIL (max diff {diff:g})"
     print(f"reference: {status}")
@@ -614,8 +613,8 @@ def _cmd_simulate(args) -> int:
         print(f"memory:   {multi.arbiter.grants} grants, "
               f"{multi.arbiter.denials} denials "
               f"({multi.read_starvation_fraction:.1%} starved)")
-        if multi.ff_veto_reason:
-            print(f"demoted:  {multi.ff_veto_reason}")
+        if multi.batch_fallback_reason:
+            print(f"fallback: {multi.batch_fallback_reason}")
     else:
         result = simulate_kernel(config, fields, read_ii=args.read_ii,
                                  mode=args.mode, batched=batched)
@@ -624,12 +623,6 @@ def _cmd_simulate(args) -> int:
         print(f"grid:     {grid.interior_shape}, mode={args.mode}")
         print(f"cycles:   {result.total_cycles} "
               f"({result.cells_per_cycle:.3f} cells/cycle)")
-        if stats.ff_advances:
-            print(f"forward:  {stats.ff_cycles} cycles skipped in "
-                  f"{stats.ff_advances} analytic advances "
-                  f"({stats.ff_cycles / result.total_cycles:.1%} of the run)")
-        if stats.ff_veto_reason:
-            print(f"demoted:  {stats.ff_veto_reason}")
         if stats.batched_windows:
             scalar = result.total_cycles - stats.batched_cycles
             print(f"batched:  {stats.batched_cycles} cycles in "

@@ -17,7 +17,9 @@ behaviour captured here:
 
 Subclasses implement :meth:`Stage.fire`, a pure function from consumed
 input items to produced output items, keeping the timing model strictly
-separated from the functional behaviour.
+separated from the functional behaviour.  The ``ff_*`` hooks and
+:meth:`Stage.fire_bulk` let the engine's batched execution advance whole
+steady-state periods at once (see :mod:`repro.dataflow.engine`).
 """
 
 from __future__ import annotations
@@ -268,22 +270,23 @@ class Stage:
         progressed |= self._try_fire(cycle)
         return progressed
 
-    # -- fast-forward hooks (see DataflowEngine, mode="fast") -------------------
+    # -- fast-forward hooks (see DataflowEngine, batched=True) -----------------
 
     def ff_signature(self, cycle: int) -> tuple | None:
         """Hashable summary of all *control* state, or None to veto.
 
-        The fast-forward engine detects steady state by finding two cycles
+        The batched engine detects steady state by finding two cycles
         with identical control state: pipeline fill (entry ages and output
         shapes), the II timer, and any subclass state that influences
         *when* or *how many* items the stage produces.  Data values must
         not influence control for the analytic advance to be exact; a
         stage whose output counts depend on input values must override
-        this to return ``None`` (vetoing fast-forward for the whole run).
+        this to return ``None`` (vetoing batched windows for the rest of
+        the run).
 
         Ready ages are clamped at zero: an overdue pipeline entry behaves
         identically however long it has been due.  This runs once per
-        simulated cycle in fast mode, so it leans on the shape tuples
+        scalar cycle of a batched run, so it leans on the shape tuples
         cached at fire time instead of re-deriving them.
         """
         pipe = tuple([

@@ -14,6 +14,10 @@ simulation for free:
   window also resolves boundary cells — the FIFO-absorbed burst pattern);
 * :class:`ScatterWriteStage` — scatters results into an output array;
 * :func:`run_stencil_kernel` — wires and runs the whole machine.
+
+The shift-buffer and compute stages are data-dependent, so they veto
+batched windows: the engine runs this machine on its scalar loop and
+records why on :attr:`~repro.dataflow.engine.RunStats.batch_fallback_reason`.
 """
 
 from __future__ import annotations
@@ -65,8 +69,8 @@ class GeneralShiftBufferStage(Stage):
 
     #: Window emission depends on the buffer's fill position, which the
     #: base control-state fingerprint cannot see: veto steady-state
-    #: detection outright so neither fast-forward nor batched exact
-    #: execution can match a false period across priming states.
+    #: detection outright so batched execution can never match a false
+    #: period across priming states.
     unit_rate = False
 
     def ff_signature(self, at_cycle: int) -> None:
@@ -152,11 +156,10 @@ def run_stencil_kernel(block: np.ndarray, fn: WindowFn, out: np.ndarray, *,
     mode, batched:
         Engine execution mode.  The shift-buffer and window-compute
         stages are data-dependent (``unit_rate = False``, no
-        ``ff_signature``), so ``mode="fast"`` always demotes to exact
-        ticking with a veto recorded on
-        :attr:`~repro.dataflow.engine.RunStats.ff_veto_reason`, and
-        batched exact execution falls back to the scalar loop — both by
-        design, both bit-identical to forced-scalar execution.
+        ``ff_signature``), so batched execution falls back to the scalar
+        loop with the veto recorded on
+        :attr:`~repro.dataflow.engine.RunStats.batch_fallback_reason` —
+        by design, and bit-identical to forced-scalar execution.
     fault_plan, watchdog, tracer, metrics:
         Passed straight to the :class:`~repro.dataflow.engine.
         DataflowEngine` (FIFO word faults, stage freezes, cycle

@@ -13,6 +13,11 @@ Kernel instances are synchronised per Y-chunk (all instances process
 chunk *j* together); real hardware lets them drift, but the drift is
 bounded by one chunk's fill and the totals agree with the closed-form
 model to within that bound (asserted in the tests).
+
+Each engine run executes steady-state windows batched.  Once the arbiter
+has denied a request, read counts depend on the denial history, so the
+read stage vetoes further windows and the run finishes on the scalar
+loop; :attr:`MultiKernelSimResult.batch_fallback_reason` records why.
 """
 
 from __future__ import annotations
@@ -114,10 +119,11 @@ class ArbitratedReadStage(ReadDataStage):
     def ff_signature(self, cycle: int) -> tuple | None:
         # A starved arbiter makes firing data-rate-dependent in ways the
         # periodicity proof does not cover once denial history differs
-        # between kernels: veto fast-forward for the whole run the moment
-        # any request has ever been denied.  With ample credits the
-        # accumulator is part of the control state (it decides *when*
-        # grants are available), so it joins the signature exactly.
+        # between kernels: veto batched windows for the rest of the run
+        # the moment any request has ever been denied.  With ample
+        # credits the accumulator is part of the control state (it
+        # decides *when* grants are available), so it joins the
+        # signature exactly.
         if self.arbiter.denials > 0:
             return None
         base = super().ff_signature(cycle)
@@ -129,7 +135,7 @@ class ArbitratedReadStage(ReadDataStage):
                   retired: int, tail_outputs) -> None:
         super().ff_commit(old_cycle, new_cycle, fires=fires,
                           retired=retired, tail_outputs=tail_outputs)
-        # Every fast-forwarded firing would have won one grant.
+        # Every batched firing would have won one grant.
         self.arbiter.grants += fires
 
 
@@ -148,8 +154,10 @@ class MultiKernelSimResult:
     rescheduled_chunks: int = 0
     #: chunk re-runs performed by the checkpoint/restart machinery.
     chunk_retries: int = 0
-    #: why fast mode demoted to exact ticking (None when it did not).
-    ff_veto_reason: str | None = None
+    #: why batched execution fell back to scalar ticking: the distinct
+    #: reasons of every engine run, joined in first-seen order as
+    #: :meth:`RunStats.merge` does (None when no run fell back).
+    batch_fallback_reason: str | None = None
 
     @property
     def read_starvation_fraction(self) -> float:
@@ -181,13 +189,13 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
         across all kernels.  ``None`` means one per kernel per cycle
         (no contention, the HBM2 regime).
     mode:
-        Engine mode (``"exact"`` or ``"fast"``); fast-forward disables
-        itself automatically the moment the arbiter starves any read
-        stage, so a contended memory always simulates exactly.
+        Engine mode: ``"exact"`` (``"fast"`` is a deprecated alias).
     batched:
-        Exact mode only: batched steady-state execution (default on; the
-        same arbiter-starvation veto applies).  ``False`` forces the
-        per-cycle loop.
+        Batched steady-state execution (default on).  It falls back to
+        the per-cycle loop the moment the arbiter starves any read stage,
+        so a contended memory always simulates scalar; the reason lands
+        on :attr:`MultiKernelSimResult.batch_fallback_reason`.
+        ``False`` forces the per-cycle loop.
     fault_plan:
         Optional fault-injection plan.  ``replica`` faults are drawn at
         chunk seams: ``slow`` multiplies the replica's read II for that
@@ -263,7 +271,7 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
     quarantined: list[int] = []
     rescheduled_chunks = 0
     chunk_retries = 0
-    veto_reason: str | None = None
+    runs: list[RunStats] = []
     trace_on = tracer is not None and tracer.enabled
     # A heavily starved arbiter can stall every read stage for
     # ~kernels/rate cycles between grants; widen the engine's
@@ -286,7 +294,7 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
     def run_resilient(build: Callable[[], DataflowGraph],
                       check_parts: list[int], chunk) -> RunStats:
         """One engine run with chunk-seam checkpoint/retry semantics."""
-        nonlocal chunk_retries, veto_reason
+        nonlocal chunk_retries
         attempt = 0
         while True:
             checkpoint = (
@@ -342,8 +350,7 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
                         chunk=chunk.index, attempt=attempt,
                         error=str(error))
                 continue
-            if stats.ff_veto_reason is not None and veto_reason is None:
-                veto_reason = stats.ff_veto_reason
+            runs.append(stats)
             return stats
 
     for chunk in chunk_plan.chunks:
@@ -439,5 +446,5 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
         quarantined=quarantined,
         rescheduled_chunks=rescheduled_chunks,
         chunk_retries=chunk_retries,
-        ff_veto_reason=veto_reason,
+        batch_fallback_reason=RunStats.merge(runs).batch_fallback_reason,
     )

@@ -4,7 +4,9 @@ Runs the Fig. 2 dataflow graph chunk by chunk through the cycle engine,
 producing both the numerical result and the measured cycle counts.  Used
 on small grids to validate the closed-form
 :class:`~repro.kernel.cycle_model.KernelCycleModel` that the paper-scale
-benchmarks rely on.
+benchmarks rely on.  Each chunk's steady state runs as batched windows
+(:mod:`repro.dataflow.engine`), which keeps paper-scale grids tractable;
+``batched=False`` ticks every cycle with bit-identical results.
 
 Checkpoint/restart
 ------------------
@@ -101,15 +103,13 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
         Raise on any dual-port violation (the paper's partitioning claim
         is then checked on every simulated cycle).
     mode:
-        ``"exact"`` ticks every cycle; ``"fast"`` fast-forwards periodic
-        steady-state phases analytically — same results, same cycle
-        counts, far less wall time on paper-scale grids (see
-        :mod:`repro.dataflow.engine`).
+        Engine mode: ``"exact"`` (``"fast"`` is a deprecated alias).
     batched:
-        Exact mode only: let the engine advance proved-safe steady-state
-        windows analytically while keeping every observable cycle scalar
-        (bit-identical stats, default on).  ``False`` forces the pure
-        per-cycle loop — the escape hatch and the benchmark baseline.
+        Let the engine advance proved-safe steady-state windows in bulk
+        while keeping every observable cycle scalar (bit-identical stats,
+        default on; see :mod:`repro.dataflow.engine`).  ``False`` forces
+        the pure per-cycle loop — the escape hatch and the benchmark
+        baseline.
     fault_plan:
         Optional fault-injection plan, threaded into every chunk's engine
         run (FIFO word faults, stage freezes) and enabling the

@@ -4,7 +4,7 @@ One JSON, loadable in ``ui.perfetto.dev`` or ``chrome://tracing``,
 carrying every timeline the stack produces:
 
 * the **engine process** — dataflow-stage activity spans, shift-buffer
-  prime/steady phases, kernel chunk spans and fast-forward advances, all
+  prime/steady phases, kernel chunk spans and batched windows, all
   on the deterministic cycle clock (scaled to wall microseconds by the
   kernel clock when one is given);
 * the **host process** — the command-queue schedule's transfer/compute

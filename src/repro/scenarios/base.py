@@ -203,10 +203,10 @@ class ScenarioKernel:
     kind: str = ""
     #: Per-cell operation model (drives derived ops/cycle and GFLOPS).
     op_model: OpModel
-    #: True when the steady-state fast-forward proof applies; kernels
-    #: built on data-dependent stages veto it (and the conformance
-    #: harness asserts that the veto actually fires).
-    fast_admissible: bool = False
+    #: True when the steady-state periodicity proof applies, so batched
+    #: windows run; kernels built on data-dependent stages veto them
+    #: (and the conformance harness asserts the fallback is recorded).
+    batch_admissible: bool = False
 
     def reference(self, fields: FieldSet) -> SourceSet:
         """The NumPy reference result for one field set."""
@@ -407,7 +407,7 @@ class Scenario:
             "wind": self.wind,
             "batch": self.batch,
             "tags": list(self.tags),
-            "fast_admissible": self.kernel.fast_admissible,
+            "batch_admissible": self.kernel.batch_admissible,
             "op_model": self.kernel.op_model.to_dict(),
             "ops_per_cycle": self.ops_per_cycle,
             "grid_family": self.grids.to_dict(),

@@ -1,13 +1,12 @@
-"""Cross-mode conformance: every scenario, every engine mode, bitwise.
+"""Cross-mode conformance: every scenario, both execution paths, bitwise.
 
-The repo's core claim is that its three execution modes — forced-scalar
-exact, batched exact, and fast (steady-state fast-forward) — are
-*indistinguishable*: same outputs byte for byte, same cycle counts,
-same stats, same fault traces.  PR 7 proved that for the advection
-kernel; this harness re-proves it for **every registered scenario**, so
-no kernel can join the suite without inheriting the guarantee.
+The repo's core claim is that its two execution paths — forced-scalar
+exact and batched exact — are *indistinguishable*: same outputs byte
+for byte, same cycle counts, same stats, same fault traces.  This
+harness proves that for **every registered scenario**, so no kernel can
+join the suite without inheriting the guarantee.
 
-Per scenario, six checks run on the grid family's small shape:
+Per scenario, five checks run on the grid family's small shape:
 
 ``reference``
     Forced-scalar exact output equals the NumPy reference bitwise, for
@@ -16,11 +15,10 @@ Per scenario, six checks run on the grid family's small shape:
     Batched exact equals forced-scalar: outputs, cycle counts, and the
     full stats dict minus the batching bookkeeping keys
     (``batched_windows``/``batched_cycles``/``batch_fallback_reason``).
-``fast``
-    Fast mode equals forced-scalar on outputs and cycles; kernels whose
-    stages are data-dependent (``fast_admissible = False``) must
-    additionally *record a veto* — a silent pretend-fast-forward would
-    be a correctness bug, not a feature.
+    Kernels whose stages are data-dependent (``batch_admissible =
+    False``) must additionally *record* a ``batch_fallback_reason`` — a
+    silent pretend-batched run would be a correctness bug, not a
+    feature.
 ``fault``
     One injected fault plan per scenario, identical seed, run under
     forced-scalar and batched execution: both legs must end in the same
@@ -60,8 +58,8 @@ STATS_BATCH_KEYS: frozenset[str] = frozenset(
     {"batched_windows", "batched_cycles", "batch_fallback_reason"})
 
 #: The check names, in execution order.
-CHECKS: tuple[str, ...] = ("reference", "batched", "fast", "fault",
-                           "lint", "analyze")
+CHECKS: tuple[str, ...] = ("reference", "batched", "fault", "lint",
+                           "analyze")
 
 
 @dataclass(frozen=True)
@@ -192,19 +190,11 @@ def run_conformance(scenario: Scenario, *, grid: Grid | None = None,
                         f"{batched.total_cycles})")
     if _stats_minus_batching(scalar) != _stats_minus_batching(batched):
         problems.append("stats differ beyond batching bookkeeping")
+    if not scenario.kernel.batch_admissible \
+            and not batched.stats.batch_fallback_reason:
+        problems.append("data-dependent kernel batched without "
+                        "recording a fallback reason")
     record("batched", not problems, "; ".join(problems))
-
-    fast = scenario.run(grid, seed=seed, mode="fast", batched=False)
-    problems = []
-    if not _batches_identical(scalar, fast):
-        problems.append("outputs differ")
-    if scalar.total_cycles != fast.total_cycles:
-        problems.append(f"cycles differ ({scalar.total_cycles} vs "
-                        f"{fast.total_cycles})")
-    if not scenario.kernel.fast_admissible and not fast.stats.ff_veto_reason:
-        problems.append("data-dependent kernel fast-forwarded without "
-                        "recording a veto")
-    record("fast", not problems, "; ".join(problems))
 
     scalar_f, scalar_err, scalar_trace = _faulted_leg(
         scenario, grid, seed, batched=False)

@@ -86,9 +86,8 @@ class AdvectionKernel(ScenarioKernel):
     kind = "advection"
     op_model = OpModel(63, 55)
     #: The Fig. 2 stages are unit-rate with closed-form signatures, so
-    #: the steady-state periodicity proof holds and fast mode actually
-    #: fast-forwards.
-    fast_admissible = True
+    #: the steady-state periodicity proof holds and batched windows run.
+    batch_admissible = True
 
     def __init__(self, *, chunk_width: int | None = None) -> None:
         self._chunk_width = chunk_width
@@ -138,12 +137,12 @@ class _StencilKernel(ScenarioKernel):
     ``run_stencil_kernel`` pass (the FPGA design would instantiate one
     pipeline per field); stats merge across the three runs.  Both
     stages of that machine are data-dependent (``unit_rate = False``,
-    no fast-forward signature), so fast mode and batched windows demote
-    to the scalar loop by design — the conformance harness asserts the
-    veto fires rather than pretending a speedup exists.
+    no ``ff_signature``), so batched windows fall back to the scalar loop
+    by design — the conformance harness asserts the fallback is recorded
+    rather than pretending a speedup exists.
     """
 
-    fast_admissible = False
+    batch_admissible = False
     #: Streams carry window bursts of up to three results (interior +
     #: both one-sided boundary cells at nz == 3).
     stream_depth = 4

@@ -122,8 +122,8 @@ register(Scenario(
     name="diffusion",
     title="7-point diffusion",
     description="Constant-viscosity 7-point diffusion on the general "
-                "shift buffer (45-op model); fast-forward and batched "
-                "windows demote by design (data-dependent stages).",
+                "shift buffer (45-op model); batched windows fall "
+                "back by design (data-dependent stages).",
     kernel=DiffusionKernel(nu=0.8),
     grids=COMPACT,
     wind="thermal-bubble",

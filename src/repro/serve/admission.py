@@ -16,9 +16,9 @@ and the decision ladder, in order:
    :class:`~repro.serve.errors.AdmissionError` (the fleet may recover
    later; *this* submission is honestly refused now).
 2. **Queue at hard cap** -> :class:`~repro.serve.errors.OverloadError`.
-3. **Backlog over budget** -> degrade ``exact`` -> ``fast`` when the
+3. **Backlog over budget** -> degrade ``exact`` -> ``functional`` when the
    tenant allows it; shed ``exact`` jobs that forbid degradation with
-   :class:`~repro.serve.errors.OverloadError`; ``fast`` jobs squeeze in
+   :class:`~repro.serve.errors.OverloadError`; ``functional`` jobs squeeze in
    until the hard cap.
 4. **Deadline infeasible at the requested tier** -> retry the estimate
    at the degraded tier (if allowed); still infeasible -> typed
@@ -148,14 +148,14 @@ class AdmissionController:
         if backlog_seconds > self.overload_backlog_seconds:
             if spec.mode == "exact":
                 if spec.allow_degrade:
-                    mode, degraded = "fast", True
+                    mode, degraded = "functional", True
                 else:
                     self.shed += 1
                     raise OverloadError(
                         f"job {spec.job_id}: backlog "
                         f"{backlog_seconds * 1e3:.2f} ms over budget "
                         f"{self.overload_backlog_seconds * 1e3:.2f} ms and "
-                        "tenant forbids exact->fast degradation"
+                        "tenant forbids exact->functional degradation"
                     )
 
         wait = backlog_seconds / len(lanes)
@@ -167,9 +167,9 @@ class AdmissionController:
                 and estimate > spec.deadline_seconds):
             # One rung left on the ladder: try the degraded tier.
             if mode == "exact" and spec.allow_degrade:
-                quote = self.best_quote(spec, "fast", lanes)
+                quote = self.best_quote(spec, "functional", lanes)
                 estimate = wait + quote.service_seconds + retries
-                mode, degraded = "fast", True
+                mode, degraded = "functional", True
             if estimate > spec.deadline_seconds:
                 self.rejected += 1
                 raise AdmissionError(

@@ -8,7 +8,7 @@ crossed with the service mode, value = the numeric sources plus the
 checksum (and cycle stats for the exact tier).
 
 Mode is part of the key because the tiers deliver different artefacts —
-a fast entry has no cycle stats to hand an exact request.  The numbers
+a functional entry has no cycle stats to hand an exact request.  The numbers
 themselves are bit-identical across tiers, so a cache hit can never
 launder a different answer: the stored checksum *is* the golden one.
 

@@ -105,7 +105,7 @@ def build_arrivals(load: PoissonLoad) -> list[tuple[float, JobSpec]]:
             tenant=load.tenants[index % len(load.tenants)],
             nx=load.nx, ny=load.ny, nz=load.nz,
             seed=load.seed * 1000 + index % load.distinct_inputs,
-            mode="exact" if exact else "fast",
+            mode="exact" if exact else "functional",
             allow_degrade=not no_degrade,
             deadline_seconds=load.deadline_seconds,
             scenario=load.scenario,

@@ -13,7 +13,7 @@ error                     raised when
 AdmissionError            the fleet cannot meet the job's deadline (or has
                           no healthy lane) — rejected before queueing
 OverloadError             admission shed the job under overload and the
-                          tenant forbade the exact->fast downgrade
+                          tenant forbade the exact->functional downgrade
 DeadlineExceededError     an admitted job missed its deadline (stale in the
                           queue, or the service watchdog fired mid-run)
 FleetDownError            every device lane is permanently lost; queued and
@@ -58,7 +58,7 @@ class AdmissionError(ServeError):
 class OverloadError(AdmissionError):
     """The job was shed under overload: the backlog breached the
     admission controller's budget and the tenant's policy forbade the
-    exact->fast downgrade (or the queue hit its hard cap)."""
+    exact->functional downgrade (or the queue hit its hard cap)."""
 
 
 class DeadlineExceededError(ServeError, FaultError):

@@ -4,7 +4,7 @@ A :class:`JobSpec` is a tenant's request: grid dimensions plus the wind
 seed (inputs are generated deterministically with
 :func:`~repro.core.wind.random_wind`, so two jobs with the same spec
 carry bit-identical fields), the service mode, and the tenant's
-robustness policy — may the fleet downgrade ``exact`` to ``fast`` under
+robustness policy — may the fleet downgrade ``exact`` to ``functional`` under
 overload, and by when must the job finish.
 
 A :class:`JobResult` is the receipt: where and how the job actually ran
@@ -65,9 +65,9 @@ class JobSpec:
     seed: int = 0
     magnitude: float = 2.0
     #: requested service tier: "exact" delivers cycle-accurate RunStats
-    #: alongside the sources, "fast" the sources only (same numbers).
+    #: alongside the sources, "functional" the sources only (same numbers).
     mode: str = "exact"
-    #: may the fleet downgrade exact->fast under overload?
+    #: may the fleet downgrade exact->functional under overload?
     allow_degrade: bool = True
     #: modelled-seconds deadline measured from submission (None = none).
     deadline_seconds: float | None = None
@@ -139,7 +139,7 @@ class JobResult:
     tenant: str
     #: lane that produced the result ("u280-0"; "cache" on a cache hit).
     device: str
-    #: tier actually served (may be "fast" for a degraded exact request).
+    #: tier actually served (may be "functional" for a degraded exact request).
     mode_served: str
     degraded: bool
     cache_hit: bool
@@ -147,7 +147,7 @@ class JobResult:
     finished_at: float
     #: blake2b over the numeric sources — the bit-identity witness.
     checksum: str
-    #: cycle-accurate total (exact tier only; None for fast).
+    #: cycle-accurate total (exact tier only; None for functional).
     stats_cycles: int | None = None
     reshards: int = 0
     transfer_redrives: int = 0

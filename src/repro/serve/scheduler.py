@@ -8,7 +8,7 @@ them across the simulated device fleet under deterministic virtual time
    instantly from the host, no device time billed.
 2. **Admission** — the :class:`~repro.serve.admission.AdmissionController`
    prices the job with the :mod:`repro.tune` cost model and either
-   admits (possibly degrading exact->fast), or raises a typed
+   admits (possibly degrading exact->functional), or raises a typed
    rejection.  Admitted jobs enter an earliest-deadline-first queue.
 3. **Dispatch** — one worker per device lane pulls jobs.  Each dispatch
    draws the fault plan's ``device`` site for its lane: a drawn fault

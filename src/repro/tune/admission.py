@@ -12,7 +12,7 @@ Fig. 6 overlapped schedule.
 
 Service modes
 -------------
-``fast``
+``functional``
     The production path: chunked functional execution, results-only
     readback.
 ``exact``
@@ -22,7 +22,7 @@ Service modes
     dominates end-to-end time, exact mode is priced as a larger D2H
     payload (:data:`EXACT_TELEMETRY_OUT_SCALE` x the result bytes)
     rather than as an opaque latency constant — which is also why the
-    overload ladder's exact->fast downgrade buys real headroom: it
+    overload ladder's exact->functional downgrade buys real headroom: it
     sheds transfer bytes, the scarce resource.
 """
 
@@ -47,8 +47,8 @@ __all__ = ["JobQuote", "quote_job", "serve_session", "serve_config",
 EXACT_TELEMETRY_OUT_SCALE: float = 2.0
 
 #: Service modes the fleet offers, cheapest first (the degradation
-#: ladder walks right-to-left: exact downgrades to fast).
-SERVE_MODES: tuple[str, ...] = ("fast", "exact")
+#: ladder walks right-to-left: exact downgrades to functional).
+SERVE_MODES: tuple[str, ...] = ("functional", "exact")
 
 #: X chunks per job schedule: small jobs still overlap transfer/compute.
 SERVE_X_CHUNKS: int = 8
@@ -107,7 +107,7 @@ class JobQuote:
         }
 
 
-def quote_job(device: Any, grid: Grid, *, mode: str = "fast",
+def quote_job(device: Any, grid: Grid, *, mode: str = "functional",
               x_chunks: int = SERVE_X_CHUNKS,
               flops_scale: float = 1.0) -> JobQuote:
     """Price one job on one device model, fault-free.

@@ -7,8 +7,7 @@ mode (``DataflowEngine(mode="exact", batched=True)`` under
 :func:`~repro.kernel.simulate.simulate_kernel`) and records the
 analytic-versus-measured cycle error, so a tuning report carries its own
 error bars — if a model change ever breaks the closed form, the tuner
-is the first place it shows.  Batched exact costs about the same wall
-time as the old fast mode on proxy grids but reports the bit-exact
+is the first place it shows.  Batched exact reports the bit-exact
 stall/stats profile, not just matching cycle counts.
 
 Simulation cost scales with cells, so candidates are measured on a

@@ -85,12 +85,9 @@ class TestEquivalence:
             lambda: pipeline(300, fn_ii=ii, fn_latency=latency, depth=depth))
         assert_identical(scalar, batched)
         stats_batched, _ = batched
-        # The point of the mode: most of the run must actually be batched
-        # — and never counted under the fast-mode fields.
+        # The point of the mode: most of the run must actually be batched.
         assert stats_batched.batched_windows >= 1
         assert stats_batched.batched_cycles > stats_batched.cycles // 2
-        assert stats_batched.ff_advances == 0
-        assert stats_batched.ff_cycles == 0
 
     def test_scalar_run_reports_no_batching(self):
         (stats_scalar, _), _ = run_both(lambda: pipeline(100))
@@ -99,10 +96,11 @@ class TestEquivalence:
         assert stats_scalar.batch_fallback_reason is None
 
     def test_fast_mode_ignores_the_batched_flag(self):
+        # The deprecated alias always runs batched exact.
         g = pipeline(200)
-        stats = DataflowEngine(g, mode="fast", batched=True).run()
-        assert stats.batched_windows == 0
-        assert stats.ff_advances >= 1
+        with pytest.warns(DeprecationWarning, match="mode='fast'"):
+            stats = DataflowEngine(g, mode="fast", batched=False).run()
+        assert stats.batched_windows >= 1
 
 
 class TestMonitors:

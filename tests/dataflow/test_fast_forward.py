@@ -1,11 +1,12 @@
-"""Fast-forward mode reproduces exact ticking bit-for-bit.
+"""The deprecated ``mode="fast"`` alias reproduces exact ticking bit-for-bit.
 
-The steady-state fast-forward engine must be observationally equivalent to
-per-cycle ticking: same cycle count, same per-stage fire and stall
-counters, same stream high-water marks, same sink data in the same order.
-These tests sweep graph shapes (II, latency, FIFO depth, fan-out) and
-check equivalence everywhere, plus the disable conditions (monitors,
-vetoes) and the RunStats aggregation helpers.
+``mode="fast"`` warns and runs ``mode="exact", batched=True``, the one
+accelerated path.  The alias must stay observationally equivalent to
+forced-scalar ticking: same cycle count, same per-stage fire and stall
+counters, same stream high-water marks, same sink data in the same
+order.  These tests sweep graph shapes (II, latency, FIFO depth) through
+the alias, plus the engine's mode, monitor-stride and cycle-cap options
+and the RunStats aggregation helpers.
 """
 
 import pytest
@@ -20,6 +21,8 @@ from repro.dataflow.stage import (
     SourceStage,
 )
 from repro.errors import DataflowError
+
+pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def pipeline(n_items=300, *, fn_ii=1, fn_latency=4, depth=4):
@@ -42,10 +45,12 @@ def const_pipeline(count=200, *, ii=1):
 
 
 def run_both(build, **engine_kwargs):
-    """Run a freshly built graph in each mode; return (exact, fast) pairs
-    of (stats, graph) — graphs are stateful, so each mode gets its own."""
+    """Run a freshly built graph forced-scalar and through the alias;
+    return (scalar, fast) pairs of (stats, graph) — graphs are stateful,
+    so each run gets its own."""
     g_exact = build()
-    stats_exact = DataflowEngine(g_exact, mode="exact", **engine_kwargs).run()
+    stats_exact = DataflowEngine(g_exact, mode="exact", batched=False,
+                                 **engine_kwargs).run()
     g_fast = build()
     stats_fast = DataflowEngine(g_fast, mode="fast", **engine_kwargs).run()
     return (stats_exact, g_exact), (stats_fast, g_fast)
@@ -77,9 +82,9 @@ class TestEquivalence:
             lambda: pipeline(300, fn_ii=ii, fn_latency=latency, depth=depth))
         assert_equivalent(exact, fast)
         stats_fast, _ = fast
-        # The point of the mode: most of the run must actually be skipped.
-        assert stats_fast.ff_advances > 0
-        assert stats_fast.ff_cycles > stats_fast.cycles // 2
+        # The alias accelerates: most of the run must actually be batched.
+        assert stats_fast.batched_windows > 0
+        assert stats_fast.batched_cycles > stats_fast.cycles // 2
 
     def test_const_stage(self):
         exact, fast = run_both(lambda: const_pipeline(200))
@@ -107,18 +112,30 @@ class TestEquivalence:
         exact, fast = run_both(build)
         assert_equivalent(exact, fast)
         stats_fast, g_fast = fast
-        assert stats_fast.ff_advances > 0
+        assert stats_fast.batched_windows > 0
         assert g_fast.stage("sink").collected == [-2 * i for i in range(250)]
 
     def test_short_run_never_diverges(self):
-        # Too short for a steady state: fast mode must still be exact.
+        # Too short for a steady state: the alias must still be exact.
         exact, fast = run_both(lambda: pipeline(5))
         assert_equivalent(exact, fast)
 
     def test_sink_data_ordered(self):
         _, (stats_fast, g_fast) = run_both(lambda: pipeline(300))
         assert g_fast.stage("sink").collected == [2 * i for i in range(300)]
-        assert stats_fast.ff_advances > 0
+        assert stats_fast.batched_windows > 0
+
+    def test_fast_alias_warns_and_matches_batched_exact(self):
+        g_batched = pipeline(300)
+        stats_batched = DataflowEngine(g_batched, mode="exact",
+                                       batched=True).run()
+        g_fast = pipeline(300)
+        with pytest.warns(DeprecationWarning, match="mode='fast'"):
+            engine = DataflowEngine(g_fast, mode="fast", batched=False)
+        assert (engine.mode, engine.batched) == ("exact", True)
+        assert engine.run().to_dict() == stats_batched.to_dict()
+        assert (g_fast.stage("sink").collected
+                == g_batched.stage("sink").collected)
 
 
 class TestDisableConditions:
@@ -127,8 +144,8 @@ class TestDisableConditions:
         stream = g.streams[0]
         probe = StreamProbe(stream.name)
         stats = DataflowEngine(g, mode="fast", monitors=[probe]).run()
-        assert stats.ff_advances == 0
-        assert stats.ff_cycles == 0
+        assert stats.batched_windows == 0
+        assert "samples every cycle" in stats.batch_fallback_reason
         # Every cycle was actually ticked and sampled.
         assert len(probe.samples) >= stats.cycles - 1
 
@@ -140,9 +157,10 @@ class TestDisableConditions:
         assert len(probe.samples) <= stats.cycles // 10 + 1
 
     def test_exact_mode_never_advances(self):
-        stats = DataflowEngine(pipeline(300), mode="exact").run()
-        assert stats.ff_advances == 0
-        assert stats.ff_cycles == 0
+        stats = DataflowEngine(pipeline(300), mode="exact",
+                               batched=False).run()
+        assert stats.batched_windows == 0
+        assert stats.batched_cycles == 0
 
     def test_bad_mode_rejected(self):
         with pytest.raises(DataflowError, match="mode"):
@@ -158,19 +176,16 @@ class TestRunStatsMerge:
     def test_merge_adds_counters_and_maxes_high_water(self):
         a = RunStats(cycles=100, fires={"x": 10},
                      stalls={"x": {"input": 1, "ii": 2}},
-                     stream_high_water={"s": 3}, ff_advances=1, ff_cycles=50)
+                     stream_high_water={"s": 3})
         b = RunStats(cycles=40, fires={"x": 4, "y": 7},
                      stalls={"x": {"input": 2}, "y": {"output": 5}},
-                     stream_high_water={"s": 2, "t": 9}, ff_advances=2,
-                     ff_cycles=11)
+                     stream_high_water={"s": 2, "t": 9})
         m = RunStats.merge([a, b])
         assert m.cycles == 140
         assert m.fires == {"x": 14, "y": 7}
         assert m.stalls == {"x": {"input": 3, "ii": 2},
                             "y": {"output": 5}}
         assert m.stream_high_water == {"s": 3, "t": 9}
-        assert m.ff_advances == 3
-        assert m.ff_cycles == 61
 
     def test_merge_empty(self):
         m = RunStats.merge([])
@@ -179,27 +194,28 @@ class TestRunStatsMerge:
 
     def test_merge_keeps_two_distinct_veto_reasons(self):
         runs = [
-            RunStats(cycles=10, ff_veto_reason="monitors attached"),
+            RunStats(cycles=10, batch_fallback_reason="monitor attached"),
             RunStats(cycles=10),
-            RunStats(cycles=10, ff_veto_reason="fault plan active"),
+            RunStats(cycles=10, batch_fallback_reason="stage vetoed"),
         ]
         m = RunStats.merge(runs)
-        assert m.ff_veto_reason == "monitors attached; fault plan active"
+        assert m.batch_fallback_reason == "monitor attached; stage vetoed"
 
     def test_merge_deduplicates_repeated_veto_reason(self):
-        runs = [RunStats(cycles=5, ff_veto_reason="monitors attached")] * 3
-        assert RunStats.merge(runs).ff_veto_reason == "monitors attached"
+        runs = [RunStats(cycles=5, batch_fallback_reason="stage vetoed")] * 3
+        assert RunStats.merge(runs).batch_fallback_reason == "stage vetoed"
 
     def test_merge_without_vetoes_stays_none(self):
-        assert RunStats.merge([RunStats(cycles=5)]).ff_veto_reason is None
+        assert RunStats.merge([RunStats(cycles=5)]).batch_fallback_reason \
+            is None
 
     def test_summary_reports_fast_forward(self):
-        stats = RunStats(cycles=500, fires={"fn": 400}, ff_advances=2,
-                         ff_cycles=300)
+        stats = RunStats(cycles=500, fires={"fn": 400}, batched_windows=2,
+                         batched_cycles=300)
         text = stats.summary()
-        assert "300 fast-forwarded in 2 advances" in text
+        assert "300 batched in 2 windows, 200 scalar" in text
         assert "fn" in text
 
     def test_summary_quiet_without_fast_forward(self):
         stats = RunStats(cycles=500, fires={"fn": 400})
-        assert "fast-forwarded" not in stats.summary()
+        assert "batched" not in stats.summary()

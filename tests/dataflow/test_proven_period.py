@@ -1,19 +1,21 @@
-"""``proven_period``: fast-forward without the runtime recurrence hunt.
+"""The statically proven period drives batched execution's probe.
 
-A statically proven steady-state period (from ``repro.analyze``) lets the
-fast engine skip fingerprint-table building: it arms one probe and jumps
-when the control state recurs exactly that many cycles later.  The mode
-must stay observationally equivalent to exact ticking — and a *wrong*
-period may cost speed but never correctness.
+On unit-rate graphs :func:`~repro.dataflow.compiled.compile_graph`
+attaches the occupancy prover's steady-state period as ``period_hint``.
+The batched engine then skips the runtime recurrence hunt: it arms one
+probe and opens a window when the control state recurs exactly that many
+cycles later.  Batched runs must stay bit-identical to forced-scalar
+ticking — and a *wrong* hint may cost speed but never correctness.
 """
 
 import pytest
 
 from repro.analyze import analyze_graph, build_token_twin
+from repro.dataflow import engine as engine_module
+from repro.dataflow.compiled import compile_graph
 from repro.dataflow.engine import DataflowEngine
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import FunctionStage, SinkStage, SourceStage
-from repro.errors import DataflowError
 from repro.lint.spec import SpecStage
 
 
@@ -28,6 +30,14 @@ def pipeline(n_items=400, *, fn_ii=1, fn_latency=4, depth=4):
     return g
 
 
+def without_batching(stats):
+    """Stats minus the batching bookkeeping, which legitimately differs."""
+    data = stats.to_dict()
+    for key in ("batched_windows", "batched_cycles", "batch_fallback_reason"):
+        del data[key]
+    return data
+
+
 def collected(graph):
     (sink,) = [s for s in graph.stages if isinstance(s, SinkStage)]
     return sink.collected
@@ -35,32 +45,37 @@ def collected(graph):
 
 class TestEquivalence:
     @pytest.mark.parametrize("fn_ii,period", [(1, 1), (2, 2), (3, 3)])
-    def test_proven_period_matches_exact_mode(self, fn_ii, period):
+    def test_period_hint_matches_exact_mode(self, fn_ii, period):
+        assert compile_graph(pipeline(fn_ii=fn_ii)).period_hint == period
         g_exact = pipeline(fn_ii=fn_ii)
-        stats_exact = DataflowEngine(g_exact, mode="exact").run()
-        g_proven = pipeline(fn_ii=fn_ii)
-        stats_proven = DataflowEngine(g_proven, mode="fast",
-                                      proven_period=period).run()
-        assert stats_proven.cycles == stats_exact.cycles
-        assert stats_proven.fires == stats_exact.fires
-        assert stats_proven.stalls == stats_exact.stalls
-        assert collected(g_proven) == collected(g_exact)
-        assert stats_proven.ff_advances > 0
+        stats_exact = DataflowEngine(g_exact, batched=False).run()
+        g_batched = pipeline(fn_ii=fn_ii)
+        stats_batched = DataflowEngine(g_batched).run()
+        assert stats_batched.cycles == stats_exact.cycles
+        assert stats_batched.fires == stats_exact.fires
+        assert stats_batched.stalls == stats_exact.stalls
+        assert collected(g_batched) == collected(g_exact)
+        assert stats_batched.batched_windows > 0
 
-    def test_wrong_period_is_safe_just_slower(self):
+    def test_wrong_period_is_safe_just_slower(self, monkeypatch):
         g_exact = pipeline()
-        stats_exact = DataflowEngine(g_exact, mode="exact").run()
+        stats_exact = DataflowEngine(g_exact, batched=False).run()
         # True period is 1; any multiple still matches the recurrence,
         # a non-multiple simply never fires the probe.
         for period in (7, 997):
+            def wrong_hint(graph, period=period):
+                compiled = compile_graph(graph)
+                compiled.period_hint = period
+                return compiled
+
+            monkeypatch.setattr(engine_module, "compile_graph", wrong_hint)
             g = pipeline()
-            stats = DataflowEngine(g, mode="fast",
-                                   proven_period=period).run()
-            assert stats.cycles == stats_exact.cycles
+            stats = DataflowEngine(g).run()
+            assert without_batching(stats) == without_batching(stats_exact)
             assert collected(g) == collected(g_exact)
 
     def test_analyzer_period_feeds_the_engine(self):
-        """End to end: prove the period statically, hand it to fast mode."""
+        """End to end: the statically proved period is the engine's hint."""
         graph = DataflowGraph("chain")
         graph.add(SpecStage("src", outputs=("out",), latency=1))
         graph.add(SpecStage("fn", inputs=("in",), outputs=("out",),
@@ -70,28 +85,17 @@ class TestEquivalence:
         graph.connect("fn", "out", "sink", "in", depth=4)
         tokens = 500
         report = analyze_graph(graph, tokens)
-        proven = report.occupancy.period.cycles
+        twin = build_token_twin(graph, tokens)
+        assert compile_graph(twin).period_hint \
+            == report.occupancy.period.cycles
         stats_exact = DataflowEngine(
-            build_token_twin(graph, tokens)).run()
-        stats_proven = DataflowEngine(
-            build_token_twin(graph, tokens), mode="fast",
-            proven_period=proven).run()
-        assert stats_proven.cycles == stats_exact.cycles
-        assert stats_proven.cycles == report.schedule.total_cycles
-        assert stats_proven.ff_advances > 0
+            build_token_twin(graph, tokens), batched=False).run()
+        stats_batched = DataflowEngine(twin).run()
+        assert stats_batched.cycles == stats_exact.cycles
+        assert stats_batched.cycles == report.schedule.total_cycles
+        assert stats_batched.batched_windows > 0
 
     def test_probe_skips_most_of_a_long_run(self):
-        stats = DataflowEngine(pipeline(5000), mode="fast",
-                               proven_period=1).run()
-        assert stats.ff_cycles > 4000
-        assert stats.ff_advances >= 1
-
-
-class TestValidation:
-    def test_rejects_nonpositive_period(self):
-        with pytest.raises(DataflowError, match="proven_period"):
-            DataflowEngine(pipeline(), mode="fast", proven_period=0)
-
-    def test_rejects_exact_mode(self):
-        with pytest.raises(DataflowError, match="mode='fast'"):
-            DataflowEngine(pipeline(), proven_period=4)
+        stats = DataflowEngine(pipeline(5000)).run()
+        assert stats.batched_cycles > 4000
+        assert stats.batched_windows >= 1

@@ -3,8 +3,8 @@
 FIFO corruption must be detected at the consumer (never silently
 consumed), dropped words must surface as a typed error rather than a
 quiet short-count, frozen stages must trip the deadlock guard or the
-watchdog, and any active plan must demote fast-forward mode with a
-user-visible reason.
+watchdog, and the deprecated fast alias must surface why batched
+execution fell back.
 """
 
 import pytest
@@ -103,14 +103,11 @@ class TestWatchdog:
             DataflowEngine(pipeline(), watchdog=0)
 
 
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestFastModeDemotion:
-    def test_active_plan_demotes_with_reason(self):
-        plan = FaultPlan([FaultSpec("fifo", "corrupt", match="nomatch")])
-        stats = DataflowEngine(pipeline(), mode="fast",
-                               fault_plan=plan).run()
-        assert stats.ff_advances == 0
-        assert stats.ff_veto_reason is not None
-        assert "fault injection" in stats.ff_veto_reason
+    """``mode="fast"`` runs batched exact: a fault plan bounds windows
+    instead of demoting the run, and an every-cycle monitor makes it fall
+    back to scalar ticking with the reason recorded."""
 
     def test_monitors_demote_with_reason(self):
         from repro.dataflow.monitors import StreamProbe
@@ -118,16 +115,18 @@ class TestFastModeDemotion:
         probe = StreamProbe("src.out->fn.in")
         stats = DataflowEngine(pipeline(), mode="fast",
                                monitors=[probe]).run()
-        assert stats.ff_veto_reason is not None
-        assert "monitor" in stats.ff_veto_reason
+        assert stats.batch_fallback_reason is not None
+        assert "monitor" in stats.batch_fallback_reason
 
     def test_clean_fast_run_has_no_reason(self):
         stats = DataflowEngine(pipeline(300), mode="fast").run()
-        assert stats.ff_veto_reason is None
-        assert stats.ff_advances > 0
+        assert stats.batch_fallback_reason is None
+        assert stats.batched_windows > 0
 
     def test_summary_mentions_demotion(self):
-        plan = FaultPlan([FaultSpec("fifo", "corrupt", match="nomatch")])
+        from repro.dataflow.monitors import StreamProbe
+
         stats = DataflowEngine(pipeline(), mode="fast",
-                               fault_plan=plan).run()
-        assert "demoted" in stats.summary()
+                               monitors=[StreamProbe("src.out->fn.in")]
+                               ).run()
+        assert "batched fallback" in stats.summary()

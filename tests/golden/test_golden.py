@@ -10,6 +10,8 @@ import json
 import pathlib
 import re
 
+import pytest
+
 from repro.cli import main
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
@@ -32,10 +34,11 @@ class TestStatsSnapshots:
         stats = small_run().aggregate_stats()
         golden("aggregate_stats_exact.json", as_json(stats.to_dict()))
 
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_aggregate_stats_fast(self, golden):
-        # Fast mode adds the ff_* counters; cycles must match exact.
+        # The deprecated fast alias runs batched exact: same snapshot.
         stats = small_run(mode="fast").aggregate_stats()
-        golden("aggregate_stats_fast.json", as_json(stats.to_dict()))
+        golden("aggregate_stats_exact.json", as_json(stats.to_dict()))
 
     def test_runstats_merge(self, golden):
         merged = RunStats.merge(small_run().chunk_stats)
@@ -52,11 +55,14 @@ class TestCliSnapshots:
                      "--chunk-width", "4"]) == 0
         golden("cli_simulate.txt", normalise_wall(capsys.readouterr().out))
 
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_simulate_fast_text(self, golden, capsys):
+        # --mode fast prints the exact-mode report; only the label differs.
         assert main(["simulate", "--nx", "6", "--ny", "9", "--nz", "5",
                      "--chunk-width", "4", "--mode", "fast"]) == 0
-        golden("cli_simulate_fast.txt",
-               normalise_wall(capsys.readouterr().out))
+        out = normalise_wall(capsys.readouterr().out)
+        assert "mode=fast" in out
+        golden("cli_simulate.txt", out.replace("mode=fast", "mode=exact"))
 
     def test_lint_json(self, golden, capsys):
         assert main(["lint", "--json"]) == 0

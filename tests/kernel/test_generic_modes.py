@@ -1,9 +1,9 @@
 """Cross-mode behaviour of the generic stencil machine.
 
 The shift-buffer and window-compute stages are data-dependent
-(``unit_rate = False``, no fast-forward signature), so the engine's
-optimised paths must *demote* — fast mode records a veto and batched
-exact falls back to the scalar loop — and the demoted runs must stay
+(``unit_rate = False``, no ``ff_signature``), so batched exact execution
+must *fall back* to the scalar loop and record why — also under the
+deprecated ``mode="fast"`` alias — and the fallen-back runs must stay
 byte-for-byte identical to forced-scalar execution.  These tests pin
 that contract for both kernels built on the machine.
 """
@@ -72,6 +72,7 @@ class TestGenericKernelModes:
                 s_dict.pop(key), b_dict.pop(key)
             assert s_dict == b_dict
 
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_fast_mode_demotes_with_identical_results(self, kernel,
                                                       reference):
         grid = Grid(nx=4, ny=4, nz=5)
@@ -81,5 +82,5 @@ class TestGenericKernelModes:
                                   batched=False)
         np.testing.assert_array_equal(scalar, fast)
         assert s_stats.cycles == f_stats.cycles
-        assert f_stats.ff_veto_reason
-        assert f_stats.ff_advances == 0
+        assert f_stats.batch_fallback_reason
+        assert f_stats.batched_windows == 0

@@ -90,7 +90,7 @@ class TestServeTracer:
     def serve_tracer(self) -> Tracer:
         tracer = Tracer()
         tracer.add_span("job-0001", "u280-0", 0.001, 0.003,
-                        category="serve", mode="fast")
+                        category="serve", mode="functional")
         tracer.instant("reshard", "scheduler", ts=0.002, job="job-0002")
         return tracer
 

@@ -78,14 +78,16 @@ class TestEngineTracing:
         assert span.args["halo_overhead"] == pytest.approx(
             2 / span.args["read_width"], abs=1e-4)
 
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_fast_mode_emits_fast_forward_spans(self, config, fields):
+        # The deprecated alias runs batched exact: one span per window.
         tracer = Tracer()
         result = simulate_kernel(config, fields, mode="fast", tracer=tracer)
         agg = result.aggregate_stats()
-        ff = [s for s in tracer.spans if s.category == "fast-forward"]
-        assert agg.ff_advances > 0
-        assert len(ff) == agg.ff_advances
-        assert sum(s.duration for s in ff) == agg.ff_cycles
+        windows = [s for s in tracer.spans if s.category == "batched"]
+        assert agg.batched_windows > 0
+        assert len(windows) == agg.batched_windows
+        assert sum(s.duration for s in windows) == agg.batched_cycles
 
     def test_monitor_veto_surfaces_as_instant(self, config, fields):
         tracer = Tracer()
@@ -99,12 +101,13 @@ class TestEngineTracing:
         out = SourceSet.zeros(grid)
         chunk = config.chunk_plan().chunks[0]
         graph = build_advection_graph(config, fields, chunk, coeffs, out)
-        DataflowEngine(graph, mode="fast", tracer=tracer,
-                       monitors=[ThroughputMonitor("advect_u")]).run()
+        DataflowEngine(graph, tracer=tracer,
+                       monitors=[ThroughputMonitor("advect_u", window=1)]
+                       ).run()
         vetoes = [i for i in tracer.instants
-                  if i.name == "fast-forward demoted"]
+                  if i.name == "batched execution fell back"]
         assert len(vetoes) == 1
-        assert "monitors" in vetoes[0].args["reason"]
+        assert "samples every cycle" in vetoes[0].args["reason"]
 
     def test_disabled_tracer_changes_nothing_and_stays_empty(
             self, config, fields):
@@ -117,14 +120,15 @@ class TestEngineTracing:
 
     def test_exact_and_fast_traces_agree_on_chunk_boundaries(
             self, config, fields):
-        exact_tracer, fast_tracer = Tracer(), Tracer()
-        simulate_kernel(config, fields, tracer=exact_tracer)
-        simulate_kernel(config, fields, mode="fast", tracer=fast_tracer)
-        exact_chunks = [(s.start, s.end)
-                        for s in exact_tracer.spans_on("kernel")]
-        fast_chunks = [(s.start, s.end)
-                       for s in fast_tracer.spans_on("kernel")]
-        assert exact_chunks == fast_chunks
+        scalar_tracer, batched_tracer = Tracer(), Tracer()
+        simulate_kernel(config, fields, batched=False, tracer=scalar_tracer)
+        result = simulate_kernel(config, fields, tracer=batched_tracer)
+        assert result.aggregate_stats().batched_windows > 0
+        scalar_chunks = [(s.start, s.end)
+                         for s in scalar_tracer.spans_on("kernel")]
+        batched_chunks = [(s.start, s.end)
+                          for s in batched_tracer.spans_on("kernel")]
+        assert scalar_chunks == batched_chunks
 
 
 class TestEngineMetrics:

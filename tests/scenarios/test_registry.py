@@ -60,11 +60,11 @@ class TestRegistry:
     def test_to_dict_shape(self):
         payload = get("pw-advection").to_dict()
         for key in ("name", "kind", "boundary", "wind", "batch",
-                    "fast_admissible", "op_model", "ops_per_cycle",
+                    "batch_admissible", "op_model", "ops_per_cycle",
                     "grid_family"):
             assert key in payload
         assert payload["kind"] == "advection"
-        assert payload["fast_admissible"] is True
+        assert payload["batch_admissible"] is True
 
     def test_open_boundary_rebuilds_zero_halos(self):
         scenario = get("pw-advection-open")

@@ -19,8 +19,8 @@ class TestQuotes:
         ctrl = controller()
         spec = JobSpec(job_id="j")
         device = ctrl.fleet.lanes[0].device
-        assert ctrl.quote_for(device, spec, "fast") is ctrl.quote_for(
-            device, spec, "fast")
+        assert ctrl.quote_for(device, spec, "functional") is ctrl.quote_for(
+            device, spec, "functional")
 
     def test_cpu_quote_has_no_transfers(self):
         from repro.hardware import device_by_name
@@ -35,9 +35,9 @@ class TestQuotes:
         grid = JobSpec(job_id="j").grid()
         for name in ("u280", "stratix10", "v100"):
             device = device_by_name(name)
-            fast = quote_job(device, grid, mode="fast")
+            functional = quote_job(device, grid, mode="functional")
             exact = quote_job(device, grid, mode="exact")
-            assert exact.service_seconds >= fast.service_seconds
+            assert exact.service_seconds >= functional.service_seconds
 
     def test_retry_budget_uses_the_jobs_keyed_stream(self):
         ctrl = controller()
@@ -49,9 +49,9 @@ class TestQuotes:
 class TestLadder:
     def test_admits_when_idle(self):
         ctrl = controller()
-        decision = ctrl.decide(JobSpec(job_id="j", mode="fast"), now=0.0,
+        decision = ctrl.decide(JobSpec(job_id="j", mode="functional"), now=0.0,
                                backlog_seconds=0.0, queue_depth=0)
-        assert decision.mode_served == "fast"
+        assert decision.mode_served == "functional"
         assert not decision.degraded
         assert ctrl.admitted == 1
 
@@ -75,7 +75,7 @@ class TestLadder:
         decision = ctrl.decide(
             JobSpec(job_id="j", mode="exact", allow_degrade=True),
             now=0.0, backlog_seconds=0.02, queue_depth=1)
-        assert decision.mode_served == "fast"
+        assert decision.mode_served == "functional"
         assert decision.degraded
         assert ctrl.degraded == 1
 
@@ -86,18 +86,24 @@ class TestLadder:
                 JobSpec(job_id="j", mode="exact", allow_degrade=False),
                 now=0.0, backlog_seconds=0.02, queue_depth=1)
 
+    def test_retired_fast_tier_name_is_a_typed_rejection(self):
+        # The degraded tier is "functional"; "fast" names no serve tier.
+        with pytest.raises(AdmissionError,
+                           match=r"unknown mode 'fast'.*'functional'"):
+            JobSpec(job_id="j", mode="fast")
+
     def test_overload_still_admits_fast_jobs(self):
         ctrl = controller(overload_backlog_seconds=0.01)
-        decision = ctrl.decide(JobSpec(job_id="j", mode="fast"), now=0.0,
+        decision = ctrl.decide(JobSpec(job_id="j", mode="functional"), now=0.0,
                                backlog_seconds=0.02, queue_depth=1)
-        assert decision.mode_served == "fast"
+        assert decision.mode_served == "functional"
 
 
 class TestDeadlines:
     def test_infeasible_deadline_rejected_typed(self):
         ctrl = controller()
         with pytest.raises(AdmissionError, match="infeasible"):
-            ctrl.decide(JobSpec(job_id="j", mode="fast",
+            ctrl.decide(JobSpec(job_id="j", mode="functional",
                                 deadline_seconds=1e-9),
                         now=0.0, backlog_seconds=0.0, queue_depth=0)
         assert ctrl.rejected == 1
@@ -110,7 +116,7 @@ class TestDeadlines:
 
     def test_estimate_includes_wait_and_retry_budget(self):
         ctrl = controller()
-        spec = JobSpec(job_id="j", mode="fast")
+        spec = JobSpec(job_id="j", mode="functional")
         idle = ctrl.decide(spec, now=0.0, backlog_seconds=0.0,
                            queue_depth=0)
         busy = ctrl.decide(spec, now=0.0,
@@ -121,20 +127,20 @@ class TestDeadlines:
         assert idle.estimate_seconds > idle.quote.service_seconds
 
     def test_tight_deadline_degrades_before_rejecting(self):
-        # Find a deadline between the exact and fast estimates.
+        # Find a deadline between the exact and functional estimates.
         ctrl = controller()
         exact_spec = JobSpec(job_id="probe", mode="exact")
-        fast = ctrl.best_quote(exact_spec, "fast", ctrl.fleet.lanes)
+        functional = ctrl.best_quote(exact_spec, "functional", ctrl.fleet.lanes)
         exact = ctrl.best_quote(exact_spec, "exact", ctrl.fleet.lanes)
-        assert exact.service_seconds > fast.service_seconds
+        assert exact.service_seconds > functional.service_seconds
         retries = ctrl.retry_budget_seconds(exact_spec)
-        deadline = retries + (fast.service_seconds
+        deadline = retries + (functional.service_seconds
                               + exact.service_seconds) / 2.0
         decision = ctrl.decide(
             JobSpec(job_id="probe", mode="exact", allow_degrade=True,
                     deadline_seconds=deadline),
             now=0.0, backlog_seconds=0.0, queue_depth=0)
-        assert decision.degraded and decision.mode_served == "fast"
+        assert decision.degraded and decision.mode_served == "functional"
 
     def test_validation_bounds(self):
         from repro.errors import ConfigurationError

@@ -44,31 +44,31 @@ class TestFingerprints:
 class TestLRU:
     def test_miss_then_hit(self):
         cache = ResultCache(capacity=4)
-        assert cache.get("fp", "fast") is None
-        cache.put("fp", "fast", entry())
-        assert cache.get("fp", "fast").checksum == "a"
+        assert cache.get("fp", "functional") is None
+        cache.put("fp", "functional", entry())
+        assert cache.get("fp", "functional").checksum == "a"
         assert cache.hits == 1 and cache.misses == 1
 
     def test_mode_is_part_of_the_key(self):
         cache = ResultCache(capacity=4)
-        cache.put("fp", "fast", entry("fast-entry"))
+        cache.put("fp", "functional", entry("functional-entry"))
         assert cache.get("fp", "exact") is None
-        assert cache.get("fp", "fast").checksum == "fast-entry"
+        assert cache.get("fp", "functional").checksum == "functional-entry"
 
     def test_capacity_evicts_least_recently_used(self):
         cache = ResultCache(capacity=2)
-        cache.put("a", "fast", entry("a"))
-        cache.put("b", "fast", entry("b"))
-        cache.get("a", "fast")          # refresh a
-        cache.put("c", "fast", entry("c"))  # evicts b
-        assert cache.get("b", "fast") is None
-        assert cache.get("a", "fast") is not None
+        cache.put("a", "functional", entry("a"))
+        cache.put("b", "functional", entry("b"))
+        cache.get("a", "functional")          # refresh a
+        cache.put("c", "functional", entry("c"))  # evicts b
+        assert cache.get("b", "functional") is None
+        assert cache.get("a", "functional") is not None
         assert cache.evictions == 1
 
     def test_capacity_zero_disables(self):
         cache = ResultCache(capacity=0)
-        cache.put("a", "fast", entry())
-        assert cache.get("a", "fast") is None
+        cache.put("a", "functional", entry())
+        assert cache.get("a", "functional") is None
         assert len(cache) == 0
 
     def test_rejects_negative_capacity(self):
@@ -77,9 +77,9 @@ class TestLRU:
 
     def test_to_dict_reports_counters(self):
         cache = ResultCache(capacity=2)
-        cache.get("a", "fast")
-        cache.put("a", "fast", entry())
-        cache.get("a", "fast")
+        cache.get("a", "functional")
+        cache.put("a", "functional", entry())
+        cache.get("a", "functional")
         assert cache.to_dict() == {
             "capacity": 2, "entries": 1, "hits": 1, "misses": 1,
             "evictions": 0,

@@ -88,7 +88,7 @@ class TestLaneBilling:
         fleet = Fleet.from_spec("1xu280+1xstratix10")
         spec = JobSpec(job_id="j", nx=8, ny=9, nz=8)
         for lane in fleet.lanes:
-            for mode in ("fast", "exact"):
+            for mode in ("functional", "exact"):
                 quote = quote_job(lane.device, spec.grid(), mode=mode)
                 billed, redrives = lane.service_seconds(spec, mode)
                 assert billed == pytest.approx(quote.service_seconds,
@@ -98,9 +98,9 @@ class TestLaneBilling:
     def test_exact_mode_bills_at_least_fast(self):
         fleet = Fleet.from_spec("1xu280")
         spec = JobSpec(job_id="j", nx=8, ny=9, nz=8)
-        fast, _ = fleet.lanes[0].service_seconds(spec, "fast")
+        functional, _ = fleet.lanes[0].service_seconds(spec, "functional")
         exact, _ = fleet.lanes[0].service_seconds(spec, "exact")
-        assert exact >= fast
+        assert exact >= functional
 
     def test_out_scale_inflates_d2h_bytes(self):
         grid = Grid(8, 9, 8)

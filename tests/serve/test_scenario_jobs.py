@@ -46,7 +46,7 @@ class TestPricing:
             fleet, retry=RetryPolicy(max_attempts=1))
         for scenario in (None, "diffusion", "buoyancy"):
             spec = JobSpec(job_id="j", scenario=scenario, **GRID)
-            for mode in ("fast", "exact"):
+            for mode in ("functional", "exact"):
                 for lane in fleet.lanes:
                     quote = controller.quote_for(lane.device, spec, mode)
                     billed, _ = lane.service_seconds(spec, mode)
@@ -62,7 +62,7 @@ class TestPricing:
 
         def service(scenario):
             spec = JobSpec(job_id="j", scenario=scenario, **GRID)
-            return controller.quote_for(device, spec, "fast"
+            return controller.quote_for(device, spec, "functional"
                                         ).service_seconds
 
         # Every registered scenario is lighter than plain advection
@@ -79,8 +79,8 @@ class TestPricing:
 
         device = device_by_name("u280")
         grid = Grid(**GRID)
-        base = quote_job(device, grid, mode="fast")
-        heavy = quote_job(device, grid, mode="fast", flops_scale=3.0)
+        base = quote_job(device, grid, mode="functional")
+        heavy = quote_job(device, grid, mode="functional", flops_scale=3.0)
         assert heavy.kernel_seconds == pytest.approx(
             3.0 * base.kernel_seconds)
         assert heavy.transfer_seconds == base.transfer_seconds
@@ -94,9 +94,9 @@ class TestPricing:
         device = fleet.lanes[0].device
         plain = JobSpec(job_id="a", **GRID)
         scenario = JobSpec(job_id="b", scenario="diffusion", **GRID)
-        first = controller.quote_for(device, plain, "fast")
-        assert controller.quote_for(device, scenario, "fast") is not first
-        assert controller.quote_for(device, plain, "fast") is first
+        first = controller.quote_for(device, plain, "functional")
+        assert controller.quote_for(device, scenario, "functional") is not first
+        assert controller.quote_for(device, plain, "functional") is first
 
 
 class TestServing:
@@ -138,10 +138,10 @@ class TestServing:
     def test_scenario_and_plain_runs_never_share_cache_entries(self):
         """Same input bytes, different kernel => different cache rows."""
         sched = scheduler()
-        plain = JobSpec(job_id="plain", mode="fast", **GRID)
+        plain = JobSpec(job_id="plain", mode="functional", **GRID)
         # pw-advection serves the same advection numerics through the
         # scenario path; its fingerprint must still be scenario-scoped.
-        scenario = JobSpec(job_id="scen", mode="fast",
+        scenario = JobSpec(job_id="scen", mode="functional",
                            scenario="pw-advection", **GRID)
         outcomes = sched.serve_sync([(0.0, plain), (1.0, scenario)])
         assert all(outcome.ok for outcome in outcomes)

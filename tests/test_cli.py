@@ -97,6 +97,17 @@ class TestTraceOption:
         assert "chrome://tracing" in capsys.readouterr().out
 
 
+class TestSimulateCommand:
+    def test_starved_multi_kernel_run_prints_the_fallback_reason(
+            self, capsys):
+        assert main(["simulate", "--nx", "8", "--ny", "6", "--nz", "4",
+                     "--chunk-width", "3", "--kernels", "2",
+                     "--memory-rate", "1.5"]) == 0
+        out = capsys.readouterr().out
+        assert "starved)" in out
+        assert "fallback: stage 'k0.read_data' vetoed" in out
+
+
 class TestTraceCommand:
     def test_trace_writes_merged_file(self, capsys, tmp_path):
         out = tmp_path / "merged.json"
