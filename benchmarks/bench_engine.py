@@ -9,15 +9,15 @@ the speedup to ``benchmarks/BENCH_dataflow.json``.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine.py              # 64^3
-    PYTHONPATH=src python benchmarks/bench_engine.py --nx 32 --ny 32 \
-        --nz 32 --min-batched-speedup 5
+    PYTHONPATH=src python benchmarks/bench_engine.py --smoke \
+        --output /tmp/bench_smoke.json                            # 32^3
 
 Exit status is non-zero if the batched run disagrees with the scalar
 baseline or its speedup falls below ``--min-batched-speedup`` (default
-10x on the 64^3 grid).  ``--smoke`` shrinks the grid to 32^3 and relaxes
-the gates for CI: the batched gate drops to 5x there, which 32^3 clears
-with headroom while 16^3 would not (too little steady state to amortise
-the detection warm-up).
+10x).  ``--smoke`` shrinks the grid to 32^3 for CI under the same 10x
+gate, which 32^3 clears with headroom; 16^3 would not (too little steady
+state to amortise the one steady plane that ticks scalar to prove the
+period).
 
 A resilient run arms the checkpoint/restart machinery with an empty
 fault plan and gates its fault-free overhead against the plain batched
@@ -84,7 +84,8 @@ def main(argv=None) -> int:
                              "timing tuples for the overhead gates "
                              "(default: %(default)s)")
     parser.add_argument("--smoke", action="store_true",
-                        help="32^3 grid + relaxed gates (CI smoke run)")
+                        help="32^3 grid + relaxed overhead gates (CI "
+                             "smoke run)")
     parser.add_argument("--output", default=DEFAULT_OUTPUT,
                         help="record file (default: %(default)s)")
     args = parser.parse_args(argv)
@@ -93,7 +94,6 @@ def main(argv=None) -> int:
         parser.error("--overhead-repeats must be >= 1")
     if args.smoke:
         args.nx, args.ny, args.nz = 32, 32, 32
-        args.min_batched_speedup = min(args.min_batched_speedup, 5.0)
         # Sub-second batched runs amplify timer noise; the 3% gates only
         # mean something on paper-scale runs.
         args.max_resilience_overhead = max(

@@ -32,7 +32,7 @@ class TokenSource(Stage):
     """Emits ``count`` tokens on every declared output port.
 
     The control-state shape follows :class:`~repro.dataflow.stage.ConstStage`
-    (a remaining counter, ``remaining > 0`` folded into the fast-forward
+    (a remaining counter, ``remaining > 0`` folded into the batched-window
     signature) generalised to arbitrary output ports.
     """
 
@@ -81,7 +81,7 @@ class TokenSource(Stage):
                   cycle: int) -> FireBulkResult:
         if count > self._remaining:
             raise DataflowError(
-                f"source {self.name!r}: fast-forward wants {count} tokens, "
+                f"source {self.name!r}: batched window wants {count} tokens, "
                 f"only {self._remaining} remain"
             )
         self._remaining -= count

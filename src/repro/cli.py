@@ -613,8 +613,9 @@ def _cmd_simulate(args) -> int:
         print(f"memory:   {multi.arbiter.grants} grants, "
               f"{multi.arbiter.denials} denials "
               f"({multi.read_starvation_fraction:.1%} starved)")
-        if multi.batch_fallback_reason:
-            print(f"fallback: {multi.batch_fallback_reason}")
+        _print_batched_split(multi.total_cycles, multi.batched_cycles,
+                             multi.batched_windows,
+                             multi.batch_fallback_reason)
     else:
         result = simulate_kernel(config, fields, read_ii=args.read_ii,
                                  mode=args.mode, batched=batched)
@@ -623,16 +624,22 @@ def _cmd_simulate(args) -> int:
         print(f"grid:     {grid.interior_shape}, mode={args.mode}")
         print(f"cycles:   {result.total_cycles} "
               f"({result.cells_per_cycle:.3f} cells/cycle)")
-        if stats.batched_windows:
-            scalar = result.total_cycles - stats.batched_cycles
-            print(f"batched:  {stats.batched_cycles} cycles in "
-                  f"{stats.batched_windows} windows "
-                  f"({stats.batched_cycles / result.total_cycles:.1%} of "
-                  f"the run), {scalar} scalar")
-        if stats.batch_fallback_reason:
-            print(f"fallback: {stats.batch_fallback_reason}")
+        _print_batched_split(result.total_cycles, stats.batched_cycles,
+                             stats.batched_windows,
+                             stats.batch_fallback_reason)
     print(f"wall:     {elapsed:.2f} s")
     return 0
+
+
+def _print_batched_split(total_cycles: int, batched_cycles: int,
+                         batched_windows: int, fallback: str | None) -> None:
+    """The ``batched:`` and ``fallback:`` lines of ``repro simulate``."""
+    if batched_windows:
+        print(f"batched:  {batched_cycles} cycles in {batched_windows} "
+              f"windows ({batched_cycles / total_cycles:.1%} of the run), "
+              f"{total_cycles - batched_cycles} scalar")
+    if fallback:
+        print(f"fallback: {fallback}")
 
 
 def _cmd_devices() -> int:

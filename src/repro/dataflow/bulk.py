@@ -1,12 +1,12 @@
-"""Lazy bulk containers for the engine's fast-forward data path.
+"""Lazy bulk containers for the engine's batched-window data path.
 
-When the engine fast-forwards N periods of a steady-state machine
-(:mod:`repro.dataflow.engine`), every stage processes thousands of items in
-one step.  Materialising each item as a Python object would forfeit most of
-the speedup, so batch data travels between stages as :class:`Bulk` objects:
-ordered, sliceable sequences that only materialise real stream items on
-demand — for the few items that remain inside FIFOs and stage pipelines
-when exact per-cycle simulation resumes.
+When the engine runs N periods of a steady-state machine as one batched
+window (:mod:`repro.dataflow.engine`), every stage processes thousands of
+items in one step.  Materialising each item as a Python object would
+forfeit most of the speedup, so batch data travels between stages as
+:class:`Bulk` objects: ordered, sliceable sequences that only materialise
+real stream items on demand — for the few items that remain inside FIFOs
+and stage pipelines when exact per-cycle simulation resumes.
 
 ``ListBulk`` wraps already-materialised items; ``ChainBulk`` concatenates
 heterogeneous parts (e.g. a FIFO's leftover items followed by an

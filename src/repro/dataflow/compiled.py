@@ -351,8 +351,9 @@ def execute_window(order: list[Stage], streams: list[Stream],
     Returns the number of cycles skipped: ``> 0`` on a committed window,
     ``0`` when the window must be deferred (a parked zero-fire period,
     or an event due within one period — the caller keeps its detection
-    state and ticks scalar), and ``-1`` when remaining supply cannot
-    cover even one period (ramp-down: the caller should stop batching).
+    state and ticks scalar), and ``-1`` when some stage's capacity
+    cannot cover even one period — its supply or its control regime ends
+    first, so the caller drops its detection state and hunts afresh.
 
     The relay is FIFO-exact: each stream's final content is the last
     ``occupancy`` items pushed, each pipeline's final entries the last

@@ -34,6 +34,12 @@ state replays it exactly — and ``N`` whole periods run in one step:
   previewed FIFO fault strikes bound each window and always run on the
   scalar path, so monitored and faulted runs accelerate too.
 
+A stage signature may summarise its control state per *regime* — the
+shift buffer's prime planes, steady planes and final plane each recur
+with their own period — because the capacity ends every window where
+the stage leaves the regime its signature describes.  After each
+window, and whenever a regime ends within one period, detection starts
+afresh from the fingerprint table, so each regime gets its own window.
 On unit-rate graphs the static occupancy prover supplies the period
 (``compiled.period_hint``), so the engine probes at that horizon instead
 of hunting for a recurrence; a wrong hint only costs speed.  A stage
@@ -74,11 +80,6 @@ __all__ = ["DataflowEngine", "RunStats"]
 #: is clearly not periodic at a useful scale; the table is cleared to
 #: bound memory and detection re-arms from scratch.
 _FF_TABLE_CAP = 65_536
-
-#: Consecutive probe misses before a *learned* period is dropped and
-#: table detection resumes (a statically proven period is never dropped —
-#: a wrong one only costs speed).
-_LEARNED_MISS_CAP = 8
 
 
 @dataclass
@@ -355,13 +356,8 @@ class DataflowEngine:
             # only): probe at that period instead of table hunting.
             proven = compiled.period_hint
         ff_table: dict[Any, tuple[int, tuple[dict, dict]]] = {}
-        #: Armed probe under a known period: (signature, cycle, snapshot).
+        #: Armed probe under the proven period: (signature, cycle, snapshot).
         probe: tuple[Any, int, tuple] | None = None
-        #: Learned period: after the first table hit, probe at the
-        #: committed period so windows re-open immediately after each
-        #: scalar event cycle.  Dropped after repeated misses.
-        learned: int | None = None
-        probe_misses = 0
         batched_windows = 0
         batched_cycles = 0
         plan_trace_len = len(plan.trace) if plan is not None else 0
@@ -475,26 +471,14 @@ class DataflowEngine:
                     veto_cycle = cycle
                 else:
                     hit: tuple[int, tuple] | None = None
-                    horizon = proven if proven is not None else learned
-                    if horizon is not None:
-                        # Known period (statically proven or learned
-                        # from a committed window): no table, one probe.
+                    if proven is not None:
+                        # Statically proven period: no table, one probe.
                         if probe is not None \
-                                and (cycle + 1) - probe[1] == horizon:
+                                and (cycle + 1) - probe[1] == proven:
                             if sig == probe[0]:
                                 hit = (probe[1], probe[2])
-                                probe_misses = 0
-                            elif proven is None:
-                                probe_misses += 1
-                                if probe_misses >= _LEARNED_MISS_CAP:
-                                    # The learned period went stale;
-                                    # back to table detection.
-                                    learned = None
-                                    probe_misses = 0
                             probe = None  # re-armed below on a miss
-                        if hit is None and probe is None \
-                                and (proven is not None
-                                     or learned is not None):
+                        if hit is None and probe is None:
                             probe = (sig, cycle + 1, self._ff_snapshot(order))
                     elif sig in ff_table:
                         hit = ff_table[sig]
@@ -515,11 +499,6 @@ class DataflowEngine:
                     if skipped > 0:
                         batched_windows += 1
                         batched_cycles += skipped
-                        # Probe at the committed period from now on:
-                        # windows re-open one period after each scalar
-                        # event cycle instead of re-hunting.
-                        learned = period
-                        probe_misses = 0
                         if trace_on:
                             assert fires_before is not None
                             tracer.add_span(
@@ -539,17 +518,14 @@ class DataflowEngine:
                                     slot[1] = cycle + skipped
                         cycle += skipped
                         last_progress = cycle
-                        # Counters moved: every stored snapshot is stale.
+                    if skipped:
+                        # A window moved every counter, or (-1) a stage's
+                        # supply or control regime ends within one period:
+                        # every stored snapshot is stale, so hunt afresh.
+                        # 0 (a parked zero-fire period, or an event due
+                        # within one period) keeps the detection state.
                         ff_table.clear()
                         probe = None
-                    elif skipped < 0:
-                        # No room for even one period (sources at their
-                        # end): the remaining run is short; tick it.
-                        batched = False
-                        ff_table.clear()
-                    # skipped == 0: a parked zero-fire period, or an
-                    # event due within one period — detection state
-                    # stays valid; tick the next cycle scalar.
             cycle += 1
         else:
             if self.watchdog is not None and cap == self.watchdog:

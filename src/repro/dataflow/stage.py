@@ -113,7 +113,7 @@ class Stage:
         self.stats = StageStats()
         # Entries are (ready_cycle, produced, shape) where shape is the
         # per-port item-count tuple, computed once at fire time so the
-        # fast-forward signature never re-derives it per cycle.
+        # batched-window signature never re-derives it per cycle.
         self._pipeline: deque[
             tuple[int, dict[str, list[Any]], tuple]
         ] = deque()
@@ -270,7 +270,7 @@ class Stage:
         progressed |= self._try_fire(cycle)
         return progressed
 
-    # -- fast-forward hooks (see DataflowEngine, batched=True) -----------------
+    # -- batched-window hooks (see DataflowEngine, batched=True) ---------------
 
     def ff_signature(self, cycle: int) -> tuple | None:
         """Hashable summary of all *control* state, or None to veto.
@@ -278,11 +278,13 @@ class Stage:
         The batched engine detects steady state by finding two cycles
         with identical control state: pipeline fill (entry ages and output
         shapes), the II timer, and any subclass state that influences
-        *when* or *how many* items the stage produces.  Data values must
-        not influence control for the analytic advance to be exact; a
-        stage whose output counts depend on input values must override
-        this to return ``None`` (vetoing batched windows for the rest of
-        the run).
+        *when* or *how many* items the stage produces.  That state may be
+        summarised per control regime, paired with a
+        :meth:`ff_fire_capacity` that ends windows at the regime's edge.
+        Data values must not influence control for the analytic advance
+        to be exact; a stage whose output counts depend on input values
+        must override this to return ``None`` (vetoing batched windows
+        for the rest of the run).
 
         Ready ages are clamped at zero: an overdue pipeline entry behaves
         identically however long it has been due.  This runs once per
@@ -297,11 +299,18 @@ class Stage:
         return (wait if wait > 0 else 0, pipe)
 
     def ff_fire_capacity(self, want: int) -> int:
-        """How many of ``want`` firings this stage could still perform.
+        """How many of ``want`` firings may run before a regime change.
 
-        Sources bound this by their remaining items, the shift buffer by
-        its block size; stages fed purely by streams have no cap of their
-        own (the engine already bounds them by upstream supply).
+        Returns the number of firings before this stage either runs out
+        of supply or leaves the control regime its :meth:`ff_signature`
+        describes.  The engine floors every batched window to this many
+        firings, which is what keeps a coarse signature sound: a
+        signature may omit state (a source's position, the shift
+        buffer's X plane) as long as every firing up to this bound
+        behaves alike.  Sources bound it by their remaining items, the
+        shift buffer by the end of its current regime; stages fed purely
+        by streams have no cap of their own (the engine already bounds
+        them by upstream supply).
         """
         return want
 
@@ -349,7 +358,7 @@ class Stage:
         """
         if len(tail_outputs) != len(self._pipeline):
             raise DataflowError(
-                f"stage {self.name!r}: fast-forward pipeline mismatch "
+                f"stage {self.name!r}: batched window pipeline mismatch "
                 f"({len(tail_outputs)} tail firings vs "
                 f"{len(self._pipeline)} entries)"
             )
@@ -358,7 +367,7 @@ class Stage:
                                                        tail_outputs):
             if tuple((p, len(v)) for p, v in produced.items()) != shape:
                 raise DataflowError(
-                    f"stage {self.name!r}: fast-forward entry shape changed "
+                    f"stage {self.name!r}: batched window entry shape changed "
                     f"(not a true steady state)"
                 )
             new_pipe.append(
@@ -437,7 +446,7 @@ class SourceStage(Stage):
         self._prefetch(count)
         if len(self._buffer) < count:
             raise DataflowError(
-                f"source {self.name!r}: fast-forward wants {count} items, "
+                f"source {self.name!r}: batched window wants {count} items, "
                 f"only {len(self._buffer)} remain"
             )
         items = [self._buffer.popleft() for _ in range(count)]
@@ -526,7 +535,7 @@ class ConstStage(Stage):
                   cycle: int) -> FireBulkResult:
         if count > self._remaining:
             raise DataflowError(
-                f"const {self.name!r}: fast-forward wants {count} firings, "
+                f"const {self.name!r}: batched window wants {count} firings, "
                 f"only {self._remaining} remain"
             )
         self._remaining -= count

@@ -185,9 +185,9 @@ class Stream:
 
     def ff_replace(self, items: list[Any], *, pushes: int, pops: int,
                    full_stalls: int = 0, empty_stalls: int = 0) -> None:
-        """Replace contents and bulk-update statistics after a fast-forward.
+        """Replace contents and bulk-update statistics after a batched window.
 
-        Called only by the engine's steady-state fast-forward
+        Called only by the engine's batched window relay
         (:mod:`repro.dataflow.engine`): ``items`` is the FIFO's content at
         the end of the analytically advanced window, ``pushes``/``pops``
         the traffic that logically flowed during it.  The high-water mark
@@ -196,7 +196,7 @@ class Stream:
         """
         if len(items) > self.depth:
             raise StreamError(
-                f"fast-forward would leave {len(items)} items in stream "
+                f"batched window would leave {len(items)} items in stream "
                 f"{self.name!r} (depth {self.depth})"
             )
         self._items = deque(items)

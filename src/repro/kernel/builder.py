@@ -90,7 +90,7 @@ def build_advection_graph(config: KernelConfig, fields: FieldSet,
 
     # The chunk's field blocks in streaming layout, shared by the read
     # stage (cells cut on demand) and the shift stage (batched feeds and
-    # window reconstruction in fast-forward mode).
+    # window reconstruction inside batched windows).
     blocks = tuple(
         np.ascontiguousarray(
             arr[:, chunk.read_start:chunk.read_stop, :], dtype=float)

@@ -154,6 +154,11 @@ class MultiKernelSimResult:
     rescheduled_chunks: int = 0
     #: chunk re-runs performed by the checkpoint/restart machinery.
     chunk_retries: int = 0
+    #: batched windows committed across every engine run, and the cycles
+    #: they covered; the scalar remainder is ``total_cycles -
+    #: batched_cycles`` (see :class:`RunStats`).
+    batched_windows: int = 0
+    batched_cycles: int = 0
     #: why batched execution fell back to scalar ticking: the distinct
     #: reasons of every engine run, joined in first-seen order as
     #: :meth:`RunStats.merge` does (None when no run fell back).
@@ -437,6 +442,7 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
             "rescheduled_chunks", "quarantined work re-run on survivors",
         ).inc(rescheduled_chunks)
 
+    merged = RunStats.merge(runs)
     return MultiKernelSimResult(
         sources=out,
         total_cycles=total_cycles,
@@ -446,5 +452,7 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
         quarantined=quarantined,
         rescheduled_chunks=rescheduled_chunks,
         chunk_retries=chunk_retries,
-        batch_fallback_reason=RunStats.merge(runs).batch_fallback_reason,
+        batched_windows=merged.batched_windows,
+        batched_cycles=merged.batched_cycles,
+        batch_fallback_reason=merged.batch_fallback_reason,
     )

@@ -257,7 +257,7 @@ class ReadDataStage(SourceStage):
             return super().fire_bulk(count, inputs, cycle)
         if count > self._total - self._cursor:
             raise DataflowError(
-                f"read stage {self.name!r}: fast-forward wants {count} "
+                f"read stage {self.name!r}: batched window wants {count} "
                 f"cells, only {self._total - self._cursor} remain"
             )
         start = self._cursor
@@ -351,7 +351,7 @@ class ShiftBufferStage(Stage):
     #: Bursts at column tops (0, 1, or 2 bundles per firing) break the
     #: one-word-in/one-word-out premise of the static occupancy proof;
     #: runtime recurrence detection still batches this stage because
-    #: :meth:`ff_signature` carries the streaming position.
+    #: :meth:`ff_signature` carries the streaming position, per regime.
     unit_rate = False
 
     def __init__(self, name: str, nx: int, ny: int, nz: int, *,
@@ -406,15 +406,28 @@ class ShiftBufferStage(Stage):
         base = super().ff_signature(cycle)
         if base is None:
             return None
-        # Emission control depends on the streaming position only; X
-        # positions >= 2 all behave alike, so clamping X makes every
-        # steady-state plane comparable and the fundamental period one
-        # full (ny * nz) plane of feeds.
-        x, y, z = self._buffers["u"].position
-        return base + (min(x, 2), y, z)
+        # Emission control depends on the streaming position only, and
+        # each regime keeps just the part of it that still matters:
+        # * prime (x < 2): no feed can emit, so every feed behaves alike
+        #   and the period is one feed;
+        # * steady: planes x >= 2 all behave alike, so clamping X makes
+        #   them comparable and the period one full (ny * nz) plane;
+        # * last plane: fewer feeds remain than a plane period, but its
+        #   emitting columns (y >= 2) all behave alike, so the period is
+        #   one column of nz feeds.
+        # ff_fire_capacity stops every window at the end of its regime.
+        buffer = self._buffers["u"]
+        x, y, z = buffer.position
+        if x < 2:
+            return base + ("prime",)
+        if x == buffer.nx - 1:
+            return base + ("last", min(y, 2), z)
+        return base + (2, y, z)
 
     def ff_fire_capacity(self, want: int) -> int:
         buffer = self._buffers["u"]
+        if buffer.position[0] < 2:
+            return min(want, 2 * buffer.ny * buffer.nz - buffer.fed)
         return min(want, buffer.expected_feeds - buffer.fed)
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
@@ -423,7 +436,7 @@ class ShiftBufferStage(Stage):
             return super().fire_bulk(count, inputs, cycle)
         if len(inputs.get("in", ())) != count:
             raise DataflowError(
-                f"shift stage {self.name!r}: fast-forward consumed "
+                f"shift stage {self.name!r}: batched window consumed "
                 f"{len(inputs.get('in', ()))} cells for {count} firings"
             )
         # The input run must be the block's own cells, in streaming
@@ -487,7 +500,7 @@ class ReplicateStage(Stage):
         bulk = inputs["in"]
         if len(bulk) != count:
             raise DataflowError(
-                f"replicate {self.name!r}: fast-forward consumed "
+                f"replicate {self.name!r}: batched window consumed "
                 f"{len(bulk)} bundles for {count} firings"
             )
         return UniformFireResult({"u": bulk, "v": bulk, "w": bulk})
@@ -545,7 +558,7 @@ class AdvectStage(Stage):
         bulk = inputs["in"]
         if len(bulk) != count:
             raise DataflowError(
-                f"advect {self.name!r}: fast-forward consumed "
+                f"advect {self.name!r}: batched window consumed "
                 f"{len(bulk)} bundles for {count} firings"
             )
         out_parts: list[Bulk] = []
@@ -604,7 +617,7 @@ class WriteDataStage(Stage):
             bulk = inputs[port]
             if len(bulk) != count:
                 raise DataflowError(
-                    f"write {self.name!r}: fast-forward consumed "
+                    f"write {self.name!r}: batched window consumed "
                     f"{len(bulk)} results on {port!r} for {count} firings"
                 )
             array = self._arrays[port]

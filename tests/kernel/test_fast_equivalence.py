@@ -124,6 +124,7 @@ class TestMultiKernel:
         scalar, batched = self.run_both(memory_cells_per_cycle=1.5)
         assert scalar.arbiter.denials > 0  # the scenario really starves
         assert "k0.read_data" in batched.batch_fallback_reason
+        assert batched.batched_windows == batched.batched_cycles == 0
 
 
 class TestBatchedFeed:

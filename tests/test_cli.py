@@ -105,7 +105,16 @@ class TestSimulateCommand:
                      "--memory-rate", "1.5"]) == 0
         out = capsys.readouterr().out
         assert "starved)" in out
+        assert "batched:" not in out
         assert "fallback: stage 'k0.read_data' vetoed" in out
+
+    def test_ample_multi_kernel_run_prints_the_batched_split(self, capsys):
+        assert main(["simulate", "--nx", "8", "--ny", "8", "--nz", "6",
+                     "--kernels", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "0 denials" in out
+        assert "batched:" in out and " scalar\n" in out
+        assert "fallback:" not in out
 
 
 class TestTraceCommand:
