@@ -461,7 +461,7 @@ def _cmd_validate(args) -> int:
     from repro.core.golden import advect_golden
     from repro.core.wind import random_wind
     from repro.kernel.config import KernelConfig
-    from repro.kernel.functional import execute_chunked, execute_shiftbuffer
+    from repro.kernel.functional import execute_chunked
     from repro.kernel.simulate import simulate_kernel
 
     grid = Grid(nx=args.nx, ny=args.ny, nz=args.nz)
@@ -473,8 +473,8 @@ def _cmd_validate(args) -> int:
     checks = {
         "scalar golden": advect_golden(fields, coeffs),
         "chunked functional": execute_chunked(config, fields, coeffs),
-        "shift-buffer functional": execute_shiftbuffer(config, fields,
-                                                       coeffs),
+        "forced-scalar simulation": simulate_kernel(
+            config, fields, coeffs, batched=False).sources,
         "cycle-accurate simulation": simulate_kernel(config, fields,
                                                      coeffs).sources,
     }
@@ -523,8 +523,9 @@ def _cmd_simulate_scenario(args) -> int:
           f"mode={args.mode}")
     print(f"cycles:   {result.total_cycles} "
           f"({result.cells_per_cycle:.3f} cells/cycle)")
-    if result.stats.batch_fallback_reason:
-        print(f"fallback: {result.stats.batch_fallback_reason}")
+    _print_batched_split(result.total_cycles, result.stats.batched_cycles,
+                         result.stats.batched_windows,
+                         result.stats.batch_fallback_reason)
     print(report.summary())
     status = "OK (bitwise)" if diff == 0.0 else f"FAIL (max diff {diff:g})"
     print(f"reference: {status}")

@@ -19,7 +19,7 @@ with filter weight ``alpha`` (0.25 is the classical 1-2-1 filter).  As
 with advection and diffusion there are two implementations — a scalar
 loop-nest specification and a vectorised reference — kept bit-identical,
 and a kernel-side evaluation on
-:class:`~repro.shiftbuffer.general.GeneralShiftBuffer` windows
+:class:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D` windows
 (:mod:`repro.kernel.buoyancy`).
 
 FLOP accounting: 5 operations per field per interior cell (3 multiplies,

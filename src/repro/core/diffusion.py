@@ -11,7 +11,7 @@ with constant eddy viscosity and zero-flux vertical boundaries:
 
 As with advection there are two implementations — a scalar specification
 and a vectorised reference — kept bit-identical, and the kernel-side
-evaluation runs on :class:`~repro.shiftbuffer.general.GeneralShiftBuffer`
+evaluation runs on :class:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D`
 windows, demonstrating the paper's "general purpose" buffer driving a
 different kernel (see :mod:`repro.kernel.diffusion`).
 

@@ -13,7 +13,11 @@ into the paper's actual kernel:
 * :mod:`repro.kernel.builder` — wires the stages into a
   :class:`~repro.dataflow.graph.DataflowGraph`,
 * :mod:`repro.kernel.functional` — fast functional execution (chunked,
-  vectorised) and full-fidelity shift-buffer execution,
+  vectorised),
+* :mod:`repro.kernel.simulate` — cycle-accurate execution through the
+  shift buffer of Fig. 3 (batched or forced-scalar),
+* :mod:`repro.kernel.generic` — the same read -> shift buffer -> compute
+  -> write machine for any radius-1 stencil (diffusion, buoyancy),
 * :mod:`repro.kernel.cycle_model` — the closed-form cycle count validated
   against the cycle simulator, used for paper-scale problem sizes,
 * :mod:`repro.kernel.multi` — multi-kernel domain decomposition
@@ -23,7 +27,7 @@ into the paper's actual kernel:
 from repro.kernel.builder import build_advection_graph
 from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import CycleBreakdown, KernelCycleModel
-from repro.kernel.functional import execute_chunked, execute_shiftbuffer
+from repro.kernel.functional import execute_chunked
 from repro.kernel.multi import MultiKernel
 from repro.kernel.multi_simulate import simulate_multi_kernel
 from repro.kernel.report import synthesis_report
@@ -35,7 +39,6 @@ __all__ = [
     "simulate_kernel",
     "simulate_multi_kernel",
     "execute_chunked",
-    "execute_shiftbuffer",
     "KernelCycleModel",
     "CycleBreakdown",
     "MultiKernel",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.core.coefficients import AdvectionCoefficients
@@ -12,7 +10,6 @@ from repro.dataflow.graph import DataflowGraph
 from repro.kernel.config import KernelConfig
 from repro.kernel.stages import (
     AdvectStage,
-    CellInput,
     ReadDataStage,
     ReplicateStage,
     ShiftBufferStage,
@@ -21,25 +18,7 @@ from repro.kernel.stages import (
 from repro.shiftbuffer.chunking import Chunk
 from repro.shiftbuffer.ports import MemoryPortTracker
 
-__all__ = ["build_advection_graph", "chunk_cell_stream"]
-
-
-def chunk_cell_stream(fields: FieldSet, chunk: Chunk) -> Iterator[CellInput]:
-    """Yield the chunk's cells in kernel streaming order (Z, then Y, then X).
-
-    The streamed block spans the full (halo-extended) X axis and the
-    chunk's read range in Y — what the *read data* stage fetches from
-    external memory for this chunk.
-    """
-    u = fields.u[:, chunk.read_start:chunk.read_stop, :]
-    v = fields.v[:, chunk.read_start:chunk.read_stop, :]
-    w = fields.w[:, chunk.read_start:chunk.read_stop, :]
-    nx, ny, nz = u.shape
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                yield CellInput(float(u[i, j, k]), float(v[i, j, k]),
-                                float(w[i, j, k]))
+__all__ = ["build_advection_graph"]
 
 
 def build_advection_graph(config: KernelConfig, fields: FieldSet,
@@ -98,8 +77,8 @@ def build_advection_graph(config: KernelConfig, fields: FieldSet,
     )
 
     read = graph.add(read_cls(
-        f"{name_prefix}read_data", chunk_cell_stream(fields, chunk),
-        block=blocks, ii=read_ii, latency=config.memory_latency,
+        f"{name_prefix}read_data", block=blocks, ii=read_ii,
+        latency=config.memory_latency,
     ))
     shift = graph.add(ShiftBufferStage(
         f"{name_prefix}shift_buffer", nx_buf, ny_buf, nz,

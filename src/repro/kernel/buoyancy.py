@@ -1,11 +1,13 @@
-"""The buoyancy-smoothing kernel on the general-purpose shift buffer.
+"""The buoyancy-smoothing kernel's window arithmetic.
 
 The third kernel of the scenario suite, assembled from the same parts as
-diffusion: :class:`~repro.shiftbuffer.general.GeneralShiftBuffer` windows
+diffusion: :class:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D` windows
 streamed one value per cycle, interior cells evaluated from their own
 window, and the one-sided vertical boundary cells resolved from the
-adjacent interior window (the burst-absorbed-by-FIFOs trick).  The result
-is bit-identical to :func:`repro.core.buoyancy.buoyancy_reference`.
+adjacent interior window (the burst-absorbed-by-FIFOs trick).
+:class:`~repro.scenarios.kernels.BuoyancyKernel` runs these functions on
+the generic stencil machine (:mod:`repro.kernel.generic`); the result is
+bit-identical to :func:`repro.core.buoyancy.buoyancy_reference`.
 
 The filter only has vertical neighbours, so it is the cheapest stencil
 in the suite — 15 operations per cell against advection's 63 — which is
@@ -19,23 +21,19 @@ from repro.core.buoyancy import (  # noqa: F401 (re-export)
     DEFAULT_FILTER_WEIGHT,
     buoyancy_reference,
 )
-from repro.core.fields import FieldSet, SourceSet
-from repro.errors import ConfigurationError
-from repro.shiftbuffer.general import GeneralShiftBuffer, GeneralWindow
-from repro.shiftbuffer.ports import MemoryPortTracker
+from repro.shiftbuffer.window import StencilWindow
 
-__all__ = ["buoyancy_from_window", "buoyancy_boundary_from_window",
-           "buoyancy_shiftbuffer"]
+__all__ = ["buoyancy_from_window", "buoyancy_boundary_from_window"]
 
 
-def buoyancy_from_window(window: GeneralWindow, alpha: float) -> float:
+def buoyancy_from_window(window: StencilWindow, alpha: float) -> float:
     """Smoothed value of the window's centre cell (interior k)."""
     return (alpha * window.at(0, 0, -1)
             + (1.0 - 2.0 * alpha) * window.at(0, 0, 0)
             + alpha * window.at(0, 0, 1))
 
 
-def buoyancy_boundary_from_window(window: GeneralWindow, alpha: float, *,
+def buoyancy_boundary_from_window(window: StencilWindow, alpha: float, *,
                                   top: bool) -> float:
     """Boundary-cell value computed from the adjacent interior window.
 
@@ -46,49 +44,3 @@ def buoyancy_boundary_from_window(window: GeneralWindow, alpha: float, *,
     """
     dk = 1 if top else -1
     return (1.0 - alpha) * window.at(0, 0, dk) + alpha * window.at(0, 0, 0)
-
-
-def buoyancy_shiftbuffer(fields: FieldSet,
-                         alpha: float = DEFAULT_FILTER_WEIGHT, *,
-                         tracker: MemoryPortTracker | None = None
-                         ) -> SourceSet:
-    """Smoothing of all three fields through general shift buffers.
-
-    Streams each field once (x/y halo included), evaluating interior
-    cells from their windows and the vertical boundary cells from the
-    adjacent windows.  Must agree bit for bit with
-    :func:`repro.core.buoyancy.buoyancy_reference`.
-    """
-    grid = fields.grid
-    if grid.nz < 3:
-        raise ConfigurationError(
-            f"shift-buffer smoothing needs nz >= 3, got {grid.nz}"
-        )
-    if not 0.0 < alpha <= 0.5:
-        raise ConfigurationError(
-            f"filter weight must be in (0, 0.5], got {alpha}"
-        )
-
-    out = SourceSet.zeros(grid)
-    nx_buf, ny_buf = grid.nx + 2, grid.ny + 2
-
-    for name, target in (("u", out.su), ("v", out.sv), ("w", out.sw)):
-        buffer = GeneralShiftBuffer(
-            nx_buf, ny_buf, grid.nz, radius=1,
-            tracker=tracker if tracker is not None
-            else MemoryPortTracker(enforce=False),
-            name=f"buoyancy.{name}",
-        )
-        block = getattr(fields, name)
-        for window in buffer.feed_block(block):
-            cx, cy, cz = window.center
-            if not (1 <= cx <= grid.nx and 1 <= cy <= grid.ny):
-                continue
-            target[cx - 1, cy - 1, cz] = buoyancy_from_window(window, alpha)
-            if cz == 1:
-                target[cx - 1, cy - 1, 0] = buoyancy_boundary_from_window(
-                    window, alpha, top=False)
-            if cz == grid.nz - 2:
-                target[cx - 1, cy - 1, grid.nz - 1] = \
-                    buoyancy_boundary_from_window(window, alpha, top=True)
-    return out

@@ -20,9 +20,8 @@ import numpy as np
 from repro.core.coefficients import AdvectionCoefficients
 from repro.shiftbuffer.window import StencilWindow
 
-__all__ = ["advect_u", "advect_v", "advect_w", "advect_cell_windows",
-           "advect_u_block", "advect_v_block", "advect_w_block",
-           "UNIQUE_STENCIL_POINTS"]
+__all__ = ["advect_u", "advect_v", "advect_w", "advect_u_block",
+           "advect_v_block", "advect_w_block", "UNIQUE_STENCIL_POINTS"]
 
 #: Unique stencil points actually read per field advection (paper: ~8).
 UNIQUE_STENCIL_POINTS: dict[str, int] = {"u": 8, "v": 8, "w": 9}
@@ -95,17 +94,6 @@ def advect_w(u: StencilWindow, v: StencilWindow, w: StencilWindow,
         - coeffs.tzd2[k] * w.at(0, 0, 1) * (w.at(0, 0, 0) + w.at(0, 0, 1))
     )
     return sw
-
-
-def advect_cell_windows(u: StencilWindow, v: StencilWindow, w: StencilWindow,
-                        coeffs: AdvectionCoefficients, k: int, nz: int
-                        ) -> tuple[float, float, float]:
-    """All three source terms for one cell from its stencil windows."""
-    return (
-        advect_u(u, v, w, coeffs, k, nz),
-        advect_v(u, v, w, coeffs, k, nz),
-        advect_w(u, v, w, coeffs, k, nz),
-    )
 
 
 # -- batched variants ----------------------------------------------------------

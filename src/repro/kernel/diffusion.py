@@ -1,33 +1,30 @@
-"""The diffusion kernel on the general-purpose shift buffer.
+"""The diffusion kernel's window arithmetic on the paper's shift buffer.
 
 Demonstrates the paper's central design point — the shift buffer is
 *general purpose* — by driving a second, different stencil kernel
-(7-point diffusion) from :class:`~repro.shiftbuffer.general.
-GeneralShiftBuffer` windows, with the same one-value-per-cycle streaming
+(7-point diffusion) from :class:`~repro.shiftbuffer.buffer3d.
+ShiftBuffer3D` windows, with the same one-value-per-cycle streaming
 protocol the advection kernel uses.
 
 Vertical boundary cells are computed from their neighbouring interior
 window (the window centred at ``k=1`` contains everything the one-sided
 ``k=0`` update needs, and likewise at the top), the same
 burst-absorbed-by-FIFOs trick the advection kernel's column tops use.
-The result is bit-identical to :func:`repro.core.diffusion.
-diffuse_reference`.
+:class:`~repro.scenarios.kernels.DiffusionKernel` runs these functions
+on the generic stencil machine (:mod:`repro.kernel.generic`); the result
+is bit-identical to :func:`repro.core.diffusion.diffuse_reference`.
 """
 
 from __future__ import annotations
 
 from repro.core.diffusion import diffuse_reference  # noqa: F401 (re-export)
-from repro.core.fields import FieldSet, SourceSet
 from repro.core.grid import Grid
-from repro.errors import ConfigurationError
-from repro.shiftbuffer.general import GeneralShiftBuffer, GeneralWindow
-from repro.shiftbuffer.ports import MemoryPortTracker
+from repro.shiftbuffer.window import StencilWindow
 
-__all__ = ["diffusion_from_window", "diffusion_boundary_from_window",
-           "diffuse_shiftbuffer"]
+__all__ = ["diffusion_from_window", "diffusion_boundary_from_window"]
 
 
-def diffusion_from_window(window: GeneralWindow, grid: Grid,
+def diffusion_from_window(window: StencilWindow, grid: Grid,
                           nu: float) -> float:
     """Diffusion source of the window's centre cell (interior k)."""
     rdx2 = 1.0 / (grid.dx * grid.dx)
@@ -40,7 +37,7 @@ def diffusion_from_window(window: GeneralWindow, grid: Grid,
     return nu * lap
 
 
-def diffusion_boundary_from_window(window: GeneralWindow, grid: Grid,
+def diffusion_boundary_from_window(window: StencilWindow, grid: Grid,
                                    nu: float, *, top: bool) -> float:
     """Boundary-cell source computed from the adjacent interior window.
 
@@ -58,49 +55,3 @@ def diffusion_boundary_from_window(window: GeneralWindow, grid: Grid,
     lap += (window.at(0, -1, dk) + window.at(0, 1, dk) - 2.0 * c) * rdy2
     lap += (window.at(0, 0, 0) - c) * rdz2  # one-sided vertical term
     return nu * lap
-
-
-def diffuse_shiftbuffer(fields: FieldSet, nu: float = 1.0, *,
-                        tracker: MemoryPortTracker | None = None
-                        ) -> SourceSet:
-    """Diffusion of all three fields through general shift buffers.
-
-    Streams each field once (x/y halo included), evaluating interior
-    cells from their windows and the vertical boundary cells from the
-    adjacent windows.  Must agree bit for bit with
-    :func:`repro.core.diffusion.diffuse_reference`.
-    """
-    grid = fields.grid
-    if grid.nz < 3:
-        raise ConfigurationError(
-            f"shift-buffer diffusion needs nz >= 3, got {grid.nz}"
-        )
-    if not nu >= 0.0:
-        raise ConfigurationError(f"viscosity must be >= 0, got {nu}")
-
-    out = SourceSet.zeros(grid)
-    nx_buf, ny_buf = grid.nx + 2, grid.ny + 2
-
-    for name, target in (("u", out.su), ("v", out.sv), ("w", out.sw)):
-        buffer = GeneralShiftBuffer(
-            nx_buf, ny_buf, grid.nz, radius=1,
-            tracker=tracker if tracker is not None
-            else MemoryPortTracker(enforce=False),
-            name=f"diffusion.{name}",
-        )
-        block = getattr(fields, name)
-        for window in buffer.feed_block(block):
-            cx, cy, cz = window.center
-            # Skip windows centred in the x/y halo rows.
-            if not (1 <= cx <= grid.nx and 1 <= cy <= grid.ny):
-                continue
-            target[cx - 1, cy - 1, cz] = diffusion_from_window(
-                window, grid, nu)
-            if cz == 1:
-                target[cx - 1, cy - 1, 0] = diffusion_boundary_from_window(
-                    window, grid, nu, top=False)
-            if cz == grid.nz - 2:
-                target[cx - 1, cy - 1, grid.nz - 1] = \
-                    diffusion_boundary_from_window(window, grid, nu,
-                                                   top=True)
-    return out

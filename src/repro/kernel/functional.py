@@ -1,18 +1,13 @@
 """Functional (non-cycle-accurate) execution of the chunked kernel.
 
-Two modes, both producing exactly the reference result:
-
-* :func:`execute_chunked` — per chunk, runs the vectorised reference on the
-  chunk's read slab and scatters its interior back.  Fast; this is what the
-  host :class:`~repro.runtime.session.AdvectionSession` executes "on the
-  device" and what the chunking correctness tests compare against the
-  unchunked reference.
-* :func:`execute_shiftbuffer` — per chunk, streams every cell through the
-  three real :class:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D` instances
-  and evaluates the window arithmetic of :mod:`repro.kernel.compute`.
-  Slow but full fidelity: this path exercises the exact data structures of
-  Fig. 3 without the cycle engine's overhead and must agree bit-for-bit
-  with the reference.
+:func:`execute_chunked` runs, per chunk, the vectorised reference on the
+chunk's read slab and scatters its interior back.  Fast, and exactly the
+reference result: this is what the host
+:class:`~repro.runtime.session.AdvectionSession` executes "on the device"
+and what the chunking correctness tests compare against the unchunked
+reference.  The full-fidelity path through the Fig. 3 data structures is
+the cycle-accurate :func:`~repro.kernel.simulate.simulate_kernel`
+(``batched=False`` ticks every cycle).
 """
 
 from __future__ import annotations
@@ -20,17 +15,17 @@ from __future__ import annotations
 from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import FieldSet, SourceSet
 from repro.core.reference import advect_reference
-from repro.kernel.compute import advect_cell_windows
 from repro.kernel.config import KernelConfig
-from repro.shiftbuffer.buffer3d import ShiftBuffer3D
-from repro.shiftbuffer.ports import MemoryPortTracker
 
-__all__ = ["execute_chunked", "execute_shiftbuffer"]
+__all__ = ["execute_chunked"]
 
 
 def execute_chunked(config: KernelConfig, fields: FieldSet,
                     coeffs: AdvectionCoefficients | None = None) -> SourceSet:
-    """Run the kernel chunk by chunk with vectorised per-chunk compute."""
+    """Run the kernel chunk by chunk with vectorised per-chunk compute.
+
+    Coefficients are Y-independent, so every chunk reuses them unchanged.
+    """
     grid = config.grid
     if coeffs is None:
         coeffs = AdvectionCoefficients.uniform(grid)
@@ -45,61 +40,9 @@ def execute_chunked(config: KernelConfig, fields: FieldSet,
             fields.v[:, chunk.read_start:chunk.read_stop, :],
             fields.w[:, chunk.read_start:chunk.read_stop, :],
         )
-        sub_out = advect_reference(sub_fields, _sub_coeffs(coeffs))
+        sub_out = advect_reference(sub_fields, coeffs)
         y0 = chunk.write_start - 1  # halo -> interior coordinate
         out.su[:, y0:y0 + chunk.write_width, :] = sub_out.su
         out.sv[:, y0:y0 + chunk.write_width, :] = sub_out.sv
         out.sw[:, y0:y0 + chunk.write_width, :] = sub_out.sw
-    return out
-
-
-def _sub_coeffs(coeffs: AdvectionCoefficients) -> AdvectionCoefficients:
-    """Coefficients are Y-independent; chunks reuse them unchanged."""
-    return coeffs
-
-
-def execute_shiftbuffer(config: KernelConfig, fields: FieldSet,
-                        coeffs: AdvectionCoefficients | None = None, *,
-                        tracker: MemoryPortTracker | None = None) -> SourceSet:
-    """Run the kernel through the real shift-buffer data structures.
-
-    Every chunk's read slab is streamed value-by-value through three
-    :class:`ShiftBuffer3D` instances; emitted windows are evaluated with the
-    window arithmetic.  A shared ``tracker`` records the port pressure of
-    the whole pass.
-    """
-    grid = config.grid
-    if coeffs is None:
-        coeffs = AdvectionCoefficients.uniform(grid)
-    out = SourceSet.zeros(grid)
-    nx_buf = grid.nx + 2
-    nz = grid.nz
-
-    for chunk in config.chunk_plan().chunks:
-        ny_buf = chunk.read_width
-        buffers = {
-            name: ShiftBuffer3D(
-                nx_buf, ny_buf, nz, partitioned=config.partitioned,
-                tracker=tracker if tracker is not None
-                else MemoryPortTracker(enforce=False),
-                name=f"chunk{chunk.index}.{name}",
-            )
-            for name in ("u", "v", "w")
-        }
-        blocks = {
-            name: getattr(fields, name)[:, chunk.read_start:chunk.read_stop, :]
-            for name in ("u", "v", "w")
-        }
-        y_offset = chunk.write_start - 1
-        flat = {name: block.reshape(-1) for name, block in blocks.items()}
-        for idx in range(nx_buf * ny_buf * nz):
-            wins_u = buffers["u"].feed(float(flat["u"][idx]))
-            wins_v = buffers["v"].feed(float(flat["v"][idx]))
-            wins_w = buffers["w"].feed(float(flat["w"][idx]))
-            for wu, wv, ww in zip(wins_u, wins_v, wins_w):
-                cx, cy, cz = wu.center
-                su, sv, sw = advect_cell_windows(wu, wv, ww, coeffs, cz, nz)
-                out.su[cx - 1, cy - 1 + y_offset, cz] = su
-                out.sv[cx - 1, cy - 1 + y_offset, cz] = sv
-                out.sw[cx - 1, cy - 1 + y_offset, cz] = sw
     return out

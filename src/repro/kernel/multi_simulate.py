@@ -23,7 +23,7 @@ loop; :attr:`MultiKernelSimResult.batch_fallback_reason` records why.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.errors import (
 )
 from repro.kernel.builder import build_advection_graph
 from repro.kernel.config import KernelConfig
-from repro.kernel.stages import CellInput, ReadDataStage
+from repro.kernel.stages import ReadDataStage
 
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
@@ -95,10 +95,10 @@ class ArbitratedReadStage(ReadDataStage):
     #: the static occupancy proof cannot see — no compile-time hints.
     unit_rate = False
 
-    def __init__(self, name: str, cells: Iterator[CellInput] | None = None,
-                 *, arbiter: MemoryArbiter, block=None, ii: int = 1,
+    def __init__(self, name: str, *, arbiter: MemoryArbiter,
+                 block: tuple[np.ndarray, ...], ii: int = 1,
                  latency: int = 16) -> None:
-        super().__init__(name, cells, block=block, ii=ii, latency=latency)
+        super().__init__(name, block=block, ii=ii, latency=latency)
         self.arbiter = arbiter
 
     def _try_fire(self, cycle: int) -> bool:
@@ -126,10 +126,7 @@ class ArbitratedReadStage(ReadDataStage):
         # signature exactly.
         if self.arbiter.denials > 0:
             return None
-        base = super().ff_signature(cycle)
-        if base is None:
-            return None
-        return base + (self.arbiter._credits,)
+        return super().ff_signature(cycle) + (self.arbiter._credits,)
 
     def ff_commit(self, old_cycle: int, new_cycle: int, *, fires: int,
                   retired: int, tail_outputs) -> None:
@@ -289,11 +286,8 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
         return build_advection_graph(
             sub_config, sub_fields, chunk, coeffs, out,
             x_offset=x0, name_prefix=f"k{p}.", read_ii=read_ii,
-            read_stage_cls=lambda name, cells, ii=1, latency=16,
-            block=None: (
-                ArbitratedReadStage(name, cells, arbiter=arbiter,
-                                    block=block, ii=ii,
-                                    latency=latency)),
+            read_stage_cls=lambda name, **kwargs: ArbitratedReadStage(
+                name, arbiter=arbiter, **kwargs),
         )
 
     def run_resilient(build: Callable[[], DataflowGraph],

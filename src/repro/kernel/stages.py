@@ -12,7 +12,7 @@ between pragmas and arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -177,52 +177,36 @@ class ReadDataStage(SourceStage):
 
     Parameters
     ----------
-    cells:
-        Legacy item-by-item input, any iterator of :class:`CellInput`.
     block:
         The three ``(nx, ny, nz)`` field blocks of the chunk, in streaming
-        layout.  When given, cells are cut from the arrays on demand —
-        value-identical to the iterator path — and batched firings
+        layout.  Cells are cut from the arrays on demand, in streaming
+        order (Z fastest, then Y, then X), and batched firings
         (``fire_bulk``) hand whole runs downstream without building cell
         objects at all.
     """
 
-    def __init__(self, name: str, cells: Iterator[CellInput] | None = None,
-                 *, block: tuple[np.ndarray, ...] | None = None, ii: int = 1,
-                 latency: int = 16) -> None:
-        if block is not None:
-            self._flats: tuple[np.ndarray, ...] | None = tuple(
-                np.ascontiguousarray(b, dtype=float).reshape(-1)
-                for b in block
+    def __init__(self, name: str, *, block: tuple[np.ndarray, ...],
+                 ii: int = 1, latency: int = 16) -> None:
+        self._flats = tuple(
+            np.ascontiguousarray(b, dtype=float).reshape(-1) for b in block
+        )
+        if len(self._flats) != 3:
+            raise DataflowError(
+                f"read stage {name!r}: block must hold the three "
+                f"(u, v, w) field arrays, got {len(self._flats)}"
             )
-            if len(self._flats) != 3:
-                raise DataflowError(
-                    f"read stage {name!r}: block must hold the three "
-                    f"(u, v, w) field arrays, got {len(self._flats)}"
-                )
-            self._total = len(self._flats[0])
-            self._cursor = 0
-            cells = iter(())
-        else:
-            if cells is None:
-                raise DataflowError(
-                    f"read stage {name!r} needs either cells or block"
-                )
-            self._flats = None
-        super().__init__(name, items=cells, ii=ii, latency=latency)
+        self._total = len(self._flats[0])
+        self._cursor = 0
+        super().__init__(name, items=(), ii=ii, latency=latency)
 
     def _cell_at(self, index: int) -> CellInput:
-        u, v, w = self._flats  # type: ignore[misc]
+        u, v, w = self._flats
         return CellInput(float(u[index]), float(v[index]), float(w[index]))
 
     def exhausted(self) -> bool:
-        if self._flats is None:
-            return super().exhausted()
         return self._cursor >= self._total
 
     def _try_fire(self, cycle: int) -> bool:
-        if self._flats is None:
-            return super()._try_fire(cycle)
         if cycle < self._next_fire_cycle:
             self.stats.ii_waits += 1
             return False
@@ -239,22 +223,15 @@ class ReadDataStage(SourceStage):
             (cycle + self.latency, {"out": [item]}, (("out", 1),)))
         return True
 
-    def ff_signature(self, cycle: int) -> tuple | None:
-        if self._flats is None:
-            return super().ff_signature(cycle)
-        base = Stage.ff_signature(self, cycle)
-        return base + (self._cursor < self._total,) if base is not None \
-            else None
+    def ff_signature(self, cycle: int) -> tuple:
+        return Stage.ff_signature(self, cycle) + (
+            self._cursor < self._total,)
 
     def ff_fire_capacity(self, want: int) -> int:
-        if self._flats is None:
-            return super().ff_fire_capacity(want)
         return min(want, self._total - self._cursor)
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
-        if self._flats is None:
-            return super().fire_bulk(count, inputs, cycle)
         if count > self._total - self._cursor:
             raise DataflowError(
                 f"read stage {self.name!r}: batched window wants {count} "
@@ -402,33 +379,14 @@ class ShiftBufferStage(Stage):
             self.first_emit_cycle = cycle
         return {"out": bundles} if bundles else {}
 
-    def ff_signature(self, cycle: int) -> tuple | None:
-        base = super().ff_signature(cycle)
-        if base is None:
-            return None
-        # Emission control depends on the streaming position only, and
-        # each regime keeps just the part of it that still matters:
-        # * prime (x < 2): no feed can emit, so every feed behaves alike
-        #   and the period is one feed;
-        # * steady: planes x >= 2 all behave alike, so clamping X makes
-        #   them comparable and the period one full (ny * nz) plane;
-        # * last plane: fewer feeds remain than a plane period, but its
-        #   emitting columns (y >= 2) all behave alike, so the period is
-        #   one column of nz feeds.
-        # ff_fire_capacity stops every window at the end of its regime.
-        buffer = self._buffers["u"]
-        x, y, z = buffer.position
-        if x < 2:
-            return base + ("prime",)
-        if x == buffer.nx - 1:
-            return base + ("last", min(y, 2), z)
-        return base + (2, y, z)
+    def ff_signature(self, cycle: int) -> tuple:
+        # Emission control depends on the streaming position only, per
+        # regime (ShiftBuffer3D.regime); the capacity below stops every
+        # window at the end of its regime.
+        return super().ff_signature(cycle) + self._buffers["u"].regime()
 
     def ff_fire_capacity(self, want: int) -> int:
-        buffer = self._buffers["u"]
-        if buffer.position[0] < 2:
-            return min(want, 2 * buffer.ny * buffer.nz - buffer.fed)
-        return min(want, buffer.expected_feeds - buffer.fed)
+        return self._buffers["u"].regime_feeds(want)
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:

@@ -194,19 +194,16 @@ class ScenarioKernel:
 
     Concrete kernels (:mod:`repro.scenarios.kernels`) wrap the repo's
     existing execution paths — ``simulate_kernel`` for PW advection,
-    ``run_stencil_kernel`` over general shift-buffer windows for
-    diffusion and buoyancy — behind one uniform surface the conformance
-    harness and the CLI drive.
+    ``run_stencil_kernel`` over shift-buffer windows for diffusion and
+    buoyancy — behind one uniform surface the conformance harness and
+    the CLI drive.  Every kernel's control depends on the streaming
+    position only, so each one runs batched windows.
     """
 
     #: Kernel kind tag ("advection", "diffusion", "buoyancy").
     kind: str = ""
     #: Per-cell operation model (drives derived ops/cycle and GFLOPS).
     op_model: OpModel
-    #: True when the steady-state periodicity proof applies, so batched
-    #: windows run; kernels built on data-dependent stages veto them
-    #: (and the conformance harness asserts the fallback is recorded).
-    batch_admissible: bool = False
 
     def reference(self, fields: FieldSet) -> SourceSet:
         """The NumPy reference result for one field set."""
@@ -407,7 +404,6 @@ class Scenario:
             "wind": self.wind,
             "batch": self.batch,
             "tags": list(self.tags),
-            "batch_admissible": self.kernel.batch_admissible,
             "op_model": self.kernel.op_model.to_dict(),
             "ops_per_cycle": self.ops_per_cycle,
             "grid_family": self.grids.to_dict(),

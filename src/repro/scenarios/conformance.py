@@ -15,10 +15,9 @@ Per scenario, five checks run on the grid family's small shape:
     Batched exact equals forced-scalar: outputs, cycle counts, and the
     full stats dict minus the batching bookkeeping keys
     (``batched_windows``/``batched_cycles``/``batch_fallback_reason``).
-    Kernels whose stages are data-dependent (``batch_admissible =
-    False``) must additionally *record* a ``batch_fallback_reason`` — a
-    silent pretend-batched run would be a correctness bug, not a
-    feature.
+    The batched run must also actually batch (``batched_cycles > 0``):
+    every kernel's control depends on the streaming position only, so a
+    run that ticked fully scalar is a regression, not a fallback.
 ``fault``
     One injected fault plan per scenario, identical seed, run under
     forced-scalar and batched execution: both legs must end in the same
@@ -190,10 +189,10 @@ def run_conformance(scenario: Scenario, *, grid: Grid | None = None,
                         f"{batched.total_cycles})")
     if _stats_minus_batching(scalar) != _stats_minus_batching(batched):
         problems.append("stats differ beyond batching bookkeeping")
-    if not scenario.kernel.batch_admissible \
-            and not batched.stats.batch_fallback_reason:
-        problems.append("data-dependent kernel batched without "
-                        "recording a fallback reason")
+    if batched.stats.batched_cycles <= 0:
+        problems.append(
+            f"batched run ticked fully scalar (fallback: "
+            f"{batched.stats.batch_fallback_reason or 'none recorded'})")
     record("batched", not problems, "; ".join(problems))
 
     scalar_f, scalar_err, scalar_trace = _faulted_leg(

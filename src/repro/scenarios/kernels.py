@@ -4,29 +4,36 @@ Nothing here is a new execution engine: the advection kernel wraps
 :func:`repro.kernel.simulate.simulate_kernel` (the Fig. 2 graph with
 checkpoint/restart), and the diffusion and buoyancy kernels wrap
 :func:`repro.kernel.generic.run_stencil_kernel` (the read -> shift ->
-compute -> write machine over :class:`~repro.shiftbuffer.general.
-GeneralShiftBuffer` windows).  The scenario layer only *binds* those
-paths to op models, structural graphs, and fault specs so the
+compute -> write machine over :class:`~repro.shiftbuffer.buffer3d.
+ShiftBuffer3D` windows).  The scenario layer only *binds* those paths
+to op models, structural graphs, input checks and fault specs so the
 conformance harness can drive every kernel identically.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from functools import partial
+from typing import TYPE_CHECKING
 
 from repro.core.buoyancy import (
     BUOYANCY_OPS_PER_CELL,
     BUOYANCY_OPS_PER_TOP_CELL,
     DEFAULT_FILTER_WEIGHT,
+    _check_weight,
     buoyancy_reference,
 )
 from repro.core.coefficients import AdvectionCoefficients
-from repro.core.diffusion import DIFFUSION_OPS_PER_CELL, diffuse_reference
+from repro.core.diffusion import (
+    DIFFUSION_OPS_PER_CELL,
+    _check_viscosity,
+    diffuse_reference,
+)
 from repro.core.fields import FieldSet, SourceSet
 from repro.core.grid import Grid
 from repro.core.reference import advect_reference
 from repro.dataflow.engine import RunStats
 from repro.dataflow.graph import DataflowGraph
+from repro.errors import ConfigurationError
 from repro.kernel.buoyancy import (
     buoyancy_boundary_from_window,
     buoyancy_from_window,
@@ -36,14 +43,13 @@ from repro.kernel.diffusion import (
     diffusion_boundary_from_window,
     diffusion_from_window,
 )
-from repro.kernel.generic import run_stencil_kernel
+from repro.kernel.generic import BoundaryFn, InteriorFn, run_stencil_kernel
 from repro.kernel.simulate import simulate_kernel
 from repro.lint.spec import SpecStage
 from repro.scenarios.base import OpModel, ScenarioKernel
 
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
-    from repro.shiftbuffer.general import GeneralWindow
 
 __all__ = [
     "AdvectionKernel",
@@ -51,10 +57,6 @@ __all__ = [
     "BuoyancyKernel",
     "build_stencil_structural_graph",
 ]
-
-#: A per-window result list, as run_stencil_kernel consumes.
-_WindowFn = Callable[["GeneralWindow"],
-                     Sequence[tuple[tuple[int, int, int], float]]]
 
 
 def build_stencil_structural_graph(grid: Grid, *, name: str,
@@ -85,9 +87,6 @@ class AdvectionKernel(ScenarioKernel):
 
     kind = "advection"
     op_model = OpModel(63, 55)
-    #: The Fig. 2 stages are unit-rate with closed-form signatures, so
-    #: the steady-state periodicity proof holds and batched windows run.
-    batch_admissible = True
 
     def __init__(self, *, chunk_width: int | None = None) -> None:
         self._chunk_width = chunk_width
@@ -131,23 +130,19 @@ class AdvectionKernel(ScenarioKernel):
 
 
 class _StencilKernel(ScenarioKernel):
-    """Shared machinery for kernels on the general stencil machine.
+    """Shared machinery for kernels on the generic stencil machine.
 
     Runs each of the three wind fields through its own
     ``run_stencil_kernel`` pass (the FPGA design would instantiate one
-    pipeline per field); stats merge across the three runs.  Both
-    stages of that machine are data-dependent (``unit_rate = False``,
-    no ``ff_signature``), so batched windows fall back to the scalar loop
-    by design — the conformance harness asserts the fallback is recorded
-    rather than pretending a speedup exists.
+    pipeline per field); stats merge across the three runs.
     """
 
-    batch_admissible = False
     #: Streams carry window bursts of up to three results (interior +
     #: both one-sided boundary cells at nz == 3).
     stream_depth = 4
 
-    def window_fn(self, grid: Grid) -> _WindowFn:
+    def window_fns(self, grid: Grid) -> tuple[InteriorFn, BoundaryFn]:
+        """The ``(interior, boundary)`` window arithmetic on ``grid``."""
         raise NotImplementedError
 
     def run(self, fields: FieldSet, *, mode: str = "exact",
@@ -155,13 +150,17 @@ class _StencilKernel(ScenarioKernel):
             fault_plan: "FaultPlan | None" = None,
             ) -> tuple[SourceSet, RunStats, int]:
         grid = fields.grid
+        if grid.nz < 3:
+            raise ConfigurationError(
+                f"{self.kind} kernel needs nz >= 3 for its vertical "
+                f"stencil, got {grid.nz}")
         out = SourceSet.zeros(grid)
-        fn = self.window_fn(grid)
+        interior, boundary = self.window_fns(grid)
         all_stats: list[RunStats] = []
         total_cycles = 0
         for name, target in (("u", out.su), ("v", out.sv), ("w", out.sw)):
             stats = run_stencil_kernel(
-                getattr(fields, name), fn, target,
+                getattr(fields, name), interior, boundary, target,
                 stream_depth=self.stream_depth, mode=mode, batched=batched,
                 fault_plan=fault_plan)
             all_stats.append(stats)
@@ -183,20 +182,6 @@ class _StencilKernel(ScenarioKernel):
                           probability=0.01, count=1),)
 
 
-def _with_boundaries(center: tuple[int, int, int], nz: int,
-                     interior: float, bottom: Callable[[], float],
-                     top: Callable[[], float],
-                     ) -> list[tuple[tuple[int, int, int], float]]:
-    """Assemble one window's burst: interior cell plus boundary cells."""
-    cx, cy, cz = center
-    results = [((cx, cy, cz), interior)]
-    if cz == 1:
-        results.append(((cx, cy, 0), bottom()))
-    if cz == nz - 2:
-        results.append(((cx, cy, nz - 1), top()))
-    return results
-
-
 class DiffusionKernel(_StencilKernel):
     """7-point constant-viscosity diffusion (MONC's other big stencil)."""
 
@@ -204,25 +189,16 @@ class DiffusionKernel(_StencilKernel):
     op_model = OpModel(DIFFUSION_OPS_PER_CELL, DIFFUSION_OPS_PER_CELL)
 
     def __init__(self, *, nu: float = 1.0) -> None:
+        _check_viscosity(nu)
         self.nu = nu
 
     def reference(self, fields: FieldSet) -> SourceSet:
         return diffuse_reference(fields, nu=self.nu)
 
-    def window_fn(self, grid: Grid) -> _WindowFn:
-        nu = self.nu
-
-        def fn(window: "GeneralWindow"):
-            return _with_boundaries(
-                window.center, grid.nz,
-                diffusion_from_window(window, grid, nu),
-                lambda: diffusion_boundary_from_window(
-                    window, grid, nu, top=False),
-                lambda: diffusion_boundary_from_window(
-                    window, grid, nu, top=True),
-            )
-
-        return fn
+    def window_fns(self, grid: Grid) -> tuple[InteriorFn, BoundaryFn]:
+        return (partial(diffusion_from_window, grid=grid, nu=self.nu),
+                partial(diffusion_boundary_from_window, grid=grid,
+                        nu=self.nu))
 
 
 class BuoyancyKernel(_StencilKernel):
@@ -232,22 +208,12 @@ class BuoyancyKernel(_StencilKernel):
     op_model = OpModel(BUOYANCY_OPS_PER_CELL, BUOYANCY_OPS_PER_TOP_CELL)
 
     def __init__(self, *, alpha: float = DEFAULT_FILTER_WEIGHT) -> None:
+        _check_weight(alpha)
         self.alpha = alpha
 
     def reference(self, fields: FieldSet) -> SourceSet:
         return buoyancy_reference(fields, self.alpha)
 
-    def window_fn(self, grid: Grid) -> _WindowFn:
-        alpha = self.alpha
-
-        def fn(window: "GeneralWindow"):
-            return _with_boundaries(
-                window.center, grid.nz,
-                buoyancy_from_window(window, alpha),
-                lambda: buoyancy_boundary_from_window(
-                    window, alpha, top=False),
-                lambda: buoyancy_boundary_from_window(
-                    window, alpha, top=True),
-            )
-
-        return fn
+    def window_fns(self, grid: Grid) -> tuple[InteriorFn, BoundaryFn]:
+        return (partial(buoyancy_from_window, alpha=self.alpha),
+                partial(buoyancy_boundary_from_window, alpha=self.alpha))

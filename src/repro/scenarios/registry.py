@@ -121,9 +121,9 @@ register(Scenario(
 register(Scenario(
     name="diffusion",
     title="7-point diffusion",
-    description="Constant-viscosity 7-point diffusion on the general "
-                "shift buffer (45-op model); batched windows fall "
-                "back by design (data-dependent stages).",
+    description="Constant-viscosity 7-point diffusion on the paper's "
+                "general-purpose shift buffer (45-op model), run by the "
+                "generic stencil machine.",
     kernel=DiffusionKernel(nu=0.8),
     grids=COMPACT,
     wind="thermal-bubble",

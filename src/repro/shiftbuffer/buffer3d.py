@@ -139,6 +139,43 @@ class ShiftBuffer3D:
         """Stencils a full streaming pass emits: interior columns x (nz-1)."""
         return (self.nx - 2) * (self.ny - 2) * (self.nz - 1)
 
+    # -- control regimes ----------------------------------------------------------
+
+    def regime(self) -> tuple:
+        """The part of the streaming position that still decides emission.
+
+        How many windows the next feeds emit depends on the position
+        only, and each regime keeps just the part of it that matters:
+
+        * prime (``x < 2``): no feed can emit, so every feed behaves
+          alike and the period is one feed;
+        * steady: planes ``x >= 2`` all behave alike, so clamping X makes
+          them comparable and the period one full ``ny * nz`` plane;
+        * last plane: fewer feeds remain than a plane period, but its
+          emitting columns (``y >= 2``) all behave alike, so the period
+          is one column of ``nz`` feeds.
+
+        A stage streaming this buffer appends the regime to its control
+        signature and bounds every batched window by
+        :meth:`regime_feeds`.
+        """
+        x, y, z = self._x, self._y, self._z
+        if x < 2:
+            return ("prime",)
+        if x == self.nx - 1:
+            return ("last", min(y, 2), z)
+        return (2, y, z)
+
+    def regime_feeds(self, want: int) -> int:
+        """How many of ``want`` feeds stay inside the current regime.
+
+        The prime regime ends where emission starts (two full planes);
+        the steady and last-plane regimes run to the end of the block.
+        """
+        if self._x < 2:
+            return min(want, 2 * self.ny * self.nz - self._fed)
+        return min(want, self.expected_feeds - self._fed)
+
     # -- the update ---------------------------------------------------------------
 
     def feed(self, value: float) -> list[StencilWindow]:

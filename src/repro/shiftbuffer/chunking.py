@@ -206,8 +206,8 @@ def plan_chunks(interior: int, chunk_width: int, *,
         ``chunk_width + 2 * halo`` cells).  The final chunk may be
         narrower.
     halo:
-        Stencil radius (1 for the PW scheme; larger radii serve the
-        radius-r :class:`~repro.shiftbuffer.general.GeneralShiftBuffer`).
+        Stencil radius: 1 for the PW scheme and every kernel the shift
+        buffer serves; a wider halo plans the seams of a deeper stencil.
 
     Returns
     -------

@@ -9,13 +9,21 @@ from repro.core.buoyancy import (
     BUOYANCY_OPS_PER_CELL,
     BUOYANCY_OPS_PER_FIELD,
     BUOYANCY_OPS_PER_TOP_CELL,
+    DEFAULT_FILTER_WEIGHT,
     buoyancy_golden,
     buoyancy_reference,
 )
 from repro.core.grid import Grid
 from repro.core.wind import constant_wind, random_wind
 from repro.errors import ConfigurationError
-from repro.kernel.buoyancy import buoyancy_shiftbuffer
+from repro.scenarios.kernels import BuoyancyKernel
+
+
+def smooth_scalar(fields, alpha=DEFAULT_FILTER_WEIGHT):
+    """Forced-scalar run of the buoyancy kernel on the stencil machine."""
+    sources, _stats, _cycles = BuoyancyKernel(alpha=alpha).run(
+        fields, batched=False)
+    return sources
 
 
 class TestSpecificationEquality:
@@ -39,7 +47,7 @@ class TestSpecificationEquality:
         grid = Grid(nx=4, ny=5, nz=6)
         fields = random_wind(grid, seed=11, magnitude=3.0)
         expected = buoyancy_reference(fields)
-        assert buoyancy_shiftbuffer(fields).max_abs_difference(
+        assert smooth_scalar(fields).max_abs_difference(
             expected) == 0.0
 
 
@@ -84,14 +92,14 @@ class TestValidationAndAccounting:
             with pytest.raises(ConfigurationError):
                 buoyancy_golden(fields, alpha=alpha)
             with pytest.raises(ConfigurationError):
-                buoyancy_shiftbuffer(fields, alpha=alpha)
+                smooth_scalar(fields, alpha=alpha)
 
     def test_shiftbuffer_needs_vertical_room(self):
         from repro.core.fields import FieldSet
 
         too_shallow = FieldSet.zeros(Grid(nx=3, ny=3, nz=2))
         with pytest.raises(ConfigurationError, match="nz"):
-            buoyancy_shiftbuffer(too_shallow)
+            smooth_scalar(too_shallow)
 
     def test_out_buffer_reuse(self):
         grid = Grid(nx=4, ny=4, nz=4)

@@ -72,15 +72,13 @@ class TestStretchedNumerics:
 
     def test_kernel_paths_agree_on_stretched_grid(self, grid, stretched):
         from repro.kernel.config import KernelConfig
-        from repro.kernel.functional import execute_shiftbuffer
         from repro.kernel.simulate import simulate_kernel
 
         fields = random_wind(grid, seed=8)
         config = KernelConfig(grid=grid, chunk_width=3)
         reference = advect_reference(fields, stretched)
-        assert execute_shiftbuffer(config, fields,
-                                   stretched).max_abs_difference(
-            reference) == 0.0
-        assert simulate_kernel(config, fields,
-                               stretched).sources.max_abs_difference(
-            reference) == 0.0
+        for batched in (False, True):
+            assert simulate_kernel(
+                config, fields, stretched,
+                batched=batched).sources.max_abs_difference(
+                reference) == 0.0

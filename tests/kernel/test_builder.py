@@ -1,12 +1,14 @@
 """The Fig. 2 graph builder and the kernel's streaming order."""
 
+import sys
+
 import pytest
 
 from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import SourceSet
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
-from repro.kernel.builder import build_advection_graph, chunk_cell_stream
+from repro.kernel.builder import build_advection_graph
 from repro.kernel.config import KernelConfig
 
 
@@ -19,10 +21,21 @@ def setup():
     return grid, fields, config, chunk
 
 
+def read_cells(setup):
+    """Every cell the graph's read stage streams, in stream order."""
+    grid, fields, config, chunk = setup
+    graph = build_advection_graph(
+        config, fields, chunk, AdvectionCoefficients.uniform(grid),
+        SourceSet.zeros(grid))
+    read = graph.stage("read_data")
+    count = read.ff_fire_capacity(sys.maxsize)
+    return read.fire_bulk(count, {}, 0).head_bulk("out", count).materialize()
+
+
 class TestCellStream:
     def test_streaming_order_z_fastest(self, setup):
         grid, fields, config, chunk = setup
-        cells = list(chunk_cell_stream(fields, chunk))
+        cells = read_cells(setup)
         nz = grid.nz
         # First nz cells walk one column of the first (halo) X plane.
         block = fields.u[:, chunk.read_start:chunk.read_stop, :]
@@ -33,12 +46,12 @@ class TestCellStream:
 
     def test_stream_length(self, setup):
         grid, fields, config, chunk = setup
-        cells = list(chunk_cell_stream(fields, chunk))
+        cells = read_cells(setup)
         assert len(cells) == (grid.nx + 2) * chunk.read_width * grid.nz
 
     def test_all_three_fields_packed(self, setup):
         grid, fields, config, chunk = setup
-        cell = next(chunk_cell_stream(fields, chunk))
+        cell = read_cells(setup)[0]
         assert cell.u == fields.u[0, chunk.read_start, 0]
         assert cell.v == fields.v[0, chunk.read_start, 0]
         assert cell.w == fields.w[0, chunk.read_start, 0]

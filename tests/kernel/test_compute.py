@@ -9,12 +9,21 @@ from repro.core.grid import Grid
 from repro.core.wind import random_wind
 from repro.kernel.compute import (
     UNIQUE_STENCIL_POINTS,
-    advect_cell_windows,
     advect_u,
+    advect_u_block,
     advect_v,
+    advect_v_block,
     advect_w,
+    advect_w_block,
 )
 from repro.shiftbuffer.window import StencilWindow
+
+
+def cell_sources(u, v, w, coeffs, k, nz):
+    """All three source terms for one cell, as the three advect stages
+    compute them from one stencil bundle."""
+    return tuple(fn(u, v, w, coeffs, k, nz)
+                 for fn in (advect_u, advect_v, advect_w))
 
 
 def window_at(arr, i, j, k, *, top=False):
@@ -48,7 +57,7 @@ class TestAgainstGolden:
                 wu = window_at(fields.u, i, j, k)
                 wv = window_at(fields.v, i, j, k)
                 ww = window_at(fields.w, i, j, k)
-                su, sv, sw = advect_cell_windows(wu, wv, ww, coeffs, k,
+                su, sv, sw = cell_sources(wu, wv, ww, coeffs, k,
                                                  grid.nz)
                 gu, gv, gw = advect_cell(fields.u, fields.v, fields.w,
                                          coeffs, i, j, k, grid.nz)
@@ -62,7 +71,7 @@ class TestAgainstGolden:
                 wu = window_at(fields.u, i, j, k, top=True)
                 wv = window_at(fields.v, i, j, k, top=True)
                 ww = window_at(fields.w, i, j, k, top=True)
-                su, sv, sw = advect_cell_windows(wu, wv, ww, coeffs, k,
+                su, sv, sw = cell_sources(wu, wv, ww, coeffs, k,
                                                  grid.nz)
                 gu, gv, gw = advect_cell(fields.u, fields.v, fields.w,
                                          coeffs, i, j, k, grid.nz)
@@ -77,7 +86,7 @@ class TestAgainstGolden:
         wu = window_at(fields.u, 2, 2, k, top=True)
         wv = window_at(fields.v, 2, 2, k, top=True)
         ww = window_at(fields.w, 2, 2, k, top=True)
-        su, sv, sw = advect_cell_windows(wu, wv, ww, coeffs, k, grid.nz)
+        su, sv, sw = cell_sources(wu, wv, ww, coeffs, k, grid.nz)
         assert np.isfinite(su) and np.isfinite(sv) and np.isfinite(sw)
 
 
@@ -91,14 +100,19 @@ class TestFieldFunctions:
         assert advect_w(wu, wv, ww, coeffs, k, grid.nz) == 0.0
 
     def test_individual_functions_match_tuple(self, setup):
+        """Each window function equals its block form at that centre,
+        the pair the scalar and batched advect stages evaluate."""
         grid, fields, coeffs = setup
         wu = window_at(fields.u, 2, 2, 2)
         wv = window_at(fields.v, 2, 2, 2)
         ww = window_at(fields.w, 2, 2, 2)
-        tup = advect_cell_windows(wu, wv, ww, coeffs, 2, grid.nz)
-        assert tup[0] == advect_u(wu, wv, ww, coeffs, 2, grid.nz)
-        assert tup[1] == advect_v(wu, wv, ww, coeffs, 2, grid.nz)
-        assert tup[2] == advect_w(wu, wv, ww, coeffs, 2, grid.nz)
+        centre = (np.array([2]), np.array([2]), np.array([2]))
+        for window_fn, block_fn in ((advect_u, advect_u_block),
+                                    (advect_v, advect_v_block),
+                                    (advect_w, advect_w_block)):
+            block = block_fn(fields.u, fields.v, fields.w, coeffs, *centre,
+                             grid.nz)
+            assert window_fn(wu, wv, ww, coeffs, 2, grid.nz) == block[0]
 
     def test_unique_stencil_points_documented(self):
         # The paper: "typically only 8 unique values of the 27 point 3D

@@ -4,8 +4,8 @@ Equivalence is checked at the level the paper cares about: total cycle
 counts, per-stage fire/stall counters, stream sizing bounds, and the
 output source arrays — across chunked, memory-starved, and multi-kernel
 configurations, with arbiter grants and denials compared under
-contention.  Also covers the batched shift-buffer feed path and the
-benchmark record module the perf harness is built on.
+contention.  Also covers the benchmark record module the perf harness is
+built on.
 """
 
 import numpy as np
@@ -13,12 +13,11 @@ import pytest
 
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
-from repro.errors import ConfigurationError, DataflowError, ShiftBufferError
+from repro.errors import ConfigurationError, DataflowError
 from repro.kernel.config import KernelConfig
 from repro.kernel.multi_simulate import simulate_multi_kernel
 from repro.kernel.simulate import simulate_kernel
 from repro.perf.bench import BenchRecord, BenchSuite, load_suite, speedup
-from repro.shiftbuffer.buffer3d import ShiftBuffer3D
 
 
 def run_both(config, fields, **kwargs):
@@ -125,71 +124,6 @@ class TestMultiKernel:
         assert scalar.arbiter.denials > 0  # the scenario really starves
         assert "k0.read_data" in batched.batch_fallback_reason
         assert batched.batched_windows == batched.batched_cycles == 0
-
-
-class TestBatchedFeed:
-    def block(self, nx=5, ny=6, nz=4, seed=7):
-        rng = np.random.default_rng(seed)
-        return rng.normal(size=(nx, ny, nz))
-
-    def test_feed_block_matches_scalar_feeds(self):
-        block = self.block()
-        batched = ShiftBuffer3D(*block.shape, name="b")
-        scalar = ShiftBuffer3D(*block.shape, name="s")
-        fast_windows = batched.feed_block(block)
-        slow_windows = []
-        for value in block.reshape(-1):
-            slow_windows.extend(scalar.feed(float(value)))
-        assert len(fast_windows) == len(slow_windows)
-        for got, want in zip(fast_windows, slow_windows):
-            assert got.center == want.center
-            assert got.top == want.top
-            assert np.array_equal(got.raw, want.raw)
-
-    def test_feed_bulk_matches_scalar_state(self):
-        block = self.block()
-        bulk = ShiftBuffer3D(*block.shape, name="b")
-        scalar = ShiftBuffer3D(*block.shape, name="s")
-        flat = block.reshape(-1)
-        count = 37
-        emitted = sum(len(scalar.feed(float(v))) for v in flat[:count])
-        first, stop = bulk.feed_bulk(count, block)
-        assert (first, stop) == (0, emitted)
-        assert bulk.position == scalar.position
-        assert bulk.fed == scalar.fed
-
-    def test_partially_fed_buffer_overrun_is_caught(self):
-        """feed_block on a non-fresh buffer takes the scalar path, which
-        enforces the block budget: the overrun raises cleanly instead of
-        silently corrupting state."""
-        block = self.block()
-        buf = ShiftBuffer3D(*block.shape, name="b")
-        buf.feed(float(block.reshape(-1)[0]))
-        with pytest.raises(ShiftBufferError, match="already consumed|full block"):
-            buf.feed_block(block)
-
-    def test_reset_reopens_the_batched_path(self):
-        block = self.block()
-        buf = ShiftBuffer3D(*block.shape, name="b")
-        first_pass = buf.feed_block(block)
-        buf.reset()
-        second_pass = buf.feed_block(block)
-        assert len(second_pass) == len(first_pass) == buf.expected_emissions
-
-    def test_transposed_block_raises_with_hint(self):
-        block = self.block(nx=5, ny=6, nz=4)
-        buf = ShiftBuffer3D(5, 6, 4, name="b")
-        with pytest.raises(ShiftBufferError, match="axes are permuted"):
-            buf.feed_block(block.transpose(2, 0, 1))
-        # ShiftBufferError is a DataflowError: one except clause catches
-        # every machine-model failure.
-        with pytest.raises(DataflowError):
-            buf.feed_block(block.transpose(2, 0, 1))
-
-    def test_wrong_shape_raises_without_hint(self):
-        buf = ShiftBuffer3D(5, 6, 4, name="b")
-        with pytest.raises(ShiftBufferError, match="does not match"):
-            buf.feed_block(np.zeros((5, 6, 5)))
 
 
 class TestBenchRecords:

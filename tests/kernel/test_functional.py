@@ -1,4 +1,8 @@
-"""Functional kernel execution vs the reference (chunking correctness)."""
+"""Functional kernel execution vs the reference (chunking correctness).
+
+The shift-buffer execution checks drive the real Fig. 3 data structures
+one value per cycle: :func:`simulate_kernel` with ``batched=False``.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +13,13 @@ from repro.core.grid import Grid
 from repro.core.reference import advect_reference
 from repro.core.wind import random_wind, thermal_bubble
 from repro.kernel.config import KernelConfig
-from repro.kernel.functional import execute_chunked, execute_shiftbuffer
-from repro.shiftbuffer.ports import MemoryPortTracker
+from repro.kernel.functional import execute_chunked
+from repro.kernel.simulate import simulate_kernel
+
+
+def execute_scalar(config, fields, coeffs=None, **kwargs):
+    """A forced-scalar cycle-accurate run: every feed ticks one cycle."""
+    return simulate_kernel(config, fields, coeffs, batched=False, **kwargs)
 
 
 class TestChunkedExecution:
@@ -58,31 +67,31 @@ class TestShiftBufferExecution:
         fields = random_wind(grid, seed=21, magnitude=3.0)
         coeffs = AdvectionCoefficients.isothermal(grid)
         config = KernelConfig(grid=grid, chunk_width=3)
-        result = execute_shiftbuffer(config, fields, coeffs)
-        assert result.max_abs_difference(
+        result = execute_scalar(config, fields, coeffs)
+        assert result.sources.max_abs_difference(
             advect_reference(fields, coeffs)) == 0.0
 
     def test_single_chunk(self):
         grid = Grid(nx=4, ny=4, nz=4)
         fields = random_wind(grid, seed=3)
         config = KernelConfig(grid=grid, chunk_width=64)
-        assert execute_shiftbuffer(config, fields).max_abs_difference(
+        assert execute_scalar(config, fields).sources.max_abs_difference(
             advect_reference(fields)) == 0.0
 
     def test_port_budget_respected_throughout(self):
         grid = Grid(nx=4, ny=7, nz=4)
         fields = random_wind(grid, seed=4)
         config = KernelConfig(grid=grid, chunk_width=3)
-        tracker = MemoryPortTracker(enforce=True)  # raises on violation
-        execute_shiftbuffer(config, fields, tracker=tracker)
-        assert tracker.worst_case == 2
+        # enforce_ports (the default) raises on any violation.
+        result = execute_scalar(config, fields)
+        assert result.port_tracker.worst_case == 2
 
     def test_unpartitioned_layout_reports_conflicts(self):
         grid = Grid(nx=4, ny=4, nz=4)
         fields = random_wind(grid, seed=4)
         config = KernelConfig(grid=grid, chunk_width=4, partitioned=False)
-        tracker = MemoryPortTracker(enforce=False)
-        result = execute_shiftbuffer(config, fields, tracker=tracker)
+        result = execute_scalar(config, fields, enforce_ports=False)
         # Numerics still correct; the hardware would just need II >= 2.
-        assert result.max_abs_difference(advect_reference(fields)) == 0.0
-        assert tracker.achievable_ii() > 1
+        assert result.sources.max_abs_difference(
+            advect_reference(fields)) == 0.0
+        assert result.port_tracker.achievable_ii() > 1

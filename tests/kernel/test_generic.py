@@ -7,30 +7,18 @@ from repro.core.diffusion import diffuse_reference
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
 from repro.errors import ConfigurationError
-from repro.kernel.diffusion import (
-    diffusion_boundary_from_window,
-    diffusion_from_window,
-)
 from repro.kernel.generic import run_stencil_kernel
+from repro.scenarios.kernels import DiffusionKernel
 from repro.shiftbuffer.ports import MemoryPortTracker
 
 
-def diffusion_fn(grid: Grid, nu: float):
-    """Window function computing diffusion incl. vertical boundaries."""
+def diffusion_fns(grid: Grid, nu: float):
+    """The diffusion kernel's (interior, boundary) window arithmetic."""
+    return DiffusionKernel(nu=nu).window_fns(grid)
 
-    def fn(window):
-        cx, cy, cz = window.center
-        results = [((cx, cy, cz), diffusion_from_window(window, grid, nu))]
-        if cz == 1:
-            results.append(((cx, cy, 0), diffusion_boundary_from_window(
-                window, grid, nu, top=False)))
-        if cz == grid.nz - 2:
-            results.append(((cx, cy, grid.nz - 1),
-                            diffusion_boundary_from_window(
-                                window, grid, nu, top=True)))
-        return results
 
-    return fn
+def zero(window, *, top=False):
+    return 0.0
 
 
 class TestDiffusionCycleAccurate:
@@ -44,7 +32,7 @@ class TestDiffusionCycleAccurate:
                                ("w", reference.sw)):
             out = np.zeros(grid.interior_shape)
             run_stencil_kernel(getattr(fields, name),
-                               diffusion_fn(grid, 4.0), out)
+                               *diffusion_fns(grid, 4.0), out)
             np.testing.assert_array_equal(out, expected)
 
     def test_ii1_machine_behaviour(self):
@@ -53,7 +41,8 @@ class TestDiffusionCycleAccurate:
         grid = Grid(nx=4, ny=4, nz=8)
         fields = random_wind(grid, seed=1)
         out = np.zeros(grid.interior_shape)
-        stats = run_stencil_kernel(fields.u, diffusion_fn(grid, 1.0), out)
+        stats = run_stencil_kernel(fields.u, *diffusion_fns(grid, 1.0),
+                                   out)
         feeds = (grid.nx + 2) * (grid.ny + 2) * grid.nz
         assert stats.fires["shift"] == feeds
         assert stats.cycles <= feeds + 40  # fill only
@@ -63,40 +52,28 @@ class TestDiffusionCycleAccurate:
         fields = random_wind(grid, seed=2)
         out = np.zeros(grid.interior_shape)
         tracker = MemoryPortTracker(enforce=True)
-        run_stencil_kernel(fields.u, diffusion_fn(grid, 1.0), out,
+        run_stencil_kernel(fields.u, *diffusion_fns(grid, 1.0), out,
                            tracker=tracker)
         assert tracker.worst_case == 2
 
 
 class TestGenericMechanics:
     def test_identity_stencil(self):
-        """fn returning the centre value copies the interior."""
+        """Returning the centre value copies the interior; boundary
+        cells take whatever the boundary function gives them."""
         block = np.arange(4 * 5 * 3, dtype=float).reshape(4, 5, 3)
         out = np.zeros((2, 3, 3))
         run_stencil_kernel(
-            block, lambda w: [(w.center, w.at(0, 0, 0))], out)
-        np.testing.assert_array_equal(out[:, :, 1], block[1:-1, 1:-1, 1])
-
-    def test_radius_two(self):
-        """A radius-2 mean filter through the same machinery."""
-        block = np.random.default_rng(3).normal(size=(6, 6, 6))
-        out = np.zeros((2, 2, 6))
-
-        def mean5(window):
-            values = [window.at(di, 0, 0) for di in range(-2, 3)]
-            return [(window.center, sum(values) / 5.0)]
-
-        run_stencil_kernel(block, mean5, out, radius=2)
-        cx, cy, cz = 2, 2, 2  # a centre the buffer emits
-        expected = block[0:5, cy, cz].sum() / 5.0
-        assert out[0, 0, 2] == pytest.approx(expected)
+            block, lambda w: w.at(0, 0, 0),
+            lambda w, *, top: w.at(0, 0, 1 if top else -1), out)
+        np.testing.assert_array_equal(out, block[1:-1, 1:-1, :])
 
     def test_output_shape_validated(self):
         block = np.zeros((4, 4, 4))
         with pytest.raises(ConfigurationError):
-            run_stencil_kernel(block, lambda w: [], np.zeros((3, 3, 4)))
+            run_stencil_kernel(block, zero, zero, np.zeros((3, 3, 4)))
 
     def test_block_rank_validated(self):
         with pytest.raises(ConfigurationError):
-            run_stencil_kernel(np.zeros((4, 4)), lambda w: [],
+            run_stencil_kernel(np.zeros((4, 4)), zero, zero,
                                np.zeros((2, 2)))

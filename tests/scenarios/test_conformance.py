@@ -14,6 +14,7 @@ import pytest
 from repro.dataflow.engine import RunStats
 from repro.scenarios import get, names, run_conformance, run_suite
 from repro.scenarios.conformance import CHECKS, STATS_BATCH_KEYS
+from repro.scenarios.kernels import BuoyancyKernel
 
 
 @pytest.mark.parametrize("name", names())
@@ -64,18 +65,31 @@ class TestHarnessMechanics:
         assert first.trace_key() == second.trace_key()
 
     def test_fast_inadmissible_kernels_record_their_veto(self):
-        """The harness asserts the fallback is *recorded*; double-check
-        directly on every batch-inadmissible scenario."""
+        """No stencil kernel vetoes any more: the generic machine's
+        scenarios run batched windows with no fallback recorded."""
         for name in ("diffusion", "buoyancy", "diffusion-batch"):
             scenario = get(name)
             result = scenario.run(scenario.small_grid())
-            assert not scenario.kernel.batch_admissible
-            assert result.stats.batch_fallback_reason
-            assert result.stats.batched_windows == 0
+            assert result.stats.batch_fallback_reason is None
+            assert result.stats.batched_windows > 0
+            assert result.stats.batched_cycles > 0
 
     def test_advection_fast_forward_is_admissible(self):
         scenario = get("pw-advection")
         result = scenario.run(scenario.small_grid())
-        assert scenario.kernel.batch_admissible
-        assert not result.stats.batch_fallback_reason
+        assert result.stats.batch_fallback_reason is None
         assert result.stats.batched_windows > 0
+        assert result.stats.batched_cycles > 0
+
+    def test_fully_scalar_batched_run_fails_the_check(self):
+        """A scenario whose batched run never batches fails ``batched``."""
+
+        class ScalarOnly(BuoyancyKernel):
+            def run(self, fields, *, batched=True, **kwargs):
+                return super().run(fields, batched=False, **kwargs)
+
+        scenario = dataclasses.replace(get("buoyancy"), kernel=ScalarOnly())
+        entry = run_conformance(scenario)
+        (batched,) = [r for r in entry.results if r.check == "batched"]
+        assert not batched.ok
+        assert "fully scalar" in batched.detail

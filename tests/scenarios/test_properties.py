@@ -3,8 +3,9 @@
 Hypothesis draws random grid shapes from each scenario's grid-family
 bounds (plus random field seeds) and asserts the engine invariant on
 every draw: batched exact equals forced-scalar equals the NumPy
-reference, byte for byte.  Random shapes have no structure for an
-off-by-one to hide behind.
+reference, byte for byte, with the same stats apart from the batching
+bookkeeping — and the batched run really batches.  Random shapes have no
+structure for an off-by-one to hide behind.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core.fields import SOURCE_NAMES
 from repro.core.grid import Grid
 from repro.scenarios import get
+from repro.scenarios.conformance import STATS_BATCH_KEYS
 
 _SLOW = (HealthCheck.too_slow,)
 
@@ -26,12 +28,19 @@ def grid_for(scenario_name: str, draw) -> Grid:
     return Grid(nx=dims[0], ny=dims[1], nz=dims[2])
 
 
+def stats_minus_batching(result) -> dict:
+    return {key: value for key, value in result.stats.to_dict().items()
+            if key not in STATS_BATCH_KEYS}
+
+
 def assert_modes_agree(scenario_name: str, grid: Grid, seed: int) -> None:
     scenario = get(scenario_name)
     scalar = scenario.run(grid, seed=seed, mode="exact", batched=False)
     batched = scenario.run(grid, seed=seed, mode="exact", batched=True)
     references = scenario.reference(grid, seed=seed)
     assert scalar.total_cycles == batched.total_cycles
+    assert batched.stats.batched_cycles > 0
+    assert stats_minus_batching(scalar) == stats_minus_batching(batched)
     for out_s, out_b, ref in zip(scalar.batches, batched.batches,
                                  references):
         for name in SOURCE_NAMES:

@@ -60,11 +60,9 @@ class TestRegistry:
     def test_to_dict_shape(self):
         payload = get("pw-advection").to_dict()
         for key in ("name", "kind", "boundary", "wind", "batch",
-                    "batch_admissible", "op_model", "ops_per_cycle",
-                    "grid_family"):
+                    "op_model", "ops_per_cycle", "grid_family"):
             assert key in payload
         assert payload["kind"] == "advection"
-        assert payload["batch_admissible"] is True
 
     def test_open_boundary_rebuilds_zero_halos(self):
         scenario = get("pw-advection-open")

@@ -149,7 +149,7 @@ class TestCoverageDiagnostics:
 
 
 class TestWiderHalo:
-    """plan_chunks(halo=r) serves the general radius-r shift buffer."""
+    """plan_chunks(halo=r) plans the seams of a radius-r stencil."""
 
     def test_reads_overlap_by_two_halos(self):
         plan = plan_chunks(16, 4, halo=2)

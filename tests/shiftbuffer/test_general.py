@@ -1,4 +1,10 @@
-"""The radius-r generalisation of the shift buffer."""
+"""The paper's shift buffer as a general-purpose radius-1 stencil source.
+
+The generic stencil machine (:mod:`repro.kernel.generic`) streams one
+:class:`ShiftBuffer3D` per field and forwards only its full windows;
+the column-top window is the advection kernel's one-sided special case.
+These tests pin what that shift stage forwards.
+"""
 
 import numpy as np
 import pytest
@@ -6,44 +12,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShiftBufferError
-from repro.shiftbuffer.general import GeneralShiftBuffer, GeneralWindow
+from repro.kernel.generic import GeneralShiftBufferStage
+from repro.shiftbuffer.buffer3d import ShiftBuffer3D
 from repro.shiftbuffer.ports import MemoryPortTracker
+from repro.shiftbuffer.window import StencilWindow
 
 
 def labelled(nx, ny, nz):
     return np.arange(nx * ny * nz, dtype=float).reshape(nx, ny, nz)
 
 
-class TestConstruction:
-    def test_rejects_radius_zero(self):
-        with pytest.raises(ShiftBufferError):
-            GeneralShiftBuffer(5, 5, 5, radius=0)
+def forwarded(block, **kwargs):
+    """The shift stage for ``block`` and every window it forwards."""
+    stage = GeneralShiftBufferStage("s", *block.shape, **kwargs)
+    windows = []
+    for value in block.reshape(-1):
+        windows.extend(stage.fire(0, {"in": [value]}).get("out", []))
+    return stage, windows
 
+
+class TestConstruction:
     def test_rejects_undersized_block(self):
         with pytest.raises(ShiftBufferError):
-            GeneralShiftBuffer(4, 5, 5, radius=2)  # needs >= 5 everywhere
-
-    def test_memory_words_scale_with_radius(self):
-        r1 = GeneralShiftBuffer(8, 8, 8, radius=1)
-        r2 = GeneralShiftBuffer(8, 8, 8, radius=2)
-        assert r2.memory_words > r1.memory_words
+            GeneralShiftBufferStage("s", 2, 5, 5)  # needs >= 3 everywhere
 
     def test_window_shape_validation(self):
-        with pytest.raises(ShiftBufferError):
-            GeneralWindow(raw=np.zeros((3, 3, 3)), center=(0, 0, 0),
-                          radius=2)
+        with pytest.raises(ValueError):
+            StencilWindow(raw=np.zeros((5, 5, 5)), center=(0, 0, 0))
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [1])
     def test_every_window_matches_neighbourhood(self, radius):
         side = 2 * radius + 1
         nx, ny, nz = side + 1, side + 2, side + 1
         block = labelled(nx, ny, nz)
-        buf = GeneralShiftBuffer(nx, ny, nz, radius=radius)
-        windows = buf.feed_block(block)
-        assert len(windows) == buf.expected_emissions
+        _, windows = forwarded(block)
+        assert len(windows) == (nx - 2) * (ny - 2) * (nz - 2)
         for w in windows:
+            assert not w.top
             cx, cy, cz = w.center
             for di in (-radius, 0, radius):
                 for dj in (-radius, 0, radius):
@@ -52,76 +59,61 @@ class TestCorrectness:
                                                          cz + dk]
 
     def test_radius1_matches_paper_buffer_full_windows(self):
-        """At r=1 the general buffer's full windows agree with
-        ShiftBuffer3D's non-top windows, value for value."""
-        from repro.shiftbuffer.buffer3d import ShiftBuffer3D
-
+        """The stage forwards exactly ShiftBuffer3D's non-top windows,
+        in stream order, register for register."""
         nx, ny, nz = 5, 6, 5
         block = labelled(nx, ny, nz)
-        general = GeneralShiftBuffer(nx, ny, nz, radius=1)
-        paper = ShiftBuffer3D(nx, ny, nz)
-        general_windows = {w.center: w for w in general.feed_block(block)}
-        for w in paper.feed_block(block):
-            if w.top:
-                continue
-            match = general_windows[w.center]
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    for dk in (-1, 0, 1):
-                        assert match.at(di, dj, dk) == w.at(di, dj, dk)
+        _, windows = forwarded(block)
+        full = [w for w in ShiftBuffer3D(nx, ny, nz).feed_block(block)
+                if not w.top]
+        assert [w.center for w in windows] == [w.center for w in full]
+        for mine, paper in zip(windows, full):
+            np.testing.assert_array_equal(mine.raw, paper.raw)
 
     def test_offset_out_of_radius_rejected(self):
-        buf = GeneralShiftBuffer(5, 5, 5, radius=1)
-        (window,) = buf.feed_block(labelled(5, 5, 5))[:1]
-        with pytest.raises(ShiftBufferError):
-            window.at(2, 0, 0)
+        _, windows = forwarded(labelled(5, 5, 5))
+        with pytest.raises(ValueError):
+            windows[0].at(2, 0, 0)
 
     def test_as_array_layout(self):
         block = labelled(5, 5, 5)
-        buf = GeneralShiftBuffer(5, 5, 5, radius=1)
-        w = buf.feed_block(block)[0]
+        _, windows = forwarded(block)
+        w = windows[0]
         arr = w.as_array()
         cx, cy, cz = w.center
         assert arr[1, 1, 1] == block[cx, cy, cz]
         assert arr[2, 1, 1] == block[cx + 1, cy, cz]
 
     def test_overfeed_rejected(self):
-        buf = GeneralShiftBuffer(3, 3, 3, radius=1)
-        buf.feed_block(np.zeros((3, 3, 3)))
+        stage, _ = forwarded(np.zeros((3, 3, 3)))
         with pytest.raises(ShiftBufferError):
-            buf.feed(0.0)
+            stage.fire(0, {"in": [0.0]})
 
     def test_wrong_block_shape_rejected(self):
-        buf = GeneralShiftBuffer(3, 3, 3, radius=1)
+        stage = GeneralShiftBufferStage("s", 3, 3, 3)
         with pytest.raises(ShiftBufferError):
-            buf.feed_block(np.zeros((3, 4, 3)))
+            stage.buffer.feed_block(np.zeros((3, 4, 3)))
 
 
 class TestPortPressure:
-    @pytest.mark.parametrize("radius", [1, 2, 3])
-    def test_dual_port_property_radius_independent(self, radius):
-        """The paper's <=2-accesses claim survives any radius: partition
-        granularity grows with the radius, per-bank pressure does not."""
-        side = 2 * radius + 1
-        nx = ny = nz = side + 1
+    @pytest.mark.parametrize("ii", [1])
+    def test_dual_port_property_radius_independent(self, ii):
+        """The paper's <=2-accesses-per-bank claim holds for the stencil
+        machine's buffer, which is what lets the stage run at II = 1."""
         tracker = MemoryPortTracker(enforce=True)
-        buf = GeneralShiftBuffer(nx, ny, nz, radius=radius, tracker=tracker)
-        buf.feed_block(labelled(nx, ny, nz))
+        forwarded(labelled(4, 4, 4), ii=ii, tracker=tracker)
         assert tracker.worst_case == 2
-        assert tracker.achievable_ii() == 1
+        assert tracker.achievable_ii() == ii
 
 
 @settings(max_examples=15, deadline=None)
-@given(radius=st.integers(1, 2), extra=st.integers(0, 2),
-       seed=st.integers(0, 10_000))
-def test_property_random_blocks(radius, extra, seed):
-    side = 2 * radius + 1
-    nx, ny, nz = side + extra, side + extra + 1, side + extra
+@given(extra=st.integers(0, 2), seed=st.integers(0, 10_000))
+def test_property_random_blocks(extra, seed):
+    nx, ny, nz = 3 + extra, 4 + extra, 3 + extra
     block = np.random.default_rng(seed).normal(size=(nx, ny, nz))
-    buf = GeneralShiftBuffer(nx, ny, nz, radius=radius)
-    windows = buf.feed_block(block)
-    assert len(windows) == buf.expected_emissions
+    _, windows = forwarded(block)
+    assert len(windows) == (nx - 2) * (ny - 2) * (nz - 2)
     for w in windows:
         cx, cy, cz = w.center
         assert w.at(0, 0, 0) == block[cx, cy, cz]
-        assert w.at(-radius, radius, 0) == block[cx - radius, cy + radius, cz]
+        assert w.at(-1, 1, 0) == block[cx - 1, cy + 1, cz]

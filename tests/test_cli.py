@@ -116,6 +116,13 @@ class TestSimulateCommand:
         assert "batched:" in out and " scalar\n" in out
         assert "fallback:" not in out
 
+    def test_scenario_run_prints_the_batched_split(self, capsys):
+        assert main(["simulate", "--scenario", "pw-advection",
+                     "--nx", "5", "--ny", "6", "--nz", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "batched:" in out and " scalar\n" in out
+        assert "fallback:" not in out
+
 
 class TestTraceCommand:
     def test_trace_writes_merged_file(self, capsys, tmp_path):
