@@ -407,6 +407,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _grid_from_flags(args, *, default: int):
+    """Grid from ``--nx/--ny/--nz``; an axis not given takes ``default``.
+
+    Compares against ``None``, never truthiness, so an explicit ``0``
+    reaches :class:`~repro.core.grid.Grid` and fails its validation.
+    """
+    from repro.core.grid import Grid
+
+    return Grid(*(default if n is None else n
+                  for n in (args.nx, args.ny, args.nz)))
+
+
+def _kernel_config(grid, chunk_width: int | None):
+    """Kernel config for ``grid``; ``None`` keeps the default chunk width."""
+    from repro.kernel.config import KernelConfig
+
+    if chunk_width is None:
+        return KernelConfig(grid=grid)
+    return KernelConfig(grid=grid, chunk_width=chunk_width)
+
+
 def _cmd_experiments(args) -> int:
     from repro.experiments.run_all import main as run_all_main
 
@@ -534,9 +555,7 @@ def _cmd_simulate_scenario(args) -> int:
 
 def _cmd_simulate_backend(args, backend) -> int:
     """Analytic invocation summary for a backend with no cycle engine."""
-    from repro.core.grid import Grid
-
-    grid = Grid(nx=args.nx or 64, ny=args.ny or 64, nz=args.nz or 64)
+    grid = _grid_from_flags(args, default=64)
     device = backend.resolve_device()
     model = backend.cost_model(device, grid)
     if hasattr(backend, "canonical_point"):
@@ -574,9 +593,7 @@ def _cmd_simulate_backend(args, backend) -> int:
 def _cmd_simulate(args) -> int:
     import time
 
-    from repro.core.grid import Grid
     from repro.core.wind import random_wind
-    from repro.kernel.config import KernelConfig
     from repro.kernel.multi_simulate import simulate_multi_kernel
     from repro.kernel.simulate import simulate_kernel
 
@@ -594,14 +611,13 @@ def _cmd_simulate(args) -> int:
         # path below; naming it explicitly changes nothing.
     if args.scenario:
         return _cmd_simulate_scenario(args)
-    grid = Grid(nx=args.nx or 32, ny=args.ny or 32, nz=args.nz or 32)
+    grid = _grid_from_flags(args, default=32)
     fields = random_wind(grid, seed=args.seed, magnitude=2.0)
-    config = (KernelConfig(grid=grid, chunk_width=args.chunk_width)
-              if args.chunk_width else KernelConfig(grid=grid))
+    config = _kernel_config(grid, args.chunk_width)
 
     start = time.perf_counter()
     batched = not args.no_batched
-    if args.kernels:
+    if args.kernels is not None:
         multi = simulate_multi_kernel(
             config, fields, num_kernels=args.kernels,
             memory_cells_per_cycle=args.memory_rate, mode=args.mode,
@@ -772,7 +788,6 @@ def _cmd_lint(args) -> int:
     from repro.core.grid import Grid
     from repro.errors import ConfigurationError, LintError
     from repro.hardware import device_by_name
-    from repro.kernel.config import KernelConfig
     from repro.lint import load_builtin_rules
     from repro.lint.runner import lint_kernel, run_lint
     from repro.lint.spec import load_spec
@@ -845,9 +860,7 @@ def _cmd_lint(args) -> int:
                     print(f"error: {device.name} is not an FPGA model; "
                           f"lint needs a fabric capacity", file=sys.stderr)
                     return 2
-                config = (KernelConfig(grid=grid,
-                                       chunk_width=args.chunk_width)
-                          if args.chunk_width else KernelConfig(grid=grid))
+                config = _kernel_config(grid, args.chunk_width)
                 report = lint_kernel(config, device, args.kernels,
                                      select=select, ignore=ignore,
                                      subject=f"{device_name}:{args.cells}")
@@ -888,7 +901,6 @@ def _cmd_analyze(args) -> int:
     from repro.core.grid import Grid
     from repro.dataflow.engine import DataflowEngine
     from repro.errors import LintError
-    from repro.kernel.config import KernelConfig
     from repro.lint.builders import build_structural_graph
     from repro.lint.spec import load_spec
 
@@ -945,9 +957,7 @@ def _cmd_analyze(args) -> int:
                     f"backend:{backend.id}",
                     backend.structural_graph(grid, read_ii=args.read_ii)))
             else:
-                config = (KernelConfig(grid=grid,
-                                       chunk_width=args.chunk_width)
-                          if args.chunk_width else KernelConfig(grid=grid))
+                config = _kernel_config(grid, args.chunk_width)
                 targets.append((
                     "advection",
                     build_structural_graph(config, read_ii=args.read_ii)))
@@ -1027,15 +1037,13 @@ def _cmd_trace(args) -> int:
     from repro.core.grid import Grid
     from repro.core.wind import random_wind
     from repro.hardware import device_by_name
-    from repro.kernel.config import KernelConfig
     from repro.kernel.simulate import simulate_kernel
     from repro.observe import Tracer, write_trace
     from repro.runtime.session import AdvectionSession
 
     grid = Grid(nx=args.nx, ny=args.ny, nz=args.nz)
     fields = random_wind(grid, seed=args.seed, magnitude=2.0)
-    config = (KernelConfig(grid=grid, chunk_width=args.chunk_width)
-              if args.chunk_width else KernelConfig(grid=grid))
+    config = _kernel_config(grid, args.chunk_width)
     device = device_by_name(args.device)
 
     tracer = Tracer()
@@ -1065,14 +1073,12 @@ def _cmd_metrics(args) -> int:
 
     from repro.core.grid import Grid
     from repro.core.wind import random_wind
-    from repro.kernel.config import KernelConfig
     from repro.kernel.simulate import simulate_kernel
     from repro.observe import MetricRegistry, ops_per_cycle_report
 
     grid = Grid(nx=args.nx, ny=args.ny, nz=args.nz)
     fields = random_wind(grid, seed=args.seed, magnitude=2.0)
-    config = (KernelConfig(grid=grid, chunk_width=args.chunk_width)
-              if args.chunk_width else KernelConfig(grid=grid))
+    config = _kernel_config(grid, args.chunk_width)
 
     registry = MetricRegistry()
     result = simulate_kernel(config, fields, mode=args.mode,

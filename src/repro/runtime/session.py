@@ -156,8 +156,13 @@ class AdvectionSession:
                 f"out_scale must be positive, got {out_scale}"
             )
         memory = self.memory_for(grid)
+        # An even X split yields identical subgrids (a ragged one, at
+        # most two widths): price each distinct subgrid once.
+        kernel_seconds: dict[Grid, float] = {}
         chunks = []
         for index, cg in enumerate(self._x_chunk_grids(grid)):
+            if cg not in kernel_seconds:
+                kernel_seconds[cg] = self._chunk_kernel_seconds(cg, memory)
             # Each X chunk re-reads a one-cell halo plane on each side.
             in_cells = (cg.nx + 2) * cg.ny * cg.nz
             chunks.append(ChunkWork(
@@ -165,7 +170,7 @@ class AdvectionSession:
                 in_bytes=self.config.in_bytes_per_cell * in_cells,
                 out_bytes=(self.config.out_bytes_per_cell * cg.num_cells
                            * out_scale),
-                kernel_seconds=self._chunk_kernel_seconds(cg, memory),
+                kernel_seconds=kernel_seconds[cg],
             ))
         return chunks
 

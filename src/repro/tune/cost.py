@@ -24,7 +24,7 @@ from repro.analyze.kernel import static_kernel_cycles
 from repro.core.flops import grid_flops
 from repro.core.grid import Grid
 from repro.errors import CapacityError, ConfigurationError, TuneError
-from repro.hardware.device import FPGADevice
+from repro.hardware.device import FPGADevice, InvocationEstimate
 from repro.hardware.resources import ResourceVector
 from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import KernelCycleModel
@@ -160,6 +160,16 @@ class CostModel:
         #: GFLOPS axes re-scale by this ratio).
         self.flops_scale = flops_scale
         self._flops = round(grid_flops(grid) * flops_scale)
+        # Each sub-model's result per distinct input, keyed by exactly
+        # the arguments it receives.  A search visits every config many
+        # times (at 64^3 on the U280, 864 points share 72 lint inputs,
+        # 12 configs and 144 invocations); the dicts live and die with
+        # this model, so a fresh process still pays every cold call.
+        self._lint_codes: dict[tuple[KernelConfig, int],
+                               tuple[str, ...]] = {}
+        self._cycles: dict[KernelConfig, tuple[int, int]] = {}
+        self._invocations: dict[tuple[KernelConfig, int, str],
+                                InvocationEstimate] = {}
 
     # -- feasibility ---------------------------------------------------------
 
@@ -185,8 +195,12 @@ class CostModel:
     def lint_gate(self, point: TunePoint) -> tuple[str, ...]:
         """Error codes the linter raises for this point (empty = pass)."""
         config = point.config(self.grid)
-        report = lint_kernel(config, self.device, point.num_kernels)
-        codes = tuple(sorted({d.code for d in report.errors}))
+        key = (config, point.num_kernels)
+        if key not in self._lint_codes:
+            report = lint_kernel(config, self.device, point.num_kernels)
+            self._lint_codes[key] = tuple(
+                sorted({d.code for d in report.errors}))
+        codes = self._lint_codes[key]
         if codes:
             return codes
         if point.precision != "float64":
@@ -214,9 +228,8 @@ class CostModel:
                 f"rejected by lint gate ({', '.join(codes)})")
         config = point.config(self.grid)
         try:
-            invocation = self.device.invocation(
-                config, self.grid, num_kernels=point.num_kernels,
-                memory=point.memory)
+            invocation = self._invocation(config, point.num_kernels,
+                                          point.memory)
             session = AdvectionSession(
                 self.device, config, num_kernels=point.num_kernels,
                 memory=point.memory, x_chunks=point.x_chunks)
@@ -227,7 +240,10 @@ class CostModel:
         usage = self.device.shell + self._resources(point).scaled(
             point.num_kernels)
         by_axis = usage.utilisation(self.device.capacity)
-        cycles = KernelCycleModel(config).cycles()
+        if config not in self._cycles:
+            self._cycles[config] = (KernelCycleModel(config).cycles(),
+                                    static_kernel_cycles(config))
+        analytic_cycles, static_cycles = self._cycles[config]
         return Evaluation(
             point=point,
             feasible=True,
@@ -242,9 +258,17 @@ class CostModel:
             utilisation_by_axis=by_axis,
             clock_mhz=invocation.clock_hz / 1e6,
             memory_bound=invocation.memory_bound,
-            analytic_cycles=cycles,
-            static_cycles=static_kernel_cycles(config),
+            analytic_cycles=analytic_cycles,
+            static_cycles=static_cycles,
         )
+
+    def _invocation(self, config: KernelConfig, num_kernels: int,
+                    memory: str) -> InvocationEstimate:
+        key = (config, num_kernels, memory)
+        if key not in self._invocations:
+            self._invocations[key] = self.device.invocation(
+                config, self.grid, num_kernels=num_kernels, memory=memory)
+        return self._invocations[key]
 
     def describe(self) -> dict[str, Any]:
         """Context block for reports (device, grid, model constants)."""

@@ -53,6 +53,29 @@ class TestChunkingEdges:
                    if c[1] == "kernel"]
         assert len(kernels) == 4  # nx // 2
 
+    @pytest.mark.parametrize("device", [ALVEO_U280, STRATIX10_GX2800],
+                             ids=["u280", "stratix10"])
+    def test_ragged_split_prices_each_chunk_as_its_own_invocation(
+            self, device):
+        """nx=10 over 4 chunks is two widths (3, 3, 2, 2); pricing each
+        distinct subgrid once must still give every chunk its own time."""
+        grid = Grid(nx=10, ny=16, nz=8)
+        config = KernelConfig(grid=grid, chunk_width=8)
+        session = AdvectionSession(device, config, num_kernels=2,
+                                   x_chunks=4)
+        memory = session.memory_for(grid)
+        chunks = session.chunk_work(grid)
+        assert [c.index for c in chunks] == [0, 1, 2, 3]
+        widths = [3, 3, 2, 2]
+        for chunk, nx in zip(chunks, widths):
+            cg = grid.with_size(nx=nx)
+            assert chunk.kernel_seconds == device.invocation(
+                config.for_grid(cg), cg, num_kernels=2,
+                memory=memory).seconds
+            assert chunk.in_bytes == (config.in_bytes_per_cell
+                                      * (nx + 2) * grid.ny * grid.nz)
+        assert chunks[0].kernel_seconds > chunks[-1].kernel_seconds
+
     def test_tiny_grid_runs(self):
         grid = Grid(nx=4, ny=4, nz=4)
         session = AdvectionSession(ALVEO_U280, KernelConfig(grid=grid))

@@ -124,6 +124,46 @@ class TestSimulateCommand:
         assert "fallback:" not in out
 
 
+class TestExplicitZeroFlags:
+    """An explicit 0 is a bad value, never "not given"."""
+
+    SMALL = ["--nx", "4", "--ny", "4", "--nz", "4"]
+
+    @pytest.mark.parametrize(("flag", "message"), [
+        ("--nx", "nx must be >= 1, got 0"),
+        ("--ny", "ny must be >= 1, got 0"),
+        ("--nz", "nz must be >= 1, got 0"),
+        ("--kernels", "num_kernels must be >= 1, got 0"),
+        ("--chunk-width", "chunk_width must be >= 1, got 0"),
+    ])
+    def test_simulate_rejects_zero(self, capsys, flag, message):
+        assert main(["simulate", *self.SMALL, flag, "0"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_simulate_backend_path_rejects_zero_nx(self, capsys):
+        assert main(["simulate", "--backend", "versal_aie",
+                     "--nx", "0"]) == 1
+        assert "error: nx must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["lint", "--nx", "8", "--ny", "8", "--nz", "8"],
+        ["analyze", "--nx", "8", "--ny", "8", "--nz", "8"],
+        ["metrics", "--nx", "8", "--ny", "8", "--nz", "8"],
+    ])
+    def test_zero_chunk_width_is_rejected(self, capsys, command):
+        assert main([*command, "--chunk-width", "0"]) == 1
+        assert ("error: chunk_width must be >= 1, got 0"
+                in capsys.readouterr().err)
+
+    def test_trace_rejects_zero_chunk_width(self, capsys, tmp_path):
+        assert main(["trace", "--nx", "8", "--ny", "8", "--nz", "8",
+                     "--chunk-width", "0",
+                     "--out", str(tmp_path / "t.json")]) == 1
+        assert ("error: chunk_width must be >= 1, got 0"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "t.json").exists()
+
+
 class TestTraceCommand:
     def test_trace_writes_merged_file(self, capsys, tmp_path):
         out = tmp_path / "merged.json"

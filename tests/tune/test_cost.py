@@ -1,12 +1,17 @@
 """Cost model: lint gating, precision scaling, pricing consistency."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.tune.cost as cost_module
 from repro.core.grid import Grid
 from repro.errors import TuneError
 from repro.hardware.devices import ALVEO_U280, STRATIX10_GX2800
 from repro.tune.cost import CostModel, Evaluation, OBJECTIVES
-from repro.tune.space import TunePoint
+from repro.tune.space import ParameterSpace, TunePoint
 
 GRID = Grid(nx=32, ny=64, nz=32)
 
@@ -133,3 +138,59 @@ class TestEvaluationDataclass:
         assert data["feasible"] is False
         assert data["reject_codes"] == ["RS201"]
         assert data["key"] == point().key()
+
+
+class TestSubModelMemo:
+    """One model per search prices every point as a fresh model would."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(
+        device=st.sampled_from([ALVEO_U280, STRATIX10_GX2800]),
+        grid=st.builds(Grid, nx=st.integers(2, 5), ny=st.integers(2, 9),
+                       nz=st.integers(3, 4)),
+        wide_precision=st.booleans(),
+        flops_scale=st.sampled_from([1.0, 2.5]),
+        data=st.data(),
+    )
+    def test_shared_model_matches_a_fresh_model_per_point(
+            self, device, grid, wide_precision, flops_scale, data):
+        space = ParameterSpace.derive(device, grid,
+                                      wide_precision=wide_precision)
+        # One replica past the fabric fit puts lint-rejected points in
+        # the mix (every point of a derived space is feasible).  Grids
+        # this narrow split into nx // 2 chunks at every x_chunks value,
+        # so one value covers that axis at a third of the oracle's cost.
+        space = dataclasses.replace(
+            space, num_kernels=space.num_kernels
+            + (space.num_kernels[-1] + 1,),
+            x_chunks=space.x_chunks[:1])
+        order = data.draw(st.permutations(list(space.points())))
+        shared = CostModel(device, grid, flops_scale=flops_scale)
+        for point in order:
+            fresh = CostModel(device, grid, flops_scale=flops_scale)
+            assert (shared.evaluate(point).to_dict()
+                    == fresh.evaluate(point).to_dict())
+
+    def test_each_sub_model_runs_once_per_distinct_input(self, monkeypatch):
+        grid = Grid(16, 64, 16)
+        points = list(ParameterSpace.derive(ALVEO_U280, grid).points())
+        calls = {"lint_kernel": 0, "static_kernel_cycles": 0}
+
+        def counted(name):
+            original = getattr(cost_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cost_module, name, counted(name))
+        model = CostModel(ALVEO_U280, grid)
+        assert all(model.evaluate(p).feasible for p in points)
+        assert calls == {
+            "lint_kernel": len({(p.config(grid), p.num_kernels)
+                                for p in points}),
+            "static_kernel_cycles": len({p.config(grid) for p in points}),
+        }
+        assert calls == {"lint_kernel": 72, "static_kernel_cycles": 12}
