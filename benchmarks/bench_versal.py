@@ -6,9 +6,9 @@ levels of the current-generation devices — the "will likely further
 close the gap between FPGAs and GPUs" claim, made runnable.
 """
 
+from repro.backend import STRATIX10_NX_PROJECTION, VERSAL_VC1902
 from repro.experiments.report import text_table
 from repro.experiments.sweeps import sweep
-from repro.hardware.versal import STRATIX10_NX_PROJECTION, VERSAL_VC1902
 
 
 def test_next_generation_projection(benchmark, save_result):

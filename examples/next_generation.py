@@ -13,11 +13,11 @@ Three questions the conclusion raises, answered with the models:
 Run:  python examples/next_generation.py
 """
 
+from repro.backend import STRATIX10_NX_PROJECTION, VERSAL_VC1902
 from repro.constants import PAPER_GRID_LABELS
 from repro.core import Grid, thermal_bubble
 from repro.experiments.report import text_table
 from repro.hardware import ALVEO_U280, STRATIX10_GX2800
-from repro.hardware.versal import STRATIX10_NX_PROJECTION, VERSAL_VC1902
 from repro.kernel import KernelConfig
 from repro.precision import (
     BFLOAT16,

@@ -7,9 +7,7 @@ occupancy bounds, minimal stall-free depths and deadlock-freedom
 cycles, prime latency, steady-state period, total-cycle bounds
 (:mod:`repro.analyze.schedule`) — and bundles everything into one
 :class:`~repro.analyze.report.AnalysisReport` consumed by the SA lint
-rules, the ``repro analyze`` CLI, the batched engine's period probe
-(:func:`repro.dataflow.compiled.compile_graph` attaches the proved
-period as ``period_hint``) and the tuner's cost model.
+rules, the ``repro analyze`` CLI and the tuner's cost model.
 :mod:`repro.analyze.twin` builds the runnable token twin used to
 cross-check every claim against the exact engine.
 """

@@ -21,7 +21,7 @@ lesser of its feed rate and its vector compute rate:
 
 Double buffering overlaps load and compute (``min``); single buffering
 serialises them (harmonic sum).  The whole-device numbers reproduce the
-:class:`~repro.hardware.versal.AIEngineProjection` roofline exactly —
+:class:`~repro.backend.AIEngineProjection` roofline exactly —
 the projection is folded into :meth:`VersalAieBackend.roofline` as a
 consistency cross-check.
 """
@@ -32,16 +32,13 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any, Iterator
 
+from repro.backend import VERSAL_VC1902, AIEngineProjection
 from repro.backend.base import Backend, register_backend
 from repro.backend.space import AxisSpace
 from repro.constants import average_ops_per_cycle
 from repro.core.grid import Grid
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import BackendError, TuneError
-from repro.hardware.versal import (
-    VERSAL_VC1902,
-    AIEngineProjection,
-)
 from repro.lint.diagnostics import LintReport
 from repro.lint.registry import LintContext
 from repro.lint.runner import run_lint

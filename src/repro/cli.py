@@ -1073,9 +1073,13 @@ def _cmd_metrics(args) -> int:
 
     from repro.core.grid import Grid
     from repro.core.wind import random_wind
+    from repro.errors import ConfigurationError
     from repro.kernel.simulate import simulate_kernel
     from repro.observe import MetricRegistry, ops_per_cycle_report
 
+    if args.clock_mhz is not None and args.clock_mhz <= 0:
+        raise ConfigurationError(
+            f"clock must be positive, got {args.clock_mhz}")
     grid = Grid(nx=args.nx, ny=args.ny, nz=args.nz)
     fields = random_wind(grid, seed=args.seed, magnitude=2.0)
     config = _kernel_config(grid, args.chunk_width)
@@ -1093,14 +1097,14 @@ def _cmd_metrics(args) -> int:
             "ops_per_cycle": report.to_dict(),
             "metrics": registry.snapshot(),
         }
-        if args.clock_mhz:
+        if args.clock_mhz is not None:
             payload["achieved_gflops"] = round(
                 report.achieved_gflops(args.clock_mhz), 3)
         print(json_module.dumps(payload, indent=2))
     else:
         print(f"grid:     {grid.interior_shape}, mode={args.mode}")
         print(report.summary())
-        if args.clock_mhz:
+        if args.clock_mhz is not None:
             print(f"at {args.clock_mhz:.0f} MHz: "
                   f"{report.achieved_gflops(args.clock_mhz):.2f} GFLOPS")
         print()

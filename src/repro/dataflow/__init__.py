@@ -15,10 +15,10 @@ implements exactly that abstraction:
 * :class:`~repro.dataflow.engine.DataflowEngine` — the cycle-driven
   simulator, which reports cycle counts, stall breakdowns and per-stage
   occupancy so dataflow designs can be compared quantitatively, and
-* :func:`~repro.dataflow.compiled.compile_graph` — the batched-execution
-  compiler behind the engine's default exact mode, which lowers a graph
-  to topological levels and NumPy control-state vectors and advances
-  proved-uniform windows of whole periods per Python-level step.
+* :func:`~repro.dataflow.compiled.compile_graph` — the plan behind the
+  engine's batched exact mode: tick order, stream rows and stream index.
+  The engine opens a window of whole periods wherever its control
+  fingerprint recurs, and advances it in one Python-level step.
 """
 
 from repro.dataflow.compiled import CompiledGraph, compile_graph

@@ -2,13 +2,9 @@
 
 The per-cycle interpreter in :mod:`repro.dataflow.engine` pays Python
 dispatch for every stage on every cycle.  This module closes that gap
-from the *exact* side (ROADMAP open item 1): it compiles a graph into a
-static plan — topological levels from the schedule DP in
-:mod:`repro.analyze.schedule`, NumPy vectors for FIFO occupancies,
-credits and stage pipeline fill — and executes provably uniform windows
-of ``W = n × period`` cycles as single batched steps, the same way the
-FPGA executes a whole steady-state window per clock region
-(Zohouri-style wide blocking, applied to the simulator itself).
+from the *exact* side: :func:`compile_graph` fixes the tick order and
+the stream rows once per run, and :func:`execute_window` advances a
+proved-periodic window of ``W = n × period`` cycles as one batched step.
 
 Correctness model
 -----------------
@@ -38,22 +34,12 @@ window instead of being skipped:
   steady-state stalls are part of the proved orbit and replay exactly);
   a data-dependent arbiter vetoes fingerprinting altogether and demotes
   the rest of the run to scalar ticking.
-
-Window width
-------------
-For fully unit-rate graphs the occupancy prover
-(:func:`repro.analyze.occupancy.prove_occupancy`) supplies the proved
-steady-state period and stall-free verdict at compile time; the engine
-then arms a single probe at that horizon instead of hunting for a
-recurrence in a fingerprint table.  Graphs with non-unit-rate stages
-(the shift buffer) fall back to runtime recurrence detection — a wrong
-or missing hint costs speed, never correctness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -69,147 +55,27 @@ if TYPE_CHECKING:  # imported lazily to keep dataflow import-cycle free
 __all__ = ["CompiledGraph", "EventCalendar", "compile_graph",
            "period_deltas", "execute_window"]
 
-#: Graphs larger than this skip the compile-time occupancy proof — the
-#: abstract interpretation is cheap but not free, and huge graphs are
-#: exactly where runtime recurrence detection amortises best.
-_STATIC_HINT_MAX_STAGES: int = 96
-
 
 @dataclass
 class CompiledGraph:
-    """A :class:`DataflowGraph` lowered to a static batched-execution plan.
+    """The static plan one engine run ticks and batches against."""
 
-    Stage order, levels and start cycles come from the schedule DP
-    (:func:`repro.analyze.schedule.start_cycles`); the static per-stage
-    and per-stream properties are NumPy vectors so window planning is
-    array arithmetic, not attribute chasing.  The live control state —
-    FIFO occupancies, credits (free slots) and pipeline fill — is
-    exposed as vectors too, aligned with :attr:`order` /
-    :attr:`streams`.
-    """
-
-    graph: DataflowGraph
     #: Stages in topological order (the engine's tick order).
     order: list[Stage]
     #: Streams in the graph's canonical order (snapshot row order).
     streams: list[Stream]
-    #: Stage names grouped by topological level, sources first.
-    levels: tuple[tuple[str, ...], ...]
-    #: name -> (level, exact first-fire cycle) from the schedule DP.
-    timing: dict[str, tuple[int, int]]
-    #: Static per-stage vectors aligned with :attr:`order`.
-    ii: np.ndarray = field(repr=False)
-    latency: np.ndarray = field(repr=False)
-    #: Static per-stream depth vector aligned with :attr:`streams`.
-    depths: np.ndarray = field(repr=False)
-    #: name -> row index into the stage / stream vectors.
-    stage_index: dict[str, int]
+    #: stream name -> row index into :attr:`streams`.
     stream_index: dict[str, int]
-    #: True when every stage declares unit-rate I/O — the precondition
-    #: for trusting the static analyzer's period proof.
-    unit_rate: bool
-    #: Proved steady-state period (cycles) from the occupancy prover,
-    #: or None when no proof applies; a probe horizon, not a promise.
-    period_hint: int | None = None
-    #: The prover's stall-free verdict under the configured depths.
-    stall_free: bool | None = None
-    #: Minimal stall-free depth per stream (occupancy prover bound).
-    min_safe_depths: dict[str, int] | None = None
-
-    def occupancy(self) -> np.ndarray:
-        """Current FIFO occupancy vector (aligned with :attr:`streams`)."""
-        return np.fromiter((s.occupancy for s in self.streams),
-                           dtype=np.int64, count=len(self.streams))
-
-    def credits(self) -> np.ndarray:
-        """Free slots per FIFO — the flow-control credit each producer
-        holds, exactly as an AXI-Stream / Avalon-ST credit counter
-        would."""
-        return self.depths - self.occupancy()
-
-    def pipeline_fill(self) -> np.ndarray:
-        """In-flight pipeline entries per stage (aligned with
-        :attr:`order`)."""
-        return np.fromiter((s.in_flight for s in self.order),
-                           dtype=np.int64, count=len(self.order))
-
-    def control_state(self) -> dict[str, np.ndarray]:
-        """The complete batched-execution control state, as vectors."""
-        return {
-            "occupancy": self.occupancy(),
-            "credits": self.credits(),
-            "pipeline_fill": self.pipeline_fill(),
-        }
-
-    def describe(self) -> dict[str, Any]:
-        """JSON-ready summary of the compiled plan (docs and CLI)."""
-        return {
-            "graph": self.graph.name,
-            "stages": len(self.order),
-            "streams": len(self.streams),
-            "levels": [list(level) for level in self.levels],
-            "unit_rate": self.unit_rate,
-            "period_hint": self.period_hint,
-            "stall_free": self.stall_free,
-        }
 
 
-def compile_graph(graph: DataflowGraph, *,
-                  analyze: bool = True) -> CompiledGraph:
-    """Lower ``graph`` to a :class:`CompiledGraph`.
-
-    ``analyze=True`` additionally runs the occupancy prover on fully
-    unit-rate graphs to obtain a compile-time period hint and stall-free
-    verdict; any analysis failure (non-conforming graph, proved
-    deadlock) simply withholds the hint.
-    """
-    # Lazy import: repro.analyze builds on repro.dataflow, so the
-    # schedule DP is pulled in at compile time, not at module import.
-    from repro.analyze.schedule import start_cycles
-
-    order = graph.topological_order()
+def compile_graph(graph: DataflowGraph) -> CompiledGraph:
+    """Lower ``graph`` to its tick order, stream rows and stream index."""
     streams = list(graph.streams)
-    timing = start_cycles(graph)
-    n_levels = max((lvl for lvl, _ in timing.values()), default=-1) + 1
-    levels: list[list[str]] = [[] for _ in range(n_levels)]
-    for stage in order:  # keep topological order within each level
-        levels[timing[stage.name][0]].append(stage.name)
-    compiled = CompiledGraph(
-        graph=graph,
-        order=order,
+    return CompiledGraph(
+        order=graph.topological_order(),
         streams=streams,
-        levels=tuple(tuple(level) for level in levels),
-        timing=timing,
-        ii=np.fromiter((s.ii for s in order), dtype=np.int64,
-                       count=len(order)),
-        latency=np.fromiter((s.latency for s in order), dtype=np.int64,
-                            count=len(order)),
-        depths=np.fromiter((s.depth for s in streams), dtype=np.int64,
-                           count=len(streams)),
-        stage_index={s.name: i for i, s in enumerate(order)},
         stream_index={s.name: i for i, s in enumerate(streams)},
-        unit_rate=all(getattr(s, "unit_rate", True) for s in order),
     )
-    if analyze and compiled.unit_rate \
-            and 0 < len(order) <= _STATIC_HINT_MAX_STAGES:
-        _attach_static_hint(compiled)
-    return compiled
-
-
-def _attach_static_hint(compiled: CompiledGraph) -> None:
-    """Attach the occupancy prover's period/stall-free facts, if provable."""
-    from repro.analyze.occupancy import prove_occupancy
-
-    try:
-        proof = prove_occupancy(compiled.graph)
-    except Exception:  # noqa: BLE001 - a failed proof only costs the hint
-        return
-    if not proof.safe:
-        return
-    compiled.stall_free = proof.stall_free
-    compiled.min_safe_depths = proof.minimal_depths()
-    if proof.period is not None and proof.period.cycles > 0:
-        compiled.period_hint = proof.period.cycles
 
 
 class EventCalendar:

@@ -40,17 +40,15 @@ with their own period — because the capacity ends every window where
 the stage leaves the regime its signature describes.  After each
 window, and whenever a regime ends within one period, detection starts
 afresh from the fingerprint table, so each regime gets its own window.
-On unit-rate graphs the static occupancy prover supplies the period
-(``compiled.period_hint``), so the engine probes at that horizon instead
-of hunting for a recurrence; a wrong hint only costs speed.  A stage
-whose output counts could depend on data values returns ``None`` from
-``ff_signature`` (the arbitrated multi-kernel read stage does so the
-moment its arbiter has ever starved it), and the run finishes on the
-scalar loop.  Results are bit-identical to ``batched=False`` scalar
-ticking — statistics, stream occupancies, sink data, fault traces, and
-raised errors — with the batched/scalar split reported on
-:attr:`RunStats.batched_windows` / :attr:`RunStats.batched_cycles` and
-any fallback reason on :attr:`RunStats.batch_fallback_reason`.
+A stage whose output counts could depend on data values returns
+``None`` from ``ff_signature`` (the arbitrated multi-kernel read stage
+does so the moment its arbiter has ever starved it), and the run
+finishes on the scalar loop.  Results are bit-identical to
+``batched=False`` scalar ticking — statistics, stream occupancies, sink
+data, fault traces, and raised errors — with the batched/scalar split
+reported on :attr:`RunStats.batched_windows` /
+:attr:`RunStats.batched_cycles` and any fallback reason on
+:attr:`RunStats.batch_fallback_reason`.
 
 ``mode="fast"`` is a deprecated alias: it warns and runs
 ``mode="exact", batched=True``.
@@ -67,6 +65,7 @@ from repro.dataflow.compiled import (EventCalendar, compile_graph,
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.monitors import Monitor
 from repro.dataflow.stage import Stage
+from repro.dataflow.stream import Stream
 from repro.errors import DataflowError, FaultError, LintError, WatchdogTimeout
 
 if TYPE_CHECKING:  # imported lazily to keep dataflow import-cycle free
@@ -298,13 +297,15 @@ class DataflowEngine:
                     f"{self.graph.name!r}:\n{report.render_text()}"
                 )
         self.graph.validate()
-        order = self.graph.topological_order()
+        compiled = compile_graph(self.graph)
+        order = compiled.order
+        streams = compiled.streams
         # Arm the fault plan: FIFO word hooks and stage freeze windows.
         plan = self.fault_plan
         plan_active = plan is not None and plan.active
         freeze: dict[str, tuple[int, int | None]] = {}
         if plan is not None and plan_active:
-            for stream in self.graph.streams:
+            for stream in streams:
                 hook = plan.stream_hook(stream.name)
                 if hook is not None:
                     stream.fault_hook = hook
@@ -332,7 +333,6 @@ class DataflowEngine:
         batch_reason: str | None = None
         batched = self.batched
         calendar: EventCalendar | None = None
-        proven: int | None = None
         if batched:
             for monitor, every, _phase in monitor_plan:
                 if every <= 1:
@@ -343,28 +343,20 @@ class DataflowEngine:
                     )
                     break
         if batched:
-            compiled = compile_graph(self.graph)
             calendar = EventCalendar(
                 monitors=[(every, phase)
                           for _, every, phase in monitor_plan],
                 freeze=freeze,
                 plan=plan if plan_active else None,
-                hooked=[stream.name for stream in self.graph.streams
+                hooked=[stream.name for stream in streams
                         if stream.fault_hook is not None],
             )
-            # Statically proved steady-state horizon (unit-rate graphs
-            # only): probe at that period instead of table hunting.
-            proven = compiled.period_hint
-        ff_table: dict[Any, tuple[int, tuple[dict, dict]]] = {}
-        #: Armed probe under the proven period: (signature, cycle, snapshot).
-        probe: tuple[Any, int, tuple] | None = None
+        ff_table: dict[Any, tuple[int, tuple[tuple, tuple]]] = {}
         batched_windows = 0
         batched_cycles = 0
         plan_trace_len = len(plan.trace) if plan is not None else 0
         boundaries = calendar.boundaries if calendar is not None else ()
         boundary_idx = 0
-        streams = list(self.graph.streams)
-        stream_index = {stream.name: i for i, stream in enumerate(streams)}
         cap = (self.max_cycles if self.watchdog is None
                else min(self.max_cycles, self.watchdog))
         # Activity tracking (stage name -> [first, last] progressing cycle)
@@ -418,7 +410,7 @@ class DataflowEngine:
                         f"cycles; stream states: "
                         + ", ".join(
                             f"{s.name}={s.occupancy}/{s.depth}"
-                            for s in self.graph.streams
+                            for s in streams
                         )
                     )
             if batched and plan_active:
@@ -435,7 +427,6 @@ class DataflowEngine:
                 assert plan is not None
                 if len(plan.trace) != plan_trace_len:
                     ff_table.clear()
-                    probe = None
                     for event in plan.trace[plan_trace_len:]:
                         if event.site == "fifo" and event.kind == "corrupt":
                             batched = False
@@ -455,9 +446,9 @@ class DataflowEngine:
                         and boundaries[boundary_idx] <= cycle + 1:
                     boundary_idx += 1
                 ff_table.clear()
-                probe = None
             if batched:
-                sig, veto_stage = self._ff_machine_signature(order, cycle + 1)
+                sig, veto_stage = self._ff_machine_signature(
+                    order, streams, cycle + 1)
                 if sig is None:
                     # A stage vetoed (data-dependent control, e.g. a
                     # starved arbiter): scalar ticking for the rest of
@@ -470,23 +461,12 @@ class DataflowEngine:
                     ff_table.clear()
                     veto_cycle = cycle
                 else:
-                    hit: tuple[int, tuple] | None = None
-                    if proven is not None:
-                        # Statically proven period: no table, one probe.
-                        if probe is not None \
-                                and (cycle + 1) - probe[1] == proven:
-                            if sig == probe[0]:
-                                hit = (probe[1], probe[2])
-                            probe = None  # re-armed below on a miss
-                        if hit is None and probe is None:
-                            probe = (sig, cycle + 1, self._ff_snapshot(order))
-                    elif sig in ff_table:
-                        hit = ff_table[sig]
-                    else:
+                    hit = ff_table.get(sig)
+                    if hit is None:
                         if len(ff_table) >= _FF_TABLE_CAP:
                             ff_table.clear()
-                        ff_table[sig] = (cycle + 1, self._ff_snapshot(order))
-                    if hit is None:
+                        ff_table[sig] = (cycle + 1,
+                                         self._ff_snapshot(order, streams))
                         cycle += 1
                         continue
                     first_cycle, snapshot = hit
@@ -494,8 +474,8 @@ class DataflowEngine:
                     fires_before = ({s.name: s.stats.fires for s in order}
                                     if trace_on else None)
                     skipped = execute_window(
-                        order, streams, stream_index, cycle + 1, period,
-                        snapshot, cap, calendar)
+                        order, streams, compiled.stream_index, cycle + 1,
+                        period, snapshot, cap, calendar)
                     if skipped > 0:
                         batched_windows += 1
                         batched_cycles += skipped
@@ -525,7 +505,6 @@ class DataflowEngine:
                         # 0 (a parked zero-fire period, or an event due
                         # within one period) keeps the detection state.
                         ff_table.clear()
-                        probe = None
             cycle += 1
         else:
             if self.watchdog is not None and cap == self.watchdog:
@@ -543,7 +522,7 @@ class DataflowEngine:
             # every pushed word popped (or still holds it).  A shortfall
             # means an injected drop swallowed data that nothing checked
             # downstream — surface it as a typed error, never silently.
-            for stream in self.graph.streams:
+            for stream in streams:
                 lost = (stream.stats.pushes - stream.stats.pops
                         - stream.occupancy)
                 if lost > 0:
@@ -566,7 +545,7 @@ class DataflowEngine:
                 for s in order
             },
             stream_high_water={
-                s.name: s.stats.max_occupancy for s in self.graph.streams
+                s.name: s.stats.max_occupancy for s in streams
             },
             batched_windows=batched_windows,
             batched_cycles=batched_cycles,
@@ -663,7 +642,8 @@ class DataflowEngine:
 
     # -- steady-state detection internals ---------------------------------------
 
-    def _ff_machine_signature(self, order: list[Stage], at_cycle: int
+    def _ff_machine_signature(self, order: list[Stage],
+                              streams: list[Stream], at_cycle: int
                               ) -> tuple[tuple | None, str | None]:
         """``(fingerprint, None)``, or ``(None, stage_name)`` on a veto."""
         stage_sigs = []
@@ -675,14 +655,15 @@ class DataflowEngine:
             append(sig)
         return (
             tuple(stage_sigs),
-            tuple([stream.occupancy for stream in self.graph.streams]),
+            tuple([stream.occupancy for stream in streams]),
         ), None
 
-    def _ff_snapshot(self, order: list[Stage]) -> tuple[tuple, tuple]:
+    def _ff_snapshot(self, order: list[Stage], streams: list[Stream]
+                     ) -> tuple[tuple, tuple]:
         """Counter snapshot paired with a signature's first occurrence.
 
-        Flat tuples aligned with ``order`` / ``graph.streams`` — built
-        once per simulated cycle, so no dict overhead.
+        Flat tuples aligned with ``order`` / ``streams`` — built once per
+        simulated cycle, so no dict overhead.
         """
         stage_counts = tuple([
             (s.stats.fires, s.stats.retired, s.stats.input_stalls,
@@ -693,7 +674,7 @@ class DataflowEngine:
         stream_counts = tuple([
             (st.stats.pushes, st.stats.pops, st.stats.full_stalls,
              st.stats.empty_stalls)
-            for st in self.graph.streams
+            for st in streams
         ])
         return (stage_counts, stream_counts)
 

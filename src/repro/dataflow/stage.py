@@ -89,14 +89,6 @@ class Stage:
     input_ports: tuple[str, ...] = ()
     #: Output port names this stage declares; overridden by subclasses.
     output_ports: tuple[str, ...] = ()
-    #: True when one firing consumes exactly one word per input port and
-    #: produces exactly one per output port — the semantics the static
-    #: analyzer (:mod:`repro.analyze`) interprets.  Stages that batch or
-    #: gate their I/O (the shift buffer, the arbitrated reader) clear
-    #: this, which withholds compile-time period hints from
-    #: :func:`repro.dataflow.compiled.compile_graph` without affecting
-    #: runtime recurrence detection.
-    unit_rate: bool = True
 
     def __init__(self, name: str, *, ii: int = 1, latency: int = 1) -> None:
         if ii < 1:

@@ -61,11 +61,6 @@ class GeneralShiftBufferStage(Stage):
     input_ports = ("in",)
     output_ports = ("out",)
 
-    #: Zero or one window per feed breaks the one-word-in/one-word-out
-    #: premise of the static occupancy proof; runtime recurrence
-    #: detection still batches this stage through its regime signature.
-    unit_rate = False
-
     def __init__(self, name: str, nx: int, ny: int, nz: int, *,
                  ii: int = 1, latency: int = 2,
                  tracker: MemoryPortTracker | None = None) -> None:
@@ -102,9 +97,6 @@ class WindowComputeStage(Stage):
 
     input_ports = ("in",)
     output_ports = ("out",)
-
-    #: One to three results per window: a burst, not unit rate.
-    unit_rate = False
 
     def __init__(self, name: str, nz: int, interior: InteriorFn,
                  boundary: BoundaryFn, *, ii: int = 1,

@@ -91,10 +91,6 @@ class MemoryArbiter:
 class ArbitratedReadStage(ReadDataStage):
     """A read stage that must win a grant from the shared arbiter."""
 
-    #: Firing is gated by arbiter grants, not just FIFO credits, which
-    #: the static occupancy proof cannot see — no compile-time hints.
-    unit_rate = False
-
     def __init__(self, name: str, *, arbiter: MemoryArbiter,
                  block: tuple[np.ndarray, ...], ii: int = 1,
                  latency: int = 16) -> None:

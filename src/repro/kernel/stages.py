@@ -325,12 +325,6 @@ class ShiftBufferStage(Stage):
     input_ports = ("in",)
     output_ports = ("out",)
 
-    #: Bursts at column tops (0, 1, or 2 bundles per firing) break the
-    #: one-word-in/one-word-out premise of the static occupancy proof;
-    #: runtime recurrence detection still batches this stage because
-    #: :meth:`ff_signature` carries the streaming position, per regime.
-    unit_rate = False
-
     def __init__(self, name: str, nx: int, ny: int, nz: int, *,
                  ii: int = 1, latency: int = 2, partitioned: bool = True,
                  tracker: MemoryPortTracker | None = None,

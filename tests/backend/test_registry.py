@@ -51,12 +51,3 @@ class TestDeviceResolution:
         with pytest.raises(BackendError):
             get_backend("fpga_shiftbuffer").resolve_device("vc1902")
 
-
-class TestDeprecatedProjectionAlias:
-    def test_projection_importable_from_backend(self):
-        from repro.backend import AIEngineProjection as from_backend
-        from repro.hardware.versal import AIEngineProjection as legacy
-
-        # One class, two import homes; repro.backend is canonical and
-        # repro.hardware.versal remains a deprecated alias.
-        assert from_backend is legacy

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import divergence, vorticity_z
+from repro.core import divergence, vorticity_z
 from repro.core.grid import Grid
 from repro.core.reference import advect_reference
 from repro.core.wind import solid_body_rotation, taylor_green

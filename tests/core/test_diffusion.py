@@ -68,7 +68,7 @@ class TestPhysics:
 
     def test_dissipates_kinetic_energy(self):
         """Explicit diffusion stepping reduces total KE."""
-        from repro.analysis import kinetic_energy
+        from repro.core import kinetic_energy
         from repro.core.timestepping import AdvectionIntegrator
 
         grid = Grid(nx=8, ny=8, nz=8)

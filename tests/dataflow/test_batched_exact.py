@@ -89,6 +89,11 @@ class TestEquivalence:
         assert stats_batched.batched_windows >= 1
         assert stats_batched.batched_cycles > stats_batched.cycles // 2
 
+    def test_a_long_run_is_mostly_batched(self):
+        stats = DataflowEngine(pipeline(5000)).run()
+        assert stats.batched_cycles > 4000
+        assert stats.batched_windows >= 1
+
     def test_scalar_run_reports_no_batching(self):
         (stats_scalar, _), _ = run_both(lambda: pipeline(100))
         assert stats_scalar.batched_windows == 0

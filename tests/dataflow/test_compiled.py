@@ -1,13 +1,10 @@
 """Units for the batched-execution compiler (:mod:`repro.dataflow.compiled`).
 
-The compiled plan must agree with the schedule DP on levels and timing,
-expose the live control state as correctly aligned NumPy vectors, attach
-static period hints exactly when the occupancy prover applies, and the
-event calendar must bound windows at monitor samples, freeze boundaries
-and previewed fault strikes.
+The compiled plan is the graph's tick order, stream rows and stream
+index, and the event calendar must bound windows at monitor samples,
+freeze boundaries and previewed fault strikes.
 """
 
-import numpy as np
 import pytest
 
 from repro.dataflow.compiled import (
@@ -15,7 +12,6 @@ from repro.dataflow.compiled import (
     compile_graph,
     period_deltas,
 )
-from repro.dataflow.engine import DataflowEngine
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import FunctionStage, SinkStage, SourceStage
 from repro.faults import FaultPlan, FaultSpec
@@ -32,91 +28,13 @@ def pipeline(n_items=50, *, depth=4):
 
 
 class TestCompileGraph:
-    def test_levels_follow_the_schedule_dp(self):
-        from repro.analyze.schedule import start_cycles
-
+    def test_plan_is_the_tick_order_and_stream_rows(self):
         g = pipeline()
         compiled = compile_graph(g)
-        timing = start_cycles(g)
-        assert compiled.timing == timing
-        for level_no, names in enumerate(compiled.levels):
-            for name in names:
-                assert timing[name][0] == level_no
-        # Every stage appears exactly once across the levels.
-        flat = [n for level in compiled.levels for n in level]
-        assert sorted(flat) == sorted(s.name for s in g.stages)
-
-    def test_vectors_align_with_order_and_streams(self):
-        g = pipeline(depth=6)
-        compiled = compile_graph(g)
-        assert [s.name for s in compiled.order] \
-            == [s.name for s in g.topological_order()]
-        for name, i in compiled.stage_index.items():
-            stage = g.stage(name)
-            assert compiled.ii[i] == stage.ii
-            assert compiled.latency[i] == stage.latency
-        for name, i in compiled.stream_index.items():
-            assert compiled.depths[i] == g.stream(name).depth
-        assert compiled.depths.dtype == np.int64
-
-    def test_control_state_tracks_the_live_machine(self):
-        g = pipeline()
-        compiled = compile_graph(g)
-        assert (compiled.occupancy() == 0).all()
-        assert (compiled.credits() == compiled.depths).all()
-        assert (compiled.pipeline_fill() == 0).all()
-        # Tick a few cycles: the vectors follow the machine.
-        for cycle in range(5):
-            for stage in compiled.order:
-                stage.tick(cycle)
-        state = compiled.control_state()
-        assert (state["occupancy"]
-                == [s.occupancy for s in compiled.streams]).all()
-        assert (state["credits"] + state["occupancy"]
-                == compiled.depths).all()
-        assert (state["pipeline_fill"]
-                == [s.in_flight for s in compiled.order]).all()
-
-    def test_unit_rate_pipeline_gets_a_static_hint(self):
-        compiled = compile_graph(pipeline())
-        assert compiled.unit_rate
-        assert compiled.period_hint is not None and compiled.period_hint > 0
-        assert compiled.stall_free is not None
-        assert compiled.min_safe_depths is not None
-
-    def test_non_unit_rate_stage_withholds_the_hint(self):
-        g = pipeline()
-        g.stage("fn").unit_rate = False
-        compiled = compile_graph(g)
-        assert not compiled.unit_rate
-        assert compiled.period_hint is None
-        assert compiled.stall_free is None
-
-    def test_analyze_false_skips_the_prover(self):
-        compiled = compile_graph(pipeline(), analyze=False)
-        assert compiled.unit_rate
-        assert compiled.period_hint is None
-
-    def test_describe_is_json_ready(self):
-        import json
-
-        compiled = compile_graph(pipeline())
-        payload = compiled.describe()
-        assert json.loads(json.dumps(payload)) == payload
-        assert payload["stages"] == 3
-        assert payload["levels"][0] == ["src"]
-
-    def test_static_hint_matches_the_engine_probe_period(self):
-        # The proved horizon is a real recurrence: an engine run seeded
-        # with it must batch on the very first probe.
-        g = pipeline(300)
-        hint = compile_graph(g).period_hint
-        stats = DataflowEngine(pipeline(300), mode="exact",
-                               batched=True).run()
-        assert stats.batched_windows >= 1
-        assert hint is not None
-        # The committed window is a whole number of proved periods.
-        assert stats.batched_cycles % hint == 0
+        assert compiled.order == g.topological_order()
+        assert compiled.streams == list(g.streams)
+        assert compiled.stream_index == {
+            s.name: i for i, s in enumerate(g.streams)}
 
 
 class TestEventCalendar:
@@ -187,7 +105,7 @@ class TestPeriodDeltas:
             compiled.order, compiled.streams, (snap_stage, snap_stream))
         assert d_stage.shape == (3, 6)
         assert d_stream.shape == (2, 4)
-        src_row = compiled.stage_index["src"]
+        src_row = compiled.order.index(g.stage("src"))
         assert d_stage[src_row, 0] == compiled.order[src_row].stats.fires
         for name, i in compiled.stream_index.items():
             assert d_stream[i, 0] == g.stream(name).stats.pushes

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware.versal import (
+from repro.backend import (
     STRATIX10_NX_PROJECTION,
     VERSAL_VC1902,
     AIEngineProjection,

@@ -4,8 +4,7 @@ Equivalence is checked at the level the paper cares about: total cycle
 counts, per-stage fire/stall counters, stream sizing bounds, and the
 output source arrays — across chunked, memory-starved, and multi-kernel
 configurations, with arbiter grants and denials compared under
-contention.  Also covers the benchmark record module the perf harness is
-built on.
+contention.
 """
 
 import numpy as np
@@ -13,11 +12,10 @@ import pytest
 
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
-from repro.errors import ConfigurationError, DataflowError
+from repro.errors import DataflowError
 from repro.kernel.config import KernelConfig
 from repro.kernel.multi_simulate import simulate_multi_kernel
 from repro.kernel.simulate import simulate_kernel
-from repro.perf.bench import BenchRecord, BenchSuite, load_suite, speedup
 
 
 def run_both(config, fields, **kwargs):
@@ -87,16 +85,6 @@ class TestSingleKernel:
         with pytest.raises(DataflowError, match="mode"):
             simulate_kernel(KernelConfig(grid=grid), fields, mode="warp")
 
-    def test_aggregate_stats_sums_chunks(self):
-        grid = Grid(nx=8, ny=10, nz=6)
-        fields = random_wind(grid, seed=5)
-        result = simulate_kernel(KernelConfig(grid=grid, chunk_width=4),
-                                 fields)
-        agg = result.aggregate_stats()
-        assert agg.cycles == result.total_cycles
-        assert agg.fires["shift_buffer"] == sum(
-            s.fires["shift_buffer"] for s in result.chunk_stats)
-
 
 class TestMultiKernel:
     def run_both(self, **kwargs):
@@ -124,37 +112,3 @@ class TestMultiKernel:
         assert scalar.arbiter.denials > 0  # the scenario really starves
         assert "k0.read_data" in batched.batch_fallback_reason
         assert batched.batched_windows == batched.batched_cycles == 0
-
-
-class TestBenchRecords:
-    def record(self, name="r", wall=2.0, cycles=1000, mode="exact"):
-        return BenchRecord(name=name, wall_seconds=wall, cycles=cycles,
-                           cells=512, mode=mode)
-
-    def test_round_trip(self, tmp_path):
-        suite = BenchSuite(context={"grid": "8x8x8"})
-        suite.add(self.record("a", wall=2.0))
-        suite.add(self.record("b", wall=0.5, mode="chaos"))
-        path = suite.write(tmp_path / "bench.json")
-        loaded = load_suite(path)
-        assert loaded.context["grid"] == "8x8x8"
-        assert [r.name for r in loaded.records] == ["a", "b"]
-        assert loaded.find("b").mode == "chaos"
-
-    def test_cycles_per_second(self):
-        assert self.record(wall=2.0, cycles=1000).cycles_per_second == 500.0
-
-    def test_speedup(self):
-        base = self.record("base", wall=2.0)
-        cand = self.record("cand", wall=0.5)
-        assert speedup(base, cand) == pytest.approx(4.0)
-
-    def test_speedup_rejects_mismatched_cycles(self):
-        base = self.record("base", cycles=1000)
-        cand = self.record("cand", cycles=999)
-        with pytest.raises(ConfigurationError):
-            speedup(base, cand)
-
-    def test_rejects_nonpositive_wall_time(self):
-        with pytest.raises(ConfigurationError):
-            self.record(wall=0.0)

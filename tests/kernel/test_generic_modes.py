@@ -44,7 +44,7 @@ def stats_minus_batching(stats):
     (BuoyancyKernel(), buoyancy_reference),
 ])
 class TestGenericKernelModes:
-    def test_ff_signature_veto_is_declared(self, kernel, reference):
+    def test_signatures_carry_the_regime(self, kernel, reference):
         """Neither stage vetoes: both signatures are tuples, and the
         shift stage's carries its buffer's streaming regime."""
         from repro.kernel.generic import (
@@ -57,7 +57,6 @@ class TestGenericKernelModes:
         shift = GeneralShiftBufferStage("s", 4, 4, 4)
         compute = WindowComputeStage("c", 4, interior, boundary)
         for stage in (shift, compute):
-            assert stage.unit_rate is False
             for cycle in (0, 10_000):
                 assert isinstance(stage.ff_signature(cycle), tuple)
         assert shift.ff_signature(0)[-1:] == ("prime",)

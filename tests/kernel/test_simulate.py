@@ -88,3 +88,13 @@ class TestMachineBehaviour:
         fields = random_wind(Grid(nx=5, ny=4, nz=4), seed=0)
         with pytest.raises(ValueError):
             simulate_kernel(config, fields)
+
+    def test_aggregate_stats_sums_chunks(self):
+        grid = Grid(nx=8, ny=10, nz=6)
+        fields = random_wind(grid, seed=5)
+        result = simulate_kernel(KernelConfig(grid=grid, chunk_width=4),
+                                 fields)
+        agg = result.aggregate_stats()
+        assert agg.cycles == result.total_cycles
+        assert agg.fires["shift_buffer"] == sum(
+            s.fires["shift_buffer"] for s in result.chunk_stats)

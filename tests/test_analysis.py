@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from repro.core import (
     cfl_field,
     divergence,
     energy_spectrum,

@@ -155,6 +155,22 @@ class TestExplicitZeroFlags:
         assert ("error: chunk_width must be >= 1, got 0"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("clock", ["0", "-5"])
+    @pytest.mark.parametrize("output", [[], ["--json"]],
+                             ids=["text", "json"])
+    def test_metrics_rejects_nonpositive_clock(
+            self, capsys, monkeypatch, clock, output):
+        def simulate_kernel(*args, **kwargs):
+            raise AssertionError("simulated before checking the clock")
+
+        monkeypatch.setattr("repro.kernel.simulate.simulate_kernel",
+                            simulate_kernel)
+        assert main(["metrics", "--clock-mhz", clock, *output]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: clock must be positive, got {float(clock)}"
+                in captured.err)
+
     def test_trace_rejects_zero_chunk_width(self, capsys, tmp_path):
         assert main(["trace", "--nx", "8", "--ny", "8", "--nz", "8",
                      "--chunk-width", "0",

@@ -3,6 +3,8 @@
 A circular import can hide behind a lucky import order in the test suite
 (it did once, between ``repro.hardware`` and ``repro.kernel``); these
 tests import each entry point in a fresh interpreter to rule that out.
+The same fresh interpreter pins the layering: simulating with the
+dataflow engine never loads the static verifier built on top of it.
 """
 
 import subprocess
@@ -22,7 +24,7 @@ ENTRY_POINTS = [
     "repro.experiments",
     "repro.precision",
     "repro.distributed",
-    "repro.analysis",
+    "repro.analyze",
     "repro.cli",
 ]
 
@@ -45,6 +47,43 @@ def test_subpackage_imports_standalone(module):
 def test_import_order_independence(first, second):
     result = subprocess.run(
         [sys.executable, "-c", f"import {first}; import {second}"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+#: Runs the batched engine directly and through ``simulate_kernel``, then
+#: fails if any module of the static verifier was loaded on the way.
+ENGINE_ONLY = """
+import sys
+from repro.core.grid import Grid
+from repro.core.wind import random_wind
+from repro.dataflow import DataflowEngine, DataflowGraph
+from repro.dataflow.stage import FunctionStage, SinkStage, SourceStage
+from repro.kernel.config import KernelConfig
+from repro.kernel.simulate import simulate_kernel
+
+g = DataflowGraph("p")
+g.add(SourceStage("src", range(200)))
+g.add(FunctionStage("fn", lambda x: x + 1, latency=4))
+g.add(SinkStage("sink"))
+g.connect("src", "out", "fn", "in", depth=4)
+g.connect("fn", "out", "sink", "in", depth=4)
+assert DataflowEngine(g).run().batched_windows >= 1
+grid = Grid(nx=6, ny=6, nz=5)
+result = simulate_kernel(KernelConfig(grid=grid), random_wind(grid, seed=0))
+assert result.aggregate_stats().batched_windows >= 1
+loaded = sorted(m for m in sys.modules
+                if m == "repro.analyze" or m.startswith("repro.analyze."))
+assert not loaded, loaded
+"""
+
+
+def test_batched_runs_do_not_load_the_verifier():
+    """The engine opens windows on a runtime recurrence alone, so
+    simulating never imports :mod:`repro.analyze`."""
+    result = subprocess.run(
+        [sys.executable, "-c", ENGINE_ONLY],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
