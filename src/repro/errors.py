@@ -64,7 +64,7 @@ class ShiftBufferError(DataflowError):
 
     A :class:`DataflowError` subclass: the shift buffer is a dataflow
     stage's internal machine, and callers of the engine layer catch its
-    failures (e.g. a mis-shaped block fed to ``Buffer3D.feed_block``)
+    failures (e.g. a mis-shaped block fed to ``ShiftBuffer3D.feed_bulk``)
     under the dataflow family.
     """
 

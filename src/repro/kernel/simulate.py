@@ -33,7 +33,12 @@ import numpy as np
 from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import FieldSet, SourceSet
 from repro.dataflow.engine import DataflowEngine, RunStats
-from repro.errors import DataflowError, FaultError, RetryExhaustedError
+from repro.errors import (
+    ConfigurationError,
+    DataflowError,
+    FaultError,
+    RetryExhaustedError,
+)
 from repro.kernel.builder import build_advection_graph
 from repro.kernel.config import KernelConfig
 from repro.shiftbuffer.ports import MemoryPortTracker
@@ -92,7 +97,8 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
     Parameters
     ----------
     config:
-        Kernel design parameters; ``config.grid`` must match ``fields``.
+        Kernel design parameters; ``config.grid`` must match ``fields``
+        (:class:`~repro.errors.ConfigurationError` otherwise).
     fields:
         Input wind fields with valid halos.
     coeffs:
@@ -141,7 +147,7 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
     """
     grid = config.grid
     if fields.grid.interior_shape != grid.interior_shape:
-        raise ValueError(
+        raise ConfigurationError(
             f"fields are on grid {fields.grid.interior_shape}, config "
             f"expects {grid.interior_shape}"
         )

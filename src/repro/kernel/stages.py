@@ -27,7 +27,7 @@ from repro.dataflow.bulk import (
 )
 from repro.dataflow.stage import SourceStage, Stage
 from repro.errors import DataflowError
-from repro.shiftbuffer.buffer3d import ShiftBuffer3D
+from repro.shiftbuffer.buffer3d import ShiftBuffer3D, emission_center
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow
 
@@ -131,12 +131,8 @@ class StencilBulk(Bulk):
     def centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Centre coordinate vectors of every bundle in this run."""
         buf = self.buffers["u"]
-        ny, nz = buf.ny, buf.nz
-        indices = np.arange(self.start, self.stop)
-        column, j = np.divmod(indices, nz - 1)
-        cx = column // (ny - 2) + 1
-        cy = column % (ny - 2) + 1
-        cz = j + 1
+        cx, cy, cz, _ = emission_center(np.arange(self.start, self.stop),
+                                        buf.ny, buf.nz)
         return cx, cy, cz
 
 

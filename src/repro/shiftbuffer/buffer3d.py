@@ -29,13 +29,17 @@ partitioned (slab on its X dimension, lines on their Y dimension — the
 ``array_partition`` pragma on Xilinx, a manual split on Intel) no memory
 sees more than two accesses per cycle; unpartitioned, the slab sees five,
 which is what forced the Intel initiation interval above 1 until the
-arrays were split (section III-B).
+arrays were split (section III-B).  Every feed touches each memory the
+same number of times, so the buffer builds that per-feed pattern once, at
+construction, and both the scalar and the batched feed book it through
+:meth:`MemoryPortTracker.record` — one cycle per fed value.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ShiftBufferError
 from repro.shiftbuffer.ports import MemoryPortTracker
@@ -44,7 +48,7 @@ from repro.shiftbuffer.window import StencilWindow
 __all__ = ["ShiftBuffer3D", "emission_center"]
 
 
-def emission_center(index: int, ny: int, nz: int) -> tuple[int, int, int, bool]:
+def emission_center(index: Any, ny: int, nz: int) -> tuple[Any, Any, Any, Any]:
     """Map a flat emission index to ``(cx, cy, cz, top)``.
 
     Emissions of a streaming pass are numbered ``0 .. (nx-2)(ny-2)(nz-1)``
@@ -52,7 +56,8 @@ def emission_center(index: int, ny: int, nz: int) -> tuple[int, int, int, bool]:
     column (Y fastest, then X), ``nz - 1`` per interior column — the
     ``nz - 2`` full windows at ``cz = 1 .. nz-2`` followed by the
     column-top window at ``cz = nz - 1``.  This arithmetic is what lets
-    the batched feed path address any window directly.
+    the batched feed path address any window directly.  ``index`` may be
+    an integer or an integer array; an array gives coordinate vectors.
     """
     column, j = divmod(index, nz - 1)
     cx = column // (ny - 2) + 1
@@ -97,6 +102,25 @@ class ShiftBuffer3D:
         self.tracker = tracker if tracker is not None else MemoryPortTracker(
             enforce=False
         )
+
+        # Accesses each feed makes to each memory, booked once per feed.
+        # Partitioned, every bank is its own dual-ported memory; the naive
+        # layout puts a whole array in one memory (2 reads + 3 writes).
+        if partitioned:
+            pattern = {
+                f"{name}.slab[0]": 2,  # read displaced + write new
+                f"{name}.slab[1]": 2,  # read displaced + write
+                f"{name}.slab[2]": 1,  # write only
+            }
+            for s in range(3):
+                pattern[f"{name}.lines[{s}][0]"] = 2  # read old + write
+                pattern[f"{name}.lines[{s}][1]"] = 2
+                pattern[f"{name}.lines[{s}][2]"] = 1
+        else:
+            pattern = {f"{name}.slab": 5}
+            for s in range(3):
+                pattern[f"{name}.lines[{s}]"] = 5
+        self._access_pattern = pattern
 
         self._slab = np.zeros((3, ny, nz))
         self._lines = np.zeros((3, 3, nz))  # [slice, dy, z]
@@ -196,9 +220,10 @@ class ShiftBuffer3D:
                 f"buffer {self.name!r} already consumed its full block of "
                 f"{self.expected_feeds} values"
             )
+        # Book the ports first: an enforced conflict raises before any
+        # array moves.
+        self.tracker.record(self._access_pattern, 1)
         x, y, z = self._x, self._y, self._z
-        t = self.tracker
-        t.begin_cycle()
 
         # --- slab: shift in X at position (y, z) ---------------------------
         displaced0 = self._slab[0, y, z]
@@ -206,12 +231,6 @@ class ShiftBuffer3D:
         self._slab[0, y, z] = value
         self._slab[1, y, z] = displaced0
         self._slab[2, y, z] = displaced1
-        if self.partitioned:
-            t.access(f"{self.name}.slab[0]", 2)  # read displaced + write new
-            t.access(f"{self.name}.slab[1]", 2)  # read displaced + write
-            t.access(f"{self.name}.slab[2]", 1)  # write only
-        else:
-            t.access(f"{self.name}.slab", 5)
 
         # --- line buffers: shift in Y at height z ---------------------------
         # The value entering each slice is forwarded from the slab update
@@ -223,12 +242,6 @@ class ShiftBuffer3D:
             self._lines[s, 2, z] = old1
             self._lines[s, 1, z] = old0
             self._lines[s, 0, z] = entering[s]
-            if self.partitioned:
-                t.access(f"{self.name}.lines[{s}][0]", 2)  # read old + write
-                t.access(f"{self.name}.lines[{s}][1]", 2)
-                t.access(f"{self.name}.lines[{s}][2]", 1)
-            else:
-                t.access(f"{self.name}.lines[{s}]", 5)
 
         # --- register windows: shift in Z -----------------------------------
         # Values are forwarded from the line-buffer shift, costing no ports;
@@ -237,8 +250,6 @@ class ShiftBuffer3D:
         self._windows[:, :, 1] = self._windows[:, :, 0]
         for s in range(3):
             self._windows[s, :, 0] = self._lines[s, :, z]
-
-        t.end_cycle()
 
         # --- emission --------------------------------------------------------
         emitted: list[StencilWindow] = []
@@ -287,24 +298,6 @@ class ShiftBuffer3D:
                 f"buffer extents ({self.nx}, {self.ny}, {self.nz}){hint}"
             )
 
-    def _access_pattern(self) -> dict[str, int]:
-        """Per-feed memory access counts (a structural constant)."""
-        if self.partitioned:
-            pattern = {
-                f"{self.name}.slab[0]": 2,
-                f"{self.name}.slab[1]": 2,
-                f"{self.name}.slab[2]": 1,
-            }
-            for s in range(3):
-                pattern[f"{self.name}.lines[{s}][0]"] = 2
-                pattern[f"{self.name}.lines[{s}][1]"] = 2
-                pattern[f"{self.name}.lines[{s}][2]"] = 1
-            return pattern
-        pattern = {f"{self.name}.slab": 5}
-        for s in range(3):
-            pattern[f"{self.name}.lines[{s}]"] = 5
-        return pattern
-
     def _emissions_before(self, feeds: int) -> int:
         """Windows emitted by the first ``feeds`` values of the block."""
         ny, nz = self.ny, self.nz
@@ -317,11 +310,6 @@ class ShiftBuffer3D:
                 total += max(z - 2, 0)
         return total
 
-    def emission_count(self, feeds: int) -> int:
-        """Emissions an additional ``feeds`` values would produce now."""
-        return (self._emissions_before(self._fed + feeds)
-                - self._emissions_before(self._fed))
-
     def feed_bulk(self, count: int, backing: np.ndarray) -> tuple[int, int]:
         """Advance ``count`` feeds analytically; return the emission range.
 
@@ -331,7 +319,7 @@ class ShiftBuffer3D:
         state it would reach after ``count`` more scalar feeds: every
         shift-register slot holds a value at a closed-form position of the
         backing block, so the state is gathered rather than simulated, and
-        the memory-port tracker replays its per-feed pattern in bulk.
+        the memory-port tracker books the per-feed pattern ``count`` times.
 
         Returns ``(first, stop)``, the half-open range of flat emission
         indices (see :func:`emission_center`) the skipped feeds produced;
@@ -352,7 +340,7 @@ class ShiftBuffer3D:
         first = self._emissions_before(self._fed)
         new_fed = self._fed + count
         stop = self._emissions_before(new_fed)
-        self.tracker.record_steady(self._access_pattern(), count)
+        self.tracker.record(self._access_pattern, count)
 
         nx, ny, nz = self.nx, self.ny, self.nz
         x, rest = divmod(new_fed, ny * nz)
@@ -420,45 +408,6 @@ class ShiftBuffer3D:
             center=(cx, cy, cz),
             top=top,
         )
-
-    def feed_block(self, block: np.ndarray) -> list[StencilWindow]:
-        """Stream an entire ``(nx, ny, nz)`` block; return all stencils.
-
-        On a fresh buffer this takes the batched path: state advances
-        analytically (:meth:`feed_bulk`) and every window is cut from a
-        ``sliding_window_view`` of the block — identical results to the
-        scalar loop at a fraction of the cost.  A partially fed buffer
-        falls back to scalar feeds.
-        """
-        self._check_block_shape(block)
-        if self._fed != 0:
-            emitted: list[StencilWindow] = []
-            for value in block.reshape(-1):
-                emitted.extend(self.feed(float(value)))
-            return emitted
-
-        block = np.asarray(block, dtype=float)
-        first, stop = self.feed_bulk(self.expected_feeds, block)
-        if first == stop:
-            return []
-        ny, nz = self.ny, self.nz
-        view = sliding_window_view(block, (3, 3, 3))
-        indices = np.arange(first, stop)
-        column, j = np.divmod(indices, nz - 1)
-        cx = column // (ny - 2) + 1
-        cy = column % (ny - 2) + 1
-        cz = j + 1
-        top = cz == nz - 1
-        z0 = np.where(top, nz - 3, cz - 1)
-        raws = view[cx - 1, cy - 1, z0][:, ::-1, ::-1, ::-1]
-        return [
-            StencilWindow(
-                raw=raws[i],
-                center=(int(cx[i]), int(cy[i]), int(cz[i])),
-                top=bool(top[i]),
-            )
-            for i in range(len(indices))
-        ]
 
     def reset(self) -> None:
         """Clear all state for a new block."""

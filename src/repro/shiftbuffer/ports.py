@@ -4,8 +4,10 @@ BRAM/M20K blocks are dual ported: at most two accesses (any mix of reads
 and writes) per block per cycle.  The paper's claim — "given correct
 partitioning, there are never more than two memory accesses per cycle on
 the 3D and 2D rectangular array" — is a structural property of the shift
-buffer update sequence, and :class:`MemoryPortTracker` verifies it on every
-simulated cycle.
+buffer update sequence: every fed value touches each memory the same number
+of times.  The buffer writes that per-feed access pattern down once, and
+:meth:`MemoryPortTracker.record` books it for every simulated cycle — one
+cycle per scalar feed, ``count`` cycles per batched feed.
 
 The tracker also demonstrates the Intel-specific finding of section III-B:
 *without* splitting the dimension-3 arrays apart, a single memory would see
@@ -60,64 +62,23 @@ class MemoryPortTracker:
             raise ValueError(f"ports must be >= 1, got {ports}")
         self.ports = ports
         self.enforce = enforce
-        self._this_cycle: dict[str, int] = {}
         self._reports: dict[str, PortReport] = {}
         self.conflicts: int = 0
-        self._cycle_open = False
 
-    # -- cycle protocol --------------------------------------------------------
+    def record(self, pattern: dict[str, int], cycles: int) -> None:
+        """Book ``cycles`` cycles of ``pattern`` (accesses per memory).
 
-    def begin_cycle(self) -> None:
-        """Start a new cycle's accounting window."""
-        self._this_cycle = {}
-        self._cycle_open = True
-
-    def access(self, memory: str, count: int = 1) -> None:
-        """Record ``count`` accesses to ``memory`` in the current cycle."""
-        if not self._cycle_open:
-            raise PortConflictError(
-                "access() called outside a begin_cycle/end_cycle window"
-            )
-        new_total = self._this_cycle.get(memory, 0) + count
-        self._this_cycle[memory] = new_total
-        if new_total > self.ports:
-            self.conflicts += 1
-            if self.enforce:
-                raise PortConflictError(
-                    f"memory {memory!r} accessed {new_total} times in one "
-                    f"cycle but has only {self.ports} ports; partition the "
-                    f"array (HLS array_partition / manual split on Intel)"
-                )
-
-    def end_cycle(self) -> None:
-        """Close the cycle and fold counts into the lifetime reports."""
-        for memory, count in self._this_cycle.items():
-            report = self._reports.setdefault(memory, PortReport(memory))
-            report.total_accesses += count
-            if count > report.max_accesses_per_cycle:
-                report.max_accesses_per_cycle = count
-        for report in self._reports.values():
-            report.cycles += 1
-        self._cycle_open = False
-
-    def record_steady(self, pattern: dict[str, int], cycles: int) -> None:
-        """Replay ``cycles`` identical cycles of ``pattern`` in one step.
-
-        The shift buffer's per-feed access pattern is a compile-time
-        constant, so batched feeds (``feed_bulk``/``feed_block``) account
-        for it in bulk instead of opening one window per value.  The
-        result is identical to ``cycles`` begin/access/end rounds:
-        conflicts are counted (and raised, when enforcing) per cycle, and
-        every known report ages by ``cycles`` like :meth:`end_cycle` does.
+        A shift buffer's per-feed pattern is a structural constant, so a
+        scalar feed books it once and a batched feed books it ``count``
+        times in one step.  Each memory over its port count adds one
+        conflict per cycle and, when enforcing, raises before any report
+        changes.  Every known report ages by ``cycles``, so memories that
+        share a tracker share one cycle count.
         """
         if cycles < 0:
             raise ValueError(f"cycles must be >= 0, got {cycles}")
         if cycles == 0:
             return
-        if self._cycle_open:
-            raise PortConflictError(
-                "record_steady() called inside a begin_cycle/end_cycle window"
-            )
         for memory, count in pattern.items():
             if count > self.ports:
                 self.conflicts += cycles

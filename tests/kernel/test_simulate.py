@@ -6,6 +6,7 @@ from repro.core.coefficients import AdvectionCoefficients
 from repro.core.grid import Grid
 from repro.core.reference import advect_reference
 from repro.core.wind import random_wind
+from repro.errors import ConfigurationError
 from repro.kernel.config import KernelConfig
 from repro.kernel.simulate import simulate_kernel
 
@@ -86,7 +87,7 @@ class TestMachineBehaviour:
     def test_grid_mismatch_rejected(self):
         config = KernelConfig(grid=Grid(nx=4, ny=4, nz=4))
         fields = random_wind(Grid(nx=5, ny=4, nz=4), seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="fields are on grid"):
             simulate_kernel(config, fields)
 
     def test_aggregate_stats_sums_chunks(self):

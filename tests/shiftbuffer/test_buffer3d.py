@@ -5,13 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DataflowError, ShiftBufferError
+from repro.errors import DataflowError, PortConflictError, ShiftBufferError
 from repro.shiftbuffer.buffer3d import ShiftBuffer3D
 from repro.shiftbuffer.ports import MemoryPortTracker
 
 
 def labelled_block(nx, ny, nz):
     return np.arange(nx * ny * nz, dtype=float).reshape(nx, ny, nz)
+
+
+def stream(buf, values):
+    """Scalar-feed ``values`` in streaming order; return every window."""
+    windows = []
+    for value in np.asarray(values, dtype=float).reshape(-1):
+        windows.extend(buf.feed(float(value)))
+    return windows
 
 
 def check_all_windows(block, windows):
@@ -26,6 +34,14 @@ def check_all_windows(block, windows):
                     assert w.at(di, dj, dk) == block[cx + di, cy + dj, cz + dk], (
                         w.center, (di, dj, dk), w.top
                     )
+
+
+def assert_same_windows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.center == w.center
+        assert g.top == w.top
+        assert np.array_equal(g.raw, w.raw)
 
 
 class TestConstruction:
@@ -47,14 +63,14 @@ class TestStencilCorrectness:
     def test_every_window_matches_neighbourhood(self, extents):
         block = labelled_block(*extents)
         buf = ShiftBuffer3D(*extents)
-        windows = buf.feed_block(block)
+        windows = stream(buf, block)
         assert len(windows) == buf.expected_emissions
         check_all_windows(block, windows)
 
     def test_coverage_of_interior_centers(self):
         nx, ny, nz = 5, 6, 4
         buf = ShiftBuffer3D(nx, ny, nz)
-        windows = buf.feed_block(labelled_block(nx, ny, nz))
+        windows = stream(buf, labelled_block(nx, ny, nz))
         centers = sorted(w.center for w in windows)
         expected = sorted(
             (i, j, k)
@@ -66,21 +82,21 @@ class TestStencilCorrectness:
 
     def test_each_center_emitted_exactly_once(self):
         buf = ShiftBuffer3D(4, 4, 4)
-        windows = buf.feed_block(labelled_block(4, 4, 4))
+        windows = stream(buf, labelled_block(4, 4, 4))
         centers = [w.center for w in windows]
         assert len(centers) == len(set(centers))
 
     def test_top_windows_flagged(self):
         nx, ny, nz = 4, 4, 5
         buf = ShiftBuffer3D(nx, ny, nz)
-        windows = buf.feed_block(labelled_block(nx, ny, nz))
+        windows = stream(buf, labelled_block(nx, ny, nz))
         tops = [w for w in windows if w.top]
         assert len(tops) == (nx - 2) * (ny - 2)
         assert all(w.center[2] == nz - 1 for w in tops)
 
     def test_no_bottom_level_emissions(self):
         buf = ShiftBuffer3D(4, 4, 4)
-        windows = buf.feed_block(labelled_block(4, 4, 4))
+        windows = stream(buf, labelled_block(4, 4, 4))
         assert all(w.center[2] != 0 for w in windows)
 
     def test_double_emission_at_column_top_only(self):
@@ -105,7 +121,7 @@ class TestStencilCorrectness:
         rng = np.random.default_rng(seed)
         block = rng.normal(size=(nx, ny, nz))
         buf = ShiftBuffer3D(nx, ny, nz)
-        windows = buf.feed_block(block)
+        windows = stream(buf, block)
         assert len(windows) == buf.expected_emissions
         check_all_windows(block, windows)
 
@@ -122,39 +138,37 @@ class TestStreamingProtocol:
 
     def test_overfeeding_rejected(self):
         buf = ShiftBuffer3D(3, 3, 3)
-        buf.feed_block(np.zeros((3, 3, 3)))
+        buf.feed_bulk(buf.expected_feeds, np.zeros((3, 3, 3)))
         with pytest.raises(ShiftBufferError):
             buf.feed(1.0)
 
     def test_wrong_block_shape_rejected(self):
         buf = ShiftBuffer3D(3, 3, 3)
         with pytest.raises(ShiftBufferError):
-            buf.feed_block(np.zeros((3, 3, 4)))
+            buf.feed_bulk(1, np.zeros((3, 3, 4)))
 
     def test_reset_allows_reuse(self):
         block = labelled_block(3, 4, 3)
         buf = ShiftBuffer3D(3, 4, 3)
-        first = buf.feed_block(block)
+        first = stream(buf, block)
         buf.reset()
-        second = buf.feed_block(block)
-        assert len(first) == len(second)
-        for a, b in zip(first, second):
-            assert a.center == b.center
-            np.testing.assert_array_equal(a.raw, b.raw)
+        second = stream(buf, block)
+        assert first
+        assert_same_windows(second, first)
 
 
 class TestPortPressure:
     def test_partitioned_never_exceeds_two(self):
         tracker = MemoryPortTracker(enforce=True)
         buf = ShiftBuffer3D(4, 5, 4, tracker=tracker)
-        buf.feed_block(labelled_block(4, 5, 4))  # would raise on violation
+        stream(buf, labelled_block(4, 5, 4))  # would raise on violation
         assert tracker.worst_case == 2
         assert tracker.achievable_ii() == 1
 
     def test_unpartitioned_forces_higher_ii(self):
         tracker = MemoryPortTracker(enforce=False)
         buf = ShiftBuffer3D(4, 5, 4, partitioned=False, tracker=tracker)
-        buf.feed_block(labelled_block(4, 5, 4))
+        stream(buf, labelled_block(4, 5, 4))
         assert tracker.worst_case == 5  # slab: 2 reads + 3 writes
         assert tracker.achievable_ii() > 1
         assert tracker.conflicts > 0
@@ -162,10 +176,84 @@ class TestPortPressure:
     def test_partition_banks_are_separate_memories(self):
         tracker = MemoryPortTracker(enforce=True)
         buf = ShiftBuffer3D(3, 3, 3, tracker=tracker, name="u")
-        buf.feed_block(np.zeros((3, 3, 3)))
+        stream(buf, np.zeros((3, 3, 3)))
         names = set(tracker.reports())
         assert "u.slab[0]" in names and "u.slab[2]" in names
         assert "u.lines[0][0]" in names
+
+
+def closed_form_pattern(name, partitioned):
+    """Accesses per feed per memory, written out from the Fig. 3 update.
+
+    Partitioned: slab slices 0 and 1 and line depths 0 and 1 each read
+    the displaced value and write the new one; the deepest bank is only
+    written.  Unpartitioned: each whole array sees 2 reads + 3 writes.
+    """
+    if not partitioned:
+        return {f"{name}.slab": 5,
+                **{f"{name}.lines[{s}]": 5 for s in range(3)}}
+    pattern = {f"{name}.slab[0]": 2, f"{name}.slab[1]": 2,
+               f"{name}.slab[2]": 1}
+    for s in range(3):
+        pattern.update({f"{name}.lines[{s}][0]": 2,
+                        f"{name}.lines[{s}][1]": 2,
+                        f"{name}.lines[{s}][2]": 1})
+    return pattern
+
+
+class TestPortLedger:
+    """Scalar and batched feeds book one per-feed access pattern."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(nx=st.integers(3, 6), ny=st.integers(3, 6), nz=st.integers(3, 6),
+           partitioned=st.booleans(), data=st.data())
+    def test_full_pass_ledger_in_closed_form(self, nx, ny, nz, partitioned,
+                                             data):
+        block = labelled_block(nx, ny, nz)
+        feeds = block.size
+        split = data.draw(st.integers(1, feeds - 1), label="split")
+        pattern = closed_form_pattern("f", partitioned)
+
+        def scalar(buf):
+            stream(buf, block)
+
+        def bulk(buf):
+            buf.feed_bulk(feeds, block)
+
+        def scalar_then_bulk(buf):
+            stream(buf, block.reshape(-1)[:split])
+            buf.feed_bulk(feeds - split, block)
+
+        for full_pass in (scalar, bulk, scalar_then_bulk):
+            tracker = MemoryPortTracker(enforce=False)
+            buf = ShiftBuffer3D(nx, ny, nz, partitioned=partitioned,
+                                tracker=tracker, name="f")
+            full_pass(buf)
+            assert buf.fed == feeds
+            reports = tracker.reports()
+            assert list(reports) == list(pattern), full_pass.__name__
+            for memory, count in pattern.items():
+                report = reports[memory]
+                assert report.cycles == feeds
+                assert report.total_accesses == count * feeds
+                assert report.max_accesses_per_cycle == count
+            over = sum(1 for count in pattern.values() if count > 2)
+            assert tracker.conflicts == feeds * over, full_pass.__name__
+
+    @settings(max_examples=10, deadline=None)
+    @given(nx=st.integers(3, 6), ny=st.integers(3, 6), nz=st.integers(3, 6))
+    def test_enforced_conflict_raises_on_the_first_feed(self, nx, ny, nz):
+        block = labelled_block(nx, ny, nz)
+        for first_feed in (lambda buf: buf.feed(1.0),
+                           lambda buf: buf.feed_bulk(block.size, block)):
+            tracker = MemoryPortTracker(enforce=True)
+            buf = ShiftBuffer3D(nx, ny, nz, partitioned=False,
+                                tracker=tracker, name="f")
+            with pytest.raises(PortConflictError, match=r"'f\.slab'"):
+                first_feed(buf)
+            assert buf.fed == 0
+            assert buf.position == (0, 0, 0)
+            assert tracker.reports() == {}
 
 
 class TestBatchedFeed:
@@ -173,19 +261,27 @@ class TestBatchedFeed:
         rng = np.random.default_rng(seed)
         return rng.normal(size=(nx, ny, nz))
 
-    def test_feed_block_matches_scalar_feeds(self):
-        block = self.block()
-        batched = ShiftBuffer3D(*block.shape, name="b")
-        scalar = ShiftBuffer3D(*block.shape, name="s")
-        fast_windows = batched.feed_block(block)
-        slow_windows = []
-        for value in block.reshape(-1):
-            slow_windows.extend(scalar.feed(float(value)))
-        assert len(fast_windows) == len(slow_windows)
-        for got, want in zip(fast_windows, slow_windows):
-            assert got.center == want.center
-            assert got.top == want.top
-            assert np.array_equal(got.raw, want.raw)
+    @settings(max_examples=25, deadline=None)
+    @given(nx=st.integers(3, 6), ny=st.integers(3, 6), nz=st.integers(3, 6),
+           seed=st.integers(0, 2**31 - 1), data=st.data())
+    def test_feed_bulk_windows_match_scalar_feeds(self, nx, ny, nz, seed,
+                                                 data):
+        """The engine's batched form: ``feed_bulk`` to a split point, cut
+        its emission range with ``window_at``, then resume scalar feeds.
+        Both halves must equal scalar ``feed``'s windows raw for raw."""
+        block = self.block(nx, ny, nz, seed)
+        flat = block.reshape(-1)
+        split = data.draw(st.integers(1, block.size), label="split")
+        scalar = ShiftBuffer3D(nx, ny, nz, name="s")
+        head = stream(scalar, flat[:split])
+        tail = stream(scalar, flat[split:])
+
+        batched = ShiftBuffer3D(nx, ny, nz, name="b")
+        first, stop = batched.feed_bulk(split, block)
+        assert (first, stop) == (0, len(head))
+        assert_same_windows(
+            [batched.window_at(i, block) for i in range(first, stop)], head)
+        assert_same_windows(stream(batched, flat[split:]), tail)
 
     def test_feed_bulk_matches_scalar_state(self):
         block = self.block()
@@ -200,34 +296,36 @@ class TestBatchedFeed:
         assert bulk.fed == scalar.fed
 
     def test_partially_fed_buffer_overrun_is_caught(self):
-        """feed_block on a non-fresh buffer takes the scalar path, which
-        enforces the block budget: the overrun raises cleanly instead of
-        silently corrupting state."""
+        """A batched feed that would run past the block raises cleanly
+        instead of silently corrupting state."""
         block = self.block()
         buf = ShiftBuffer3D(*block.shape, name="b")
         buf.feed(float(block.reshape(-1)[0]))
-        with pytest.raises(ShiftBufferError, match="already consumed|full block"):
-            buf.feed_block(block)
+        with pytest.raises(ShiftBufferError, match="overruns the block"):
+            buf.feed_bulk(buf.expected_feeds, block)
+        assert buf.fed == 1
+        assert buf.position == (0, 0, 1)
 
     def test_reset_reopens_the_batched_path(self):
         block = self.block()
         buf = ShiftBuffer3D(*block.shape, name="b")
-        first_pass = buf.feed_block(block)
+        full = (0, buf.expected_emissions)
+        assert buf.feed_bulk(buf.expected_feeds, block) == full
         buf.reset()
-        second_pass = buf.feed_block(block)
-        assert len(second_pass) == len(first_pass) == buf.expected_emissions
+        assert buf.fed == 0 and buf.position == (0, 0, 0)
+        assert buf.feed_bulk(buf.expected_feeds, block) == full
 
     def test_transposed_block_raises_with_hint(self):
         block = self.block(nx=5, ny=6, nz=4)
         buf = ShiftBuffer3D(5, 6, 4, name="b")
         with pytest.raises(ShiftBufferError, match="axes are permuted"):
-            buf.feed_block(block.transpose(2, 0, 1))
+            buf.feed_bulk(1, block.transpose(2, 0, 1))
         # ShiftBufferError is a DataflowError: one except clause catches
         # every machine-model failure.
         with pytest.raises(DataflowError):
-            buf.feed_block(block.transpose(2, 0, 1))
+            buf.feed_bulk(1, block.transpose(2, 0, 1))
 
     def test_wrong_shape_raises_without_hint(self):
         buf = ShiftBuffer3D(5, 6, 4, name="b")
         with pytest.raises(ShiftBufferError, match="does not match"):
-            buf.feed_block(np.zeros((5, 6, 5)))
+            buf.feed_bulk(1, np.zeros((5, 6, 5)))

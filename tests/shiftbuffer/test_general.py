@@ -64,8 +64,9 @@ class TestCorrectness:
         nx, ny, nz = 5, 6, 5
         block = labelled(nx, ny, nz)
         _, windows = forwarded(block)
-        full = [w for w in ShiftBuffer3D(nx, ny, nz).feed_block(block)
-                if not w.top]
+        buf = ShiftBuffer3D(nx, ny, nz)
+        full = [w for value in block.reshape(-1)
+                for w in buf.feed(float(value)) if not w.top]
         assert [w.center for w in windows] == [w.center for w in full]
         for mine, paper in zip(windows, full):
             np.testing.assert_array_equal(mine.raw, paper.raw)
@@ -92,7 +93,7 @@ class TestCorrectness:
     def test_wrong_block_shape_rejected(self):
         stage = GeneralShiftBufferStage("s", 3, 3, 3)
         with pytest.raises(ShiftBufferError):
-            stage.buffer.feed_block(np.zeros((3, 4, 3)))
+            stage.buffer.feed_bulk(1, np.zeros((3, 4, 3)))
 
 
 class TestPortPressure:
