@@ -30,17 +30,12 @@ import numpy as np
 from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import FieldSet, SourceSet
 from repro.core.grid import GridDecomposition
-from repro.dataflow.engine import DataflowEngine, RunStats
+from repro.dataflow.engine import RunStats
 from repro.dataflow.graph import DataflowGraph
-from repro.errors import (
-    ConfigurationError,
-    DataflowError,
-    FaultError,
-    ReplicaLostError,
-    RetryExhaustedError,
-)
+from repro.errors import ConfigurationError, ReplicaLostError
 from repro.kernel.builder import build_advection_graph
 from repro.kernel.config import KernelConfig
+from repro.kernel.simulate import run_chunk
 from repro.kernel.stages import ReadDataStage
 
 if TYPE_CHECKING:
@@ -239,12 +234,6 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
             else memory_cells_per_cycle)
     arbiter = MemoryArbiter(rate)
 
-    resilient = fault_plan is not None or retry is not None
-    if resilient and retry is None:
-        from repro.faults.retry import RetryPolicy as _RetryPolicy
-
-        retry = _RetryPolicy()
-
     decomp = GridDecomposition(grid, min(num_kernels, grid.nx))
     out = SourceSet.zeros(grid)
 
@@ -290,63 +279,18 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
                       check_parts: list[int], chunk) -> RunStats:
         """One engine run with chunk-seam checkpoint/retry semantics."""
         nonlocal chunk_retries
-        attempt = 0
-        while True:
-            checkpoint = (
-                (out.su.copy(), out.sv.copy(), out.sw.copy())
-                if resilient else None
-            )
-            graph = build()
-            engine = DataflowEngine(
-                graph, max_cycles=max_cycles_per_chunk,
-                stall_grace=grace, mode=mode, batched=batched,
-                fault_plan=fault_plan, watchdog=watchdog,
-                tracer=tracer, metrics=metrics,
-            )
-            try:
-                if trace_on:
-                    assert tracer is not None
-                    with tracer.shifted(total_cycles):
-                        stats = engine.run()
-                else:
-                    stats = engine.run()
-                if resilient:
-                    for p in check_parts:
-                        sub_grid = parts[p][1]
-                        # One firing per (x, y) column and above-surface
-                        # z level (see simulate.py).
-                        expected = (sub_grid.nx * chunk.write_width
-                                    * (sub_grid.nz - 1))
-                        written = graph.stage(f"k{p}.write_data").cells_written  # type: ignore[attr-defined]
-                        if written != expected:
-                            raise FaultError(
-                                f"replica {p}, chunk {chunk.index}: wrote "
-                                f"{written} of {expected} cells (words "
-                                f"lost in flight)"
-                            )
-            except (FaultError, DataflowError) as error:
-                if not resilient:
-                    raise
-                assert retry is not None and checkpoint is not None
-                attempt += 1
-                if attempt >= retry.max_attempts:
-                    raise RetryExhaustedError(
-                        f"chunk {chunk.index} failed after {attempt} "
-                        f"attempts (last error: {error})"
-                    ) from error
-                np.copyto(out.su, checkpoint[0])
-                np.copyto(out.sv, checkpoint[1])
-                np.copyto(out.sw, checkpoint[2])
-                chunk_retries += 1
-                if trace_on:
-                    assert tracer is not None
-                    tracer.instant(
-                        "chunk retry", "kernel", ts=float(total_cycles),
-                        chunk=chunk.index, attempt=attempt,
-                        error=str(error))
-                continue
-            runs.append(stats)
-            return stats
+        stats, retries = run_chunk(
+            build, chunk, out,
+            writers=[(f"k{p}.write_data", parts[p][1].nx,
+                      f"replica {p}, chunk {chunk.index}")
+                     for p in check_parts],
+            start=total_cycles, fault_plan=fault_plan, retry=retry,
+            tracer=tracer, metrics=metrics, max_cycles=max_cycles_per_chunk,
+            stall_grace=grace, mode=mode, batched=batched, watchdog=watchdog,
+        )
+        chunk_retries += retries
+        runs.append(stats)
+        return stats
 
     for chunk in chunk_plan.chunks:
         # Replica faults strike at chunk seams: a killed replica is

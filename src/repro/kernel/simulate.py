@@ -20,27 +20,27 @@ or :class:`~repro.errors.DataflowError` restores the snapshot and retries
 *that chunk only* — completed chunks are never replayed.  Transient
 faults (the plan default) therefore cost one chunk re-run and leave the
 result bit-identical; persistent faults exhaust the retry budget and
-raise :class:`~repro.errors.RetryExhaustedError`.
+raise :class:`~repro.errors.RetryExhaustedError`.  The restarts run
+through :meth:`~repro.faults.retry.RetryPolicy.call`, the loop that also
+drives rank respawns, in :func:`run_chunk`, which the multi-kernel
+co-simulation shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import FieldSet, SourceSet
 from repro.dataflow.engine import DataflowEngine, RunStats
-from repro.errors import (
-    ConfigurationError,
-    DataflowError,
-    FaultError,
-    RetryExhaustedError,
-)
+from repro.dataflow.graph import DataflowGraph
+from repro.errors import ConfigurationError, DataflowError, FaultError
 from repro.kernel.builder import build_advection_graph
 from repro.kernel.config import KernelConfig
+from repro.shiftbuffer.chunking import Chunk
 from repro.shiftbuffer.ports import MemoryPortTracker
 
 if TYPE_CHECKING:
@@ -154,91 +154,34 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
     if coeffs is None:
         coeffs = AdvectionCoefficients.uniform(grid)
 
-    resilient = fault_plan is not None or retry is not None
-    if resilient and retry is None:
-        from repro.faults.retry import RetryPolicy as _RetryPolicy
-
-        retry = _RetryPolicy()
-
     out = SourceSet.zeros(grid)
     tracker = MemoryPortTracker(enforce=enforce_ports)
     chunk_stats: list[RunStats] = []
     total_cycles = 0
     chunk_retries = 0
-    trace_on = tracer is not None and tracer.enabled
 
     plan = config.chunk_plan()
     for chunk in plan.chunks:
-        # Chunk-seam checkpoint: the output slabs of every *completed*
-        # chunk.  A failed attempt restores it, so retries never see the
-        # partial writes of the attempt that died.
-        checkpoint = (
-            (out.su.copy(), out.sv.copy(), out.sw.copy())
-            if resilient else None
-        )
-        # One write firing per (x, y) column and z level above the
-        # surface — the surface level rides along with level 1, so a
-        # healthy chunk fires exactly nx * write_width * (nz - 1) times.
-        expected_cells = grid.nx * chunk.write_width * (grid.nz - 1)
-        attempt = 0
-        while True:
-            graph = build_advection_graph(
+        stats, retries = run_chunk(
+            lambda: build_advection_graph(
                 config, fields, chunk, coeffs, out, read_ii=read_ii,
-                tracker=tracker,
-            )
-            engine = DataflowEngine(
-                graph, max_cycles=max_cycles_per_chunk, mode=mode,
-                batched=batched, fault_plan=fault_plan, watchdog=watchdog,
-                tracer=tracer, metrics=metrics,
-            )
-            try:
-                if trace_on:
-                    assert tracer is not None
-                    # Chunks run back to back: shift this chunk's engine
-                    # spans from local cycle 0 onto the global axis.
-                    with tracer.shifted(total_cycles):
-                        stats = engine.run()
-                else:
-                    stats = engine.run()
-                if resilient:
-                    written = graph.stage("write_data").cells_written  # type: ignore[attr-defined]
-                    if written != expected_cells:
-                        raise FaultError(
-                            f"chunk {chunk.index}: wrote {written} of "
-                            f"{expected_cells} cells (words lost in flight)"
-                        )
-            except (FaultError, DataflowError) as error:
-                if not resilient:
-                    raise
-                assert retry is not None and checkpoint is not None
-                attempt += 1
-                if attempt >= retry.max_attempts:
-                    raise RetryExhaustedError(
-                        f"chunk {chunk.index} failed after {attempt} "
-                        f"attempts (last error: {error})"
-                    ) from error
-                np.copyto(out.su, checkpoint[0])
-                np.copyto(out.sv, checkpoint[1])
-                np.copyto(out.sw, checkpoint[2])
-                chunk_retries += 1
-                if trace_on:
-                    assert tracer is not None
-                    tracer.instant(
-                        "chunk retry", "kernel", ts=float(total_cycles),
-                        chunk=chunk.index, attempt=attempt,
-                        error=str(error))
-                continue
-            break
+                tracker=tracker),
+            chunk, out,
+            writers=[("write_data", grid.nx, f"chunk {chunk.index}")],
+            start=total_cycles, fault_plan=fault_plan, retry=retry,
+            tracer=tracer, metrics=metrics, max_cycles=max_cycles_per_chunk,
+            mode=mode, batched=batched, watchdog=watchdog,
+        )
+        chunk_retries += retries
         chunk_stats.append(stats)
-        if trace_on:
-            assert tracer is not None
+        if tracer is not None and tracer.enabled:
             halo_cells = chunk.read_width - chunk.write_width
             tracer.add_span(
                 f"chunk {chunk.index}", "kernel", total_cycles,
                 total_cycles + stats.cycles, category="chunk",
                 read_width=chunk.read_width, write_width=chunk.write_width,
                 halo_overhead=round(halo_cells / chunk.read_width, 4),
-                retries=attempt)
+                retries=retries)
         total_cycles += stats.cycles
 
     if metrics is not None and metrics.enabled:
@@ -260,3 +203,80 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
         port_tracker=tracker,
         chunk_retries=chunk_retries,
     )
+
+
+def run_chunk(build: Callable[[], DataflowGraph], chunk: Chunk,
+              out: SourceSet, *, writers: list[tuple[str, int, str]],
+              start: int, fault_plan: "FaultPlan | None",
+              retry: "RetryPolicy | None", tracer: "Tracer | None",
+              **engine_options: Any) -> tuple[RunStats, int]:
+    """Run one chunk's graph through the engine, restarting it on faults.
+
+    Without a fault plan or retry policy the graph is built and run once,
+    and any error propagates unwrapped.  With either (the policy defaults
+    to ``RetryPolicy()``), the output arrays are checkpointed first, every
+    ``(write stage, sub-grid nx, label)`` in ``writers`` must write its
+    chunk's full complement of cells, and each
+    :class:`~repro.errors.FaultError` or
+    :class:`~repro.errors.DataflowError` restores the checkpoint before
+    :meth:`~repro.faults.retry.RetryPolicy.call` runs the chunk again.
+    ``start`` is the chunk's first cycle on the global axis: its engine
+    spans are shifted there and its retry markers placed there.
+
+    Returns the chunk's :class:`RunStats` and the number of retries it took.
+    """
+    if retry is None and fault_plan is not None:
+        from repro.faults.retry import RetryPolicy as _RetryPolicy
+
+        retry = _RetryPolicy()
+    trace_on = tracer is not None and tracer.enabled
+
+    def attempt() -> RunStats:
+        graph = build()
+        engine = DataflowEngine(graph, fault_plan=fault_plan, tracer=tracer,
+                                **engine_options)
+        if trace_on:
+            assert tracer is not None
+            # Chunks run back to back: shift this chunk's engine spans
+            # from local cycle 0 onto the global axis.
+            with tracer.shifted(start):
+                stats = engine.run()
+        else:
+            stats = engine.run()
+        if retry is not None:
+            for stage, nx, label in writers:
+                # One write firing per (x, y) column and z level above the
+                # surface (the surface level rides along with level 1).
+                expected = nx * chunk.write_width * (out.grid.nz - 1)
+                written = graph.stage(stage).cells_written  # type: ignore[attr-defined]
+                if written != expected:
+                    raise FaultError(
+                        f"{label}: wrote {written} of {expected} cells "
+                        f"(words lost in flight)"
+                    )
+        return stats
+
+    if retry is None:
+        return attempt(), 0
+
+    # Chunk-seam checkpoint: the output slabs of every *completed* chunk.
+    # A failed attempt restores it, so retries never see the partial
+    # writes of the attempt that died.
+    checkpoint = (out.su.copy(), out.sv.copy(), out.sw.copy())
+    retries = 0
+
+    def restore(failure_index: int, error: BaseException) -> None:
+        nonlocal retries
+        for array, saved in zip((out.su, out.sv, out.sw), checkpoint):
+            np.copyto(array, saved)
+        retries += 1
+        if trace_on:
+            assert tracer is not None
+            tracer.instant(
+                "chunk retry", "kernel", ts=float(start),
+                chunk=chunk.index, attempt=failure_index + 1,
+                error=str(error))
+
+    stats = retry.call(attempt, retry_on=(FaultError, DataflowError),
+                       describe=f"chunk {chunk.index}", on_retry=restore)
+    return stats, retries

@@ -13,6 +13,7 @@ import dataclasses
 import importlib
 from typing import TYPE_CHECKING, Iterable
 
+from repro.errors import ConfigurationError
 from repro.lint.diagnostics import LintReport
 from repro.lint.registry import DEFAULT_REGISTRY, LintContext, RuleRegistry
 
@@ -86,6 +87,10 @@ def lint_kernel(config: "KernelConfig",
                 graph: "DataflowGraph | None" = None,
                 read_ii: int = 1, **kwargs) -> LintReport:
     """Lint a kernel design, deriving its Fig. 2 graph if none is given."""
+    if num_kernels is not None and num_kernels < 1:
+        raise ConfigurationError(
+            f"num_kernels must be >= 1, got {num_kernels}"
+        )
     if graph is None:
         from repro.lint.builders import build_structural_graph
 

@@ -38,7 +38,7 @@ from repro import constants
 from repro.core.grid import Grid
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import Stage
-from repro.errors import ConfigurationError, LintError
+from repro.errors import ConfigurationError, DataflowError, LintError
 from repro.kernel.config import KernelConfig
 from repro.lint.registry import LintContext
 
@@ -91,14 +91,52 @@ def _require_mapping(value: Any, what: str) -> Mapping[str, Any]:
     return value
 
 
+def _int(spec: Mapping[str, Any], key: str, default: Any = None, *,
+         minimum: int | None = None) -> Any:
+    """``spec[key]`` as a JSON integer (``bool`` excluded).
+
+    An absent key or ``null`` gives ``default``.
+    """
+    value = spec.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise LintError(f'"{key}" must be an integer, got {json.dumps(value)}')
+    if minimum is not None and value < minimum:
+        raise LintError(f'"{key}" must be >= {minimum}, got {value}')
+    return value
+
+
+def _bool(spec: Mapping[str, Any], key: str) -> bool | None:
+    """``spec[key]`` as a JSON boolean; an absent key or ``null`` gives None."""
+    value = spec.get(key)
+    if value is not None and not isinstance(value, bool):
+        raise LintError(f'"{key}" must be true or false, got {json.dumps(value)}')
+    return value
+
+
+def _names(spec: Mapping[str, Any], key: str) -> tuple[str, ...]:
+    """``spec[key]`` as a JSON list of port names (absent: none)."""
+    value = spec.get(key, [])
+    if not isinstance(value, list) or not all(
+            isinstance(item, str) for item in value):
+        raise LintError(
+            f'"{key}" must be a list of names, got {json.dumps(value)}')
+    return tuple(value)
+
+
 def _build_grid(kernel_spec: Mapping[str, Any]) -> Grid:
     if "grid" in kernel_spec:
         dims = _require_mapping(kernel_spec["grid"], '"grid"')
+        missing = [axis for axis in ("nx", "ny", "nz")
+                   if dims.get(axis) is None]
+        if missing:
+            raise LintError(f'"grid" needs nx/ny/nz; missing {missing}')
         try:
-            return Grid(nx=int(dims["nx"]), ny=int(dims["ny"]),
-                        nz=int(dims["nz"]))
-        except KeyError as missing:
-            raise LintError(f'"grid" needs nx/ny/nz; missing {missing}') from None
+            return Grid(nx=_int(dims, "nx"), ny=_int(dims, "ny"),
+                        nz=_int(dims, "nz"))
+        except ConfigurationError as error:
+            raise LintError(f"invalid grid: {error}") from error
     if "cells" in kernel_spec:
         label = str(kernel_spec["cells"])
         try:
@@ -119,10 +157,12 @@ def _build_config(kernel_spec: Mapping[str, Any]) -> KernelConfig:
             f"allowed: {sorted(_KERNEL_KEYS)}"
         )
     grid = _build_grid(kernel_spec)
-    params = {k: kernel_spec[k] for k in _KERNEL_KEYS
-              if k in kernel_spec and k not in ("cells", "grid")}
+    params = {key: _int(kernel_spec, key)
+              for key in _KERNEL_KEYS - {"cells", "grid", "partitioned"}}
+    params["partitioned"] = _bool(kernel_spec, "partitioned")
     try:
-        return KernelConfig(grid=grid, **params)
+        return KernelConfig(grid=grid, **{
+            key: value for key, value in params.items() if value is not None})
     except ConfigurationError as error:
         raise LintError(f"invalid kernel configuration: {error}") from error
 
@@ -144,20 +184,20 @@ def _build_graph(graph_spec: Mapping[str, Any], name: str) -> DataflowGraph:
             raise LintError('every stage entry needs a "name"')
         graph.add(SpecStage(
             str(stage_spec["name"]),
-            inputs=tuple(stage_spec.get("inputs", ())),
-            outputs=tuple(stage_spec.get("outputs", ())),
-            ii=int(stage_spec.get("ii", 1)),
-            latency=int(stage_spec.get("latency", 1)),
-            flops_per_cell=stage_spec.get("flops_per_cell"),
-            flops_per_cell_top=stage_spec.get("flops_per_cell_top"),
+            inputs=_names(stage_spec, "inputs"),
+            outputs=_names(stage_spec, "outputs"),
+            ii=_int(stage_spec, "ii", 1),
+            latency=_int(stage_spec, "latency", 1),
+            flops_per_cell=_int(stage_spec, "flops_per_cell"),
+            flops_per_cell_top=_int(stage_spec, "flops_per_cell_top"),
         ))
     for stream_spec in graph_spec.get("streams", ()):
         stream_spec = _require_mapping(stream_spec, "stream entry")
         src, src_port = _split_endpoint(stream_spec.get("src", ""), "src")
         dst, dst_port = _split_endpoint(stream_spec.get("dst", ""), "dst")
         kwargs: dict[str, Any] = {}
-        if "depth" in stream_spec:
-            kwargs["depth"] = int(stream_spec["depth"])
+        if stream_spec.get("depth") is not None:
+            kwargs["depth"] = _int(stream_spec, "depth")
         if "name" in stream_spec:
             kwargs["name"] = str(stream_spec["name"])
         graph.connect(src, src_port, dst, dst_port, **kwargs)
@@ -194,26 +234,28 @@ def context_from_spec(data: Mapping[str, Any], *,
                 f"rules need a fabric capacity"
             )
 
+    read_ii = _int(data, "read_ii", 1, minimum=1)
+    num_kernels = _int(data, "num_kernels", minimum=1)
     graph_spec = data.get("graph", "advection" if config else None)
     graph = None
-    if graph_spec == "advection":
-        if config is None:
-            raise LintError('"graph": "advection" needs a "kernel" spec')
-        from repro.lint.builders import build_structural_graph
+    try:
+        if graph_spec == "advection":
+            if config is None:
+                raise LintError('"graph": "advection" needs a "kernel" spec')
+            from repro.lint.builders import build_structural_graph
 
-        graph = build_structural_graph(
-            config, name=name, read_ii=int(data.get("read_ii", 1))
-        )
-    elif graph_spec is not None:
-        graph = _build_graph(_require_mapping(graph_spec, '"graph"'), name)
+            graph = build_structural_graph(config, name=name, read_ii=read_ii)
+        elif graph_spec is not None:
+            graph = _build_graph(_require_mapping(graph_spec, '"graph"'), name)
+    except (ConfigurationError, DataflowError) as error:
+        raise LintError(f"invalid graph: {error}") from error
 
-    num_kernels = data.get("num_kernels")
     return LintTarget(name=name, context=LintContext(
         graph=graph,
         config=config,
         device=device,
-        num_kernels=None if num_kernels is None else int(num_kernels),
-        read_ii=int(data.get("read_ii", 1)),
+        num_kernels=num_kernels,
+        read_ii=read_ii,
     ))
 
 

@@ -9,9 +9,9 @@ This subpackage makes that exploration runnable:
 
 * :mod:`repro.precision.formats` — float64/float32/bfloat16-style formats
   and Q-format fixed point, with value-level quantisation;
-* :mod:`repro.precision.kernel` — the PW advection evaluated with every
-  intermediate rounded to a chosen format (a bit-accurate model of a
-  reduced-precision datapath);
+* :mod:`repro.precision.kernel` — the oracle's PW expression tree
+  evaluated with every intermediate rounded to a chosen format (a
+  bit-accurate model of a reduced-precision datapath);
 * :mod:`repro.precision.analysis` — numerical-error studies against the
   float64 reference;
 * :mod:`repro.precision.resources` — precision-dependent operator and

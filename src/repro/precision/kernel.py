@@ -5,17 +5,18 @@ to the chosen :class:`~repro.precision.formats.NumberFormat` — a value-
 accurate model of a datapath built from narrow operators, which is what
 the paper's §V proposes building on FPGAs and Versal AI engines.
 
-With :data:`~repro.precision.formats.FLOAT64` the rounding is the
-identity and the result reproduces the reference bit for bit (tested),
-which pins the operation ordering to the specification.
+The datapath evaluates the oracle's own expression tree,
+:func:`repro.core.reference.pw_tree`, with rounding operators in place of
+the float64 ones.  With :data:`~repro.precision.formats.FLOAT64` the
+rounding is the identity, so the result equals the oracle by
+construction; the rounded formats are pinned by golden digests.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import FieldSet, SourceSet
+from repro.core.reference import pw_tree
 from repro.precision.formats import NumberFormat
 
 __all__ = ["advect_quantised"]
@@ -31,104 +32,16 @@ def advect_quantised(fields: FieldSet, fmt: NumberFormat,
         raise ValueError(
             f"coefficients are for nz={coeffs.nz}, grid has nz={grid.nz}"
         )
-    out = SourceSet.zeros(grid)
     q = fmt.quantise
 
-    def add(a, b):
-        return q(a + b)
-
-    def sub(a, b):
-        return q(a - b)
-
-    def mul(a, b):
-        return q(a * b)
-
     # Quantise the stored operands once, like narrow on-chip buffers would.
-    u = q(fields.u)
-    v = q(fields.v)
-    w = q(fields.w)
-    tcx = q(coeffs.tcx)
-    tcy = q(coeffs.tcy)
-    tzc1 = q(coeffs.tzc1)
-    tzc2 = q(coeffs.tzc2)
-    tzd1 = q(coeffs.tzd1)
-    tzd2 = q(coeffs.tzd2)
-
-    nz = grid.nz
-    C = (slice(1, -1), slice(1, -1))
-    IM1 = (slice(0, -2), slice(1, -1))
-    IP1 = (slice(2, None), slice(1, -1))
-    JM1 = (slice(1, -1), slice(0, -2))
-    JP1 = (slice(1, -1), slice(2, None))
-    IP1_JM1 = (slice(2, None), slice(0, -2))
-    IM1_JP1 = (slice(0, -2), slice(2, None))
-
-    K = slice(1, None)
-    K_MID = slice(1, nz - 1)
-    LO = slice(0, nz - 2)
-    HI = slice(2, nz)
-
-    def at(view, ks):
-        return view[:, :, ks]
-
-    # ------------------------------------------------------------------ U --
-    su = out.su
-    su[:, :, K] = mul(tcx, sub(
-        mul(at(u[IM1], K), add(at(u[C], K), at(u[IM1], K))),
-        mul(at(u[IP1], K), add(at(u[C], K), at(u[IP1], K))),
-    ))
-    su[:, :, K] = add(su[:, :, K], mul(tcy, sub(
-        mul(at(u[JM1], K), add(at(v[JM1], K), at(v[IP1_JM1], K))),
-        mul(at(u[JP1], K), add(at(v[C], K), at(v[IP1], K))),
-    )))
-    su[:, :, K_MID] = add(su[:, :, K_MID], sub(
-        mul(mul(tzc1[K_MID], at(u[C], LO)),
-            add(at(w[C], LO), at(w[IP1], LO))),
-        mul(mul(tzc2[K_MID], at(u[C], HI)),
-            add(at(w[C], K_MID), at(w[IP1], K_MID))),
-    ))
-    su[:, :, nz - 1] = add(su[:, :, nz - 1], mul(
-        mul(tzc1[nz - 1], u[C][:, :, nz - 2]),
-        add(w[C][:, :, nz - 2], w[IP1][:, :, nz - 2]),
-    ))
-
-    # ------------------------------------------------------------------ V --
-    sv = out.sv
-    sv[:, :, K] = mul(tcy, sub(
-        mul(at(v[JM1], K), add(at(v[C], K), at(v[JM1], K))),
-        mul(at(v[JP1], K), add(at(v[C], K), at(v[JP1], K))),
-    ))
-    sv[:, :, K] = add(sv[:, :, K], mul(tcx, sub(
-        mul(at(v[IM1], K), add(at(u[IM1], K), at(u[IM1_JP1], K))),
-        mul(at(v[IP1], K), add(at(u[C], K), at(u[JP1], K))),
-    )))
-    sv[:, :, K_MID] = add(sv[:, :, K_MID], sub(
-        mul(mul(tzc1[K_MID], at(v[C], LO)),
-            add(at(w[C], LO), at(w[JP1], LO))),
-        mul(mul(tzc2[K_MID], at(v[C], HI)),
-            add(at(w[C], K_MID), at(w[JP1], K_MID))),
-    ))
-    sv[:, :, nz - 1] = add(sv[:, :, nz - 1], mul(
-        mul(tzc1[nz - 1], v[C][:, :, nz - 2]),
-        add(w[C][:, :, nz - 2], w[JP1][:, :, nz - 2]),
-    ))
-
-    # ------------------------------------------------------------------ W --
-    sw = out.sw
-    sw[:, :, K_MID] = mul(tcx, sub(
-        mul(at(w[IM1], K_MID), add(at(u[IM1], K_MID), at(u[IM1], HI))),
-        mul(at(w[IP1], K_MID), add(at(u[C], K_MID), at(u[C], HI))),
-    ))
-    sw[:, :, K_MID] = add(sw[:, :, K_MID], mul(tcy, sub(
-        mul(at(w[JM1], K_MID), add(at(v[JM1], K_MID), at(v[JM1], HI))),
-        mul(at(w[JP1], K_MID), add(at(v[C], K_MID), at(v[C], HI))),
-    )))
-    sw[:, :, K_MID] = add(sw[:, :, K_MID], sub(
-        mul(mul(tzd1[K_MID], at(w[C], LO)),
-            add(at(w[C], K_MID), at(w[C], LO))),
-        mul(mul(tzd2[K_MID], at(w[C], HI)),
-            add(at(w[C], K_MID), at(w[C], HI))),
-    ))
+    operands = [q(array) for array in (
+        fields.u, fields.v, fields.w, coeffs.tcx, coeffs.tcy,
+        coeffs.tzc1, coeffs.tzc2, coeffs.tzd1, coeffs.tzd2)]
+    out = pw_tree(*operands, SourceSet.zeros(grid),
+                  add=lambda a, b: q(a + b),
+                  sub=lambda a, b: q(a - b),
+                  mul=lambda a, b: q(a * b))
 
     # Narrow storage on the way out, too.
     out.su[...] = q(out.su)
@@ -138,5 +51,5 @@ def advect_quantised(fields: FieldSet, fmt: NumberFormat,
     out.su[:, :, 0] = 0.0
     out.sv[:, :, 0] = 0.0
     out.sw[:, :, 0] = 0.0
-    out.sw[:, :, nz - 1] = 0.0
+    out.sw[:, :, grid.nz - 1] = 0.0
     return out

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.errors import LintError
+from repro.errors import ConfigurationError, LintError
 from repro.lint.spec import load_spec
 
 EXAMPLES = sorted(
@@ -169,3 +169,71 @@ class TestSpecLoading:
         path = tmp_path / "mydesign.json"
         path.write_text(json.dumps({"kernel": {"cells": "16M"}}))
         assert load_spec(path).name == "mydesign"
+
+
+PAPER_KERNEL = {"kernel": {"cells": "16M"}, "device": "u280"}
+
+
+def explicit_graph(stage=None, stream=None):
+    """The paper kernel with a two-stage graph, one entry of it patched."""
+    return {**PAPER_KERNEL, "graph": {
+        "stages": [{"name": "read", "outputs": ["out"], **(stage or {})},
+                   {"name": "sink", "inputs": ["in"]}],
+        "streams": [{"src": "read.out", "dst": "sink.in", **(stream or {})}],
+    }}
+
+
+MALFORMED_SPECS = {
+    "num_kernels-string": {**PAPER_KERNEL, "num_kernels": "six"},
+    "read_ii-string": {**PAPER_KERNEL, "read_ii": "x"},
+    "chunk_width-string": {"kernel": {"cells": "16M", "chunk_width": "abc"},
+                           "device": "u280"},
+    "grid-string": {"kernel": {"grid": {"nx": "a", "ny": 8, "nz": 8}},
+                    "device": "u280"},
+    "grid-zero": {"kernel": {"grid": {"nx": 0, "ny": 8, "nz": 8}},
+                  "device": "u280"},
+    "outputs-integer": explicit_graph(stage={"outputs": 5}),
+    "flops_per_cell-string": explicit_graph(stage={"flops_per_cell": "x"}),
+    "partitioned-string": {"kernel": {"cells": "16M", "partitioned": "no"},
+                           "device": "u280"},
+    "num_kernels-zero": {**PAPER_KERNEL, "num_kernels": 0},
+    "num_kernels-negative": {**PAPER_KERNEL, "num_kernels": -2},
+    "stage-ii-zero": explicit_graph(stage={"ii": 0}),
+    "stream-depth-zero": explicit_graph(stream={"depth": 0}),
+    "stream-to-unknown-stage": explicit_graph(stream={"dst": "nowhere.in"}),
+}
+
+
+class TestMalformedSpecs:
+    """A malformed spec is a typed input error: exit 2 with an ``error:``
+    line.  ``main`` runs in-process, so an exception escaping it (what
+    would print a traceback) fails the test."""
+
+    @pytest.mark.parametrize("command", ["lint", "analyze"])
+    @pytest.mark.parametrize("spec", list(MALFORMED_SPECS.values()),
+                             ids=list(MALFORMED_SPECS))
+    def test_exits_two_with_an_error_line(self, command, spec, tmp_path,
+                                          capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(spec))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_zero_kernels_flag_is_a_configuration_error(self, capsys):
+        # As `simulate --kernels 0`: a typed error, exit 1.
+        assert main(["lint", "--kernels", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "num_kernels" in err
+        assert "Traceback" not in err
+
+    def test_lint_kernel_rejects_zero_kernels(self):
+        from repro.core.grid import Grid
+        from repro.hardware import device_by_name
+        from repro.kernel.config import KernelConfig
+        from repro.lint.runner import lint_kernel
+
+        config = KernelConfig(grid=Grid(nx=8, ny=64, nz=8))
+        with pytest.raises(ConfigurationError, match="num_kernels"):
+            lint_kernel(config, device_by_name("u280"), 0)
