@@ -14,10 +14,11 @@ Usage::
 
 Exit status is non-zero if the batched run disagrees with the scalar
 baseline or its speedup falls below ``--min-batched-speedup`` (default
-10x).  ``--smoke`` shrinks the grid to 32^3 for CI under the same 10x
-gate, which 32^3 clears with headroom; 16^3 would not (too little steady
-state to amortise the one steady plane that ticks scalar to prove the
-period).
+25x).  ``--smoke`` shrinks the grid to 32^3 for CI under the same 25x
+gate, which 32^3 clears with headroom; 16^3 would not (about 9x: its
+5,233 cycles are too few to amortise a run's fixed costs, the graph
+set-up and the few hundred scalar cycles of read fill, proving columns
+and drain).
 
 A resilient run arms the checkpoint/restart machinery with an empty
 fault plan and gates its fault-free overhead against the plain batched
@@ -65,7 +66,7 @@ def main(argv=None) -> int:
     parser.add_argument("--nz", type=int, default=64)
     parser.add_argument("--chunk-width", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--min-batched-speedup", type=float, default=10.0,
+    parser.add_argument("--min-batched-speedup", type=float, default=25.0,
                         help="fail below this batched-exact/scalar "
                              "speedup (default: %(default)s)")
     parser.add_argument("--max-resilience-overhead", type=float,

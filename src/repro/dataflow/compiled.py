@@ -199,19 +199,22 @@ def period_deltas(order: list[Stage], streams: list[Stream],
 
 
 def _cap_supply(order: list[Stage], fires_per_period: np.ndarray,
-                n: int) -> int:
+                n: int, inner: bool) -> int:
     """Cap ``n`` periods by every firing stage's remaining supply."""
     for i, stage in enumerate(order):
         fpp = int(fires_per_period[i])
         if fpp and n > 0:
-            n = min(n, stage.ff_fire_capacity(n * fpp) // fpp)
+            capacity = (stage.ff_inner_capacity if inner
+                        else stage.ff_fire_capacity)
+            n = min(n, capacity(n * fpp) // fpp)
     return n
 
 
 def execute_window(order: list[Stage], streams: list[Stream],
                    stream_index: dict[str, int], sig_cycle: int,
                    period: int, snapshot: tuple[tuple, tuple], limit: int,
-                   calendar: EventCalendar | None = None) -> int:
+                   calendar: EventCalendar | None = None, *,
+                   inner: bool = False) -> int:
     """Plan and execute one batched window of whole periods.
 
     Returns the number of cycles skipped: ``> 0`` on a committed window,
@@ -220,6 +223,10 @@ def execute_window(order: list[Stage], streams: list[Stream],
     state and ticks scalar), and ``-1`` when some stage's capacity
     cannot cover even one period — its supply or its control regime ends
     first, so the caller drops its detection state and hunts afresh.
+    ``inner`` marks a period measured on the inner key (see
+    :meth:`~repro.dataflow.stage.Stage.ff_inner_signature`): every
+    stage's capacity is then its
+    :meth:`~repro.dataflow.stage.Stage.ff_inner_capacity`.
 
     The relay is FIFO-exact: each stream's final content is the last
     ``occupancy`` items pushed, each pipeline's final entries the last
@@ -236,7 +243,7 @@ def execute_window(order: list[Stage], streams: list[Stream],
         n = calendar.cap_periods(sig_cycle, period, n, push_rates)
         if n < 1:
             return 0
-    n = _cap_supply(order, d_stage[:, 0], n)
+    n = _cap_supply(order, d_stage[:, 0], n, inner)
     if n < 1:
         return -1
     target_cycle = sig_cycle + n * period

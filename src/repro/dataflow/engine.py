@@ -35,11 +35,23 @@ state replays it exactly — and ``N`` whole periods run in one step:
   scalar path, so monitored and faulted runs accelerate too.
 
 A stage signature may summarise its control state per *regime* — the
-shift buffer's prime planes, steady planes and final plane each recur
-with their own period — because the capacity ends every window where
-the stage leaves the regime its signature describes.  After each
-window, and whenever a regime ends within one period, detection starts
-afresh from the fingerprint table, so each regime gets its own window.
+shift buffer's prime planes recur every feed, its steady planes every
+plane — because the capacity ends every window where the stage leaves
+the regime its signature describes.  A stage may also describe a
+shorter-period *inner* regime nested inside its outer one
+(:meth:`~repro.dataflow.stage.Stage.ff_inner_signature`: the shift
+buffer's emitting columns recur every column within one plane).  The
+engine keeps one fingerprint table per level.  It looks the outer key
+up first, then the inner key (the machine key with the inner stage
+signatures swapped in), and on a miss records the cycle under both.  An
+inner hit runs a window bounded by every stage's
+:meth:`~repro.dataflow.stage.Stage.ff_inner_capacity`, so the plane
+that proves the plane period batches its columns while the proof is
+still running.  After a window, or when a regime ends within one
+period, detection at that level starts afresh: an inner window clears
+only the inner table, since it moved every counter exactly as scalar
+ticking would and a plane recurrence measured across it stays exact;
+an outer window clears both.
 A stage whose output counts could depend on data values returns
 ``None`` from ``ff_signature`` (the arbitrated multi-kernel read stage
 does so the moment its arbiter has ever starved it), and the run
@@ -352,6 +364,7 @@ class DataflowEngine:
                         if stream.fault_hook is not None],
             )
         ff_table: dict[Any, tuple[int, tuple[tuple, tuple]]] = {}
+        inner_table: dict[Any, tuple[int, tuple[tuple, tuple]]] = {}
         batched_windows = 0
         batched_cycles = 0
         plan_trace_len = len(plan.trace) if plan is not None else 0
@@ -427,6 +440,7 @@ class DataflowEngine:
                 assert plan is not None
                 if len(plan.trace) != plan_trace_len:
                     ff_table.clear()
+                    inner_table.clear()
                     for event in plan.trace[plan_trace_len:]:
                         if event.site == "fifo" and event.kind == "corrupt":
                             batched = False
@@ -446,6 +460,7 @@ class DataflowEngine:
                         and boundaries[boundary_idx] <= cycle + 1:
                     boundary_idx += 1
                 ff_table.clear()
+                inner_table.clear()
             if batched:
                 sig, veto_stage = self._ff_machine_signature(
                     order, streams, cycle + 1)
@@ -459,23 +474,35 @@ class DataflowEngine:
                     )
                     batched = False
                     ff_table.clear()
+                    inner_table.clear()
                     veto_cycle = cycle
                 else:
                     hit = ff_table.get(sig)
+                    inner = False
                     if hit is None:
-                        if len(ff_table) >= _FF_TABLE_CAP:
-                            ff_table.clear()
-                        ff_table[sig] = (cycle + 1,
-                                         self._ff_snapshot(order, streams))
-                        cycle += 1
-                        continue
+                        inner_sig = self._ff_inner_signature(
+                            order, sig, cycle + 1)
+                        if inner_sig is not None:
+                            hit = inner_table.get(inner_sig)
+                            inner = hit is not None
+                        if hit is None:
+                            if len(ff_table) >= _FF_TABLE_CAP:
+                                ff_table.clear()
+                                inner_table.clear()
+                            entry = (cycle + 1,
+                                     self._ff_snapshot(order, streams))
+                            ff_table[sig] = entry
+                            if inner_sig is not None:
+                                inner_table[inner_sig] = entry
+                            cycle += 1
+                            continue
                     first_cycle, snapshot = hit
                     period = (cycle + 1) - first_cycle
                     fires_before = ({s.name: s.stats.fires for s in order}
                                     if trace_on else None)
                     skipped = execute_window(
                         order, streams, compiled.stream_index, cycle + 1,
-                        period, snapshot, cap, calendar)
+                        period, snapshot, cap, calendar, inner=inner)
                     if skipped > 0:
                         batched_windows += 1
                         batched_cycles += skipped
@@ -485,7 +512,8 @@ class DataflowEngine:
                                 f"batched x{skipped}", "engine",
                                 cycle + 1, cycle + 1 + skipped,
                                 category="batched",
-                                period=period)
+                                period=period,
+                                level="inner" if inner else "outer")
                             for stage in order:
                                 if stage.stats.fires \
                                         <= fires_before[stage.name]:
@@ -501,10 +529,16 @@ class DataflowEngine:
                     if skipped:
                         # A window moved every counter, or (-1) a stage's
                         # supply or control regime ends within one period:
-                        # every stored snapshot is stale, so hunt afresh.
-                        # 0 (a parked zero-fire period, or an event due
-                        # within one period) keeps the detection state.
-                        ff_table.clear()
+                        # the stored snapshots of that level are stale, so
+                        # hunt afresh.  An inner window keeps the outer
+                        # table: it moved every counter exactly as scalar
+                        # ticking would, so a recurrence measured across
+                        # it is still exact.  0 (a parked zero-fire
+                        # period, or an event due within one period) keeps
+                        # the detection state.
+                        inner_table.clear()
+                        if not inner:
+                            ff_table.clear()
             cycle += 1
         else:
             if self.watchdog is not None and cap == self.watchdog:
@@ -657,6 +691,21 @@ class DataflowEngine:
             tuple(stage_sigs),
             tuple([stream.occupancy for stream in streams]),
         ), None
+
+    def _ff_inner_signature(self, order: list[Stage], sig: tuple,
+                            at_cycle: int) -> tuple | None:
+        """``sig`` with every inner stage signature swapped in, or
+        ``None`` when no stage is in an inner regime."""
+        stage_sigs = None
+        for i, stage in enumerate(order):
+            inner = stage.ff_inner_signature(at_cycle)
+            if inner is not None:
+                if stage_sigs is None:
+                    stage_sigs = list(sig[0])
+                stage_sigs[i] = inner
+        if stage_sigs is None:
+            return None
+        return (tuple(stage_sigs), sig[1])
 
     def _ff_snapshot(self, order: list[Stage], streams: list[Stream]
                      ) -> tuple[tuple, tuple]:

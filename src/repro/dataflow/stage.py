@@ -306,6 +306,24 @@ class Stage:
         """
         return want
 
+    def ff_inner_signature(self, cycle: int) -> tuple | None:
+        """Control summary in a finer *inner* regime, or ``None``.
+
+        A stage whose :meth:`ff_signature` regime has a long period may
+        also describe a shorter-period regime nested inside it (the
+        shift buffer's one-column period inside its one-plane period).
+        The engine hunts that key too, with this signature in place of
+        :meth:`ff_signature`, and bounds its windows by
+        :meth:`ff_inner_capacity`.  ``None`` (the default) means the
+        stage is in no inner regime now.
+        """
+        return None
+
+    def ff_inner_capacity(self, want: int) -> int:
+        """:meth:`ff_fire_capacity` for the :meth:`ff_inner_signature`
+        regime: firings before the stage leaves it or runs dry."""
+        return self.ff_fire_capacity(want)
+
     def ff_pipeline_entries(self) -> list[dict[str, list[Any]]]:
         """The produced-output dicts currently in the pipeline, in order."""
         return [produced for _ready, produced, _shape in self._pipeline]

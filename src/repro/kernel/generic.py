@@ -84,6 +84,13 @@ class GeneralShiftBufferStage(Stage):
     def ff_fire_capacity(self, want: int) -> int:
         return self.buffer.regime_feeds(want)
 
+    def ff_inner_signature(self, cycle: int) -> tuple | None:
+        inner = self.buffer.inner_regime()
+        return None if inner is None else super().ff_signature(cycle) + inner
+
+    def ff_inner_capacity(self, want: int) -> int:
+        return self.buffer.inner_regime_feeds(want)
+
 
 class WindowComputeStage(Stage):
     """Evaluates each window's cell and the boundary cells it resolves.

@@ -378,6 +378,13 @@ class ShiftBufferStage(Stage):
     def ff_fire_capacity(self, want: int) -> int:
         return self._buffers["u"].regime_feeds(want)
 
+    def ff_inner_signature(self, cycle: int) -> tuple | None:
+        inner = self._buffers["u"].inner_regime()
+        return None if inner is None else super().ff_signature(cycle) + inner
+
+    def ff_inner_capacity(self, want: int) -> int:
+        return self._buffers["u"].inner_regime_feeds(want)
+
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
         if self._backing is None:

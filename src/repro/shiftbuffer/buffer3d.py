@@ -174,31 +174,45 @@ class ShiftBuffer3D:
         * prime (``x < 2``): no feed can emit, so every feed behaves
           alike and the period is one feed;
         * steady: planes ``x >= 2`` all behave alike, so clamping X makes
-          them comparable and the period one full ``ny * nz`` plane;
-        * last plane: fewer feeds remain than a plane period, but its
-          emitting columns (``y >= 2``) all behave alike, so the period
-          is one column of ``nz`` feeds.
+          them comparable and the period one full ``ny * nz`` plane.
 
-        A stage streaming this buffer appends the regime to its control
-        signature and bounds every batched window by
-        :meth:`regime_feeds`.
+        This is the *outer* regime.  A stage streaming this buffer
+        appends it to its control signature and bounds every batched
+        window by :meth:`regime_feeds`; :meth:`inner_regime` refines the
+        steady planes to one column.
         """
-        x, y, z = self._x, self._y, self._z
-        if x < 2:
+        if self._x < 2:
             return ("prime",)
-        if x == self.nx - 1:
-            return ("last", min(y, 2), z)
-        return (2, y, z)
+        return (2, self._y, self._z)
 
     def regime_feeds(self, want: int) -> int:
         """How many of ``want`` feeds stay inside the current regime.
 
         The prime regime ends where emission starts (two full planes);
-        the steady and last-plane regimes run to the end of the block.
+        the steady regime runs to the end of the block.
         """
         if self._x < 2:
             return min(want, 2 * self.ny * self.nz - self._fed)
         return min(want, self.expected_feeds - self._fed)
+
+    def inner_regime(self) -> tuple | None:
+        """The column-periodic regime inside one steady plane, or ``None``.
+
+        The emitting columns (``y >= 2``) of plane ``x >= 2`` all behave
+        alike, so keeping ``(x, z)`` makes them comparable and the period
+        one column of ``nz`` feeds.  That lets a plane's columns batch
+        where the plane period of :meth:`regime` cannot: in the plane
+        that proves that period, and in the final plane, where fewer
+        feeds remain than one plane.  The silent columns ``y < 2`` and
+        the prime planes have no inner regime.
+        """
+        if self._x < 2 or self._y < 2:
+            return None
+        return (self._x, self._z)
+
+    def inner_regime_feeds(self, want: int) -> int:
+        """How many of ``want`` feeds stay inside plane ``x``."""
+        return min(want, (self._x + 1) * self.ny * self.nz - self._fed)
 
     # -- the update ---------------------------------------------------------------
 

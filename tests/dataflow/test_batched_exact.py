@@ -304,6 +304,8 @@ class TestObservability:
         spans = [s for s in tracer.spans if s.category == "batched"]
         assert len(spans) == stats.batched_windows
         assert sum(s.end - s.start for s in spans) == stats.batched_cycles
+        # No stage of a plain pipeline has an inner regime.
+        assert {s.args["level"] for s in spans} == {"outer"}
 
     def test_metrics_carry_the_batched_counters(self):
         registry = MetricRegistry(enabled=True)

@@ -209,13 +209,13 @@ class TestRunStatsMerge:
         assert RunStats.merge([RunStats(cycles=5)]).batch_fallback_reason \
             is None
 
-    def test_summary_reports_fast_forward(self):
+    def test_summary_reports_the_batched_split(self):
         stats = RunStats(cycles=500, fires={"fn": 400}, batched_windows=2,
                          batched_cycles=300)
         text = stats.summary()
         assert "300 batched in 2 windows, 200 scalar" in text
         assert "fn" in text
 
-    def test_summary_quiet_without_fast_forward(self):
+    def test_summary_quiet_without_batched_windows(self):
         stats = RunStats(cycles=500, fires={"fn": 400})
         assert "batched" not in stats.summary()

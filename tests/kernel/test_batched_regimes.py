@@ -1,12 +1,14 @@
-"""Batched windows cover the shift buffer's prime, steady and last regimes.
+"""Batched windows cover the shift buffer's outer and inner regimes.
 
 The shift-buffer stage summarises its streaming position per control
-regime (prime planes, steady planes, final plane), so the batched engine
-batches the fill ramp and the final plane as well as the steady state.
-One oracle judges every run: forced scalar ticking (``batched=False``).
-A batched run must match it on the aggregate statistics (minus the
-engine's own batching accounting), the source arrays byte for byte, and
-the memory-port reports.
+regime: an outer key (prime planes, then one-plane periods) and an inner
+key (one-column periods inside a plane's emitting rows).  The batched
+engine hunts both, so it batches the fill ramp, the steady planes, and
+the emitting columns of the plane that proves the plane period and of
+the final plane.  One oracle judges every run: forced scalar ticking
+(``batched=False``).  A batched run must match it on the aggregate
+statistics (minus the engine's own batching accounting), the source
+arrays byte for byte, and the memory-port reports.
 """
 
 from hypothesis import given, settings
@@ -63,9 +65,17 @@ def test_generated_grids_match_scalar(run, seed):
                        read_ii=read_ii)
 
 
+def _steady_plane(config):
+    """Feeds (one per cycle) in one Y-Z plane of the kernel's only chunk."""
+    (chunk,) = config.chunk_plan().chunks
+    return chunk.read_width * config.grid.nz
+
+
 class TestScalarRemainder:
-    """Only one steady plane (the period proof) plus short edges tick
-    scalar; the prime planes and the final plane batch."""
+    """Less than one steady plane ticks scalar: the read fill, the silent
+    columns and proving column of the first steady plane, the cycles
+    until the next plane recurs, the final plane's silent and proving
+    columns, and the drain."""
 
     def check(self, n):
         grid = Grid(nx=n, ny=n, nz=n)
@@ -73,16 +83,42 @@ class TestScalarRemainder:
         result = run_against_scalar(config,
                                     random_wind(grid, seed=0, magnitude=2.0))
         agg = result.aggregate_stats()
-        (chunk,) = config.chunk_plan().chunks
-        steady_plane = chunk.read_width * grid.nz  # feeds, one per cycle
-        assert agg.batched_windows == 3  # prime, steady, last plane
-        assert result.total_cycles - agg.batched_cycles < 2 * steady_plane
+        assert result.total_cycles - agg.batched_cycles < _steady_plane(config)
 
     def test_16_cubed(self):
         self.check(16)
 
     def test_32_cubed(self):
         self.check(32)
+
+    def test_64_cubed_batched(self):
+        # Paper scale, batched only: forced scalar takes tens of seconds.
+        grid = Grid(nx=64, ny=64, nz=64)
+        config = KernelConfig(grid=grid)
+        result = simulate_kernel(config,
+                                 random_wind(grid, seed=0, magnitude=2.0))
+        agg = result.aggregate_stats()
+        assert result.total_cycles - agg.batched_cycles \
+            < _steady_plane(config) // 4
+
+
+def test_window_spans_name_their_level():
+    """At 16^3 the engine opens, in order: the prime window (outer,
+    period 1), the proving plane's emitting columns (inner, one column),
+    the steady planes (outer, one plane) and the final plane's emitting
+    columns (inner, one column)."""
+    grid = Grid(nx=16, ny=16, nz=16)
+    tracer = Tracer()
+    result = simulate_kernel(KernelConfig(grid=grid),
+                             random_wind(grid, seed=0, magnitude=2.0),
+                             tracer=tracer)
+    windows = [span for span in tracer.spans if span.category == "batched"]
+    assert [(span.args["level"], span.args["period"]) for span in windows] \
+        == [("outer", 1), ("inner", 16), ("outer", 288), ("inner", 16)]
+    assert [span.end - span.start for span in windows] \
+        == [575, 208, 4032, 192]
+    assert sum(span.end - span.start for span in windows) \
+        == result.aggregate_stats().batched_cycles
 
 
 def test_prime_is_batched_before_the_first_emission():
@@ -119,6 +155,5 @@ def test_multi_kernel_run_reports_its_split():
     chunks = config.chunk_plan().chunks
     steady_plane = chunks[0].read_width * grid.nz
     assert result.batch_fallback_reason is None
-    assert result.batched_windows == 3 * len(chunks)
     assert result.total_cycles - result.batched_cycles \
-        < 2 * steady_plane * len(chunks)
+        < steady_plane * len(chunks)

@@ -157,6 +157,51 @@ class TestStreamingProtocol:
         assert_same_windows(second, first)
 
 
+class TestControlRegimes:
+    """Each regime key, bounded by its capacity, fixes the emissions."""
+
+    @staticmethod
+    def walk(nx, ny, nz):
+        """Per feed: (outer key, outer feeds, inner key, inner feeds,
+        windows emitted)."""
+        buf = ShiftBuffer3D(nx, ny, nz)
+        rows = []
+        for _ in range(buf.expected_feeds):
+            rows.append((buf.regime(), buf.regime_feeds(10**9),
+                         buf.inner_regime(), buf.inner_regime_feeds(10**9),
+                         len(buf.feed(0.0))))
+        return rows
+
+    def test_keys_in_closed_form(self):
+        nx, ny, nz = 5, 6, 4
+        for fed, (outer, _, inner, inner_feeds, _) in enumerate(
+                self.walk(nx, ny, nz)):
+            x, rest = divmod(fed, ny * nz)
+            y, z = divmod(rest, nz)
+            assert outer == (("prime",) if x < 2 else (2, y, z))
+            assert inner == (None if x < 2 or y < 2 else (x, z))
+            assert inner_feeds == (x + 1) * ny * nz - fed
+
+    @pytest.mark.parametrize("extents", [(5, 6, 4), (4, 3, 3), (6, 5, 5)])
+    def test_equal_keys_replay_within_their_capacity(self, extents):
+        """Two positions with one key emit alike for as many feeds as the
+        later one's capacity allows: the premise of every batched window."""
+        rows = self.walk(*extents)
+        emitted = [row[4] for row in rows]
+        for key_at, feeds_at in ((0, 1), (2, 3)):
+            first_seen: dict = {}
+            for fed, row in enumerate(rows):
+                key = row[key_at]
+                if key is None:
+                    continue
+                if key in first_seen:
+                    start, stop = first_seen[key], fed + row[feeds_at]
+                    assert emitted[start:start + stop - fed] \
+                        == emitted[fed:stop]
+                else:
+                    first_seen[key] = fed
+
+
 class TestPortPressure:
     def test_partitioned_never_exceeds_two(self):
         tracker = MemoryPortTracker(enforce=True)
