@@ -900,10 +900,14 @@ def _cmd_analyze(args) -> int:
         patch_spec_depths
     from repro.core.grid import Grid
     from repro.dataflow.engine import DataflowEngine
-    from repro.errors import LintError
+    from repro.errors import AnalyzeError, LintError
     from repro.lint.builders import build_structural_graph
     from repro.lint.spec import load_spec
 
+    if args.tokens is not None and args.tokens < 1:
+        # analyze_graph accepts 0 tokens, but a proof over an empty run
+        # proves nothing about the design.
+        raise AnalyzeError(f"--tokens must be >= 1, got {args.tokens}")
     if args.fix_depths and len(args.specs) != 1:
         print("error: --fix-depths needs exactly one spec", file=sys.stderr)
         return 2

@@ -21,9 +21,11 @@ them across the simulated device fleet under deterministic virtual time
 5. **Answer** — the numeric sources are computed on the *host* by the
    device-independent functional path, so where a job ran — or how
    often it was resharded — can never change its bytes.  Exact-tier
-   jobs additionally run the cycle-accurate engine for their stats.
-   The checksum over the sources is the bit-identity witness the chaos
-   gate compares across legs.
+   jobs additionally carry the cycle-accurate engine's count, with one
+   engine run per configuration per scheduler: a fault-free run's
+   count is control, never data (``tests/serve/test_exact_cycles.py``
+   pins that premise).  The checksum over the sources is the
+   bit-identity witness the chaos gate compares across legs.
 
 Recovery: a worker whose breaker is open sleeps until the half-open
 probe is due, probes the device, and either re-closes the breaker
@@ -152,6 +154,8 @@ class FleetScheduler:
         self._backlog_seconds = 0.0
         self._workers: list["asyncio.Task[None]"] = []
         self._started = False
+        #: exact-tier cycle count per configuration (see _exact_cycles).
+        self._cycles_by_config: dict[Any, int] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -472,31 +476,58 @@ class FleetScheduler:
         Sources always come from the device-independent functional
         path, so the checksum is a pure function of the input — the
         invariant that makes resharding and degradation bit-identical
-        by construction.  Scenario jobs dispatch to the scenario's own
-        kernel (reference numerics; its engine for exact-tier cycles).
+        by construction.  Scenario jobs take the scenario kernel's
+        reference numerics.  Exact-tier cycles come from
+        :meth:`_exact_cycles`: one engine run per configuration per
+        scheduler (``tests/serve/test_exact_cycles.py`` pins the
+        premise).
         """
-        stats_cycles: int | None = None
         if record.spec.scenario is not None:
             from repro.scenarios import get as get_scenario
 
-            scenario = get_scenario(record.spec.scenario)
-            sources = scenario.kernel.reference(record.fields)
-            if mode == "exact":
-                stats_cycles = scenario.kernel.run(
-                    record.fields, mode="exact")[2]
+            sources = get_scenario(record.spec.scenario).kernel.reference(
+                record.fields)
         else:
-            config = serve_config(record.spec.grid())
-            sources = execute_chunked(config, record.fields)
-            if mode == "exact":
-                from repro.kernel.simulate import simulate_kernel
-
-                sim = simulate_kernel(config, record.fields, mode="exact")
-                stats_cycles = sim.total_cycles
+            sources = execute_chunked(serve_config(record.spec.grid()),
+                                      record.fields)
+        stats_cycles = self._exact_cycles(record) if mode == "exact" \
+            else None
         checksum = checksum_sources(sources)
         self.cache.put(record.fingerprint, mode,
                        CacheEntry(checksum=checksum, sources=sources,
                                   stats_cycles=stats_cycles))
         return checksum, stats_cycles
+
+    def _exact_cycles(self, record: _JobRecord) -> int:
+        """Cycle-accurate total of one exact-tier job.
+
+        One engine run per configuration per scheduler: the first exact
+        job of a configuration runs the engine, later ones reuse its
+        count.  Plain jobs key on their frozen ``serve_config``;
+        scenario jobs on ``(scenario, grid)``, since the scenario kernel
+        derives its whole configuration from the grid.  The run never
+        takes this scheduler's fault plan, monitors or tracer, so it is
+        always fault-free and its count is control only, never a
+        function of the wind values (``tests/serve/test_exact_cycles.py``
+        pins that premise).
+        """
+        spec = record.spec
+        key: Any = (serve_config(spec.grid()) if spec.scenario is None
+                    else (spec.scenario, spec.grid()))
+        cycles = self._cycles_by_config.get(key)
+        if cycles is None:
+            if spec.scenario is None:
+                from repro.kernel.simulate import simulate_kernel
+
+                cycles = simulate_kernel(key, record.fields,
+                                         mode="exact").total_cycles
+            else:
+                from repro.scenarios import get as get_scenario
+
+                cycles = get_scenario(spec.scenario).kernel.run(
+                    record.fields, mode="exact")[2]
+            self._cycles_by_config[key] = cycles
+        return cycles
 
     # -- batch entry points -------------------------------------------------
 

@@ -171,6 +171,25 @@ class TestExplicitZeroFlags:
         assert (f"error: clock must be positive, got {float(clock)}"
                 in captured.err)
 
+    @pytest.mark.parametrize("tokens", ["0", "-5"])
+    def test_analyze_rejects_fewer_than_one_token(self, capsys, monkeypatch,
+                                                  tokens):
+        from repro import cli
+        from repro.errors import AnalyzeError
+
+        def analyze_graph(*args, **kwargs):
+            raise AssertionError("analyzed before checking the tokens")
+
+        monkeypatch.setattr("repro.analyze.analyze_graph", analyze_graph)
+        with pytest.raises(AnalyzeError, match="tokens"):
+            cli._cmd_analyze(build_parser().parse_args(
+                ["analyze", "--tokens", tokens]))
+        assert main(["analyze", "--tokens", tokens]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: --tokens must be >= 1, got {tokens}"
+                in captured.err)
+
     def test_trace_rejects_zero_chunk_width(self, capsys, tmp_path):
         assert main(["trace", "--nx", "8", "--ny", "8", "--nz", "8",
                      "--chunk-width", "0",
