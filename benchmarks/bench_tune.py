@@ -8,10 +8,11 @@ runtime session prices each distinct X-chunk subgrid once in both, so
 the per-point leg is not the cost of an unmemoised tuner.  It verifies
 both legs produce identical ``Evaluation.to_dict()`` lists, and records
 wall times, the speedup, and how often each leg called ``lint_kernel``,
-``static_kernel_cycles`` and ``FPGADevice.invocation`` (the last counts
-the runtime session's per-chunk pricing too) to
-``benchmarks/BENCH_tune.json``.  No engine cycles are simulated: each
-record's ``cycles`` is 0 and the points priced are in its ``extra``.
+``static_kernel_cycles``, ``analyze_graph``, ``AdvectionSession.run``
+and ``FPGADevice.invocation`` (the last counts the runtime session's
+per-chunk pricing too) to ``benchmarks/BENCH_tune.json``.  No engine
+cycles are simulated: each record's ``cycles`` is 0 and the points
+priced are in its ``extra``.
 
 Usage::
 
@@ -19,8 +20,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_tune.py --smoke \\
         --output /tmp/bench_tune.json                           # 216 points
 
-``--smoke`` keeps only the narrowest chunk width (216 points, 18 lint
-inputs, 3 configs).  Exit status is non-zero if the legs disagree or the
+``--smoke`` keeps only the narrowest chunk width (216 points, 3
+structural graphs, 18 lint inputs, 3 configs, 72 host schedules).  Exit status is non-zero if the legs disagree or the
 per-search model is less than ``MIN_SPEEDUP`` times faster.
 """
 
@@ -34,25 +35,35 @@ import sys
 import time
 from typing import Any, Callable, Iterator
 
+import repro.lint.rules_analyze as rules_analyze
 import repro.tune.cost as cost_module
 from repro.core.grid import Grid
 from repro.hardware.device import FPGADevice
 from repro.hardware.devices import ALVEO_U280
 from repro.perf.bench import BenchRecord, BenchSuite
+from repro.runtime.session import AdvectionSession
 from repro.tune.space import ParameterSpace
 
 DEFAULT_OUTPUT = "benchmarks/BENCH_tune.json"
-#: About half the measured smoke speedup (6.1-7.5x).
-MIN_SPEEDUP = 3.0
+#: About half the typical smoke speedup (17x; runs read 14-22x).
+MIN_SPEEDUP = 8.0
+
+#: (owner, attribute, count name) of every sub-model call counted; the
+#: SA lint rules prove the graph themselves when not handed a proof.
+_COUNTED: tuple[tuple[Any, str, str], ...] = (
+    (cost_module, "lint_kernel", "lint_kernel"),
+    (cost_module, "static_kernel_cycles", "static_kernel_cycles"),
+    (cost_module, "analyze_graph", "analyze_graph"),
+    (rules_analyze, "analyze_graph", "analyze_graph"),
+    (AdvectionSession, "run", "session_run"),
+    (FPGADevice, "invocation", "invocation"),
+)
 
 
 @contextlib.contextmanager
 def counted_calls() -> Iterator[dict[str, int]]:
     """Count the cost model's sub-model calls while the block runs."""
-    counts = {"lint_kernel": 0, "static_kernel_cycles": 0, "invocation": 0}
-    patches = [(cost_module, "lint_kernel"),
-               (cost_module, "static_kernel_cycles"),
-               (FPGADevice, "invocation")]
+    counts = {name: 0 for _, _, name in _COUNTED}
 
     def counting(name: str, original: Callable) -> Callable:
         def wrapper(*args: Any, **kwargs: Any) -> Any:
@@ -60,14 +71,15 @@ def counted_calls() -> Iterator[dict[str, int]]:
             return original(*args, **kwargs)
         return wrapper
 
-    saved = [(owner, name, getattr(owner, name)) for owner, name in patches]
+    saved = [(owner, attr, getattr(owner, attr), name)
+             for owner, attr, name in _COUNTED]
     try:
-        for owner, name, original in saved:
-            setattr(owner, name, counting(name, original))
+        for owner, attr, original, name in saved:
+            setattr(owner, attr, counting(name, original))
         yield counts
     finally:
-        for owner, name, original in saved:
-            setattr(owner, name, original)
+        for owner, attr, original, _ in saved:
+            setattr(owner, attr, original)
 
 
 def run_leg(points, grid: Grid, *, shared: bool):

@@ -801,6 +801,13 @@ def _cmd_lint(args) -> int:
 
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
+    try:
+        # Reject a filter that matches nothing before any target kind
+        # (flags, --backend, --scenario, specs) is linted.
+        registry.selected(select=select, ignore=ignore)
+    except LintError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     if args.backend and (args.scenario or args.specs):
         print("error: --backend lints the kernel built from the flags, "

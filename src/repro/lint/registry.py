@@ -23,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
-from repro.errors import ChunkingError
+from repro.errors import ChunkingError, LintError
 from repro.lint.diagnostics import Diagnostic, Severity
 
 if TYPE_CHECKING:  # imports deferred to avoid cycles at package import
+    from repro.analyze.report import AnalysisReport
     from repro.dataflow.graph import DataflowGraph
     from repro.hardware.device import FPGADevice
     from repro.kernel.config import KernelConfig
@@ -42,7 +43,10 @@ class LintContext:
     Any field may be ``None``; rules declare their requirements and are
     skipped when the context lacks them.  ``chunk_plan`` defaults to the
     config's own plan; passing one explicitly lets callers lint hand-built
-    (possibly broken) plans.
+    (possibly broken) plans.  ``analysis`` is likewise a precomputed
+    input: the static verifier's report on ``graph``, which the ``SA``
+    rules derive with :func:`~repro.analyze.report.analyze_graph` when
+    it is ``None``.
     """
 
     graph: "DataflowGraph | None" = None
@@ -57,6 +61,10 @@ class LintContext:
     #: ``BK`` rule family requires it, so every existing flow skips
     #: those rules untouched.
     backend_deployment: Any = None
+    #: A proof of ``graph`` computed ahead of the lint run (a caller
+    #: that lints many configs of one graph proves it once); it must be
+    #: ``analyze_graph(graph)``'s result, so the diagnostics match.
+    analysis: "AnalysisReport | None" = None
     #: Free-form extras for experiment-specific rules.
     extras: dict[str, Any] = field(default_factory=dict)
 
@@ -139,7 +147,10 @@ class RuleRegistry:
         """Rules enabled under ``select``/``ignore`` filters.
 
         Filters match exact codes, code prefixes (``DF``), or family
-        names; ``ignore`` wins over ``select``.
+        names; ``ignore`` wins over ``select``.  A pattern that is empty
+        or matches no registered rule raises :class:`LintError`, since
+        a mistyped filter would otherwise silently select nothing or
+        ignore everything.
         """
         def matches(r: Rule, patterns: Iterable[str]) -> bool:
             return any(
@@ -148,11 +159,19 @@ class RuleRegistry:
             )
 
         rules = list(self)
-        if select is not None:
-            chosen = list(select)
+        chosen = None if select is None else list(select)
+        dropped = None if ignore is None else list(ignore)
+        unmatched = [p for p in (chosen or []) + (dropped or [])
+                     if not p or not any(matches(r, [p]) for r in rules)]
+        if unmatched:
+            raise LintError(
+                "unmatched lint filter pattern(s) "
+                + ", ".join(repr(p) for p in unmatched)
+                + ": a pattern must name a rule code, a code prefix or a "
+                  "family (see repro lint --list-rules)")
+        if chosen is not None:
             rules = [r for r in rules if matches(r, chosen)]
-        if ignore is not None:
-            dropped = list(ignore)
+        if dropped is not None:
             rules = [r for r in rules if not matches(r, dropped)]
         return rules
 
@@ -168,7 +187,7 @@ def rule(code: str, *, name: str, family: str, description: str,
     """Decorator registering a check function as a lint rule."""
 
     def decorate(fn: CheckFn) -> CheckFn:
-        (registry or DEFAULT_REGISTRY).register(Rule(
+        (DEFAULT_REGISTRY if registry is None else registry).register(Rule(
             code=code, name=name, family=family, description=description,
             requires=requires, default_severity=severity, check=fn,
         ))

@@ -7,9 +7,10 @@ below are facts about the abstract machine's exact trajectory, each
 carrying a concrete witness, not heuristics.
 
 The analysis runs once per lint pass and is shared between the rules via
-``context.extras``.  Graphs with structural errors (unconnected ports,
-cycles, empty regions) are not analyzable; the SA rules stay silent and
-let ``DF001``–``DF003`` report the root cause.
+``context.extras``; a caller that already holds the proof passes it as
+``context.analysis`` and none runs.  Graphs with structural errors
+(unconnected ports, cycles, empty regions) are not analyzable; the SA
+rules stay silent and let ``DF001``–``DF003`` report the root cause.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ def _analysis(context: LintContext) -> AnalysisReport | None:
         if any(d.severity is Severity.ERROR
                for d in graph.structural_diagnostics()):
             context.extras[_EXTRAS_KEY] = None
+        elif context.analysis is not None:
+            context.extras[_EXTRAS_KEY] = context.analysis
         else:
             context.extras[_EXTRAS_KEY] = analyze_graph(graph)
     report: AnalysisReport | None = context.extras[_EXTRAS_KEY]

@@ -18,6 +18,7 @@ from repro.lint.diagnostics import LintReport
 from repro.lint.registry import DEFAULT_REGISTRY, LintContext, RuleRegistry
 
 if TYPE_CHECKING:
+    from repro.analyze.report import AnalysisReport
     from repro.dataflow.graph import DataflowGraph
     from repro.hardware.device import FPGADevice
     from repro.kernel.config import KernelConfig
@@ -85,8 +86,15 @@ def lint_kernel(config: "KernelConfig",
                 device: "FPGADevice | None" = None,
                 num_kernels: int | None = None, *,
                 graph: "DataflowGraph | None" = None,
-                read_ii: int = 1, **kwargs) -> LintReport:
-    """Lint a kernel design, deriving its Fig. 2 graph if none is given."""
+                read_ii: int = 1,
+                analysis: "AnalysisReport | None" = None,
+                **kwargs) -> LintReport:
+    """Lint a kernel design, deriving its Fig. 2 graph if none is given.
+
+    ``analysis`` is a precomputed proof of that graph
+    (:attr:`LintContext.analysis`); the ``SA`` rules derive one when it
+    is ``None``.
+    """
     if num_kernels is not None and num_kernels < 1:
         raise ConfigurationError(
             f"num_kernels must be >= 1, got {num_kernels}"
@@ -97,6 +105,7 @@ def lint_kernel(config: "KernelConfig",
         graph = build_structural_graph(config, read_ii=read_ii)
     return run_lint(
         LintContext(graph=graph, config=config, device=device,
-                    num_kernels=num_kernels, read_ii=read_ii),
+                    num_kernels=num_kernels, read_ii=read_ii,
+                    analysis=analysis),
         **kwargs,
     )

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analyze.kernel import static_kernel_cycles
+from repro.analyze.report import AnalysisReport, analyze_graph
 from repro.core.flops import grid_flops
 from repro.core.grid import Grid
 from repro.errors import CapacityError, ConfigurationError, TuneError
@@ -28,10 +29,11 @@ from repro.hardware.device import FPGADevice, InvocationEstimate
 from repro.hardware.resources import ResourceVector
 from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import KernelCycleModel
+from repro.lint.builders import build_structural_graph
 from repro.lint.runner import lint_kernel
 from repro.precision.formats import FLOAT64
 from repro.precision.resources import precision_kernel_resources
-from repro.runtime.session import AdvectionSession
+from repro.runtime.session import AdvectionSession, RunResult
 from repro.tune.space import TunePoint
 
 __all__ = ["Evaluation", "CostModel", "OBJECTIVES"]
@@ -160,16 +162,20 @@ class CostModel:
         #: GFLOPS axes re-scale by this ratio).
         self.flops_scale = flops_scale
         self._flops = round(grid_flops(grid) * flops_scale)
-        # Each sub-model's result per distinct input, keyed by exactly
-        # the arguments it receives.  A search visits every config many
-        # times (at 64^3 on the U280, 864 points share 72 lint inputs,
-        # 12 configs and 144 invocations); the dicts live and die with
-        # this model, so a fresh process still pays every cold call.
+        # Each sub-model's result per distinct input, keyed by the
+        # inputs it reads.  A search visits every config many times (at
+        # 64^3 on the U280, 864 points share 3 structural graphs, 72
+        # lint inputs, 12 configs, 144 invocations and 288 host
+        # schedules); the dicts live and die with this model, so a
+        # fresh process still pays every cold call.
+        self._analyses: dict[int, AnalysisReport] = {}
         self._lint_codes: dict[tuple[KernelConfig, int],
                                tuple[str, ...]] = {}
         self._cycles: dict[KernelConfig, tuple[int, int]] = {}
         self._invocations: dict[tuple[KernelConfig, int, str],
                                 InvocationEstimate] = {}
+        self._runs: dict[tuple[int, int, str, str, int, bool],
+                         RunResult] = {}
 
     # -- feasibility ---------------------------------------------------------
 
@@ -197,7 +203,8 @@ class CostModel:
         config = point.config(self.grid)
         key = (config, point.num_kernels)
         if key not in self._lint_codes:
-            report = lint_kernel(config, self.device, point.num_kernels)
+            report = lint_kernel(config, self.device, point.num_kernels,
+                                 analysis=self._analysis(config))
             self._lint_codes[key] = tuple(
                 sorted({d.code for d in report.errors}))
         codes = self._lint_codes[key]
@@ -230,10 +237,7 @@ class CostModel:
         try:
             invocation = self._invocation(config, point.num_kernels,
                                           point.memory)
-            session = AdvectionSession(
-                self.device, config, num_kernels=point.num_kernels,
-                memory=point.memory, x_chunks=point.x_chunks)
-            run = session.run(self.grid, overlapped=point.overlapped)
+            run = self._run(point, config)
         except (CapacityError, ConfigurationError) as error:
             return _infeasible(point, ("TN002",), str(error))
 
@@ -261,6 +265,39 @@ class CostModel:
             analytic_cycles=analytic_cycles,
             static_cycles=static_cycles,
         )
+
+    def _analysis(self, config: KernelConfig) -> AnalysisReport:
+        """The proof of ``config``'s Fig. 2 structural graph.
+
+        The graph reads the stream depth, the stage latencies and the
+        initiation intervals.  A point's config sets only the depth of
+        those, so one proof per depth serves every chunk width, word
+        width and replica count.
+        """
+        depth = config.stream_depth
+        if depth not in self._analyses:
+            self._analyses[depth] = analyze_graph(
+                build_structural_graph(config))
+        return self._analyses[depth]
+
+    def _run(self, point: TunePoint, config: KernelConfig) -> RunResult:
+        """The end-to-end session run for ``point``'s host schedule.
+
+        The session and the invocation model it calls read the chunk
+        width and the word width, never the stream depth (pinned by
+        ``tests/runtime/test_session_properties.py``), so points that
+        differ only in depth share one run.  Only successful runs are
+        kept: a failing one raises again for every point that asks.
+        """
+        key = (point.chunk_width, point.num_kernels, point.precision,
+               point.memory, point.x_chunks, point.overlapped)
+        if key not in self._runs:
+            session = AdvectionSession(
+                self.device, config, num_kernels=point.num_kernels,
+                memory=point.memory, x_chunks=point.x_chunks)
+            self._runs[key] = session.run(self.grid,
+                                          overlapped=point.overlapped)
+        return self._runs[key]
 
     def _invocation(self, config: KernelConfig, num_kernels: int,
                     memory: str) -> InvocationEstimate:

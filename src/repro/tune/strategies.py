@@ -74,6 +74,9 @@ class _Tracker:
         self._objective = objective
         self.seen: dict[str, Evaluation] = {}
         self.order: list[Evaluation] = []
+        #: Canonical index below which every point is in ``seen``
+        #: (see :func:`_first_unseen`).
+        self.cursor = 0
 
     @property
     def exhausted(self) -> bool:
@@ -112,10 +115,17 @@ def _first_unseen(space: ParameterSpace,
     neighbourhood makes no budget progress; jumping here guarantees
     every stall-recovery step evaluates something new, which bounds
     every strategy's runtime by the budget.
+
+    ``tracker.seen`` only grows, so the first unseen index in canonical
+    order never moves back: the tracker's ``cursor`` resumes from the
+    last answer, and all the calls of one search together step through
+    the space at most once.  ``None`` means full coverage.
     """
-    for point in space.points():
+    while tracker.cursor < space.size:
+        point = space.point_at(tracker.cursor)
         if point.key() not in tracker.seen:
             return point
+        tracker.cursor += 1
     return None
 
 

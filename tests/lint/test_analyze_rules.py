@@ -2,8 +2,17 @@
 
 import time
 
+import pytest
+
+import repro.lint.rules_analyze as rules_analyze
+from repro.analyze import analyze_graph
+from repro.core.grid import Grid
 from repro.dataflow.graph import DataflowGraph
-from repro.lint import Severity, lint_graph, load_builtin_rules
+from repro.hardware.devices import ALVEO_U280
+from repro.kernel.config import KernelConfig
+from repro.lint import (LintContext, Severity, build_structural_graph,
+                        lint_graph, lint_kernel, load_builtin_rules,
+                        run_lint)
 from repro.lint.spec import SpecStage
 
 
@@ -118,6 +127,51 @@ class TestStructurallyBrokenGraphs:
         graph.connect("b", "out", "a", "in")
         report = lint_graph(graph)
         assert "DF003" in report.codes
+        assert not any(d.code.startswith("SA") for d in report.diagnostics)
+
+
+class TestSuppliedAnalysis:
+    """A precomputed ``LintContext.analysis`` changes no diagnostic."""
+
+    @staticmethod
+    def forbid_analysis(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze_graph ran despite a supplied "
+                                 "report")
+        monkeypatch.setattr(rules_analyze, "analyze_graph", refuse)
+
+    @pytest.mark.parametrize("stream_depth", [2, 4, 8, 64])
+    @pytest.mark.parametrize("chunk_width,num_kernels", [(8, 1), (32, 7)])
+    def test_kernel_configs_across_depths(self, stream_depth, chunk_width,
+                                          num_kernels, monkeypatch):
+        config = KernelConfig(grid=Grid(16, 32, 8), chunk_width=chunk_width,
+                              stream_depth=stream_depth)
+        derived = lint_kernel(config, ALVEO_U280, num_kernels).to_dict()
+        proof = analyze_graph(build_structural_graph(config))
+        self.forbid_analysis(monkeypatch)
+        supplied = lint_kernel(config, ALVEO_U280, num_kernels,
+                               analysis=proof).to_dict()
+        assert supplied == derived
+
+    def test_under_depth_reconvergence(self, monkeypatch):
+        """The CI analyze job's graph: SA401 and SA402 fire either way."""
+        graph = fork_join_graph(fast_depth=2)
+        derived = lint_graph(graph).to_dict()
+        proof = analyze_graph(fork_join_graph(fast_depth=2))
+        self.forbid_analysis(monkeypatch)
+        supplied = run_lint(LintContext(graph=graph,
+                                        analysis=proof)).to_dict()
+        assert supplied == derived
+        codes = {d["code"] for d in supplied["diagnostics"]}
+        assert {"SA401", "SA402"} <= codes
+
+    def test_structural_errors_still_silence_the_sa_rules(self):
+        graph = DataflowGraph("broken")
+        graph.add(SpecStage("src", outputs=("out",)))
+        graph.add(SpecStage("dst", inputs=("in",)))
+        proof = analyze_graph(fork_join_graph(fast_depth=2))
+        report = run_lint(LintContext(graph=graph, analysis=proof))
+        assert "DF001" in report.codes
         assert not any(d.code.startswith("SA") for d in report.diagnostics)
 
 

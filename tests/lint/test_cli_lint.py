@@ -124,6 +124,25 @@ class TestFlagDrivenLint:
         assert main(["lint", "--device", "u280", "--kernels", "7",
                      "--select", "graph"]) == 0
 
+    @pytest.mark.parametrize("argv,pattern", [
+        (["--device", "u280", "--kernels", "7", "--ignore", "KC108,"], ""),
+        (["--select", "ZZ"], "ZZ"),
+        (["--select", "RS201,ZZ9"], "ZZ9"),
+        (["--select", "SA4O1", *EXAMPLES], "SA4O1"),
+        (["--backend", "versal_aie", "--nx", "64", "--ny", "64",
+          "--nz", "64", "--ignore", "BK2O2"], "BK2O2"),
+        (["--scenario", "diffusion", "--select", "analysys"], "analysys"),
+    ], ids=["empty-after-comma", "unknown-prefix", "one-of-two",
+            "typo-on-specs", "backend", "scenario"])
+    def test_unmatched_filter_is_an_input_error(self, argv, pattern,
+                                                capsys):
+        assert main(["lint", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unmatched lint filter")
+        assert f"{pattern!r}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_non_fpga_device_is_usage_error(self, capsys):
         assert main(["lint", "--device", "cpu"]) == 2
         assert "not an FPGA" in capsys.readouterr().err

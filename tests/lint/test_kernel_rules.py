@@ -1,8 +1,11 @@
 """Kernel/chunking-family lint rules (KC101-KC109)."""
 
+import pytest
+
 from repro.core.grid import Grid
+from repro.errors import LintError
 from repro.kernel.config import KernelConfig
-from repro.lint import LintContext, Severity, run_lint
+from repro.lint import LintContext, RuleRegistry, Severity, rule, run_lint
 from repro.lint.runner import lint_kernel
 from repro.shiftbuffer.chunking import Chunk, ChunkPlan, plan_chunks
 
@@ -120,3 +123,24 @@ class TestSelection:
                              ignore=["KC106"])
         assert "KC107" in report.codes
         assert "KC106" not in report.codes
+
+    def test_registry_rejects_filters_that_match_nothing(self):
+        registry = RuleRegistry()
+        for code, family in (("KC101", "kernel"), ("RS201", "resource")):
+            rule(code, name=code.lower(), family=family, description="",
+                 registry=registry)(lambda context: ())
+
+        def codes(**filters):
+            return [r.code for r in registry.selected(**filters)]
+
+        assert codes() == ["KC101", "RS201"]
+        assert codes(select=["KC101"]) == ["KC101"]
+        assert codes(select=iter(["KC"])) == ["KC101"]
+        assert codes(select=["resource"], ignore=["RS201"]) == []
+        assert codes(select=[]) == []
+        for filters, bad in ((dict(select=["ZZ"]), "'ZZ'"),
+                             (dict(ignore=["KC101", ""]), "''"),
+                             (dict(select=["KC", "KC1O1"]), "'KC1O1'"),
+                             (dict(select=["analysis"]), "'analysis'")):
+            with pytest.raises(LintError, match=bad):
+                registry.selected(**filters)

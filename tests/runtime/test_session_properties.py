@@ -1,5 +1,7 @@
 """Property-based tests of end-to-end sessions across parameters."""
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +21,10 @@ DEVICES = {"u280": ALVEO_U280, "stratix": STRATIX10_GX2800}
     overlapped=st.booleans(),
     chunk_width=st.sampled_from([16, 64, 256]),
     word_bytes=st.sampled_from([4, 8]),
+    stream_depth=st.integers(2, 64),
 )
 def test_session_invariants(device_key, cells_m, x_chunks, overlapped,
-                            chunk_width, word_bytes):
+                            chunk_width, word_bytes, stream_depth):
     """Any legal session parameterisation yields a self-consistent run."""
     device = DEVICES[device_key]
     grid = Grid.from_cells(cells_m * 1024 * 1024)
@@ -29,6 +32,16 @@ def test_session_invariants(device_key, cells_m, x_chunks, overlapped,
                           word_bytes=word_bytes)
     session = AdvectionSession(device, config, x_chunks=x_chunks)
     result = session.run(grid, overlapped=overlapped)
+
+    # The session and the invocation model never read the FIFO depth:
+    # the tuner's cost model prices every depth with one run.
+    deep = dataclasses.replace(config, stream_depth=stream_depth)
+    assert AdvectionSession(device, deep, x_chunks=x_chunks).run(
+        grid, overlapped=overlapped) == result
+    assert device.invocation(
+        deep, grid, num_kernels=result.num_kernels, memory=result.memory,
+    ) == device.invocation(
+        config, grid, num_kernels=result.num_kernels, memory=result.memory)
 
     # Basic sanity.
     assert result.runtime_seconds > 0

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.lint.rules_analyze as rules_analyze
 import repro.tune.cost as cost_module
 from repro.core.grid import Grid
 from repro.errors import TuneError
 from repro.hardware.devices import ALVEO_U280, STRATIX10_GX2800
+from repro.runtime.session import AdvectionSession
 from repro.tune.cost import CostModel, Evaluation, OBJECTIVES
 from repro.tune.space import ParameterSpace, TunePoint
 
@@ -174,23 +176,33 @@ class TestSubModelMemo:
     def test_each_sub_model_runs_once_per_distinct_input(self, monkeypatch):
         grid = Grid(16, 64, 16)
         points = list(ParameterSpace.derive(ALVEO_U280, grid).points())
-        calls = {"lint_kernel": 0, "static_kernel_cycles": 0}
+        calls = {"lint_kernel": 0, "static_kernel_cycles": 0,
+                 "analyze_graph": 0, "run": 0}
 
-        def counted(name):
-            original = getattr(cost_module, name)
+        def counted(owner, name):
+            original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(cost_module, name, counted(name))
+        for name in ("lint_kernel", "static_kernel_cycles",
+                     "analyze_graph"):
+            counted(cost_module, name)
+        # The SA lint rules would prove the graph themselves if the
+        # model did not hand them its proof; count those calls too.
+        counted(rules_analyze, "analyze_graph")
+        counted(AdvectionSession, "run")
         model = CostModel(ALVEO_U280, grid)
         assert all(model.evaluate(p).feasible for p in points)
         assert calls == {
             "lint_kernel": len({(p.config(grid), p.num_kernels)
                                 for p in points}),
             "static_kernel_cycles": len({p.config(grid) for p in points}),
+            "analyze_graph": len({p.stream_depth for p in points}),
+            "run": len({dataclasses.replace(p, stream_depth=2)
+                        for p in points}),
         }
-        assert calls == {"lint_kernel": 72, "static_kernel_cycles": 12}
+        assert calls == {"lint_kernel": 72, "static_kernel_cycles": 12,
+                         "analyze_graph": 3, "run": 288}

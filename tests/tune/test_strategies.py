@@ -1,15 +1,17 @@
 """Search strategies: determinism, budget discipline, termination."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.grid import Grid
 from repro.errors import TuneError
 from repro.hardware.devices import ALVEO_U280
-from repro.tune.cost import CostModel
+from repro.tune.cost import CostModel, Evaluation
 from repro.tune.space import ParameterSpace
 from repro.tune.strategies import (STRATEGIES, AnnealingSearch,
                                    ExhaustiveSearch, GreedySearch,
-                                   make_strategy)
+                                   _first_unseen, _Tracker, make_strategy)
 
 GRID = Grid(nx=16, ny=64, nz=16)
 
@@ -109,3 +111,25 @@ class TestSearchQuality:
                                       objective="kernel")
         assert evals
         assert not any(e.feasible for e in evals)
+
+
+class TestFirstUnseen:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_cursor_matches_a_full_rescan(self, data):
+        """After any evaluation order, the cursor answers as a rescan."""
+        points = list(space().points())
+        order = data.draw(st.permutations(points))
+        tracker = _Tracker(lambda p: Evaluation(point=p, feasible=False),
+                           budget=len(points), objective="kernel")
+
+        def rescan():
+            return next((p for p in points if p.key() not in tracker.seen),
+                        None)
+
+        for point in order:
+            for _ in range(data.draw(st.integers(0, 2))):
+                assert _first_unseen(space(), tracker) == rescan()
+            tracker.evaluate(point)
+        assert _first_unseen(space(), tracker) is None
+        assert _first_unseen(space(), tracker) is None
