@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import DataflowError
 
 __all__ = ["Bulk", "ListBulk", "ChainBulk", "FireBulkResult",
-           "ListFireResult", "UniformFireResult"]
+           "ListFireResult", "UniformFireResult", "RaggedFireResult"]
 
 
 class Bulk:
@@ -188,3 +190,51 @@ class UniformFireResult(FireBulkResult):
 
     def head_bulk(self, port: str, count: int) -> Bulk:
         return self.outputs[port].slice(0, count)
+
+
+class RaggedFireResult(FireBulkResult):
+    """Fire-bulk result for stages emitting a varying number of items per
+    firing (the stencil compute's one to three results per window).
+
+    ``counts[i]`` is the number of items the i-th producing firing
+    emitted on every port; each port's output is one bulk in firing
+    order, split at the cumulative offsets of ``counts``.
+    """
+
+    def __init__(self, outputs: Mapping[str, Bulk],
+                 counts: Sequence[int]) -> None:
+        self.outputs = dict(outputs)
+        per_firing = np.asarray(counts, dtype=np.int64)
+        if per_firing.size and int(per_firing.min()) < 1:
+            raise DataflowError(
+                "ragged fire result: every producing firing emits at "
+                "least one item")
+        self._offsets = np.concatenate(([0], np.cumsum(per_firing)))
+        total = int(self._offsets[-1])
+        if any(len(bulk) != total for bulk in self.outputs.values()):
+            raise DataflowError(
+                f"ragged fire result: counts sum to {total} items, ports "
+                f"hold { {p: len(b) for p, b in self.outputs.items()} }"
+            )
+        self.producing_firings = len(per_firing)
+
+    def port_total(self, port: str) -> int:
+        return len(self.outputs[port])
+
+    def tail_firings(self, count: int) -> list[dict[str, list[Any]]]:
+        if count == 0:
+            return []
+        offsets = self._offsets[self.producing_firings - count:].tolist()
+        base = offsets[0]
+        tails = {
+            port: bulk.slice(base, offsets[-1]).materialize()
+            for port, bulk in self.outputs.items()
+        }
+        return [
+            {port: items[lo - base:hi - base]
+             for port, items in tails.items()}
+            for lo, hi in zip(offsets, offsets[1:])
+        ]
+
+    def head_bulk(self, port: str, count: int) -> Bulk:
+        return self.outputs[port].slice(0, int(self._offsets[count]))

@@ -18,20 +18,43 @@ cycle-accurate dataflow simulation for free:
 Every firing count depends on the streaming position alone — the shift
 buffer's regime (:meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
 regime`) and the window centre — so the engine runs this machine in
-batched windows, bit-identical to forced-scalar ticking.
+batched windows, bit-identical to forced-scalar ticking.  Each stage
+fires a batched window as a few NumPy calls: the shift stage jumps its
+buffer ahead (:meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
+feed_bulk`) and forwards a lazy :class:`WindowRunBulk`; the compute
+stage evaluates the kernel's own window functions once on a
+:class:`WindowRun` — every window of the run at once — and the write
+stage scatters the results with one indexed assignment.
+
+A window function must therefore be elementwise arithmetic over
+``window.at(di, dj, dk)``: the same expression serves one
+:class:`~repro.shiftbuffer.window.StencilWindow` (a float per offset)
+and a :class:`WindowRun` (an array per offset).  :func:`run_stencil_kernel`
+checks that contract before the first cycle, on every path.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
+from repro.dataflow.bulk import (
+    Bulk,
+    ChainBulk,
+    FireBulkResult,
+    ListBulk,
+    ListFireResult,
+    RaggedFireResult,
+    UniformFireResult,
+)
 from repro.dataflow.engine import DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import SourceStage, Stage
 from repro.errors import ConfigurationError
-from repro.shiftbuffer.buffer3d import ShiftBuffer3D
+from repro.kernel.stages import AdvectResultBulk
+from repro.shiftbuffer.buffer3d import ShiftBuffer3D, emission_center
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow
 
@@ -41,29 +64,187 @@ if TYPE_CHECKING:
     from repro.observe.trace import Tracer
 
 __all__ = [
+    "WindowRun",
+    "WindowRunBulk",
     "GeneralShiftBufferStage",
     "WindowComputeStage",
     "ScatterWriteStage",
     "run_stencil_kernel",
 ]
 
-#: The value of a window's own (centre) cell.
-InteriorFn = Callable[[StencilWindow], float]
+
+class WindowRun:
+    """A run view: many non-top windows of one block, addressed at once.
+
+    :meth:`at` answers what :meth:`StencilWindow.at
+    <repro.shiftbuffer.window.StencilWindow.at>` answers for one window,
+    for every window of the run, as one float64 array; :attr:`center`
+    holds the centres as coordinate arrays.  Window functions written as
+    elementwise arithmetic over ``at`` evaluate a whole run in one call.
+
+    ``at`` gathers by integer index, so each call returns a fresh array,
+    never a view into ``block``: a window function may update its
+    operands in place.
+    """
+
+    def __init__(self, block: np.ndarray, cx: np.ndarray, cy: np.ndarray,
+                 cz: np.ndarray) -> None:
+        self._block = block
+        self._flat = block.reshape(-1)
+        _nx, self._ny, self._nz = block.shape
+        #: Centre coordinates ``(cx, cy, cz)``, one entry per window.
+        self.center = (cx, cy, cz)
+        self._index = (cx * self._ny + cy) * self._nz + cz
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def at(self, di: int, dj: int, dk: int) -> np.ndarray:
+        """Values at stencil offset ``(di, dj, dk)`` from every centre."""
+        if not (-1 <= di <= 1 and -1 <= dj <= 1 and -1 <= dk <= 1):
+            raise ValueError(f"stencil offsets must be in [-1, 1], got "
+                             f"({di}, {dj}, {dk})")
+        return self._flat.take(
+            self._index + ((di * self._ny + dj) * self._nz + dk))
+
+    def select(self, mask: np.ndarray) -> "WindowRun":
+        """The sub-run of the windows where ``mask`` holds."""
+        cx, cy, cz = self.center
+        return WindowRun(self._block, cx[mask], cy[mask], cz[mask])
+
+
+#: The value of a window's own (centre) cell: one float from a
+#: :class:`StencilWindow`, one array (or a broadcast constant) from a
+#: :class:`WindowRun`.
+InteriorFn = Callable[[StencilWindow | WindowRun], Any]
 #: The value of the one-sided boundary cell next to a window: ``k = 0``
 #: from the window at ``k = 1`` (``top=False``), ``k = nz - 1`` from the
 #: window at ``k = nz - 2`` (``top=True``).
-BoundaryFn = Callable[..., float]
+BoundaryFn = Callable[..., Any]
+
+
+def _window_emission(window: Any, nz: int) -> Any:
+    """Flat emission index (:func:`emission_center`) of non-top window
+    ``window``; an integer array maps elementwise."""
+    column, j = divmod(window, nz - 2)
+    return column * (nz - 1) + j
+
+
+def _windows_before(emission: int, nz: int) -> int:
+    """Non-top windows among the first ``emission`` emissions."""
+    column, j = divmod(emission, nz - 1)
+    return column * (nz - 2) + min(j, nz - 2)
+
+
+class WindowRunBulk(Bulk):
+    """The non-top windows ``[start, stop)`` of one streamed block.
+
+    Windows are numbered in forwarding order, ``nz - 2`` per interior
+    column.  The run stays lazy: the compute stage reads it through a
+    :class:`WindowRun`, and only the few windows left inside FIFOs when
+    exact ticking resumes are cut (:meth:`ShiftBuffer3D.window_at`).
+    """
+
+    def __init__(self, buffer: ShiftBuffer3D, backing: np.ndarray,
+                 start: int, stop: int) -> None:
+        self.buffer = buffer
+        self.backing = backing
+        self.start = start
+        self.stop = stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def slice(self, start: int, stop: int) -> "WindowRunBulk":
+        self._check_range(start, stop)
+        return WindowRunBulk(self.buffer, self.backing, self.start + start,
+                             self.start + stop)
+
+    def materialize(self) -> list[StencilWindow]:
+        nz = self.buffer.nz
+        return [self.buffer.window_at(_window_emission(w, nz), self.backing)
+                for w in range(self.start, self.stop)]
+
+    def view(self) -> WindowRun:
+        """Every window of this run as one :class:`WindowRun`."""
+        buf = self.buffer
+        emissions = _window_emission(np.arange(self.start, self.stop),
+                                     buf.nz)
+        cx, cy, cz, _top = emission_center(emissions, buf.ny, buf.nz)
+        return WindowRun(self.backing, cx, cy, cz)
+
+
+def _call_name(fn: Callable, kwargs: Mapping[str, Any]) -> str:
+    """``fn``'s call as a readable string, for error messages."""
+    inner = fn.func if isinstance(fn, partial) else fn
+    args = "".join(f", {key}={value!r}" for key, value in kwargs.items())
+    return f"{getattr(inner, '__qualname__', repr(inner))}(window{args})"
+
+
+def _run_values(fn: Callable, run: WindowRun, **kwargs: Any) -> np.ndarray:
+    """``fn`` evaluated on ``run``: one float64 per window."""
+    try:
+        return np.broadcast_to(np.asarray(fn(run, **kwargs), dtype=float),
+                               (len(run),))
+    except Exception as exc:
+        raise ConfigurationError(
+            f"window function {_call_name(fn, kwargs)} failed on a run of "
+            f"windows ({type(exc).__name__}: {exc}); window functions "
+            f"must be elementwise arithmetic over window.at()"
+        ) from exc
+
+
+def _check_window_fns(run: WindowRunBulk, interior: InteriorFn,
+                      boundary: BoundaryFn) -> None:
+    """Reject window functions that are not elementwise over ``at``.
+
+    Evaluates ``interior`` and both boundaries on ``run`` (the block's
+    first two windows) twice: as one :class:`WindowRun`, and on each
+    :class:`StencilWindow` alone.  Branching on a value, reducing over
+    the run or reading ``window.raw`` shows up as an exception or a
+    difference in the bytes, and raises :class:`ConfigurationError`.
+    """
+    windows = run.materialize()
+    view = run.view()
+    for fn, kwargs in ((interior, {}), (boundary, {"top": False}),
+                       (boundary, {"top": True})):
+        together = _run_values(fn, view, **kwargs)
+        try:
+            alone = np.array([fn(window, **kwargs) for window in windows],
+                             dtype=float)
+        except Exception as exc:
+            raise ConfigurationError(
+                f"window function {_call_name(fn, kwargs)} failed on a "
+                f"single window ({type(exc).__name__}: {exc})"
+            ) from exc
+        if (alone.shape != together.shape
+                or alone.tobytes() != together.tobytes()):
+            raise ConfigurationError(
+                f"window function {_call_name(fn, kwargs)} gives other "
+                f"values on a run of windows than on each window alone; "
+                f"window functions must be elementwise arithmetic over "
+                f"window.at() (no branching on values, no reductions over "
+                f"the run, no window.raw)"
+            )
 
 
 class GeneralShiftBufferStage(Stage):
-    """Feeds one :class:`ShiftBuffer3D`; forwards its non-top windows."""
+    """Feeds one :class:`ShiftBuffer3D`; forwards its non-top windows.
+
+    ``backing`` (the streamed block) unlocks the batched firing path,
+    as for the advection kernel's ``ShiftBufferStage``: the buffer jumps
+    ahead analytically and the forwarded windows travel as a lazy
+    :class:`WindowRunBulk`.  Without it, a batched window loops
+    :meth:`fire`.
+    """
 
     input_ports = ("in",)
     output_ports = ("out",)
 
     def __init__(self, name: str, nx: int, ny: int, nz: int, *,
                  ii: int = 1, latency: int = 2,
-                 tracker: MemoryPortTracker | None = None) -> None:
+                 tracker: MemoryPortTracker | None = None,
+                 backing: np.ndarray | None = None) -> None:
         super().__init__(name, ii=ii, latency=latency)
         self.buffer = ShiftBuffer3D(
             nx, ny, nz,
@@ -71,12 +252,33 @@ class GeneralShiftBufferStage(Stage):
             else MemoryPortTracker(enforce=False),
             name=name,
         )
+        self._backing = (None if backing is None
+                         else np.ascontiguousarray(backing, dtype=float))
 
     def fire(self, cycle: int, inputs: Mapping[str, list]):
         (value,) = inputs["in"]
         windows = [window for window in self.buffer.feed(float(value))
                    if not window.top]
         return {"out": windows} if windows else {}
+
+    def fire_bulk(self, count: int, inputs: dict[str, Bulk],
+                  cycle: int) -> FireBulkResult:
+        stream = inputs.get("in")
+        if self._backing is None or stream is None or len(stream) != count:
+            return super().fire_bulk(count, inputs, cycle)
+        # The run must be the block's own next values, bit for bit; a
+        # stream that lost a word to a fault takes the per-item path.
+        fed = self.buffer.fed
+        consumed = np.asarray(stream.materialize(), dtype=float)
+        if (consumed.tobytes()
+                != self._backing.reshape(-1)[fed:fed + count].tobytes()):
+            return super().fire_bulk(count, inputs, cycle)
+        first, stop = self.buffer.feed_bulk(count, self._backing)
+        nz = self.buffer.nz
+        # One non-top window per emitting feed: a uniform result.
+        return UniformFireResult({"out": WindowRunBulk(
+            self.buffer, self._backing, _windows_before(first, nz),
+            _windows_before(stop, nz))})
 
     def ff_signature(self, cycle: int) -> tuple:
         return super().ff_signature(cycle) + self.buffer.regime()
@@ -100,6 +302,10 @@ class WindowComputeStage(Stage):
     ``cz == nz - 2`` (both at ``nz == 3``).  The output count depends on
     the window centre alone, which the upstream streaming position
     fixes, so the base control signature describes this stage exactly.
+
+    A batched window evaluates ``interior`` once on the whole
+    :class:`WindowRun`, and each boundary once on the windows it
+    applies to, then interleaves the results in firing order.
     """
 
     input_ports = ("in",)
@@ -123,6 +329,54 @@ class WindowComputeStage(Stage):
             results.append(((cx, cy, self.nz - 1),
                             self._boundary(window, top=True)))
         return {"out": results}
+
+    def _fire_run(self, run: WindowRun) -> tuple[AdvectResultBulk,
+                                                 np.ndarray]:
+        """Results of every window of ``run``, and the count per firing."""
+        cx, cy, cz = run.center
+        bottom = cz == 1
+        top = cz == self.nz - 2
+        per_firing = 1 + bottom.astype(np.int64) + top
+        first = np.cumsum(per_firing) - per_firing
+        total = int(per_firing.sum())
+        xs, ys, zs = (np.empty(total, dtype=np.int64) for _ in range(3))
+        values = np.empty(total)
+        # Each firing's results in order: the cell, k = 0, k = nz - 1.
+        for at, sub, z, fn, kwargs in (
+                (first, run, cz, self._interior, {}),
+                (first[bottom] + 1, run.select(bottom), 0,
+                 self._boundary, {"top": False}),
+                (first[top] + 1 + bottom[top], run.select(top), self.nz - 1,
+                 self._boundary, {"top": True})):
+            if len(sub):
+                xs[at], ys[at], _ = sub.center
+                zs[at] = z
+                values[at] = _run_values(fn, sub, **kwargs)
+        return AdvectResultBulk(xs, ys, zs, values), per_firing
+
+    def fire_bulk(self, count: int, inputs: dict[str, Bulk],
+                  cycle: int) -> FireBulkResult:
+        windows = inputs.get("in")
+        if windows is None or len(windows) != count:
+            return super().fire_bulk(count, inputs, cycle)
+        parts: list[Bulk] = []
+        counts: list[Any] = []
+        for part in windows.parts():
+            if not len(part):
+                continue
+            if isinstance(part, WindowRunBulk):
+                results, per_firing = self._fire_run(part.view())
+                parts.append(results)
+                counts.append(per_firing)
+            else:
+                # Windows a FIFO held when the batched window opened.
+                firings = [self.fire(cycle, {"in": [window]})["out"]
+                           for window in part.materialize()]
+                parts.append(ListBulk([r for f in firings for r in f]))
+                counts.append([len(f) for f in firings])
+        return RaggedFireResult(
+            {"out": ChainBulk(parts)},
+            np.concatenate(counts) if counts else [])
 
 
 class ScatterWriteStage(Stage):
@@ -148,6 +402,21 @@ class ScatterWriteStage(Stage):
         self.cells_written += 1
         return {}
 
+    def fire_bulk(self, count: int, inputs: dict[str, Bulk],
+                  cycle: int) -> FireBulkResult:
+        results = inputs.get("in")
+        if results is None or len(results) != count:
+            return super().fire_bulk(count, inputs, cycle)
+        for part in results.parts():
+            if isinstance(part, AdvectResultBulk):
+                self._out[part.cx - 1, part.cy - 1, part.cz] = part.values
+                self.cells_written += len(part)
+            else:
+                for result in part.materialize():
+                    self.fire(cycle, {"in": [result]})
+        # A write firing produces nothing: it never enters the pipeline.
+        return ListFireResult([])
+
 
 def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
                        boundary: BoundaryFn, out: np.ndarray, *,
@@ -168,12 +437,19 @@ def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
     interior, boundary:
         Window arithmetic for :class:`WindowComputeStage`: the centre
         cell's value, and the one-sided vertical boundary cell's value
-        (called as ``boundary(window, top=...)``).  A window may yield
-        three results at ``nz == 3``, so ``stream_depth`` must be >= 4
-        for the downstream FIFO to absorb the burst.
+        (called as ``boundary(window, top=...)``).  Each must be
+        elementwise arithmetic over ``window.at(di, dj, dk)``, because
+        batched windows call it on a :class:`WindowRun`; a constant
+        return broadcasts.  Before the first cycle, every path checks
+        that on the block's first two windows (see the module
+        docstring) and raises :class:`ConfigurationError` otherwise.
+        A window may yield three results at ``nz == 3``, so
+        ``stream_depth`` must be >= 4 for the downstream FIFO to absorb
+        the burst.
     out:
-        Interior output array, shape ``(nx - 2, ny - 2, nz)`` for a
-        block of shape ``(nx, ny, nz)``.
+        Writeable float64 interior output array, shape
+        ``(nx - 2, ny - 2, nz)`` for a real-valued block of shape
+        ``(nx, ny, nz)``.
     mode, batched:
         Engine execution mode.  Batched windows are bit-identical to
         forced-scalar execution (``batched=False``).
@@ -182,27 +458,48 @@ def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
         DataflowEngine` (FIFO word faults, stage freezes, cycle
         watchdog, observability sinks).
     """
+    if not isinstance(block, np.ndarray):
+        raise ConfigurationError(
+            f"block must be a NumPy array, got {type(block).__name__}")
+    if block.dtype.kind not in "biuf":
+        raise ConfigurationError(
+            f"block must hold real numbers, got dtype {block.dtype}")
     if block.ndim != 3:
         raise ConfigurationError(
             f"expected a 3-D block, got shape {block.shape}"
         )
+    if not isinstance(out, np.ndarray):
+        raise ConfigurationError(
+            f"out must be a NumPy array, got {type(out).__name__}")
     nx, ny, nz = block.shape
     expected = (nx - 2, ny - 2, nz)
     if out.shape != expected:
         raise ConfigurationError(
             f"output shape {out.shape} does not match expected {expected}"
         )
+    if out.dtype != np.float64:
+        raise ConfigurationError(
+            f"out must be a float64 array, got dtype {out.dtype}; the "
+            f"kernel's double-precision results would be converted")
+    if not out.flags.writeable:
+        raise ConfigurationError(
+            "out is read-only; the write stage scatters results into it")
 
+    backing = np.ascontiguousarray(block, dtype=float)
     graph = DataflowGraph("stencil")
     graph.add(SourceStage("read", iter(block.reshape(-1))))
     shift = graph.add(GeneralShiftBufferStage(
-        "shift", nx, ny, nz, tracker=tracker))
+        "shift", nx, ny, nz, tracker=tracker, backing=backing))
     compute = graph.add(WindowComputeStage("compute", nz, interior,
                                            boundary))
     write = graph.add(ScatterWriteStage("write", out))
     graph.connect("read", "out", shift, "in", depth=stream_depth)
     graph.connect(shift, "out", compute, "in", depth=stream_depth)
     graph.connect(compute, "out", write, "in", depth=stream_depth)
+    _check_window_fns(
+        WindowRunBulk(shift.buffer, backing, 0,
+                      min(2, (nx - 2) * (ny - 2) * (nz - 2))),
+        interior, boundary)
     return DataflowEngine(graph, max_cycles=max_cycles, mode=mode,
                           batched=batched, fault_plan=fault_plan,
                           watchdog=watchdog, tracer=tracer,

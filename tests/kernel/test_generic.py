@@ -77,3 +77,62 @@ class TestGenericMechanics:
         with pytest.raises(ConfigurationError):
             run_stencil_kernel(np.zeros((4, 4)), zero, zero,
                                np.zeros((2, 2)))
+
+    def test_integer_output_rejected(self):
+        """An int array would silently truncate every result."""
+        with pytest.raises(ConfigurationError, match="float64"):
+            run_stencil_kernel(np.ones((6, 6, 3)), zero, zero,
+                               np.zeros((4, 4, 3), dtype=int))
+
+    def test_read_only_output_rejected(self):
+        out = np.zeros((2, 2, 4))
+        out.flags.writeable = False
+        with pytest.raises(ConfigurationError, match="read-only"):
+            run_stencil_kernel(np.zeros((4, 4, 4)), zero, zero, out)
+
+    def test_non_array_block_rejected(self):
+        nested = np.zeros((4, 4, 4)).tolist()
+        with pytest.raises(ConfigurationError, match="NumPy array"):
+            run_stencil_kernel(nested, zero, zero, np.zeros((2, 2, 4)))
+
+
+def branching(window, *, top=False):
+    value = window.at(0, 0, 0)
+    return value if value > 0 else 0.0
+
+
+def summing(window, *, top=False):
+    return np.sum(window.at(0, 0, 0))
+
+
+def raw_reading(window, *, top=False):
+    return window.raw[1, 1, 1]
+
+
+class TestWindowContract:
+    """Window functions must be elementwise arithmetic over ``at``: the
+    check runs before the first cycle, on both paths alike."""
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("fn", [branching, summing, raw_reading])
+    @pytest.mark.parametrize("role", ["interior", "boundary"])
+    def test_non_elementwise_functions_rejected(self, fn, role, batched):
+        block = np.random.default_rng(5).normal(size=(5, 5, 5))
+        interior, boundary = (fn, zero) if role == "interior" else (zero, fn)
+        out = np.zeros((3, 3, 5))
+        with pytest.raises(ConfigurationError, match=fn.__name__):
+            run_stencil_kernel(block, interior, boundary, out,
+                               batched=batched)
+        assert not out.any()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_constant_and_identity_functions_run(self, batched):
+        block = np.arange(5 * 6 * 4, dtype=float).reshape(5, 6, 4)
+        out = np.full((3, 4, 4), np.nan)
+        run_stencil_kernel(block, zero, zero, out, batched=batched)
+        assert not out.any()
+        run_stencil_kernel(
+            block, lambda w: w.at(0, 0, 0),
+            lambda w, *, top: w.at(0, 0, 1 if top else -1), out,
+            batched=batched)
+        np.testing.assert_array_equal(out, block[1:-1, 1:-1, :])

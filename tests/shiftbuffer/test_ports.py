@@ -1,9 +1,11 @@
 """Tests for the dual-port memory access tracker."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PortConflictError
-from repro.shiftbuffer.ports import MemoryPortTracker
+from repro.shiftbuffer.ports import MemoryPortTracker, PortReport
 
 
 class TestAccounting:
@@ -98,3 +100,79 @@ class TestAchievableII:
 
     def test_ii_one_when_untouched(self):
         assert MemoryPortTracker().achievable_ii() == 1
+
+
+def eager_fold(bookings, *, ports, enforce):
+    """The ledger as an eager fold: every booking updates every report.
+
+    Returns ``(reports, conflicts)`` after applying ``bookings`` — a list
+    of ``(pattern, cycles)`` — skipping (but counting) each booking an
+    enforcing tracker refuses.
+    """
+    reports: dict[str, PortReport] = {}
+    conflicts = 0
+    for pattern, cycles in bookings:
+        if cycles == 0:
+            continue
+        over = [m for m, count in pattern.items() if count > ports]
+        if over and enforce:
+            conflicts += cycles
+            continue
+        conflicts += cycles * len(over)
+        for memory, count in pattern.items():
+            report = reports.setdefault(memory, PortReport(memory))
+            report.total_accesses += count * cycles
+            report.max_accesses_per_cycle = max(
+                report.max_accesses_per_cycle, count)
+        for report in reports.values():
+            report.cycles += cycles
+    return reports, conflicts
+
+
+#: A small pool: shared memories, an over-budget pattern, a zero count,
+#: and equal contents in another key order.
+PATTERN_POOL = (
+    {"a": 1, "b": 2},
+    {"b": 3},
+    {"c": 2, "a": 2},
+    {"d": 0},
+    {"b": 2, "a": 1},
+    {"e": 5, "a": 1},
+)
+
+
+class TestLazyLedger:
+    @settings(max_examples=60, deadline=None)
+    @given(enforce=st.booleans(), ports=st.integers(1, 3),
+           steps=st.lists(st.tuples(st.integers(0, len(PATTERN_POOL) - 1),
+                                    st.booleans(), st.integers(0, 6)),
+                          max_size=25))
+    def test_reports_equal_an_eager_fold(self, enforce, ports, steps):
+        """Bookings drawn from a pool, some as fresh dicts of the same
+        contents: the ledger reads what an eager fold computes, report
+        order included, and refuses exactly the enforced conflicts."""
+        tracker = MemoryPortTracker(ports=ports, enforce=enforce)
+        booked = []
+        for index, fresh, cycles in steps:
+            pattern = PATTERN_POOL[index]
+            if fresh:
+                pattern = dict(pattern)
+            refused = (enforce and cycles > 0
+                       and any(c > ports for c in pattern.values()))
+            if refused:
+                with pytest.raises(PortConflictError):
+                    tracker.record(pattern, cycles)
+            else:
+                tracker.record(pattern, cycles)
+            booked.append((pattern, cycles))
+            assert tracker.conflicts == eager_fold(
+                booked, ports=ports, enforce=enforce)[1]
+        reports, _conflicts = eager_fold(booked, ports=ports,
+                                         enforce=enforce)
+        assert list(tracker.reports()) == list(reports)
+        assert tracker.reports() == reports
+        for memory in ("a", "b", "c", "d", "e", "ghost"):
+            assert tracker.report(memory) == reports.get(
+                memory, PortReport(memory))
+        assert tracker.worst_case == max(
+            (r.max_accesses_per_cycle for r in reports.values()), default=0)
