@@ -3,7 +3,7 @@
 Runs the full Fig. 2 kernel simulation on the same grid two ways — the
 forced-scalar exact loop (the baseline) and batched exact execution (the
 default) — verifies both are bit-for-bit identical (cycle counts,
-per-stage fires and stalls, output arrays), and records wall times and
+per-stage fires and stalls, output bytes), and records wall times and
 the speedup to ``benchmarks/BENCH_dataflow.json``.
 
 Usage::
@@ -173,16 +173,12 @@ def main(argv=None) -> int:
         errors.append("batched exact per-stage fire counts differ")
     if agg_batched.stalls != agg_scalar.stalls:
         errors.append("batched exact per-stage stall counts differ")
-    for name in ("su", "sv", "sw"):
-        if not np.array_equal(getattr(scalar.sources, name),
-                              getattr(batched.sources, name)):
-            errors.append(f"{name} not bit-identical under batched exact")
-        if not np.array_equal(getattr(scalar.sources, name),
-                              getattr(resilient.sources, name)):
-            errors.append(f"{name} differs under the resilient path")
-        if not np.array_equal(getattr(scalar.sources, name),
-                              getattr(observed.sources, name)):
-            errors.append(f"{name} differs with disabled observability")
+    if not batched.sources.same_bits(scalar.sources):
+        errors.append("sources not bit-identical under batched exact")
+    if not resilient.sources.same_bits(scalar.sources):
+        errors.append("sources differ under the resilient path")
+    if not observed.sources.same_bits(scalar.sources):
+        errors.append("sources differ with disabled observability")
     if resilient.total_cycles != scalar.total_cycles:
         errors.append("resilient path changed the cycle count")
     if resilient.chunk_retries != 0:

@@ -501,11 +501,22 @@ def _cmd_validate(args) -> int:
     }
     failed = 0
     for name, sources in checks.items():
-        diff = sources.max_abs_difference(reference)
-        status = "OK (bitwise)" if diff == 0.0 else f"FAIL (max diff {diff:g})"
+        ok, status = _bitwise_status([(sources, reference)])
         print(f"{name:>28}: {status}")
-        failed += diff != 0.0
+        failed += not ok
     return 1 if failed else 0
+
+
+def _bitwise_status(pairs) -> tuple[bool, str]:
+    """Whether every ``(output, reference)`` pair has the same bytes, and
+    a status naming the max difference, or the bytes when that reads 0."""
+    pairs = list(pairs)
+    if all(out.same_bits(ref) for out, ref in pairs):
+        return True, "OK (bitwise)"
+    diff = max(out.max_abs_difference(ref) for out, ref in pairs)
+    if diff == 0.0:
+        return False, "FAIL (bytes differ at max diff 0)"
+    return False, f"FAIL (max diff {diff:g})"
 
 
 def _cmd_simulate_scenario(args) -> int:
@@ -527,8 +538,7 @@ def _cmd_simulate_scenario(args) -> int:
     result = scenario.run(grid, seed=args.seed, mode=args.mode,
                           batched=batched)
     references = scenario.reference(grid, seed=args.seed)
-    diff = max(out.max_abs_difference(ref)
-               for out, ref in zip(result.batches, references))
+    ok, status = _bitwise_status(zip(result.batches, references))
 
     model = scenario.kernel.op_model
     report = ops_per_cycle_report(
@@ -548,9 +558,8 @@ def _cmd_simulate_scenario(args) -> int:
                          result.stats.batched_windows,
                          result.stats.batch_fallback_reason)
     print(report.summary())
-    status = "OK (bitwise)" if diff == 0.0 else f"FAIL (max diff {diff:g})"
     print(f"reference: {status}")
-    return 0 if diff == 0.0 else 1
+    return 0 if ok else 1
 
 
 def _cmd_simulate_backend(args, backend) -> int:

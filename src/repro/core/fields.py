@@ -153,8 +153,17 @@ class SourceSet:
             for n in SOURCE_NAMES
         )
 
+    def same_bits(self, other: "SourceSet") -> bool:
+        """Byte-for-byte equality of all three terms (``-0.0 != 0.0``)."""
+        return all(
+            a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes()
+            for a, b in zip(self.as_tuple(), other.as_tuple())
+        )
+
     def max_abs_difference(self, other: "SourceSet") -> float:
-        """Largest absolute element-wise difference across all three terms."""
+        """Largest absolute element-wise difference across all three terms
+        (``0.0`` does not mean bit-identical: see :meth:`same_bits`)."""
         return max(
             float(np.abs(getattr(self, n) - getattr(other, n)).max(initial=0.0))
             for n in SOURCE_NAMES

@@ -276,10 +276,12 @@ def _run_once(family: str, seed: int, nx: int, ny: int,
     except ReproError as error:
         return "error", type(error).__name__, plan.trace_key(), "", None
 
-    diff = sources.max_abs_difference(golden_sources)
-    if diff != 0.0:
-        return ("silent-corruption", None, plan.trace_key(),
-                f"max abs difference {diff:g} vs golden", fallback)
+    if not sources.same_bits(golden_sources):
+        diff = sources.max_abs_difference(golden_sources)
+        detail = (f"max abs difference {diff:g} vs golden" if diff != 0.0
+                  else "bytes differ from golden at max abs difference 0")
+        return ("silent-corruption", None, plan.trace_key(), detail,
+                fallback)
     return "identical", None, plan.trace_key(), "", fallback
 
 

@@ -5,12 +5,16 @@ three field windows for one cell and produces that cell's source term.
 The expression trees are kept *identical* to the scalar specification in
 :mod:`repro.core.golden` (same association, same evaluation order) so the
 dataflow simulation reproduces the reference bit-for-bit — the test suite
-enforces this.
+enforces this.  Each form serves both firing paths: on three
+:class:`~repro.shiftbuffer.window.StencilWindow` objects it returns a
+float, on three :class:`~repro.shiftbuffer.window.WindowRun` views (all
+full windows, or all column tops) one float64 array.
 
 A window-based implementation cannot cheat: it only sees the 27 values the
-shift buffer forwarded, which is precisely the paper's observation that
-"typically only 8 unique values of the 27 point 3D stencil are required for
-each field advection" while the general-purpose buffer forwards all 27.
+shift buffer forwarded.  The paper notes that "typically only 8 unique
+values of the 27 point 3D stencil are required for each field advection";
+these forms read 7 offsets of their own field and 4 of each other field,
+15 values over 9 distinct offsets, and never a top window's ``dk=+1``.
 """
 
 from __future__ import annotations
@@ -18,18 +22,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.coefficients import AdvectionCoefficients
-from repro.shiftbuffer.window import StencilWindow
+from repro.shiftbuffer.window import StencilWindow, WindowRun
 
-__all__ = ["advect_u", "advect_v", "advect_w", "advect_u_block",
-           "advect_v_block", "advect_w_block", "UNIQUE_STENCIL_POINTS"]
-
-#: Unique stencil points actually read per field advection (paper: ~8).
-UNIQUE_STENCIL_POINTS: dict[str, int] = {"u": 8, "v": 8, "w": 9}
+__all__ = ["advect_u", "advect_v", "advect_w"]
 
 
-def advect_u(u: StencilWindow, v: StencilWindow, w: StencilWindow,
-             coeffs: AdvectionCoefficients, k: int, nz: int) -> float:
-    """Source term for the U field at vertical level ``k``."""
+def advect_u(u: StencilWindow | WindowRun, v: StencilWindow | WindowRun,
+             w: StencilWindow | WindowRun,
+             coeffs: AdvectionCoefficients) -> float | np.ndarray:
+    """Source term for the U field at the window's level."""
+    k = u.center[2]
     tcx, tcy = coeffs.tcx, coeffs.tcy
     su = tcx * (
         u.at(-1, 0, 0) * (u.at(0, 0, 0) + u.at(-1, 0, 0))
@@ -39,7 +41,7 @@ def advect_u(u: StencilWindow, v: StencilWindow, w: StencilWindow,
         u.at(0, -1, 0) * (v.at(0, -1, 0) + v.at(1, -1, 0))
         - u.at(0, 1, 0) * (v.at(0, 0, 0) + v.at(1, 0, 0))
     )
-    if k < nz - 1:
+    if not u.top:
         su += (
             coeffs.tzc1[k] * u.at(0, 0, -1) * (w.at(0, 0, -1) + w.at(1, 0, -1))
             - coeffs.tzc2[k] * u.at(0, 0, 1) * (w.at(0, 0, 0) + w.at(1, 0, 0))
@@ -49,9 +51,11 @@ def advect_u(u: StencilWindow, v: StencilWindow, w: StencilWindow,
     return su
 
 
-def advect_v(u: StencilWindow, v: StencilWindow, w: StencilWindow,
-             coeffs: AdvectionCoefficients, k: int, nz: int) -> float:
-    """Source term for the V field at vertical level ``k``."""
+def advect_v(u: StencilWindow | WindowRun, v: StencilWindow | WindowRun,
+             w: StencilWindow | WindowRun,
+             coeffs: AdvectionCoefficients) -> float | np.ndarray:
+    """Source term for the V field at the window's level."""
+    k = v.center[2]
     tcx, tcy = coeffs.tcx, coeffs.tcy
     sv = tcy * (
         v.at(0, -1, 0) * (v.at(0, 0, 0) + v.at(0, -1, 0))
@@ -61,7 +65,7 @@ def advect_v(u: StencilWindow, v: StencilWindow, w: StencilWindow,
         v.at(-1, 0, 0) * (u.at(-1, 0, 0) + u.at(-1, 1, 0))
         - v.at(1, 0, 0) * (u.at(0, 0, 0) + u.at(0, 1, 0))
     )
-    if k < nz - 1:
+    if not v.top:
         sv += (
             coeffs.tzc1[k] * v.at(0, 0, -1) * (w.at(0, 0, -1) + w.at(0, 1, -1))
             - coeffs.tzc2[k] * v.at(0, 0, 1) * (w.at(0, 0, 0) + w.at(0, 1, 0))
@@ -71,15 +75,18 @@ def advect_v(u: StencilWindow, v: StencilWindow, w: StencilWindow,
     return sv
 
 
-def advect_w(u: StencilWindow, v: StencilWindow, w: StencilWindow,
-             coeffs: AdvectionCoefficients, k: int, nz: int) -> float:
-    """Source term for the W field at vertical level ``k``.
+def advect_w(u: StencilWindow | WindowRun, v: StencilWindow | WindowRun,
+             w: StencilWindow | WindowRun,
+             coeffs: AdvectionCoefficients) -> float | np.ndarray:
+    """Source term for the W field at the window's level.
 
     Zero at the column top (no W source there); the top window's stale
-    ``dk=+1`` registers are therefore never read.
+    ``dk=+1`` registers are therefore never read.  A top run gets the
+    scalar ``0.0``, which broadcasts.
     """
-    if k >= nz - 1:
+    if w.top:
         return 0.0
+    k = w.center[2]
     tcx, tcy = coeffs.tcx, coeffs.tcy
     sw = tcx * (
         w.at(-1, 0, 0) * (u.at(-1, 0, 0) + u.at(-1, 0, 1))
@@ -94,88 +101,3 @@ def advect_w(u: StencilWindow, v: StencilWindow, w: StencilWindow,
         - coeffs.tzd2[k] * w.at(0, 0, 1) * (w.at(0, 0, 0) + w.at(0, 0, 1))
     )
     return sw
-
-
-# -- batched variants ----------------------------------------------------------
-#
-# The ``*_block`` functions below evaluate the same expression trees over
-# index vectors of cell centres, reading straight from the streamed block
-# arrays (window ``at(di, dj, dk)`` is by construction the block value at
-# ``(cx+di, cy+dj, cz+dk)``, for top windows too).  Order of operations is
-# copied term for term from the scalar forms — numpy's element-wise float64
-# arithmetic performs the identical IEEE-754 operations, so the results are
-# bit-for-bit equal to looping the scalar functions; the equivalence tests
-# enforce this.  The k-branch is expressed with ``np.where`` over terms
-# whose per-lane expression matches the scalar branch taken.
-
-
-def advect_u_block(u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                   coeffs: AdvectionCoefficients, cx: np.ndarray,
-                   cy: np.ndarray, cz: np.ndarray, nz: int) -> np.ndarray:
-    """Vector of U source terms for cell centres ``(cx, cy, cz)``."""
-    tcx, tcy = coeffs.tcx, coeffs.tcy
-    # Clamped +1 level: the lanes that read it (k < nz-1) never clamp;
-    # top lanes gather a discarded in-bounds value instead of faulting.
-    kz = np.minimum(cz + 1, nz - 1)
-    su = tcx * (
-        u[cx - 1, cy, cz] * (u[cx, cy, cz] + u[cx - 1, cy, cz])
-        - u[cx + 1, cy, cz] * (u[cx, cy, cz] + u[cx + 1, cy, cz])
-    )
-    su += tcy * (
-        u[cx, cy - 1, cz] * (v[cx, cy - 1, cz] + v[cx + 1, cy - 1, cz])
-        - u[cx, cy + 1, cz] * (v[cx, cy, cz] + v[cx + 1, cy, cz])
-    )
-    below = (coeffs.tzc1[cz] * u[cx, cy, cz - 1]
-             * (w[cx, cy, cz - 1] + w[cx + 1, cy, cz - 1]))
-    above = (coeffs.tzc2[cz] * u[cx, cy, kz]
-             * (w[cx, cy, cz] + w[cx + 1, cy, cz]))
-    su += np.where(cz < nz - 1, below - above, below)
-    return su
-
-
-def advect_v_block(u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                   coeffs: AdvectionCoefficients, cx: np.ndarray,
-                   cy: np.ndarray, cz: np.ndarray, nz: int) -> np.ndarray:
-    """Vector of V source terms for cell centres ``(cx, cy, cz)``."""
-    tcx, tcy = coeffs.tcx, coeffs.tcy
-    kz = np.minimum(cz + 1, nz - 1)
-    sv = tcy * (
-        v[cx, cy - 1, cz] * (v[cx, cy, cz] + v[cx, cy - 1, cz])
-        - v[cx, cy + 1, cz] * (v[cx, cy, cz] + v[cx, cy + 1, cz])
-    )
-    sv += tcx * (
-        v[cx - 1, cy, cz] * (u[cx - 1, cy, cz] + u[cx - 1, cy + 1, cz])
-        - v[cx + 1, cy, cz] * (u[cx, cy, cz] + u[cx, cy + 1, cz])
-    )
-    below = (coeffs.tzc1[cz] * v[cx, cy, cz - 1]
-             * (w[cx, cy, cz - 1] + w[cx, cy + 1, cz - 1]))
-    above = (coeffs.tzc2[cz] * v[cx, cy, kz]
-             * (w[cx, cy, cz] + w[cx, cy + 1, cz]))
-    sv += np.where(cz < nz - 1, below - above, below)
-    return sv
-
-
-def advect_w_block(u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                   coeffs: AdvectionCoefficients, cx: np.ndarray,
-                   cy: np.ndarray, cz: np.ndarray, nz: int) -> np.ndarray:
-    """Vector of W source terms for cell centres ``(cx, cy, cz)``.
-
-    Zero at column tops, exactly like the scalar form.
-    """
-    tcx, tcy = coeffs.tcx, coeffs.tcy
-    kz = np.minimum(cz + 1, nz - 1)
-    sw = tcx * (
-        w[cx - 1, cy, cz] * (u[cx - 1, cy, cz] + u[cx - 1, cy, kz])
-        - w[cx + 1, cy, cz] * (u[cx, cy, cz] + u[cx, cy, kz])
-    )
-    sw += tcy * (
-        w[cx, cy - 1, cz] * (v[cx, cy - 1, cz] + v[cx, cy - 1, kz])
-        - w[cx, cy + 1, cz] * (v[cx, cy, cz] + v[cx, cy, kz])
-    )
-    sw += (
-        coeffs.tzd1[cz] * w[cx, cy, cz - 1]
-        * (w[cx, cy, cz] + w[cx, cy, cz - 1])
-        - coeffs.tzd2[cz] * w[cx, cy, kz]
-        * (w[cx, cy, cz] + w[cx, cy, kz])
-    )
-    return np.where(cz < nz - 1, sw, 0.0)

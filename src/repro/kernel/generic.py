@@ -23,14 +23,18 @@ fires a batched window as a few NumPy calls: the shift stage jumps its
 buffer ahead (:meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
 feed_bulk`) and forwards a lazy :class:`WindowRunBulk`; the compute
 stage evaluates the kernel's own window functions once on a
-:class:`WindowRun` — every window of the run at once — and the write
-stage scatters the results with one indexed assignment.
+:class:`~repro.shiftbuffer.window.WindowRun` — every window of the run
+at once — and the write stage scatters the results with one indexed
+assignment.  The advect stages of :mod:`repro.kernel.stages` evaluate
+their window forms on the same run view; this machine forwards no
+column-top windows, so its runs are never ``top``.
 
 A window function must therefore be elementwise arithmetic over
 ``window.at(di, dj, dk)``: the same expression serves one
 :class:`~repro.shiftbuffer.window.StencilWindow` (a float per offset)
-and a :class:`WindowRun` (an array per offset).  :func:`run_stencil_kernel`
-checks that contract before the first cycle, on every path.
+and a :class:`~repro.shiftbuffer.window.WindowRun` (an array per
+offset).  :func:`run_stencil_kernel` checks that contract before the
+first cycle, on every path.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from repro.errors import ConfigurationError
 from repro.kernel.stages import AdvectResultBulk
 from repro.shiftbuffer.buffer3d import ShiftBuffer3D, emission_center
 from repro.shiftbuffer.ports import MemoryPortTracker
-from repro.shiftbuffer.window import StencilWindow
+from repro.shiftbuffer.window import StencilWindow, WindowRun
 
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
@@ -64,53 +68,12 @@ if TYPE_CHECKING:
     from repro.observe.trace import Tracer
 
 __all__ = [
-    "WindowRun",
     "WindowRunBulk",
     "GeneralShiftBufferStage",
     "WindowComputeStage",
     "ScatterWriteStage",
     "run_stencil_kernel",
 ]
-
-
-class WindowRun:
-    """A run view: many non-top windows of one block, addressed at once.
-
-    :meth:`at` answers what :meth:`StencilWindow.at
-    <repro.shiftbuffer.window.StencilWindow.at>` answers for one window,
-    for every window of the run, as one float64 array; :attr:`center`
-    holds the centres as coordinate arrays.  Window functions written as
-    elementwise arithmetic over ``at`` evaluate a whole run in one call.
-
-    ``at`` gathers by integer index, so each call returns a fresh array,
-    never a view into ``block``: a window function may update its
-    operands in place.
-    """
-
-    def __init__(self, block: np.ndarray, cx: np.ndarray, cy: np.ndarray,
-                 cz: np.ndarray) -> None:
-        self._block = block
-        self._flat = block.reshape(-1)
-        _nx, self._ny, self._nz = block.shape
-        #: Centre coordinates ``(cx, cy, cz)``, one entry per window.
-        self.center = (cx, cy, cz)
-        self._index = (cx * self._ny + cy) * self._nz + cz
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def at(self, di: int, dj: int, dk: int) -> np.ndarray:
-        """Values at stencil offset ``(di, dj, dk)`` from every centre."""
-        if not (-1 <= di <= 1 and -1 <= dj <= 1 and -1 <= dk <= 1):
-            raise ValueError(f"stencil offsets must be in [-1, 1], got "
-                             f"({di}, {dj}, {dk})")
-        return self._flat.take(
-            self._index + ((di * self._ny + dj) * self._nz + dk))
-
-    def select(self, mask: np.ndarray) -> "WindowRun":
-        """The sub-run of the windows where ``mask`` holds."""
-        cx, cy, cz = self.center
-        return WindowRun(self._block, cx[mask], cy[mask], cz[mask])
 
 
 #: The value of a window's own (centre) cell: one float from a

@@ -7,6 +7,11 @@ gives us the machine behaviour (II, pipeline fill, backpressure) while the
 functional behaviour lives in :mod:`repro.kernel.compute` and
 :mod:`repro.shiftbuffer.buffer3d` — the same separation the HLS code keeps
 between pragmas and arithmetic.
+
+Each advect stage calls one window form on both paths: on one bundle's
+windows when it fires scalar, and on
+:class:`~repro.shiftbuffer.window.WindowRun` views of a batched run's
+full windows and column tops, whose centres the shift stage computed once.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.dataflow.stage import SourceStage, Stage
 from repro.errors import DataflowError
 from repro.shiftbuffer.buffer3d import ShiftBuffer3D, emission_center
 from repro.shiftbuffer.ports import MemoryPortTracker
-from repro.shiftbuffer.window import StencilWindow
+from repro.shiftbuffer.window import StencilWindow, WindowRun
 
 __all__ = [
     "CellInput",
@@ -62,7 +67,6 @@ class StencilBundle:
     v: StencilWindow
     w: StencilWindow
     center: tuple[int, int, int]
-    top: bool
 
 
 class CellBlockBulk(Bulk):
@@ -101,39 +105,46 @@ class StencilBulk(Bulk):
     (:meth:`ShiftBuffer3D.window_at`) for the handful of bundles that end
     up inside FIFOs or stage pipelines when exact ticking resumes — the
     bulk of them flow straight into the batched advect compute.
+
+    The centre coordinate arrays are computed once, when the shift stage
+    emits the run; slices hold views of them, so the three advect stages
+    and their results share one copy.
     """
 
     def __init__(self, buffers: Mapping[str, ShiftBuffer3D],
-                 blocks: Mapping[str, np.ndarray], start: int,
-                 stop: int) -> None:
+                 blocks: Mapping[str, np.ndarray], start: int, stop: int,
+                 center: tuple[np.ndarray, np.ndarray, np.ndarray]
+                 | None = None) -> None:
         self.buffers = dict(buffers)
         self.blocks = dict(blocks)
         self.start = start
         self.stop = stop
+        if center is None:
+            buf = self.buffers["u"]
+            cx, cy, cz, _ = emission_center(np.arange(start, stop),
+                                            buf.ny, buf.nz)
+            center = (cx, cy, cz)
+        #: Centre coordinate arrays ``(cx, cy, cz)`` of every bundle.
+        self.center = center
 
     def __len__(self) -> int:
         return self.stop - self.start
 
     def slice(self, start: int, stop: int) -> "StencilBulk":
         self._check_range(start, stop)
+        cx, cy, cz = self.center
         return StencilBulk(self.buffers, self.blocks, self.start + start,
-                           self.start + stop)
+                           self.start + stop,
+                           (cx[start:stop], cy[start:stop], cz[start:stop]))
 
     def bundle_at(self, index: int) -> StencilBundle:
         wu = self.buffers["u"].window_at(index, self.blocks["u"])
         wv = self.buffers["v"].window_at(index, self.blocks["v"])
         ww = self.buffers["w"].window_at(index, self.blocks["w"])
-        return StencilBundle(u=wu, v=wv, w=ww, center=wu.center, top=wu.top)
+        return StencilBundle(u=wu, v=wv, w=ww, center=wu.center)
 
     def materialize(self) -> list[StencilBundle]:
         return [self.bundle_at(i) for i in range(self.start, self.stop)]
-
-    def centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Centre coordinate vectors of every bundle in this run."""
-        buf = self.buffers["u"]
-        cx, cy, cz, _ = emission_center(np.arange(self.start, self.stop),
-                                        buf.ny, buf.nz)
-        return cx, cy, cz
 
 
 class AdvectResultBulk(Bulk):
@@ -362,7 +373,7 @@ class ShiftBufferStage(Stage):
                 f"{len(wins_u)}/{len(wins_v)}/{len(wins_w)} windows"
             )
         bundles = [
-            StencilBundle(u=wu, v=wv, w=ww, center=wu.center, top=wu.top)
+            StencilBundle(u=wu, v=wv, w=ww, center=wu.center)
             for wu, wv, ww in zip(wins_u, wins_v, wins_w)
         ]
         if bundles and self.first_emit_cycle is None:
@@ -497,19 +508,11 @@ class AdvectStage(Stage):
 
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
         (bundle,) = inputs["in"]
-        k = bundle.center[2]
-        value = self._fn(bundle.u, bundle.v, bundle.w, self.coeffs, k, self.nz)
+        value = self._fn(bundle.u, bundle.v, bundle.w, self.coeffs)
         return {"out": [(bundle.center, value)]}
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
-        from repro.kernel import compute
-
-        block_fn = {
-            "u": compute.advect_u_block,
-            "v": compute.advect_v_block,
-            "w": compute.advect_w_block,
-        }[self.field]
         bulk = inputs["in"]
         if len(bulk) != count:
             raise DataflowError(
@@ -519,17 +522,23 @@ class AdvectStage(Stage):
         out_parts: list[Bulk] = []
         for part in bulk.parts():
             if isinstance(part, StencilBulk):
-                cx, cy, cz = part.centers()
-                values = block_fn(
-                    part.blocks["u"], part.blocks["v"], part.blocks["w"],
-                    self.coeffs, cx, cy, cz, self.nz,
-                )
+                # A run's ``top`` is one flag, so full windows and column
+                # tops are two sub-runs; u, v and w share each one's index.
+                cx, cy, cz = part.center
+                tops = cz == self.nz - 1
+                values = np.empty(len(part))
+                for top, lanes in ((False, ~tops), (True, tops)):
+                    if lanes.any():
+                        u = WindowRun(part.blocks["u"], cx[lanes], cy[lanes],
+                                      cz[lanes], top=top)
+                        values[lanes] = self._fn(
+                            u, u.on(part.blocks["v"]),
+                            u.on(part.blocks["w"]), self.coeffs)
                 out_parts.append(AdvectResultBulk(cx, cy, cz, values))
             elif len(part):
                 out_parts.append(ListBulk([
                     (bundle.center,
-                     self._fn(bundle.u, bundle.v, bundle.w, self.coeffs,
-                              bundle.center[2], self.nz))
+                     self._fn(bundle.u, bundle.v, bundle.w, self.coeffs))
                     for bundle in part.materialize()
                 ]))
         return UniformFireResult({"out": ChainBulk(out_parts)})

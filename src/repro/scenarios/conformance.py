@@ -35,9 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
-from repro.core.fields import SOURCE_NAMES, SourceSet
 from repro.core.grid import Grid
 from repro.errors import ReproError
 from repro.scenarios.base import Scenario, ScenarioResult
@@ -129,15 +126,9 @@ class ConformanceReport:
         return "\n".join(lines)
 
 
-def _identical(a: SourceSet, b: SourceSet) -> bool:
-    """Byte-for-byte equality of two source sets."""
-    return all(np.array_equal(getattr(a, name), getattr(b, name))
-               for name in SOURCE_NAMES)
-
-
 def _batches_identical(a: ScenarioResult, b: ScenarioResult) -> bool:
     return len(a.batches) == len(b.batches) and all(
-        _identical(x, y) for x, y in zip(a.batches, b.batches))
+        x.same_bits(y) for x, y in zip(a.batches, b.batches))
 
 
 def _stats_minus_batching(result: ScenarioResult) -> dict[str, Any]:
@@ -175,7 +166,7 @@ def run_conformance(scenario: Scenario, *, grid: Grid | None = None,
 
     references = scenario.reference(grid, seed=seed)
     ref_ok = len(references) == len(scalar.batches) and all(
-        _identical(out, ref)
+        out.same_bits(ref)
         for out, ref in zip(scalar.batches, references))
     record("reference", ref_ok,
            "forced-scalar output differs from the NumPy reference")

@@ -18,11 +18,12 @@ chunking with one-cell halo overlap from Fig. 4.
 from repro.shiftbuffer.buffer3d import ShiftBuffer3D
 from repro.shiftbuffer.chunking import ChunkPlan, plan_chunks
 from repro.shiftbuffer.ports import MemoryPortTracker
-from repro.shiftbuffer.window import StencilWindow
+from repro.shiftbuffer.window import StencilWindow, WindowRun
 
 __all__ = [
     "ShiftBuffer3D",
     "StencilWindow",
+    "WindowRun",
     "MemoryPortTracker",
     "ChunkPlan",
     "plan_chunks",

@@ -1,29 +1,33 @@
-"""Window-based advection arithmetic vs the scalar specification."""
+"""Window-based advection arithmetic vs the scalar specification.
+
+One expression per field serves both execution paths: a scalar firing
+evaluates it on three :class:`StencilWindow` objects, a batched firing on
+three :class:`WindowRun` views.  Both must give the golden bytes.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.coefficients import AdvectionCoefficients
 from repro.core.golden import advect_cell
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
-from repro.kernel.compute import (
-    UNIQUE_STENCIL_POINTS,
-    advect_u,
-    advect_u_block,
-    advect_v,
-    advect_v_block,
-    advect_w,
-    advect_w_block,
-)
-from repro.shiftbuffer.window import StencilWindow
+from repro.kernel import compute, stages
+from repro.kernel.compute import advect_u, advect_v, advect_w
+from repro.kernel.config import KernelConfig
+from repro.kernel.simulate import simulate_kernel
+from repro.shiftbuffer.buffer3d import ShiftBuffer3D, emission_center
+from repro.shiftbuffer.window import StencilWindow, WindowRun
+
+FORMS = (advect_u, advect_v, advect_w)
 
 
-def cell_sources(u, v, w, coeffs, k, nz):
+def cell_sources(u, v, w, coeffs):
     """All three source terms for one cell, as the three advect stages
     compute them from one stencil bundle."""
-    return tuple(fn(u, v, w, coeffs, k, nz)
-                 for fn in (advect_u, advect_v, advect_w))
+    return tuple(fn(u, v, w, coeffs) for fn in FORMS)
 
 
 def window_at(arr, i, j, k, *, top=False):
@@ -57,8 +61,7 @@ class TestAgainstGolden:
                 wu = window_at(fields.u, i, j, k)
                 wv = window_at(fields.v, i, j, k)
                 ww = window_at(fields.w, i, j, k)
-                su, sv, sw = cell_sources(wu, wv, ww, coeffs, k,
-                                                 grid.nz)
+                su, sv, sw = cell_sources(wu, wv, ww, coeffs)
                 gu, gv, gw = advect_cell(fields.u, fields.v, fields.w,
                                          coeffs, i, j, k, grid.nz)
                 assert su == gu and sv == gv and sw == gw
@@ -71,8 +74,7 @@ class TestAgainstGolden:
                 wu = window_at(fields.u, i, j, k, top=True)
                 wv = window_at(fields.v, i, j, k, top=True)
                 ww = window_at(fields.w, i, j, k, top=True)
-                su, sv, sw = cell_sources(wu, wv, ww, coeffs, k,
-                                                 grid.nz)
+                su, sv, sw = cell_sources(wu, wv, ww, coeffs)
                 gu, gv, gw = advect_cell(fields.u, fields.v, fields.w,
                                          coeffs, i, j, k, grid.nz)
                 assert su == gu and sv == gv
@@ -86,7 +88,7 @@ class TestAgainstGolden:
         wu = window_at(fields.u, 2, 2, k, top=True)
         wv = window_at(fields.v, 2, 2, k, top=True)
         ww = window_at(fields.w, 2, 2, k, top=True)
-        su, sv, sw = cell_sources(wu, wv, ww, coeffs, k, grid.nz)
+        su, sv, sw = cell_sources(wu, wv, ww, coeffs)
         assert np.isfinite(su) and np.isfinite(sv) and np.isfinite(sw)
 
 
@@ -97,25 +99,133 @@ class TestFieldFunctions:
         wu = window_at(fields.u, 2, 2, k, top=True)
         wv = window_at(fields.v, 2, 2, k, top=True)
         ww = window_at(fields.w, 2, 2, k, top=True)
-        assert advect_w(wu, wv, ww, coeffs, k, grid.nz) == 0.0
+        assert advect_w(wu, wv, ww, coeffs) == 0.0
 
-    def test_individual_functions_match_tuple(self, setup):
-        """Each window function equals its block form at that centre,
-        the pair the scalar and batched advect stages evaluate."""
+
+class RecordingWindow:
+    """A window that records every stencil offset a form reads."""
+
+    def __init__(self, window):
+        self._window = window
+        self.center = window.center
+        self.top = window.top
+        self.reads = set()
+
+    def at(self, di, dj, dk):
+        self.reads.add((di, dj, dk))
+        return self._window.at(di, dj, dk)
+
+
+def recorded_reads(fn, fields, coeffs, k, *, top=False):
+    """The distinct offsets ``fn`` reads from each field's window."""
+    windows = [RecordingWindow(window_at(field, 2, 2, k, top=top))
+               for field in (fields.u, fields.v, fields.w)]
+    fn(*windows, coeffs)
+    return [window.reads for window in windows]
+
+
+class TestStencilReads:
+    @pytest.mark.parametrize("own", range(3))
+    def test_each_form_reads_15_values_over_9_offsets(self, setup, own):
+        """The paper says "typically only 8" of the 27 values are needed
+        per field advection; these forms read 7 offsets of their own
+        field and 4 of each other field."""
+        _grid, fields, coeffs = setup
+        reads = recorded_reads(FORMS[own], fields, coeffs, 2)
+        assert [len(r) for r in reads] == [7 if f == own else 4
+                                           for f in range(3)]
+        assert sum(len(r) for r in reads) == 15
+        assert len(set().union(*reads)) == 9
+
+    @pytest.mark.parametrize("own", range(3))
+    def test_top_window_is_never_read_at_dk_plus_one(self, setup, own):
+        """The top run relies on this: a column-top window's dk=+1
+        registers hold the next column's values."""
         grid, fields, coeffs = setup
-        wu = window_at(fields.u, 2, 2, 2)
-        wv = window_at(fields.v, 2, 2, 2)
-        ww = window_at(fields.w, 2, 2, 2)
-        centre = (np.array([2]), np.array([2]), np.array([2]))
-        for window_fn, block_fn in ((advect_u, advect_u_block),
-                                    (advect_v, advect_v_block),
-                                    (advect_w, advect_w_block)):
-            block = block_fn(fields.u, fields.v, fields.w, coeffs, *centre,
-                             grid.nz)
-            assert window_fn(wu, wv, ww, coeffs, 2, grid.nz) == block[0]
+        reads = recorded_reads(FORMS[own], fields, coeffs, grid.nz - 1,
+                               top=True)
+        assert all(dk != 1 for field in reads for _di, _dj, dk in field)
 
-    def test_unique_stencil_points_documented(self):
-        # The paper: "typically only 8 unique values of the 27 point 3D
-        # stencil are required for each field advection".
-        assert UNIQUE_STENCIL_POINTS["u"] == 8
-        assert UNIQUE_STENCIL_POINTS["v"] == 8
+
+def signed_block(rng, shape):
+    """Random values with exact zeros of both signs mixed in."""
+    block = rng.normal(size=shape)
+    block[rng.random(shape) < 0.2] = 0.0
+    block[rng.random(shape) < 0.1] = -0.0
+    return block
+
+
+class TestRunForms:
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.integers(3, 8), ny=st.integers(3, 8),
+           nz=st.integers(3, 12), seed=st.integers(0, 2**16))
+    def test_run_equals_each_window_byte_for_byte(self, nx, ny, nz, seed):
+        """Each form gives, on the full run and on the top run, the bytes
+        it gives on every window ``ShiftBuffer3D.window_at`` cuts."""
+        rng = np.random.default_rng(seed)
+        blocks = [signed_block(rng, (nx, ny, nz)) for _ in range(3)]
+        coeffs = AdvectionCoefficients.isothermal(
+            Grid(nx=nx - 2, ny=ny - 2, nz=nz))
+        buffer = ShiftBuffer3D(nx, ny, nz)
+        emissions = np.arange((nx - 2) * (ny - 2) * (nz - 1))
+        cx, cy, cz, tops = emission_center(emissions, ny, nz)
+        for top, lanes in ((False, ~tops), (True, tops)):
+            u = WindowRun(blocks[0], cx[lanes], cy[lanes], cz[lanes],
+                          top=top)
+            windows = [[buffer.window_at(e, block) for block in blocks]
+                       for e in emissions[lanes]]
+            assert all(w.top == top for ws in windows for w in ws)
+            for fn in FORMS:
+                together = np.broadcast_to(
+                    np.asarray(fn(u, u.on(blocks[1]), u.on(blocks[2]),
+                                  coeffs), dtype=float), (len(u),))
+                alone = np.array([fn(*ws, coeffs) for ws in windows],
+                                 dtype=float)
+                assert together.tobytes() == alone.tobytes()
+
+
+class TestAdvectStages:
+    def test_scalar_and_batched_firings_call_one_form(self, monkeypatch):
+        """``fire`` passes single windows and ``fire_bulk`` full and top
+        runs, all to the same form."""
+        seen = set()
+        for form in FORMS:
+            def spy(u, v, w, coeffs, form=form):
+                seen.add((form.__name__, type(u).__name__, u.top))
+                return form(u, v, w, coeffs)
+            monkeypatch.setattr(compute, form.__name__, spy)
+        grid = Grid(nx=6, ny=6, nz=8)
+        simulate_kernel(KernelConfig(grid=grid),
+                        random_wind(grid, seed=3, magnitude=2.0))
+        assert seen == {(form.__name__, kind, top) for form in FORMS
+                        for kind in ("StencilWindow", "WindowRun")
+                        for top in (False, True)}
+
+    def test_advect_results_share_the_shift_stage_centres(self, monkeypatch):
+        """The three advect stages of one batched window keep views of
+        the centre arrays the shift stage computed, not copies."""
+        fired = {}
+        original = stages.AdvectStage.fire_bulk
+
+        def recording(self, count, inputs, cycle):
+            result = original(self, count, inputs, cycle)
+            fired.setdefault(cycle, {})[self.field] = [
+                part for part in result.outputs["out"].parts()
+                if isinstance(part, stages.AdvectResultBulk)]
+            return result
+
+        monkeypatch.setattr(stages.AdvectStage, "fire_bulk", recording)
+        grid = Grid(nx=6, ny=6, nz=8)
+        result = simulate_kernel(KernelConfig(grid=grid),
+                                 random_wind(grid, seed=3, magnitude=2.0))
+        assert result.aggregate_stats().batched_windows > 0
+        shared = 0
+        for by_field in fired.values():
+            for u, v, w in zip(by_field["u"], by_field["v"],
+                               by_field["w"], strict=True):
+                for axis in range(3):
+                    centres = (u.cx, u.cy, u.cz)[axis]
+                    assert np.shares_memory(centres, (v.cx, v.cy, v.cz)[axis])
+                    assert np.shares_memory(centres, (w.cx, w.cy, w.cz)[axis])
+                shared += 1
+        assert shared > 0

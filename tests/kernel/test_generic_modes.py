@@ -8,7 +8,7 @@ so batched exact execution runs windows — also under the deprecated
 forced-scalar execution: outputs, stats and memory-port reports.  These
 tests pin that contract for both kernels built on the machine, and pin
 that a batched window really runs vectorised: the kernels' own window
-functions evaluated once on a :class:`~repro.kernel.generic.WindowRun`.
+functions evaluated once on a :class:`~repro.shiftbuffer.window.WindowRun`.
 """
 
 import numpy as np

@@ -1,9 +1,10 @@
-"""Tests for the 27-point stencil window."""
+"""Tests for the 27-point stencil window and its run view."""
 
 import numpy as np
 import pytest
 
-from repro.shiftbuffer.window import StencilWindow
+from repro.shiftbuffer.buffer3d import ShiftBuffer3D, emission_center
+from repro.shiftbuffer.window import StencilWindow, WindowRun
 
 
 def labelled_raw():
@@ -70,3 +71,42 @@ class TestTopWindow:
         arr = w.as_array()
         assert np.all(np.isnan(arr[:, :, 2]))
         assert not np.any(np.isnan(arr[:, :, :2]))
+
+
+def block_runs(shape=(5, 6, 7)):
+    """A labelled block, its windows, and the full and top run views."""
+    block = np.arange(np.prod(shape), dtype=float).reshape(shape)
+    nx, ny, nz = shape
+    emissions = np.arange((nx - 2) * (ny - 2) * (nz - 1))
+    cx, cy, cz, tops = emission_center(emissions, ny, nz)
+    buffer = ShiftBuffer3D(*shape)
+    windows = [buffer.window_at(e, block) for e in emissions]
+    full = WindowRun(block, cx[~tops], cy[~tops], cz[~tops])
+    top = WindowRun(block, cx[tops], cy[tops], cz[tops], top=True)
+    return block, windows, tops, full, top
+
+
+class TestWindowRun:
+    def test_top_run_raises_on_dk_plus_one_and_answers_dk_minus_one(self):
+        _block, windows, tops, _full, top = block_runs()
+        assert top.top
+        with pytest.raises(ValueError, match="stale"):
+            top.at(0, 0, 1)
+        tops_alone = [w for w, t in zip(windows, tops) if t]
+        for offset in ((0, 0, -1), (1, -1, 0), (-1, 1, -1)):
+            np.testing.assert_array_equal(
+                top.at(*offset), [w.at(*offset) for w in tops_alone])
+
+    def test_on_reads_another_block_through_the_same_centres(self):
+        block, _windows, _tops, full, top = block_runs()
+        other = -block
+        for run in (full, top):
+            moved = run.on(other)
+            assert moved.center is run.center and moved.top == run.top
+            np.testing.assert_array_equal(moved.at(1, 0, -1),
+                                          -run.at(1, 0, -1))
+
+    def test_on_rejects_a_block_of_another_shape(self):
+        *_, full, _top = block_runs()
+        with pytest.raises(ValueError, match="shape"):
+            full.on(np.zeros((5, 6, 8)))
