@@ -38,7 +38,7 @@ from repro.backend.space import AxisSpace
 from repro.constants import average_ops_per_cycle
 from repro.core.grid import Grid
 from repro.dataflow.graph import DataflowGraph
-from repro.errors import BackendError, TuneError
+from repro.errors import BackendError, ConfigurationError, TuneError
 from repro.lint.diagnostics import LintReport
 from repro.lint.registry import LintContext
 from repro.lint.runner import run_lint
@@ -514,7 +514,9 @@ class VersalAieBackend(Backend):
 
     def structural_graph(self, grid: Grid, *, point: Any | None = None,
                          read_ii: int = 1) -> DataflowGraph:
-        del read_ii  # PLIO feeds are fixed-rate; no memory II axis.
+        # PLIO feeds are fixed-rate, so read_ii is checked but unused.
+        if read_ii < 1:
+            raise ConfigurationError(f"read_ii must be >= 1, got {read_ii}")
         device = self.resolve_device()
         resolved = point if point is not None else self.canonical_point(device)
         return build_versal_graph(grid, resolved)

@@ -65,6 +65,11 @@ Commands
     ``--chaos`` injects device/transfer faults, ``--trace`` writes the
     per-lane Perfetto timeline (non-zero exit if a chaos leg breaks the
     bit-identity-or-typed-error invariant).
+
+Every command follows the exit-code table in docs/api.md: a handler
+returns 0, or 1 for a failed verdict, and raises a
+:class:`~repro.errors.ReproError` for anything else, which :func:`main`
+alone prints as one ``error:`` line and maps to its class's ``exit_code``.
 """
 
 from __future__ import annotations
@@ -73,7 +78,8 @@ import argparse
 import sys
 
 from repro import constants
-from repro.errors import ReproError
+from repro.errors import (BackendError, ConfigurationError, LintError,
+                          ReproError)
 
 __all__ = ["main", "build_parser"]
 
@@ -419,6 +425,33 @@ def _grid_from_flags(args, *, default: int):
                   for n in (args.nx, args.ny, args.nz)))
 
 
+def _given_grid(args):
+    """Grid from ``--nx/--ny/--nz``, or ``None`` when none is given.
+
+    The three flags go together; a partial set is an input error.
+    """
+    from repro.core.grid import Grid
+
+    dims = (args.nx, args.ny, args.nz)
+    if dims == (None, None, None):
+        return None
+    if None in dims:
+        raise ConfigurationError("--nx/--ny/--nz must be given together")
+    return Grid(*dims)
+
+
+def _paper_grid(label: str):
+    """The paper grid a ``--cells`` label names."""
+    from repro.core.grid import Grid
+
+    cells = constants.PAPER_GRID_LABELS.get(label)
+    if cells is None:
+        raise ConfigurationError(
+            f"unknown size {label!r}; known: "
+            f"{', '.join(constants.PAPER_GRID_LABELS)}")
+    return Grid.from_cells(cells)
+
+
 def _kernel_config(grid, chunk_width: int | None):
     """Kernel config for ``grid``; ``None`` keeps the default chunk width."""
     from repro.kernel.config import KernelConfig
@@ -435,19 +468,12 @@ def _cmd_experiments(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.core.grid import Grid
     from repro.hardware import device_by_name
     from repro.kernel.config import KernelConfig
     from repro.runtime.gantt import render_gantt
     from repro.runtime.session import AdvectionSession
 
-    try:
-        cells = constants.PAPER_GRID_LABELS[args.cells]
-    except KeyError:
-        print(f"unknown size {args.cells!r}; known: "
-              f"{', '.join(constants.PAPER_GRID_LABELS)}", file=sys.stderr)
-        return 2
-    grid = Grid.from_cells(cells)
+    grid = _paper_grid(args.cells)
     device = device_by_name(args.device)
     session = AdvectionSession(device, KernelConfig(grid=grid),
                                num_kernels=args.kernels, memory=args.memory)
@@ -520,19 +546,11 @@ def _bitwise_status(pairs) -> tuple[bool, str]:
 
 
 def _cmd_simulate_scenario(args) -> int:
-    from repro.core.grid import Grid
     from repro.observe import ops_per_cycle_report
     from repro.scenarios import get
 
     scenario = get(args.scenario)
-    if any(dim is not None for dim in (args.nx, args.ny, args.nz)):
-        if None in (args.nx, args.ny, args.nz):
-            print("error: --nx/--ny/--nz must be given together",
-                  file=sys.stderr)
-            return 2
-        grid = Grid(nx=args.nx, ny=args.ny, nz=args.nz)
-    else:
-        grid = scenario.default_grid()
+    grid = _given_grid(args) or scenario.default_grid()
 
     batched = not args.no_batched
     result = scenario.run(grid, seed=args.seed, mode=args.mode,
@@ -606,15 +624,19 @@ def _cmd_simulate(args) -> int:
     from repro.kernel.multi_simulate import simulate_multi_kernel
     from repro.kernel.simulate import simulate_kernel
 
+    if args.memory_rate is not None and args.kernels is None:
+        raise ConfigurationError(
+            "--memory-rate is the shared-memory rate of --kernels N; "
+            "give --kernels too")
     if args.backend:
         from repro.backend import DEFAULT_BACKEND, get_backend
 
         backend = get_backend(args.backend)
         if backend.id != DEFAULT_BACKEND:
             if args.scenario:
-                print("error: --backend and --scenario are mutually "
-                      "exclusive on simulate", file=sys.stderr)
-                return 2
+                raise ConfigurationError(
+                    "--backend and --scenario are mutually exclusive on "
+                    "simulate")
             return _cmd_simulate_backend(args, backend)
         # The default backend *is* the cycle-accurate shift-buffer
         # path below; naming it explicitly changes nothing.
@@ -668,7 +690,7 @@ def _print_batched_split(total_cycles: int, batched_cycles: int,
         print(f"fallback: {fallback}")
 
 
-def _cmd_devices() -> int:
+def _cmd_devices(args) -> int:
     from repro.core.grid import Grid
     from repro.hardware import (
         ALVEO_U280,
@@ -721,7 +743,6 @@ def _cmd_scenarios(args) -> int:
     pricing = None
     if args.backend:
         from repro.backend import get_backend
-        from repro.errors import BackendError
 
         backend = get_backend(args.backend)
         pricing = []
@@ -794,8 +815,6 @@ def _cmd_scenarios(args) -> int:
 def _cmd_lint(args) -> int:
     import json as json_module
 
-    from repro.core.grid import Grid
-    from repro.errors import ConfigurationError, LintError
     from repro.hardware import device_by_name
     from repro.lint import load_builtin_rules
     from repro.lint.runner import lint_kernel, run_lint
@@ -810,88 +829,53 @@ def _cmd_lint(args) -> int:
 
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
-    try:
-        # Reject a filter that matches nothing before any target kind
-        # (flags, --backend, --scenario, specs) is linted.
-        registry.selected(select=select, ignore=ignore)
-    except LintError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    # Reject a filter that matches nothing before any target kind
+    # (flags, --backend, --scenario, specs) is linted.
+    registry.selected(select=select, ignore=ignore)
 
     if args.backend and (args.scenario or args.specs):
-        print("error: --backend lints the kernel built from the flags, "
-              "not specs or scenarios", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            "--backend lints the kernel built from the flags, not specs "
+            "or scenarios")
 
-    targets = []
-    try:
-        if args.scenario:
-            import dataclasses
+    if args.scenario:
+        import dataclasses
 
-            from repro.scenarios import get as get_scenario
+        from repro.scenarios import get as get_scenario
 
-            scenario = get_scenario(args.scenario)
-            targets = [dataclasses.replace(
-                scenario.lint(), subject=f"scenario:{scenario.name}")]
-        elif args.specs:
-            targets = [load_spec(path) for path in args.specs]
+        scenario = get_scenario(args.scenario)
+        reports = [dataclasses.replace(
+            scenario.lint(), subject=f"scenario:{scenario.name}")]
+    elif args.specs:
+        specs = [load_spec(path) for path in args.specs]
+        reports = [run_lint(spec.context, select=select, ignore=ignore,
+                            subject=spec.name) for spec in specs]
+    else:
+        grid = _given_grid(args) or _paper_grid(args.cells)
+        if args.backend:
+            from repro.backend import DEFAULT_BACKEND, get_backend
+
+            backend = get_backend(args.backend)
         else:
-            if any(dim is not None for dim in (args.nx, args.ny, args.nz)):
-                if None in (args.nx, args.ny, args.nz):
-                    print("error: --nx/--ny/--nz must be given together",
-                          file=sys.stderr)
-                    return 2
-                grid = Grid(nx=args.nx, ny=args.ny, nz=args.nz)
-            else:
-                try:
-                    grid = Grid.from_cells(
-                        constants.PAPER_GRID_LABELS[args.cells])
-                except KeyError:
-                    print(f"unknown size {args.cells!r}; known: "
-                          f"{', '.join(constants.PAPER_GRID_LABELS)}",
-                          file=sys.stderr)
-                    return 2
-            if args.backend:
-                from repro.backend import DEFAULT_BACKEND, get_backend
-
-                backend = get_backend(args.backend)
-            else:
-                backend = None
-            if backend is not None and backend.id != DEFAULT_BACKEND:
-                # Non-default families lint their canonical deployment
-                # (--kernels maps to the backend's replica axis, e.g.
-                # Versal tile columns); --chunk-width has no analogue.
-                report = backend.lint(
-                    grid, device=args.device, num_kernels=args.kernels,
-                    select=select, ignore=ignore)
-                targets = [report]
-            else:
-                device_name = args.device or "u280"
-                try:
-                    device = device_by_name(device_name)
-                except ConfigurationError as error:
-                    print(f"error: {error}", file=sys.stderr)
-                    return 2
-                if not hasattr(device, "capacity"):
-                    print(f"error: {device.name} is not an FPGA model; "
-                          f"lint needs a fabric capacity", file=sys.stderr)
-                    return 2
-                config = _kernel_config(grid, args.chunk_width)
-                report = lint_kernel(config, device, args.kernels,
-                                     select=select, ignore=ignore,
-                                     subject=f"{device_name}:{args.cells}")
-                targets = [report]
-    except LintError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    reports = []
-    for target in targets:
-        if hasattr(target, "context"):  # a loaded spec
-            reports.append(run_lint(target.context, select=select,
-                                    ignore=ignore, subject=target.name))
-        else:  # already a report
-            reports.append(target)
+            backend = None
+        if backend is not None and backend.id != DEFAULT_BACKEND:
+            # Non-default families lint their canonical deployment
+            # (--kernels maps to the backend's replica axis, e.g.
+            # Versal tile columns); --chunk-width has no analogue.
+            reports = [backend.lint(
+                grid, device=args.device, num_kernels=args.kernels,
+                select=select, ignore=ignore)]
+        else:
+            device_name = args.device or "u280"
+            device = device_by_name(device_name)
+            if not hasattr(device, "capacity"):
+                raise ConfigurationError(
+                    f"{device.name} is not an FPGA model; lint needs a "
+                    "fabric capacity")
+            config = _kernel_config(grid, args.chunk_width)
+            reports = [lint_kernel(config, device, args.kernels,
+                                   select=select, ignore=ignore,
+                                   subject=f"{device_name}:{args.cells}")]
 
     if args.json:
         payload = {
@@ -914,76 +898,53 @@ def _cmd_analyze(args) -> int:
 
     from repro.analyze import analyze_graph, build_token_twin, \
         patch_spec_depths
-    from repro.core.grid import Grid
     from repro.dataflow.engine import DataflowEngine
-    from repro.errors import AnalyzeError, LintError
     from repro.lint.builders import build_structural_graph
     from repro.lint.spec import load_spec
 
     if args.tokens is not None and args.tokens < 1:
         # analyze_graph accepts 0 tokens, but a proof over an empty run
         # proves nothing about the design.
-        raise AnalyzeError(f"--tokens must be >= 1, got {args.tokens}")
+        raise ConfigurationError(f"--tokens must be >= 1, got {args.tokens}")
     if args.fix_depths and len(args.specs) != 1:
-        print("error: --fix-depths needs exactly one spec", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--fix-depths needs exactly one spec")
     if args.backend and (args.scenario or args.specs):
-        print("error: --backend analyzes the graph built from the flags, "
-              "not specs or scenarios", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            "--backend analyzes the graph built from the flags, not specs "
+            "or scenarios")
 
     targets: list[tuple[str, Any]] = []  # (name, graph)
     raw_spec: dict | None = None
-    try:
-        if args.scenario:
-            from repro.scenarios import get as get_scenario
+    if args.scenario:
+        from repro.scenarios import get as get_scenario
 
-            scenario = get_scenario(args.scenario)
+        scenario = get_scenario(args.scenario)
+        targets.append((
+            f"scenario:{scenario.name}",
+            scenario.kernel.structural_graph(scenario.default_grid())))
+    elif args.specs:
+        for path in args.specs:
+            target = load_spec(path)
+            if target.context.graph is None:
+                raise LintError(f"{path} declares no dataflow graph")
+            targets.append((target.name, target.context.graph))
+        if args.fix_depths:
+            raw_spec = json_module.loads(
+                pathlib.Path(args.specs[0]).read_text())
+    else:
+        grid = _given_grid(args) or _paper_grid(args.cells)
+        if args.backend:
+            from repro.backend import get_backend
+
+            backend = get_backend(args.backend)
             targets.append((
-                f"scenario:{scenario.name}",
-                scenario.kernel.structural_graph(scenario.default_grid())))
-        elif args.specs:
-            for path in args.specs:
-                target = load_spec(path)
-                if target.context.graph is None:
-                    print(f"error: {path} declares no dataflow graph",
-                          file=sys.stderr)
-                    return 2
-                targets.append((target.name, target.context.graph))
-            if args.fix_depths:
-                raw_spec = json_module.loads(
-                    pathlib.Path(args.specs[0]).read_text())
+                f"backend:{backend.id}",
+                backend.structural_graph(grid, read_ii=args.read_ii)))
         else:
-            if any(dim is not None for dim in (args.nx, args.ny, args.nz)):
-                if None in (args.nx, args.ny, args.nz):
-                    print("error: --nx/--ny/--nz must be given together",
-                          file=sys.stderr)
-                    return 2
-                grid = Grid(nx=args.nx, ny=args.ny, nz=args.nz)
-            else:
-                try:
-                    grid = Grid.from_cells(
-                        constants.PAPER_GRID_LABELS[args.cells])
-                except KeyError:
-                    print(f"unknown size {args.cells!r}; known: "
-                          f"{', '.join(constants.PAPER_GRID_LABELS)}",
-                          file=sys.stderr)
-                    return 2
-            if args.backend:
-                from repro.backend import get_backend
-
-                backend = get_backend(args.backend)
-                targets.append((
-                    f"backend:{backend.id}",
-                    backend.structural_graph(grid, read_ii=args.read_ii)))
-            else:
-                config = _kernel_config(grid, args.chunk_width)
-                targets.append((
-                    "advection",
-                    build_structural_graph(config, read_ii=args.read_ii)))
-    except LintError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+            config = _kernel_config(grid, args.chunk_width)
+            targets.append((
+                "advection",
+                build_structural_graph(config, read_ii=args.read_ii)))
 
     records = []
     failed = False
@@ -1093,7 +1054,6 @@ def _cmd_metrics(args) -> int:
 
     from repro.core.grid import Grid
     from repro.core.wind import random_wind
-    from repro.errors import ConfigurationError
     from repro.kernel.simulate import simulate_kernel
     from repro.observe import MetricRegistry, ops_per_cycle_report
 
@@ -1149,13 +1109,7 @@ def _cmd_tune(args) -> int:
         print(f"scenario {scenario.name}: grid {grid.interior_shape}, "
               f"flops scale {flops_scale:g}", file=sys.stderr)
     elif args.cells is not None:
-        try:
-            grid = Grid.from_cells(constants.PAPER_GRID_LABELS[args.cells])
-        except KeyError:
-            print(f"unknown size {args.cells!r}; known: "
-                  f"{', '.join(constants.PAPER_GRID_LABELS)}",
-                  file=sys.stderr)
-            return 2
+        grid = _paper_grid(args.cells)
     else:
         grid = Grid(nx=args.nx, ny=args.ny, nz=args.nz)
 
@@ -1307,14 +1261,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_scorecard(args) -> int:
-    from repro.experiments.summary import (
-        build_scorecard,
-        build_summary,
-        write_summary,
-    )
+    from repro.experiments.summary import build_scorecard, write_summary
 
-    summary = build_summary()
-    card = build_scorecard(summary, tolerance_pct=args.tolerance)
+    card = build_scorecard(tolerance_pct=args.tolerance)
     print(card.summary_line())
     if args.json:
         path = write_summary(args.json)
@@ -1322,45 +1271,40 @@ def _cmd_scorecard(args) -> int:
     return 0 if card.match_fraction == 1.0 else 1
 
 
+def _cmd_report(args) -> int:
+    from repro.experiments.markdown_report import main as report_main
+
+    return report_main([args.path] if args.path else [])
+
+
+_COMMANDS = {
+    "experiments": _cmd_experiments,
+    "run": _cmd_run,
+    "validate": _cmd_validate,
+    "simulate": _cmd_simulate,
+    "devices": _cmd_devices,
+    "scenarios": _cmd_scenarios,
+    "scorecard": _cmd_scorecard,
+    "report": _cmd_report,
+    "lint": _cmd_lint,
+    "analyze": _cmd_analyze,
+    "chaos": _cmd_chaos,
+    "trace": _cmd_trace,
+    "metrics": _cmd_metrics,
+    "tune": _cmd_tune,
+    "serve": _cmd_serve,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a :class:`~repro.errors.ReproError` prints one
+    ``error:`` line and returns its class's ``exit_code``."""
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "experiments":
-            return _cmd_experiments(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "devices":
-            return _cmd_devices()
-        if args.command == "scenarios":
-            return _cmd_scenarios(args)
-        if args.command == "scorecard":
-            return _cmd_scorecard(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "chaos":
-            return _cmd_chaos(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        if args.command == "tune":
-            return _cmd_tune(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "report":
-            from repro.experiments.markdown_report import main as report_main
-
-            return report_main([args.path] if args.path else [])
+        return _COMMANDS[args.command](args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 1
-    raise AssertionError("unreachable")  # pragma: no cover
+        return error.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core.fields import FieldSet
 from repro.core.grid import Grid
+from repro.errors import ConfigurationError
 
 __all__ = [
     "constant_wind",
@@ -167,6 +168,8 @@ def random_wind(grid: Grid, seed: int = 0, magnitude: float = 1.0) -> FieldSet:
     Used for fuzz/property tests: random fields have no structure for a bug
     to hide behind.
     """
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     shape = grid.interior_shape
     return FieldSet.from_interior(

@@ -3,6 +3,10 @@
 Every error raised by the library derives from :class:`ReproError` so callers
 can catch library failures with a single ``except`` clause while still being
 able to distinguish configuration mistakes from simulation-time faults.
+
+Each class also carries the exit code the command line returns for it:
+2 for a malformed request (an unknown name, a count below 1, an
+unreadable spec), 1 for a well-formed run that fails.
 """
 
 from __future__ import annotations
@@ -38,9 +42,15 @@ __all__ = [
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
+    #: Exit status of a CLI command that ends in this error; the
+    #: input-error classes below set 2.
+    exit_code: int = 1
+
 
 class ConfigurationError(ReproError):
     """A user-supplied configuration value is invalid or inconsistent."""
+
+    exit_code = 2
 
 
 class GridError(ConfigurationError):
@@ -76,6 +86,8 @@ class PortConflictError(ShiftBufferError):
 class ChunkingError(ReproError):
     """Invalid chunk plan (chunk narrower than the stencil, bad overlap)."""
 
+    exit_code = 2
+
 
 class ResourceError(ReproError):
     """A design does not fit on the targeted device resources."""
@@ -96,9 +108,13 @@ class CalibrationError(ReproError):
 class ExperimentError(ReproError):
     """An experiment was asked to run with unsupported parameters."""
 
+    exit_code = 2
+
 
 class LintError(ReproError):
     """A lint pass failed: error diagnostics, or an unreadable design spec."""
+
+    exit_code = 2
 
 
 class AnalyzeError(ReproError):
@@ -140,7 +156,11 @@ class CheckpointError(FaultError):
 class TuneError(ReproError):
     """Design-space exploration failed (bad space, strategy, or cache)."""
 
+    exit_code = 2
+
 
 class BackendError(ReproError):
     """A hardware backend is unknown, misconfigured, or cannot serve a
     request (e.g. no feasible deployment exists for a scenario)."""
+
+    exit_code = 2

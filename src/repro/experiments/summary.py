@@ -12,6 +12,7 @@ import json
 import pathlib
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.experiments.registry import all_experiment_ids, run_experiment
 
 __all__ = ["Scorecard", "build_summary", "build_scorecard", "write_summary"]
@@ -81,6 +82,9 @@ def build_summary() -> dict:
 def build_scorecard(summary: dict | None = None, *,
                     tolerance_pct: float = DEFAULT_TOLERANCE_PCT) -> Scorecard:
     """Condense a summary into a scorecard."""
+    if tolerance_pct < 0:
+        raise ConfigurationError(
+            f"tolerance must be >= 0 percent, got {tolerance_pct}")
     summary = summary or build_summary()
     comparisons = [
         comparison

@@ -348,6 +348,8 @@ def run_chaos(*, families: tuple[str, ...] | list[str] | None = None,
     """
     if seeds < 1:
         raise ConfigurationError(f"seeds must be >= 1, got {seeds}")
+    if seed_base < 0:
+        raise ConfigurationError(f"seed_base must be >= 0, got {seed_base}")
     chosen = tuple(families) if families is not None else CHAOS_FAMILIES
     for family in chosen:
         _specs_for(family)  # validate names before running anything

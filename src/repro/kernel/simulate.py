@@ -145,6 +145,8 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
     pipeline, which is exactly the per-chunk overhead the closed-form
     cycle model charges.
     """
+    if read_ii < 1:
+        raise ConfigurationError(f"read_ii must be >= 1, got {read_ii}")
     grid = config.grid
     if fields.grid.interior_shape != grid.interior_shape:
         raise ConfigurationError(

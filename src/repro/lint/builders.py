@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from repro.core.flops import field_flops
 from repro.dataflow.graph import DataflowGraph
+from repro.errors import ConfigurationError
 from repro.kernel.config import KernelConfig
 from repro.lint.spec import SpecStage
 
@@ -32,6 +33,8 @@ def build_structural_graph(config: KernelConfig, *, name: str = "advection",
     ``read_data -> shift_buffer -> replicate -> advect_{u,v,w} ->
     write_data``, with every stream at ``config.stream_depth``.
     """
+    if read_ii < 1:
+        raise ConfigurationError(f"read_ii must be >= 1, got {read_ii}")
     graph = DataflowGraph(name)
     read = graph.add(SpecStage(
         "read_data", outputs=("out",), ii=read_ii,

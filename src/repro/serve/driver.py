@@ -19,6 +19,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.grid import Grid
 from repro.errors import ConfigurationError
 from repro.serve.job import JobSpec
 from repro.serve.scheduler import FleetScheduler, JobOutcome
@@ -57,6 +58,14 @@ class PoissonLoad:
         if self.rate_hz <= 0:
             raise ConfigurationError(
                 f"rate_hz must be positive, got {self.rate_hz}"
+            )
+        Grid(self.nx, self.ny, self.nz)  # its GridError names the axis
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
+            raise ConfigurationError(
+                "deadline_seconds must be positive, "
+                f"got {self.deadline_seconds}"
             )
         if not self.tenants:
             raise ConfigurationError("need at least one tenant")

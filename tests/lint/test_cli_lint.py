@@ -241,8 +241,8 @@ class TestMalformedSpecs:
         assert "Traceback" not in err
 
     def test_zero_kernels_flag_is_a_configuration_error(self, capsys):
-        # As `simulate --kernels 0`: a typed error, exit 1.
-        assert main(["lint", "--kernels", "0"]) == 1
+        # As `simulate --kernels 0`: an input error, exit 2.
+        assert main(["lint", "--kernels", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "num_kernels" in err
         assert "Traceback" not in err

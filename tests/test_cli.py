@@ -137,12 +137,12 @@ class TestExplicitZeroFlags:
         ("--chunk-width", "chunk_width must be >= 1, got 0"),
     ])
     def test_simulate_rejects_zero(self, capsys, flag, message):
-        assert main(["simulate", *self.SMALL, flag, "0"]) == 1
+        assert main(["simulate", *self.SMALL, flag, "0"]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
     def test_simulate_backend_path_rejects_zero_nx(self, capsys):
         assert main(["simulate", "--backend", "versal_aie",
-                     "--nx", "0"]) == 1
+                     "--nx", "0"]) == 2
         assert "error: nx must be >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
@@ -151,7 +151,7 @@ class TestExplicitZeroFlags:
         ["metrics", "--nx", "8", "--ny", "8", "--nz", "8"],
     ])
     def test_zero_chunk_width_is_rejected(self, capsys, command):
-        assert main([*command, "--chunk-width", "0"]) == 1
+        assert main([*command, "--chunk-width", "0"]) == 2
         assert ("error: chunk_width must be >= 1, got 0"
                 in capsys.readouterr().err)
 
@@ -165,7 +165,7 @@ class TestExplicitZeroFlags:
 
         monkeypatch.setattr("repro.kernel.simulate.simulate_kernel",
                             simulate_kernel)
-        assert main(["metrics", "--clock-mhz", clock, *output]) == 1
+        assert main(["metrics", "--clock-mhz", clock, *output]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert (f"error: clock must be positive, got {float(clock)}"
@@ -175,16 +175,16 @@ class TestExplicitZeroFlags:
     def test_analyze_rejects_fewer_than_one_token(self, capsys, monkeypatch,
                                                   tokens):
         from repro import cli
-        from repro.errors import AnalyzeError
+        from repro.errors import ConfigurationError
 
         def analyze_graph(*args, **kwargs):
             raise AssertionError("analyzed before checking the tokens")
 
         monkeypatch.setattr("repro.analyze.analyze_graph", analyze_graph)
-        with pytest.raises(AnalyzeError, match="tokens"):
+        with pytest.raises(ConfigurationError, match="tokens"):
             cli._cmd_analyze(build_parser().parse_args(
                 ["analyze", "--tokens", tokens]))
-        assert main(["analyze", "--tokens", tokens]) == 1
+        assert main(["analyze", "--tokens", tokens]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert (f"error: --tokens must be >= 1, got {tokens}"
@@ -193,7 +193,7 @@ class TestExplicitZeroFlags:
     def test_trace_rejects_zero_chunk_width(self, capsys, tmp_path):
         assert main(["trace", "--nx", "8", "--ny", "8", "--nz", "8",
                      "--chunk-width", "0",
-                     "--out", str(tmp_path / "t.json")]) == 1
+                     "--out", str(tmp_path / "t.json")]) == 2
         assert ("error: chunk_width must be >= 1, got 0"
                 in capsys.readouterr().err)
         assert not (tmp_path / "t.json").exists()
@@ -225,7 +225,7 @@ class TestTraceCommand:
     def test_trace_unknown_device_is_error(self, capsys, tmp_path):
         assert main(["trace", "--nx", "6", "--ny", "9", "--nz", "5",
                      "--device", "nosuch",
-                     "--out", str(tmp_path / "t.json")]) == 1
+                     "--out", str(tmp_path / "t.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -295,5 +295,5 @@ class TestServeCommand:
         assert "serve_jobs_total" in text
 
     def test_serve_bad_fleet_is_error(self, capsys):
-        assert main(["serve", "--fleet", "2*u280"]) == 1
+        assert main(["serve", "--fleet", "2*u280"]) == 2
         assert "error:" in capsys.readouterr().err
