@@ -28,6 +28,15 @@ less than ``MIN_STENCIL_SPEEDUP`` (15x) faster than forced-scalar
 ticking — under half the ~38x a shared 2-vCPU x86-64 host measures at
 32^3.
 
+A memory leg runs the batched kernel once more, untimed, under
+``tracemalloc`` and records its peak in the batched record.  It fails
+when the peak exceeds ``MAX_BATCHED_BYTES_PER_CELL`` (128) bytes per
+interior cell: batched windows read the stencil through strided box
+views of the block, so a run holds its outputs and a few box-sized
+temporaries, not per-window index and gather arrays.  A shared 2-vCPU
+x86-64 host measures about 84 B/cell at 64^3 and 103 at 32^3; index
+gathers took 153 and 162.
+
 A resilient run arms the checkpoint/restart machinery with an empty
 fault plan and gates its fault-free overhead against the plain batched
 run (``--max-resilience-overhead``, default 3%): recovery must be free
@@ -47,6 +56,7 @@ import argparse
 import platform
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -67,11 +77,25 @@ DEFAULT_OUTPUT = "benchmarks/BENCH_dataflow.json"
 #: forced-scalar ticking.
 MIN_STENCIL_SPEEDUP = 15.0
 
+#: Ceiling on the batched kernel run's tracemalloc peak, in bytes per
+#: interior cell.
+MAX_BATCHED_BYTES_PER_CELL = 128
+
 
 def run_once(config, fields, **kwargs):
     start = time.perf_counter()
     result = simulate_kernel(config, fields, **kwargs)
     return result, time.perf_counter() - start
+
+
+def traced_peak(config, fields):
+    """The tracemalloc peak, in bytes, of one batched kernel run."""
+    tracemalloc.start()
+    try:
+        simulate_kernel(config, fields)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_stencil_once(grid, block, *, batched):
@@ -160,6 +184,9 @@ def main(argv=None) -> int:
         resilient_times.append(run_once(
             config, fields, fault_plan=FaultPlan([]), retry=RetryPolicy())[1])
         observed_times.append(run_once(config, fields, **observed_kwargs())[1])
+    # Untimed, after every timed leg: tracing allocations slows a run.
+    peak_bytes = traced_peak(config, fields)
+    peak_per_cell = peak_bytes / grid.num_cells
 
     # The speedup is only meaningful if both legs are *the same
     # machine*; the scalar per-cycle loop is the reference.
@@ -217,7 +244,9 @@ def main(argv=None) -> int:
         cycles=batched.total_cycles, cells=grid.num_cells, mode="exact",
         extra={"batched": True,
                "batched_windows": agg_batched.batched_windows,
-               "batched_cycles": agg_batched.batched_cycles})
+               "batched_cycles": agg_batched.batched_cycles,
+               "tracemalloc_peak_bytes": peak_bytes,
+               "peak_bytes_per_cell": round(peak_per_cell, 1)})
     best_batched = min(batched_times)
     best_resilient = min(resilient_times)
     overhead = (best_resilient / best_batched - 1.0 if best_batched > 0
@@ -269,6 +298,8 @@ def main(argv=None) -> int:
     print(f"stencil batched speedup: {gain_stencil:.2f}x "
           f"({st_batched_stats.batched_cycles}/{st_batched_stats.cycles} "
           f"cycles batched in {st_batched_stats.batched_windows} windows)")
+    print(f"batched tracemalloc peak: {peak_bytes / 2**20:.2f} MiB "
+          f"({peak_per_cell:.0f} B per interior cell)")
     print(f"fault-free resilience overhead: {overhead * 100:+.2f}%")
     print(f"disabled observability overhead: "
           f"{observe_overhead * 100:+.2f}%")
@@ -282,6 +313,11 @@ def main(argv=None) -> int:
     if gain_stencil < MIN_STENCIL_SPEEDUP:
         print(f"FAIL: stencil batched speedup {gain_stencil:.2f}x below "
               f"the {MIN_STENCIL_SPEEDUP:.1f}x floor", file=sys.stderr)
+        failed = True
+    if peak_per_cell > MAX_BATCHED_BYTES_PER_CELL:
+        print(f"FAIL: batched tracemalloc peak {peak_per_cell:.0f} B per "
+              f"interior cell exceeds the {MAX_BATCHED_BYTES_PER_CELL} B "
+              f"ceiling", file=sys.stderr)
         failed = True
     if overhead > args.max_resilience_overhead:
         print(f"FAIL: fault-free resilience overhead {overhead * 100:.2f}% "

@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--ny", type=int, default=None)
     p_sim.add_argument("--nz", type=int, default=None)
     p_sim.add_argument("--chunk-width", type=int, default=None)
-    p_sim.add_argument("--read-ii", type=int, default=1,
-                       help="read-stage initiation interval")
+    p_sim.add_argument("--read-ii", type=int, default=None,
+                       help="read-stage initiation interval (default 1)")
     _add_mode_flag(p_sim)
     p_sim.add_argument("--no-batched", action="store_true",
                        help="disable batched exact execution (escape "
@@ -549,6 +549,14 @@ def _cmd_simulate_scenario(args) -> int:
     from repro.observe import ops_per_cycle_report
     from repro.scenarios import get
 
+    ignored = [flag for flag, value in (("--kernels", args.kernels),
+                                        ("--chunk-width", args.chunk_width),
+                                        ("--read-ii", args.read_ii))
+               if value is not None]
+    if ignored:
+        raise ConfigurationError(
+            f"{', '.join(ignored)} cannot be combined with --scenario on "
+            f"simulate: a scenario runs its own kernel configuration")
     scenario = get(args.scenario)
     grid = _given_grid(args) or scenario.default_grid()
 
@@ -665,8 +673,10 @@ def _cmd_simulate(args) -> int:
                              multi.batched_windows,
                              multi.batch_fallback_reason)
     else:
-        result = simulate_kernel(config, fields, read_ii=args.read_ii,
-                                 mode=args.mode, batched=batched)
+        result = simulate_kernel(
+            config, fields,
+            read_ii=1 if args.read_ii is None else args.read_ii,
+            mode=args.mode, batched=batched)
         elapsed = time.perf_counter() - start
         stats = result.aggregate_stats()
         print(f"grid:     {grid.interior_shape}, mode={args.mode}")
@@ -1056,10 +1066,10 @@ def _cmd_metrics(args) -> int:
     from repro.core.wind import random_wind
     from repro.kernel.simulate import simulate_kernel
     from repro.observe import MetricRegistry, ops_per_cycle_report
+    from repro.observe.opscycle import check_clock_mhz
 
-    if args.clock_mhz is not None and args.clock_mhz <= 0:
-        raise ConfigurationError(
-            f"clock must be positive, got {args.clock_mhz}")
+    if args.clock_mhz is not None:
+        check_clock_mhz(args.clock_mhz)
     grid = Grid(nx=args.nx, ny=args.ny, nz=args.nz)
     fields = random_wind(grid, seed=args.seed, magnitude=2.0)
     config = _kernel_config(grid, args.chunk_width)

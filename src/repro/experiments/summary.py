@@ -9,6 +9,7 @@ a reproduction reviewer wants first.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from dataclasses import dataclass
 
@@ -82,9 +83,10 @@ def build_summary() -> dict:
 def build_scorecard(summary: dict | None = None, *,
                     tolerance_pct: float = DEFAULT_TOLERANCE_PCT) -> Scorecard:
     """Condense a summary into a scorecard."""
-    if tolerance_pct < 0:
+    if not (math.isfinite(tolerance_pct) and tolerance_pct >= 0):
         raise ConfigurationError(
-            f"tolerance must be >= 0 percent, got {tolerance_pct}")
+            f"tolerance must be a finite number >= 0 percent, got "
+            f"{tolerance_pct}")
     summary = summary or build_summary()
     comparisons = [
         comparison

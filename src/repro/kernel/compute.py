@@ -7,8 +7,11 @@ The expression trees are kept *identical* to the scalar specification in
 dataflow simulation reproduces the reference bit-for-bit — the test suite
 enforces this.  Each form serves both firing paths: on three
 :class:`~repro.shiftbuffer.window.StencilWindow` objects it returns a
-float, on three :class:`~repro.shiftbuffer.window.WindowRun` views (all
-full windows, or all column tops) one float64 array.
+float, on three :class:`~repro.shiftbuffer.window.WindowRun` box views
+(all full windows, or all column tops) one float64 array of the box's
+shape.  A run's ``at`` is a read-only view of the block and its
+``center`` broadcasts over the box, so ``coeffs.tzc1[k]`` picks one
+coefficient per level without a copy of the run's centres.
 
 A window-based implementation cannot cheat: it only sees the 27 values the
 shift buffer forwarded.  The paper notes that "typically only 8 unique

@@ -22,19 +22,21 @@ batched windows, bit-identical to forced-scalar ticking.  Each stage
 fires a batched window as a few NumPy calls: the shift stage jumps its
 buffer ahead (:meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
 feed_bulk`) and forwards a lazy :class:`WindowRunBulk`; the compute
-stage evaluates the kernel's own window functions once on a
-:class:`~repro.shiftbuffer.window.WindowRun` — every window of the run
-at once — and the write stage scatters the results with one indexed
-assignment.  The advect stages of :mod:`repro.kernel.stages` evaluate
-their window forms on the same run view; this machine forwards no
-column-top windows, so its runs are never ``top``.
+stage evaluates the kernel's own window functions once per box of
+centres (:func:`~repro.shiftbuffer.buffer3d.emission_boxes`) on a
+:class:`~repro.shiftbuffer.window.WindowRun`, whose ``at`` is a
+read-only strided view of the block, and interleaves the boundary cells
+in; the write stage scatters the results with one indexed assignment.
+The advect stages of :mod:`repro.kernel.stages` evaluate their window
+forms on the same run view; this machine forwards no column-top
+windows, so its runs are never ``top``.
 
 A window function must therefore be elementwise arithmetic over
 ``window.at(di, dj, dk)``: the same expression serves one
 :class:`~repro.shiftbuffer.window.StencilWindow` (a float per offset)
-and a :class:`~repro.shiftbuffer.window.WindowRun` (an array per
-offset).  :func:`run_stencil_kernel` checks that contract before the
-first cycle, on every path.
+and a :class:`~repro.shiftbuffer.window.WindowRun` (a read-only array
+per offset, which it must not write into).  :func:`run_stencil_kernel`
+checks that contract before the first cycle, on every path.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ from repro.dataflow.engine import DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import SourceStage, Stage
 from repro.errors import ConfigurationError
-from repro.kernel.stages import AdvectResultBulk
-from repro.shiftbuffer.buffer3d import ShiftBuffer3D, emission_center
+from repro.shiftbuffer.buffer3d import Box, ShiftBuffer3D, emission_boxes
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow, WindowRun
 
@@ -69,6 +70,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "WindowRunBulk",
+    "CellResultBulk",
     "GeneralShiftBufferStage",
     "WindowComputeStage",
     "ScatterWriteStage",
@@ -86,9 +88,9 @@ InteriorFn = Callable[[StencilWindow | WindowRun], Any]
 BoundaryFn = Callable[..., Any]
 
 
-def _window_emission(window: Any, nz: int) -> Any:
-    """Flat emission index (:func:`emission_center`) of non-top window
-    ``window``; an integer array maps elementwise."""
+def _window_emission(window: int, nz: int) -> int:
+    """Flat emission index (:func:`~repro.shiftbuffer.buffer3d.
+    emission_center`) of non-top window ``window``."""
     column, j = divmod(window, nz - 2)
     return column * (nz - 1) + j
 
@@ -128,13 +130,42 @@ class WindowRunBulk(Bulk):
         return [self.buffer.window_at(_window_emission(w, nz), self.backing)
                 for w in range(self.start, self.stop)]
 
-    def view(self) -> WindowRun:
-        """Every window of this run as one :class:`WindowRun`."""
-        buf = self.buffer
-        emissions = _window_emission(np.arange(self.start, self.stop),
-                                     buf.nz)
-        cx, cy, cz, _top = emission_center(emissions, buf.ny, buf.nz)
-        return WindowRun(self.backing, cx, cy, cz)
+    def boxes(self) -> list[Box]:
+        """The windows of this run as :func:`~repro.shiftbuffer.buffer3d.
+        emission_boxes` boxes of centres, in forwarding order."""
+        return emission_boxes(self.start, self.stop, self.buffer.ny,
+                              self.buffer.nz - 2)
+
+
+class CellResultBulk(Bulk):
+    """A run of ``(center, value)`` results backed by coordinate arrays.
+
+    The compute stage's results interleave boundary cells with window
+    centres, so they are not in centre order; the write stage scatters
+    them with one indexed assignment.
+    """
+
+    def __init__(self, cx: np.ndarray, cy: np.ndarray, cz: np.ndarray,
+                 values: np.ndarray) -> None:
+        self.cx = cx
+        self.cy = cy
+        self.cz = cz
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def slice(self, start: int, stop: int) -> "CellResultBulk":
+        self._check_range(start, stop)
+        return CellResultBulk(self.cx[start:stop], self.cy[start:stop],
+                              self.cz[start:stop], self.values[start:stop])
+
+    def materialize(self) -> list[tuple[tuple[int, int, int], float]]:
+        return [
+            ((int(self.cx[i]), int(self.cy[i]), int(self.cz[i])),
+             float(self.values[i]))
+            for i in range(len(self.values))
+        ]
 
 
 def _call_name(fn: Callable, kwargs: Mapping[str, Any]) -> str:
@@ -145,15 +176,17 @@ def _call_name(fn: Callable, kwargs: Mapping[str, Any]) -> str:
 
 
 def _run_values(fn: Callable, run: WindowRun, **kwargs: Any) -> np.ndarray:
-    """``fn`` evaluated on ``run``: one float64 per window."""
+    """``fn`` evaluated on ``run``: one float64 per window, in the
+    run's box shape."""
     try:
         return np.broadcast_to(np.asarray(fn(run, **kwargs), dtype=float),
-                               (len(run),))
+                               run.shape)
     except Exception as exc:
         raise ConfigurationError(
             f"window function {_call_name(fn, kwargs)} failed on a run of "
             f"windows ({type(exc).__name__}: {exc}); window functions "
-            f"must be elementwise arithmetic over window.at()"
+            f"must be elementwise arithmetic over window.at() and must "
+            f"not write into its read-only arrays"
         ) from exc
 
 
@@ -162,16 +195,19 @@ def _check_window_fns(run: WindowRunBulk, interior: InteriorFn,
     """Reject window functions that are not elementwise over ``at``.
 
     Evaluates ``interior`` and both boundaries on ``run`` (the block's
-    first two windows) twice: as one :class:`WindowRun`, and on each
-    :class:`StencilWindow` alone.  Branching on a value, reducing over
-    the run or reading ``window.raw`` shows up as an exception or a
-    difference in the bytes, and raises :class:`ConfigurationError`.
+    first two windows) twice: on its :class:`WindowRun` box views, and
+    on each :class:`StencilWindow` alone.  Branching on a value,
+    reducing over the run, reading ``window.raw`` or writing into an
+    operand (``at`` returns a read-only view) shows up as an exception
+    or a difference in the bytes, and raises
+    :class:`ConfigurationError`.
     """
     windows = run.materialize()
-    view = run.view()
+    views = [WindowRun(run.backing, box) for box in run.boxes()]
     for fn, kwargs in ((interior, {}), (boundary, {"top": False}),
                        (boundary, {"top": True})):
-        together = _run_values(fn, view, **kwargs)
+        together = np.concatenate([_run_values(fn, view, **kwargs).reshape(-1)
+                                   for view in views])
         try:
             alone = np.array([fn(window, **kwargs) for window in windows],
                              dtype=float)
@@ -266,8 +302,8 @@ class WindowComputeStage(Stage):
     the window centre alone, which the upstream streaming position
     fixes, so the base control signature describes this stage exactly.
 
-    A batched window evaluates ``interior`` once on the whole
-    :class:`WindowRun`, and each boundary once on the windows it
+    A batched window evaluates ``interior`` once per box of centres on
+    a :class:`WindowRun`, and each boundary once on the box's layer it
     applies to, then interleaves the results in firing order.
     """
 
@@ -293,29 +329,47 @@ class WindowComputeStage(Stage):
                             self._boundary(window, top=True)))
         return {"out": results}
 
-    def _fire_run(self, run: WindowRun) -> tuple[AdvectResultBulk,
-                                                 np.ndarray]:
-        """Results of every window of ``run``, and the count per firing."""
-        cx, cy, cz = run.center
-        bottom = cz == 1
-        top = cz == self.nz - 2
-        per_firing = 1 + bottom.astype(np.int64) + top
-        first = np.cumsum(per_firing) - per_firing
-        total = int(per_firing.sum())
-        xs, ys, zs = (np.empty(total, dtype=np.int64) for _ in range(3))
-        values = np.empty(total)
-        # Each firing's results in order: the cell, k = 0, k = nz - 1.
-        for at, sub, z, fn, kwargs in (
-                (first, run, cz, self._interior, {}),
-                (first[bottom] + 1, run.select(bottom), 0,
-                 self._boundary, {"top": False}),
-                (first[top] + 1 + bottom[top], run.select(top), self.nz - 1,
-                 self._boundary, {"top": True})):
-            if len(sub):
-                xs[at], ys[at], _ = sub.center
-                zs[at] = z
-                values[at] = _run_values(fn, sub, **kwargs)
-        return AdvectResultBulk(xs, ys, zs, values), per_firing
+    def _fire_box(self, block: np.ndarray,
+                  box: Box) -> tuple[CellResultBulk, np.ndarray]:
+        """Results of the windows of ``box`` in firing order, and the
+        count per firing.
+
+        Every column of the box fires alike: the cell of each window,
+        with ``k = 0`` after the window at ``cz == 1`` and ``k = nz - 1``
+        after the window at ``cz == nz - 2``.  So one per-column layout
+        of ``z`` places the interior values of the whole box and each
+        boundary's values of its one layer.
+        """
+        z0, z1 = box[4:]
+        bottom, top = z0 == 1, z1 == self.nz - 1
+        layout = list(range(z0, z1))
+        per_firing = np.ones(len(layout), dtype=np.int64)
+        if bottom:
+            layout.insert(1, 0)
+            per_firing[0] += 1
+        if top:
+            layout.append(self.nz - 1)
+            per_firing[-1] += 1
+        run = WindowRun(block, box)
+        values = np.empty(run.shape[:2] + (len(layout),))
+        cells = _run_values(self._interior, run)
+        if bottom:
+            values[:, :, :1] = cells[:, :, :1]
+            values[:, :, 1:2] = _run_values(
+                self._boundary, WindowRun(block, box[:4] + (1, 2)),
+                top=False)
+            values[:, :, 2:z1 - z0 + 1] = cells[:, :, 1:]
+        else:
+            values[:, :, :z1 - z0] = cells
+        if top:
+            values[:, :, -1:] = _run_values(
+                self._boundary, WindowRun(block, box[:4] + (z1 - 1, z1)),
+                top=True)
+        coords = np.empty((3,) + values.shape, dtype=np.int64)
+        coords[0], coords[1] = run.center[:2]
+        coords[2] = layout
+        results = CellResultBulk(*coords.reshape(3, -1), values.reshape(-1))
+        return results, np.tile(per_firing, run.shape[0] * run.shape[1])
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
@@ -328,9 +382,10 @@ class WindowComputeStage(Stage):
             if not len(part):
                 continue
             if isinstance(part, WindowRunBulk):
-                results, per_firing = self._fire_run(part.view())
-                parts.append(results)
-                counts.append(per_firing)
+                for box in part.boxes():
+                    results, per_firing = self._fire_box(part.backing, box)
+                    parts.append(results)
+                    counts.append(per_firing)
             else:
                 # Windows a FIFO held when the batched window opened.
                 firings = [self.fire(cycle, {"in": [window]})["out"]
@@ -371,7 +426,7 @@ class ScatterWriteStage(Stage):
         if results is None or len(results) != count:
             return super().fire_bulk(count, inputs, cycle)
         for part in results.parts():
-            if isinstance(part, AdvectResultBulk):
+            if isinstance(part, CellResultBulk):
                 self._out[part.cx - 1, part.cy - 1, part.cz] = part.values
                 self.cells_written += len(part)
             else:
@@ -402,10 +457,12 @@ def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
         cell's value, and the one-sided vertical boundary cell's value
         (called as ``boundary(window, top=...)``).  Each must be
         elementwise arithmetic over ``window.at(di, dj, dk)``, because
-        batched windows call it on a :class:`WindowRun`; a constant
-        return broadcasts.  Before the first cycle, every path checks
-        that on the block's first two windows (see the module
-        docstring) and raises :class:`ConfigurationError` otherwise.
+        batched windows call it on a :class:`WindowRun`, whose ``at``
+        returns a read-only view of the block; a constant return
+        broadcasts.  Before the first cycle, every path checks that on
+        the block's first two windows (see the module docstring) and
+        raises :class:`ConfigurationError` otherwise, also for a
+        function that writes into an operand.
         A window may yield three results at ``nz == 3``, so
         ``stream_depth`` must be >= 4 for the downstream FIFO to absorb
         the burst.

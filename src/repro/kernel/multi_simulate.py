@@ -22,6 +22,7 @@ loop; :attr:`MultiKernelSimResult.batch_fallback_reason` records why.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -57,8 +58,9 @@ class MemoryArbiter:
     """
 
     def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise ConfigurationError(f"arbiter rate must be positive, got {rate}")
+        if not (math.isfinite(rate) and rate > 0):
+            raise ConfigurationError(
+                f"arbiter rate must be positive and finite, got {rate}")
         self.rate = rate
         self._credits = 0.0
         self._cycle = -1

@@ -9,15 +9,18 @@ functional behaviour lives in :mod:`repro.kernel.compute` and
 between pragmas and arithmetic.
 
 Each advect stage calls one window form on both paths: on one bundle's
-windows when it fires scalar, and on
-:class:`~repro.shiftbuffer.window.WindowRun` views of a batched run's
-full windows and column tops, whose centres the shift stage computed once.
+windows when it fires scalar, and, batched, on
+:class:`~repro.shiftbuffer.window.WindowRun` box views of the block,
+once per :func:`~repro.shiftbuffer.buffer3d.emission_boxes` box for its
+full windows and once for its column-top layer.  A batched run travels
+as an emission range, and the write stage stores each box with one
+slice assignment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -32,7 +35,12 @@ from repro.dataflow.bulk import (
 )
 from repro.dataflow.stage import SourceStage, Stage
 from repro.errors import DataflowError
-from repro.shiftbuffer.buffer3d import ShiftBuffer3D, emission_center
+from repro.shiftbuffer.buffer3d import (
+    Box,
+    ShiftBuffer3D,
+    emission_boxes,
+    emission_center,
+)
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow, WindowRun
 
@@ -98,44 +106,46 @@ class CellBlockBulk(Bulk):
         ]
 
 
+def _box_lanes(values: np.ndarray, start: int, ny: int,
+               per_column: int) -> Iterator[tuple[Box, np.ndarray]]:
+    """Each :func:`emission_boxes` box of the emissions ``[start, start +
+    len(values))``, with its part of ``values`` (one entry per emission,
+    in emission order) as a view of the box's shape."""
+    offset = 0
+    for box in emission_boxes(start, start + len(values), ny, per_column):
+        x0, x1, y0, y1, z0, z1 = box
+        shape = (x1 - x0, y1 - y0, z1 - z0)
+        size = shape[0] * shape[1] * shape[2]
+        yield box, values[offset:offset + size].reshape(shape)
+        offset += size
+
+
 class StencilBulk(Bulk):
     """A run of :class:`StencilBundle` emissions addressed by flat index.
 
     Backed by the chunk's block arrays; windows are only cut
     (:meth:`ShiftBuffer3D.window_at`) for the handful of bundles that end
     up inside FIFOs or stage pipelines when exact ticking resumes — the
-    bulk of them flow straight into the batched advect compute.
-
-    The centre coordinate arrays are computed once, when the shift stage
-    emits the run; slices hold views of them, so the three advect stages
-    and their results share one copy.
+    bulk of them flow straight into the batched advect compute, which
+    reads them as :func:`~repro.shiftbuffer.buffer3d.emission_boxes` of
+    the block.
     """
 
     def __init__(self, buffers: Mapping[str, ShiftBuffer3D],
-                 blocks: Mapping[str, np.ndarray], start: int, stop: int,
-                 center: tuple[np.ndarray, np.ndarray, np.ndarray]
-                 | None = None) -> None:
+                 blocks: Mapping[str, np.ndarray], start: int,
+                 stop: int) -> None:
         self.buffers = dict(buffers)
         self.blocks = dict(blocks)
         self.start = start
         self.stop = stop
-        if center is None:
-            buf = self.buffers["u"]
-            cx, cy, cz, _ = emission_center(np.arange(start, stop),
-                                            buf.ny, buf.nz)
-            center = (cx, cy, cz)
-        #: Centre coordinate arrays ``(cx, cy, cz)`` of every bundle.
-        self.center = center
 
     def __len__(self) -> int:
         return self.stop - self.start
 
     def slice(self, start: int, stop: int) -> "StencilBulk":
         self._check_range(start, stop)
-        cx, cy, cz = self.center
         return StencilBulk(self.buffers, self.blocks, self.start + start,
-                           self.start + stop,
-                           (cx[start:stop], cy[start:stop], cz[start:stop]))
+                           self.start + stop)
 
     def bundle_at(self, index: int) -> StencilBundle:
         wu = self.buffers["u"].window_at(index, self.blocks["u"])
@@ -148,30 +158,38 @@ class StencilBulk(Bulk):
 
 
 class AdvectResultBulk(Bulk):
-    """A run of ``(center, value)`` advect results backed by arrays."""
+    """The advect results of the emissions ``[start, start + len)``.
 
-    def __init__(self, cx: np.ndarray, cy: np.ndarray, cz: np.ndarray,
-                 values: np.ndarray) -> None:
-        self.cx = cx
-        self.cy = cy
-        self.cz = cz
+    ``values[i]`` belongs to flat emission ``start + i``
+    (:func:`~repro.shiftbuffer.buffer3d.emission_center` over a block of
+    ``ny`` by ``nz``); centres are only computed for the few results that
+    :meth:`materialize` cuts.
+    """
+
+    def __init__(self, start: int, values: np.ndarray, ny: int,
+                 nz: int) -> None:
+        self.start = start
         self.values = values
+        self.ny = ny
+        self.nz = nz
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.values)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def slice(self, start: int, stop: int) -> "AdvectResultBulk":
         self._check_range(start, stop)
-        return AdvectResultBulk(self.cx[start:stop], self.cy[start:stop],
-                                self.cz[start:stop],
-                                self.values[start:stop])
+        return AdvectResultBulk(self.start + start, self.values[start:stop],
+                                self.ny, self.nz)
 
     def materialize(self) -> list[tuple[tuple[int, int, int], float]]:
-        return [
-            ((int(self.cx[i]), int(self.cy[i]), int(self.cz[i])),
-             float(self.values[i]))
-            for i in range(len(self.values))
-        ]
+        cx, cy, cz, _top = emission_center(
+            np.arange(self.start, self.stop), self.ny, self.nz)
+        return [((x, y, z), value) for x, y, z, value in zip(
+            cx.tolist(), cy.tolist(), cz.tolist(), self.values.tolist())]
 
 
 class ReadDataStage(SourceStage):
@@ -522,19 +540,23 @@ class AdvectStage(Stage):
         out_parts: list[Bulk] = []
         for part in bulk.parts():
             if isinstance(part, StencilBulk):
-                # A run's ``top`` is one flag, so full windows and column
-                # tops are two sub-runs; u, v and w share each one's index.
-                cx, cy, cz = part.center
-                tops = cz == self.nz - 1
+                ny = part.buffers["u"].ny
                 values = np.empty(len(part))
-                for top, lanes in ((False, ~tops), (True, tops)):
-                    if lanes.any():
-                        u = WindowRun(part.blocks["u"], cx[lanes], cy[lanes],
-                                      cz[lanes], top=top)
-                        values[lanes] = self._fn(
-                            u, u.on(part.blocks["v"]),
-                            u.on(part.blocks["w"]), self.coeffs)
-                out_parts.append(AdvectResultBulk(cx, cy, cz, values))
+                for box, lanes in _box_lanes(values, part.start, ny,
+                                             self.nz - 1):
+                    x0, x1, y0, y1, z0, z1 = box
+                    # A run's ``top`` is one flag, so a box's full
+                    # windows and its column-top layer are two runs.
+                    split = min(z1, self.nz - 1)
+                    for top, zs in ((False, (z0, split)), (True, (split, z1))):
+                        if zs[1] > zs[0]:
+                            u = WindowRun(part.blocks["u"],
+                                          (x0, x1, y0, y1) + zs, top=top)
+                            lanes[:, :, zs[0] - z0:zs[1] - z0] = self._fn(
+                                u, u.on(part.blocks["v"]),
+                                u.on(part.blocks["w"]), self.coeffs)
+                out_parts.append(AdvectResultBulk(part.start, values, ny,
+                                                  self.nz))
             elif len(part):
                 out_parts.append(ListBulk([
                     (bundle.center,
@@ -587,9 +609,11 @@ class WriteDataStage(Stage):
             array = self._arrays[port]
             for part in bulk.parts():
                 if isinstance(part, AdvectResultBulk):
-                    array[part.cx - 1 + self.x_offset,
-                          part.cy - 1 + self.y_offset,
-                          part.cz] = part.values
+                    for (x0, x1, y0, y1, z0, z1), lanes in _box_lanes(
+                            part.values, part.start, part.ny, part.nz - 1):
+                        array[x0 - 1 + self.x_offset:x1 - 1 + self.x_offset,
+                              y0 - 1 + self.y_offset:y1 - 1 + self.y_offset,
+                              z0:z1] = lanes
                 elif len(part):
                     for (cx, cy, cz), value in part.materialize():
                         array[cx - 1 + self.x_offset,

@@ -13,6 +13,7 @@ from the grid), divided by the measured cycle count, and compared to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -20,7 +21,8 @@ from repro import constants
 from repro.dataflow.engine import RunStats
 from repro.errors import ConfigurationError
 
-__all__ = ["OpsPerCycleReport", "flops_from_stats", "ops_per_cycle_report"]
+__all__ = ["OpsPerCycleReport", "check_clock_mhz", "flops_from_stats",
+           "ops_per_cycle_report"]
 
 
 def flops_from_stats(stats: RunStats, nz: int) -> int:
@@ -62,6 +64,14 @@ def flops_from_stats(stats: RunStats, nz: int) -> int:
     return total
 
 
+def check_clock_mhz(clock_mhz: float) -> None:
+    """Reject a kernel clock that is not a positive, finite MHz value."""
+    if not clock_mhz > 0:
+        raise ConfigurationError(f"clock must be positive, got {clock_mhz}")
+    if not math.isfinite(clock_mhz):
+        raise ConfigurationError(f"clock must be finite, got {clock_mhz}")
+
+
 @dataclass(frozen=True)
 class OpsPerCycleReport:
     """Measured vs theoretical per-cycle operation issue.
@@ -99,10 +109,7 @@ class OpsPerCycleReport:
 
     def achieved_gflops(self, clock_mhz: float) -> float:
         """Achieved rate at a kernel clock (cycles become wall time)."""
-        if clock_mhz <= 0:
-            raise ConfigurationError(
-                f"clock must be positive, got {clock_mhz}"
-            )
+        check_clock_mhz(clock_mhz)
         return self.achieved_ops_per_cycle * clock_mhz * 1e6 / 1e9
 
     def to_dict(self) -> dict[str, Any]:

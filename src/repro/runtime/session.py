@@ -88,6 +88,10 @@ class AdvectionSession:
                     f"{device.name}: no kernels fit this configuration"
                 )
         else:
+            if num_kernels is not None:
+                raise ConfigurationError(
+                    f"num_kernels sets FPGA kernel replicas, and "
+                    f"{device.name} is not an FPGA (got {num_kernels})")
             self.num_kernels = 1
 
     # -- memory selection ---------------------------------------------------

@@ -14,6 +14,7 @@ admission decisions and every breaker transition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -55,16 +56,18 @@ class PoissonLoad:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.rate_hz <= 0:
+        if not (math.isfinite(self.rate_hz) and self.rate_hz > 0):
             raise ConfigurationError(
-                f"rate_hz must be positive, got {self.rate_hz}"
+                f"rate_hz must be positive and finite, got {self.rate_hz}"
             )
         Grid(self.nx, self.ny, self.nz)  # its GridError names the axis
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
+        if self.deadline_seconds is not None and not (
+                math.isfinite(self.deadline_seconds)
+                and self.deadline_seconds > 0):
             raise ConfigurationError(
-                "deadline_seconds must be positive, "
+                "deadline_seconds must be positive and finite, "
                 f"got {self.deadline_seconds}"
             )
         if not self.tenants:

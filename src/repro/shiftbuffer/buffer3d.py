@@ -45,7 +45,11 @@ from repro.errors import ShiftBufferError
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow
 
-__all__ = ["ShiftBuffer3D", "emission_center"]
+__all__ = ["ShiftBuffer3D", "emission_boxes", "emission_center"]
+
+#: One box of window centres, ``(x0, x1, y0, y1, z0, z1)``: the centres
+#: ``x0 <= cx < x1``, ``y0 <= cy < y1``, ``z0 <= cz < z1``.
+Box = tuple[int, int, int, int, int, int]
 
 
 def emission_center(index: Any, ny: int, nz: int) -> tuple[Any, Any, Any, Any]:
@@ -64,6 +68,42 @@ def emission_center(index: Any, ny: int, nz: int) -> tuple[Any, Any, Any, Any]:
     cy = column % (ny - 2) + 1
     cz = j + 1
     return cx, cy, cz, cz == nz - 1
+
+
+def emission_boxes(first: int, stop: int, ny: int,
+                   per_column: int) -> list[Box]:
+    """Cut the emissions ``[first, stop)`` into at most five boxes.
+
+    Emissions are numbered as in :func:`emission_center`, with
+    ``per_column`` of them per interior column at ``cz = 1 ..
+    per_column``: ``nz - 1`` for the advection stream (column tops
+    included), ``nz - 2`` for the generic machine's non-top windows.
+    The boxes are, in order, the rest of a column, the rest of a plane,
+    whole planes, the columns of the last plane and the head of the last
+    column; each box's C-order walk (Z fastest, then Y, then X) follows
+    the numbering, so a run of windows reads as strided views of the
+    block.  Empty boxes are left out.
+    """
+    per_plane = (ny - 2) * per_column
+    boxes: list[Box] = []
+    cursor = first
+    for end in (min(stop, -(-first // per_column) * per_column),
+                # The next plane, unless stop's column comes first.
+                min(stop // per_column * per_column,
+                    -(-first // per_plane) * per_plane),
+                stop // per_plane * per_plane,
+                stop // per_column * per_column,
+                stop):
+        if end <= cursor:
+            continue
+        x, rest = divmod(cursor, per_plane)
+        y, z = divmod(rest, per_column)
+        last_x, last_rest = divmod(end - 1, per_plane)
+        last_y, last_z = divmod(last_rest, per_column)
+        boxes.append((x + 1, last_x + 2, y + 1, last_y + 2, z + 1,
+                      last_z + 2))
+        cursor = end
+    return boxes
 
 
 class ShiftBuffer3D:

@@ -7,15 +7,16 @@ register coordinates ``raw[s, dy, dz]`` (s = X-plane age, dy/dz = how many
 cycles ago that Y/Z position was loaded) or — the form the advection
 stages use — by stencil offset relative to the centre cell.
 
-A :class:`WindowRun` answers the same questions for many windows of one
-streamed block at once, one array per offset, so one window function
-written as elementwise arithmetic over ``at`` serves both.
+A :class:`WindowRun` answers the same questions for a box of windows of
+one streamed block at once, one read-only strided view of the block per
+offset, so one window function written as elementwise arithmetic over
+``at`` serves both.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,53 +102,58 @@ class StencilWindow:
 
 
 class WindowRun:
-    """A run view: many windows of one block, addressed at once.
+    """A run view: a box of window centres of one block, addressed at once.
 
-    :meth:`at` answers what :meth:`StencilWindow.at` answers for one
-    window, for every window of the run, as one float64 array;
-    :attr:`center` holds the centres as coordinate arrays.  :attr:`top`
-    is one flag for the whole run, as on a :class:`StencilWindow`: a top
-    run holds column-top windows only (``cz == nz - 1``), and its ``at``
-    raises on ``dk = +1`` as the single window does.
+    ``box`` is ``(x0, x1, y0, y1, z0, z1)``, the centres ``x0 <= cx < x1``,
+    ``y0 <= cy < y1`` and ``z0 <= cz < z1`` (one box of
+    :func:`~repro.shiftbuffer.buffer3d.emission_boxes`).  :meth:`at`
+    answers what :meth:`StencilWindow.at` answers for one window, for
+    every window of the box, as one array of the box's shape;
+    :attr:`center` holds the centres as three broadcastable coordinate
+    arrays.  :attr:`top` is one flag for the whole run, as on a
+    :class:`StencilWindow`: a top run holds column-top windows only
+    (``cz == nz - 1``), and its ``at`` raises on ``dk = +1`` as the
+    single window does.
 
-    ``at`` gathers by integer index, so each call returns a fresh array,
-    never a view into ``block``: a window function may update its
-    operands in place.
+    ``at`` returns a read-only strided view of ``block``, never a copy,
+    so a window function must not update its operands in place.
     """
 
-    def __init__(self, block: np.ndarray, cx: np.ndarray, cy: np.ndarray,
-                 cz: np.ndarray, *, top: bool = False) -> None:
-        self._block = block
-        self._flat = block.reshape(-1)
-        _nx, self._ny, self._nz = block.shape
-        #: Centre coordinates ``(cx, cy, cz)``, one entry per window.
-        self.center = (cx, cy, cz)
+    def __init__(self, block: np.ndarray, box: tuple[int, ...], *,
+                 top: bool = False) -> None:
+        x0, x1, y0, y1, z0, z1 = box
+        # Slices of a read-only view are read-only views themselves.
+        self._block = block.view()
+        self._block.flags.writeable = False
+        self.box = (x0, x1, y0, y1, z0, z1)
+        #: The shape of every :meth:`at` array: one entry per window.
+        self.shape = (x1 - x0, y1 - y0, z1 - z0)
         #: True when every window of the run is a column top.
         self.top = top
-        self._index = (cx * self._ny + cy) * self._nz + cz
 
-    def __len__(self) -> int:
-        return len(self._index)
+    @cached_property
+    def center(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Centre coordinates ``(cx, cy, cz)``, of shapes ``(n, 1, 1)``,
+        ``(1, n, 1)`` and ``(1, 1, n)``: they broadcast to the box."""
+        x0, x1, y0, y1, z0, z1 = self.box
+        return (np.arange(x0, x1).reshape(-1, 1, 1),
+                np.arange(y0, y1).reshape(1, -1, 1),
+                np.arange(z0, z1).reshape(1, 1, -1))
 
     def at(self, di: int, dj: int, dk: int) -> np.ndarray:
-        """Values at stencil offset ``(di, dj, dk)`` from every centre."""
+        """Values at stencil offset ``(di, dj, dk)`` from every centre,
+        as a read-only view of the block."""
         _check_offset(di, dj, dk, self.top)
-        return self._flat.take(
-            self._index + ((di * self._ny + dj) * self._nz + dk))
+        x0, x1, y0, y1, z0, z1 = self.box
+        return self._block[x0 + di:x1 + di, y0 + dj:y1 + dj,
+                           z0 + dk:z1 + dk]
 
     def on(self, block: np.ndarray) -> "WindowRun":
         """The same windows over another block of the same shape; the
-        centre arrays and the flat index are shared, not copied."""
+        box and the centre arrays are shared, not copied."""
         if block.shape != self._block.shape:
             raise ValueError(f"block shape {block.shape} differs from the "
                              f"run's {self._block.shape}")
-        run = copy.copy(self)
-        run._block = block
-        run._flat = block.reshape(-1)
+        run = WindowRun(block, self.box, top=self.top)
+        run.center = self.center
         return run
-
-    def select(self, mask: np.ndarray) -> "WindowRun":
-        """The sub-run of the windows where ``mask`` holds."""
-        cx, cy, cz = self.center
-        return WindowRun(self._block, cx[mask], cy[mask], cz[mask],
-                         top=self.top)

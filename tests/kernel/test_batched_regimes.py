@@ -41,6 +41,7 @@ def run_against_scalar(config, fields, **kwargs):
     scalar = simulate_kernel(config, fields, batched=False, **kwargs)
     batched = simulate_kernel(config, fields, batched=True, **kwargs)
     assert _comparable(batched) == _comparable(scalar)
+    assert batched.sources.same_bits(scalar.sources)
     return batched
 
 

@@ -18,7 +18,11 @@ from repro.kernel import compute, stages
 from repro.kernel.compute import advect_u, advect_v, advect_w
 from repro.kernel.config import KernelConfig
 from repro.kernel.simulate import simulate_kernel
-from repro.shiftbuffer.buffer3d import ShiftBuffer3D, emission_center
+from repro.shiftbuffer.buffer3d import (
+    ShiftBuffer3D,
+    emission_boxes,
+    emission_center,
+)
 from repro.shiftbuffer.window import StencilWindow, WindowRun
 
 FORMS = (advect_u, advect_v, advect_w)
@@ -158,30 +162,41 @@ def signed_block(rng, shape):
 class TestRunForms:
     @settings(max_examples=40, deadline=None)
     @given(nx=st.integers(3, 8), ny=st.integers(3, 8),
-           nz=st.integers(3, 12), seed=st.integers(0, 2**16))
-    def test_run_equals_each_window_byte_for_byte(self, nx, ny, nz, seed):
-        """Each form gives, on the full run and on the top run, the bytes
-        it gives on every window ``ShiftBuffer3D.window_at`` cuts."""
+           nz=st.integers(3, 12), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_run_equals_each_window_byte_for_byte(self, nx, ny, nz, seed,
+                                                  data):
+        """Each form gives, on the full and top box runs of any emission
+        range, the bytes it gives on every window
+        ``ShiftBuffer3D.window_at`` cuts."""
         rng = np.random.default_rng(seed)
         blocks = [signed_block(rng, (nx, ny, nz)) for _ in range(3)]
         coeffs = AdvectionCoefficients.isothermal(
             Grid(nx=nx - 2, ny=ny - 2, nz=nz))
         buffer = ShiftBuffer3D(nx, ny, nz)
-        emissions = np.arange((nx - 2) * (ny - 2) * (nz - 1))
-        cx, cy, cz, tops = emission_center(emissions, ny, nz)
-        for top, lanes in ((False, ~tops), (True, tops)):
-            u = WindowRun(blocks[0], cx[lanes], cy[lanes], cz[lanes],
-                          top=top)
-            windows = [[buffer.window_at(e, block) for block in blocks]
-                       for e in emissions[lanes]]
-            assert all(w.top == top for ws in windows for w in ws)
-            for fn in FORMS:
-                together = np.broadcast_to(
-                    np.asarray(fn(u, u.on(blocks[1]), u.on(blocks[2]),
-                                  coeffs), dtype=float), (len(u),))
-                alone = np.array([fn(*ws, coeffs) for ws in windows],
-                                 dtype=float)
-                assert together.tobytes() == alone.tobytes()
+        total = (nx - 2) * (ny - 2) * (nz - 1)
+        first = data.draw(st.integers(0, total), label="first")
+        stop = data.draw(st.integers(first, total), label="stop")
+        for x0, x1, y0, y1, z0, z1 in emission_boxes(first, stop, ny,
+                                                     nz - 1):
+            split = min(z1, nz - 1)
+            for top, zs in ((False, (z0, split)), (True, (split, z1))):
+                if zs[1] == zs[0]:
+                    continue
+                u = WindowRun(blocks[0], (x0, x1, y0, y1) + zs, top=top)
+                emissions = [((cx - 1) * (ny - 2) + cy - 1) * (nz - 1) + cz - 1
+                             for cx in range(x0, x1) for cy in range(y0, y1)
+                             for cz in range(*zs)]
+                windows = [[buffer.window_at(e, block) for block in blocks]
+                           for e in emissions]
+                assert all(w.top == top for ws in windows for w in ws)
+                for fn in FORMS:
+                    together = np.broadcast_to(
+                        np.asarray(fn(u, u.on(blocks[1]), u.on(blocks[2]),
+                                      coeffs), dtype=float), u.shape)
+                    alone = np.array([fn(*ws, coeffs) for ws in windows],
+                                     dtype=float)
+                    assert together.tobytes() == alone.tobytes()
 
 
 class TestAdvectStages:
@@ -201,9 +216,11 @@ class TestAdvectStages:
                         for kind in ("StencilWindow", "WindowRun")
                         for top in (False, True)}
 
-    def test_advect_results_share_the_shift_stage_centres(self, monkeypatch):
-        """The three advect stages of one batched window keep views of
-        the centre arrays the shift stage computed, not copies."""
+    def test_advect_results_carry_an_emission_range(self, monkeypatch):
+        """A batched window's advect results are an emission range and
+        its values, with no coordinate arrays; u, v and w of one window
+        cover the same range, and the centres cut from it are the
+        emissions' own."""
         fired = {}
         original = stages.AdvectStage.fire_bulk
 
@@ -219,13 +236,19 @@ class TestAdvectStages:
         result = simulate_kernel(KernelConfig(grid=grid),
                                  random_wind(grid, seed=3, magnitude=2.0))
         assert result.aggregate_stats().batched_windows > 0
-        shared = 0
+        ranges = 0
         for by_field in fired.values():
             for u, v, w in zip(by_field["u"], by_field["v"],
                                by_field["w"], strict=True):
-                for axis in range(3):
-                    centres = (u.cx, u.cy, u.cz)[axis]
-                    assert np.shares_memory(centres, (v.cx, v.cy, v.cz)[axis])
-                    assert np.shares_memory(centres, (w.cx, w.cy, w.cz)[axis])
-                shared += 1
-        assert shared > 0
+                for part in (u, v, w):
+                    assert not any(hasattr(part, axis)
+                                   for axis in ("cx", "cy", "cz", "center"))
+                    assert len(part.values) == part.stop - part.start
+                assert (u.start, u.stop) == (v.start, v.stop) == (
+                    w.start, w.stop)
+                head = u.slice(0, min(len(u), 3)).materialize()
+                assert [center for center, _value in head] == [
+                    emission_center(e, u.ny, u.nz)[:3]
+                    for e in range(u.start, u.start + len(head))]
+                ranges += 1
+        assert ranges > 0

@@ -109,6 +109,12 @@ def raw_reading(window, *, top=False):
     return window.raw[1, 1, 1]
 
 
+def in_place(window, *, top=False):
+    x = window.at(0, 0, 0)
+    x += 1.0
+    return x
+
+
 class TestWindowContract:
     """Window functions must be elementwise arithmetic over ``at``: the
     check runs before the first cycle, on both paths alike."""
@@ -124,6 +130,23 @@ class TestWindowContract:
             run_stencil_kernel(block, interior, boundary, out,
                                batched=batched)
         assert not out.any()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("role", ["interior", "boundary"])
+    def test_in_place_functions_rejected(self, role, batched):
+        """A batched run's ``at`` is a read-only view of the block, so a
+        function that writes into an operand is rejected before the
+        first cycle, and the block is left as it was."""
+        block = np.random.default_rng(5).normal(size=(5, 5, 5))
+        before = block.copy()
+        interior, boundary = ((in_place, zero) if role == "interior"
+                              else (zero, in_place))
+        out = np.zeros((3, 3, 5))
+        with pytest.raises(ConfigurationError, match="in_place"):
+            run_stencil_kernel(block, interior, boundary, out,
+                               batched=batched)
+        assert not out.any()
+        assert block.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_constant_and_identity_functions_run(self, batched):

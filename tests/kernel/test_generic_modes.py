@@ -34,6 +34,7 @@ from repro.scenarios.conformance import STATS_BATCH_KEYS
 from repro.scenarios.kernels import BuoyancyKernel, DiffusionKernel
 from repro.shiftbuffer.buffer3d import ShiftBuffer3D
 from repro.shiftbuffer.ports import MemoryPortTracker
+from repro.shiftbuffer.window import WindowRun
 
 
 def run_field(kernel, fields, name, *, mode="exact", batched=True,
@@ -204,34 +205,44 @@ class TestRunView:
     @given(grid=grids, seed=st.integers(0, 2**16))
     def test_run_view_equals_window_at_one_by_one(self, grid, seed):
         """Every registered stencil kernel's window functions give, on
-        one run view, the bytes they give on each window alone —
-        boundary cells included."""
+        each box run and each of its boundary layers, the bytes they
+        give on each window alone."""
         block = np.random.default_rng(seed).normal(size=grid.halo_shape)
         buffer = ShiftBuffer3D(*block.shape)
         run = WindowRunBulk(buffer, block, 0,
                             grid.nx * grid.ny * (grid.nz - 2))
-        windows = run.materialize()
-        view = run.view()
-        cz = view.center[2]
-        assert [w.center for w in windows] == list(zip(
-            *(c.tolist() for c in view.center)))
+        by_center = {w.center: w for w in run.materialize()}
+        views = [WindowRun(block, box) for box in run.boxes()]
+        walk = [center for view in views for center in zip(
+            *(c.reshape(-1).tolist()
+              for c in np.broadcast_arrays(*view.center)))]
+        assert walk == list(by_center)
         for kernel in stencil_kernels():
             interior, boundary = kernel.window_fns(grid)
-            for fn, mask, kwargs in (
-                    (interior, np.ones(len(run), dtype=bool), {}),
-                    (boundary, cz == 1, {"top": False}),
-                    (boundary, cz == grid.nz - 2, {"top": True})):
-                together = np.broadcast_to(
-                    fn(view.select(mask), **kwargs), (int(mask.sum()),))
-                alone = np.array([fn(w, **kwargs) for w, m
-                                  in zip(windows, mask) if m])
-                assert together.tobytes() == alone.tobytes()
+            for view in views:
+                x0, x1, y0, y1, z0, z1 = view.box
+                for fn, layer, kwargs in (
+                        (interior, (z0, z1), {}),
+                        (boundary, (1, 2), {"top": False}),
+                        (boundary, (grid.nz - 2, grid.nz - 1),
+                         {"top": True})):
+                    if not (z0 <= layer[0] and layer[1] <= z1):
+                        continue
+                    sub = WindowRun(block, (x0, x1, y0, y1) + layer)
+                    together = np.broadcast_to(fn(sub, **kwargs), sub.shape)
+                    alone = np.array([
+                        fn(by_center[(x, y, z)], **kwargs)
+                        for x in range(x0, x1) for y in range(y0, y1)
+                        for z in range(*layer)])
+                    assert together.tobytes() == alone.tobytes()
 
-    def test_at_is_a_copy_and_checks_offsets(self):
+    def test_at_is_a_read_only_view_and_checks_offsets(self):
         block = np.arange(5 * 5 * 5, dtype=float).reshape(5, 5, 5)
-        view = WindowRunBulk(ShiftBuffer3D(5, 5, 5), block, 0, 9).view()
+        (box,) = WindowRunBulk(ShiftBuffer3D(5, 5, 5), block, 0, 9).boxes()
+        view = WindowRun(block, box)
         values = view.at(1, 0, -1)
-        values += 1000.0
+        with pytest.raises(ValueError):
+            values += 1000.0
         assert block.max() < 1000.0
         cx, cy, cz = view.center
         np.testing.assert_array_equal(view.at(1, 0, -1),

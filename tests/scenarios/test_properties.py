@@ -48,6 +48,10 @@ def assert_modes_agree(scenario_name: str, grid: Grid, seed: int) -> None:
                                           getattr(out_b, name))
             np.testing.assert_array_equal(getattr(out_s, name),
                                           getattr(ref, name))
+        # Signed zeros too: batched box views and forced-scalar windows
+        # must agree byte for byte.
+        assert out_b.same_bits(out_s)
+        assert out_s.same_bits(ref)
 
 
 class TestRandomConfigurations:
@@ -74,6 +78,15 @@ class TestRandomConfigurations:
     def test_advection_open_boundary(self, data, seed):
         grid = grid_for("pw-advection-open", data.draw)
         assert_modes_agree("pw-advection-open", grid, seed)
+
+    @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**16),
+           name=st.sampled_from(["diffusion", "buoyancy"]))
+    @settings(max_examples=8, deadline=None, suppress_health_check=_SLOW)
+    def test_generic_kernels_at_nz_3(self, data, seed, name):
+        """One window per column: each window fires its cell and both
+        boundary cells, so every box's boundary layers coincide."""
+        grid = grid_for(name, data.draw)
+        assert_modes_agree(name, Grid(nx=grid.nx, ny=grid.ny, nz=3), seed)
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=4, deadline=None, suppress_health_check=_SLOW)

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DataflowError, PortConflictError, ShiftBufferError
-from repro.shiftbuffer.buffer3d import ShiftBuffer3D
+from repro.shiftbuffer.buffer3d import (
+    ShiftBuffer3D,
+    emission_boxes,
+    emission_center,
+)
 from repro.shiftbuffer.ports import MemoryPortTracker
 
 
@@ -374,3 +378,32 @@ class TestBatchedFeed:
         buf = ShiftBuffer3D(5, 6, 4, name="b")
         with pytest.raises(ShiftBufferError, match="does not match"):
             buf.feed_bulk(1, np.zeros((5, 6, 5)))
+
+
+class TestEmissionBoxes:
+    @settings(max_examples=200, deadline=None)
+    @given(nx=st.integers(3, 7), ny=st.integers(3, 7), nz=st.integers(3, 7),
+           generic=st.booleans(), data=st.data())
+    def test_boxes_walk_the_numbering(self, nx, ny, nz, generic, data):
+        """At most five non-empty boxes whose C-order walks, one after
+        another, visit the centres of ``[first, stop)`` in order: the
+        advection numbering (``emission_center``, ``nz - 1`` per column)
+        or the generic machine's non-top windows (``nz - 2``)."""
+        per_column = nz - 2 if generic else nz - 1
+        total = (nx - 2) * (ny - 2) * per_column
+        first = data.draw(st.integers(0, total), label="first")
+        stop = data.draw(st.integers(first, total), label="stop")
+        boxes = emission_boxes(first, stop, ny, per_column)
+        assert len(boxes) <= 5
+        walk = []
+        for x0, x1, y0, y1, z0, z1 in boxes:
+            assert x0 < x1 and y0 < y1 and z0 < z1
+            walk.extend((x, y, z) for x in range(x0, x1)
+                        for y in range(y0, y1) for z in range(z0, z1))
+        if generic:
+            column, j = np.divmod(np.arange(first, stop), per_column)
+            index = column * (nz - 1) + j
+        else:
+            index = np.arange(first, stop)
+        cx, cy, cz, _top = emission_center(index, ny, nz)
+        assert walk == list(zip(cx.tolist(), cy.tolist(), cz.tolist()))

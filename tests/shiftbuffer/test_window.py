@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.shiftbuffer.buffer3d import ShiftBuffer3D, emission_center
+from repro.shiftbuffer.buffer3d import (
+    ShiftBuffer3D,
+    emission_boxes,
+    emission_center,
+)
 from repro.shiftbuffer.window import StencilWindow, WindowRun
 
 
@@ -74,15 +78,16 @@ class TestTopWindow:
 
 
 def block_runs(shape=(5, 6, 7)):
-    """A labelled block, its windows, and the full and top run views."""
+    """A labelled block, its windows, and the full and top box runs."""
     block = np.arange(np.prod(shape), dtype=float).reshape(shape)
     nx, ny, nz = shape
     emissions = np.arange((nx - 2) * (ny - 2) * (nz - 1))
-    cx, cy, cz, tops = emission_center(emissions, ny, nz)
+    _cx, _cy, _cz, tops = emission_center(emissions, ny, nz)
     buffer = ShiftBuffer3D(*shape)
     windows = [buffer.window_at(e, block) for e in emissions]
-    full = WindowRun(block, cx[~tops], cy[~tops], cz[~tops])
-    top = WindowRun(block, cx[tops], cy[tops], cz[tops], top=True)
+    (box,) = emission_boxes(0, len(emissions), ny, nz - 1)
+    full = WindowRun(block, box[:5] + (nz - 1,))
+    top = WindowRun(block, box[:4] + (nz - 1, nz), top=True)
     return block, windows, tops, full, top
 
 
@@ -95,7 +100,8 @@ class TestWindowRun:
         tops_alone = [w for w, t in zip(windows, tops) if t]
         for offset in ((0, 0, -1), (1, -1, 0), (-1, 1, -1)):
             np.testing.assert_array_equal(
-                top.at(*offset), [w.at(*offset) for w in tops_alone])
+                top.at(*offset).reshape(-1),
+                [w.at(*offset) for w in tops_alone])
 
     def test_on_reads_another_block_through_the_same_centres(self):
         block, _windows, _tops, full, top = block_runs()
@@ -110,3 +116,27 @@ class TestWindowRun:
         *_, full, _top = block_runs()
         with pytest.raises(ValueError, match="shape"):
             full.on(np.zeros((5, 6, 8)))
+
+
+class TestWindowRunViews:
+    def test_at_is_a_read_only_view_of_the_block(self):
+        block, _windows, _tops, full, _top = block_runs()
+        before = block.copy()
+        values = full.at(1, -1, 0)
+        assert np.shares_memory(values, block)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values += 1.0
+        with pytest.raises(ValueError):
+            values[0, 0, 0] = -1.0
+        assert block.tobytes() == before.tobytes()
+
+    def test_center_broadcasts_to_the_box(self):
+        block, _windows, _tops, full, _top = block_runs()
+        cx, cy, cz = full.center
+        assert (cx.shape, cy.shape, cz.shape) == (
+            (full.shape[0], 1, 1), (1, full.shape[1], 1),
+            (1, 1, full.shape[2]))
+        np.testing.assert_array_equal(full.at(-1, 0, 1),
+                                      block[cx - 1, cy, cz + 1])
+        assert full.at(0, 0, 0).shape == full.shape

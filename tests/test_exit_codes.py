@@ -118,42 +118,80 @@ VERDICTS = {
 }
 
 
-def _numeric_flags():
+def _numeric_flags(types, values):
     parser = cli.build_parser()
     commands = next(action for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction))
     for command, sub in commands.choices.items():
         for action in sub._actions:
-            if action.type in (int, float):
-                for value in ("0", "-1"):
+            if action.type in types:
+                for value in values:
                     yield command, action.option_strings[-1], value
 
 
-CASES = list(_numeric_flags())
+CASES = list(_numeric_flags((int, float), ("0", "-1")))
+#: argparse's ``float`` also accepts the non-finite values; no float
+#: option has a use for them.
+NON_FINITE = list(_numeric_flags((float,), ("nan", "inf")))
 
 
 def test_sweep_covers_every_numeric_flag():
     assert len(CASES) == 116
     assert ACCEPTED | VERDICTS <= set(CASES)
+    assert len(NON_FINITE) == 12
 
 
-@pytest.mark.parametrize(("command", "flag", "value"), CASES,
-                         ids=[" ".join(case) for case in CASES])
-def test_zero_and_negative_values(command, flag, value, tmp_path, capsys):
+def _exits(command, flag, value, tmp_path, capsys, expected):
     base = list(BASE.get(command, []))
     if flag in base:
         index = base.index(flag)
         del base[index:index + 2]
     if command == "trace":
         base += ["--out", str(tmp_path / "trace.json")]
-    expected = (0 if (command, flag, value) in ACCEPTED
-                else 1 if (command, flag, value) in VERDICTS else 2)
 
     assert cli.main([command, *base, flag, value]) == expected
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if expected == 2:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(("command", "flag", "value"), CASES,
+                         ids=[" ".join(case) for case in CASES])
+def test_zero_and_negative_values(command, flag, value, tmp_path, capsys):
+    expected = (0 if (command, flag, value) in ACCEPTED
+                else 1 if (command, flag, value) in VERDICTS else 2)
+    _exits(command, flag, value, tmp_path, capsys, expected)
+
+
+@pytest.mark.parametrize(("command", "flag", "value"), NON_FINITE,
+                         ids=[" ".join(case) for case in NON_FINITE])
+def test_non_finite_values(command, flag, value, tmp_path, capsys):
+    _exits(command, flag, value, tmp_path, capsys, 2)
+
+
+#: Flags that a path would ignore, and one non-finite rate that used to
+#: end in a traceback: each is a bad request.
+REJECTED_ARGV = {
+    "scenario-kernels": ["simulate", "--scenario", "diffusion",
+                         "--kernels", "2"],
+    "scenario-chunk-width": ["simulate", "--scenario", "diffusion",
+                             "--chunk-width", "4"],
+    "scenario-read-ii": ["simulate", "--scenario", "diffusion",
+                         "--read-ii", "2"],
+    "cpu-kernels": ["run", "--device", "cpu", "--kernels", "0"],
+    "multi-kernel-nan-memory-rate": [
+        "simulate", "--kernels", "2", "--memory-rate", "nan",
+        "--nx", "8", "--ny", "8", "--nz", "8"],
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTED_ARGV))
+def test_ignored_or_non_finite_flags_exit_2(name, capsys):
+    assert cli.main(REJECTED_ARGV[name]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 # -- library entry points -----------------------------------------------------
@@ -164,9 +202,13 @@ def _rejections():
     from repro.core.wind import random_wind
     from repro.experiments.summary import build_scorecard
     from repro.faults.chaos import run_chaos
+    from repro.hardware import XEON_8260M
     from repro.kernel.config import KernelConfig
+    from repro.kernel.multi_simulate import MemoryArbiter
     from repro.kernel.simulate import simulate_kernel
     from repro.lint.builders import build_structural_graph
+    from repro.observe.opscycle import check_clock_mhz
+    from repro.runtime.session import AdvectionSession
     from repro.serve import PoissonLoad
 
     grid = Grid(nx=4, ny=5, nz=4)
@@ -189,6 +231,22 @@ def _rejections():
                 grid, read_ii=0), "read_ii"),
         "build_scorecard-tolerance": (
             lambda: build_scorecard(tolerance_pct=-1.0), "tolerance"),
+        "PoissonLoad-rate-nan": (
+            lambda: PoissonLoad(rate_hz=float("nan")), "rate_hz"),
+        "PoissonLoad-deadline-inf": (
+            lambda: PoissonLoad(deadline_seconds=float("inf")),
+            "deadline_seconds"),
+        "MemoryArbiter-rate-nan": (
+            lambda: MemoryArbiter(float("nan")), "arbiter rate"),
+        "MemoryArbiter-rate-inf": (
+            lambda: MemoryArbiter(float("inf")), "arbiter rate"),
+        "build_scorecard-tolerance-nan": (
+            lambda: build_scorecard(tolerance_pct=float("nan")),
+            "tolerance"),
+        "clock_mhz-nan": (lambda: check_clock_mhz(float("nan")), "clock"),
+        "AdvectionSession-cpu-kernels": (
+            lambda: AdvectionSession(XEON_8260M, config, num_kernels=2),
+            "not an FPGA"),
     }
 
 
