@@ -28,6 +28,15 @@ less than ``MIN_STENCIL_SPEEDUP`` (15x) faster than forced-scalar
 ticking — under half the ~38x a shared 2-vCPU x86-64 host measures at
 32^3.
 
+A replay leg runs the diffusion kernel on all three fields of the grid
+with one shared ``ControlRecord``, as ``_StencilKernel.run`` does, and
+forced-scalar beside it.  It checks bytes, cycles, fires, stalls and
+high-water marks field by field and records each field's wall time.
+The second and third fields repeat the first one's machine, so each
+must replay as one bulk step: the leg fails unless both report 0
+scalar cycles in 1 batched window.  That gate is a count, not a time,
+so it is deterministic.
+
 A memory leg runs the batched kernel once more, untimed, under
 ``tracemalloc`` and records its peak in the batched record.  It fails
 when the peak exceeds ``MAX_BATCHED_BYTES_PER_CELL`` (128) bytes per
@@ -62,6 +71,7 @@ import numpy as np
 
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
+from repro.dataflow.engine import ControlRecord
 from repro.faults import FaultPlan, RetryPolicy
 from repro.kernel.config import KernelConfig
 from repro.kernel.generic import run_stencil_kernel
@@ -98,15 +108,31 @@ def traced_peak(config, fields):
         tracemalloc.stop()
 
 
-def run_stencil_once(grid, block, *, batched):
+def run_stencil_once(grid, block, *, batched, record=None):
     """One diffusion pass on the generic stencil machine, timed."""
     out = np.zeros(grid.interior_shape)
     tracker = MemoryPortTracker(enforce=True)
     interior, boundary = DiffusionKernel().window_fns(grid)
     start = time.perf_counter()
     stats = run_stencil_kernel(block, interior, boundary, out,
-                               batched=batched, tracker=tracker)
+                               batched=batched, tracker=tracker,
+                               record=record)
     return out, stats, tracker.reports(), time.perf_counter() - start
+
+
+def replay_leg(grid, fields, scalar_u):
+    """The three diffusion fields through one shared record, and
+    forced-scalar; ``scalar_u`` is the stencil leg's forced-scalar ``u``
+    pass.  Returns ``(field, batched pass, scalar pass)`` per field."""
+    record = ControlRecord()
+    passes = []
+    for name in ("u", "v", "w"):
+        block = getattr(fields, name)
+        batched = run_stencil_once(grid, block, batched=True, record=record)
+        scalar = (scalar_u if name == "u"
+                  else run_stencil_once(grid, block, batched=False))
+        passes.append((name, batched, scalar))
+    return passes
 
 
 def main(argv=None) -> int:
@@ -177,6 +203,8 @@ def main(argv=None) -> int:
         run_stencil_once(grid, fields.u, batched=False)
     st_batched, st_batched_stats, st_batched_ports, t_st_batched = \
         run_stencil_once(grid, fields.u, batched=True)
+    replays = replay_leg(grid, fields, (st_scalar, st_scalar_stats,
+                                        st_scalar_ports, t_st_scalar))
     batched_times, resilient_times = [t_batched], [t_resilient]
     observed_times = [t_observed]
     for _ in range(args.overhead_repeats - 1):
@@ -223,6 +251,19 @@ def main(argv=None) -> int:
         errors.append("stencil per-stage stall counts differ")
     if st_batched_ports != st_scalar_ports:
         errors.append("stencil memory-port reports differ")
+    for name, (out, stats, ports, _), (s_out, s_stats, s_ports, _) \
+            in replays:
+        for what, same in (
+                ("output", out.tobytes() == s_out.tobytes()),
+                ("cycle count", stats.cycles == s_stats.cycles),
+                ("fire counts", stats.fires == s_stats.fires),
+                ("stall counts", stats.stalls == s_stats.stalls),
+                ("high-water marks",
+                 stats.stream_high_water == s_stats.stream_high_water),
+                ("memory-port reports", ports == s_ports)):
+            if not same:
+                errors.append(f"replay leg, field {name}: {what} differ "
+                              f"from forced scalar")
     if errors:
         for err in errors:
             print(f"MISMATCH: {err}", file=sys.stderr)
@@ -283,6 +324,15 @@ def main(argv=None) -> int:
     suite.add(rec_observed)
     suite.add(rec_st_scalar)
     suite.add(rec_st_batched)
+    for name, (_, stats, _, wall), _scalar in replays:
+        suite.add(BenchRecord(
+            name=f"stencil-diffusion-{label}-record-{name}",
+            wall_seconds=wall, cycles=stats.cycles, cells=grid.num_cells,
+            mode="exact",
+            extra={"batched": True, "field": name,
+                   "batched_windows": stats.batched_windows,
+                   "batched_cycles": stats.batched_cycles,
+                   "scalar_cycles": stats.cycles - stats.batched_cycles}))
     gain_batched = speedup(rec_scalar, rec_batched)
     gain_stencil = speedup(rec_st_scalar, rec_st_batched)
     suite.context["speedup_batched_exact"] = round(gain_batched, 2)
@@ -298,6 +348,10 @@ def main(argv=None) -> int:
     print(f"stencil batched speedup: {gain_stencil:.2f}x "
           f"({st_batched_stats.batched_cycles}/{st_batched_stats.cycles} "
           f"cycles batched in {st_batched_stats.batched_windows} windows)")
+    for name, (_, stats, _, wall), _scalar in replays:
+        print(f"replay leg, field {name}: {wall * 1e3:.1f} ms, "
+              f"{stats.cycles - stats.batched_cycles} scalar cycles, "
+              f"{stats.batched_windows} batched windows")
     print(f"batched tracemalloc peak: {peak_bytes / 2**20:.2f} MiB "
           f"({peak_per_cell:.0f} B per interior cell)")
     print(f"fault-free resilience overhead: {overhead * 100:+.2f}%")
@@ -314,6 +368,15 @@ def main(argv=None) -> int:
         print(f"FAIL: stencil batched speedup {gain_stencil:.2f}x below "
               f"the {MIN_STENCIL_SPEEDUP:.1f}x floor", file=sys.stderr)
         failed = True
+    for name, (_, stats, _, _), _scalar in replays[1:]:
+        if stats.batched_cycles != stats.cycles \
+                or stats.batched_windows != 1:
+            print(f"FAIL: replay leg, field {name} ticked "
+                  f"{stats.cycles - stats.batched_cycles} scalar cycles in "
+                  f"{stats.batched_windows} batched windows; a field that "
+                  f"repeats the first one's machine must replay as one "
+                  f"bulk step", file=sys.stderr)
+            failed = True
     if peak_per_cell > MAX_BATCHED_BYTES_PER_CELL:
         print(f"FAIL: batched tracemalloc peak {peak_per_cell:.0f} B per "
               f"interior cell exceeds the {MAX_BATCHED_BYTES_PER_CELL} B "

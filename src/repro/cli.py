@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--nz", type=int, default=None)
     p_sim.add_argument("--chunk-width", type=int, default=None)
     p_sim.add_argument("--read-ii", type=int, default=None,
-                       help="read-stage initiation interval (default 1)")
+                       help="read-stage initiation interval (default 1; "
+                            "single kernel only)")
     _add_mode_flag(p_sim)
     p_sim.add_argument("--no-batched", action="store_true",
                        help="disable batched exact execution (escape "
@@ -654,6 +655,10 @@ def _cmd_simulate(args) -> int:
     fields = random_wind(grid, seed=args.seed, magnitude=2.0)
     config = _kernel_config(grid, args.chunk_width)
 
+    if args.kernels is not None and args.read_ii is not None:
+        raise ConfigurationError(
+            "--read-ii cannot be combined with --kernels on simulate: the "
+            "multi-kernel co-simulation reads at II 1")
     start = time.perf_counter()
     batched = not args.no_batched
     if args.kernels is not None:

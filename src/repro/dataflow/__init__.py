@@ -22,7 +22,7 @@ implements exactly that abstraction:
 """
 
 from repro.dataflow.compiled import CompiledGraph, compile_graph
-from repro.dataflow.engine import DataflowEngine, RunStats
+from repro.dataflow.engine import ControlRecord, DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.monitors import StreamProbe, ThroughputMonitor
 from repro.dataflow.stage import ConstStage, FunctionStage, SinkStage, SourceStage, Stage
@@ -37,6 +37,7 @@ __all__ = [
     "ConstStage",
     "DataflowGraph",
     "DataflowEngine",
+    "ControlRecord",
     "RunStats",
     "CompiledGraph",
     "compile_graph",

@@ -3,8 +3,11 @@
 The per-cycle interpreter in :mod:`repro.dataflow.engine` pays Python
 dispatch for every stage on every cycle.  This module closes that gap
 from the *exact* side: :func:`compile_graph` fixes the tick order and
-the stream rows once per run, and :func:`execute_window` advances a
-proved-periodic window of ``W = n × period`` cycles as one batched step.
+the stream rows once per run, :func:`plan_window` picks how many whole
+periods ``n`` a proved-periodic window may run, and
+:func:`execute_window` relays its ``W = n × period`` cycles as one
+batched step.  A run replayed from a control record is one relay too:
+its whole recorded run, once.
 
 Correctness model
 -----------------
@@ -53,7 +56,7 @@ if TYPE_CHECKING:  # imported lazily to keep dataflow import-cycle free
     from repro.faults.plan import FaultPlan
 
 __all__ = ["CompiledGraph", "EventCalendar", "compile_graph",
-           "period_deltas", "execute_window"]
+           "period_deltas", "plan_window", "execute_window"]
 
 
 @dataclass
@@ -210,44 +213,56 @@ def _cap_supply(order: list[Stage], fires_per_period: np.ndarray,
     return n
 
 
-def execute_window(order: list[Stage], streams: list[Stream],
-                   stream_index: dict[str, int], sig_cycle: int,
-                   period: int, snapshot: tuple[tuple, tuple], limit: int,
-                   calendar: EventCalendar | None = None, *,
-                   inner: bool = False) -> int:
-    """Plan and execute one batched window of whole periods.
+def plan_window(order: list[Stage], stream_index: dict[str, int],
+                sig_cycle: int, period: int, d_stage: np.ndarray,
+                d_stream: np.ndarray, limit: int,
+                calendar: EventCalendar | None = None, *,
+                inner: bool = False) -> tuple[int, Sequence[tuple[str, int]]]:
+    """How many whole periods of ``(d_stage, d_stream)`` may run from
+    ``sig_cycle``, and the push rates the calendar must commit.
 
-    Returns the number of cycles skipped: ``> 0`` on a committed window,
-    ``0`` when the window must be deferred (a parked zero-fire period,
-    or an event due within one period — the caller keeps its detection
-    state and ticks scalar), and ``-1`` when some stage's capacity
-    cannot cover even one period — its supply or its control regime ends
-    first, so the caller drops its detection state and hunts afresh.
-    ``inner`` marks a period measured on the inner key (see
+    The count is ``> 0`` for a window to run, ``0`` when the window must
+    be deferred (a parked zero-fire period, or an event due within one
+    period — the caller keeps its detection state and ticks scalar), and
+    ``-1`` when some stage's capacity cannot cover even one period — its
+    supply or its control regime ends first, so the caller drops its
+    detection state and hunts afresh.  ``inner`` marks a period measured
+    on the inner key (see
     :meth:`~repro.dataflow.stage.Stage.ff_inner_signature`): every
     stage's capacity is then its
     :meth:`~repro.dataflow.stage.Stage.ff_inner_capacity`.
-
-    The relay is FIFO-exact: each stream's final content is the last
-    ``occupancy`` items pushed, each pipeline's final entries the last
-    ``fill`` produced, so per-cycle ticking resumes on a state
-    bit-identical to the scalar machine's.
     """
-    d_stage, d_stream = period_deltas(order, streams, snapshot)
     if len(order) == 0 or int(d_stage[:, 0].sum()) == 0:
-        return 0
+        return 0, ()
     n = (limit - sig_cycle - 1) // period
     push_rates: Sequence[tuple[str, int]] = ()
     if calendar is not None:
         push_rates = calendar.push_rates(d_stream, stream_index)
         n = calendar.cap_periods(sig_cycle, period, n, push_rates)
         if n < 1:
-            return 0
+            return 0, push_rates
     n = _cap_supply(order, d_stage[:, 0], n, inner)
-    if n < 1:
-        return -1
-    target_cycle = sig_cycle + n * period
+    return (n if n >= 1 else -1), push_rates
 
+
+def execute_window(order: list[Stage], streams: list[Stream],
+                   stream_index: dict[str, int], sig_cycle: int,
+                   target_cycle: int, n: int, d_stage: np.ndarray,
+                   d_stream: np.ndarray) -> None:
+    """Relay ``n`` repeats of the counter deltas ``(d_stage, d_stream)``
+    through the graph, moving the clock from ``sig_cycle`` to
+    ``target_cycle``.
+
+    Each stage fires ``n`` times its per-period fires through
+    :meth:`~repro.dataflow.stage.Stage.fire_bulk`, and each stream
+    relays ``n`` times its pushes and pops.  The relay is FIFO-exact:
+    each stream's final content is the last ``occupancy`` items pushed,
+    each pipeline's final entries the last ``fill`` produced, so
+    per-cycle ticking resumes on a state bit-identical to the scalar
+    machine's.  A planned window (:func:`plan_window`) relays whole
+    periods; a replayed run relays its whole recorded run once, from
+    empty pipelines to empty pipelines.
+    """
     # Relay the bulk flow through the graph in topological order.
     pushed: dict[str, Bulk] = {}
     for i, stage in enumerate(order):
@@ -307,6 +322,3 @@ def execute_window(order: list[Stage], streams: list[Stream],
         stage.stats.output_stalls += int(ds[3]) * n
         stage.stats.ii_waits += int(ds[4]) * n
         stage.stats.pipeline_full_stalls += int(ds[5]) * n
-    if calendar is not None:
-        calendar.commit(n, push_rates)
-    return n * period

@@ -40,18 +40,44 @@ plane — because the capacity ends every window where the stage leaves
 the regime its signature describes.  A stage may also describe a
 shorter-period *inner* regime nested inside its outer one
 (:meth:`~repro.dataflow.stage.Stage.ff_inner_signature`: the shift
-buffer's emitting columns recur every column within one plane).  The
-engine keeps one fingerprint table per level.  It looks the outer key
-up first, then the inner key (the machine key with the inner stage
-signatures swapped in), and on a miss records the cycle under both.  An
-inner hit runs a window bounded by every stage's
+buffer's silent columns recur every feed, its emitting columns every
+column).  The engine keeps one fingerprint table per level.  It looks
+the outer key up first, then the inner key (the machine key with the
+inner stage signatures swapped in), and on a miss records the cycle
+under both.  An inner hit runs a window bounded by every stage's
 :meth:`~repro.dataflow.stage.Stage.ff_inner_capacity`, so the plane
 that proves the plane period batches its columns while the proof is
-still running.  After a window, or when a regime ends within one
-period, detection at that level starts afresh: an inner window clears
-only the inner table, since it moved every counter exactly as scalar
-ticking would and a plane recurrence measured across it stays exact;
-an outer window clears both.
+still running.  Inner keys leave out the plane, so a first occurrence
+stores each inner-regime stage's inner capacity with it, and a hit
+counts only when the period's fires fit that capacity: a period that
+outgrew the first occurrence's regime crossed into another one.
+After a window, or when a regime ends within one period, detection at
+that level starts afresh: an inner window clears only the inner table,
+since it moved every counter exactly as scalar ticking would and a
+plane recurrence measured across it stays exact; an outer window clears
+both.
+
+Every committed window also leaves its period and per-period deltas
+in an *orbit* table of its level, keyed by the signature that found
+it, for the rest of the run.  Orbits are looked up before the
+first-occurrence tables, and a hit plans and relays a window with no
+re-proof: two positions with one key behave alike for the smaller of
+their two capacities, so the final plane runs the column period the
+proving plane proved.  Fault strikes and freeze-boundary crossings
+clear the orbits with the other tables.
+
+A :class:`ControlRecord` goes one step further across the runs of one
+call.  Every stage of the library machines declares its static control
+parameters (:meth:`~repro.dataflow.stage.Stage.ff_structure`); the
+first successful run of a structure records its counter movement,
+stream high-water marks, cycle count and final fingerprint, and a later
+run of the same structure replays it as one relay from cycle 0 —
+:func:`~repro.dataflow.compiled.execute_window` with every stage's
+whole-run fires and every stream's whole-run traffic, from empty
+pipelines to empty pipelines — then checks that the machine is
+quiescent in the recorded control state.  Runs with an active fault
+plan, a monitor or an enabled tracer neither record nor replay.
+
 A stage whose output counts could depend on data values returns
 ``None`` from ``ff_signature`` (the arbitrated multi-kernel read stage
 does so the moment its arbiter has ever starved it), and the run
@@ -59,7 +85,8 @@ finishes on the scalar loop.  Results are bit-identical to
 ``batched=False`` scalar ticking — statistics, stream occupancies, sink
 data, fault traces, and raised errors — with the batched/scalar split
 reported on :attr:`RunStats.batched_windows` /
-:attr:`RunStats.batched_cycles` and any fallback reason on
+:attr:`RunStats.batched_cycles` (a replayed run is one window of every
+cycle) and any fallback reason on
 :attr:`RunStats.batch_fallback_reason`.
 
 ``mode="fast"`` is a deprecated alias: it warns and runs
@@ -72,8 +99,11 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.dataflow.compiled import (EventCalendar, compile_graph,
-                                     execute_window)
+import numpy as np
+
+from repro.dataflow.compiled import (CompiledGraph, EventCalendar,
+                                     compile_graph, execute_window,
+                                     period_deltas, plan_window)
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.monitors import Monitor
 from repro.dataflow.stage import Stage
@@ -85,7 +115,7 @@ if TYPE_CHECKING:  # imported lazily to keep dataflow import-cycle free
     from repro.observe.metrics import MetricRegistry
     from repro.observe.trace import Tracer
 
-__all__ = ["DataflowEngine", "RunStats"]
+__all__ = ["ControlRecord", "DataflowEngine", "RecordedRun", "RunStats"]
 
 #: Signature table cap: beyond this many distinct control states the run
 #: is clearly not periodic at a useful scale; the table is cleared to
@@ -195,6 +225,41 @@ class RunStats:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class RecordedRun:
+    """One successful run, as a :class:`ControlRecord` keeps it."""
+
+    #: cycles to quiescence.
+    cycles: int
+    #: counter movement over the run, as :func:`~repro.dataflow.compiled.
+    #: period_deltas` rows: per stage ``(fires, retired, input_stalls,
+    #: output_stalls, ii_waits, pipeline_full_stalls)``, per stream
+    #: ``(pushes, pops, full_stalls, empty_stalls)``.
+    counters: tuple[np.ndarray, np.ndarray]
+    #: per stream, in graph order, the highest occupancy seen.
+    high_water: tuple[int, ...]
+    #: the control fingerprint at quiescence.
+    fingerprint: tuple
+
+
+class ControlRecord:
+    """The first successful run of each graph structure within one call.
+
+    A scope handle, not a cache: a caller that runs one machine several
+    times (one chunk loop, one scenario's fields and batches) passes one
+    record to every engine run, and drops it when the call returns.  An
+    engine run whose graph has a structure in the record (see
+    :meth:`~repro.dataflow.stage.Stage.ff_structure`) replays it as one
+    bulk step instead of ticking it.  Results are byte-identical with or
+    without a record; only the batched/scalar split of
+    :class:`RunStats` moves.
+    """
+
+    def __init__(self) -> None:
+        #: structure key -> the first successful run of that structure.
+        self.runs: dict[Any, RecordedRun] = {}
+
+
 class DataflowEngine:
     """Runs a :class:`DataflowGraph` to quiescence.
 
@@ -254,6 +319,13 @@ class DataflowEngine:
         gauges and a ``stage_throughput`` histogram — a once-per-run
         cost, so an attached registry (enabled or not) leaves the tick
         loop untouched.
+    record:
+        Optional :class:`ControlRecord` shared by the runs of one call.
+        A batched run with no active fault plan, no monitor and no
+        enabled tracer replays the record's run of the same structure
+        when it holds one and ``max_cycles`` (and ``watchdog``) cover
+        it, and otherwise records itself on success unless batching
+        fell back.
     """
 
     def __init__(self, graph: DataflowGraph, *, max_cycles: int = 10_000_000,
@@ -263,7 +335,8 @@ class DataflowEngine:
                  lint: bool = False, watchdog: int | None = None,
                  fault_plan: "FaultPlan | None" = None,
                  tracer: "Tracer | None" = None,
-                 metrics: "MetricRegistry | None" = None) -> None:
+                 metrics: "MetricRegistry | None" = None,
+                 record: ControlRecord | None = None) -> None:
         if max_cycles < 1:
             raise DataflowError(f"max_cycles must be >= 1, got {max_cycles}")
         if stall_grace is not None and stall_grace < 1:
@@ -296,6 +369,7 @@ class DataflowEngine:
         self.fault_plan = fault_plan
         self.tracer = tracer
         self.metrics = metrics
+        self.record = record
 
     def run(self) -> RunStats:
         """Simulate until quiescence and return run statistics."""
@@ -363,13 +437,6 @@ class DataflowEngine:
                 hooked=[stream.name for stream in streams
                         if stream.fault_hook is not None],
             )
-        ff_table: dict[Any, tuple[int, tuple[tuple, tuple]]] = {}
-        inner_table: dict[Any, tuple[int, tuple[tuple, tuple]]] = {}
-        batched_windows = 0
-        batched_cycles = 0
-        plan_trace_len = len(plan.trace) if plan is not None else 0
-        boundaries = calendar.boundaries if calendar is not None else ()
-        boundary_idx = 0
         cap = (self.max_cycles if self.watchdog is None
                else min(self.max_cycles, self.watchdog))
         # Activity tracking (stage name -> [first, last] progressing cycle)
@@ -377,6 +444,33 @@ class DataflowEngine:
         # compiled-in-but-disabled tracer costs nothing inside the loop.
         tracer = self.tracer
         trace_on = tracer is not None and tracer.enabled
+        # A run with nothing to observe per cycle may replay a
+        # control-identical run of the record, or record itself.
+        record = self.record
+        structure = None
+        if record is not None and batched and not plan_active \
+                and not self.monitors and not trace_on:
+            structure = self._ff_structure(order, streams, grace)
+        start_counters = None
+        if structure is not None:
+            assert record is not None
+            recorded = record.runs.get(structure)
+            if recorded is not None and recorded.cycles <= cap:
+                return self._replay(compiled, recorded)
+            if recorded is None:
+                start_counters = self._ff_snapshot(order, streams)
+        # First occurrences, per level: key -> (cycle, counter snapshot,
+        # inner capacities).  Orbits, per level: key -> (period, stage
+        # deltas, stream deltas) of every committed window.
+        ff_table: dict[Any, tuple[int, tuple[tuple, tuple], tuple]] = {}
+        inner_table: dict[Any, tuple[int, tuple[tuple, tuple], tuple]] = {}
+        orbits: dict[Any, tuple[int, np.ndarray, np.ndarray]] = {}
+        inner_orbits: dict[Any, tuple[int, np.ndarray, np.ndarray]] = {}
+        batched_windows = 0
+        batched_cycles = 0
+        plan_trace_len = len(plan.trace) if plan is not None else 0
+        boundaries = calendar.boundaries if calendar is not None else ()
+        boundary_idx = 0
         activity: dict[str, list[int]] = {}
         veto_cycle: int | None = None
 
@@ -439,8 +533,9 @@ class DataflowEngine:
                 # the post-strike state.
                 assert plan is not None
                 if len(plan.trace) != plan_trace_len:
-                    ff_table.clear()
-                    inner_table.clear()
+                    for table in (ff_table, inner_table, orbits,
+                                  inner_orbits):
+                        table.clear()
                     for event in plan.trace[plan_trace_len:]:
                         if event.site == "fifo" and event.kind == "corrupt":
                             batched = False
@@ -459,11 +554,12 @@ class DataflowEngine:
                 while boundary_idx < len(boundaries) \
                         and boundaries[boundary_idx] <= cycle + 1:
                     boundary_idx += 1
-                ff_table.clear()
-                inner_table.clear()
+                for table in (ff_table, inner_table, orbits, inner_orbits):
+                    table.clear()
             if batched:
+                sig_cycle = cycle + 1
                 sig, veto_stage = self._ff_machine_signature(
-                    order, streams, cycle + 1)
+                    order, streams, sig_cycle)
                 if sig is None:
                     # A stage vetoed (data-dependent control, e.g. a
                     # starved arbiter): scalar ticking for the rest of
@@ -477,50 +573,80 @@ class DataflowEngine:
                     inner_table.clear()
                     veto_cycle = cycle
                 else:
-                    hit = ff_table.get(sig)
+                    inner_sig, inner_rows = self._ff_inner_signature(
+                        order, sig, sig_cycle)
+                    # A period proved earlier in the run, wherever its
+                    # key recurs; no re-proof.
+                    skipped = 0
                     inner = False
-                    if hit is None:
-                        inner_sig = self._ff_inner_signature(
-                            order, sig, cycle + 1)
-                        if inner_sig is not None:
+                    orbit = orbits.get(sig)
+                    if orbit is None and inner_sig is not None:
+                        orbit = inner_orbits.get(inner_sig)
+                        inner = orbit is not None
+                    if orbit is not None:
+                        period, d_stage, d_stream = orbit
+                        skipped = self._ff_window(
+                            compiled, sig_cycle, period, d_stage, d_stream,
+                            cap, calendar, inner)
+                    if skipped <= 0:
+                        hit = ff_table.get(sig)
+                        inner = False
+                        if hit is None and inner_sig is not None:
                             hit = inner_table.get(inner_sig)
                             inner = hit is not None
+                        if hit is not None:
+                            first_cycle, snapshot, capacities = hit
+                            d_stage, d_stream = period_deltas(
+                                order, streams, snapshot)
+                            # Inner keys omit the plane: a period that
+                            # outgrew the first occurrence's inner
+                            # regime crossed into another one.
+                            if inner and any(
+                                    d_stage[row, 0] > capacity
+                                    for row, capacity in capacities):
+                                hit = None
                         if hit is None:
                             if len(ff_table) >= _FF_TABLE_CAP:
                                 ff_table.clear()
                                 inner_table.clear()
-                            entry = (cycle + 1,
-                                     self._ff_snapshot(order, streams))
+                            entry = (sig_cycle,
+                                     self._ff_snapshot(order, streams),
+                                     tuple([
+                                         (row, order[row].ff_inner_capacity(
+                                             cap - sig_cycle))
+                                         for row in inner_rows]))
                             ff_table[sig] = entry
                             if inner_sig is not None:
                                 inner_table[inner_sig] = entry
                             cycle += 1
                             continue
-                    first_cycle, snapshot = hit
-                    period = (cycle + 1) - first_cycle
-                    fires_before = ({s.name: s.stats.fires for s in order}
-                                    if trace_on else None)
-                    skipped = execute_window(
-                        order, streams, compiled.stream_index, cycle + 1,
-                        period, snapshot, cap, calendar, inner=inner)
+                        period = sig_cycle - first_cycle
+                        skipped = self._ff_window(
+                            compiled, sig_cycle, period, d_stage, d_stream,
+                            cap, calendar, inner)
+                        if skipped > 0:
+                            if inner:
+                                inner_orbits[inner_sig] = (period, d_stage,
+                                                           d_stream)
+                            else:
+                                orbits[sig] = (period, d_stage, d_stream)
                     if skipped > 0:
                         batched_windows += 1
                         batched_cycles += skipped
                         if trace_on:
-                            assert fires_before is not None
+                            assert tracer is not None
                             tracer.add_span(
                                 f"batched x{skipped}", "engine",
-                                cycle + 1, cycle + 1 + skipped,
+                                sig_cycle, sig_cycle + skipped,
                                 category="batched",
                                 period=period,
                                 level="inner" if inner else "outer")
-                            for stage in order:
-                                if stage.stats.fires \
-                                        <= fires_before[stage.name]:
-                                    continue
+                            for stage, fires in zip(order, d_stage[:, 0]):
+                                if not fires:
+                                    continue  # idle through the window
                                 slot = activity.get(stage.name)
                                 if slot is None:
-                                    activity[stage.name] = [cycle + 1,
+                                    activity[stage.name] = [sig_cycle,
                                                             cycle + skipped]
                                 else:
                                     slot[1] = cycle + skipped
@@ -566,8 +692,29 @@ class DataflowEngine:
                         f"at quiescence)"
                     )
 
-        stats = RunStats(
-            cycles=cycle,
+        if start_counters is not None and batch_reason is None:
+            assert record is not None and structure is not None
+            record.runs[structure] = RecordedRun(
+                cycles=cycle,
+                counters=period_deltas(order, streams, start_counters),
+                high_water=tuple([s.stats.max_occupancy for s in streams]),
+                fingerprint=self._ff_machine_signature(
+                    order, streams, cycle)[0])
+        stats = self._stats(order, streams, cycle, batched_windows,
+                            batched_cycles, batch_reason)
+        if trace_on:
+            self._emit_spans(stats, order, activity, veto_cycle)
+        if self.metrics is not None and self.metrics.enabled:
+            self._emit_metrics(stats)
+        return stats
+
+    def _stats(self, order: list[Stage], streams: list[Stream], cycles: int,
+               batched_windows: int, batched_cycles: int,
+               batch_reason: str | None) -> RunStats:
+        """The run's :class:`RunStats`, read off the stage and stream
+        counters."""
+        return RunStats(
+            cycles=cycles,
             fires={s.name: s.stats.fires for s in order},
             stalls={
                 s.name: {
@@ -585,8 +732,31 @@ class DataflowEngine:
             batched_cycles=batched_cycles,
             batch_fallback_reason=batch_reason,
         )
-        if trace_on:
-            self._emit_spans(stats, order, activity, veto_cycle)
+
+    def _replay(self, compiled: CompiledGraph,
+                recorded: "RecordedRun") -> RunStats:
+        """Run the graph as one relay of a recorded control-identical run.
+
+        Every stage fires its recorded count and every stream relays its
+        recorded traffic, from cycle 0 to the recorded total, with empty
+        pipelines at both ends.  The machine must then be quiescent in
+        the recorded control state; anything else raises
+        :class:`~repro.errors.DataflowError`.
+        """
+        order, streams = compiled.order, compiled.streams
+        d_stage, d_stream = recorded.counters
+        execute_window(order, streams, compiled.stream_index, 0,
+                       recorded.cycles, 1, d_stage, d_stream)
+        for stream, high in zip(streams, recorded.high_water):
+            stream.stats.max_occupancy = max(stream.stats.max_occupancy, high)
+        if not self._quiescent() or self._ff_machine_signature(
+                order, streams, recorded.cycles)[0] != recorded.fingerprint:
+            raise DataflowError(
+                f"graph {self.graph.name!r}: a replayed run did not end in "
+                f"the quiescent control state its record holds"
+            )
+        stats = self._stats(order, streams, recorded.cycles, 1,
+                            recorded.cycles, None)
         if self.metrics is not None and self.metrics.enabled:
             self._emit_metrics(stats)
         return stats
@@ -676,6 +846,45 @@ class DataflowEngine:
 
     # -- steady-state detection internals ---------------------------------------
 
+    def _ff_window(self, compiled: CompiledGraph, sig_cycle: int,
+                   period: int, d_stage: np.ndarray, d_stream: np.ndarray,
+                   limit: int, calendar: EventCalendar | None,
+                   inner: bool) -> int:
+        """Plan and relay one window of whole periods from ``sig_cycle``.
+
+        Returns the cycles skipped, or the :func:`~repro.dataflow.
+        compiled.plan_window` verdict (``0`` defer, ``-1`` the capacity
+        cannot cover one period) when no window runs.
+        """
+        n, push_rates = plan_window(
+            compiled.order, compiled.stream_index, sig_cycle, period,
+            d_stage, d_stream, limit, calendar, inner=inner)
+        if n < 1:
+            return n
+        execute_window(compiled.order, compiled.streams,
+                       compiled.stream_index, sig_cycle,
+                       sig_cycle + n * period, n, d_stage, d_stream)
+        if calendar is not None:
+            calendar.commit(n, push_rates)
+        return n * period
+
+    def _ff_structure(self, order: list[Stage], streams: list[Stream],
+                      grace: int) -> tuple | None:
+        """The key a :class:`ControlRecord` files this run under, or
+        ``None`` when some stage declares no structure."""
+        stages = []
+        for stage in order:
+            structure = stage.ff_structure()
+            if structure is None:
+                return None
+            stages.append((structure,
+                           tuple([(port, s.name)
+                                  for port, s in stage.inputs.items()]),
+                           tuple([(port, s.name)
+                                  for port, s in stage.outputs.items()])))
+        return (tuple(stages),
+                tuple([(s.name, s.depth) for s in streams]), grace)
+
     def _ff_machine_signature(self, order: list[Stage],
                               streams: list[Stream], at_cycle: int
                               ) -> tuple[tuple | None, str | None]:
@@ -693,19 +902,22 @@ class DataflowEngine:
         ), None
 
     def _ff_inner_signature(self, order: list[Stage], sig: tuple,
-                            at_cycle: int) -> tuple | None:
-        """``sig`` with every inner stage signature swapped in, or
-        ``None`` when no stage is in an inner regime."""
+                            at_cycle: int) -> tuple[tuple | None, list[int]]:
+        """``sig`` with every inner stage signature swapped in (``None``
+        when no stage is in an inner regime), and the rows of the stages
+        that are."""
         stage_sigs = None
+        rows = []
         for i, stage in enumerate(order):
             inner = stage.ff_inner_signature(at_cycle)
             if inner is not None:
                 if stage_sigs is None:
                     stage_sigs = list(sig[0])
                 stage_sigs[i] = inner
+                rows.append(i)
         if stage_sigs is None:
-            return None
-        return (tuple(stage_sigs), sig[1])
+            return None, rows
+        return (tuple(stage_sigs), sig[1]), rows
 
     def _ff_snapshot(self, order: list[Stage], streams: list[Stream]
                      ) -> tuple[tuple, tuple]:

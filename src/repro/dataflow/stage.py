@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sized
 
 from repro.dataflow.bulk import (
     Bulk,
@@ -324,6 +324,24 @@ class Stage:
         regime: firings before the stage leaves it or runs dry."""
         return self.ff_fire_capacity(want)
 
+    def ff_structure(self) -> tuple | None:
+        """This stage's static control parameters, or ``None``.
+
+        Two runs whose stages all return equal structures (and whose
+        streams match) follow one control trajectory, whatever data they
+        stream: the engine then replays a run from a
+        :class:`~repro.dataflow.engine.ControlRecord` instead of ticking
+        it.  ``None`` (the default) opts the run out of recording and
+        replay; a stage whose control could depend on data, or on state
+        its constructor does not fix, must keep it.
+        """
+        return None
+
+    def _structure(self, *extra: Any) -> tuple:
+        """The base :meth:`ff_structure`: class, name, II and latency,
+        plus ``extra`` subclass parameters."""
+        return (type(self), self.name, self.ii, self.latency) + extra
+
     def ff_pipeline_entries(self) -> list[dict[str, list[Any]]]:
         """The produced-output dicts currently in the pipeline, in order."""
         return [produced for _ready, produced, _shape in self._pipeline]
@@ -411,6 +429,8 @@ class SourceStage(Stage):
     def __init__(self, name: str, items: Iterable[Any], *, ii: int = 1,
                  latency: int = 1) -> None:
         super().__init__(name, ii=ii, latency=latency)
+        #: The item count when ``items`` is sized, for :meth:`ff_structure`.
+        self._count = len(items) if isinstance(items, Sized) else None
         self._iter = iter(items)
         self._exhausted = False
         self._buffer: deque[Any] = deque()
@@ -450,6 +470,10 @@ class SourceStage(Stage):
     def ff_fire_capacity(self, want: int) -> int:
         self._prefetch(want)
         return min(want, len(self._buffer))
+
+    def ff_structure(self) -> tuple | None:
+        # An unsized iterable hides how many firings the run makes.
+        return None if self._count is None else self._structure(self._count)
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:

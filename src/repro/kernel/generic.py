@@ -16,9 +16,15 @@ cycle-accurate dataflow simulation for free:
 * :func:`run_stencil_kernel` — wires and runs the whole machine.
 
 Every firing count depends on the streaming position alone — the shift
-buffer's regime (:meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
-regime`) and the window centre — so the engine runs this machine in
-batched windows, bit-identical to forced-scalar ticking.  Each stage
+buffer's regimes (:meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
+regime`, and inside a steady plane its silent and column regimes,
+:meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.inner_regime`) and the
+window centre — so the engine runs this machine in batched windows,
+bit-identical to forced-scalar ticking.  For the same reason every
+stage declares its static control parameters
+(:meth:`~repro.dataflow.stage.Stage.ff_structure`): a pass over a block
+of a shape the caller's :class:`~repro.dataflow.engine.ControlRecord`
+has seen replays that run as one bulk step.  Each stage
 fires a batched window as a few NumPy calls: the shift stage jumps its
 buffer ahead (:meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
 feed_bulk`) and forwards a lazy :class:`WindowRunBulk`; the compute
@@ -55,7 +61,7 @@ from repro.dataflow.bulk import (
     RaggedFireResult,
     UniformFireResult,
 )
-from repro.dataflow.engine import DataflowEngine, RunStats
+from repro.dataflow.engine import ControlRecord, DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import SourceStage, Stage
 from repro.errors import ConfigurationError
@@ -292,6 +298,11 @@ class GeneralShiftBufferStage(Stage):
     def ff_inner_capacity(self, want: int) -> int:
         return self.buffer.inner_regime_feeds(want)
 
+    def ff_structure(self) -> tuple | None:
+        buffer = self.buffer
+        return self._structure(buffer.nx, buffer.ny, buffer.nz,
+                               buffer.partitioned)
+
 
 class WindowComputeStage(Stage):
     """Evaluates each window's cell and the boundary cells it resolves.
@@ -328,6 +339,9 @@ class WindowComputeStage(Stage):
             results.append(((cx, cy, self.nz - 1),
                             self._boundary(window, top=True)))
         return {"out": results}
+
+    def ff_structure(self) -> tuple | None:
+        return self._structure(self.nz)
 
     def _fire_box(self, block: np.ndarray,
                   box: Box) -> tuple[CellResultBulk, np.ndarray]:
@@ -420,6 +434,9 @@ class ScatterWriteStage(Stage):
         self.cells_written += 1
         return {}
 
+    def ff_structure(self) -> tuple | None:
+        return self._structure()
+
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
         results = inputs.get("in")
@@ -445,7 +462,8 @@ def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
                        fault_plan: "FaultPlan | None" = None,
                        watchdog: int | None = None,
                        tracer: "Tracer | None" = None,
-                       metrics: "MetricRegistry | None" = None) -> RunStats:
+                       metrics: "MetricRegistry | None" = None,
+                       record: ControlRecord | None = None) -> RunStats:
     """Run one stencil kernel pass, cycle-accurately.
 
     Parameters
@@ -477,6 +495,10 @@ def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
         Passed straight to the :class:`~repro.dataflow.engine.
         DataflowEngine` (FIFO word faults, stage freezes, cycle
         watchdog, observability sinks).
+    record:
+        Optional :class:`~repro.dataflow.engine.ControlRecord` shared
+        with the caller's other passes: a pass over a block of a shape
+        the record has seen replays that run as one bulk step.
     """
     if not isinstance(block, np.ndarray):
         raise ConfigurationError(
@@ -507,7 +529,7 @@ def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
 
     backing = np.ascontiguousarray(block, dtype=float)
     graph = DataflowGraph("stencil")
-    graph.add(SourceStage("read", iter(block.reshape(-1))))
+    graph.add(SourceStage("read", block.reshape(-1)))
     shift = graph.add(GeneralShiftBufferStage(
         "shift", nx, ny, nz, tracker=tracker, backing=backing))
     compute = graph.add(WindowComputeStage("compute", nz, interior,
@@ -523,4 +545,4 @@ def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
     return DataflowEngine(graph, max_cycles=max_cycles, mode=mode,
                           batched=batched, fault_plan=fault_plan,
                           watchdog=watchdog, tracer=tracer,
-                          metrics=metrics).run()
+                          metrics=metrics, record=record).run()

@@ -121,6 +121,11 @@ class ArbitratedReadStage(ReadDataStage):
             return None
         return super().ff_signature(cycle) + (self.arbiter._credits,)
 
+    def ff_structure(self) -> tuple | None:
+        # Grants depend on the shared arbiter's history, which no
+        # constructor parameter fixes: never recorded, never replayed.
+        return None
+
     def ff_commit(self, old_cycle: int, new_cycle: int, *, fires: int,
                   retired: int, tail_outputs) -> None:
         super().ff_commit(old_cycle, new_cycle, fires=fires,

@@ -14,13 +14,14 @@ Chunk seams are natural checkpoints: each chunk's graph is rebuilt from
 the (immutable) input fields and only writes its own slab of the output.
 With a :class:`~repro.faults.plan.FaultPlan` or
 :class:`~repro.faults.retry.RetryPolicy` supplied, the simulation
-snapshots the output arrays before each chunk, verifies the chunk wrote
-its full complement of cells, and on any :class:`~repro.errors.FaultError`
-or :class:`~repro.errors.DataflowError` restores the snapshot and retries
-*that chunk only* — completed chunks are never replayed.  Transient
-faults (the plan default) therefore cost one chunk re-run and leave the
-result bit-identical; persistent faults exhaust the retry budget and
-raise :class:`~repro.errors.RetryExhaustedError`.  The restarts run
+snapshots the chunk's slab of the output before it runs, verifies the
+chunk wrote its full complement of cells, and on any
+:class:`~repro.errors.FaultError` or :class:`~repro.errors.DataflowError`
+restores the snapshot and retries *that chunk only* — completed chunks
+are never replayed.  Transient faults (the plan default) therefore cost
+one chunk re-run and leave the result bit-identical; persistent faults
+exhaust the retry budget and raise
+:class:`~repro.errors.RetryExhaustedError`.  The restarts run
 through :meth:`~repro.faults.retry.RetryPolicy.call`, the loop that also
 drives rank respawns, in :func:`run_chunk`, which the multi-kernel
 co-simulation shares.
@@ -35,7 +36,7 @@ import numpy as np
 
 from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import FieldSet, SourceSet
-from repro.dataflow.engine import DataflowEngine, RunStats
+from repro.dataflow.engine import ControlRecord, DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import ConfigurationError, DataflowError, FaultError
 from repro.kernel.builder import build_advection_graph
@@ -91,6 +92,7 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
                     watchdog: int | None = None,
                     tracer: "Tracer | None" = None,
                     metrics: "MetricRegistry | None" = None,
+                    record: ControlRecord | None = None,
                     ) -> KernelSimResult:
     """Simulate one kernel invocation cycle by cycle.
 
@@ -138,6 +140,12 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
         into every chunk's engine run and fed kernel-level counters
         (``kernel_chunks``, ``kernel_chunk_retries``,
         ``kernel_halo_read_cells``).
+    record:
+        The :class:`~repro.dataflow.engine.ControlRecord` every chunk's
+        engine run shares, so a chunk as wide as an earlier one replays
+        it as one bulk step.  A fresh record scopes to this call when
+        none is given; a caller running several kernel passes in one
+        call (a scenario's batches) passes its own.
 
     Notes
     -----
@@ -162,6 +170,8 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
     total_cycles = 0
     chunk_retries = 0
 
+    if record is None:
+        record = ControlRecord()
     plan = config.chunk_plan()
     for chunk in plan.chunks:
         stats, retries = run_chunk(
@@ -172,7 +182,7 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
             writers=[("write_data", grid.nx, f"chunk {chunk.index}")],
             start=total_cycles, fault_plan=fault_plan, retry=retry,
             tracer=tracer, metrics=metrics, max_cycles=max_cycles_per_chunk,
-            mode=mode, batched=batched, watchdog=watchdog,
+            mode=mode, batched=batched, watchdog=watchdog, record=record,
         )
         chunk_retries += retries
         chunk_stats.append(stats)
@@ -216,7 +226,8 @@ def run_chunk(build: Callable[[], DataflowGraph], chunk: Chunk,
 
     Without a fault plan or retry policy the graph is built and run once,
     and any error propagates unwrapped.  With either (the policy defaults
-    to ``RetryPolicy()``), the output arrays are checkpointed first, every
+    to ``RetryPolicy()``), the chunk's slab of the output (its write
+    columns, every X and Z) is checkpointed first, every
     ``(write stage, sub-grid nx, label)`` in ``writers`` must write its
     chunk's full complement of cells, and each
     :class:`~repro.errors.FaultError` or
@@ -261,16 +272,20 @@ def run_chunk(build: Callable[[], DataflowGraph], chunk: Chunk,
     if retry is None:
         return attempt(), 0
 
-    # Chunk-seam checkpoint: the output slabs of every *completed* chunk.
-    # A failed attempt restores it, so retries never see the partial
-    # writes of the attempt that died.
-    checkpoint = (out.su.copy(), out.sv.copy(), out.sw.copy())
+    # Chunk-seam checkpoint: the chunk's own slab of the output, the
+    # only cells an attempt writes (chunks own disjoint slabs).  A failed
+    # attempt restores it, so retries never see the partial writes of
+    # the attempt that died.  A slab whose bits are all zero, as every
+    # slab of a fresh output is, restores by zeroing, not from a copy.
+    slab = (slice(None), slice(chunk.write_start - 1, chunk.write_stop - 1))
+    checkpoint = [array[slab].copy() if array[slab].view(np.uint8).any()
+                  else None for array in out.as_tuple()]
     retries = 0
 
     def restore(failure_index: int, error: BaseException) -> None:
         nonlocal retries
-        for array, saved in zip((out.su, out.sv, out.sw), checkpoint):
-            np.copyto(array, saved)
+        for array, saved in zip(out.as_tuple(), checkpoint):
+            array[slab] = 0.0 if saved is None else saved
         retries += 1
         if trace_on:
             assert tracer is not None

@@ -255,6 +255,9 @@ class ReadDataStage(SourceStage):
     def ff_fire_capacity(self, want: int) -> int:
         return min(want, self._total - self._cursor)
 
+    def ff_structure(self) -> tuple | None:
+        return self._structure(self._total)
+
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
         if count > self._total - self._cursor:
@@ -414,6 +417,11 @@ class ShiftBufferStage(Stage):
     def ff_inner_capacity(self, want: int) -> int:
         return self._buffers["u"].inner_regime_feeds(want)
 
+    def ff_structure(self) -> tuple | None:
+        buffer = self._buffers["u"]
+        return self._structure(buffer.nx, buffer.ny, buffer.nz,
+                               buffer.partitioned)
+
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
         if self._backing is None:
@@ -446,10 +454,15 @@ class ShiftBufferStage(Stage):
                         f"block"
                     )
             position += len(part)
-        first = stop = 0
-        for field in ("u", "v", "w"):
-            first, stop = self._buffers[field].feed_bulk(
-                count, self._backing[field])
+        # Scalar feeding books the three buffers' ports in turn, one feed
+        # each; a run from the block's start books each buffer's first
+        # feed alone, so memories sharing a tracker start their cycle
+        # counts in the same order.
+        steps = ((1, count - 1) if self._buffers["u"].fed == 0 and count > 1
+                 else (count,))
+        ranges = [self._buffers[field].feed_bulk(step, self._backing[field])
+                  for step in steps for field in ("u", "v", "w")]
+        first, stop = ranges[0][0], ranges[-1][1]
         if stop > first and self.first_emit_cycle is None:
             self.first_emit_cycle = cycle
         return _ShiftFireResult(
@@ -478,6 +491,9 @@ class ReplicateStage(Stage):
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
         (bundle,) = inputs["in"]
         return {"u": [bundle], "v": [bundle], "w": [bundle]}
+
+    def ff_structure(self) -> tuple | None:
+        return self._structure()
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
@@ -528,6 +544,9 @@ class AdvectStage(Stage):
         (bundle,) = inputs["in"]
         value = self._fn(bundle.u, bundle.v, bundle.w, self.coeffs)
         return {"out": [(bundle.center, value)]}
+
+    def ff_structure(self) -> tuple | None:
+        return self._structure(self.nz)
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
@@ -596,6 +615,9 @@ class WriteDataStage(Stage):
             ] = value
         self.cells_written += 1
         return {}
+
+    def ff_structure(self) -> tuple | None:
+        return self._structure()
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:

@@ -37,7 +37,7 @@ from repro.core.wind import (
     taylor_green,
     thermal_bubble,
 )
-from repro.dataflow.engine import RunStats
+from repro.dataflow.engine import ControlRecord, RunStats
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
@@ -212,6 +212,7 @@ class ScenarioKernel:
     def run(self, fields: FieldSet, *, mode: str = "exact",
             batched: bool = True,
             fault_plan: "FaultPlan | None" = None,
+            record: ControlRecord | None = None,
             ) -> tuple[SourceSet, RunStats, int]:
         """One cycle-accurate kernel pass.
 
@@ -219,7 +220,10 @@ class ScenarioKernel:
         runs either recover bit-identically (kernels with
         checkpoint/restart) or raise the typed error the engine
         surfaces — the conformance harness accepts both, as long as
-        scalar and batched execution agree exactly.
+        scalar and batched execution agree exactly.  ``record`` is the
+        caller's :class:`~repro.dataflow.engine.ControlRecord`, shared
+        by every engine run of the pass; a kernel scopes its own when
+        it is ``None``.
         """
         raise NotImplementedError
 
@@ -339,10 +343,13 @@ class Scenario:
         outputs: list[SourceSet] = []
         all_stats: list[RunStats] = []
         total_cycles = 0
+        # Every batch runs one machine: later batches replay the first.
+        record = ControlRecord()
         for index in range(self.batch):
             fields = self.make_fields(grid, seed=seed, batch_index=index)
             sources, stats, cycles = self.kernel.run(
-                fields, mode=mode, batched=batched, fault_plan=fault_plan)
+                fields, mode=mode, batched=batched, fault_plan=fault_plan,
+                record=record)
             outputs.append(sources)
             all_stats.append(stats)
             total_cycles += cycles

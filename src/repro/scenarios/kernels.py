@@ -31,7 +31,7 @@ from repro.core.diffusion import (
 from repro.core.fields import FieldSet, SourceSet
 from repro.core.grid import Grid
 from repro.core.reference import advect_reference
-from repro.dataflow.engine import RunStats
+from repro.dataflow.engine import ControlRecord, RunStats
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import ConfigurationError
 from repro.kernel.buoyancy import (
@@ -103,10 +103,11 @@ class AdvectionKernel(ScenarioKernel):
     def run(self, fields: FieldSet, *, mode: str = "exact",
             batched: bool = True,
             fault_plan: "FaultPlan | None" = None,
+            record: ControlRecord | None = None,
             ) -> tuple[SourceSet, RunStats, int]:
         result = simulate_kernel(
             self.config(fields.grid), fields, mode=mode, batched=batched,
-            fault_plan=fault_plan)
+            fault_plan=fault_plan, record=record)
         return result.sources, result.aggregate_stats(), result.total_cycles
 
     def structural_graph(self, grid: Grid) -> DataflowGraph:
@@ -134,7 +135,9 @@ class _StencilKernel(ScenarioKernel):
 
     Runs each of the three wind fields through its own
     ``run_stencil_kernel`` pass (the FPGA design would instantiate one
-    pipeline per field); stats merge across the three runs.
+    pipeline per field); stats merge across the three runs.  The three
+    passes share one :class:`~repro.dataflow.engine.ControlRecord`, so
+    the second and third replay the first.
     """
 
     #: Streams carry window bursts of up to three results (interior +
@@ -148,6 +151,7 @@ class _StencilKernel(ScenarioKernel):
     def run(self, fields: FieldSet, *, mode: str = "exact",
             batched: bool = True,
             fault_plan: "FaultPlan | None" = None,
+            record: ControlRecord | None = None,
             ) -> tuple[SourceSet, RunStats, int]:
         grid = fields.grid
         if grid.nz < 3:
@@ -156,13 +160,15 @@ class _StencilKernel(ScenarioKernel):
                 f"stencil, got {grid.nz}")
         out = SourceSet.zeros(grid)
         interior, boundary = self.window_fns(grid)
+        if record is None:
+            record = ControlRecord()
         all_stats: list[RunStats] = []
         total_cycles = 0
         for name, target in (("u", out.su), ("v", out.sv), ("w", out.sw)):
             stats = run_stencil_kernel(
                 getattr(fields, name), interior, boundary, target,
                 stream_depth=self.stream_depth, mode=mode, batched=batched,
-                fault_plan=fault_plan)
+                fault_plan=fault_plan, record=record)
             all_stats.append(stats)
             total_cycles += stats.cycles
         return out, RunStats.merge(all_stats), total_cycles

@@ -219,7 +219,7 @@ class ShiftBuffer3D:
         This is the *outer* regime.  A stage streaming this buffer
         appends it to its control signature and bounds every batched
         window by :meth:`regime_feeds`; :meth:`inner_regime` refines the
-        steady planes to one column.
+        steady planes to silent feeds and single columns.
         """
         if self._x < 2:
             return ("prime",)
@@ -236,23 +236,40 @@ class ShiftBuffer3D:
         return min(want, self.expected_feeds - self._fed)
 
     def inner_regime(self) -> tuple | None:
-        """The column-periodic regime inside one steady plane, or ``None``.
+        """The finer regime inside one steady plane, or ``None``.
 
-        The emitting columns (``y >= 2``) of plane ``x >= 2`` all behave
-        alike, so keeping ``(x, z)`` makes them comparable and the period
-        one column of ``nz`` feeds.  That lets a plane's columns batch
-        where the plane period of :meth:`regime` cannot: in the plane
-        that proves that period, and in the final plane, where fewer
-        feeds remain than one plane.  The silent columns ``y < 2`` and
-        the prime planes have no inner regime.
+        * ``None`` in the prime planes (``x < 2``), where the outer
+          ``("prime",)`` regime already has a one-feed period;
+        * ``("silent",)`` in a steady plane's silent columns (``y < 2``):
+          no feed emits, so every feed behaves alike;
+        * ``("column", z)`` in its emitting columns (``y >= 2``): every
+          column behaves alike, so the period is one column of ``nz``
+          feeds.
+
+        Neither key holds X, so one key recurs in every steady plane:
+        a period proved in one plane serves the same regime of the
+        next.  Two positions with one key emit alike for the smaller of
+        their two :meth:`inner_regime_feeds`, which is what a window
+        proved at one of them and run from the other needs.  That lets
+        silent columns and a plane's columns batch where the plane
+        period of :meth:`regime` cannot: in the plane that proves that
+        period, and in the final plane, where fewer feeds remain than
+        one plane.
         """
-        if self._x < 2 or self._y < 2:
+        if self._x < 2:
             return None
-        return (self._x, self._z)
+        if self._y < 2:
+            return ("silent",)
+        return ("column", self._z)
 
     def inner_regime_feeds(self, want: int) -> int:
-        """How many of ``want`` feeds stay inside plane ``x``."""
-        return min(want, (self._x + 1) * self.ny * self.nz - self._fed)
+        """How many of ``want`` feeds stay inside the current inner
+        regime: a steady plane's silent columns end at its first
+        emitting column, and its emitting columns (like a prime plane)
+        at the end of the plane."""
+        silent = self._x >= 2 and self._y < 2
+        end = self._x * self.ny + (2 if silent else self.ny)
+        return min(want, end * self.nz - self._fed)
 
     # -- the update ---------------------------------------------------------------
 

@@ -2,15 +2,20 @@
 
 The shift-buffer stage summarises its streaming position per control
 regime: an outer key (prime planes, then one-plane periods) and an inner
-key (one-column periods inside a plane's emitting rows).  The batched
-engine hunts both, so it batches the fill ramp, the steady planes, and
-the emitting columns of the plane that proves the plane period and of
-the final plane.  One oracle judges every run: forced scalar ticking
-(``batched=False``).  A batched run must match it on the aggregate
-statistics (minus the engine's own batching accounting), the source
-arrays byte for byte, and the memory-port reports.
+key (silent feeds, and one-column periods inside a plane's emitting
+rows).  The batched engine hunts both, so it batches the fill ramp, the
+steady planes, and the silent and emitting columns of the plane that
+proves the plane period and of the final plane, where it reuses the
+column period already proved.  One oracle judges every run: forced
+scalar ticking (``batched=False``).  A batched run must match it on the
+aggregate statistics (minus the engine's own batching accounting), the
+source arrays byte for byte, and the memory-port reports.
 """
 
+import itertools
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,12 +23,21 @@ from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import SourceSet
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
-from repro.dataflow.engine import DataflowEngine
+from repro.dataflow.engine import ControlRecord, DataflowEngine
+from repro.dataflow.graph import DataflowGraph
+from repro.dataflow.monitors import StreamProbe
+from repro.dataflow.stage import SourceStage
 from repro.kernel.builder import build_advection_graph
 from repro.kernel.config import KernelConfig
+from repro.kernel.generic import (
+    GeneralShiftBufferStage,
+    ScatterWriteStage,
+    WindowComputeStage,
+)
 from repro.kernel.multi_simulate import simulate_multi_kernel
 from repro.kernel.simulate import simulate_kernel
 from repro.observe import Tracer
+from repro.scenarios.kernels import DiffusionKernel
 
 
 def _comparable(result):
@@ -37,11 +51,24 @@ def _comparable(result):
 
 
 def run_against_scalar(config, fields, **kwargs):
-    """Run batched and forced scalar; assert they agree; return batched."""
+    """Run batched and forced scalar; assert they agree; return batched.
+
+    A second batched pass shares the first one's control record, so
+    every one of its chunks replays as one bulk step: it must agree
+    with forced scalar too, with no scalar cycle left.
+    """
     scalar = simulate_kernel(config, fields, batched=False, **kwargs)
-    batched = simulate_kernel(config, fields, batched=True, **kwargs)
-    assert _comparable(batched) == _comparable(scalar)
-    assert batched.sources.same_bits(scalar.sources)
+    record = ControlRecord()
+    batched = simulate_kernel(config, fields, batched=True, record=record,
+                              **kwargs)
+    replayed = simulate_kernel(config, fields, batched=True, record=record,
+                               **kwargs)
+    for run in (batched, replayed):
+        assert _comparable(run) == _comparable(scalar)
+        assert run.sources.same_bits(scalar.sources)
+    assert all(stats.batched_cycles == stats.cycles
+               and stats.batched_windows == 1
+               for stats in replayed.chunk_stats)
     return batched
 
 
@@ -105,9 +132,11 @@ class TestScalarRemainder:
 
 def test_window_spans_name_their_level():
     """At 16^3 the engine opens, in order: the prime window (outer,
-    period 1), the proving plane's emitting columns (inner, one column),
-    the steady planes (outer, one plane) and the final plane's emitting
-    columns (inner, one column)."""
+    period 1), the proving plane's silent columns (inner, period 1) and
+    emitting columns (inner, one column), the steady planes (outer, one
+    plane) and the final plane's emitting columns (inner, one column:
+    the period the proving plane proved, reused from the column it
+    recurs in)."""
     grid = Grid(nx=16, ny=16, nz=16)
     tracer = Tracer()
     result = simulate_kernel(KernelConfig(grid=grid),
@@ -115,11 +144,33 @@ def test_window_spans_name_their_level():
                              tracer=tracer)
     windows = [span for span in tracer.spans if span.category == "batched"]
     assert [(span.args["level"], span.args["period"]) for span in windows] \
-        == [("outer", 1), ("inner", 16), ("outer", 288), ("inner", 16)]
+        == [("outer", 1), ("inner", 1), ("inner", 16), ("outer", 288),
+            ("inner", 16)]
     assert [span.end - span.start for span in windows] \
-        == [575, 208, 4032, 192]
+        == [575, 30, 208, 4032, 208]
     assert sum(span.end - span.start for span in windows) \
         == result.aggregate_stats().batched_cycles
+
+
+def test_final_plane_reuses_the_proved_column_period():
+    """The final plane runs the column period the proving plane proved as
+    soon as its key recurs: one column into its plane earlier than the
+    proving plane, which first had to tick that column to prove it.  The
+    run ticks 180 scalar cycles, against 226 when every plane proves its
+    own columns."""
+    grid = Grid(nx=16, ny=16, nz=16)
+    tracer = Tracer()
+    result = simulate_kernel(KernelConfig(grid=grid),
+                             random_wind(grid, seed=0, magnitude=2.0),
+                             tracer=tracer)
+    plane = 18 * 16
+    columns = [span for span in tracer.spans if span.category == "batched"
+               and span.args["level"] == "inner" and span.args["period"] == 16]
+    proving, final = columns[0], columns[-1]
+    assert proving.start // plane == 2 and final.start // plane == 17
+    assert final.start - 17 * plane == proving.start - 2 * plane - 16
+    agg = result.aggregate_stats()
+    assert result.total_cycles - agg.batched_cycles == 180
 
 
 def test_prime_is_batched_before_the_first_emission():
@@ -158,3 +209,58 @@ def test_multi_kernel_run_reports_its_split():
     assert result.batch_fallback_reason is None
     assert result.total_cycles - result.batched_cycles \
         < steady_plane * len(chunks)
+
+
+def _probed(graph, stream, stride, batched):
+    probe = StreamProbe(stream, stride=stride)
+    stats = DataflowEngine(graph, monitors=[probe], batched=batched).run()
+    return {key: value for key, value in stats.to_dict().items()
+            if not key.startswith("batch")}, probe.samples
+
+
+def _probed_advection(grid, chunk_width, read_ii, stride, batched):
+    config = KernelConfig(grid=grid, chunk_width=chunk_width)
+    fields = random_wind(grid, seed=3, magnitude=2.0)
+    out = SourceSet.zeros(grid)
+    runs = []
+    for chunk in config.chunk_plan().chunks:
+        graph = build_advection_graph(
+            config, fields, chunk, AdvectionCoefficients.uniform(grid), out,
+            read_ii=read_ii)
+        runs.append(_probed(graph, "replicate.v->advect_v.in", stride,
+                            batched))
+    return runs, [array.tobytes() for array in out.as_tuple()]
+
+
+def _probed_stencil(grid, depth, stride, batched):
+    block = random_wind(grid, seed=3, magnitude=2.0).u
+    nx, ny, nz = block.shape
+    interior, boundary = DiffusionKernel().window_fns(grid)
+    out = np.zeros(grid.interior_shape)
+    graph = DataflowGraph("stencil")
+    graph.add(SourceStage("read", block.reshape(-1)))
+    graph.add(GeneralShiftBufferStage("shift", nx, ny, nz, backing=block))
+    graph.add(WindowComputeStage("compute", nz, interior, boundary))
+    graph.add(ScatterWriteStage("write", out))
+    graph.connect("read", "out", "shift", "in", depth=depth)
+    graph.connect("shift", "out", "compute", "in", depth=depth)
+    graph.connect("compute", "out", "write", "in", depth=depth)
+    return _probed(graph, "shift.out->compute.in", stride, batched), \
+        out.tobytes()
+
+
+@pytest.mark.parametrize(("stride", "read_ii", "chunk_width"),
+                         itertools.product((3, 47, 201), (1, 2, 3), (4, 9)))
+def test_monitored_advection_runs_match_scalar(stride, read_ii, chunk_width):
+    """Strided probes bound every window; at stride 201, read II 2, one
+    chunk, a first occurrence left in one plane's last column recurs in
+    the next plane's columns with a period no column regime holds."""
+    args = (Grid(nx=6, ny=9, nz=7), chunk_width, read_ii, stride)
+    assert _probed_advection(*args, True) == _probed_advection(*args, False)
+
+
+@pytest.mark.parametrize(("stride", "depth"),
+                         itertools.product((3, 47, 201), (4, 6)))
+def test_monitored_stencil_runs_match_scalar(stride, depth):
+    args = (Grid(nx=6, ny=9, nz=7), depth, stride)
+    assert _probed_stencil(*args, True) == _probed_stencil(*args, False)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.fields import SOURCE_NAMES
 from repro.core.grid import Grid
+from repro.dataflow.engine import ControlRecord
 from repro.scenarios import get
 from repro.scenarios.conformance import STATS_BATCH_KEYS
 
@@ -52,6 +53,20 @@ def assert_modes_agree(scenario_name: str, grid: Grid, seed: int) -> None:
         # must agree byte for byte.
         assert out_b.same_bits(out_s)
         assert out_s.same_bits(ref)
+    # A pass that shares a control record with a pass over other data
+    # replays every engine run: no scalar cycle, the same bytes, and
+    # (one batch) the same statistics as forced scalar ticking.
+    record = ControlRecord()
+    scenario.kernel.run(scenario.make_fields(grid, seed=seed + 1),
+                        record=record)
+    sources, stats, cycles = scenario.kernel.run(
+        scenario.make_fields(grid, seed=seed), record=record)
+    assert stats.batched_cycles == stats.cycles == cycles
+    assert sources.same_bits(scalar.batches[0])
+    if scenario.batch == 1:
+        assert {key: value for key, value in stats.to_dict().items()
+                if key not in STATS_BATCH_KEYS} \
+            == stats_minus_batching(scalar)
 
 
 class TestRandomConfigurations:

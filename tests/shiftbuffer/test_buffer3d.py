@@ -1,5 +1,7 @@
 """Tests for the 3D shift buffer: the paper's central data structure."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,8 +185,11 @@ class TestControlRegimes:
             x, rest = divmod(fed, ny * nz)
             y, z = divmod(rest, nz)
             assert outer == (("prime",) if x < 2 else (2, y, z))
-            assert inner == (None if x < 2 or y < 2 else (x, z))
-            assert inner_feeds == (x + 1) * ny * nz - fed
+            assert inner == (None if x < 2 else ("silent",) if y < 2
+                             else ("column", z))
+            silent = x >= 2 and y < 2
+            assert inner_feeds == ((x * ny + 2) * nz - fed if silent
+                                   else (x + 1) * ny * nz - fed)
 
     @pytest.mark.parametrize("extents", [(5, 6, 4), (4, 3, 3), (6, 5, 5)])
     def test_equal_keys_replay_within_their_capacity(self, extents):
@@ -204,6 +209,29 @@ class TestControlRegimes:
                         == emitted[fed:stop]
                 else:
                     first_seen[key] = fed
+
+    @pytest.mark.parametrize("extents", [(5, 6, 4), (4, 3, 3), (6, 5, 5),
+                                         (7, 4, 6), (5, 8, 3)])
+    def test_every_same_key_pair_emits_alike(self, extents):
+        """Any two positions with one key emit alike for the smaller of
+        their two capacities, in whichever order they come: what a
+        period proved at one position and reused at another needs."""
+        rows = self.walk(*extents)
+        emitted = [row[4] for row in rows]
+        pairs = 0
+        for key_at, feeds_at in ((0, 1), (2, 3)):
+            by_key: dict = {}
+            for fed, row in enumerate(rows):
+                if row[key_at] is not None:
+                    by_key.setdefault(row[key_at], []).append(
+                        (fed, row[feeds_at]))
+            for positions in by_key.values():
+                for (a, feeds_a), (b, feeds_b) in itertools.combinations(
+                        positions, 2):
+                    span = min(feeds_a, feeds_b)
+                    assert emitted[a:a + span] == emitted[b:b + span]
+                    pairs += 1
+        assert pairs > 0
 
 
 class TestPortPressure:

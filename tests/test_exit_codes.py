@@ -183,6 +183,9 @@ REJECTED_ARGV = {
     "multi-kernel-nan-memory-rate": [
         "simulate", "--kernels", "2", "--memory-rate", "nan",
         "--nx", "8", "--ny", "8", "--nz", "8"],
+    "multi-kernel-read-ii": [
+        "simulate", "--kernels", "2", "--read-ii", "2",
+        "--nx", "8", "--ny", "8", "--nz", "8"],
 }
 
 
