@@ -15,6 +15,7 @@ from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import FunctionStage, SinkStage, SourceStage
 from repro.kernel.config import KernelConfig
 from repro.kernel.simulate import simulate_kernel
+from repro.kernel.stages import CellInput, ShiftBufferStage
 from repro.shiftbuffer.buffer3d import ShiftBuffer3D
 
 
@@ -38,8 +39,11 @@ def test_engine_throughput(benchmark):
 def test_shift_buffer_feed_rate(benchmark):
     """Values per second through one ShiftBuffer3D's scalar ``feed``.
 
-    This is the per-tick path the cycle-accurate engine drives, port
-    bookkeeping included.
+    This is the register model (Fig. 3): slab, line buffers and 3x3
+    windows shifted value by value, port bookkeeping included.  The
+    engine's shift stages run it only for a stream that lost a word, or
+    when built without their block; ``test_shift_stage_scalar_fire_rate``
+    times the per-tick path they drive otherwise.
     """
     block = np.random.default_rng(0).normal(size=(6, 34, 64))
     values = [float(v) for v in block.reshape(-1)]
@@ -56,6 +60,32 @@ def test_shift_buffer_feed_rate(benchmark):
     benchmark.extra_info["feeds_per_second"] = int(
         fed / benchmark.stats.stats.mean)
     assert len(windows) == (6 - 2) * (34 - 2) * 63
+
+
+def test_shift_stage_scalar_fire_rate(benchmark):
+    """Cells per second through ``ShiftBufferStage.fire``.
+
+    This is the per-tick path the cycle-accurate engine drives: a stage
+    built with its three blocks takes each block cell in turn, books its
+    ports, moves the buffers' position and cuts its bundles from the
+    blocks.
+    """
+    rng = np.random.default_rng(0)
+    blocks = tuple(rng.normal(size=(6, 34, 64)) for _ in range(3))
+    cells = [CellInput(*map(float, values))
+             for values in zip(*(b.reshape(-1) for b in blocks))]
+
+    def run():
+        stage = ShiftBufferStage("shift", 6, 34, 64, backing=blocks)
+        bundles = []
+        for cell in cells:
+            bundles.extend(stage.fire(0, {"in": [cell]}).get("out", ()))
+        return bundles
+
+    bundles = benchmark(run)
+    benchmark.extra_info["cells_per_second"] = int(
+        len(cells) / benchmark.stats.stats.mean)
+    assert len(bundles) == (6 - 2) * (34 - 2) * 63
 
 
 def test_cycle_accurate_kernel_rate(benchmark):

@@ -25,8 +25,10 @@ diffusion kernel on one field of the same grid, through
 ``run_stencil_kernel``.  It checks output bytes, cycles, per-stage fires
 and stalls and memory-port reports, and fails when batched windows are
 less than ``MIN_STENCIL_SPEEDUP`` (15x) faster than forced-scalar
-ticking — under half the ~38x a shared 2-vCPU x86-64 host measures at
-32^3.
+ticking — under half the ~40x a shared 2-vCPU x86-64 host measures at
+32^3.  Both forced-scalar records carry the host microseconds per
+simulated cycle (``us_per_cycle`` in ``extra``): the cost of one scalar
+tick of each machine, which the batched speedups are ratios against.
 
 A replay leg runs the diffusion kernel on all three fields of the grid
 with one shared ``ControlRecord``, as ``_StencilKernel.run`` does, and
@@ -90,6 +92,11 @@ MIN_STENCIL_SPEEDUP = 15.0
 #: Ceiling on the batched kernel run's tracemalloc peak, in bytes per
 #: interior cell.
 MAX_BATCHED_BYTES_PER_CELL = 128
+
+
+def us_per_cycle(seconds, cycles):
+    """Host microseconds per simulated cycle, to two decimals."""
+    return round(seconds / cycles * 1e6, 2)
 
 
 def run_once(config, fields, **kwargs):
@@ -279,7 +286,8 @@ def main(argv=None) -> int:
     rec_scalar = BenchRecord(
         name=f"kernel-{label}-scalar", wall_seconds=t_scalar,
         cycles=scalar.total_cycles, cells=grid.num_cells, mode="exact",
-        extra={"batched": False})
+        extra={"batched": False,
+               "us_per_cycle": us_per_cycle(t_scalar, scalar.total_cycles)})
     rec_batched = BenchRecord(
         name=f"kernel-{label}-batched", wall_seconds=t_batched,
         cycles=batched.total_cycles, cells=grid.num_cells, mode="exact",
@@ -310,7 +318,9 @@ def main(argv=None) -> int:
     rec_st_scalar = BenchRecord(
         name=f"stencil-diffusion-{label}-scalar", wall_seconds=t_st_scalar,
         cycles=st_scalar_stats.cycles, cells=grid.num_cells, mode="exact",
-        extra={"batched": False})
+        extra={"batched": False,
+               "us_per_cycle": us_per_cycle(t_st_scalar,
+                                            st_scalar_stats.cycles)})
     rec_st_batched = BenchRecord(
         name=f"stencil-diffusion-{label}-batched",
         wall_seconds=t_st_batched, cycles=st_batched_stats.cycles,
@@ -342,7 +352,10 @@ def main(argv=None) -> int:
     path = suite.write(args.output)
 
     print(render_table(suite.records))
-    print(f"\nbatched exact speedup: {gain_batched:.2f}x "
+    print(f"\nforced-scalar cycle: kernel "
+          f"{rec_scalar.extra['us_per_cycle']:.1f} us, stencil "
+          f"{rec_st_scalar.extra['us_per_cycle']:.1f} us")
+    print(f"batched exact speedup: {gain_batched:.2f}x "
           f"({agg_batched.batched_cycles}/{batched.total_cycles} cycles "
           f"batched in {agg_batched.batched_windows} windows)")
     print(f"stencil batched speedup: {gain_stencil:.2f}x "

@@ -44,10 +44,14 @@ buffer's silent columns recur every feed, its emitting columns every
 column).  The engine keeps one fingerprint table per level.  It looks
 the outer key up first, then the inner key (the machine key with the
 inner stage signatures swapped in), and on a miss records the cycle
-under both.  An inner hit runs a window bounded by every stage's
-:meth:`~repro.dataflow.stage.Stage.ff_inner_capacity`, so the plane
-that proves the plane period batches its columns while the proof is
-still running.  Inner keys leave out the plane, so a first occurrence
+under both.  Each scalar cycle builds every stage's signature once for
+both keys (an inner signature reuses its stage's outer one, and only
+stages that define an inner regime are asked for one) and hashes each
+key once: the orbit lookup, the first-occurrence lookup and the insert
+all reuse that hash.  An inner hit runs a window bounded by every
+stage's :meth:`~repro.dataflow.stage.Stage.ff_inner_capacity`, so the
+plane that proves the plane period batches its columns while the proof
+is still running.  Inner keys leave out the plane, so a first occurrence
 stores each inner-regime stage's inner capacity with it, and a hit
 counts only when the period's fires fit that capacity: a period that
 outgrew the first occurrence's regime crossed into another one.
@@ -121,6 +125,28 @@ __all__ = ["ControlRecord", "DataflowEngine", "RecordedRun", "RunStats"]
 #: is clearly not periodic at a useful scale; the table is cleared to
 #: bound memory and detection re-arms from scratch.
 _FF_TABLE_CAP = 65_536
+
+
+class _Key:
+    """A machine key that hashes once.
+
+    A fingerprint holds every stage's pipeline, so hashing it costs
+    microseconds, and a scalar cycle looks one key up in up to two
+    tables and may insert it: the hash is taken at construction and
+    every table reuses it.
+    """
+
+    __slots__ = ("key", "hash")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self.hash = hash(key)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Key) and self.key == other.key
 
 
 @dataclass
@@ -386,6 +412,11 @@ class DataflowEngine:
         compiled = compile_graph(self.graph)
         order = compiled.order
         streams = compiled.streams
+        # The stages that may report an inner regime: only they are
+        # asked for an inner signature each cycle.
+        inner_stages = [
+            (row, stage) for row, stage in enumerate(order)
+            if type(stage).ff_inner_signature is not Stage.ff_inner_signature]
         # Arm the fault plan: FIFO word hooks and stage freeze windows.
         plan = self.fault_plan
         plan_active = plan is not None and plan.active
@@ -462,10 +493,10 @@ class DataflowEngine:
         # First occurrences, per level: key -> (cycle, counter snapshot,
         # inner capacities).  Orbits, per level: key -> (period, stage
         # deltas, stream deltas) of every committed window.
-        ff_table: dict[Any, tuple[int, tuple[tuple, tuple], tuple]] = {}
-        inner_table: dict[Any, tuple[int, tuple[tuple, tuple], tuple]] = {}
-        orbits: dict[Any, tuple[int, np.ndarray, np.ndarray]] = {}
-        inner_orbits: dict[Any, tuple[int, np.ndarray, np.ndarray]] = {}
+        ff_table: dict[_Key, tuple[int, tuple[tuple, tuple], tuple]] = {}
+        inner_table: dict[_Key, tuple[int, tuple[tuple, tuple], tuple]] = {}
+        orbits: dict[_Key, tuple[int, np.ndarray, np.ndarray]] = {}
+        inner_orbits: dict[_Key, tuple[int, np.ndarray, np.ndarray]] = {}
         batched_windows = 0
         batched_cycles = 0
         plan_trace_len = len(plan.trace) if plan is not None else 0
@@ -574,14 +605,17 @@ class DataflowEngine:
                     veto_cycle = cycle
                 else:
                     inner_sig, inner_rows = self._ff_inner_signature(
-                        order, sig, sig_cycle)
+                        inner_stages, sig, sig_cycle)
+                    key = _Key(sig)
+                    inner_key = (None if inner_sig is None
+                                 else _Key(inner_sig))
                     # A period proved earlier in the run, wherever its
                     # key recurs; no re-proof.
                     skipped = 0
                     inner = False
-                    orbit = orbits.get(sig)
-                    if orbit is None and inner_sig is not None:
-                        orbit = inner_orbits.get(inner_sig)
+                    orbit = orbits.get(key)
+                    if orbit is None and inner_key is not None:
+                        orbit = inner_orbits.get(inner_key)
                         inner = orbit is not None
                     if orbit is not None:
                         period, d_stage, d_stream = orbit
@@ -589,10 +623,10 @@ class DataflowEngine:
                             compiled, sig_cycle, period, d_stage, d_stream,
                             cap, calendar, inner)
                     if skipped <= 0:
-                        hit = ff_table.get(sig)
+                        hit = ff_table.get(key)
                         inner = False
-                        if hit is None and inner_sig is not None:
-                            hit = inner_table.get(inner_sig)
+                        if hit is None and inner_key is not None:
+                            hit = inner_table.get(inner_key)
                             inner = hit is not None
                         if hit is not None:
                             first_cycle, snapshot, capacities = hit
@@ -615,9 +649,9 @@ class DataflowEngine:
                                          (row, order[row].ff_inner_capacity(
                                              cap - sig_cycle))
                                          for row in inner_rows]))
-                            ff_table[sig] = entry
-                            if inner_sig is not None:
-                                inner_table[inner_sig] = entry
+                            ff_table[key] = entry
+                            if inner_key is not None:
+                                inner_table[inner_key] = entry
                             cycle += 1
                             continue
                         period = sig_cycle - first_cycle
@@ -626,10 +660,11 @@ class DataflowEngine:
                             cap, calendar, inner)
                         if skipped > 0:
                             if inner:
-                                inner_orbits[inner_sig] = (period, d_stage,
+                                assert inner_key is not None
+                                inner_orbits[inner_key] = (period, d_stage,
                                                            d_stream)
                             else:
-                                orbits[sig] = (period, d_stage, d_stream)
+                                orbits[key] = (period, d_stage, d_stream)
                     if skipped > 0:
                         batched_windows += 1
                         batched_cycles += skipped
@@ -901,20 +936,23 @@ class DataflowEngine:
             tuple([stream.occupancy for stream in streams]),
         ), None
 
-    def _ff_inner_signature(self, order: list[Stage], sig: tuple,
-                            at_cycle: int) -> tuple[tuple | None, list[int]]:
+    def _ff_inner_signature(self, inner_stages: list[tuple[int, Stage]],
+                            sig: tuple, at_cycle: int
+                            ) -> tuple[tuple | None, list[int]]:
         """``sig`` with every inner stage signature swapped in (``None``
         when no stage is in an inner regime), and the rows of the stages
-        that are."""
+        that are.  ``inner_stages`` are the ``(row, stage)`` pairs that
+        may report one; each reuses its outer signature from ``sig``."""
         stage_sigs = None
         rows = []
-        for i, stage in enumerate(order):
-            inner = stage.ff_inner_signature(at_cycle)
+        outer = sig[0]
+        for row, stage in inner_stages:
+            inner = stage.ff_inner_signature(at_cycle, outer[row])
             if inner is not None:
                 if stage_sigs is None:
-                    stage_sigs = list(sig[0])
-                stage_sigs[i] = inner
-                rows.append(i)
+                    stage_sigs = list(outer)
+                stage_sigs[row] = inner
+                rows.append(row)
         if stage_sigs is None:
             return None, rows
         return (tuple(stage_sigs), sig[1]), rows

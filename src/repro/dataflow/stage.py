@@ -17,9 +17,15 @@ behaviour captured here:
 
 Subclasses implement :meth:`Stage.fire`, a pure function from consumed
 input items to produced output items, keeping the timing model strictly
-separated from the functional behaviour.  The ``ff_*`` hooks and
-:meth:`Stage.fire_bulk` let the engine's batched execution advance whole
-steady-state periods at once (see :mod:`repro.dataflow.engine`).
+separated from the functional behaviour.  Every input port takes one
+item per firing.  The ``ff_*`` hooks and :meth:`Stage.fire_bulk` let the
+engine's batched execution advance whole steady-state periods at once
+(see :mod:`repro.dataflow.engine`).
+
+A stage fires from a plan fixed when its ports are bound: the bound
+input streams in port order, and the set of declared output ports a
+firing's products are checked against.  A firing builds no bookkeeping
+dict or set of its own.
 """
 
 from __future__ import annotations
@@ -110,6 +116,12 @@ class Stage:
             tuple[int, dict[str, list[Any]], tuple]
         ] = deque()
         self._next_fire_cycle = 0
+        # The firing plan, fixed by _plan() whenever a port is bound:
+        # ``(port, stream)`` per bound input in declared order, and the
+        # declared output ports.  Some stages (SpecStage) set their
+        # ports after this constructor, so nothing is fixed here.
+        self._in_plan: list[tuple[str, Stream]] = []
+        self._out_ports: frozenset[str] = frozenset()
 
     # -- wiring (called by DataflowGraph) --------------------------------------
 
@@ -124,6 +136,7 @@ class Stage:
                 f"input port {self.name}.{port} already connected"
             )
         self.inputs[port] = stream
+        self._plan()
 
     def bind_output(self, port: str, stream: Stream) -> None:
         if port not in self.output_ports:
@@ -136,6 +149,13 @@ class Stage:
                 f"output port {self.name}.{port} already connected"
             )
         self.outputs[port] = stream
+        self._plan()
+
+    def _plan(self) -> None:
+        """Fix the firing plan from the ports bound so far."""
+        self._in_plan = [(port, self.inputs[port])
+                         for port in self.input_ports if port in self.inputs]
+        self._out_ports = frozenset(self.output_ports)
 
     def check_wired(self) -> None:
         """Raise :class:`GraphError` if any declared port is unconnected."""
@@ -148,10 +168,6 @@ class Stage:
             )
 
     # -- behaviour hooks --------------------------------------------------------
-
-    def required_inputs(self) -> Mapping[str, int]:
-        """Items needed on each input port for one firing (default: 1 each)."""
-        return {port: 1 for port in self.input_ports}
 
     def fire(self, cycle: int, inputs: Mapping[str, list[Any]]
              ) -> Mapping[str, list[Any]]:
@@ -184,12 +200,10 @@ class Stage:
             return False
         if not self.exhausted():
             return False
-        return not any(
-            stream.can_pop(count)
-            for stream, count in (
-                (self.inputs[p], c) for p, c in self.required_inputs().items()
-            )
-        ) if self.inputs else True
+        for _port, stream in self._in_plan:
+            if stream.can_pop():
+                return False
+        return True
 
     def _retire(self, cycle: int) -> bool:
         """Push the oldest matured result downstream if possible.
@@ -202,15 +216,18 @@ class Stage:
         ready_cycle, produced, _shape = self._pipeline[0]
         if ready_cycle > cycle:
             return False
-        # All destinations must have room for everything this firing produced.
+        # All destinations must have room for everything this firing
+        # produced, checked in the firing's port order: the first full
+        # stream takes the stall.
+        outputs = self.outputs
         for port, items in produced.items():
-            stream = self.outputs[port]
+            stream = outputs[port]
             if not stream.can_push(len(items)):
                 stream.note_full_stall()
                 self.stats.output_stalls += 1
                 return False
         for port, items in produced.items():
-            stream = self.outputs[port]
+            stream = outputs[port]
             for item in items:
                 stream.push(item)
         self._pipeline.popleft()
@@ -227,32 +244,30 @@ class Stage:
             # backpressures the entrance.
             self.stats.pipeline_full_stalls += 1
             return False
-        if self.exhausted() and not self.input_ports:
+        in_plan = self._in_plan
+        if not self.input_ports and self.exhausted():
             return False
-        needed = self.required_inputs()
-        for port, count in needed.items():
-            stream = self.inputs[port]
-            if not stream.can_pop(count):
+        for _port, stream in in_plan:
+            if not stream.can_pop():
                 stream.note_empty_stall()
                 self.stats.input_stalls += 1
                 return False
-        consumed = {
-            port: [self.inputs[port].pop() for _ in range(count)]
-            for port, count in needed.items()
-        }
-        produced = dict(self.fire(cycle, consumed))
-        unknown = set(produced) - set(self.output_ports)
-        if unknown:
-            raise DataflowError(
-                f"stage {self.name!r} produced on undeclared ports "
-                f"{sorted(unknown)}"
-            )
+        produced = self.fire(cycle, {port: [stream.pop()]
+                                     for port, stream in in_plan})
+        if type(produced) is not dict:
+            produced = dict(produced)
+        for port in produced:
+            if port not in self._out_ports:
+                raise DataflowError(
+                    f"stage {self.name!r} produced on undeclared ports "
+                    f"{sorted(set(produced) - self._out_ports)}"
+                )
         self.stats.fires += 1
         self._next_fire_cycle = cycle + self.ii
         if produced:
             self._pipeline.append((
                 cycle + self.latency, produced,
-                tuple((p, len(v)) for p, v in produced.items()),
+                tuple([(p, len(v)) for p, v in produced.items()]),
             ))
         return True
 
@@ -306,7 +321,7 @@ class Stage:
         """
         return want
 
-    def ff_inner_signature(self, cycle: int) -> tuple | None:
+    def ff_inner_signature(self, cycle: int, outer: tuple) -> tuple | None:
         """Control summary in a finer *inner* regime, or ``None``.
 
         A stage whose :meth:`ff_signature` regime has a long period may
@@ -314,8 +329,12 @@ class Stage:
         shift buffer's one-column period inside its one-plane period).
         The engine hunts that key too, with this signature in place of
         :meth:`ff_signature`, and bounds its windows by
-        :meth:`ff_inner_capacity`.  ``None`` (the default) means the
-        stage is in no inner regime now.
+        :meth:`ff_inner_capacity`.  ``outer`` is this stage's
+        :meth:`ff_signature` at ``cycle``, built once per cycle for both
+        keys, so an inner signature reuses its pipeline part instead of
+        building it again.  ``None`` (the default) means the stage is in
+        no inner regime now; the engine calls this only on stages that
+        override it.
         """
         return None
 
@@ -356,21 +375,18 @@ class Stage:
         results must be bit-identical to the looped path.
         """
         mats = {port: bulk.materialize() for port, bulk in inputs.items()}
-        needed = self.required_inputs()
-        for port, per_fire in needed.items():
-            if len(mats.get(port, ())) != per_fire * count:
+        ports = self.input_ports
+        for port in ports:
+            if len(mats.get(port, ())) != count:
                 raise DataflowError(
                     f"stage {self.name!r} fire_bulk: port {port!r} got "
                     f"{len(mats.get(port, ()))} items for {count} firings "
-                    f"of {per_fire}"
+                    f"of 1"
                 )
         firings = []
         for i in range(count):
-            consumed = {
-                port: mats[port][i * per: (i + 1) * per]
-                for port, per in needed.items()
-            }
-            firings.append(dict(self.fire(cycle, consumed)))
+            firings.append(dict(self.fire(
+                cycle, {port: [mats[port][i]] for port in ports})))
         return ListFireResult(firings)
 
     def ff_commit(self, old_cycle: int, new_cycle: int, *, fires: int,

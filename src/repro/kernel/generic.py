@@ -65,7 +65,12 @@ from repro.dataflow.engine import ControlRecord, DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import SourceStage, Stage
 from repro.errors import ConfigurationError
-from repro.shiftbuffer.buffer3d import Box, ShiftBuffer3D, emission_boxes
+from repro.shiftbuffer.buffer3d import (
+    Box,
+    ShiftBuffer3D,
+    emission_boxes,
+    same_bits,
+)
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow, WindowRun
 
@@ -236,11 +241,17 @@ def _check_window_fns(run: WindowRunBulk, interior: InteriorFn,
 class GeneralShiftBufferStage(Stage):
     """Feeds one :class:`ShiftBuffer3D`; forwards its non-top windows.
 
-    ``backing`` (the streamed block) unlocks the batched firing path,
-    as for the advection kernel's ``ShiftBufferStage``: the buffer jumps
-    ahead analytically and the forwarded windows travel as a lazy
-    :class:`WindowRunBulk`.  Without it, a batched window loops
-    :meth:`fire`.
+    ``backing`` (the streamed block) is the stage's data store, as for
+    the advection kernel's ``ShiftBufferStage``: a firing whose value
+    is, bit for bit, the block's value at the buffer's position moves
+    the position (:meth:`ShiftBuffer3D.advance`) and cuts its window
+    from the block (:meth:`ShiftBuffer3D.window_at`), and a batched
+    firing moves it by the whole run and forwards a lazy
+    :class:`WindowRunBulk`.  The first value that differs (only a word
+    a fault dropped makes one) switches the stage to the register model
+    until :meth:`reset`: one gather, then :meth:`ShiftBuffer3D.feed`
+    per value, and batched firings loop :meth:`fire`.  Without
+    ``backing`` the stage runs the register model throughout.
     """
 
     input_ports = ("in",)
@@ -257,26 +268,50 @@ class GeneralShiftBufferStage(Stage):
             else MemoryPortTracker(enforce=False),
             name=name,
         )
-        self._backing = (None if backing is None
-                         else np.ascontiguousarray(backing, dtype=float))
+        self._backing: np.ndarray | None = None
+        if backing is not None:
+            # A read-only view: window cuts inherit the flag.
+            self._backing = np.ascontiguousarray(backing, dtype=float).view()
+            self._backing.flags.writeable = False
+            self._flat = self._backing.reshape(-1)
+        #: True once a consumed value differed from the block: the
+        #: register model serves the rest of the block.
+        self._diverged = False
 
     def fire(self, cycle: int, inputs: Mapping[str, list]):
         (value,) = inputs["in"]
-        windows = [window for window in self.buffer.feed(float(value))
+        value = float(value)
+        buffer = self.buffer
+        backing = self._backing
+        if backing is not None and not self._diverged:
+            fed = buffer.fed
+            if fed < len(self._flat) and same_bits(value,
+                                                   self._flat.item(fed)):
+                first, stop = buffer.next_emissions()
+                buffer.advance(1, backing)
+                # The window at the first index is the feed's full one;
+                # a column top's second is top, and not forwarded.
+                if first == stop:
+                    return {}
+                return {"out": [buffer.window_at(first, backing)]}
+            self._diverged = True
+        windows = [window for window in buffer.feed(value)
                    if not window.top]
         return {"out": windows} if windows else {}
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
         stream = inputs.get("in")
-        if self._backing is None or stream is None or len(stream) != count:
+        if (self._backing is None or self._diverged or stream is None
+                or len(stream) != count):
             return super().fire_bulk(count, inputs, cycle)
         # The run must be the block's own next values, bit for bit; a
-        # stream that lost a word to a fault takes the per-item path.
+        # stream that lost a word to a fault diverges, and the register
+        # model takes the whole run.
         fed = self.buffer.fed
         consumed = np.asarray(stream.materialize(), dtype=float)
-        if (consumed.tobytes()
-                != self._backing.reshape(-1)[fed:fed + count].tobytes()):
+        if consumed.tobytes() != self._flat[fed:fed + count].tobytes():
+            self._diverged = True
             return super().fire_bulk(count, inputs, cycle)
         first, stop = self.buffer.feed_bulk(count, self._backing)
         nz = self.buffer.nz
@@ -291,9 +326,11 @@ class GeneralShiftBufferStage(Stage):
     def ff_fire_capacity(self, want: int) -> int:
         return self.buffer.regime_feeds(want)
 
-    def ff_inner_signature(self, cycle: int) -> tuple | None:
+    def ff_inner_signature(self, cycle: int, outer: tuple) -> tuple | None:
         inner = self.buffer.inner_regime()
-        return None if inner is None else super().ff_signature(cycle) + inner
+        # ``outer`` is the base signature plus the outer regime: swap the
+        # regime, keep the pipeline part it already built.
+        return None if inner is None else outer[:2] + inner
 
     def ff_inner_capacity(self, want: int) -> int:
         return self.buffer.inner_regime_feeds(want)
@@ -302,6 +339,11 @@ class GeneralShiftBufferStage(Stage):
         buffer = self.buffer
         return self._structure(buffer.nx, buffer.ny, buffer.nz,
                                buffer.partitioned)
+
+    def reset(self) -> None:
+        super().reset()
+        self._diverged = False
+        self.buffer.reset()
 
 
 class WindowComputeStage(Stage):

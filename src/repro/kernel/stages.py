@@ -40,6 +40,7 @@ from repro.shiftbuffer.buffer3d import (
     ShiftBuffer3D,
     emission_boxes,
     emission_center,
+    same_bits,
 )
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow, WindowRun
@@ -120,6 +121,16 @@ def _box_lanes(values: np.ndarray, start: int, ny: int,
         offset += size
 
 
+def _bundle_at(buffers: Mapping[str, ShiftBuffer3D],
+               blocks: Mapping[str, np.ndarray], index: int) -> StencilBundle:
+    """The bundle of flat emission ``index``, its windows cut from the
+    blocks (:meth:`ShiftBuffer3D.window_at`)."""
+    wu = buffers["u"].window_at(index, blocks["u"])
+    wv = buffers["v"].window_at(index, blocks["v"])
+    ww = buffers["w"].window_at(index, blocks["w"])
+    return StencilBundle(u=wu, v=wv, w=ww, center=wu.center)
+
+
 class StencilBulk(Bulk):
     """A run of :class:`StencilBundle` emissions addressed by flat index.
 
@@ -148,10 +159,7 @@ class StencilBulk(Bulk):
                            self.start + stop)
 
     def bundle_at(self, index: int) -> StencilBundle:
-        wu = self.buffers["u"].window_at(index, self.blocks["u"])
-        wv = self.buffers["v"].window_at(index, self.blocks["v"])
-        ww = self.buffers["w"].window_at(index, self.blocks["w"])
-        return StencilBundle(u=wu, v=wv, w=ww, center=wu.center)
+        return _bundle_at(self.buffers, self.blocks, index)
 
     def materialize(self) -> list[StencilBundle]:
         return [self.bundle_at(i) for i in range(self.start, self.stop)]
@@ -344,10 +352,21 @@ class ShiftBufferStage(Stage):
     bundles are produced (two at column tops — the burst the downstream
     FIFO absorbs, see the shift-buffer docs).
 
-    ``backing`` (the three chunk blocks in streaming layout) unlocks the
-    batched firing path: the buffers jump ahead analytically
-    (:meth:`ShiftBuffer3D.feed_bulk`) and emissions travel as a
-    :class:`StencilBulk` instead of materialised windows.
+    ``backing`` (the three chunk blocks in streaming layout) makes the
+    blocks the stage's data store: the buffers' registers only ever hold
+    values of these blocks.  A firing whose cell is, bit for bit,
+    the blocks' cell at the buffers' position moves the position
+    (:meth:`ShiftBuffer3D.advance`, ports booked per buffer in u, v, w
+    order) and cuts its bundles from the blocks
+    (:meth:`ShiftBuffer3D.window_at`): no register shifts, no window
+    copies.  A batched firing moves the position by its whole run
+    (:meth:`ShiftBuffer3D.feed_bulk`), and its emissions travel as a
+    :class:`StencilBulk`.  The first cell that differs from the blocks
+    (only a word a fault dropped makes one) switches the stage to the
+    register model until :meth:`reset`: the buffers gather their
+    registers once and :meth:`ShiftBuffer3D.feed` every later cell, and
+    batched firings loop :meth:`fire`.  A stage built without
+    ``backing`` runs the register model throughout.
     """
 
     input_ports = ("in",)
@@ -374,20 +393,54 @@ class ShiftBufferStage(Stage):
                 f"shift stage {name!r}: backing must hold the three "
                 f"(u, v, w) field blocks, got {len(backing)}"
             )
-        self._backing = None if backing is None else {
-            field: np.ascontiguousarray(arr, dtype=float)
-            for field, arr in zip(("u", "v", "w"), backing)
-        }
+        self._backing: dict[str, np.ndarray] | None = None
+        self._flats: tuple[np.ndarray, ...] = ()
+        if backing is not None:
+            self._backing = {}
+            for field, arr in zip(("u", "v", "w"), backing):
+                # A read-only view: window cuts inherit the flag.
+                block = np.ascontiguousarray(arr, dtype=float).view()
+                block.flags.writeable = False
+                self._backing[field] = block
+            self._flats = tuple(self._backing[f].reshape(-1)
+                                for f in ("u", "v", "w"))
+        #: True once a consumed cell differed from the blocks: the
+        #: register model serves the rest of the block.
+        self._diverged = False
         #: Cycle of the first window emission — the prime/steady boundary
         #: the observability plane splits this stage's activity span at.
         #: ``None`` until the buffers first produce (and after reset).
         self.first_emit_cycle: int | None = None
 
+    def _matches(self, cell: CellInput, position: int) -> bool:
+        """``cell`` is, bit for bit, the blocks' cell at ``position``."""
+        fu, fv, fw = self._flats
+        return (position < len(fu) and same_bits(cell.u, fu.item(position))
+                and same_bits(cell.v, fv.item(position))
+                and same_bits(cell.w, fw.item(position)))
+
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
         (cell,) = inputs["in"]
-        wins_u = self._buffers["u"].feed(cell.u)
-        wins_v = self._buffers["v"].feed(cell.v)
-        wins_w = self._buffers["w"].feed(cell.w)
+        buffers = self._buffers
+        if self._backing is not None and not self._diverged:
+            u = buffers["u"]
+            if self._matches(cell, u.fed):
+                first, stop = u.next_emissions()
+                backing = self._backing
+                u.advance(1, backing["u"])
+                buffers["v"].advance(1, backing["v"])
+                buffers["w"].advance(1, backing["w"])
+                if first == stop:
+                    return {}
+                bundles = [_bundle_at(buffers, backing, index)
+                           for index in range(first, stop)]
+                if self.first_emit_cycle is None:
+                    self.first_emit_cycle = cycle
+                return {"out": bundles}
+            self._diverged = True
+        wins_u = buffers["u"].feed(cell.u)
+        wins_v = buffers["v"].feed(cell.v)
+        wins_w = buffers["w"].feed(cell.w)
         if not (len(wins_u) == len(wins_v) == len(wins_w)):
             raise DataflowError(
                 f"shift buffers desynchronised: emitted "
@@ -410,9 +463,11 @@ class ShiftBufferStage(Stage):
     def ff_fire_capacity(self, want: int) -> int:
         return self._buffers["u"].regime_feeds(want)
 
-    def ff_inner_signature(self, cycle: int) -> tuple | None:
+    def ff_inner_signature(self, cycle: int, outer: tuple) -> tuple | None:
         inner = self._buffers["u"].inner_regime()
-        return None if inner is None else super().ff_signature(cycle) + inner
+        # ``outer`` is the base signature plus the outer regime: swap the
+        # regime, keep the pipeline part it already built.
+        return None if inner is None else outer[:2] + inner
 
     def ff_inner_capacity(self, want: int) -> int:
         return self._buffers["u"].inner_regime_feeds(want)
@@ -424,35 +479,28 @@ class ShiftBufferStage(Stage):
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
-        if self._backing is None:
+        if self._backing is None or self._diverged:
             return super().fire_bulk(count, inputs, cycle)
         if len(inputs.get("in", ())) != count:
             raise DataflowError(
                 f"shift stage {self.name!r}: batched window consumed "
                 f"{len(inputs.get('in', ()))} cells for {count} firings"
             )
-        # The input run must be the block's own cells, in streaming
-        # order, continuing exactly where the buffers stand — verify the
-        # alignment of every part before discarding item identity.
+        # The input run must be the blocks' own cells, in streaming
+        # order, continuing exactly where the buffers stand.  A cell
+        # block that starts elsewhere, or a cell whose bits differ,
+        # diverges: the register model takes the whole run.
         position = self._buffers["u"].fed
-        flat = {f: self._backing[f].reshape(-1) for f in ("u", "v", "w")}
         for part in inputs["in"].parts():
             if isinstance(part, CellBlockBulk):
-                if part.start != position:
-                    raise DataflowError(
-                        f"shift stage {self.name!r}: cell block starts at "
-                        f"{part.start}, buffers have consumed {position}"
-                    )
-            elif len(part):
-                cell = part.materialize()[0]
-                if (cell.u != flat["u"][position]
-                        or cell.v != flat["v"][position]
-                        or cell.w != flat["w"][position]):
-                    raise DataflowError(
-                        f"shift stage {self.name!r}: stream cell at "
-                        f"position {position} does not match the backing "
-                        f"block"
-                    )
+                diverged = part.start != position
+            else:
+                diverged = not all(
+                    self._matches(cell, position + offset)
+                    for offset, cell in enumerate(part.materialize()))
+            if diverged:
+                self._diverged = True
+                return super().fire_bulk(count, inputs, cycle)
             position += len(part)
         # Scalar feeding books the three buffers' ports in turn, one feed
         # each; a run from the block's start books each buffer's first
@@ -471,6 +519,7 @@ class ShiftBufferStage(Stage):
     def reset(self) -> None:
         super().reset()
         self.first_emit_cycle = None
+        self._diverged = False
         for buffer in self._buffers.values():
             buffer.reset()
 

@@ -31,12 +31,22 @@ sees more than two accesses per cycle; unpartitioned, the slab sees five,
 which is what forced the Intel initiation interval above 1 until the
 arrays were split (section III-B).  Every feed touches each memory the
 same number of times, so the buffer builds that per-feed pattern once, at
-construction, and both the scalar and the batched feed book it through
-:meth:`MemoryPortTracker.record` — one cycle per fed value.
+construction, and books it through :meth:`MemoryPortTracker.record` —
+one cycle per fed value — whether the value moves the registers
+(:meth:`ShiftBuffer3D.feed`) or only the streaming position
+(:meth:`ShiftBuffer3D.advance` and :meth:`ShiftBuffer3D.feed_bulk`).
+
+The registers only ever hold values of the streamed block, so a caller
+that has the block needs no register shifts: it advances the position
+and cuts each window from the block (:meth:`ShiftBuffer3D.window_at`, a
+read-only view).  The registers then lag the position, and the next
+:meth:`ShiftBuffer3D.feed` gathers them from the block first — the
+register model runs only for a stream that no longer matches the block.
 """
 
 from __future__ import annotations
 
+from math import copysign
 from typing import Any
 
 import numpy as np
@@ -45,11 +55,22 @@ from repro.errors import ShiftBufferError
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow
 
-__all__ = ["ShiftBuffer3D", "emission_boxes", "emission_center"]
+__all__ = ["ShiftBuffer3D", "emission_boxes", "emission_center", "same_bits"]
 
 #: One box of window centres, ``(x0, x1, y0, y1, z0, z1)``: the centres
 #: ``x0 <= cx < x1``, ``y0 <= cy < y1``, ``z0 <= cz < z1``.
 Box = tuple[int, int, int, int, int, int]
+
+
+def same_bits(a: float, b: float) -> bool:
+    """True when ``a`` and ``b`` are one double bit for bit.
+
+    Equal values are equal bits except for zeros, so ``-0.0`` never
+    matches ``0.0``.  A NaN never matches, not even itself: a shift stage
+    that compares its stream with its block then runs the register
+    model, which is slower but exact.
+    """
+    return a == b and (a != 0.0 or copysign(1.0, a) == copysign(1.0, b))
 
 
 def emission_center(index: Any, ny: int, nz: int) -> tuple[Any, Any, Any, Any]:
@@ -171,6 +192,10 @@ class ShiftBuffer3D:
         self._y = 0
         self._z = 0
         self._fed = 0
+        self._total = nx * ny * nz
+        # The block the position last advanced over without the registers
+        # (advance, feed_bulk); feed gathers them from it first.
+        self._lagging: np.ndarray | None = None
 
     # -- sizing ---------------------------------------------------------------
 
@@ -196,7 +221,7 @@ class ShiftBuffer3D:
 
     @property
     def expected_feeds(self) -> int:
-        return self.nx * self.ny * self.nz
+        return self._total
 
     @property
     def expected_emissions(self) -> int:
@@ -286,11 +311,13 @@ class ShiftBuffer3D:
           ``(x-1, y-1, nz-1)`` — the burst a downstream FIFO absorbs during
           the two emission-free cycles at the start of the next column.
         """
-        if self._fed >= self.expected_feeds:
+        if self._fed >= self._total:
             raise ShiftBufferError(
                 f"buffer {self.name!r} already consumed its full block of "
-                f"{self.expected_feeds} values"
+                f"{self._total} values"
             )
+        if self._lagging is not None:
+            self._gather(self._lagging)
         # Book the ports first: an enforced conflict raises before any
         # array moves.
         self.tracker.record(self._access_pattern, 1)
@@ -381,20 +408,54 @@ class ShiftBuffer3D:
                 total += max(z - 2, 0)
         return total
 
+    def next_emissions(self) -> tuple[int, int]:
+        """``(first, stop)``, the flat emission indices (see
+        :func:`emission_center`) the next feed emits: none until the
+        position reaches ``x, y, z >= 2``, two at a column top."""
+        x, y, z = self._x, self._y, self._z
+        if x < 2 or y < 2 or z < 2:
+            return 0, 0
+        first = ((x - 2) * (self.ny - 2) + y - 2) * (self.nz - 1) + z - 2
+        return first, first + (2 if z == self.nz - 1 else 1)
+
+    def advance(self, count: int, backing: np.ndarray) -> None:
+        """Move the position over the next ``count`` values of ``backing``.
+
+        The registers stay as they are: the per-feed port pattern is
+        booked ``count`` times (an enforced conflict raises before the
+        position moves), and the next :meth:`feed` gathers the registers
+        from ``backing`` before it shifts, checking its shape then.  This
+        is the scalar step of a caller that cuts its windows from the
+        block itself (:meth:`window_at`); :meth:`feed_bulk` is the
+        checked batched form.
+        """
+        fed = self._fed + count
+        if fed > self._total:
+            raise ShiftBufferError(
+                f"buffer {self.name!r}: advancing {count} values overruns "
+                f"the block ({self._fed} of {self._total} already consumed)"
+            )
+        self.tracker.record(self._access_pattern, count)
+        self._lagging = backing
+        self._fed = fed
+        self._x, rest = divmod(fed, self.ny * self.nz)
+        self._y, self._z = divmod(rest, self.nz)
+
     def feed_bulk(self, count: int, backing: np.ndarray) -> tuple[int, int]:
         """Advance ``count`` feeds analytically; return the emission range.
 
         ``backing`` must be the full ``(nx, ny, nz)`` block whose values
         are being streamed — the *same* values previous :meth:`feed` calls
-        supplied, in streaming order.  The buffer jumps straight to the
-        state it would reach after ``count`` more scalar feeds: every
-        shift-register slot holds a value at a closed-form position of the
-        backing block, so the state is gathered rather than simulated, and
-        the memory-port tracker books the per-feed pattern ``count`` times.
+        supplied, in streaming order.  The buffer moves its position and
+        books the per-feed port pattern ``count`` times
+        (:meth:`advance`); it does not touch the registers, which only
+        :meth:`feed` reads, and which it gathers from ``backing`` when it
+        next runs.
 
         Returns ``(first, stop)``, the half-open range of flat emission
         indices (see :func:`emission_center`) the skipped feeds produced;
-        callers materialise any windows they need from the backing block.
+        callers cut any windows they need from the backing block
+        (:meth:`window_at`).
         """
         self._check_block_shape(backing)
         if count < 1:
@@ -402,25 +463,26 @@ class ShiftBuffer3D:
                 f"buffer {self.name!r}: feed_bulk count must be >= 1, "
                 f"got {count}"
             )
-        if self._fed + count > self.expected_feeds:
-            raise ShiftBufferError(
-                f"buffer {self.name!r}: feed_bulk of {count} values "
-                f"overruns the block ({self._fed} of "
-                f"{self.expected_feeds} already consumed)"
-            )
         first = self._emissions_before(self._fed)
-        new_fed = self._fed + count
-        stop = self._emissions_before(new_fed)
-        self.tracker.record(self._access_pattern, count)
+        self.advance(count, backing)
+        return first, self._emissions_before(self._fed)
 
+    def _gather(self, backing: np.ndarray) -> None:
+        """Load the registers for the current position from ``backing``.
+
+        Every shift-register slot holds a value at a closed-form position
+        of the block the stream has walked, so the state after any number
+        of feeds is gathered rather than simulated; slots the stream
+        never reached keep their prior (reset) contents.
+        """
+        self._check_block_shape(backing)
+        self._lagging = None
         nx, ny, nz = self.nx, self.ny, self.nz
-        x, rest = divmod(new_fed, ny * nz)
-        y, z = divmod(rest, nz)
+        fed, x, y, z = self._fed, self._x, self._y, self._z
 
         # Slab slice s holds, at each (y', z'), the value of plane
         # (x - s) where the streaming front has passed this plane and
-        # (x - 1 - s) where it has not; slots the stream never reached
-        # that deep keep their prior contents.
+        # (x - 1 - s) where it has not.
         yy, zz = np.meshgrid(np.arange(ny), np.arange(nz), indexing="ij")
         passed = (yy * nz + zz) < (y * nz + z)
         for s in range(3):
@@ -446,7 +508,7 @@ class ShiftBuffer3D:
 
         # Register windows: column dz was loaded by the feed dz steps ago.
         for dz in range(3):
-            f = new_fed - 1 - dz
+            f = fed - 1 - dz
             if f < 0:
                 continue
             fx, frest = divmod(f, ny * nz)
@@ -460,25 +522,20 @@ class ShiftBuffer3D:
                     if 0 <= gx - s < nx:
                         self._windows[s, dy, dz] = backing[gx - s, gy, fz]
 
-        self._fed = new_fed
-        self._x, self._y, self._z = x, y, z
-        return first, stop
-
     def window_at(self, index: int, backing: np.ndarray) -> StencilWindow:
-        """Materialise the window of one flat emission index from backing.
+        """The window of one flat emission index, cut from ``backing``.
 
         Bit-identical to the window :meth:`feed` emits at that point of
         the stream: the registers hold the 3x3x3 neighbourhood of the feed
         position reversed on every axis (newest value at raw index 0).
+        ``raw`` is a read-only view of ``backing``, never a copy.
         """
         cx, cy, cz, top = emission_center(index, self.ny, self.nz)
         z0 = self.nz - 3 if top else cz - 1
-        raw = backing[cx - 1:cx + 2, cy - 1:cy + 2, z0:z0 + 3]
-        return StencilWindow(
-            raw=np.ascontiguousarray(raw[::-1, ::-1, ::-1]),
-            center=(cx, cy, cz),
-            top=top,
-        )
+        raw = backing[cx - 1:cx + 2, cy - 1:cy + 2, z0:z0 + 3][::-1, ::-1, ::-1]
+        if raw.flags.writeable:
+            raw.flags.writeable = False
+        return StencilWindow(raw=raw, center=(cx, cy, cz), top=top)
 
     def reset(self) -> None:
         """Clear all state for a new block."""
@@ -487,9 +544,10 @@ class ShiftBuffer3D:
         self._windows.fill(0.0)
         self._x = self._y = self._z = 0
         self._fed = 0
+        self._lagging = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShiftBuffer3D({self.name!r}, nx={self.nx}, ny={self.ny}, "
-            f"nz={self.nz}, fed={self._fed}/{self.expected_feeds})"
+            f"nz={self.nz}, fed={self._fed}/{self._total})"
         )

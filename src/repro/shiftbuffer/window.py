@@ -46,7 +46,9 @@ class StencilWindow:
         slab-slice index (0 = newest X-plane), ``dy``/``dz`` the Y/Z shift
         ages.  With the streaming order of the kernel this means
         ``raw[s, dy, dz] == field[x - s, y - dy, z - dz]`` for feed position
-        ``(x, y, z)``.
+        ``(x, y, z)``.  A window :meth:`ShiftBuffer3D.feed` emits holds a
+        copy of the registers; one cut from the streamed block
+        (:meth:`ShiftBuffer3D.window_at`) holds a read-only view of it.
     center:
         Local ``(cx, cy, cz)`` coordinates of the centre cell within the
         array the buffer was fed from (halo coordinates for a chunk).
@@ -77,9 +79,14 @@ class StencilWindow:
         ``dz = 1 - (dk + 1)`` — requesting ``dk = +1`` from a top window is
         a logic error and raises.
         """
-        _check_offset(di, dj, dk, self.top)
-        dz = (0 - dk) if self.top else (1 - dk)
-        return float(self.raw[1 - di, 1 - dj, dz])
+        # The offset checks of _check_offset, inline: this runs for every
+        # operand of every scalar window evaluation.
+        if not (-1 <= di <= 1 and -1 <= dj <= 1 and -1 <= dk <= 1) or (
+                self.top and dk == 1):
+            _check_offset(di, dj, dk, self.top)
+        if self.top:
+            return float(self.raw[1 - di, 1 - dj, -dk])
+        return float(self.raw[1 - di, 1 - dj, 1 - dk])
 
     def as_array(self) -> np.ndarray:
         """Stencil as ``a[di+1, dj+1, dk+1]``; top windows get NaN at dk=+1.

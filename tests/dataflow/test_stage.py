@@ -194,3 +194,36 @@ class TestMisbehavingStage:
         ins.push(1)
         with pytest.raises(DataflowError, match="undeclared"):
             bad.tick(0)
+
+    def test_ports_set_after_construction_fire_from_the_bound_plan(self):
+        """``SpecStage`` sets its ports per instance after
+        ``Stage.__init__``; the firing plan is fixed when they are bound,
+        so the declared ports fire and an undeclared one still raises."""
+        from repro.lint.spec import SpecStage
+
+        class Adder(SpecStage):
+            def fire(self, cycle, inputs):
+                (a,), (b,) = inputs["a"], inputs["b"]
+                return {self.target: [a + b]}
+
+        for target, ok in (("sum", True), ("nope", False)):
+            stage = Adder("add", inputs=("b", "a"), outputs=("sum",))
+            stage.target = target
+            a, b, out = Stream("a"), Stream("b"), Stream("s")
+            stage.bind_input("a", a)
+            stage.bind_input("b", b)
+            stage.bind_output("sum", out)
+            a.push(1)
+            assert not stage.is_idle()
+            b.push(2)
+            if not ok:
+                with pytest.raises(DataflowError,
+                                   match=r"undeclared ports \['nope'\]"):
+                    stage.tick(0)
+                continue
+            assert stage.tick(0)
+            assert stage.is_idle() is False  # in flight
+            for cycle in range(1, 3):
+                stage.tick(cycle)
+            assert list(out) == [3]
+            assert stage.is_idle()

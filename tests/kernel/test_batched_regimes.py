@@ -6,13 +6,22 @@ key (silent feeds, and one-column periods inside a plane's emitting
 rows).  The batched engine hunts both, so it batches the fill ramp, the
 steady planes, and the silent and emitting columns of the plane that
 proves the plane period and of the final plane, where it reuses the
-column period already proved.  One oracle judges every run: forced
-scalar ticking (``batched=False``).  A batched run must match it on the
-aggregate statistics (minus the engine's own batching accounting), the
-source arrays byte for byte, and the memory-port reports.
+column period already proved.  One oracle judges every fault-free run:
+forced scalar ticking (``batched=False``).  A batched run must match it
+on the aggregate statistics (minus the engine's own batching
+accounting), the source arrays byte for byte, and the memory-port
+reports.
+
+Both ticking paths read windows from the streamed block, so the last
+tests reach one level further down, to the register model: the same
+graph with its shift stage built without a block.  A fault-free run
+never touches the registers, and matches the register model's ports,
+bytes and cycles; a run whose stream lost a word matches its error
+text, bytes and fault trace on both paths.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,24 +29,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coefficients import AdvectionCoefficients
-from repro.core.fields import SourceSet
+from repro.core.fields import FieldSet, SourceSet
 from repro.core.grid import Grid
+from repro.core.reference import advect_reference
 from repro.core.wind import random_wind
 from repro.dataflow.engine import ControlRecord, DataflowEngine
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.monitors import StreamProbe
 from repro.dataflow.stage import SourceStage
+from repro.errors import PortConflictError, ReproError
+from repro.faults import FaultPlan, FaultSpec
+from repro.kernel import builder
 from repro.kernel.builder import build_advection_graph
 from repro.kernel.config import KernelConfig
 from repro.kernel.generic import (
     GeneralShiftBufferStage,
     ScatterWriteStage,
     WindowComputeStage,
+    run_stencil_kernel,
 )
 from repro.kernel.multi_simulate import simulate_multi_kernel
 from repro.kernel.simulate import simulate_kernel
+from repro.kernel.stages import ShiftBufferStage
 from repro.observe import Tracer
+from repro.scenarios import scenarios
 from repro.scenarios.kernels import DiffusionKernel
+from repro.shiftbuffer.buffer3d import ShiftBuffer3D
 
 
 def _comparable(result):
@@ -264,3 +281,183 @@ def test_monitored_advection_runs_match_scalar(stride, read_ii, chunk_width):
 def test_monitored_stencil_runs_match_scalar(stride, depth):
     args = (Grid(nx=6, ny=9, nz=7), depth, stride)
     assert _probed_stencil(*args, True) == _probed_stencil(*args, False)
+
+
+# -- the register model as the oracle ---------------------------------------
+
+
+def _register_model_stage(*args, backing=None, **kwargs):
+    """The advection shift stage built without its blocks."""
+    return ShiftBufferStage(*args, **kwargs)
+
+
+def register_model():
+    """Build advection graphs whose shift stage runs the register model."""
+    return mock.patch.object(builder, "ShiftBufferStage",
+                             _register_model_stage)
+
+
+def _stencil_graph(block, grid, *, blockless):
+    """The stencil machine of ``run_stencil_kernel`` on ``block``, with
+    or without the block as the shift stage's data store."""
+    nx, ny, nz = block.shape
+    interior, boundary = DiffusionKernel().window_fns(grid)
+    out = np.zeros(grid.interior_shape)
+    graph = DataflowGraph("stencil")
+    graph.add(SourceStage("read", block.reshape(-1)))
+    graph.add(GeneralShiftBufferStage(
+        "shift", nx, ny, nz, backing=None if blockless else block))
+    graph.add(WindowComputeStage("compute", nz, interior, boundary))
+    graph.add(ScatterWriteStage("write", out))
+    graph.connect("read", "out", "shift", "in", depth=4)
+    graph.connect("shift", "out", "compute", "in", depth=4)
+    graph.connect("compute", "out", "write", "in", depth=4)
+    return graph, (out,)
+
+
+def _advection_graph(fields, *, blockless):
+    grid = fields.grid
+    config = KernelConfig(grid=grid)
+    chunk = config.chunk_plan().chunks[0]
+    out = SourceSet.zeros(grid)
+    args = (config, fields, chunk, AdvectionCoefficients.uniform(grid), out)
+    if blockless:
+        with register_model():
+            return build_advection_graph(*args), out.as_tuple()
+    return build_advection_graph(*args), out.as_tuple()
+
+
+def _dropped_word_run(build, *, batched, probability, seed, stream):
+    """One plain engine run with one FIFO drop armed on ``stream``:
+    the error text, the output bytes and the fault trace."""
+    plan = FaultPlan([FaultSpec(site="fifo", kind="drop", match=stream,
+                                probability=probability, count=1)],
+                     seed=seed)
+    graph, outs = build()
+    try:
+        DataflowEngine(graph, batched=batched, fault_plan=plan).run()
+        error = None
+    except ReproError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    return error, [out.tobytes() for out in outs], plan.trace_key()
+
+
+@st.composite
+def dropped_word_cases(draw):
+    nx = draw(st.integers(1, 6))
+    ny = draw(st.integers(1, 7))
+    nz = draw(st.integers(3, 6))
+    periodic = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+    probability = draw(st.sampled_from((1.0, 0.3, 0.02, 0.005)))
+    return Grid(nx=nx, ny=ny, nz=nz), periodic, seed, probability
+
+
+@settings(max_examples=40, deadline=None)
+@given(dropped_word_cases())
+def test_a_dropped_word_runs_the_register_model(case):
+    """A word dropped on a shift stage's input diverges its stream from
+    the block: batched and forced-scalar runs must both end like the
+    register model, with the same error text, output bytes and fault
+    trace, on both machines.  Open halos are zero faces, whose values a
+    shifted stream can match by accident; the stage must not switch
+    back to the block on such a match."""
+    grid, periodic, seed, probability = case
+    rng = np.random.default_rng(seed)
+    shape = grid.interior_shape
+    fields = FieldSet.from_interior(
+        grid, rng.normal(size=shape), rng.normal(size=shape),
+        rng.normal(size=shape), periodic=periodic)
+    block = np.zeros(grid.halo_shape)
+    grid.interior(block)[...] = rng.normal(size=shape)
+    if periodic:
+        grid.fill_periodic_halo(block)
+    machines = (
+        (lambda blockless: lambda: _advection_graph(
+            fields, blockless=blockless),
+         "read_data.out->shift_buffer.in"),
+        (lambda blockless: lambda: _stencil_graph(
+            block, grid, blockless=blockless),
+         "read.out->shift.in"),
+    )
+    for machine, stream in machines:
+        kwargs = dict(probability=probability, seed=seed, stream=stream)
+        oracle = _dropped_word_run(machine(True), batched=False, **kwargs)
+        for batched in (True, False):
+            assert _dropped_word_run(machine(False), batched=batched,
+                                     **kwargs) == oracle, (stream, batched)
+
+
+def test_fault_free_runs_never_touch_the_register_model(monkeypatch):
+    """Every fault-free path of both machines reads windows from the
+    block: batched, forced scalar, and a scenario's replayed batches."""
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("the register model ran on a fault-free run")
+
+    monkeypatch.setattr(ShiftBuffer3D, "feed", forbidden)
+    monkeypatch.setattr(ShiftBuffer3D, "_gather", forbidden)
+    grid = Grid(nx=6, ny=9, nz=5)
+    fields = random_wind(grid, seed=5, magnitude=2.0)
+    config = KernelConfig(grid=grid, chunk_width=4)
+    reference = advect_reference(fields, AdvectionCoefficients.uniform(grid))
+    interior, boundary = DiffusionKernel().window_fns(grid)
+    stencil = []
+    for batched in (True, False):
+        result = simulate_kernel(config, fields, batched=batched)
+        assert result.sources.same_bits(reference)
+        out = np.zeros(grid.interior_shape)
+        run_stencil_kernel(fields.u, interior, boundary, out,
+                           batched=batched)
+        stencil.append(out.tobytes())
+    assert stencil[0] == stencil[1]
+    replays = 0
+    for scenario in scenarios():
+        small = scenario.small_grid()
+        result = scenario.run(small, seed=1)
+        replays += sum(1 for _ in result.batches) - 1
+        for got, want in zip(result.batches,
+                             scenario.reference(small, seed=1), strict=True):
+            assert got.same_bits(want), scenario.name
+    assert replays > 0
+
+
+@pytest.mark.parametrize(("shape", "chunk_width", "kwargs"), [
+    ((6, 9, 5), 4, {}),
+    ((5, 11, 6), 3, {"read_ii": 2, "enforce_ports": False}),
+    ((16, 16, 16), None, {}),
+], ids=["6x9x5-chunk4", "5x11x6-unpartitioned-ii2", "16-cubed"])
+def test_ports_match_the_register_model(shape, chunk_width, kwargs):
+    """Booking each buffer's feed on the block path leaves the port
+    reports, the bytes and the cycles of the register model."""
+    grid = Grid(*shape)
+    fields = random_wind(grid, seed=2, magnitude=2.0)
+    partitioned = "enforce_ports" not in kwargs
+    config = KernelConfig(
+        grid=grid, partitioned=partitioned,
+        **({} if chunk_width is None else {"chunk_width": chunk_width}))
+
+    def observed(result):
+        return (result.port_tracker.reports(), result.port_tracker.conflicts,
+                [a.tobytes() for a in result.sources.as_tuple()],
+                result.total_cycles)
+
+    with register_model():
+        oracle = observed(simulate_kernel(config, fields, batched=False,
+                                          **kwargs))
+    for batched in (True, False):
+        assert observed(simulate_kernel(config, fields, batched=batched,
+                                        **kwargs)) == oracle
+
+
+def test_an_enforced_port_conflict_raises_like_the_register_model():
+    grid = Grid(nx=5, ny=11, nz=6)
+    fields = random_wind(grid, seed=2, magnitude=2.0)
+    config = KernelConfig(grid=grid, chunk_width=3, partitioned=False)
+    messages = []
+    for blockless, batched in ((True, False), (False, True), (False, False)):
+        with register_model() if blockless else mock.patch.object(
+                builder, "ShiftBufferStage", ShiftBufferStage):
+            with pytest.raises(PortConflictError) as info:
+                simulate_kernel(config, fields, batched=batched)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == messages[2]

@@ -12,6 +12,7 @@ from repro.shiftbuffer.buffer3d import (
     ShiftBuffer3D,
     emission_boxes,
     emission_center,
+    same_bits,
 )
 from repro.shiftbuffer.ports import MemoryPortTracker
 
@@ -278,6 +279,17 @@ def closed_form_pattern(name, partitioned):
     return pattern
 
 
+class TestSameBits:
+    def test_equal_doubles_match(self):
+        assert same_bits(1.5, 1.5) and same_bits(0.0, 0.0)
+        assert same_bits(-0.0, -0.0) and same_bits(np.float64(2.0), 2.0)
+
+    def test_signed_zeros_and_nans_do_not(self):
+        assert not same_bits(-0.0, 0.0) and not same_bits(0.0, -0.0)
+        assert not same_bits(float("nan"), float("nan"))
+        assert not same_bits(1.0, 1.0 + 2**-52)
+
+
 class TestPortLedger:
     """Scalar and batched feeds book one per-feed access pattern."""
 
@@ -333,6 +345,29 @@ class TestPortLedger:
             assert tracker.reports() == {}
 
 
+    def test_advance_books_what_feed_books(self):
+        """The scalar block path's ``advance`` books one per-feed pattern
+        per value, and an enforced conflict raises before the position
+        moves."""
+        block = labelled_block(4, 5, 3)
+        ledgers = []
+        for step in (lambda buf: stream(buf, block),
+                     lambda buf: [buf.advance(1, block)
+                                  for _ in range(block.size)]):
+            tracker = MemoryPortTracker(enforce=False)
+            step(ShiftBuffer3D(4, 5, 3, partitioned=False, tracker=tracker,
+                               name="f"))
+            ledgers.append((tracker.reports(), tracker.conflicts))
+        assert ledgers[0] == ledgers[1]
+        tracker = MemoryPortTracker(enforce=True)
+        buf = ShiftBuffer3D(4, 5, 3, partitioned=False, tracker=tracker,
+                            name="f")
+        with pytest.raises(PortConflictError, match=r"'f\.slab'"):
+            buf.advance(1, block)
+        assert buf.fed == 0 and buf.position == (0, 0, 0)
+        assert tracker.reports() == {}
+
+
 class TestBatchedFeed:
     def block(self, nx=5, ny=6, nz=4, seed=7):
         rng = np.random.default_rng(seed)
@@ -340,12 +375,17 @@ class TestBatchedFeed:
 
     @settings(max_examples=25, deadline=None)
     @given(nx=st.integers(3, 6), ny=st.integers(3, 6), nz=st.integers(3, 6),
-           seed=st.integers(0, 2**31 - 1), data=st.data())
+           seed=st.integers(0, 2**31 - 1), stepwise=st.booleans(),
+           data=st.data())
     def test_feed_bulk_windows_match_scalar_feeds(self, nx, ny, nz, seed,
-                                                 data):
-        """The engine's batched form: ``feed_bulk`` to a split point, cut
-        its emission range with ``window_at``, then resume scalar feeds.
-        Both halves must equal scalar ``feed``'s windows raw for raw."""
+                                                 stepwise, data):
+        """The engine's two block forms up to a split point: batched,
+        ``feed_bulk`` then ``window_at`` over its emission range, or
+        ``stepwise``, the scalar fire's ``advance`` one value at a time
+        with each value's ``next_emissions`` cut.  Scalar feeds then
+        resume, gathering the registers.  Both halves must equal scalar
+        ``feed``'s windows raw for raw, and every cut is a read-only
+        view of the block."""
         block = self.block(nx, ny, nz, seed)
         flat = block.reshape(-1)
         split = data.draw(st.integers(1, block.size), label="split")
@@ -353,12 +393,55 @@ class TestBatchedFeed:
         head = stream(scalar, flat[:split])
         tail = stream(scalar, flat[split:])
 
-        batched = ShiftBuffer3D(nx, ny, nz, name="b")
-        first, stop = batched.feed_bulk(split, block)
-        assert (first, stop) == (0, len(head))
-        assert_same_windows(
-            [batched.window_at(i, block) for i in range(first, stop)], head)
-        assert_same_windows(stream(batched, flat[split:]), tail)
+        cut = ShiftBuffer3D(nx, ny, nz, name="b")
+        if stepwise:
+            indices = []
+            for _ in range(split):
+                first, stop = cut.next_emissions()
+                indices.extend(range(first, stop))
+                cut.advance(1, block)
+            assert indices == list(range(len(head)))
+        else:
+            first, stop = cut.feed_bulk(split, block)
+            assert (first, stop) == (0, len(head))
+            indices = list(range(first, stop))
+        cuts = [cut.window_at(i, block) for i in indices]
+        assert_same_windows(cuts, head)
+        assert all(not w.raw.flags.writeable
+                   and np.shares_memory(w.raw, block) for w in cuts)
+        assert_same_windows(stream(cut, flat[split:]), tail)
+
+    def test_window_cuts_are_read_only_views(self):
+        block = self.block()
+        before = block.copy()
+        buf = ShiftBuffer3D(*block.shape, name="b")
+        first, stop = buf.feed_bulk(buf.expected_feeds, block)
+        for index in (first, stop - 1):  # a full window, a column top
+            window = buf.window_at(index, block)
+            with pytest.raises(ValueError, match="read-only"):
+                window.raw[1, 1, 1] = 1e9
+        assert block.tobytes() == before.tobytes()
+        assert block.flags.writeable  # the caller's array keeps its flag
+
+    def test_feed_bulk_leaves_the_registers_to_the_next_feed(self,
+                                                            monkeypatch):
+        """``feed_bulk`` and ``advance`` only move the position; the
+        registers are gathered once, by the next ``feed``."""
+        gathers = []
+        gather = ShiftBuffer3D._gather
+        monkeypatch.setattr(
+            ShiftBuffer3D, "_gather",
+            lambda buf, backing: gathers.append(buf.fed) or gather(buf,
+                                                                  backing))
+        block = self.block()
+        flat = block.reshape(-1)
+        buf = ShiftBuffer3D(*block.shape, name="b")
+        buf.feed_bulk(40, block)
+        buf.advance(3, block)
+        assert gathers == []
+        buf.feed(float(flat[43]))
+        buf.feed(float(flat[44]))
+        assert gathers == [43]
 
     def test_feed_bulk_matches_scalar_state(self):
         block = self.block()

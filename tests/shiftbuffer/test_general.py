@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dataflow.bulk import ListBulk
 from repro.errors import ShiftBufferError
 from repro.kernel.generic import GeneralShiftBufferStage
 from repro.shiftbuffer.buffer3d import ShiftBuffer3D
@@ -94,6 +95,53 @@ class TestCorrectness:
         stage = GeneralShiftBufferStage("s", 3, 3, 3)
         with pytest.raises(ShiftBufferError):
             stage.buffer.feed_bulk(1, np.zeros((3, 4, 3)))
+
+
+class TestBlockStore:
+    """With ``backing`` the stage cuts its windows from the block while
+    the stream matches it bit for bit, and runs the register model from
+    the first value that does not, for the rest of the block."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(nx=st.integers(3, 5), ny=st.integers(3, 5), nz=st.integers(3, 5),
+           seed=st.integers(0, 2**16), bulk=st.booleans(), data=st.data())
+    def test_a_diverging_value_switches_to_the_register_model(
+            self, nx, ny, nz, seed, bulk, data):
+        """The stream differs from the block at one value: ``-0.0``
+        where the block holds ``0.0`` (equal, but other bits), or another
+        number.  Every later value matches the block again, and the
+        windows must still equal the blockless stage's, byte for byte;
+        a stage that switched back to the block would forward ``+0.0``
+        where the registers hold ``-0.0``."""
+        rng = np.random.default_rng(seed)
+        block = np.where(rng.random((nx, ny, nz)) < 0.5, 0.0,
+                         rng.normal(size=(nx, ny, nz)))
+        values = block.reshape(-1).copy()
+        k = data.draw(st.integers(0, values.size - 1), label="k")
+        values[k] = -0.0 if values[k] == 0.0 else values[k] + 1.0
+
+        def windows(**kwargs):
+            stage = GeneralShiftBufferStage("s", nx, ny, nz, **kwargs)
+            if bulk:
+                result = stage.fire_bulk(len(values),
+                                         {"in": ListBulk(list(values))}, 0)
+                got = result.head_bulk(
+                    "out", result.producing_firings).materialize()
+            else:
+                got = [w for value in values
+                       for w in stage.fire(0, {"in": [value]}).get("out", [])]
+            return [(w.center, w.raw.tobytes()) for w in got]
+
+        assert windows(backing=block) == windows()
+
+    def test_matching_values_are_cut_from_the_block(self):
+        block = labelled(4, 5, 4)
+        _, windows = forwarded(block, backing=block)
+        assert windows and all(not w.raw.flags.writeable
+                               and np.shares_memory(w.raw, block)
+                               for w in windows)
+        _, copies = forwarded(block)
+        assert all(w.raw.flags.writeable for w in copies)
 
 
 class TestPortPressure:
