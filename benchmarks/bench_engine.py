@@ -39,13 +39,28 @@ must replay as one bulk step: the leg fails unless both report 0
 scalar cycles in 1 batched window.  That gate is a count, not a time,
 so it is deterministic.
 
+Count gates bound the batched kernel and stencil legs by the scalar
+cycles and windows the engine needed when they were set
+(``MAX_BATCHED_COUNTS``): kernel 212 scalar cycles in 6 windows and
+stencil 125 in 6 on the 32^3 smoke grid, 276 in 6 and 221 in 6 at 64^3.
+A control fingerprint that misses a recurrence ticks more scalar cycles
+and fails here; other grids (or a ``--chunk-width``) print the counts
+ungated.  Like the replay gate these are counts, so they are
+deterministic.
+
+A fingerprint leg runs the batched kernel once more with the engine's
+two signature methods (``DataflowEngine._ff_machine_signature`` and
+``_ff_inner_signature``) timed, and records ``fingerprint_us`` in the
+batched record: mean host microseconds per scalar-cycle machine
+fingerprint, both keys included.
+
 A memory leg runs the batched kernel once more, untimed, under
 ``tracemalloc`` and records its peak in the batched record.  It fails
 when the peak exceeds ``MAX_BATCHED_BYTES_PER_CELL`` (128) bytes per
 interior cell: batched windows read the stencil through strided box
 views of the block, so a run holds its outputs and a few box-sized
 temporaries, not per-window index and gather arrays.  A shared 2-vCPU
-x86-64 host measures about 84 B/cell at 64^3 and 103 at 32^3; index
+x86-64 host measures about 80 B/cell at 64^3 and 91 at 32^3; index
 gathers took 153 and 162.
 
 A resilient run arms the checkpoint/restart machinery with an empty
@@ -68,12 +83,13 @@ import platform
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
-from repro.dataflow.engine import ControlRecord
+from repro.dataflow.engine import ControlRecord, DataflowEngine
 from repro.faults import FaultPlan, RetryPolicy
 from repro.kernel.config import KernelConfig
 from repro.kernel.generic import run_stencil_kernel
@@ -92,6 +108,13 @@ MIN_STENCIL_SPEEDUP = 15.0
 #: Ceiling on the batched kernel run's tracemalloc peak, in bytes per
 #: interior cell.
 MAX_BATCHED_BYTES_PER_CELL = 128
+
+#: Ceilings on the batched legs' (scalar cycles, windows), per grid at
+#: the default chunk width.
+MAX_BATCHED_COUNTS = {
+    "32x32x32": {"kernel": (212, 6), "stencil": (125, 6)},
+    "64x64x64": {"kernel": (276, 6), "stencil": (221, 6)},
+}
 
 
 def us_per_cycle(seconds, cycles):
@@ -113,6 +136,32 @@ def traced_peak(config, fields):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def fingerprint_us(config, fields):
+    """Mean host microseconds per scalar-cycle machine fingerprint of
+    one batched kernel run: each scalar cycle's outer and inner keys,
+    timed around the engine's two signature methods."""
+    spent = [0.0, 0]
+
+    def timed(build, per_cycle):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return build(*args, **kwargs)
+            finally:
+                spent[0] += time.perf_counter() - start
+                spent[1] += per_cycle
+        return wrapper
+
+    with mock.patch.object(
+            DataflowEngine, "_ff_machine_signature",
+            timed(DataflowEngine._ff_machine_signature, 1)), \
+            mock.patch.object(
+                DataflowEngine, "_ff_inner_signature",
+                timed(DataflowEngine._ff_inner_signature, 0)):
+        simulate_kernel(config, fields)
+    return round(spent[0] / spent[1] * 1e6, 2)
 
 
 def run_stencil_once(grid, block, *, batched, record=None):
@@ -220,6 +269,7 @@ def main(argv=None) -> int:
             config, fields, fault_plan=FaultPlan([]), retry=RetryPolicy())[1])
         observed_times.append(run_once(config, fields, **observed_kwargs())[1])
     # Untimed, after every timed leg: tracing allocations slows a run.
+    fp_us = fingerprint_us(config, fields)
     peak_bytes = traced_peak(config, fields)
     peak_per_cell = peak_bytes / grid.num_cells
 
@@ -294,6 +344,7 @@ def main(argv=None) -> int:
         extra={"batched": True,
                "batched_windows": agg_batched.batched_windows,
                "batched_cycles": agg_batched.batched_cycles,
+               "fingerprint_us": fp_us,
                "tracemalloc_peak_bytes": peak_bytes,
                "peak_bytes_per_cell": round(peak_per_cell, 1)})
     best_batched = min(batched_times)
@@ -361,6 +412,21 @@ def main(argv=None) -> int:
     print(f"stencil batched speedup: {gain_stencil:.2f}x "
           f"({st_batched_stats.batched_cycles}/{st_batched_stats.cycles} "
           f"cycles batched in {st_batched_stats.batched_windows} windows)")
+    counts = {
+        "kernel": (batched.total_cycles - agg_batched.batched_cycles,
+                   agg_batched.batched_windows),
+        "stencil": (st_batched_stats.cycles
+                    - st_batched_stats.batched_cycles,
+                    st_batched_stats.batched_windows),
+    }
+    ceilings = (MAX_BATCHED_COUNTS.get(label, {})
+                if args.chunk_width is None else {})
+    for leg, (scalar_cycles, windows) in counts.items():
+        ceiling = ceilings.get(leg)
+        print(f"batched {leg}: {scalar_cycles} scalar cycles, {windows} "
+              f"windows" + (f" (ceiling {ceiling[0]}/{ceiling[1]})"
+                            if ceiling else " (ungated)"))
+    print(f"machine fingerprint: {fp_us:.1f} us per scalar cycle")
     for name, (_, stats, _, wall), _scalar in replays:
         print(f"replay leg, field {name}: {wall * 1e3:.1f} ms, "
               f"{stats.cycles - stats.batched_cycles} scalar cycles, "
@@ -381,6 +447,14 @@ def main(argv=None) -> int:
         print(f"FAIL: stencil batched speedup {gain_stencil:.2f}x below "
               f"the {MIN_STENCIL_SPEEDUP:.1f}x floor", file=sys.stderr)
         failed = True
+    for leg, (scalar_cycles, windows) in counts.items():
+        ceiling = ceilings.get(leg)
+        if ceiling and (scalar_cycles > ceiling[0] or windows > ceiling[1]):
+            print(f"FAIL: batched {leg} leg ticked {scalar_cycles} scalar "
+                  f"cycles in {windows} windows, above the "
+                  f"{ceiling[0]}/{ceiling[1]} ceiling at {label}",
+                  file=sys.stderr)
+            failed = True
     for name, (_, stats, _, _), _scalar in replays[1:]:
         if stats.batched_cycles != stats.cycles \
                 or stats.batched_windows != 1:

@@ -441,18 +441,6 @@ def _given_grid(args):
     return Grid(*dims)
 
 
-def _paper_grid(label: str):
-    """The paper grid a ``--cells`` label names."""
-    from repro.core.grid import Grid
-
-    cells = constants.PAPER_GRID_LABELS.get(label)
-    if cells is None:
-        raise ConfigurationError(
-            f"unknown size {label!r}; known: "
-            f"{', '.join(constants.PAPER_GRID_LABELS)}")
-    return Grid.from_cells(cells)
-
-
 def _kernel_config(grid, chunk_width: int | None):
     """Kernel config for ``grid``; ``None`` keeps the default chunk width."""
     from repro.kernel.config import KernelConfig
@@ -469,12 +457,13 @@ def _cmd_experiments(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.core.grid import Grid
     from repro.hardware import device_by_name
     from repro.kernel.config import KernelConfig
     from repro.runtime.gantt import render_gantt
     from repro.runtime.session import AdvectionSession
 
-    grid = _paper_grid(args.cells)
+    grid = Grid.from_label(args.cells)
     device = device_by_name(args.device)
     session = AdvectionSession(device, KernelConfig(grid=grid),
                                num_kernels=args.kernels, memory=args.memory)
@@ -830,6 +819,7 @@ def _cmd_scenarios(args) -> int:
 def _cmd_lint(args) -> int:
     import json as json_module
 
+    from repro.core.grid import Grid
     from repro.hardware import device_by_name
     from repro.lint import load_builtin_rules
     from repro.lint.runner import lint_kernel, run_lint
@@ -866,7 +856,7 @@ def _cmd_lint(args) -> int:
         reports = [run_lint(spec.context, select=select, ignore=ignore,
                             subject=spec.name) for spec in specs]
     else:
-        grid = _given_grid(args) or _paper_grid(args.cells)
+        grid = _given_grid(args) or Grid.from_label(args.cells)
         if args.backend:
             from repro.backend import DEFAULT_BACKEND, get_backend
 
@@ -913,6 +903,7 @@ def _cmd_analyze(args) -> int:
 
     from repro.analyze import analyze_graph, build_token_twin, \
         patch_spec_depths
+    from repro.core.grid import Grid
     from repro.dataflow.engine import DataflowEngine
     from repro.lint.builders import build_structural_graph
     from repro.lint.spec import load_spec
@@ -947,7 +938,7 @@ def _cmd_analyze(args) -> int:
             raw_spec = json_module.loads(
                 pathlib.Path(args.specs[0]).read_text())
     else:
-        grid = _given_grid(args) or _paper_grid(args.cells)
+        grid = _given_grid(args) or Grid.from_label(args.cells)
         if args.backend:
             from repro.backend import get_backend
 
@@ -1124,7 +1115,7 @@ def _cmd_tune(args) -> int:
         print(f"scenario {scenario.name}: grid {grid.interior_shape}, "
               f"flops scale {flops_scale:g}", file=sys.stderr)
     elif args.cells is not None:
-        grid = _paper_grid(args.cells)
+        grid = Grid.from_label(args.cells)
     else:
         grid = Grid(nx=args.nx, ny=args.ny, nz=args.nz)
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import constants
 from repro.errors import GridError
 
 #: Stencil radius of the PW scheme in every dimension.
@@ -158,6 +159,17 @@ class Grid:
             )
         horizontal = max(1, round((num_cells / nz) ** 0.5))
         return cls(nx=horizontal, ny=horizontal, nz=nz, **spacings)
+
+    @classmethod
+    def from_label(cls, label: str) -> "Grid":
+        """The grid behind one of the paper's size labels ('16M', ...),
+        from :data:`repro.constants.PAPER_GRID_LABELS`."""
+        cells = constants.PAPER_GRID_LABELS.get(label)
+        if cells is None:
+            raise GridError(
+                f"unknown size {label!r}; known: "
+                f"{', '.join(constants.PAPER_GRID_LABELS)}")
+        return cls.from_cells(cells)
 
 
 @dataclass(frozen=True)

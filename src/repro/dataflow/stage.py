@@ -25,16 +25,23 @@ engine's batched execution advance whole steady-state periods at once
 A stage fires from a plan fixed when its ports are bound: the bound
 input streams in port order, and the set of declared output ports a
 firing's products are checked against.  A firing builds no bookkeeping
-dict or set of its own.
+dict or set of its own.  Its results wait in a :class:`Pipeline`, which
+records the parts of the stage's control key for the results that fired
+since its last key, so a batched run's fingerprint costs two deque
+copies per stage, however deep the pipeline.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sized
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sized
+
+import numpy as np
 
 from repro.dataflow.bulk import (
+    ArrayBulk,
     Bulk,
     FireBulkResult,
     ListBulk,
@@ -45,6 +52,7 @@ from repro.dataflow.stream import Stream
 from repro.errors import DataflowError, GraphError
 
 __all__ = [
+    "Pipeline",
     "Stage",
     "StageStats",
     "SourceStage",
@@ -55,6 +63,121 @@ __all__ = [
 
 #: Cached entry shape for single-item "out"-port firings (sources).
 _ONE_OUT_SHAPE = (("out", 1),)
+
+#: What ``next`` returns from a drained source iterator.
+_END = object()
+
+#: Entry shape -> id, so that pipeline keys hash and compare small ints.
+#: Process-wide, so two stages (or two runs) give one shape one id.  Keys
+#: only compare ids for equality, so the order in which shapes are first
+#: seen, by this run or an earlier one, changes no key's meaning.  Ids
+#: start at 1, so ``_SHAPE_IDS.get(shape) or _shape_id(shape)`` may skip
+#: a call.
+_SHAPE_IDS: dict[tuple, int] = {}
+_NEW_SHAPE_IDS = itertools.count(1)
+
+
+def _shape_id(shape: tuple) -> int:
+    """The id of an entry shape, interned on first sight."""
+    sid = _SHAPE_IDS.get(shape)
+    if sid is None:
+        # Both calls are atomic: racing threads never share an id.
+        sid = _SHAPE_IDS.setdefault(shape, next(_NEW_SHAPE_IDS))
+    return sid
+
+
+class Pipeline(deque):
+    """A stage's in-flight results, oldest first, with their control key.
+
+    Entries are ``(ready_cycle, produced, shape)`` tuples: the cycle the
+    result may retire, the produced items per output port, and the
+    per-port item counts ``((port, count), ...)``, computed once at fire
+    time.  A firing appends a new entry and retirement pops the oldest,
+    both plain C-level deque operations, so forced-scalar ticking pays
+    nothing for the key.  Ready cycles never decrease: a stage's latency
+    is fixed, and :meth:`Stage.ff_commit` clamps overdue entries to one
+    cycle, which leaves gaps of 0.
+
+    Beside the entries the pipeline keeps, in two deques bounded by the
+    stage's latency, each entry's gap from the previous entry's ready
+    cycle and its interned shape id.  :meth:`key` brings them up to date
+    with the entries appended since the last key (one or two a cycle on
+    a scalar cycle of a batched run) and then copies them.  A pipeline
+    never holds more entries than its latency, and entries leave oldest
+    first, so the last ``n`` ids and the last ``n - 1`` gaps are always
+    those of the ``n`` entries in flight, whatever was popped or cleared.
+    """
+
+    __slots__ = ("gaps", "shapes", "_newest")
+
+    def __init__(self, latency: int) -> None:
+        super().__init__()
+        #: ``ready - previous ready`` per recorded entry, newest last
+        #: (``latency - 1`` of them: a full pipeline's gaps, uncut).
+        self.gaps: deque[int] = deque(maxlen=latency - 1)
+        #: The shape id per recorded entry, newest last.
+        self.shapes: deque[int] = deque(maxlen=latency)
+        # The newest entry the two deques record.  Holding it keeps its
+        # identity unique, so an ``is`` test finds where recording stopped.
+        self._newest: tuple | None = None
+
+    def _record(self) -> None:
+        """Record the gap and shape id of every entry appended since the
+        newest recorded one (all entries, after a clear)."""
+        newest = self._newest
+        start = len(self) - 1
+        while start >= 0 and self[start] is not newest:
+            start -= 1
+        # An entry whose predecessor left takes a stale gap: it is the
+        # head, whose gap no key reads.
+        ready = newest[0] if newest is not None else 0
+        gaps, shapes = self.gaps, self.shapes
+        for index in range(start + 1, len(self)):
+            entry = self[index]
+            gaps.append(entry[0] - ready)
+            ready = entry[0]
+            shapes.append(_SHAPE_IDS.get(entry[2]) or _shape_id(entry[2]))
+        self._newest = self[-1]
+
+    def key(self, cycle: int) -> tuple:
+        """The pipeline's control state at ``cycle``, hashable.
+
+        It is ``(head age, age steps, shape ids)``: the oldest entry's
+        age ``max(ready - cycle, 0)``, the difference between each later
+        entry's age and its predecessor's, and every entry's shape id.
+        That is a one-to-one recoding of the per-entry
+        ``((max(ready - cycle, 0), shape), ...)``, so two states share a
+        key exactly when their entries have equal clamped ages and equal
+        shapes.  Ages are clamped at zero because an overdue entry
+        behaves identically however long it has been due.  Unless the
+        head is overdue, the steps are the recorded gaps.  Besides
+        recording the entries appended since the last key, the only
+        Python loop over entries walks the overdue prefix
+        (``ready < cycle``), which is empty unless the output stream is
+        full.
+        """
+        n = len(self)
+        if not n:
+            return (0, (), ())
+        if self[-1] is not self._newest:
+            self._record()
+        gaps = tuple(self.gaps)[len(self.gaps) - n + 1:]
+        shapes = tuple(self.shapes)[-n:]
+        head = self[0][0]
+        if head >= cycle:
+            return (head - cycle, gaps, shapes)
+        overdue = 1
+        ready = head
+        for gap in gaps:
+            ready += gap
+            if ready >= cycle:
+                break
+            overdue += 1
+        steps = (0,) * (overdue - 1)
+        if overdue < n:
+            # The first entry not yet due steps up from age 0 to its own.
+            steps += (ready - cycle,) + gaps[overdue:]
+        return (0, steps, shapes)
 
 
 @dataclass
@@ -109,12 +232,7 @@ class Stage:
         self.inputs: dict[str, Stream] = {}
         self.outputs: dict[str, Stream] = {}
         self.stats = StageStats()
-        # Entries are (ready_cycle, produced, shape) where shape is the
-        # per-port item-count tuple, computed once at fire time so the
-        # batched-window signature never re-derives it per cycle.
-        self._pipeline: deque[
-            tuple[int, dict[str, list[Any]], tuple]
-        ] = deque()
+        self._pipeline = Pipeline(latency)
         self._next_fire_cycle = 0
         # The firing plan, fixed by _plan() whenever a port is bound:
         # ``(port, stream)`` per bound input in declared order, and the
@@ -293,17 +411,16 @@ class Stage:
         must override this to return ``None`` (vetoing batched windows
         for the rest of the run).
 
-        Ready ages are clamped at zero: an overdue pipeline entry behaves
-        identically however long it has been due.  This runs once per
-        scalar cycle of a batched run, so it leans on the shape tuples
-        cached at fire time instead of re-deriving them.
+        The base signature is ``(II wait, pipeline key)``.  The II wait
+        is clamped at zero, and so are ready ages: an overdue pipeline
+        entry behaves identically however long it has been due.  The
+        pipeline records its key's parts for each entry once
+        (:meth:`Pipeline.key`: the head's age, the age steps and the
+        entry shape ids), so this builds no tuple per entry, although it
+        runs once per scalar cycle of a batched run.
         """
-        pipe = tuple([
-            (ready - cycle if ready > cycle else 0, shape)
-            for ready, _produced, shape in self._pipeline
-        ])
         wait = self._next_fire_cycle - cycle
-        return (wait if wait > 0 else 0, pipe)
+        return (wait if wait > 0 else 0, self._pipeline.key(cycle))
 
     def ff_fire_capacity(self, want: int) -> int:
         """How many of ``want`` firings may run before a regime change.
@@ -400,23 +517,25 @@ class Stage:
         slot into the pipeline with the same ready ages, in order, that
         the pre-advance entries had.
         """
-        if len(tail_outputs) != len(self._pipeline):
+        pipeline = self._pipeline
+        if len(tail_outputs) != len(pipeline):
             raise DataflowError(
                 f"stage {self.name!r}: batched window pipeline mismatch "
                 f"({len(tail_outputs)} tail firings vs "
-                f"{len(self._pipeline)} entries)"
+                f"{len(pipeline)} entries)"
             )
-        new_pipe: deque[tuple[int, dict[str, list[Any]], tuple]] = deque()
-        for (ready, _old_prod, shape), produced in zip(self._pipeline,
+        shifted = []
+        for (ready, _old_prod, shape), produced in zip(pipeline,
                                                        tail_outputs):
             if tuple((p, len(v)) for p, v in produced.items()) != shape:
                 raise DataflowError(
                     f"stage {self.name!r}: batched window entry shape changed "
                     f"(not a true steady state)"
                 )
-            new_pipe.append(
-                (new_cycle + max(ready - old_cycle, 0), produced, shape))
-        self._pipeline = new_pipe
+            shifted.append((new_cycle + max(ready - old_cycle, 0), produced,
+                            shape))
+        pipeline.clear()
+        pipeline.extend(shifted)
         self._next_fire_cycle = new_cycle + max(
             self._next_fire_cycle - old_cycle, 0)
         self.stats.fires += fires
@@ -437,6 +556,11 @@ class SourceStage(Stage):
 
     Models the *read data* stage reading from external memory; the memory
     model can impose a larger II via ``ii`` to represent bandwidth limits.
+
+    A NumPy array is read in place: a firing takes the item iteration
+    would yield, and a batched window hands on an :class:`ArrayBulk` of
+    its slice.  Any other iterable is pulled through its iterator in
+    runs (``itertools.islice``), as firings and windows need items.
     """
 
     input_ports: tuple[str, ...] = ()
@@ -447,21 +571,39 @@ class SourceStage(Stage):
         super().__init__(name, ii=ii, latency=latency)
         #: The item count when ``items`` is sized, for :meth:`ff_structure`.
         self._count = len(items) if isinstance(items, Sized) else None
-        self._iter = iter(items)
-        self._exhausted = False
-        self._buffer: deque[Any] = deque()
+        # The items not yet fired are ``_pending[_head:]``.
+        self._pending: Any
+        self._iter: Iterator[Any] | None
+        if isinstance(items, np.ndarray):
+            self._pending, self._iter = items, None
+        else:
+            self._pending, self._iter = [], iter(items)
+        self._head = 0
 
     def _prefetch(self, count: int) -> None:
-        """Pull up to ``count`` items from the iterable into the buffer."""
-        while len(self._buffer) < count and not self._exhausted:
-            try:
-                self._buffer.append(next(self._iter))
-            except StopIteration:
-                self._exhausted = True
+        """Pull items from the iterable until ``count`` are pending, or
+        it runs dry."""
+        pending = len(self._pending) - self._head
+        if pending >= count or self._iter is None:
+            return
+        short = count - pending
+        if short == 1:
+            # A scalar firing's one item: next() costs less than islice.
+            item = next(self._iter, _END)
+            pulled = [] if item is _END else [item]
+        else:
+            pulled = list(itertools.islice(self._iter, short))
+        if len(pulled) < short:
+            self._iter = None
+        self._pending = (self._pending[self._head:] + pulled if pending
+                         else pulled)
+        self._head = 0
 
     def exhausted(self) -> bool:
+        if self._head < len(self._pending):
+            return False
         self._prefetch(1)
-        return not self._buffer
+        return self._head >= len(self._pending)
 
     def _try_fire(self, cycle: int) -> bool:
         if cycle < self._next_fire_cycle:
@@ -472,7 +614,8 @@ class SourceStage(Stage):
             return False
         if self.exhausted():
             return False
-        item = self._buffer.popleft()
+        item = self._pending[self._head]
+        self._head += 1
         self.stats.fires += 1
         self._next_fire_cycle = cycle + self.ii
         self._pipeline.append(
@@ -485,7 +628,7 @@ class SourceStage(Stage):
 
     def ff_fire_capacity(self, want: int) -> int:
         self._prefetch(want)
-        return min(want, len(self._buffer))
+        return min(want, len(self._pending) - self._head)
 
     def ff_structure(self) -> tuple | None:
         # An unsized iterable hides how many firings the run makes.
@@ -494,13 +637,18 @@ class SourceStage(Stage):
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
         self._prefetch(count)
-        if len(self._buffer) < count:
+        start = self._head
+        remaining = len(self._pending) - start
+        if remaining < count:
             raise DataflowError(
                 f"source {self.name!r}: batched window wants {count} items, "
-                f"only {len(self._buffer)} remain"
+                f"only {remaining} remain"
             )
-        items = [self._buffer.popleft() for _ in range(count)]
-        return UniformFireResult({"out": ListBulk(items)})
+        self._head += count
+        run = self._pending[start:self._head]
+        return UniformFireResult({"out": ArrayBulk(run)
+                                  if isinstance(run, np.ndarray)
+                                  else ListBulk(run)})
 
     def fire(self, cycle: int, inputs: Mapping[str, list[Any]]):  # pragma: no cover
         raise DataflowError("SourceStage.fire should never be called")

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from repro import constants
 from repro.core.grid import Grid
-from repro.errors import ExperimentError
 from repro.hardware import (
     ALVEO_U280,
     STRATIX10_GX2800,
@@ -36,16 +34,8 @@ SWEEP_DEVICES = (
 )
 
 
-def paper_grid(label: str) -> Grid:
-    """The grid behind one of the paper's size labels ('16M', ...)."""
-    try:
-        cells = constants.PAPER_GRID_LABELS[label]
-    except KeyError:
-        raise ExperimentError(
-            f"unknown grid label {label!r}; known: "
-            f"{sorted(constants.PAPER_GRID_LABELS)}"
-        ) from None
-    return Grid.from_cells(cells)
+#: The grid behind one of the paper's size labels ('16M', ...).
+paper_grid = Grid.from_label
 
 
 def standard_config(label: str = "16M") -> KernelConfig:

@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 import numpy as np
 
 from repro.dataflow.bulk import (
+    ArrayBulk,
     Bulk,
     ChainBulk,
     FireBulkResult,
@@ -177,6 +178,15 @@ class CellResultBulk(Bulk):
              float(self.values[i]))
             for i in range(len(self.values))
         ]
+
+
+def _run_bytes(run: Bulk) -> bytes:
+    """The float64 bytes of a run of streamed values; array-backed parts
+    (a source reading an array) are read in place, not materialised."""
+    return b"".join(
+        np.asarray(part.values if isinstance(part, ArrayBulk)
+                   else part.materialize(), dtype=float).tobytes()
+        for part in run.parts())
 
 
 def _call_name(fn: Callable, kwargs: Mapping[str, Any]) -> str:
@@ -309,8 +319,7 @@ class GeneralShiftBufferStage(Stage):
         # stream that lost a word to a fault diverges, and the register
         # model takes the whole run.
         fed = self.buffer.fed
-        consumed = np.asarray(stream.materialize(), dtype=float)
-        if consumed.tobytes() != self._flat[fed:fed + count].tobytes():
+        if _run_bytes(stream) != self._flat[fed:fed + count].tobytes():
             self._diverged = True
             return super().fire_bulk(count, inputs, cycle)
         first, stop = self.buffer.feed_bulk(count, self._backing)

@@ -34,11 +34,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro import constants
 from repro.core.grid import Grid
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import Stage
-from repro.errors import ConfigurationError, DataflowError, LintError
+from repro.errors import (ConfigurationError, DataflowError, GridError,
+                          LintError)
 from repro.kernel.config import KernelConfig
 from repro.lint.registry import LintContext
 
@@ -138,14 +138,10 @@ def _build_grid(kernel_spec: Mapping[str, Any]) -> Grid:
         except ConfigurationError as error:
             raise LintError(f"invalid grid: {error}") from error
     if "cells" in kernel_spec:
-        label = str(kernel_spec["cells"])
         try:
-            return Grid.from_cells(constants.PAPER_GRID_LABELS[label])
-        except KeyError:
-            raise LintError(
-                f"unknown problem size {label!r}; known: "
-                f"{', '.join(constants.PAPER_GRID_LABELS)}"
-            ) from None
+            return Grid.from_label(str(kernel_spec["cells"]))
+        except GridError as error:
+            raise LintError(f'"cells": {error}') from error
     raise LintError('"kernel" spec needs either "cells" or "grid"')
 
 

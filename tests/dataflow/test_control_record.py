@@ -253,14 +253,27 @@ def stencil_pass(block, depth, **options):
     return stats, out, tracker.reports()
 
 
+def stencil_block(seed, shape, kind):
+    """A block of normal floats, of floats half of them ``-0.0``, or of
+    small ints (the read stage then streams ``numpy.int64`` items)."""
+    rng = np.random.default_rng(seed)
+    if kind == "int":
+        return rng.integers(-9, 9, size=shape)
+    block = rng.normal(size=shape)
+    if kind == "signed zeros":
+        block[rng.random(shape) < 0.5] = -0.0
+    return block
+
+
 @settings(max_examples=25, deadline=None)
-@given(stencil_runs(), st.integers(0, 2**16), st.integers(0, 2**16))
-def test_replayed_stencil_passes_match_scalar_on_other_data(run, seed, other):
+@given(stencil_runs(), st.integers(0, 2**16), st.integers(0, 2**16),
+       st.sampled_from(["normal", "signed zeros", "int"]))
+def test_replayed_stencil_passes_match_scalar_on_other_data(run, seed, other,
+                                                            kind):
     shape, depth = run
     record = ControlRecord()
-    stencil_pass(np.random.default_rng(seed).normal(size=shape), depth,
-                 record=record)
-    block = np.random.default_rng(other).normal(size=shape)
+    stencil_pass(stencil_block(seed, shape, kind), depth, record=record)
+    block = stencil_block(other, shape, kind)
     stats, out, ports = stencil_pass(block, depth, record=record)
     scalar, scalar_out, scalar_ports = stencil_pass(block, depth,
                                                     batched=False)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import constants
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ConfigurationError, GridError
 from repro.experiments.common import (
     MULTI_KERNEL_SIZES,
     TABLE2_SIZES,
@@ -20,7 +20,7 @@ class TestWorkloads:
             assert abs(grid.num_cells - cells) / cells < 0.01
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ExperimentError):
+        with pytest.raises(GridError):
             paper_grid("3M")
 
     def test_standard_config_defaults(self):

@@ -172,7 +172,7 @@ class TestSpecLoading:
     def test_unknown_size_label_rejected(self, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"kernel": {"cells": "12M"}}))
-        with pytest.raises(LintError, match="unknown problem size"):
+        with pytest.raises(LintError, match="unknown size"):
             load_spec(path)
 
     def test_bad_stream_endpoint_rejected(self, tmp_path):
