@@ -74,12 +74,19 @@ the whole stack and gates their compiled-in-but-off cost the same way
 when nobody is watching.  Both overhead gates run in batched mode — the
 production configuration — so the budget covers the calendar and
 preview bookkeeping too.
+
+Each overhead is the median, over ``--overhead-repeats`` (default 9)
+interleaved tuples of the plain, resilient and observed runs, of the
+leg's wall time divided by the plain run's in the same tuple.  Tuple
+``i`` starts at leg ``i mod 3``, so no leg always runs first, and a
+slow stretch of the host shifts one tuple's three timings together.
 """
 
 from __future__ import annotations
 
 import argparse
 import platform
+import statistics
 import sys
 import time
 import tracemalloc
@@ -126,6 +133,26 @@ def run_once(config, fields, **kwargs):
     start = time.perf_counter()
     result = simulate_kernel(config, fields, **kwargs)
     return result, time.perf_counter() - start
+
+
+def overhead_ratios(config, fields, legs, tuples):
+    """Per-tuple wall-time ratios of each leg to the first one.
+
+    ``legs`` maps a name to a function returning its ``simulate_kernel``
+    keyword arguments; the first leg is the baseline.  Runs ``tuples``
+    tuples of every leg, tuple ``i`` starting at leg ``i mod len(legs)``.
+    Returns the ratios and the raw wall times, per leg name.
+    """
+    names = list(legs)
+    times = {name: [] for name in names}
+    for index in range(tuples):
+        shift = index % len(names)
+        for name in names[shift:] + names[:shift]:
+            times[name].append(run_once(config, fields, **legs[name]())[1])
+    ratios = {name: [t / base for t, base in zip(times[name],
+                                                 times[names[0]])]
+              for name in names[1:]}
+    return ratios, times
 
 
 def traced_peak(config, fields):
@@ -212,9 +239,10 @@ def main(argv=None) -> int:
                              "metric registry attached is more than this "
                              "fraction slower than the batched run "
                              "(default: %(default)s)")
-    parser.add_argument("--overhead-repeats", type=int, default=3,
+    parser.add_argument("--overhead-repeats", type=int, default=9,
                         help="interleaved batched/resilient/observed "
-                             "timing tuples for the overhead gates "
+                             "timing tuples for the overhead gates, "
+                             "which gate on the median per-tuple ratio "
                              "(default: %(default)s)")
     parser.add_argument("--smoke", action="store_true",
                         help="32^3 grid + relaxed overhead gates (CI "
@@ -241,12 +269,9 @@ def main(argv=None) -> int:
 
     scalar, t_scalar = run_once(config, fields, batched=False)
     batched, t_batched = run_once(config, fields)
-    # The overhead gates chase few-percent effects buried under
-    # comparable wall-time noise, so measure them from interleaved
-    # tuples and compare the minimums (systematic machine drift then
-    # cancels).  All three legs run batched — the production config.
-    resilient, t_resilient = run_once(
-        config, fields, fault_plan=FaultPlan([]), retry=RetryPolicy())
+
+    def resilient_kwargs():
+        return {"fault_plan": FaultPlan([]), "retry": RetryPolicy()}
 
     def observed_kwargs():
         # Compiled in, switched off: the gate measures exactly the cost a
@@ -254,20 +279,24 @@ def main(argv=None) -> int:
         return {"tracer": Tracer(enabled=False),
                 "metrics": MetricRegistry(enabled=False)}
 
-    observed, t_observed = run_once(config, fields, **observed_kwargs())
+    resilient, _ = run_once(config, fields, **resilient_kwargs())
+    observed, _ = run_once(config, fields, **observed_kwargs())
     st_scalar, st_scalar_stats, st_scalar_ports, t_st_scalar = \
         run_stencil_once(grid, fields.u, batched=False)
     st_batched, st_batched_stats, st_batched_ports, t_st_batched = \
         run_stencil_once(grid, fields.u, batched=True)
     replays = replay_leg(grid, fields, (st_scalar, st_scalar_stats,
                                         st_scalar_ports, t_st_scalar))
-    batched_times, resilient_times = [t_batched], [t_resilient]
-    observed_times = [t_observed]
-    for _ in range(args.overhead_repeats - 1):
-        batched_times.append(run_once(config, fields)[1])
-        resilient_times.append(run_once(
-            config, fields, fault_plan=FaultPlan([]), retry=RetryPolicy())[1])
-        observed_times.append(run_once(config, fields, **observed_kwargs())[1])
+    # The overhead gates chase few-percent effects buried under
+    # comparable wall-time noise: each tuple's ratios cancel the host's
+    # drift between tuples, and the median drops the tuples a burst of
+    # noise hit.  All three legs run batched — the production config.
+    ratios, leg_times = overhead_ratios(
+        config, fields, {"batched": dict, "resilient": resilient_kwargs,
+                         "observed": observed_kwargs},
+        args.overhead_repeats)
+    overhead = statistics.median(ratios["resilient"]) - 1.0
+    observe_overhead = statistics.median(ratios["observed"]) - 1.0
     # Untimed, after every timed leg: tracing allocations slows a run.
     fp_us = fingerprint_us(config, fields)
     peak_bytes = traced_peak(config, fields)
@@ -347,21 +376,16 @@ def main(argv=None) -> int:
                "fingerprint_us": fp_us,
                "tracemalloc_peak_bytes": peak_bytes,
                "peak_bytes_per_cell": round(peak_per_cell, 1)})
-    best_batched = min(batched_times)
-    best_resilient = min(resilient_times)
-    overhead = (best_resilient / best_batched - 1.0 if best_batched > 0
-                else 0.0)
     rec_resilient = BenchRecord(
-        name=f"kernel-{label}-resilient", wall_seconds=best_resilient,
+        name=f"kernel-{label}-resilient",
+        wall_seconds=statistics.median(leg_times["resilient"]),
         cycles=resilient.total_cycles, cells=grid.num_cells, mode="exact",
         extra={"chunk_retries": resilient.chunk_retries,
                "overhead_vs_batched": round(overhead, 4),
                "timing_pairs": args.overhead_repeats})
-    best_observed = min(observed_times)
-    observe_overhead = (best_observed / best_batched - 1.0
-                        if best_batched > 0 else 0.0)
     rec_observed = BenchRecord(
-        name=f"kernel-{label}-observed", wall_seconds=best_observed,
+        name=f"kernel-{label}-observed",
+        wall_seconds=statistics.median(leg_times["observed"]),
         cycles=observed.total_cycles, cells=grid.num_cells, mode="exact",
         extra={"overhead_vs_batched": round(observe_overhead, 4),
                "timing_pairs": args.overhead_repeats,
@@ -433,9 +457,11 @@ def main(argv=None) -> int:
               f"{stats.batched_windows} batched windows")
     print(f"batched tracemalloc peak: {peak_bytes / 2**20:.2f} MiB "
           f"({peak_per_cell:.0f} B per interior cell)")
-    print(f"fault-free resilience overhead: {overhead * 100:+.2f}%")
+    print(f"fault-free resilience overhead: {overhead * 100:+.2f}% "
+          f"(median of {args.overhead_repeats} tuples)")
     print(f"disabled observability overhead: "
-          f"{observe_overhead * 100:+.2f}%")
+          f"{observe_overhead * 100:+.2f}% "
+          f"(median of {args.overhead_repeats} tuples)")
     print(f"records written to {path}")
     failed = False
     if gain_batched < args.min_batched_speedup:

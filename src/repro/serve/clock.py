@@ -6,35 +6,28 @@ gate replays a faulted run twice and demands identical traces, and the
 bench records p99 latencies that cannot wobble with host load.  So the
 scheduler never sleeps on the wall clock.  :class:`VirtualClock` owns
 modelled time: ``await clock.sleep(dt)`` parks the coroutine on a heap
-of timers, and :func:`run_virtual` drives the loop — settle every
-runnable task, then pop the earliest timer and jump ``now`` straight to
-it.  A million modelled seconds costs the same wall time as one.
-
-The executor also closes the "never a hang" loophole: if no task is
-runnable and no timer is pending while the root coroutine is
-unfinished, real asyncio would block forever.  Here that state raises a
-typed :class:`~repro.serve.errors.SchedulerStallError` instead.
+of timers, and :func:`run_virtual` runs the root coroutine on an event
+loop whose selector is the clock's idle point.  asyncio blocks in
+``select(None)`` exactly when no callback is ready and no loop timer is
+pending; there the selector pops the earliest timer and jumps ``now``
+straight to it instead of blocking.  Nothing polls, and a million
+modelled seconds costs the same wall time as one.  Where plain asyncio
+would block forever (idle, no timer, root unfinished), a typed
+:class:`~repro.serve.errors.SchedulerStallError` is raised instead.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import heapq
-from typing import Any, Coroutine, TypeVar
+import selectors
+from typing import Any, Coroutine, Iterable, TypeVar
 
 from repro.serve.errors import SchedulerStallError
 
-__all__ = ["VirtualClock", "run_virtual", "DRAIN_ROUNDS"]
+__all__ = ["VirtualClock", "run_virtual"]
 
 T = TypeVar("T")
-
-#: Rounds of ``asyncio.sleep(0)`` used to settle ready tasks between
-#: timer pops.  Each round lets every runnable task advance one step;
-#: the drain stops early once the loop reaches a fixpoint (no sleeper
-#: added, root not finished), so the constant is a safety bound on
-#: pathological wake chains, not a hot loop.
-DRAIN_ROUNDS: int = 64
 
 
 class VirtualClock:
@@ -75,50 +68,57 @@ class VirtualClock:
         return False
 
 
-async def _settle(root: "asyncio.Task[Any]") -> None:
-    """Run ready callbacks until the loop quiesces (bounded rounds)."""
-    for _ in range(DRAIN_ROUNDS):
-        if root.done():
-            return
-        await asyncio.sleep(0)
+class _IdleSelector(selectors.DefaultSelector):
+    """A selector that advances ``clock`` where the loop would block."""
+
+    def __init__(self, clock: VirtualClock) -> None:
+        super().__init__()
+        self._clock = clock
+
+    def select(self, timeout: float | None = None,
+               ) -> list[tuple[selectors.SelectorKey, int]]:
+        if timeout is None:
+            if not self._clock._advance():
+                raise SchedulerStallError(
+                    "virtual-time executor stalled: no runnable task and "
+                    "no pending timer while the serve run is unfinished "
+                    "(scheduler defect)")
+            timeout = 0
+        elif timeout > 0:
+            raise SchedulerStallError(
+                f"a wall-clock loop timer is pending ({timeout:.3g} s); "
+                "serve tasks sleep on the virtual clock only (scheduler "
+                "defect)")
+        return super().select(timeout)
+
+
+def _cancel(loop: asyncio.AbstractEventLoop,
+            tasks: Iterable[asyncio.Task[Any]]) -> None:
+    """Cancel the unfinished ``tasks`` and run their cleanup to the end."""
+    pending = [task for task in tasks if not task.done()]
+    for task in pending:
+        task.cancel()
+    if pending:
+        loop.run_until_complete(
+            asyncio.gather(*pending, return_exceptions=True))
 
 
 def run_virtual(clock: VirtualClock, coro: Coroutine[Any, Any, T]) -> T:
     """Execute ``coro`` to completion under ``clock``'s virtual time.
 
-    Alternates settling runnable tasks with advancing the clock to the
-    next timer.  If the root coroutine is unfinished with nothing
-    runnable and no timer pending, raises
-    :class:`~repro.serve.errors.SchedulerStallError` (after cancelling
-    the root) — a typed error where plain asyncio would hang.
+    If the loop goes idle with no timer pending while the root is
+    unfinished, the root is cancelled, its cleanup runs, and
+    :class:`~repro.serve.errors.SchedulerStallError` is raised.  Tasks
+    left pending are then cancelled as :func:`asyncio.run` does; a
+    cleanup that stalls again raises the same error.
     """
-
-    async def _drive() -> T:
-        root = asyncio.ensure_future(coro)
+    loop = asyncio.SelectorEventLoop(_IdleSelector(clock))
+    root = loop.create_task(coro)
+    try:
+        return loop.run_until_complete(root)
+    finally:
         try:
-            while True:
-                await _settle(root)
-                if root.done():
-                    return root.result()
-                if not clock._advance():
-                    # One more settle pass: a task woken in the final
-                    # drain round may still finish the root.
-                    await _settle(root)
-                    if root.done():
-                        return root.result()
-                    if not clock._advance():
-                        root.cancel()
-                        with contextlib.suppress(asyncio.CancelledError):
-                            await root
-                        raise SchedulerStallError(
-                            "virtual-time executor stalled: no runnable "
-                            "task and no pending timer while the serve "
-                            "run is unfinished (scheduler defect)"
-                        )
+            _cancel(loop, [root])
+            _cancel(loop, asyncio.all_tasks(loop))
         finally:
-            if not root.done():
-                root.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await root
-
-    return asyncio.run(_drive())
+            loop.close()

@@ -117,6 +117,18 @@ class JobSpec:
         return random_wind(self.grid(), seed=self.seed,
                            magnitude=self.magnitude)
 
+    def input_key(self) -> tuple[Any, ...]:
+        """Exactly the attributes :meth:`fields` reads.
+
+        Specs with equal keys regenerate bit-identical fields, so a
+        scheduler builds and hashes each key's input once.  Scenario
+        jobs ignore ``magnitude``; their key leads with the scenario
+        name, so it never equals a plain job's (which leads with None).
+        """
+        if self.scenario is not None:
+            return (self.scenario, self.nx, self.ny, self.nz, self.seed)
+        return (None, self.nx, self.ny, self.nz, self.seed, self.magnitude)
+
     def flops_scale(self) -> float:
         """Operation intensity relative to the advection kernel (1.0
         for plain jobs) — the admission controller and the device lanes

@@ -5,7 +5,11 @@ them across the simulated device fleet under deterministic virtual time
 (:mod:`repro.serve.clock`).  The life of a job:
 
 1. **Cache** — the input fingerprint x mode is looked up; a hit answers
-   instantly from the host, no device time billed.
+   instantly from the host, no device time billed.  Each distinct input
+   (:meth:`~repro.serve.job.JobSpec.input_key`) is built and hashed
+   once per scheduler, and its sources are computed once for both
+   tiers; that table is host bookkeeping, invisible to the modelled
+   cache's hit, miss and eviction accounting.
 2. **Admission** — the :class:`~repro.serve.admission.AdmissionController`
    prices the job with the :mod:`repro.tune` cost model and either
    admits (possibly degrading exact->functional), or raises a typed
@@ -55,7 +59,7 @@ from repro.serve.job import (JobResult, JobSpec, checksum_sources,
 from repro.tune.admission import serve_config
 
 if TYPE_CHECKING:
-    from repro.core.fields import FieldSet
+    from repro.core.fields import FieldSet, SourceSet
     from repro.faults.plan import FaultPlan
     from repro.observe.metrics import MetricRegistry
     from repro.observe.trace import Tracer
@@ -75,13 +79,25 @@ PROBE_SECONDS: float = 1e-4
 
 
 @dataclass
+class _Input:
+    """One distinct input of a scheduler, built, hashed and computed once."""
+
+    #: read-only: every job with this input shares the arrays.
+    fields: "FieldSet"
+    #: the cache key's input half (scenario jobs carry a name prefix).
+    fingerprint: str
+    #: the sources and their checksum, set by the first computation.
+    sources: "SourceSet | None" = None
+    checksum: str = ""
+
+
+@dataclass
 class _JobRecord:
     """Scheduler-internal state of one admitted job."""
 
     spec: JobSpec
     decision: AdmissionDecision
-    fields: "FieldSet"
-    fingerprint: str
+    job_input: _Input
     submitted_at: float
     seq: int
     future: "asyncio.Future[JobResult]"
@@ -156,6 +172,8 @@ class FleetScheduler:
         self._started = False
         #: exact-tier cycle count per configuration (see _exact_cycles).
         self._cycles_by_config: dict[Any, int] = {}
+        #: distinct inputs by JobSpec.input_key (see _input).
+        self._inputs: dict[tuple[Any, ...], _Input] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -188,15 +206,8 @@ class FleetScheduler:
         self._start()
         assert self._queue is not None
         now = self.clock.now
-        fields = spec.fields()
-        fingerprint = fingerprint_fields(fields)
-        if spec.scenario is not None:
-            # A scenario job's numbers come from a different kernel, so
-            # its results must never collide with an advection job that
-            # happens to carry identical input bytes.
-            fingerprint = f"{spec.scenario}:{fingerprint}"
-
-        entry = self.cache.get(fingerprint, spec.mode)
+        job_input = self._input(spec)
+        entry = self.cache.get(job_input.fingerprint, spec.mode)
         if entry is not None:
             result = JobResult(
                 job_id=spec.job_id, tenant=spec.tenant, device="cache",
@@ -215,9 +226,8 @@ class FleetScheduler:
         loop = asyncio.get_running_loop()
         self._seq += 1
         record = _JobRecord(
-            spec=spec, decision=decision, fields=fields,
-            fingerprint=fingerprint, submitted_at=now, seq=self._seq,
-            future=loop.create_future(),
+            spec=spec, decision=decision, job_input=job_input,
+            submitted_at=now, seq=self._seq, future=loop.create_future(),
         )
         self._records[spec.job_id] = record
         self._enqueue(record)
@@ -225,6 +235,23 @@ class FleetScheduler:
             self.tracer.instant("admit", "queue", ts=now,
                                 job=spec.job_id, mode=decision.mode_served)
         return await record.future
+
+    def _input(self, spec: JobSpec) -> _Input:
+        """``spec``'s entry in the input table, built on first use."""
+        key = spec.input_key()
+        job_input = self._inputs.get(key)
+        if job_input is None:
+            fields = spec.fields()
+            for array in (fields.u, fields.v, fields.w):
+                array.flags.writeable = False
+            fingerprint = fingerprint_fields(fields)
+            if spec.scenario is not None:
+                # A scenario job's numbers come from a different kernel,
+                # so its results must never collide with an advection
+                # job that happens to carry identical input bytes.
+                fingerprint = f"{spec.scenario}:{fingerprint}"
+            job_input = self._inputs[key] = _Input(fields, fingerprint)
+        return job_input
 
     def _enqueue(self, record: _JobRecord) -> None:
         assert self._queue is not None
@@ -476,27 +503,33 @@ class FleetScheduler:
         Sources always come from the device-independent functional
         path, so the checksum is a pure function of the input — the
         invariant that makes resharding and degradation bit-identical
-        by construction.  Scenario jobs take the scenario kernel's
-        reference numerics.  Exact-tier cycles come from
-        :meth:`_exact_cycles`: one engine run per configuration per
-        scheduler (``tests/serve/test_exact_cycles.py`` pins the
-        premise).
+        by construction.  They are computed once per distinct input and
+        reused for the other tier and after a cache eviction.  Scenario
+        jobs take the scenario kernel's reference numerics.  Exact-tier
+        cycles come from :meth:`_exact_cycles`: one engine run per
+        configuration per scheduler (``tests/serve/test_exact_cycles.py``
+        pins the premise).
         """
-        if record.spec.scenario is not None:
-            from repro.scenarios import get as get_scenario
+        job_input = record.job_input
+        sources = job_input.sources
+        if sources is None:
+            if record.spec.scenario is not None:
+                from repro.scenarios import get as get_scenario
 
-            sources = get_scenario(record.spec.scenario).kernel.reference(
-                record.fields)
-        else:
-            sources = execute_chunked(serve_config(record.spec.grid()),
-                                      record.fields)
+                sources = get_scenario(
+                    record.spec.scenario).kernel.reference(job_input.fields)
+            else:
+                sources = execute_chunked(
+                    serve_config(record.spec.grid()), job_input.fields)
+            job_input.sources = sources
+            job_input.checksum = checksum_sources(sources)
         stats_cycles = self._exact_cycles(record) if mode == "exact" \
             else None
-        checksum = checksum_sources(sources)
-        self.cache.put(record.fingerprint, mode,
-                       CacheEntry(checksum=checksum, sources=sources,
+        self.cache.put(job_input.fingerprint, mode,
+                       CacheEntry(checksum=job_input.checksum,
+                                  sources=sources,
                                   stats_cycles=stats_cycles))
-        return checksum, stats_cycles
+        return job_input.checksum, stats_cycles
 
     def _exact_cycles(self, record: _JobRecord) -> int:
         """Cycle-accurate total of one exact-tier job.
@@ -519,13 +552,13 @@ class FleetScheduler:
             if spec.scenario is None:
                 from repro.kernel.simulate import simulate_kernel
 
-                cycles = simulate_kernel(key, record.fields,
+                cycles = simulate_kernel(key, record.job_input.fields,
                                          mode="exact").total_cycles
             else:
                 from repro.scenarios import get as get_scenario
 
                 cycles = get_scenario(spec.scenario).kernel.run(
-                    record.fields, mode="exact")[2]
+                    record.job_input.fields, mode="exact")[2]
             self._cycles_by_config[key] = cycles
         return cycles
 

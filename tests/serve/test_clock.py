@@ -1,6 +1,8 @@
 """Virtual clock: deterministic ordering and typed stall detection."""
 
 import asyncio
+import subprocess
+import sys
 
 import pytest
 
@@ -107,3 +109,101 @@ class TestStallDetection:
 
         with pytest.raises(ValueError, match="boom"):
             run_virtual(clock, main())
+
+
+#: A root that waits on a future nothing resolves and sleeps on the
+#: clock in its cleanup.  Run in a child process: an executor that
+#: cannot advance the clock during that cleanup hangs there for good.
+STALL_WITH_SLEEPING_CLEANUP = """
+import asyncio
+from repro.serve import SchedulerStallError, VirtualClock, run_virtual
+
+clock = VirtualClock()
+
+async def main():
+    try:
+        await asyncio.get_running_loop().create_future()
+    finally:
+        await clock.sleep(1.0)
+
+try:
+    run_virtual(clock, main())
+except SchedulerStallError:
+    print("stalled; cleanup ended at", clock.now)
+"""
+
+
+class TestIdlePoint:
+    """The clock advances only where the loop would otherwise block."""
+
+    def test_deep_wake_chain_settles_before_time_moves(self):
+        clock = VirtualClock()
+        seen = []
+
+        async def chain():
+            for _ in range(100):
+                await asyncio.sleep(0)
+            seen.append(clock.now)
+
+        async def main():
+            await asyncio.gather(chain(), clock.sleep(1.0))
+
+        run_virtual(clock, main())
+        assert seen == [0.0]
+        assert clock.now == 1.0
+
+    def test_stall_whose_cleanup_sleeps_raises(self):
+        try:
+            child = subprocess.run(
+                [sys.executable, "-c", STALL_WITH_SLEEPING_CLEANUP],
+                capture_output=True, text=True, timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("run_virtual hung in the stalled root's cleanup")
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "stalled; cleanup ended at 1.0\n"
+
+    def test_wall_clock_timer_is_a_typed_error(self):
+        clock = VirtualClock()
+
+        async def main():
+            await asyncio.sleep(0.5)
+
+        with pytest.raises(SchedulerStallError, match="wall-clock"):
+            run_virtual(clock, main())
+
+    def test_stalled_root_cleans_up_before_the_tasks_it_left(self):
+        clock = VirtualClock()
+        order = []
+
+        async def waiter(name):
+            try:
+                await asyncio.get_running_loop().create_future()
+            finally:
+                order.append(name)
+
+        async def main():
+            asyncio.ensure_future(waiter("left behind"))
+            await waiter("root")
+
+        with pytest.raises(SchedulerStallError):
+            run_virtual(clock, main())
+        assert order == ["root", "left behind"]
+
+    def test_pending_tasks_are_cancelled_after_the_root(self):
+        clock = VirtualClock()
+        cleaned = []
+
+        async def background():
+            try:
+                await clock.sleep(10.0)
+            finally:
+                cleaned.append(clock.now)
+
+        async def main():
+            asyncio.ensure_future(background())
+            await clock.sleep(1.0)
+            return "done"
+
+        assert run_virtual(clock, main()) == "done"
+        assert cleaned == [1.0]
