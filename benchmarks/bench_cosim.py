@@ -15,7 +15,7 @@ from repro.core.wind import random_wind
 from repro.experiments.report import text_table
 from repro.kernel.config import KernelConfig
 from repro.kernel.multi import MultiKernel
-from repro.kernel.multi_simulate import simulate_multi_kernel
+from repro.kernel.simulate import simulate_kernel
 
 
 def test_cosim_vs_analytic_model(benchmark, save_result):
@@ -26,7 +26,7 @@ def test_cosim_vs_analytic_model(benchmark, save_result):
     def run():
         rows = []
         for kernels in (1, 2, 3):
-            sim = simulate_multi_kernel(config, fields, num_kernels=kernels)
+            sim = simulate_kernel(config, fields, num_kernels=kernels)
             model = MultiKernel(config, kernels).cycles()
             rows.append((kernels, sim.total_cycles, model,
                          sim.total_cycles == model))
@@ -50,10 +50,10 @@ def test_memory_contention_slowdown(benchmark, save_result):
     config = KernelConfig(grid=grid, chunk_width=6)
 
     def run():
-        ample = simulate_multi_kernel(config, fields, num_kernels=2)
+        ample = simulate_kernel(config, fields, num_kernels=2)
         rows = [(float("inf"), ample.total_cycles, 1.0, 0.0)]
         for rate in (1.5, 1.0):
-            starved = simulate_multi_kernel(
+            starved = simulate_kernel(
                 config, fields, num_kernels=2, memory_cells_per_cycle=rate)
             rows.append((rate, starved.total_cycles,
                          starved.total_cycles / ample.total_cycles,

@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--nz", type=int, default=None)
     p_sim.add_argument("--chunk-width", type=int, default=None)
     p_sim.add_argument("--read-ii", type=int, default=None,
-                       help="read-stage initiation interval (default 1; "
-                            "single kernel only)")
+                       help="read-stage initiation interval of every "
+                            "kernel (default 1)")
     _add_mode_flag(p_sim)
     p_sim.add_argument("--no-batched", action="store_true",
                        help="disable batched exact execution (escape "
@@ -619,7 +619,6 @@ def _cmd_simulate(args) -> int:
     import time
 
     from repro.core.wind import random_wind
-    from repro.kernel.multi_simulate import simulate_multi_kernel
     from repro.kernel.simulate import simulate_kernel
 
     if args.memory_rate is not None and args.kernels is None:
@@ -644,41 +643,29 @@ def _cmd_simulate(args) -> int:
     fields = random_wind(grid, seed=args.seed, magnitude=2.0)
     config = _kernel_config(grid, args.chunk_width)
 
-    if args.kernels is not None and args.read_ii is not None:
-        raise ConfigurationError(
-            "--read-ii cannot be combined with --kernels on simulate: the "
-            "multi-kernel co-simulation reads at II 1")
     start = time.perf_counter()
-    batched = not args.no_batched
-    if args.kernels is not None:
-        multi = simulate_multi_kernel(
-            config, fields, num_kernels=args.kernels,
-            memory_cells_per_cycle=args.memory_rate, mode=args.mode,
-            batched=batched)
-        elapsed = time.perf_counter() - start
+    result = simulate_kernel(
+        config, fields,
+        num_kernels=1 if args.kernels is None else args.kernels,
+        memory_cells_per_cycle=args.memory_rate,
+        read_ii=1 if args.read_ii is None else args.read_ii,
+        mode=args.mode, batched=not args.no_batched)
+    elapsed = time.perf_counter() - start
+    stats = result.aggregate_stats()
+    if result.arbiter is not None:
         print(f"grid:     {grid.interior_shape}, "
               f"{args.kernels} kernels, mode={args.mode}")
-        print(f"cycles:   {multi.total_cycles} "
-              f"(chunks: {multi.chunk_cycles})")
-        print(f"memory:   {multi.arbiter.grants} grants, "
-              f"{multi.arbiter.denials} denials "
-              f"({multi.read_starvation_fraction:.1%} starved)")
-        _print_batched_split(multi.total_cycles, multi.batched_cycles,
-                             multi.batched_windows,
-                             multi.batch_fallback_reason)
+        print(f"cycles:   {result.total_cycles} "
+              f"(chunks: {result.chunk_cycles})")
+        print(f"memory:   {result.arbiter.grants} grants, "
+              f"{result.arbiter.denials} denials "
+              f"({result.read_starvation_fraction:.1%} starved)")
     else:
-        result = simulate_kernel(
-            config, fields,
-            read_ii=1 if args.read_ii is None else args.read_ii,
-            mode=args.mode, batched=batched)
-        elapsed = time.perf_counter() - start
-        stats = result.aggregate_stats()
         print(f"grid:     {grid.interior_shape}, mode={args.mode}")
         print(f"cycles:   {result.total_cycles} "
               f"({result.cells_per_cycle:.3f} cells/cycle)")
-        _print_batched_split(result.total_cycles, stats.batched_cycles,
-                             stats.batched_windows,
-                             stats.batch_fallback_reason)
+    _print_batched_split(result.total_cycles, stats.batched_cycles,
+                         stats.batched_windows, stats.batch_fallback_reason)
     print(f"wall:     {elapsed:.2f} s")
     return 0
 

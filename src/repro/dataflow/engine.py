@@ -189,6 +189,8 @@ class RunStats:
         sizing bound.  Distinct ``batch_fallback_reason`` values are all
         kept (joined with ``"; "`` in first-seen order) — different chunks
         can fall back for different causes and each deserves to surface.
+        A merged reason splits back into its parts, so merging merged
+        stats equals one merge of every run.
         """
         merged = cls(cycles=0)
         reasons: list[str] = []
@@ -205,9 +207,10 @@ class RunStats:
                     merged.stream_high_water.get(name, 0), high)
             merged.batched_windows += run.batched_windows
             merged.batched_cycles += run.batched_cycles
-            if run.batch_fallback_reason is not None \
-                    and run.batch_fallback_reason not in reasons:
-                reasons.append(run.batch_fallback_reason)
+            if run.batch_fallback_reason is not None:
+                for reason in run.batch_fallback_reason.split("; "):
+                    if reason not in reasons:
+                        reasons.append(reason)
         merged.batch_fallback_reason = "; ".join(reasons) if reasons else None
         return merged
 

@@ -246,16 +246,7 @@ def _run_once(family: str, seed: int, nx: int, ny: int,
     fallback: str | None = None
 
     try:
-        if family.startswith("replica"):
-            from repro.kernel.config import KernelConfig
-            from repro.kernel.multi_simulate import simulate_multi_kernel
-
-            config = KernelConfig(grid=grid, chunk_width=max(2, ny // 3))
-            result = simulate_multi_kernel(
-                config, fields, num_kernels=2, fault_plan=plan, retry=retry,
-                watchdog=_WATCHDOG_CYCLES)
-            sources = result.sources
-        elif family == "rank-drop":
+        if family == "rank-drop":
             from repro.distributed.driver import DistributedAdvection
             from repro.distributed.topology import ProcessGrid
 
@@ -268,9 +259,10 @@ def _run_once(family: str, seed: int, nx: int, ny: int,
             from repro.kernel.simulate import simulate_kernel
 
             config = KernelConfig(grid=grid, chunk_width=max(2, ny // 3))
-            result = simulate_kernel(config, fields, fault_plan=plan,
-                                     retry=retry,
-                                     watchdog=_WATCHDOG_CYCLES)
+            result = simulate_kernel(
+                config, fields,
+                num_kernels=2 if family.startswith("replica") else 1,
+                fault_plan=plan, retry=retry, watchdog=_WATCHDOG_CYCLES)
             sources = result.sources
             fallback = result.aggregate_stats().batch_fallback_reason
     except ReproError as error:

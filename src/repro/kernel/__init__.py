@@ -15,7 +15,8 @@ into the paper's actual kernel:
 * :mod:`repro.kernel.functional` — fast functional execution (chunked,
   vectorised),
 * :mod:`repro.kernel.simulate` — cycle-accurate execution through the
-  shift buffer of Fig. 3 (batched or forced-scalar),
+  shift buffer of Fig. 3 (batched or forced-scalar), for one kernel or
+  several replicas sharing one memory (Section IV),
 * :mod:`repro.kernel.generic` — the same read -> shift buffer -> compute
   -> write machine for any radius-1 stencil (diffusion, buoyancy),
 * :mod:`repro.kernel.cycle_model` — the closed-form cycle count validated
@@ -29,7 +30,6 @@ from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import CycleBreakdown, KernelCycleModel
 from repro.kernel.functional import execute_chunked
 from repro.kernel.multi import MultiKernel
-from repro.kernel.multi_simulate import simulate_multi_kernel
 from repro.kernel.report import synthesis_report
 from repro.kernel.simulate import simulate_kernel
 
@@ -37,7 +37,6 @@ __all__ = [
     "KernelConfig",
     "build_advection_graph",
     "simulate_kernel",
-    "simulate_multi_kernel",
     "execute_chunked",
     "KernelCycleModel",
     "CycleBreakdown",

@@ -10,6 +10,7 @@ from repro.dataflow.graph import DataflowGraph
 from repro.kernel.config import KernelConfig
 from repro.kernel.stages import (
     AdvectStage,
+    MemoryArbiter,
     ReadDataStage,
     ReplicateStage,
     ShiftBufferStage,
@@ -26,7 +27,7 @@ def build_advection_graph(config: KernelConfig, fields: FieldSet,
                           out: SourceSet, *, read_ii: int = 1,
                           tracker: MemoryPortTracker | None = None,
                           x_offset: int = 0, name_prefix: str = "",
-                          read_stage_cls: type[ReadDataStage] | None = None,
+                          arbiter: MemoryArbiter | None = None,
                           ) -> DataflowGraph:
     """Build the dataflow graph of Fig. 2 for one chunk.
 
@@ -53,11 +54,11 @@ def build_advection_graph(config: KernelConfig, fields: FieldSet,
         Global X offset of this (sub)grid's results — non-zero when the
         kernel is one instance of a multi-kernel decomposition.
     name_prefix:
-        Prefix for stage names (multi-kernel co-simulation merges several
-        kernels' stages into one graph and needs unique names).
-    read_stage_cls:
-        Alternative read-stage class (e.g. an arbitrated one modelling a
-        shared external memory).
+        Prefix for stage names (a run of several kernel replicas merges
+        their stages into one graph and needs unique names).
+    arbiter:
+        Arbiter of an external memory shared with other replicas; the
+        read stage must win one of its grants per cell.
     """
     grid = config.grid
     nx_buf = grid.nx + 2  # full halo-extended X extent
@@ -65,7 +66,6 @@ def build_advection_graph(config: KernelConfig, fields: FieldSet,
     nz = grid.nz
 
     graph = DataflowGraph(f"{name_prefix}advection[chunk={chunk.index}]")
-    read_cls = read_stage_cls or ReadDataStage
 
     # The chunk's field blocks in streaming layout, shared by the read
     # stage (cells cut on demand) and the shift stage (batched feeds and
@@ -76,9 +76,9 @@ def build_advection_graph(config: KernelConfig, fields: FieldSet,
         for arr in (fields.u, fields.v, fields.w)
     )
 
-    read = graph.add(read_cls(
+    read = graph.add(ReadDataStage(
         f"{name_prefix}read_data", block=blocks, ii=read_ii,
-        latency=config.memory_latency,
+        latency=config.memory_latency, arbiter=arbiter,
     ))
     shift = graph.add(ShiftBufferStage(
         f"{name_prefix}shift_buffer", nx_buf, ny_buf, nz,

@@ -1,4 +1,4 @@
-"""Cycle-accurate simulation of the full advection kernel.
+"""Cycle-accurate simulation of the advection kernel, one replica or several.
 
 Runs the Fig. 2 dataflow graph chunk by chunk through the cycle engine,
 producing both the numerical result and the measured cycle counts.  Used
@@ -8,23 +8,43 @@ benchmarks rely on.  Each chunk's steady state runs as batched windows
 (:mod:`repro.dataflow.engine`), which keeps paper-scale grids tractable;
 ``batched=False`` ticks every cycle with bit-identical results.
 
+Shared memory
+-------------
+Section IV scales the design to several kernel replicas per device.  On
+HBM2 each replica owns its banks; on DDR all replicas contend for a few
+banks.  A run is *shared* when it has more than one replica or is given
+a memory rate.  The grid is then split along X between the replicas,
+their stages carry ``k{p}.`` name prefixes, and each chunk merges every
+replica's graph into one, so a single engine advances all replicas cycle
+by cycle.  Their read stages draw grants from one shared
+:class:`~repro.kernel.stages.MemoryArbiter` with a fixed issue rate (cell
+reads per cycle the memory sustains), so starving the arbiter reproduces
+the DDR saturation the analytic model charges — and with ample grants
+the run matches the independent-kernels model exactly.  Replicas are
+synchronised per Y-chunk (all process chunk *j* together); real hardware
+lets them drift, but only by one chunk's fill.  Once the arbiter has
+denied a request, read counts depend on the denial history, so the read
+stages veto further batched windows and the run finishes on the scalar
+loop; the merged :attr:`~repro.dataflow.engine.RunStats.batch_fallback_reason`
+records why.
+
 Checkpoint/restart
 ------------------
 Chunk seams are natural checkpoints: each chunk's graph is rebuilt from
-the (immutable) input fields and only writes its own slab of the output.
-With a :class:`~repro.faults.plan.FaultPlan` or
+the (immutable) input fields, and each engine run writes only its own
+region of the output, its replicas' X-ranges across the chunk's write
+columns.  The driver allocates the output, so that region is zero when
+the run starts.  With a :class:`~repro.faults.plan.FaultPlan` or
 :class:`~repro.faults.retry.RetryPolicy` supplied, the simulation
-snapshots the chunk's slab of the output before it runs, verifies the
-chunk wrote its full complement of cells, and on any
+verifies each replica wrote its full complement of cells, and on any
 :class:`~repro.errors.FaultError` or :class:`~repro.errors.DataflowError`
-restores the snapshot and retries *that chunk only* — completed chunks
+zeroes the run's region and retries *that run only* — completed chunks
 are never replayed.  Transient faults (the plan default) therefore cost
-one chunk re-run and leave the result bit-identical; persistent faults
+one re-run and leave the result bit-identical; persistent faults
 exhaust the retry budget and raise
-:class:`~repro.errors.RetryExhaustedError`.  The restarts run
-through :meth:`~repro.faults.retry.RetryPolicy.call`, the loop that also
-drives rank respawns, in :func:`run_chunk`, which the multi-kernel
-co-simulation shares.
+:class:`~repro.errors.RetryExhaustedError`.  The restarts run through
+:meth:`~repro.faults.retry.RetryPolicy.call`, the loop that also drives
+rank respawns.
 """
 
 from __future__ import annotations
@@ -32,15 +52,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
 from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import FieldSet, SourceSet
+from repro.core.grid import GridDecomposition
 from repro.dataflow.engine import ControlRecord, DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
-from repro.errors import ConfigurationError, DataflowError, FaultError
+from repro.errors import (
+    ConfigurationError,
+    DataflowError,
+    FaultError,
+    ReplicaLostError,
+)
 from repro.kernel.builder import build_advection_graph
 from repro.kernel.config import KernelConfig
+from repro.kernel.stages import MemoryArbiter
 from repro.shiftbuffer.chunking import Chunk
 from repro.shiftbuffer.ports import MemoryPortTracker
 
@@ -59,10 +84,33 @@ class KernelSimResult:
 
     sources: SourceSet
     total_cycles: int
+    #: one :class:`RunStats` per chunk, merged over the chunk's engine
+    #: runs (its rescheduled work included).
     chunk_stats: list[RunStats] = field(default_factory=list)
     port_tracker: MemoryPortTracker | None = None
     #: chunk re-runs performed by the checkpoint/restart machinery.
     chunk_retries: int = 0
+    #: kernel replicas the grid was split between (at most ``nx``).
+    num_kernels: int = 1
+    #: the shared memory's arbiter; ``None`` for a plain run.
+    arbiter: MemoryArbiter | None = None
+    #: replicas killed by fault injection, in quarantine order.
+    quarantined: list[int] = field(default_factory=list)
+    #: chunk-sized work items re-run on survivors after a quarantine.
+    rescheduled_chunks: int = 0
+
+    @property
+    def chunk_cycles(self) -> list[int]:
+        """Cycles per chunk, rescheduled work included."""
+        return [stats.cycles for stats in self.chunk_stats]
+
+    @property
+    def read_starvation_fraction(self) -> float:
+        """Fraction of read requests the shared memory denied."""
+        if self.arbiter is None:
+            return 0.0
+        total = self.arbiter.grants + self.arbiter.denials
+        return self.arbiter.denials / total if total else 0.0
 
     @property
     def cells_per_cycle(self) -> float:
@@ -83,6 +131,8 @@ class KernelSimResult:
 
 def simulate_kernel(config: KernelConfig, fields: FieldSet,
                     coeffs: AdvectionCoefficients | None = None, *,
+                    num_kernels: int = 1,
+                    memory_cells_per_cycle: float | None = None,
                     read_ii: int = 1, enforce_ports: bool = True,
                     max_cycles_per_chunk: int = 10_000_000,
                     mode: str = "exact",
@@ -99,14 +149,25 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
     Parameters
     ----------
     config:
-        Kernel design parameters; ``config.grid`` must match ``fields``
-        (:class:`~repro.errors.ConfigurationError` otherwise).
+        Kernel design parameters; ``config.grid`` is the *global* grid and
+        must match ``fields`` (:class:`~repro.errors.ConfigurationError`
+        otherwise).
     fields:
         Input wind fields with valid halos.
     coeffs:
         Advection coefficients (default: uniform atmosphere).
+    num_kernels:
+        Kernel replicas to split the grid between along X (capped at
+        ``nx``).  More than one makes the run shared (module docstring).
+    memory_cells_per_cycle:
+        Shared memory's sustained issue rate in cell reads per cycle
+        across all replicas.  ``None`` means one read per kernel per
+        cycle (no contention, the HBM2 regime) for a run of several
+        replicas, and no arbiter at all for one replica; a rate makes
+        even a one-replica run shared.
     read_ii:
-        Initiation interval of the read stage (*1* = memory keeps up).
+        Initiation interval of every replica's read stage (*1* = memory
+        keeps up).
     enforce_ports:
         Raise on any dual-port violation (the paper's partitioning claim
         is then checked on every simulated cycle).
@@ -119,33 +180,50 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
         the pure per-cycle loop — the escape hatch and the benchmark
         baseline.
     fault_plan:
-        Optional fault-injection plan, threaded into every chunk's engine
-        run (FIFO word faults, stage freezes) and enabling the
+        Optional fault-injection plan, threaded into every engine run
+        (FIFO word faults, stage freezes) and enabling the
         checkpoint/restart path described in the module docstring.
+        ``replica`` faults are drawn at chunk seams: ``slow`` multiplies
+        the replica's read II by ``round(factor)`` for that chunk,
+        ``kill`` quarantines it — its X-slab is rescheduled onto the
+        surviving replicas (run serially after their own chunk work, so
+        throughput drops but the result stays bit-identical).
     retry:
-        Retry budget for faulted chunks; defaults to
-        ``RetryPolicy()`` when a fault plan is given.  Supplying either
-        argument turns checkpointing on.
+        Retry budget for faulted runs; defaults to ``RetryPolicy()`` when
+        a fault plan is given.  Supplying either argument turns
+        checkpointing on.
     watchdog:
-        Per-chunk cycle watchdog passed to the engine (typed
+        Per-run cycle watchdog passed to the engine (typed
         :class:`~repro.errors.WatchdogTimeout` instead of spinning).
     tracer:
-        Optional :class:`~repro.observe.trace.Tracer`.  Each chunk's
-        engine spans are shifted onto one global cycle axis (chunks run
-        back to back), topped by a per-chunk span on the ``kernel`` track
+        Optional :class:`~repro.observe.trace.Tracer`.  Each run's engine
+        spans are shifted onto one global cycle axis (runs go back to
+        back), topped by a per-chunk span on the ``kernel`` track
         carrying seam geometry and halo-read overhead, plus retry
-        markers when the checkpoint/restart path re-runs a chunk.
+        markers when the checkpoint/restart path re-runs a chunk.  A
+        shared run's ``k{p}.`` stage names put each replica on its own
+        lanes, and quarantine markers and rescheduled work go on the
+        ``kernel`` track too.
     metrics:
         Optional :class:`~repro.observe.metrics.MetricRegistry`, threaded
-        into every chunk's engine run and fed kernel-level counters
+        into every engine run and fed kernel-level counters
         (``kernel_chunks``, ``kernel_chunk_retries``,
-        ``kernel_halo_read_cells``).
+        ``kernel_halo_read_cells``); a shared run adds the arbiter's
+        grants and denials, the read-starvation fraction, replica
+        quarantines and rescheduled chunks.
     record:
-        The :class:`~repro.dataflow.engine.ControlRecord` every chunk's
-        engine run shares, so a chunk as wide as an earlier one replays
-        it as one bulk step.  A fresh record scopes to this call when
-        none is given; a caller running several kernel passes in one
-        call (a scenario's batches) passes its own.
+        The :class:`~repro.dataflow.engine.ControlRecord` every engine
+        run shares, so a chunk as wide as an earlier one replays it as
+        one bulk step.  A fresh record scopes to this call when none is
+        given; a caller running several kernel passes in one call (a
+        scenario's batches) passes its own.  Arbitrated reads keep a
+        shared run out of recording and replay.
+
+    Raises
+    ------
+    ReplicaLostError
+        When every replica has been quarantined and no survivor remains
+        to take over the work.
 
     Notes
     -----
@@ -155,6 +233,9 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
     """
     if read_ii < 1:
         raise ConfigurationError(f"read_ii must be >= 1, got {read_ii}")
+    if num_kernels < 1:
+        raise ConfigurationError(
+            f"num_kernels must be >= 1, got {num_kernels}")
     grid = config.grid
     if fields.grid.interior_shape != grid.interior_shape:
         raise ConfigurationError(
@@ -163,30 +244,108 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
         )
     if coeffs is None:
         coeffs = AdvectionCoefficients.uniform(grid)
+    if record is None:
+        record = ControlRecord()
+
+    decomp = GridDecomposition(grid, min(num_kernels, grid.nx))
+    shared = num_kernels > 1 or memory_cells_per_cycle is not None
+    arbiter: MemoryArbiter | None = None
+    grace: int | None = None
+    if shared:
+        rate = (float(num_kernels) if memory_cells_per_cycle is None
+                else memory_cells_per_cycle)
+        arbiter = MemoryArbiter(rate)
+        # A heavily starved arbiter can stall every read stage for
+        # ~kernels/rate cycles between grants; widen the engine's
+        # deadlock grace accordingly.
+        grace = 64 + int(4 * decomp.parts / min(rate, 1.0))
 
     out = SourceSet.zeros(grid)
     tracker = MemoryPortTracker(enforce=enforce_ports)
+    # Each replica's X-slab of the fields (halo-extended) and sub-config.
+    # Chunking is in Y, the undecomposed axis, so all replicas share the
+    # global chunk plan.
+    parts = []
+    for p, (x0, x1) in enumerate(decomp.bounds):
+        sub_grid = decomp.subgrid(p)
+        parts.append((x0, config.for_grid(sub_grid), FieldSet(
+            sub_grid, fields.u[x0:x1 + 2], fields.v[x0:x1 + 2],
+            fields.w[x0:x1 + 2])))
+
+    def prefix(p: int) -> str:
+        return f"k{p}." if shared else ""
+
+    def build_part(p: int, chunk: Chunk, ii: int) -> DataflowGraph:
+        x0, sub_config, sub_fields = parts[p]
+        return build_advection_graph(
+            sub_config, sub_fields, chunk, coeffs, out, read_ii=ii,
+            tracker=tracker, x_offset=x0, name_prefix=prefix(p),
+            arbiter=arbiter)
+
+    def run(members: list[int], chunk: Chunk, start: int,
+            slow: dict[int, int]) -> tuple[RunStats, int]:
+        def build() -> DataflowGraph:
+            graphs = [build_part(p, chunk, read_ii * slow.get(p, 1))
+                      for p in members]
+            if len(graphs) == 1:
+                return graphs[0]
+            # One graph for every replica, so one engine advances them
+            # all cycle by cycle.
+            merged = DataflowGraph(f"multi[chunk={chunk.index}]")
+            for graph in graphs:
+                merged.merge(graph)
+            return merged
+
+        return run_chunk(
+            build, chunk, out,
+            writers=[(f"{prefix(p)}write_data", parts[p][0],
+                      parts[p][1].grid.nx,
+                      f"replica {p}, chunk {chunk.index}" if shared
+                      else f"chunk {chunk.index}") for p in members],
+            start=start, fault_plan=fault_plan, retry=retry, tracer=tracer,
+            metrics=metrics, max_cycles=max_cycles_per_chunk,
+            stall_grace=grace, mode=mode, batched=batched,
+            watchdog=watchdog, record=record,
+        )
+
+    trace_on = tracer is not None and tracer.enabled
+    live = list(range(decomp.parts))
+    quarantined: list[int] = []
+    rescheduled_chunks = 0
+    chunk_retries = 0
     chunk_stats: list[RunStats] = []
     total_cycles = 0
-    chunk_retries = 0
-
-    if record is None:
-        record = ControlRecord()
     plan = config.chunk_plan()
     for chunk in plan.chunks:
-        stats, retries = run_chunk(
-            lambda: build_advection_graph(
-                config, fields, chunk, coeffs, out, read_ii=read_ii,
-                tracker=tracker),
-            chunk, out,
-            writers=[("write_data", grid.nx, f"chunk {chunk.index}")],
-            start=total_cycles, fault_plan=fault_plan, retry=retry,
-            tracer=tracer, metrics=metrics, max_cycles=max_cycles_per_chunk,
-            mode=mode, batched=batched, watchdog=watchdog, record=record,
-        )
-        chunk_retries += retries
-        chunk_stats.append(stats)
-        if tracer is not None and tracer.enabled:
+        # Replica faults strike at chunk seams: a killed replica is
+        # quarantined from this chunk onward, a slowed one reads at a
+        # multiplied II for this chunk only.
+        slow: dict[int, int] = {}
+        if fault_plan is not None:
+            for p in list(live):
+                spec = fault_plan.replica_fault(p, chunk.index)
+                if spec is None:
+                    continue
+                if spec.kind == "kill":
+                    live.remove(p)
+                    quarantined.append(p)
+                    if trace_on:
+                        assert tracer is not None
+                        tracer.instant(
+                            "replica quarantined", "kernel",
+                            ts=float(total_cycles), replica=p,
+                            chunk=chunk.index)
+                else:
+                    slow[p] = max(1, round(spec.factor))
+        if not live:
+            raise ReplicaLostError(
+                f"all {decomp.parts} kernel replicas lost by chunk "
+                f"{chunk.index}; no survivor to reschedule onto"
+            )
+
+        stats, retries = run(live, chunk, total_cycles, slow)
+        if trace_on:
+            assert tracer is not None
             halo_cells = chunk.read_width - chunk.write_width
             tracer.add_span(
                 f"chunk {chunk.index}", "kernel", total_cycles,
@@ -195,7 +354,39 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
                 halo_overhead=round(halo_cells / chunk.read_width, 4),
                 retries=retries)
         total_cycles += stats.cycles
+        chunk_retries += retries
+        runs = [stats]
 
+        # Graceful degradation: survivors pick up the quarantined
+        # replicas' X-slabs, serialised after their own chunk work.  The
+        # rescheduled graph is numerically identical to the one the dead
+        # replica would have run, so the output stays bit-identical —
+        # only the cycle count grows.
+        for p in quarantined:
+            extra, retries = run([p], chunk, total_cycles, {})
+            if trace_on:
+                assert tracer is not None
+                tracer.add_span(
+                    f"chunk {chunk.index} resched k{p}", "kernel",
+                    total_cycles, total_cycles + extra.cycles,
+                    category="reschedule", replica=p)
+            total_cycles += extra.cycles
+            chunk_retries += retries
+            runs.append(extra)
+            rescheduled_chunks += 1
+        chunk_stats.append(RunStats.merge(runs))
+
+    result = KernelSimResult(
+        sources=out,
+        total_cycles=total_cycles,
+        chunk_stats=chunk_stats,
+        port_tracker=tracker,
+        chunk_retries=chunk_retries,
+        num_kernels=decomp.parts,
+        arbiter=arbiter,
+        quarantined=quarantined,
+        rescheduled_chunks=rescheduled_chunks,
+    )
     if metrics is not None and metrics.enabled:
         metrics.counter(
             "kernel_chunks", "chunks simulated per kernel invocation",
@@ -206,19 +397,31 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
         metrics.counter(
             "kernel_halo_read_cells",
             "redundant cells streamed for chunk-seam halos",
-        ).inc(plan.overlap_cells * (grid.nx + 2) * grid.nz)
-
-    return KernelSimResult(
-        sources=out,
-        total_cycles=total_cycles,
-        chunk_stats=chunk_stats,
-        port_tracker=tracker,
-        chunk_retries=chunk_retries,
-    )
+        ).inc(plan.overlap_cells * (grid.nx + 2 * decomp.parts) * grid.nz)
+        if arbiter is not None:
+            metrics.counter(
+                "arbiter_grants",
+                "cell-read grants issued by the shared memory",
+            ).inc(arbiter.grants)
+            metrics.counter(
+                "arbiter_denials",
+                "cell-read requests the shared memory denied",
+            ).inc(arbiter.denials)
+            metrics.gauge(
+                "read_starvation_fraction",
+                "fraction of read requests denied by the arbiter",
+            ).set(result.read_starvation_fraction)
+            metrics.counter(
+                "replica_quarantines", "kernel replicas lost to faults",
+            ).inc(len(quarantined))
+            metrics.counter(
+                "rescheduled_chunks", "quarantined work re-run on survivors",
+            ).inc(rescheduled_chunks)
+    return result
 
 
 def run_chunk(build: Callable[[], DataflowGraph], chunk: Chunk,
-              out: SourceSet, *, writers: list[tuple[str, int, str]],
+              out: SourceSet, *, writers: list[tuple[str, int, int, str]],
               start: int, fault_plan: "FaultPlan | None",
               retry: "RetryPolicy | None", tracer: "Tracer | None",
               **engine_options: Any) -> tuple[RunStats, int]:
@@ -226,15 +429,17 @@ def run_chunk(build: Callable[[], DataflowGraph], chunk: Chunk,
 
     Without a fault plan or retry policy the graph is built and run once,
     and any error propagates unwrapped.  With either (the policy defaults
-    to ``RetryPolicy()``), the chunk's slab of the output (its write
-    columns, every X and Z) is checkpointed first, every
-    ``(write stage, sub-grid nx, label)`` in ``writers`` must write its
-    chunk's full complement of cells, and each
-    :class:`~repro.errors.FaultError` or
-    :class:`~repro.errors.DataflowError` restores the checkpoint before
-    :meth:`~repro.faults.retry.RetryPolicy.call` runs the chunk again.
-    ``start`` is the chunk's first cycle on the global axis: its engine
-    spans are shifted there and its retry markers placed there.
+    to ``RetryPolicy()``), every ``(write stage, x offset, sub-grid nx,
+    label)`` in ``writers`` must write its chunk's full complement of
+    cells, and each :class:`~repro.errors.FaultError` or
+    :class:`~repro.errors.DataflowError` zeroes the run's region of the
+    output before :meth:`~repro.faults.retry.RetryPolicy.call` runs the
+    chunk again.  That region, each writer's X-range across the chunk's
+    write columns, holds the only cells the run writes, and it is zero
+    when the run starts: the driver allocates the output and its runs
+    write disjoint regions.  ``start`` is the chunk's first cycle on the
+    global axis: its engine spans are shifted there and its retry markers
+    placed there.
 
     Returns the chunk's :class:`RunStats` and the number of retries it took.
     """
@@ -250,14 +455,14 @@ def run_chunk(build: Callable[[], DataflowGraph], chunk: Chunk,
                                 **engine_options)
         if trace_on:
             assert tracer is not None
-            # Chunks run back to back: shift this chunk's engine spans
-            # from local cycle 0 onto the global axis.
+            # Runs go back to back: shift this run's engine spans from
+            # local cycle 0 onto the global axis.
             with tracer.shifted(start):
                 stats = engine.run()
         else:
             stats = engine.run()
         if retry is not None:
-            for stage, nx, label in writers:
+            for stage, _x0, nx, label in writers:
                 # One write firing per (x, y) column and z level above the
                 # surface (the surface level rides along with level 1).
                 expected = nx * chunk.write_width * (out.grid.nz - 1)
@@ -272,20 +477,16 @@ def run_chunk(build: Callable[[], DataflowGraph], chunk: Chunk,
     if retry is None:
         return attempt(), 0
 
-    # Chunk-seam checkpoint: the chunk's own slab of the output, the
-    # only cells an attempt writes (chunks own disjoint slabs).  A failed
-    # attempt restores it, so retries never see the partial writes of
-    # the attempt that died.  A slab whose bits are all zero, as every
-    # slab of a fresh output is, restores by zeroing, not from a copy.
-    slab = (slice(None), slice(chunk.write_start - 1, chunk.write_stop - 1))
-    checkpoint = [array[slab].copy() if array[slab].view(np.uint8).any()
-                  else None for array in out.as_tuple()]
+    columns = slice(chunk.write_start - 1, chunk.write_stop - 1)
+    regions = [(slice(x0, x0 + nx), columns)
+               for _stage, x0, nx, _label in writers]
     retries = 0
 
     def restore(failure_index: int, error: BaseException) -> None:
         nonlocal retries
-        for array, saved in zip(out.as_tuple(), checkpoint):
-            array[slab] = 0.0 if saved is None else saved
+        for array in out.as_tuple():
+            for region in regions:
+                array[region] = 0.0
         retries += 1
         if trace_on:
             assert tracer is not None

@@ -19,6 +19,7 @@ slice assignment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
@@ -34,7 +35,7 @@ from repro.dataflow.bulk import (
     UniformFireResult,
 )
 from repro.dataflow.stage import SourceStage, Stage
-from repro.errors import DataflowError
+from repro.errors import ConfigurationError, DataflowError
 from repro.shiftbuffer.buffer3d import (
     Box,
     ShiftBuffer3D,
@@ -51,6 +52,7 @@ __all__ = [
     "CellBlockBulk",
     "StencilBulk",
     "AdvectResultBulk",
+    "MemoryArbiter",
     "ReadDataStage",
     "ShiftBufferStage",
     "ReplicateStage",
@@ -200,6 +202,43 @@ class AdvectResultBulk(Bulk):
             cx.tolist(), cy.tolist(), cz.tolist(), self.values.tolist())]
 
 
+class MemoryArbiter:
+    """Grants cell-read issues at a sustained fractional rate per cycle.
+
+    ``rate`` is the number of cell reads the shared memory can issue per
+    kernel clock cycle (e.g. 6 kernels on HBM2 get rate >= 6; two DDR
+    banks might sustain 2.5).  A credit accumulator implements fractional
+    rates exactly.
+    """
+
+    def __init__(self, rate: float) -> None:
+        if not (math.isfinite(rate) and rate > 0):
+            raise ConfigurationError(
+                f"arbiter rate must be positive and finite, got {rate}")
+        self.rate = rate
+        self._credits = 0.0
+        self._cycle = -1
+        self.grants = 0
+        self.denials = 0
+
+    def tick(self, cycle: int) -> None:
+        """Advance to ``cycle``, accruing credits (capped at one cycle's
+        worth above the integer part to avoid unbounded bursts)."""
+        if cycle != self._cycle:
+            self._cycle = cycle
+            self._credits = min(self._credits + self.rate,
+                                self.rate + 1.0)
+
+    def request(self) -> bool:
+        """One stage asks to issue one cell read this cycle."""
+        if self._credits >= 1.0:
+            self._credits -= 1.0
+            self.grants += 1
+            return True
+        self.denials += 1
+        return False
+
+
 class ReadDataStage(SourceStage):
     """Streams `CellInput` values for one chunk from "external memory".
 
@@ -216,10 +255,16 @@ class ReadDataStage(SourceStage):
         order (Z fastest, then Y, then X), and batched firings
         (``fire_bulk``) hand whole runs downstream without building cell
         objects at all.
+    arbiter:
+        The :class:`MemoryArbiter` of a memory shared with other kernel
+        replicas, or ``None`` for a memory of its own.  Each read must
+        win one of the arbiter's grants; a denied read stalls the stage
+        for the cycle.
     """
 
     def __init__(self, name: str, *, block: tuple[np.ndarray, ...],
-                 ii: int = 1, latency: int = 16) -> None:
+                 ii: int = 1, latency: int = 16,
+                 arbiter: MemoryArbiter | None = None) -> None:
         self._flats = tuple(
             np.ascontiguousarray(b, dtype=float).reshape(-1) for b in block
         )
@@ -230,6 +275,7 @@ class ReadDataStage(SourceStage):
             )
         self._total = len(self._flats[0])
         self._cursor = 0
+        self.arbiter = arbiter
         super().__init__(name, items=(), ii=ii, latency=latency)
 
     def _cell_at(self, index: int) -> CellInput:
@@ -240,6 +286,9 @@ class ReadDataStage(SourceStage):
         return self._cursor >= self._total
 
     def _try_fire(self, cycle: int) -> bool:
+        arbiter = self.arbiter
+        if arbiter is not None:
+            arbiter.tick(cycle)
         if cycle < self._next_fire_cycle:
             self.stats.ii_waits += 1
             return False
@@ -247,6 +296,9 @@ class ReadDataStage(SourceStage):
             self.stats.pipeline_full_stalls += 1
             return False
         if self._cursor >= self._total:
+            return False
+        if arbiter is not None and not arbiter.request():
+            self.stats.input_stalls += 1  # starved by the memory system
             return False
         item = self._cell_at(self._cursor)
         self._cursor += 1
@@ -256,14 +308,30 @@ class ReadDataStage(SourceStage):
             (cycle + self.latency, {"out": [item]}, (("out", 1),)))
         return True
 
-    def ff_signature(self, cycle: int) -> tuple:
-        return Stage.ff_signature(self, cycle) + (
+    def ff_signature(self, cycle: int) -> tuple | None:
+        signature = Stage.ff_signature(self, cycle) + (
             self._cursor < self._total,)
+        arbiter = self.arbiter
+        if arbiter is None:
+            return signature
+        # Once any request has been denied, grant order depends on the
+        # denial history, which the periodicity proof does not cover:
+        # veto batched windows for the rest of the run.  Until then the
+        # credit accumulator decides *when* grants are available, so it
+        # joins the signature.
+        if arbiter.denials > 0:
+            return None
+        return signature + (arbiter._credits,)
 
     def ff_fire_capacity(self, want: int) -> int:
         return min(want, self._total - self._cursor)
 
     def ff_structure(self) -> tuple | None:
+        # Grants depend on the shared arbiter's history, which no
+        # constructor parameter fixes: an arbitrated run is never
+        # recorded or replayed.
+        if self.arbiter is not None:
+            return None
         return self._structure(self._total)
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
@@ -277,6 +345,15 @@ class ReadDataStage(SourceStage):
         self._cursor += count
         return UniformFireResult(
             {"out": CellBlockBulk(self._flats, start, self._cursor)})
+
+    def ff_commit(self, old_cycle: int, new_cycle: int, *, fires: int,
+                  retired: int,
+                  tail_outputs: list[dict[str, list[Any]]]) -> None:
+        super().ff_commit(old_cycle, new_cycle, fires=fires,
+                          retired=retired, tail_outputs=tail_outputs)
+        if self.arbiter is not None:
+            # Every batched firing would have won one grant.
+            self.arbiter.grants += fires
 
 
 def _producing_index(emission: int, nz: int) -> int:

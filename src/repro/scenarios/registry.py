@@ -164,7 +164,6 @@ register(Scenario(
 #: (graph building, config) are deliberately absent.
 CLI_KERNEL_MODULES: dict[str, str] = {
     "repro.kernel.simulate": "advection",
-    "repro.kernel.multi_simulate": "advection",
     "repro.kernel.functional": "advection",
     "repro.kernel.diffusion": "diffusion",
     "repro.kernel.buoyancy": "buoyancy",

@@ -569,7 +569,9 @@ class FleetScheduler:
         """Run a full arrival schedule; one outcome per submission.
 
         Typed :class:`~repro.errors.ReproError` failures become
-        outcomes; anything else is a scheduler defect and propagates.
+        outcomes; anything else is a scheduler defect.  Every submission
+        is awaited before the first defect propagates, so no task's
+        exception goes unretrieved.
         """
         from repro.errors import ReproError
 
@@ -587,12 +589,18 @@ class FleetScheduler:
                     (spec, asyncio.ensure_future(self.submit(spec)))
                 )
             outcomes: list[JobOutcome] = []
+            defect: Exception | None = None
             for spec, task in submissions:
                 try:
                     outcomes.append(JobOutcome(spec=spec,
                                                result=await task))
                 except ReproError as err:
                     outcomes.append(JobOutcome(spec=spec, error=err))
+                except Exception as err:
+                    if defect is None:
+                        defect = err
+            if defect is not None:
+                raise defect
             return outcomes
         finally:
             if watchdog_task is not None:

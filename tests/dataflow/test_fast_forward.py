@@ -205,6 +205,17 @@ class TestRunStatsMerge:
         runs = [RunStats(cycles=5, batch_fallback_reason="stage vetoed")] * 3
         assert RunStats.merge(runs).batch_fallback_reason == "stage vetoed"
 
+    def test_merging_merged_stats_equals_one_merge(self):
+        """A chunk's merged runs merge again into a kernel summary: the
+        joined reasons split back into their parts."""
+        a, b, c = (RunStats(cycles=5, batch_fallback_reason=reason)
+                   for reason in ("monitor attached", "stage vetoed",
+                                  "monitor attached"))
+        nested = RunStats.merge([RunStats.merge([a, b]), c])
+        assert nested.to_dict() == RunStats.merge([a, b, c]).to_dict()
+        assert nested.batch_fallback_reason \
+            == "monitor attached; stage vetoed"
+
     def test_merge_without_vetoes_stays_none(self):
         assert RunStats.merge([RunStats(cycles=5)]).batch_fallback_reason \
             is None

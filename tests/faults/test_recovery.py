@@ -15,7 +15,6 @@ from repro.distributed import DistributedAdvection, ProcessGrid
 from repro.errors import ReplicaLostError, RetryExhaustedError
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.kernel.config import KernelConfig
-from repro.kernel.multi_simulate import simulate_multi_kernel
 from repro.kernel.simulate import simulate_kernel
 
 
@@ -73,11 +72,11 @@ class TestCheckpointRestart:
 class TestReplicaQuarantine:
     def test_killed_replica_quarantined_work_rescheduled(self, setup):
         grid, fields, config = setup
-        golden = simulate_multi_kernel(config, fields, num_kernels=2)
+        golden = simulate_kernel(config, fields, num_kernels=2)
         plan = FaultPlan([FaultSpec("replica", "kill", match="k1:*",
                                     count=1)])
-        result = simulate_multi_kernel(config, fields, num_kernels=2,
-                                       fault_plan=plan)
+        result = simulate_kernel(config, fields, num_kernels=2,
+                                 fault_plan=plan)
         assert result.quarantined == [1]
         assert result.rescheduled_chunks >= 1
         assert result.total_cycles > golden.total_cycles
@@ -85,13 +84,32 @@ class TestReplicaQuarantine:
 
     def test_slow_replica_degrades_but_stays_correct(self, setup):
         grid, fields, config = setup
-        golden = simulate_multi_kernel(config, fields, num_kernels=2)
+        golden = simulate_kernel(config, fields, num_kernels=2)
         plan = FaultPlan([FaultSpec("replica", "slow", match="k0:*",
                                     count=1, factor=4.0)])
-        result = simulate_multi_kernel(config, fields, num_kernels=2,
-                                       fault_plan=plan)
+        result = simulate_kernel(config, fields, num_kernels=2,
+                                 fault_plan=plan)
         assert result.quarantined == []
         assert result.total_cycles > golden.total_cycles
+        assert_bit_identical(result.sources, golden.sources)
+
+    def test_retried_reschedule_keeps_the_survivors_columns(self, setup):
+        """A transient corrupt strikes the killed replica's rescheduled
+        run after the survivor wrote its part of the chunk.  The retry
+        zeroes only the rescheduled replica's columns, so the result
+        stays bit-identical to the fault-free run."""
+        grid, fields, config = setup
+        golden = simulate_kernel(config, fields, num_kernels=2)
+        plan = FaultPlan([
+            FaultSpec("replica", "kill", match="k1:chunk0", count=1),
+            FaultSpec("fifo", "corrupt", match="k1.*", probability=0.05,
+                      count=1),
+        ])
+        result = simulate_kernel(config, fields, num_kernels=2,
+                                 fault_plan=plan)
+        assert [event.kind for event in plan.trace] == ["kill", "corrupt"]
+        assert result.quarantined == [1]
+        assert result.chunk_retries == 1
         assert_bit_identical(result.sources, golden.sources)
 
     def test_all_replicas_dead_raises_typed_error(self, setup):
@@ -99,8 +117,8 @@ class TestReplicaQuarantine:
         plan = FaultPlan([FaultSpec("replica", "kill", match="*",
                                     count=None)])
         with pytest.raises(ReplicaLostError):
-            simulate_multi_kernel(config, fields, num_kernels=2,
-                                  fault_plan=plan)
+            simulate_kernel(config, fields, num_kernels=2,
+                            fault_plan=plan)
 
 
 class TestRankRespawn:

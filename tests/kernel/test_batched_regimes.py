@@ -48,7 +48,6 @@ from repro.kernel.generic import (
     WindowComputeStage,
     run_stencil_kernel,
 )
-from repro.kernel.multi_simulate import simulate_multi_kernel
 from repro.kernel.simulate import simulate_kernel
 from repro.kernel.stages import ShiftBufferStage
 from repro.observe import Tracer
@@ -212,19 +211,20 @@ def test_multi_kernel_run_reports_its_split():
     grid = Grid(nx=32, ny=32, nz=16)
     fields = random_wind(grid, seed=2, magnitude=2.0)
     config = KernelConfig(grid=grid, chunk_width=16)
-    scalar = simulate_multi_kernel(config, fields, num_kernels=2,
-                                   batched=False)
-    result = simulate_multi_kernel(config, fields, num_kernels=2)
+    scalar = simulate_kernel(config, fields, num_kernels=2, batched=False)
+    result = simulate_kernel(config, fields, num_kernels=2)
     assert result.total_cycles == scalar.total_cycles
     assert (result.arbiter.grants, result.arbiter.denials) \
         == (scalar.arbiter.grants, scalar.arbiter.denials)
     assert [a.tobytes() for a in result.sources.as_tuple()] \
         == [a.tobytes() for a in scalar.sources.as_tuple()]
-    assert scalar.batched_windows == scalar.batched_cycles == 0
+    split = scalar.aggregate_stats()
+    assert split.batched_windows == split.batched_cycles == 0
     chunks = config.chunk_plan().chunks
     steady_plane = chunks[0].read_width * grid.nz
-    assert result.batch_fallback_reason is None
-    assert result.total_cycles - result.batched_cycles \
+    split = result.aggregate_stats()
+    assert split.batch_fallback_reason is None
+    assert result.total_cycles - split.batched_cycles \
         < steady_plane * len(chunks)
 
 

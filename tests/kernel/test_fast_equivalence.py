@@ -14,7 +14,6 @@ from repro.core.grid import Grid
 from repro.core.wind import random_wind
 from repro.errors import DataflowError
 from repro.kernel.config import KernelConfig
-from repro.kernel.multi_simulate import simulate_multi_kernel
 from repro.kernel.simulate import simulate_kernel
 
 
@@ -91,10 +90,9 @@ class TestMultiKernel:
         grid = Grid(nx=8, ny=6, nz=4)
         fields = random_wind(grid, seed=2)
         config = KernelConfig(grid=grid, chunk_width=3)
-        scalar = simulate_multi_kernel(config, fields, num_kernels=2,
-                                       batched=False, **kwargs)
-        batched = simulate_multi_kernel(config, fields, num_kernels=2,
-                                        **kwargs)
+        scalar = simulate_kernel(config, fields, num_kernels=2,
+                                 batched=False, **kwargs)
+        batched = simulate_kernel(config, fields, num_kernels=2, **kwargs)
         assert batched.total_cycles == scalar.total_cycles
         assert batched.arbiter.grants == scalar.arbiter.grants
         assert batched.arbiter.denials == scalar.arbiter.denials
@@ -103,12 +101,13 @@ class TestMultiKernel:
 
     def test_ample_bandwidth_bit_identical(self):
         _, batched = self.run_both()
-        assert batched.batch_fallback_reason is None
+        assert batched.aggregate_stats().batch_fallback_reason is None
 
     def test_starved_arbiter_disables_fast_forward(self):
         """A contended memory makes read counts data-dependent: the read
         stage vetoes batching and the run must match scalar ticking."""
         scalar, batched = self.run_both(memory_cells_per_cycle=1.5)
         assert scalar.arbiter.denials > 0  # the scenario really starves
-        assert "k0.read_data" in batched.batch_fallback_reason
-        assert batched.batched_windows == batched.batched_cycles == 0
+        stats = batched.aggregate_stats()
+        assert "k0.read_data" in stats.batch_fallback_reason
+        assert stats.batched_windows == stats.batched_cycles == 0

@@ -9,7 +9,6 @@ from repro.dataflow.monitors import ThroughputMonitor
 from repro.distributed.driver import DistributedAdvection
 from repro.distributed.topology import ProcessGrid
 from repro.kernel.config import KernelConfig
-from repro.kernel.multi_simulate import simulate_multi_kernel
 from repro.kernel.simulate import simulate_kernel
 from repro.observe import MetricRegistry, Tracer
 
@@ -166,7 +165,7 @@ class TestMultiKernelObservability:
     def test_replica_lanes_and_arbiter_metrics(self, grid, fields, config):
         tracer = Tracer()
         registry = MetricRegistry()
-        result = simulate_multi_kernel(
+        result = simulate_kernel(
             config, fields, num_kernels=2, tracer=tracer, metrics=registry)
         tracks = set(tracer.tracks())
         assert "k0.advect_u" in tracks and "k1.advect_u" in tracks

@@ -1,6 +1,10 @@
 """Fleet scheduler: lifecycle, resharding, recovery, typed failure."""
 
 import math
+import subprocess
+import sys
+
+import pytest
 
 from repro.errors import WatchdogTimeout
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -202,6 +206,51 @@ class TestWatchdog:
         assert report.completed == []
         assert any(isinstance(o.error, WatchdogTimeout)
                    for o in report.failed)
+
+
+#: Two submissions of distinct inputs whose input build raises an
+#: error that is not a ReproError: a scheduler defect.
+TWO_DEFECTS = """
+import gc
+
+from repro.serve import Fleet, FleetScheduler, JobSpec
+
+
+class Defect(Exception):
+    pass
+
+
+def broken_fields(self):
+    raise Defect(self.job_id)
+
+
+JobSpec.fields = broken_fields
+scheduler = FleetScheduler(Fleet.from_spec("1xu280"))
+try:
+    scheduler.serve_sync([(0.0, JobSpec("a", seed=1)),
+                          (0.0, JobSpec("b", seed=2))])
+except Defect as error:
+    print("defect", error)
+gc.collect()
+"""
+
+
+class TestDefects:
+    def test_every_submission_is_retrieved_before_the_defect_raises(self):
+        """The first defect propagates only after every task has been
+        awaited: asyncio's debug mode reports no unretrieved task
+        exception, and warnings are errors."""
+        try:
+            child = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-c",
+                 TWO_DEFECTS],
+                capture_output=True, text=True, timeout=60,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("serve hung after a scheduler defect")
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "defect a\n"
+        assert child.stderr == ""
 
 
 class TestReportShape:

@@ -183,9 +183,6 @@ REJECTED_ARGV = {
     "multi-kernel-nan-memory-rate": [
         "simulate", "--kernels", "2", "--memory-rate", "nan",
         "--nx", "8", "--ny", "8", "--nz", "8"],
-    "multi-kernel-read-ii": [
-        "simulate", "--kernels", "2", "--read-ii", "2",
-        "--nx", "8", "--ny", "8", "--nz", "8"],
 }
 
 
@@ -207,8 +204,8 @@ def _rejections():
     from repro.faults.chaos import run_chaos
     from repro.hardware import XEON_8260M
     from repro.kernel.config import KernelConfig
-    from repro.kernel.multi_simulate import MemoryArbiter
     from repro.kernel.simulate import simulate_kernel
+    from repro.kernel.stages import MemoryArbiter
     from repro.lint.builders import build_structural_graph
     from repro.observe.opscycle import check_clock_mhz
     from repro.runtime.session import AdvectionSession

@@ -15,7 +15,6 @@ from repro.core import (
     advect_reference,
     thermal_bubble,
 )
-from repro.core.io import load_fields, save_fields
 from repro.distributed import DistributedAdvection, ProcessGrid
 from repro.hardware import ALVEO_U280, STRATIX10_GX2800
 from repro.kernel import KernelConfig, simulate_kernel
@@ -24,31 +23,26 @@ from repro.runtime import AdvectionSession
 
 
 class TestCheckpointedDeviceRun:
-    def test_save_integrate_on_device_reload(self, tmp_path):
-        """Checkpoint -> device-backed integration -> checkpoint -> reload
-        reproduces the in-memory trajectory bit for bit."""
+    def test_save_integrate_on_device_reload(self):
+        """Device-backed integration reproduces the host trajectory bit
+        for bit."""
         grid = Grid(nx=8, ny=10, nz=6)
         coeffs = AdvectionCoefficients.isothermal(grid)
         config = KernelConfig(grid=grid, chunk_width=4)
         session = AdvectionSession(ALVEO_U280, config)
 
-        fields = thermal_bubble(grid)
-        save_fields(tmp_path / "t0.npz", fields)
-
         device_integ = AdvectionIntegrator(
-            fields=load_fields(tmp_path / "t0.npz"), dt=0.5, coeffs=coeffs,
+            fields=thermal_bubble(grid), dt=0.5, coeffs=coeffs,
             advect=lambda f: session.execute(f, coeffs))
         host_integ = AdvectionIntegrator(
             fields=thermal_bubble(grid), dt=0.5, coeffs=coeffs)
 
         device_integ.run(4)
         host_integ.run(4)
-        save_fields(tmp_path / "t4.npz", device_integ.fields)
-        reloaded = load_fields(tmp_path / "t4.npz")
 
-        np.testing.assert_array_equal(reloaded.interior("u"),
+        np.testing.assert_array_equal(device_integ.fields.interior("u"),
                                       host_integ.fields.interior("u"))
-        np.testing.assert_array_equal(reloaded.interior("w"),
+        np.testing.assert_array_equal(device_integ.fields.interior("w"),
                                       host_integ.fields.interior("w"))
 
 
