@@ -68,18 +68,26 @@ fault plan and gates its fault-free overhead against the plain batched
 run (``--max-resilience-overhead``, default 3%): recovery must be free
 when nothing fails.
 
-An observed run threads a *disabled* tracer and metric registry through
+An observed run threads a *disabled* tracer (with a ``sample_every``
+stride, which a disabled tracer must ignore) and metric registry through
 the whole stack and gates their compiled-in-but-off cost the same way
 (``--max-observe-overhead``, default 3%): observability must be free
 when nobody is watching.  Both overhead gates run in batched mode — the
 production configuration — so the budget covers the calendar and
 preview bookkeeping too.
 
-Each overhead is the median, over ``--overhead-repeats`` (default 9)
-interleaved tuples of the plain, resilient and observed runs, of the
+Each gated overhead is the median, over ``--overhead-repeats`` (default
+9) interleaved tuples of the plain, resilient and observed runs, of the
 leg's wall time divided by the plain run's in the same tuple.  Tuple
 ``i`` starts at leg ``i mod 3``, so no leg always runs first, and a
 slow stretch of the host shifts one tuple's three timings together.
+
+A sampled run threads an *enabled* tracer sampling every
+``SAMPLED_STRIDE`` cycles.  Its sample cycles bound batched windows and
+restart recurrence detection, so it costs many times the plain run; its
+overhead, the median of ``SAMPLED_PAIRS`` interleaved pairs with the
+plain run, is printed and recorded ungated, so the cost of watching is
+on record too.
 """
 
 from __future__ import annotations
@@ -115,6 +123,13 @@ MIN_STENCIL_SPEEDUP = 15.0
 #: Ceiling on the batched kernel run's tracemalloc peak, in bytes per
 #: interior cell.
 MAX_BATCHED_BYTES_PER_CELL = 128
+
+#: The sampled leg's tracer stride: every stream's occupancy and every
+#: stage's fires, once per this many cycles of each engine run.
+SAMPLED_STRIDE = 1024
+
+#: Interleaved plain/sampled timing pairs behind the sampled overhead.
+SAMPLED_PAIRS = 3
 
 #: Ceilings on the batched legs' (scalar cycles, windows), per grid at
 #: the default chunk width.
@@ -276,11 +291,15 @@ def main(argv=None) -> int:
     def observed_kwargs():
         # Compiled in, switched off: the gate measures exactly the cost a
         # production run pays for carrying the observability plane.
-        return {"tracer": Tracer(enabled=False),
+        return {"tracer": Tracer(enabled=False, sample_every=64),
                 "metrics": MetricRegistry(enabled=False)}
+
+    def sampled_kwargs():
+        return {"tracer": Tracer(sample_every=SAMPLED_STRIDE)}
 
     resilient, _ = run_once(config, fields, **resilient_kwargs())
     observed, _ = run_once(config, fields, **observed_kwargs())
+    sampled, _ = run_once(config, fields, **sampled_kwargs())
     st_scalar, st_scalar_stats, st_scalar_ports, t_st_scalar = \
         run_stencil_once(grid, fields.u, batched=False)
     st_batched, st_batched_stats, st_batched_ports, t_st_batched = \
@@ -297,6 +316,10 @@ def main(argv=None) -> int:
         args.overhead_repeats)
     overhead = statistics.median(ratios["resilient"]) - 1.0
     observe_overhead = statistics.median(ratios["observed"]) - 1.0
+    sampled_ratios, sampled_times = overhead_ratios(
+        config, fields, {"batched": dict, "sampled": sampled_kwargs},
+        SAMPLED_PAIRS)
+    sampled_overhead = statistics.median(sampled_ratios["sampled"]) - 1.0
     # Untimed, after every timed leg: tracing allocations slows a run.
     fp_us = fingerprint_us(config, fields)
     peak_bytes = traced_peak(config, fields)
@@ -326,6 +349,10 @@ def main(argv=None) -> int:
         errors.append("resilient path retried on a fault-free run")
     if observed.total_cycles != scalar.total_cycles:
         errors.append("disabled observability changed the cycle count")
+    if not sampled.sources.same_bits(scalar.sources):
+        errors.append("sources differ under a sampling tracer")
+    if sampled.total_cycles != scalar.total_cycles:
+        errors.append("a sampling tracer changed the cycle count")
     if st_batched.tobytes() != st_scalar.tobytes():
         errors.append("stencil output not bit-identical under batched exact")
     if st_batched_stats.cycles != st_scalar_stats.cycles:
@@ -390,6 +417,17 @@ def main(argv=None) -> int:
         extra={"overhead_vs_batched": round(observe_overhead, 4),
                "timing_pairs": args.overhead_repeats,
                "instruments": "tracer+metrics, disabled"})
+    agg_sampled = sampled.aggregate_stats()
+    rec_sampled = BenchRecord(
+        name=f"kernel-{label}-sampled",
+        wall_seconds=statistics.median(sampled_times["sampled"]),
+        cycles=sampled.total_cycles, cells=grid.num_cells, mode="exact",
+        extra={"overhead_vs_batched": round(sampled_overhead, 4),
+               "timing_pairs": SAMPLED_PAIRS,
+               "instruments": f"tracer, enabled, "
+                              f"sample_every={SAMPLED_STRIDE}",
+               "batched_windows": agg_sampled.batched_windows,
+               "batched_cycles": agg_sampled.batched_cycles})
     rec_st_scalar = BenchRecord(
         name=f"stencil-diffusion-{label}-scalar", wall_seconds=t_st_scalar,
         cycles=st_scalar_stats.cycles, cells=grid.num_cells, mode="exact",
@@ -407,6 +445,7 @@ def main(argv=None) -> int:
     suite.add(rec_batched)
     suite.add(rec_resilient)
     suite.add(rec_observed)
+    suite.add(rec_sampled)
     suite.add(rec_st_scalar)
     suite.add(rec_st_batched)
     for name, (_, stats, _, wall), _scalar in replays:
@@ -424,6 +463,7 @@ def main(argv=None) -> int:
     suite.context["speedup_stencil_batched"] = round(gain_stencil, 2)
     suite.context["resilience_overhead"] = round(overhead, 4)
     suite.context["observe_overhead"] = round(observe_overhead, 4)
+    suite.context["sampled_overhead"] = round(sampled_overhead, 4)
     path = suite.write(args.output)
 
     print(render_table(suite.records))
@@ -462,6 +502,10 @@ def main(argv=None) -> int:
     print(f"disabled observability overhead: "
           f"{observe_overhead * 100:+.2f}% "
           f"(median of {args.overhead_repeats} tuples)")
+    print(f"enabled sampling tracer overhead: "
+          f"{sampled_overhead * 100:+.2f}% at sample_every="
+          f"{SAMPLED_STRIDE} (median of {SAMPLED_PAIRS} pairs, "
+          f"ungated)")
     print(f"records written to {path}")
     failed = False
     if gain_batched < args.min_batched_speedup:

@@ -16,12 +16,11 @@ from repro.analyze.interp import (InterpRun, PeriodProof, StallWitness,
                                   default_tokens, interpret)
 from repro.analyze.kernel import static_kernel_cycles
 from repro.analyze.occupancy import (OccupancyProof, StreamProof,
-                                     build_occupancy_proof, prove_occupancy)
+                                     build_occupancy_proof)
 from repro.analyze.report import (AnalysisReport, analyze_graph,
                                   patch_spec_depths)
 from repro.analyze.schedule import (StageTiming, StaticSchedule,
-                                    analyze_schedule, build_schedule,
-                                    start_cycles)
+                                    build_schedule, start_cycles)
 from repro.analyze.twin import build_token_twin
 
 __all__ = [
@@ -34,14 +33,12 @@ __all__ = [
     "StaticSchedule",
     "StreamProof",
     "analyze_graph",
-    "analyze_schedule",
     "build_occupancy_proof",
     "build_schedule",
     "build_token_twin",
     "default_tokens",
     "interpret",
     "patch_spec_depths",
-    "prove_occupancy",
     "start_cycles",
     "static_kernel_cycles",
 ]

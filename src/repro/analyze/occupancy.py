@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.dataflow.graph import DataflowGraph
-from repro.analyze.interp import (InterpRun, PeriodProof, StallWitness,
-                                  default_tokens, interpret)
+from repro.analyze.interp import InterpRun, PeriodProof, StallWitness
 
 __all__ = ["StreamProof", "OccupancyProof", "build_occupancy_proof",
-           "prove_occupancy", "OVERPROVISION_SLACK"]
+           "OVERPROVISION_SLACK"]
 
 #: Depth headroom above the minimal stall-free depth tolerated before a
 #: FIFO is called overprovisioned (BRAM-backed FIFOs round up anyway).
@@ -174,18 +173,3 @@ def build_occupancy_proof(graph: DataflowGraph, bounded: InterpRun,
         period=bounded.period,
         streams=streams,
     )
-
-
-def prove_occupancy(graph: DataflowGraph, tokens: int | None = None, *,
-                    stall_grace: int | None = None) -> OccupancyProof:
-    """Run the prover end to end on ``graph``.
-
-    Convenience wrapper over two :func:`interpret` calls; use
-    :func:`repro.analyze.report.analyze_graph` to share those runs with
-    the schedule analyzer.
-    """
-    if tokens is None:
-        tokens = default_tokens(graph)
-    unbounded = interpret(graph, tokens, bounded=False)
-    bounded = interpret(graph, tokens, stall_grace=stall_grace)
-    return build_occupancy_proof(graph, bounded, unbounded)

@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.dataflow.graph import DataflowGraph
-from repro.analyze.interp import (InterpRun, PeriodProof, default_tokens,
-                                  interpret)
+from repro.analyze.interp import InterpRun, PeriodProof
 
 __all__ = ["StageTiming", "StaticSchedule", "start_cycles",
-           "build_schedule", "analyze_schedule"]
+           "build_schedule"]
 
 
 @dataclass(frozen=True)
@@ -150,12 +149,3 @@ def build_schedule(graph: DataflowGraph, bounded: InterpRun
         period=bounded.period,
         stages=stages,
     )
-
-
-def analyze_schedule(graph: DataflowGraph, tokens: int | None = None, *,
-                     stall_grace: int | None = None) -> StaticSchedule:
-    """Run the schedule analysis end to end on ``graph``."""
-    if tokens is None:
-        tokens = default_tokens(graph)
-    bounded = interpret(graph, tokens, stall_grace=stall_grace)
-    return build_schedule(graph, bounded)

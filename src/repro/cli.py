@@ -654,7 +654,7 @@ def _cmd_simulate(args) -> int:
     stats = result.aggregate_stats()
     if result.arbiter is not None:
         print(f"grid:     {grid.interior_shape}, "
-              f"{args.kernels} kernels, mode={args.mode}")
+              f"{result.num_kernels} kernels, mode={args.mode}")
         print(f"cycles:   {result.total_cycles} "
               f"(chunks: {result.chunk_cycles})")
         print(f"memory:   {result.arbiter.grants} grants, "

@@ -24,7 +24,6 @@ implements exactly that abstraction:
 from repro.dataflow.compiled import CompiledGraph, compile_graph
 from repro.dataflow.engine import ControlRecord, DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
-from repro.dataflow.monitors import StreamProbe, ThroughputMonitor
 from repro.dataflow.stage import ConstStage, FunctionStage, SinkStage, SourceStage, Stage
 from repro.dataflow.stream import Stream
 
@@ -41,6 +40,4 @@ __all__ = [
     "RunStats",
     "CompiledGraph",
     "compile_graph",
-    "StreamProbe",
-    "ThroughputMonitor",
 ]

@@ -20,8 +20,9 @@ streams) and the data relayed through the graph in bulk.  Everything
 that could make a cycle *observable* is an **event** that bounds the
 window instead of being skipped:
 
-* **monitor samples** — a window never covers a cycle a monitor would
-  sample; the engine ticks that cycle scalar, then re-enters batching;
+* **tracer samples** — a window never covers a cycle an enabled
+  tracer's ``sample_every`` stride samples; the engine ticks that cycle
+  scalar, then re-enters batching;
 * **freeze boundaries** — fault-plan freeze windows change which stages
   tick, so detection state resets at each boundary and no window ever
   crosses one;
@@ -42,7 +43,7 @@ window instead of being skipped:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -86,21 +87,22 @@ class EventCalendar:
 
     The calendar answers one question: starting at ``sig_cycle``, how
     many whole periods may be skipped before a cycle that *must* be
-    ticked scalar — a monitor sample, a freeze-window boundary, or a
+    ticked scalar — a tracer sample, a freeze-window boundary, or a
     FIFO fault strike?  Windows are capped, never silently extended, so
     every observable event happens on the scalar path at exactly the
     cycle (or push) a fully scalar run would produce it.
     """
 
     def __init__(self, *,
-                 monitors: Iterable[tuple[int, int]] = (),
+                 sample_every: int | None = None,
                  freeze: dict[str, tuple[int, int | None]] | None = None,
                  plan: "FaultPlan | None" = None,
                  hooked: Sequence[str] = ()) -> None:
-        #: (every, phase) strides; every-cycle monitors (stride <= 1)
-        #: must be rejected by the caller — no window can skip anything.
-        self.monitors = [(every, phase) for every, phase in monitors
-                         if every > 1]
+        #: The tracer's sample stride (samples on cycles ``c % stride ==
+        #: 0``); an every-cycle stride (1) must be rejected by the caller
+        #: — no window can skip anything — and bounds nothing here.
+        self.sample_every = (sample_every if sample_every is not None
+                             and sample_every > 1 else None)
         bounds: set[int] = set()
         for start, stop in (freeze or {}).values():
             bounds.add(start)
@@ -116,15 +118,13 @@ class EventCalendar:
     def cap_cycles(self, sig_cycle: int) -> int | None:
         """Max cycles skippable from ``sig_cycle`` before a clocked event.
 
-        ``None`` means unbounded (no monitors, no upcoming boundary).
+        ``None`` means unbounded (no stride, no upcoming boundary).
         The skipped window ``[sig_cycle, sig_cycle + L - 1]`` must
         exclude every sample cycle and every boundary cycle.
         """
         cap: int | None = None
-        for every, phase in self.monitors:
-            next_sample = sig_cycle + ((phase - sig_cycle) % every)
-            gap = next_sample - sig_cycle
-            cap = gap if cap is None else min(cap, gap)
+        if self.sample_every is not None:
+            cap = -sig_cycle % self.sample_every
         for boundary in self.boundaries:
             if boundary >= sig_cycle:
                 gap = boundary - sig_cycle

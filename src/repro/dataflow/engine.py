@@ -30,9 +30,9 @@ state replays it exactly — and ``N`` whole periods run in one step:
   per-cycle ticking resumes;
 * ``N`` is capped by every stage's remaining capacity
   (:meth:`~repro.dataflow.stage.Stage.ff_fire_capacity`) and by the
-  event calendar: monitor sample cycles, fault freeze boundaries and
+  event calendar: tracer sample cycles, fault freeze boundaries and
   previewed FIFO fault strikes bound each window and always run on the
-  scalar path, so monitored and faulted runs accelerate too.
+  scalar path, so sampled and faulted runs accelerate too.
 
 A stage signature may summarise its control state per *regime* — the
 shift buffer's prime planes recur every feed, its steady planes every
@@ -80,7 +80,7 @@ run of the same structure replays it as one relay from cycle 0 —
 whole-run fires and every stream's whole-run traffic, from empty
 pipelines to empty pipelines — then checks that the machine is
 quiescent in the recorded control state.  Runs with an active fault
-plan, a monitor or an enabled tracer neither record nor replay.
+plan or an enabled tracer neither record nor replay.
 
 A stage whose output counts could depend on data values returns
 ``None`` from ``ff_signature`` (the arbitrated multi-kernel read stage
@@ -109,7 +109,6 @@ from repro.dataflow.compiled import (CompiledGraph, EventCalendar,
                                      compile_graph, execute_window,
                                      period_deltas, plan_window)
 from repro.dataflow.graph import DataflowGraph
-from repro.dataflow.monitors import Monitor
 from repro.dataflow.stage import Stage
 from repro.dataflow.stream import Stream
 from repro.errors import DataflowError, FaultError, LintError, WatchdogTimeout
@@ -165,8 +164,8 @@ class RunStats:
     #: cycles executed inside those batched windows; the scalar-fallback
     #: remainder is ``cycles - batched_cycles``.
     batched_cycles: int = 0
-    #: why batched exact execution was (partly) disabled mid-run: an
-    #: every-cycle monitor, a corrupted word left in flight, or a
+    #: why batched exact execution was (partly) disabled mid-run: a
+    #: tracer sampling every cycle, a corrupted word left in flight, or a
     #: data-dependent stage veto.  ``None`` when batching never had to
     #: fall back (including ``batched=False`` runs).
     batch_fallback_reason: str | None = None
@@ -299,9 +298,6 @@ class DataflowEngine:
         before the first cycle.
     max_cycles:
         Hard cap to bound runaway simulations.
-    monitors:
-        Optional probes sampled once per cycle (honouring each monitor's
-        ``sample_every``/``sample_phase`` stride, when present).
     mode:
         ``"exact"``, the only engine mode.  ``"fast"`` is a deprecated
         alias that emits a :class:`DeprecationWarning` and runs
@@ -338,9 +334,13 @@ class DataflowEngine:
         cycle, with fire/stall counts attached), prime/steady phase spans
         for stages exposing ``first_emit_cycle`` (the shift buffer),
         batched window spans, and a fallback marker — all on the engine's
-        cycle clock.  Unlike monitors, a tracer never bounds a window: it
-        records phase boundaries and aggregates that batched windows
-        preserve exactly, never per-cycle samples.
+        cycle clock.  With a ``sample_every`` stride ``N`` it also
+        records, after every stage has ticked on each cycle ``c % N ==
+        0``, a ``fifo_occupancy`` counter sample of every stream (track
+        ``fifo``) and a ``stage_fires`` sample of every stage's
+        cumulative fires (track ``engine``).  Sample cycles bound
+        batched windows and tick scalar; a stride of 1 leaves nothing to
+        batch.  A disabled tracer's stride is ignored.
     metrics:
         Optional :class:`~repro.observe.metrics.MetricRegistry`.  At the
         end of the run the engine feeds ``engine_cycles``,
@@ -350,15 +350,14 @@ class DataflowEngine:
         loop untouched.
     record:
         Optional :class:`ControlRecord` shared by the runs of one call.
-        A batched run with no active fault plan, no monitor and no
-        enabled tracer replays the record's run of the same structure
+        A batched run with no active fault plan and no enabled tracer
+        replays the record's run of the same structure
         when it holds one and ``max_cycles`` (and ``watchdog``) cover
         it, and otherwise records itself on success unless batching
         fell back.
     """
 
     def __init__(self, graph: DataflowGraph, *, max_cycles: int = 10_000_000,
-                 monitors: list[Monitor] | None = None,
                  stall_grace: int | None = None, mode: str = "exact",
                  batched: bool = True,
                  lint: bool = False, watchdog: int | None = None,
@@ -389,7 +388,6 @@ class DataflowEngine:
             )
         self.graph = graph
         self.max_cycles = max_cycles
-        self.monitors = list(monitors or [])
         self.stall_grace = stall_grace
         self.mode = mode
         self.batched = batched
@@ -441,31 +439,27 @@ class DataflowEngine:
         grace = self.stall_grace if self.stall_grace is not None else (
             max(s.ii for s in order) + max(s.latency for s in order) + 1
         )
-        # Monitors sampled on a stride skip the call entirely off-phase;
-        # an empty monitor list skips the whole loop.
-        monitor_plan = [
-            (m, getattr(m, "sample_every", 1), getattr(m, "sample_phase", 0))
-            for m in self.monitors
-        ]
+        # Activity tracking (stage name -> [first, last] progressing cycle)
+        # and strided samples only run with an *enabled* tracer: the flag
+        # is hoisted here so a compiled-in-but-disabled tracer costs
+        # nothing inside the loop.
+        tracer = self.tracer
+        trace_on = tracer is not None and tracer.enabled
+        sample_every = (tracer.sample_every
+                        if tracer is not None and trace_on else None)
         # Batched windows are event-aware (repro.dataflow.compiled):
-        # monitors and fault plans bound windows instead of vetoing them;
-        # only an every-cycle monitor leaves nothing to batch.
+        # tracer samples and fault plans bound windows instead of vetoing
+        # them; only an every-cycle stride leaves nothing to batch.
         batch_reason: str | None = None
         batched = self.batched
         calendar: EventCalendar | None = None
-        if batched:
-            for monitor, every, _phase in monitor_plan:
-                if every <= 1:
-                    batched = False
-                    batch_reason = (
-                        f"monitor {type(monitor).__name__} samples every "
-                        f"cycle: no window can be skipped"
-                    )
-                    break
+        if batched and sample_every == 1:
+            batched = False
+            batch_reason = ("tracer samples every cycle (sample_every=1): "
+                            "no window can be skipped")
         if batched:
             calendar = EventCalendar(
-                monitors=[(every, phase)
-                          for _, every, phase in monitor_plan],
+                sample_every=sample_every,
                 freeze=freeze,
                 plan=plan if plan_active else None,
                 hooked=[stream.name for stream in streams
@@ -473,17 +467,12 @@ class DataflowEngine:
             )
         cap = (self.max_cycles if self.watchdog is None
                else min(self.max_cycles, self.watchdog))
-        # Activity tracking (stage name -> [first, last] progressing cycle)
-        # only runs with an *enabled* tracer: the flag is hoisted here so a
-        # compiled-in-but-disabled tracer costs nothing inside the loop.
-        tracer = self.tracer
-        trace_on = tracer is not None and tracer.enabled
         # A run with nothing to observe per cycle may replay a
         # control-identical run of the record, or record itself.
         record = self.record
         structure = None
         if record is not None and batched and not plan_active \
-                and not self.monitors and not trace_on:
+                and not trace_on:
             structure = self._ff_structure(order, streams, grace)
         start_counters = None
         if structure is not None:
@@ -525,6 +514,14 @@ class DataflowEngine:
                             activity[stage.name] = [cycle, cycle]
                         else:
                             slot[1] = cycle
+                if sample_every is not None and cycle % sample_every == 0:
+                    assert tracer is not None
+                    tracer.counter(
+                        "fifo_occupancy", "fifo", float(cycle),
+                        **{s.name: s.occupancy for s in streams})
+                    tracer.counter(
+                        "stage_fires", "engine", float(cycle),
+                        **{s.name: s.stats.fires for s in order})
             elif not freeze:
                 for stage in order:
                     progressed |= stage.tick(cycle)
@@ -535,9 +532,6 @@ class DataflowEngine:
                             window[1] is None or cycle < window[1]):
                         continue  # frozen: the stage does nothing
                     progressed |= stage.tick(cycle)
-            for monitor, every, phase in monitor_plan:
-                if every <= 1 or cycle % every == phase:
-                    monitor.sample(cycle, self.graph)
             if progressed:
                 last_progress = cycle
             else:
@@ -840,7 +834,7 @@ class DataflowEngine:
         for stream in self.graph.streams:
             if stream.stats.max_occupancy:
                 tracer.counter("fifo_high_water", "fifo",
-                               ts=float(stats.cycles),
+                               float(stats.cycles),
                                **{stream.name: stream.stats.max_occupancy})
 
     def _emit_metrics(self, stats: RunStats) -> None:

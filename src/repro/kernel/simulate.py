@@ -161,10 +161,10 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
         ``nx``).  More than one makes the run shared (module docstring).
     memory_cells_per_cycle:
         Shared memory's sustained issue rate in cell reads per cycle
-        across all replicas.  ``None`` means one read per kernel per
-        cycle (no contention, the HBM2 regime) for a run of several
-        replicas, and no arbiter at all for one replica; a rate makes
-        even a one-replica run shared.
+        across all replicas.  ``None`` means one read per running
+        replica per cycle (no contention, the HBM2 regime) for a run of
+        several replicas, and no arbiter at all for one replica; a rate
+        makes even a one-replica run shared.
     read_ii:
         Initiation interval of every replica's read stage (*1* = memory
         keeps up).
@@ -252,7 +252,7 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
     arbiter: MemoryArbiter | None = None
     grace: int | None = None
     if shared:
-        rate = (float(num_kernels) if memory_cells_per_cycle is None
+        rate = (float(decomp.parts) if memory_cells_per_cycle is None
                 else memory_cells_per_cycle)
         arbiter = MemoryArbiter(rate)
         # A heavily starved arbiter can stall every read stage for

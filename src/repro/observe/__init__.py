@@ -5,10 +5,11 @@ a 62.875 theoretical, XRT/OpenCL profiles of transfer/compute overlap —
 and this package gives the reproduction the same instruments:
 
 * :class:`Tracer` — span-based tracing on deterministic clocks (engine
-  cycles, modelled seconds), exported as one Chrome/Perfetto JSON by
+  cycles, modelled seconds), with strided per-cycle FIFO occupancy and
+  stage fire samples, exported as one Chrome/Perfetto JSON by
   :mod:`repro.observe.export`;
 * :class:`MetricRegistry` — labelled counters/gauges/histograms, cheap
-  when disabled, with ``sample_every`` striding;
+  when disabled;
 * :mod:`repro.observe.opscycle` — achieved-vs-theoretical roofline
   accounting from measured engine statistics.
 

@@ -14,9 +14,9 @@ feed the same dashboards as a production deployment:
   per-chunk or per-rank histograms fold in any order.
 
 Instruments are cheap when the registry is disabled: each recording call
-is a single-branch no-op, and :meth:`MetricRegistry.should_sample`
-supports the same ``sample_every`` striding the engine's monitors use,
-so per-cycle call sites can skip whole cycles without arithmetic.
+is a single-branch no-op.  Per-cycle samples belong to the tracer
+(:class:`~repro.observe.trace.Tracer`'s ``sample_every``); the registry
+sees each engine run once, at its end.
 
 Metric naming scheme (see ``docs/observability.md``): snake_case,
 ``<subsystem>_<quantity>[_<unit>]`` — ``engine_cycles``,
@@ -240,24 +240,11 @@ class MetricRegistry:
     enabled:
         When False every instrument's recording call is a one-branch
         no-op; instruments can still be created and wired.
-    sample_every:
-        Stride for :meth:`should_sample` — per-cycle call sites only
-        record on cycles where ``cycle % sample_every == 0``, exactly the
-        monitors' striding contract.
     """
 
-    def __init__(self, *, enabled: bool = True, sample_every: int = 1) -> None:
-        if sample_every < 1:
-            raise ConfigurationError(
-                f"sample_every must be >= 1, got {sample_every}"
-            )
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.sample_every = sample_every
         self._instruments: dict[str, _Instrument] = {}
-
-    def should_sample(self, cycle: int) -> bool:
-        """True when a per-cycle site should record this cycle."""
-        return self.enabled and cycle % self.sample_every == 0
 
     # -- instrument factories (idempotent per name) --------------------------
 

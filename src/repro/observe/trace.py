@@ -84,11 +84,27 @@ class Tracer:
         tracer's native unit (engine cycles, modelled seconds).  Only the
         context-manager :meth:`span` reads it; explicit
         :meth:`add_span`/:meth:`instant` calls carry their own times.
+    sample_every:
+        Per-cycle sampling stride for the dataflow engine (an int
+        ``>= 1``).  An enabled tracer with a stride gets, on every
+        engine cycle ``c`` with ``c % sample_every == 0``, a
+        ``fifo_occupancy`` sample of every stream's occupancy (track
+        ``fifo``) and a ``stage_fires`` sample of every stage's
+        cumulative fires (track ``engine``); those cycles bound batched
+        windows.  A disabled tracer ignores its stride.
     """
 
     def __init__(self, *, enabled: bool = True,
-                 clock: Callable[[], float] | None = None) -> None:
+                 clock: Callable[[], float] | None = None,
+                 sample_every: int | None = None) -> None:
+        if sample_every is not None and (
+                isinstance(sample_every, bool)
+                or not isinstance(sample_every, int) or sample_every < 1):
+            raise ConfigurationError(
+                f"sample_every must be an int >= 1, got {sample_every!r}"
+            )
         self.enabled = enabled
+        self.sample_every = sample_every
         self.spans: list[Span] = []
         self.instants: list[Instant] = []
         self.counters: list[CounterSample] = []
@@ -163,9 +179,13 @@ class Tracer:
         self.instants.append(Instant(name=name, track=track, ts=when,
                                      args=dict(args)))
 
-    def counter(self, name: str, track: str, ts: float,
+    def counter(self, name: str, track: str, ts: float, /,
                 **values: float) -> None:
-        """Record one sample of a counter series."""
+        """Record one sample of a counter series.
+
+        The series keys are free-form (stage and stream names), so the
+        leading parameters are positional-only.
+        """
         if not self.enabled:
             return
         self.counters.append(CounterSample(

@@ -539,7 +539,7 @@ class FleetScheduler:
         count.  Plain jobs key on their frozen ``serve_config``;
         scenario jobs on ``(scenario, grid)``, since the scenario kernel
         derives its whole configuration from the grid.  The run never
-        takes this scheduler's fault plan, monitors or tracer, so it is
+        takes this scheduler's fault plan or tracer, so it is
         always fault-free and its count is control only, never a
         function of the wind values (``tests/serve/test_exact_cycles.py``
         pins that premise).

@@ -1,6 +1,6 @@
 """Schedule analyzer: the start-cycle DP is exact, not a bound."""
 
-from repro.analyze import analyze_schedule, interpret, start_cycles
+from repro.analyze import analyze_graph, interpret, start_cycles
 from repro.dataflow.graph import DataflowGraph
 from repro.lint.spec import SpecStage
 
@@ -32,7 +32,7 @@ class TestStartCycleDP:
 
 class TestTotals:
     def test_stall_free_total_matches_the_closed_form(self):
-        sched = analyze_schedule(chain_graph(3, latency=3), 50)
+        sched = analyze_graph(chain_graph(3, latency=3), 50).schedule
         assert sched.stall_free
         assert sched.total_cycles == sched.analytic_total
         assert sched.analytic_total == (sched.prime_latency
@@ -40,20 +40,20 @@ class TestTotals:
         assert sched.stall_overhead == 0
 
     def test_backpressure_shows_as_proved_overhead(self):
-        sched = analyze_schedule(
-            fork_join_graph(fast_depth=2, slow_latency=20), 50)
+        sched = analyze_graph(
+            fork_join_graph(fast_depth=2, slow_latency=20), 50).schedule
         assert not sched.stall_free
         assert sched.total_cycles > sched.analytic_total
         assert sched.stall_overhead == (sched.total_cycles
                                         - sched.analytic_total)
 
     def test_ii_sets_the_ideal_period(self):
-        sched = analyze_schedule(chain_graph(2, ii=3), 30)
+        sched = analyze_graph(chain_graph(2, ii=3), 30).schedule
         assert sched.ideal_period == 3
         assert sched.total_cycles == sched.analytic_total
 
     def test_zero_tokens_is_the_quiescence_cycle(self):
-        sched = analyze_schedule(chain_graph(2), 0)
+        sched = analyze_graph(chain_graph(2), 0).schedule
         assert sched.analytic_total == 1
         assert sched.total_cycles == 1
 
@@ -61,7 +61,7 @@ class TestTotals:
 class TestSchema:
     def test_to_dict_lists_every_stage(self):
         graph = fork_join_graph()
-        sched = analyze_schedule(graph, 20)
+        sched = analyze_graph(graph, 20).schedule
         data = sched.to_dict()
         assert set(data["stages"]) == {s.name for s in graph.stages}
         for record in data["stages"].values():
@@ -73,5 +73,5 @@ class TestSchema:
         graph.add(SpecStage("a", outputs=("out",)))
         graph.add(SpecStage("b", inputs=("in",)))
         graph.connect("a", "out", "b", "in")
-        sched = analyze_schedule(graph, 5)
+        sched = analyze_graph(graph, 5).schedule
         assert sched.prime_latency == 1

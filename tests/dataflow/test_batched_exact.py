@@ -3,11 +3,11 @@
 ``DataflowEngine(mode="exact", batched=True)`` — the default — must be
 observationally *identical* to the forced-scalar per-cycle loop: same
 cycle count, same per-stage fire and stall counters, same stream
-high-water marks, same sink data, same fault traces, same monitor
-samples.  The only legal differences are the engine's own
+high-water marks, same sink data, same fault traces, same strided
+tracer samples.  The only legal differences are the engine's own
 ``batched_windows`` / ``batched_cycles`` / ``batch_fallback_reason``
 accounting fields.  These tests sweep the event machinery that bounds
-or vetoes windows: strided monitors, fault plans (drops, corrupts,
+or vetoes windows: tracer sample strides, fault plans (drops, corrupts,
 freezes), watchdogs, and the metric/tracer surfaces.
 """
 
@@ -15,7 +15,6 @@ import pytest
 
 from repro.dataflow.engine import DataflowEngine
 from repro.dataflow.graph import DataflowGraph
-from repro.dataflow.monitors import StreamProbe, ThroughputMonitor
 from repro.dataflow.stage import (
     ConstStage,
     FunctionStage,
@@ -51,6 +50,20 @@ def run_both(build, *, scalar_kwargs=None, batched_kwargs=None,
         g_batched, mode="exact", batched=True,
         **{**engine_kwargs, **(batched_kwargs or {})}).run()
     return (stats_scalar, g_scalar), (stats_batched, g_batched)
+
+
+def sampled_cycles(tracer):
+    """The cycles a tracer's ``sample_every`` stride sampled, in order."""
+    return [c.ts for c in tracer.counters if c.name == "stage_fires"]
+
+
+def assert_windows_between_samples(tracer):
+    """No batched window of a traced run covers a sampled cycle."""
+    samples = sampled_cycles(tracer)
+    for span in tracer.spans:
+        if span.category == "batched":
+            assert not any(span.start <= ts < span.end for ts in samples), \
+                (span, samples)
 
 
 def assert_identical(scalar, batched):
@@ -108,48 +121,56 @@ class TestEquivalence:
         assert stats.batched_windows >= 1
 
 
+def run_sampled(build, stride):
+    """``run_both`` with an enabled tracer sampling every ``stride``
+    cycles on each leg; returns both legs and both tracers."""
+    tracers = Tracer(sample_every=stride), Tracer(sample_every=stride)
+    scalar, batched = run_both(build, scalar_kwargs={"tracer": tracers[0]},
+                               batched_kwargs={"tracer": tracers[1]})
+    return scalar, batched, tracers
+
+
 class TestMonitors:
+    """An enabled tracer's strided samples: every stream's occupancy and
+    every stage's cumulative fires, on the cycles its stride names."""
+
     def test_strided_probe_samples_identically(self):
-        samples = {}
-
-        def build_and_attach(key):
-            g = pipeline(400)
-            probe = StreamProbe("src.out->fn.in", stride=64)
-            samples[key] = probe
-            return g, probe
-
-        g_scalar, probe_scalar = build_and_attach("scalar")
-        stats_scalar = DataflowEngine(
-            g_scalar, mode="exact", batched=False,
-            monitors=[probe_scalar]).run()
-        g_batched, probe_batched = build_and_attach("batched")
-        stats_batched = DataflowEngine(
-            g_batched, mode="exact", batched=True,
-            monitors=[probe_batched]).run()
-        assert stats_batched.cycles == stats_scalar.cycles
-        assert probe_batched.samples == probe_scalar.samples
+        scalar, batched, (t_scalar, t_batched) = run_sampled(
+            lambda: pipeline(400), 64)
+        assert_identical(scalar, batched)
+        stats, graph = batched
+        assert sampled_cycles(t_batched) == list(range(0, stats.cycles, 64))
+        occupancy = [c for c in t_batched.counters
+                     if c.name == "fifo_occupancy"]
+        assert {c.track for c in occupancy} == {"fifo"}
+        assert all(set(c.values) == {s.name for s in graph.streams}
+                   and max(c.values.values()) <= 4 for c in occupancy)
+        assert t_batched.counters == t_scalar.counters
         # Windows exist between the stride-64 sample cycles.
-        assert stats_batched.batched_windows >= 1
+        assert stats.batched_windows >= 1
+        assert_windows_between_samples(t_batched)
 
     def test_throughput_monitor_windows_match(self):
-        g_scalar = pipeline(400)
-        mon_scalar = ThroughputMonitor("fn", window=64)
-        DataflowEngine(g_scalar, mode="exact", batched=False,
-                       monitors=[mon_scalar]).run()
-        g_batched = pipeline(400)
-        mon_batched = ThroughputMonitor("fn", window=64)
-        stats = DataflowEngine(g_batched, mode="exact", batched=True,
-                               monitors=[mon_batched]).run()
-        assert mon_batched.rates == mon_scalar.rates
-        assert stats.batched_windows >= 1
+        _, batched, (t_scalar, t_batched) = run_sampled(
+            lambda: pipeline(400), 64)
+        fires = [c.values["fn"] for c in t_batched.counters
+                 if c.name == "stage_fires"]
+        rates = [(b - a) / 64 for a, b in zip(fires, fires[1:])]
+        # II=1: the steady state fires once a cycle, never faster.
+        assert sorted(rates)[len(rates) // 2] == 1.0
+        assert max(rates) <= 1.0
+        assert t_batched.counters == t_scalar.counters
+        assert batched[0].batched_windows >= 1
 
     def test_every_cycle_monitor_disables_batching_with_reason(self):
-        g = pipeline(200)
-        stats = DataflowEngine(
-            g, mode="exact", batched=True,
-            monitors=[StreamProbe("src.out->fn.in", stride=1)]).run()
+        scalar, batched, (t_scalar, t_batched) = run_sampled(
+            lambda: pipeline(200), 1)
+        assert_identical(scalar, batched)
+        stats, _ = batched
         assert stats.batched_windows == 0
-        assert "samples every cycle" in stats.batch_fallback_reason
+        assert "tracer samples every cycle" in stats.batch_fallback_reason
+        assert sampled_cycles(t_batched) == list(range(stats.cycles))
+        assert t_batched.counters == t_scalar.counters
 
 
 class TestFaults:
@@ -323,10 +344,11 @@ class TestObservability:
         g = pipeline(200)
         stats = DataflowEngine(
             g, mode="exact", batched=True, metrics=registry,
-            monitors=[StreamProbe("src.out->fn.in", stride=1)]).run()
-        assert stats.batch_fallback_reason is not None
-        assert "batch_fallbacks" in registry.names()
-        assert "batched fallback" in stats.summary()
+            tracer=Tracer(sample_every=1)).run()
+        reason = stats.batch_fallback_reason
+        assert reason is not None and "tracer" in reason
+        assert registry.counter("batch_fallbacks").value(reason=reason) == 1
+        assert f"batched fallback: {reason}" in stats.summary()
 
     def test_summary_reports_the_window_split(self):
         _, batched = run_both(lambda: pipeline(300))

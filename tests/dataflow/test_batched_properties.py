@@ -5,10 +5,10 @@ on) are lowered to engine-runnable token twins and run twice — forced
 scalar and batched exact.  Everything observable must match
 byte-for-byte: the full :meth:`RunStats.to_dict` payload (minus the
 engine's own batching accounting), per-stream push/pop/occupancy state,
-relay outputs, monitor samples, and fault traces.  Fault plans and
-strided monitors are layered on top to force mid-run scalar fallback
-windows, so the re-entry paths get the same adversarial coverage as the
-steady state.
+relay outputs, strided tracer samples, and fault traces.  Fault plans
+and tracer sample strides are layered on top to force mid-run scalar
+fallback windows, so the re-entry paths get the same adversarial
+coverage as the steady state.
 """
 
 from hypothesis import given, settings
@@ -16,10 +16,14 @@ from hypothesis import strategies as st
 
 from repro.analyze import build_token_twin
 from repro.dataflow.engine import DataflowEngine
-from repro.dataflow.monitors import StreamProbe
 from repro.errors import DataflowError, FaultError
 from repro.faults import FaultPlan, FaultSpec
+from repro.observe import Tracer
 from tests.analyze.test_properties import random_dag
+from tests.dataflow.test_batched_exact import (
+    assert_windows_between_samples,
+    sampled_cycles,
+)
 
 
 def _strip_batching(stats):
@@ -38,18 +42,19 @@ def _machine_state(graph):
     }
 
 
-def run_pair(spec_graph, tokens, *, plan_factory=None, monitors=None,
+def run_pair(spec_graph, tokens, *, plan_factory=None, sample_every=None,
              **engine_kwargs):
     """Run the token twin scalar and batched; return both (stats, twin,
-    plan, error) tuples.  Each leg gets its own twin and plan — the
-    graphs and plans are stateful."""
+    plan, tracer, error) tuples.  Each leg gets its own twin, plan and
+    tracer — the graphs and plans are stateful."""
     results = []
     for batched in (False, True):
         twin = build_token_twin(spec_graph, tokens)
         plan = plan_factory() if plan_factory is not None else None
-        mons = monitors(twin) if monitors is not None else None
+        tracer = (Tracer(sample_every=sample_every)
+                  if sample_every is not None else None)
         engine = DataflowEngine(twin, mode="exact", batched=batched,
-                                fault_plan=plan, monitors=mons,
+                                fault_plan=plan, tracer=tracer,
                                 **engine_kwargs)
         # A dropped word may starve a fan-in consumer outright: the run
         # then dies as a deadlock (DataflowError), not a FaultError.
@@ -58,13 +63,13 @@ def run_pair(spec_graph, tokens, *, plan_factory=None, monitors=None,
             stats, error = engine.run(), None
         except (FaultError, DataflowError) as exc:
             stats, error = None, exc
-        results.append((stats, twin, plan, mons, error))
+        results.append((stats, twin, plan, tracer, error))
     return results
 
 
 def assert_pair_identical(scalar, batched):
-    stats_s, twin_s, plan_s, mons_s, err_s = scalar
-    stats_b, twin_b, plan_b, mons_b, err_b = batched
+    stats_s, twin_s, plan_s, tracer_s, err_s = scalar
+    stats_b, twin_b, plan_b, tracer_b, err_b = batched
     # Same outcome: both completed, or both failed identically.
     assert (err_b is None) == (err_s is None)
     if err_s is not None:
@@ -75,9 +80,9 @@ def assert_pair_identical(scalar, batched):
     assert _machine_state(twin_b) == _machine_state(twin_s)
     if plan_s is not None:
         assert plan_b.trace_key() == plan_s.trace_key()
-    if mons_s is not None:
-        for m_s, m_b in zip(mons_s, mons_b):
-            assert m_b.samples == m_s.samples
+    if tracer_s is not None:
+        assert tracer_b.counters == tracer_s.counters
+        assert_windows_between_samples(tracer_b)
 
 
 @settings(max_examples=50, deadline=None)
@@ -133,10 +138,8 @@ def test_batched_equals_scalar_under_stage_freezes(params, at_cycle,
 def test_batched_equals_scalar_under_strided_monitors(params, stride):
     # Every sample cycle must tick scalar; windows live in the gaps.
     graph, tokens = params
-
-    def monitors(twin):
-        streams = list(twin.streams)
-        return [StreamProbe(streams[0].name, stride=stride)]
-
-    scalar, batched = run_pair(graph, tokens, monitors=monitors)
+    scalar, batched = run_pair(graph, tokens, sample_every=stride)
     assert_pair_identical(scalar, batched)
+    stats, _, _, tracer, _ = batched
+    if stats is not None:
+        assert sampled_cycles(tracer) == list(range(0, stats.cycles, stride))

@@ -1,7 +1,7 @@
 """Units for the batched-execution compiler (:mod:`repro.dataflow.compiled`).
 
 The compiled plan is the graph's tick order, stream rows and stream
-index, and the event calendar must bound windows at monitor samples,
+index, and the event calendar must bound windows at tracer samples,
 freeze boundaries and previewed fault strikes.
 """
 
@@ -39,16 +39,18 @@ class TestCompileGraph:
 
 class TestEventCalendar:
     def test_monitor_strides_cap_the_window(self):
-        cal = EventCalendar(monitors=[(64, 0)])
-        # Starting right after a sample, the next one is 64 cycles out.
+        cal = EventCalendar(sample_every=64)
+        # Starting right after a sample, the next one is 63 cycles out.
         assert cal.cap_cycles(1) == 63
         assert cal.cap_cycles(64) == 0
-        cal2 = EventCalendar(monitors=[(64, 0), (48, 5)])
-        assert cal2.cap_cycles(10) == min((0 - 10) % 64, (5 - 10) % 48)
+        # The nearer of the next sample and the next freeze boundary.
+        both = EventCalendar(sample_every=64, freeze={"fn": (40, 70)})
+        assert both.cap_cycles(10) == 30
+        assert both.cap_cycles(41) == 23
 
     def test_every_cycle_monitors_are_dropped_by_construction(self):
-        cal = EventCalendar(monitors=[(1, 0)])
-        assert cal.monitors == []
+        cal = EventCalendar(sample_every=1)
+        assert cal.sample_every is None
         assert cal.cap_cycles(7) is None
 
     def test_freeze_boundaries_cap_the_window(self):
@@ -62,9 +64,9 @@ class TestEventCalendar:
         assert EventCalendar().cap_cycles(123) is None
 
     def test_cap_periods_rounds_down_to_whole_periods(self):
-        cal = EventCalendar(monitors=[(100, 99)])
-        # 99 cycles free from cycle 0, period 10 -> 9 whole periods.
-        assert cal.cap_periods(0, 10, 50, ()) == 9
+        cal = EventCalendar(sample_every=100)
+        # 99 cycles free from cycle 1, period 10 -> 9 whole periods.
+        assert cal.cap_periods(1, 10, 50, ()) == 9
 
     def test_fault_preview_caps_at_the_strike_free_prefix(self):
         plan = FaultPlan([FaultSpec(site="fifo", kind="drop", match="s",

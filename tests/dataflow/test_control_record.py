@@ -22,7 +22,6 @@ from repro.core.grid import Grid
 from repro.core.wind import random_wind
 from repro.dataflow.engine import ControlRecord, DataflowEngine
 from repro.dataflow.graph import DataflowGraph
-from repro.dataflow.monitors import StreamProbe
 from repro.dataflow.stage import FunctionStage, SinkStage, SourceStage
 from repro.errors import DataflowError, WatchdogTimeout
 from repro.faults import FaultPlan, FaultSpec
@@ -107,7 +106,8 @@ class TestReplay:
         record, _ = recorded()
         graph, _ = chunk_graph(seed=1)
         stats = DataflowEngine(graph, record=record,
-                               tracer=Tracer(enabled=False)).run()
+                               tracer=Tracer(enabled=False,
+                                             sample_every=64)).run()
         assert replayed(stats)
 
     def test_a_cap_equal_to_the_recorded_total_replays(self):
@@ -161,8 +161,7 @@ class TestReplaySkipped:
     @pytest.mark.parametrize("options", [
         {"fault_plan": FaultPlan([FaultSpec("fifo", "drop",
                                             match="no-such-stream")])},
-        {"monitors": [StreamProbe(
-            "read_data.out->shift_buffer.in", stride=64)]},
+        {"tracer": Tracer(sample_every=64)},
         {"tracer": Tracer()},
         {"batched": False},
     ], ids=["fault-plan", "monitor", "tracer", "scalar"])
@@ -176,9 +175,10 @@ class TestReplaySkipped:
     @pytest.mark.parametrize("options", [
         {"fault_plan": FaultPlan([FaultSpec("fifo", "drop",
                                             match="no-such-stream")])},
+        {"tracer": Tracer(sample_every=64)},
         {"tracer": Tracer()},
         {"batched": False},
-    ], ids=["fault-plan", "tracer", "scalar"])
+    ], ids=["fault-plan", "monitor", "tracer", "scalar"])
     def test_runs_observed_per_cycle_record_nothing(self, options):
         record = ControlRecord()
         graph, _ = chunk_graph()

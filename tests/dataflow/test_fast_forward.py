@@ -5,15 +5,14 @@ accelerated path.  The alias must stay observationally equivalent to
 forced-scalar ticking: same cycle count, same per-stage fire and stall
 counters, same stream high-water marks, same sink data in the same
 order.  These tests sweep graph shapes (II, latency, FIFO depth) through
-the alias, plus the engine's mode, monitor-stride and cycle-cap options
-and the RunStats aggregation helpers.
+the alias, plus the engine's mode, tracer sample-stride and cycle-cap
+options and the RunStats aggregation helpers.
 """
 
 import pytest
 
 from repro.dataflow.engine import DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
-from repro.dataflow.monitors import StreamProbe
 from repro.dataflow.stage import (
     ConstStage,
     FunctionStage,
@@ -21,6 +20,7 @@ from repro.dataflow.stage import (
     SourceStage,
 )
 from repro.errors import DataflowError
+from repro.observe import Tracer
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -140,21 +140,22 @@ class TestEquivalence:
 
 class TestDisableConditions:
     def test_monitors_force_exact(self):
-        g = pipeline(300)
-        stream = g.streams[0]
-        probe = StreamProbe(stream.name)
-        stats = DataflowEngine(g, mode="fast", monitors=[probe]).run()
+        tracer = Tracer(sample_every=1)
+        stats = DataflowEngine(pipeline(300), mode="fast",
+                               tracer=tracer).run()
         assert stats.batched_windows == 0
         assert "samples every cycle" in stats.batch_fallback_reason
         # Every cycle was actually ticked and sampled.
-        assert len(probe.samples) >= stats.cycles - 1
+        occupancy = [c.ts for c in tracer.counters
+                     if c.name == "fifo_occupancy"]
+        assert occupancy == list(range(stats.cycles))
 
     def test_monitor_stride_honoured(self):
-        g = pipeline(300)
-        stream = g.streams[0]
-        probe = StreamProbe(stream.name, stride=10)
-        stats = DataflowEngine(g, monitors=[probe]).run()
-        assert len(probe.samples) <= stats.cycles // 10 + 1
+        tracer = Tracer(sample_every=10)
+        stats = DataflowEngine(pipeline(300), tracer=tracer).run()
+        occupancy = [c.ts for c in tracer.counters
+                     if c.name == "fifo_occupancy"]
+        assert occupancy == list(range(0, stats.cycles, 10))
 
     def test_exact_mode_never_advances(self):
         stats = DataflowEngine(pipeline(300), mode="exact",

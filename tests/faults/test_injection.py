@@ -15,6 +15,7 @@ from repro.dataflow.stage import FunctionStage, SinkStage, SourceStage
 from repro.dataflow.stream import DROP_WORD, CorruptedWord, Stream
 from repro.errors import DataflowError, FaultError, WatchdogTimeout
 from repro.faults import FaultPlan, FaultSpec
+from repro.observe import Tracer
 
 
 def pipeline(n_items=60):
@@ -106,17 +107,14 @@ class TestWatchdog:
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestFastModeDemotion:
     """``mode="fast"`` runs batched exact: a fault plan bounds windows
-    instead of demoting the run, and an every-cycle monitor makes it fall
-    back to scalar ticking with the reason recorded."""
+    instead of demoting the run, and a tracer sampling every cycle makes
+    it fall back to scalar ticking with the reason recorded."""
 
     def test_monitors_demote_with_reason(self):
-        from repro.dataflow.monitors import StreamProbe
-
-        probe = StreamProbe("src.out->fn.in")
         stats = DataflowEngine(pipeline(), mode="fast",
-                               monitors=[probe]).run()
+                               tracer=Tracer(sample_every=1)).run()
         assert stats.batch_fallback_reason is not None
-        assert "monitor" in stats.batch_fallback_reason
+        assert "tracer" in stats.batch_fallback_reason
 
     def test_clean_fast_run_has_no_reason(self):
         stats = DataflowEngine(pipeline(300), mode="fast").run()
@@ -124,9 +122,6 @@ class TestFastModeDemotion:
         assert stats.batched_windows > 0
 
     def test_summary_mentions_demotion(self):
-        from repro.dataflow.monitors import StreamProbe
-
         stats = DataflowEngine(pipeline(), mode="fast",
-                               monitors=[StreamProbe("src.out->fn.in")]
-                               ).run()
+                               tracer=Tracer(sample_every=1)).run()
         assert "batched fallback" in stats.summary()

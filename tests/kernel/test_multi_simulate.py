@@ -103,6 +103,20 @@ class TestCoSimulation:
             KernelConfig(grid=grid, chunk_width=4), fields, num_kernels=8)
         assert result.num_kernels == 3
 
+    def test_default_rate_is_one_read_per_running_replica(self):
+        grid = Grid(nx=3, ny=8, nz=8)
+        fields = random_wind(grid, seed=0, magnitude=2.0)
+        config = KernelConfig(grid=grid)
+        capped = simulate_kernel(config, fields, num_kernels=8)
+        rated = simulate_kernel(config, fields, num_kernels=8,
+                                memory_cells_per_cycle=3.0)
+        assert capped.num_kernels == 3
+        assert capped.arbiter.rate == rated.arbiter.rate == 3.0
+        assert (capped.total_cycles, capped.arbiter.grants,
+                capped.arbiter.denials) == (rated.total_cycles,
+                                            rated.arbiter.grants,
+                                            rated.arbiter.denials)
+
     def test_validation(self, setup):
         grid, fields, config = setup
         with pytest.raises(ConfigurationError):

@@ -17,7 +17,7 @@ def sample_tracer() -> Tracer:
     tracer.add_span("run", "engine", 0, 100, category="run")
     tracer.add_span("active", "read_data", 2, 90, category="stage", fires=88)
     tracer.instant("seam", "kernel", ts=50, chunk=1)
-    tracer.counter("fifo_high_water", "fifo", ts=100, s1=3)
+    tracer.counter("fifo_high_water", "fifo", 100, s1=3)
     return tracer
 
 

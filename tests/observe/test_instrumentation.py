@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
-from repro.dataflow.monitors import ThroughputMonitor
 from repro.distributed.driver import DistributedAdvection
 from repro.distributed.topology import ProcessGrid
 from repro.kernel.config import KernelConfig
@@ -88,8 +87,23 @@ class TestEngineTracing:
         assert len(windows) == agg.batched_windows
         assert sum(s.duration for s in windows) == agg.batched_cycles
 
+    def test_kernel_runs_carry_strided_samples(self, config, fields):
+        scalar, batched = Tracer(sample_every=33), Tracer(sample_every=33)
+        simulate_kernel(config, fields, batched=False, tracer=scalar)
+        result = simulate_kernel(config, fields, tracer=batched)
+        assert result.aggregate_stats().batched_windows > 0
+        assert batched.counters == scalar.counters
+        # Each chunk run samples its own cycles 0, 33, ..., shifted to
+        # where the chunk starts on the global cycle axis.
+        expected, start = [], 0
+        for cycles in result.chunk_cycles:
+            expected += [start + c for c in range(0, cycles, 33)]
+            start += cycles
+        assert [c.ts for c in batched.counters
+                if c.name == "fifo_occupancy"] == expected
+
     def test_monitor_veto_surfaces_as_instant(self, config, fields):
-        tracer = Tracer()
+        tracer = Tracer(sample_every=1)
         from repro.kernel.builder import build_advection_graph
         from repro.core.coefficients import AdvectionCoefficients
         from repro.core.fields import SourceSet
@@ -100,21 +114,22 @@ class TestEngineTracing:
         out = SourceSet.zeros(grid)
         chunk = config.chunk_plan().chunks[0]
         graph = build_advection_graph(config, fields, chunk, coeffs, out)
-        DataflowEngine(graph, tracer=tracer,
-                       monitors=[ThroughputMonitor("advect_u", window=1)]
-                       ).run()
+        stats = DataflowEngine(graph, tracer=tracer).run()
         vetoes = [i for i in tracer.instants
                   if i.name == "batched execution fell back"]
         assert len(vetoes) == 1
-        assert "samples every cycle" in vetoes[0].args["reason"]
+        assert vetoes[0].args["reason"] == stats.batch_fallback_reason
+        assert "tracer samples every cycle" in vetoes[0].args["reason"]
 
     def test_disabled_tracer_changes_nothing_and_stays_empty(
             self, config, fields):
-        tracer = Tracer(enabled=False)
+        tracer = Tracer(enabled=False, sample_every=2)
         traced = simulate_kernel(config, fields, tracer=tracer)
         plain = simulate_kernel(config, fields)
         assert len(tracer) == 0
         assert traced.total_cycles == plain.total_cycles
+        assert [s.to_dict() for s in traced.chunk_stats] \
+            == [s.to_dict() for s in plain.chunk_stats]
         assert np.array_equal(traced.sources.su, plain.sources.su)
 
     def test_exact_and_fast_traces_agree_on_chunk_boundaries(

@@ -77,15 +77,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             registry.gauge("n")
 
-    def test_should_sample_strides_like_monitors(self):
-        registry = MetricRegistry(sample_every=4)
-        sampled = [c for c in range(12) if registry.should_sample(c)]
-        assert sampled == [0, 4, 8]
-
-    def test_invalid_stride_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MetricRegistry(sample_every=0)
-
     def test_disabled_registry_is_a_no_op(self):
         registry = MetricRegistry(enabled=False)
         registry.counter("n").inc(5)
@@ -94,7 +85,6 @@ class TestRegistry:
         assert registry.counter("n").value() == 0
         assert registry.gauge("g").value() == 0
         assert registry.histogram("h").value().total == 0
-        assert not registry.should_sample(0)
 
     def test_snapshot_and_text_are_sorted_and_stable(self):
         registry = MetricRegistry()

@@ -39,7 +39,7 @@ class TestShifted:
         with tracer.shifted(1000):
             tracer.add_span("chunk", "kernel", 0, 50)
             tracer.instant("seam", "kernel", ts=50)
-            tracer.counter("fifo", "kernel", ts=25, depth=2)
+            tracer.counter("fifo", "kernel", 25, depth=2)
         assert tracer.spans[0].start == 1000
         assert tracer.spans[0].end == 1050
         assert tracer.instants[0].ts == 1050
@@ -61,7 +61,7 @@ class TestDisabled:
         tracer = Tracer(enabled=False)
         tracer.add_span("a", "t", 0, 1)
         tracer.instant("b", "t", ts=0)
-        tracer.counter("c", "t", ts=0, v=1)
+        tracer.counter("c", "t", 0, v=1)
         with tracer.span("d", "t"):  # must not even read the clock
             pass
         assert len(tracer) == 0
@@ -87,3 +87,21 @@ class TestQueries:
         tracer.instant("b", "t", ts=0)
         tracer.clear()
         assert len(tracer) == 0 and tracer.tracks() == []
+
+
+class TestSampling:
+    def test_rejects_bad_stride(self):
+        for stride in (0, -1, 1.5, True, "2"):
+            with pytest.raises(ConfigurationError, match="sample_every"):
+                Tracer(sample_every=stride)
+        assert Tracer(sample_every=1).sample_every == 1
+        assert Tracer().sample_every is None
+
+    def test_counter_keys_may_be_any_name(self):
+        # Sample keys are stage and stream names, chosen by the graph.
+        tracer = Tracer()
+        tracer.counter("stage_fires", "engine", 4, name=1, track=2, ts=3)
+        (sample,) = tracer.counters
+        assert (sample.name, sample.track, sample.ts) \
+            == ("stage_fires", "engine", 4)
+        assert sample.values == {"name": 1.0, "track": 2.0, "ts": 3.0}

@@ -116,6 +116,20 @@ class TestSimulateCommand:
         assert "batched:" in out and " scalar\n" in out
         assert "fallback:" not in out
 
+    def test_kernel_count_reports_the_replicas_that_ran(self, capsys):
+        # A 3-wide grid caps 8 requested kernels at 3 replicas, which
+        # share one read per replica per cycle by default.
+        small = ["simulate", "--nx", "3", "--ny", "8", "--nz", "8",
+                 "--kernels", "8"]
+        assert main(small) == 0
+        default = capsys.readouterr().out
+        assert main([*small, "--memory-rate", "3.0"]) == 0
+        rated = capsys.readouterr().out
+        assert "(3, 8, 8), 3 kernels," in default
+        assert "cycles:   289 " in default
+        assert "720 grants, 0 denials" in default
+        assert default.split("wall:")[0] == rated.split("wall:")[0]
+
     def test_scenario_run_prints_the_batched_split(self, capsys):
         assert main(["simulate", "--scenario", "pw-advection",
                      "--nx", "5", "--ny", "6", "--nz", "5"]) == 0

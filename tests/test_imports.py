@@ -89,6 +89,31 @@ def test_batched_runs_do_not_load_the_verifier():
     assert result.returncode == 0, result.stderr
 
 
+#: Runs ``repro simulate`` at 4³ and prints the top-level ``repro.*``
+#: packages it loaded.
+SIMULATE_ONLY = """
+import contextlib, io, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["simulate", "--nx", "4", "--ny", "4", "--nz", "4"]) == 0
+print(" ".join(sorted({m.split(".")[1] for m in sys.modules
+                       if m.startswith("repro.")})))
+"""
+
+
+def test_simulate_loads_only_the_packages_it_runs():
+    """Cold start: ``repro simulate`` loads no verifier, tuner, server,
+    scenario, fault, observability or host-runtime package."""
+    result = subprocess.run(
+        [sys.executable, "-c", SIMULATE_ONLY],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [
+        "cli", "constants", "core", "dataflow", "errors", "kernel", "lint",
+        "perf", "shiftbuffer"]
+
+
 def test_public_api_surface():
     """The documented top-level names resolve."""
     import repro
