@@ -13,14 +13,14 @@ cross-check every claim against the exact engine.
 """
 
 from repro.analyze.interp import (InterpRun, PeriodProof, StallWitness,
-                                  default_tokens, interpret)
+                                  default_tokens, interpret, start_cycles)
 from repro.analyze.kernel import static_kernel_cycles
 from repro.analyze.occupancy import (OccupancyProof, StreamProof,
                                      build_occupancy_proof)
 from repro.analyze.report import (AnalysisReport, analyze_graph,
                                   patch_spec_depths)
 from repro.analyze.schedule import (StageTiming, StaticSchedule,
-                                    build_schedule, start_cycles)
+                                    build_schedule)
 from repro.analyze.twin import build_token_twin
 
 __all__ = [

@@ -42,7 +42,7 @@ from repro.errors import AnalyzeError
 from repro.lint.diagnostics import Severity
 
 __all__ = ["StallWitness", "PeriodProof", "InterpRun", "interpret",
-           "default_tokens"]
+           "default_tokens", "start_cycles"]
 
 #: Distinct control states kept for periodicity detection; mirrors the
 #: engine's ``_FF_TABLE_CAP`` rationale (bound memory on aperiodic runs).
@@ -320,16 +320,18 @@ class _StageState:
                 self.output_stalls, self.ii_waits, self.pipeline_full_stalls)
 
 
-def default_tokens(graph: DataflowGraph) -> int:
-    """A token count that provably reaches (and drains) steady state.
+def start_cycles(graph: DataflowGraph) -> dict[str, tuple[int, int]]:
+    """Exact first-fire cycle and topological level per stage.
 
-    Enough tokens to fill the deepest latency chain and every FIFO twice
-    over: the control state is then periodic long before the sources run
-    dry, so the proved period and the per-stream high-water marks are
-    independent of the exact value (any larger count yields the same
-    proofs — asserted in the property tests).
+    A longest-path DP over the DAG: a stage first fires the cycle its
+    slowest predecessor's first result lands in the connecting FIFO, so
+    ``start[s] = max over preds p of (start[p] + latency[p])``.  FIFOs
+    start empty, so the first token never meets backpressure and the DP
+    is exact.  Returns ``name -> (level, start_cycle)``; sources sit at
+    level 0, cycle 0.
     """
     order = graph.topological_order()
+    level = {stage.name: 0 for stage in order}
     start = {stage.name: 0 for stage in order}
     preds: dict[str, list[tuple[str, int]]] = {}
     for conn in graph.connections():
@@ -337,8 +339,23 @@ def default_tokens(graph: DataflowGraph) -> int:
             (conn.src.name, conn.src.latency))
     for stage in order:
         for src, latency in preds.get(stage.name, ()):
+            level[stage.name] = max(level[stage.name], level[src] + 1)
             start[stage.name] = max(start[stage.name], start[src] + latency)
-    prime = max(start.values(), default=0)
+    return {name: (level[name], start[name]) for name in start}
+
+
+def default_tokens(graph: DataflowGraph) -> int:
+    """A token count that provably reaches (and drains) steady state.
+
+    Enough tokens to fill the deepest latency chain (the latest
+    :func:`start_cycles` start) and every FIFO twice over: the control
+    state is then periodic long before the sources run dry, so the
+    proved period and the per-stream high-water marks are independent
+    of the exact value (any larger count yields the same proofs —
+    asserted in the property tests).
+    """
+    prime = max((start for _level, start in start_cycles(graph).values()),
+                default=0)
     depth_sum = sum(stream.depth for stream in graph.streams)
     return max(16, 2 * prime + 2 * depth_sum + 16)
 

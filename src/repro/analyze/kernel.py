@@ -1,7 +1,7 @@
 """Static cycle bounds for the advection kernel design.
 
-Bridges the verifier to the kernel layer: the structural Fig. 2 graph
-(:func:`repro.lint.builders.build_structural_graph`) is abstract-
+Bridges the verifier to the kernel layer: the Fig. 2 graph the engine
+runs (:func:`repro.kernel.builder.build_structural_graph`) is abstract-
 interpreted once per distinct chunk width, and the proved per-chunk
 totals sum to a whole-invocation cycle bound.  Unlike the fitted
 closed form in :class:`repro.kernel.cycle_model.KernelCycleModel`, every
@@ -14,6 +14,7 @@ calibration.
 from __future__ import annotations
 
 from repro.core.grid import Grid
+from repro.kernel.builder import build_structural_graph
 from repro.kernel.config import KernelConfig
 from repro.analyze.interp import interpret
 
@@ -28,8 +29,6 @@ def static_kernel_cycles(config: KernelConfig, *, read_ii: int = 1,
     pipeline and restarts it; chunks of equal width are control-identical,
     so one abstract run per distinct width covers the whole plan.
     """
-    from repro.lint.builders import build_structural_graph
-
     grid = grid or config.grid
     config = config.for_grid(grid)
     graph = build_structural_graph(config, read_ii=read_ii)

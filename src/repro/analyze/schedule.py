@@ -1,12 +1,9 @@
 """Static schedule analyzer: start cycles, prime latency, period, totals.
 
-Start cycles fall out of a longest-path DP over the DAG: a stage first
-fires the cycle its slowest predecessor's first result lands in the
-connecting FIFO, so ``start[s] = max over preds p of (start[p] +
-latency[p])`` (sources start at cycle 0).  FIFOs start empty, so the
-first token never meets backpressure and the DP is *exact*, not a bound —
-it equals the interpreter's observed first-fire cycles on every graph
-(property-tested).
+Start cycles come from :func:`repro.analyze.interp.start_cycles`, a
+longest-path DP over the DAG that is exact, not a bound (it equals the
+interpreter's observed first-fire cycles on every graph,
+property-tested).
 
 From there the closed form for a stall-free run is::
 
@@ -27,10 +24,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.dataflow.graph import DataflowGraph
-from repro.analyze.interp import InterpRun, PeriodProof
+from repro.analyze.interp import InterpRun, PeriodProof, start_cycles
 
-__all__ = ["StageTiming", "StaticSchedule", "start_cycles",
-           "build_schedule"]
+__all__ = ["StageTiming", "StaticSchedule", "build_schedule"]
 
 
 @dataclass(frozen=True)
@@ -90,26 +86,6 @@ class StaticSchedule:
             "stages": {name: self.stages[name].to_dict()
                        for name in sorted(self.stages)},
         }
-
-
-def start_cycles(graph: DataflowGraph) -> dict[str, tuple[int, int]]:
-    """Exact first-fire cycle and topological level per stage.
-
-    Returns ``name -> (level, start_cycle)``; sources sit at level 0,
-    cycle 0.
-    """
-    order = graph.topological_order()
-    level = {stage.name: 0 for stage in order}
-    start = {stage.name: 0 for stage in order}
-    preds: dict[str, list[tuple[str, int]]] = {}
-    for conn in graph.connections():
-        preds.setdefault(conn.dst.name, []).append(
-            (conn.src.name, conn.src.latency))
-    for stage in order:
-        for src, latency in preds.get(stage.name, ()):
-            level[stage.name] = max(level[stage.name], level[src] + 1)
-            start[stage.name] = max(start[stage.name], start[src] + latency)
-    return {name: (level[name], start[name]) for name in start}
 
 
 def analytic_total_cycles(prime_latency: int, ideal_period: int,

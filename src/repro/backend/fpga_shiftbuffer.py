@@ -5,7 +5,7 @@ exact objects every existing flow already uses — catalog lookup via
 :func:`repro.hardware.devices.device_by_name`, the derived
 :class:`~repro.tune.space.ParameterSpace`, the lint-gated
 :class:`~repro.tune.cost.CostModel`, the Fig. 2 structural graph from
-:func:`repro.lint.builders.build_structural_graph`, and
+:func:`repro.kernel.builder.build_structural_graph`, and
 :func:`repro.lint.runner.lint_kernel` — so routing U280/Stratix 10 work
 through the backend interface is bit-identical to calling those objects
 directly (the golden fixtures pin this).
@@ -21,8 +21,8 @@ from repro.core.grid import Grid
 from repro.errors import BackendError, ConfigurationError
 from repro.hardware.device import FPGADevice
 from repro.hardware.devices import device_by_name
+from repro.kernel.builder import build_structural_graph
 from repro.kernel.config import KernelConfig
-from repro.lint.builders import build_structural_graph
 from repro.lint.diagnostics import LintReport
 from repro.lint.runner import lint_kernel
 from repro.tune.cost import CostModel

@@ -892,7 +892,7 @@ def _cmd_analyze(args) -> int:
         patch_spec_depths
     from repro.core.grid import Grid
     from repro.dataflow.engine import DataflowEngine
-    from repro.lint.builders import build_structural_graph
+    from repro.kernel.builder import build_structural_graph
     from repro.lint.spec import load_spec
 
     if args.tokens is not None and args.tokens < 1:

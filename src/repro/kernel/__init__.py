@@ -25,7 +25,8 @@ into the paper's actual kernel:
   (Section IV).
 """
 
-from repro.kernel.builder import build_advection_graph
+from repro.kernel.builder import (build_advection_graph,
+                                  build_structural_graph)
 from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import CycleBreakdown, KernelCycleModel
 from repro.kernel.functional import execute_chunked
@@ -36,6 +37,7 @@ from repro.kernel.simulate import simulate_kernel
 __all__ = [
     "KernelConfig",
     "build_advection_graph",
+    "build_structural_graph",
     "simulate_kernel",
     "execute_chunked",
     "KernelCycleModel",

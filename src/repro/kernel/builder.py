@@ -6,7 +6,9 @@ import numpy as np
 
 from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import FieldSet, SourceSet
+from repro.core.grid import Grid
 from repro.dataflow.graph import DataflowGraph
+from repro.errors import ConfigurationError
 from repro.kernel.config import KernelConfig
 from repro.kernel.stages import (
     AdvectStage,
@@ -16,10 +18,14 @@ from repro.kernel.stages import (
     ShiftBufferStage,
     WriteDataStage,
 )
-from repro.shiftbuffer.chunking import Chunk
+from repro.shiftbuffer.chunking import Chunk, plan_chunks
 from repro.shiftbuffer.ports import MemoryPortTracker
 
-__all__ = ["build_advection_graph"]
+__all__ = ["build_advection_graph", "build_structural_graph"]
+
+#: The smallest grid every kernel configuration accepts: ``nz >= 3``
+#: for the vertical stencil, and two Y cells for one whole chunk.
+_STRUCTURAL_GRID = Grid(1, 2, 3)
 
 
 def build_advection_graph(config: KernelConfig, fields: FieldSet,
@@ -106,4 +112,27 @@ def build_advection_graph(config: KernelConfig, fields: FieldSet,
     for field in ("u", "v", "w"):
         graph.connect(replicate, field, advects[field], "in", depth=depth)
         graph.connect(advects[field], "out", write, f"s{field}", depth=depth)
+    return graph
+
+
+def build_structural_graph(config: KernelConfig, *, name: str = "advection",
+                           read_ii: int = 1) -> DataflowGraph:
+    """The graph :func:`build_advection_graph` wires for ``config``.
+
+    Stage names, ports, IIs, latencies, stream depths and the advect
+    stages' FLOP declarations depend on the configuration and
+    ``read_ii`` alone, never on the grid or the field values, so the
+    graph is wired as one chunk over zero fields on the smallest grid a
+    configuration accepts, and renamed ``name``.  Lint, the static
+    analyzer and the tuner read it; nothing runs it.
+    """
+    if read_ii < 1:
+        raise ConfigurationError(f"read_ii must be >= 1, got {read_ii}")
+    grid = _STRUCTURAL_GRID
+    (chunk,) = plan_chunks(grid.ny, grid.ny).chunks
+    graph = build_advection_graph(
+        config.for_grid(grid), FieldSet.zeros(grid), chunk,
+        AdvectionCoefficients.uniform(grid), SourceSet.zeros(grid),
+        read_ii=read_ii)
+    graph.name = name
     return graph

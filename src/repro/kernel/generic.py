@@ -13,7 +13,9 @@ cycle-accurate dataflow simulation for free:
   the one-sided vertical boundary cell a window next to the column edge
   resolves (the burst a downstream FIFO absorbs);
 * :class:`ScatterWriteStage` — scatters results into an output array;
-* :func:`run_stencil_kernel` — wires and runs the whole machine.
+* :func:`build_stencil_graph` — wires the whole machine, for the engine
+  to run and, on a zero block, for lint and the analyzer to read;
+* :func:`run_stencil_kernel` — builds and runs it.
 
 Every firing count depends on the streaming position alone — the shift
 buffer's regimes (:meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
@@ -86,6 +88,7 @@ __all__ = [
     "GeneralShiftBufferStage",
     "WindowComputeStage",
     "ScatterWriteStage",
+    "build_stencil_graph",
     "run_stencil_kernel",
 ]
 
@@ -504,6 +507,32 @@ class ScatterWriteStage(Stage):
         return ListFireResult([])
 
 
+def build_stencil_graph(block: np.ndarray, interior: InteriorFn,
+                        boundary: BoundaryFn, out: np.ndarray, *,
+                        stream_depth: int = 4,
+                        tracker: MemoryPortTracker | None = None,
+                        ) -> DataflowGraph:
+    """Wire ``read -> shift -> compute -> write`` over ``block``.
+
+    The arguments are :func:`run_stencil_kernel`'s, unchecked.  Stage
+    names, ports, IIs, latencies and stream depths depend on
+    ``stream_depth`` alone, so the graph wired on a zero 3×3×3 block is
+    the structural graph lint and the analyzer read for any block.
+    """
+    nx, ny, nz = block.shape
+    graph = DataflowGraph("stencil")
+    graph.add(SourceStage("read", block.reshape(-1)))
+    graph.add(GeneralShiftBufferStage(
+        "shift", nx, ny, nz, tracker=tracker,
+        backing=np.ascontiguousarray(block, dtype=float)))
+    graph.add(WindowComputeStage("compute", nz, interior, boundary))
+    graph.add(ScatterWriteStage("write", out))
+    graph.connect("read", "out", "shift", "in", depth=stream_depth)
+    graph.connect("shift", "out", "compute", "in", depth=stream_depth)
+    graph.connect("compute", "out", "write", "in", depth=stream_depth)
+    return graph
+
+
 def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
                        boundary: BoundaryFn, out: np.ndarray, *,
                        stream_depth: int = 4,
@@ -578,19 +607,13 @@ def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
         raise ConfigurationError(
             "out is read-only; the write stage scatters results into it")
 
-    backing = np.ascontiguousarray(block, dtype=float)
-    graph = DataflowGraph("stencil")
-    graph.add(SourceStage("read", block.reshape(-1)))
-    shift = graph.add(GeneralShiftBufferStage(
-        "shift", nx, ny, nz, tracker=tracker, backing=backing))
-    compute = graph.add(WindowComputeStage("compute", nz, interior,
-                                           boundary))
-    write = graph.add(ScatterWriteStage("write", out))
-    graph.connect("read", "out", shift, "in", depth=stream_depth)
-    graph.connect(shift, "out", compute, "in", depth=stream_depth)
-    graph.connect(compute, "out", write, "in", depth=stream_depth)
+    graph = build_stencil_graph(block, interior, boundary, out,
+                                stream_depth=stream_depth, tracker=tracker)
+    shift = graph.stage("shift")
+    assert isinstance(shift, GeneralShiftBufferStage)
+    assert shift._backing is not None
     _check_window_fns(
-        WindowRunBulk(shift.buffer, backing, 0,
+        WindowRunBulk(shift.buffer, shift._backing, 0,
                       min(2, (nx - 2) * (ny - 2) * (nz - 2))),
         interior, boundary)
     return DataflowEngine(graph, max_cycles=max_cycles, mode=mode,

@@ -87,6 +87,8 @@ class KernelSimResult:
     #: one :class:`RunStats` per chunk, merged over the chunk's engine
     #: runs (its rescheduled work included).
     chunk_stats: list[RunStats] = field(default_factory=list)
+    #: the shift buffers' port ledger; a shared run's replicas each keep
+    #: their own, merged here (:meth:`MemoryPortTracker.merged`).
     port_tracker: MemoryPortTracker | None = None
     #: chunk re-runs performed by the checkpoint/restart machinery.
     chunk_retries: int = 0
@@ -261,7 +263,10 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
         grace = 64 + int(4 * decomp.parts / min(rate, 1.0))
 
     out = SourceSet.zeros(grid)
-    tracker = MemoryPortTracker(enforce=enforce_ports)
+    # One port ledger per replica: a replica's memories age only by its
+    # own bookings, as in a plain run of its sub-grid.
+    trackers = [MemoryPortTracker(enforce=enforce_ports)
+                for _ in range(decomp.parts)]
     # Each replica's X-slab of the fields (halo-extended) and sub-config.
     # Chunking is in Y, the undecomposed axis, so all replicas share the
     # global chunk plan.
@@ -279,7 +284,7 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
         x0, sub_config, sub_fields = parts[p]
         return build_advection_graph(
             sub_config, sub_fields, chunk, coeffs, out, read_ii=ii,
-            tracker=tracker, x_offset=x0, name_prefix=prefix(p),
+            tracker=trackers[p], x_offset=x0, name_prefix=prefix(p),
             arbiter=arbiter)
 
     def run(members: list[int], chunk: Chunk, start: int,
@@ -380,7 +385,7 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
         sources=out,
         total_cycles=total_cycles,
         chunk_stats=chunk_stats,
-        port_tracker=tracker,
+        port_tracker=MemoryPortTracker.merged(trackers),
         chunk_retries=chunk_retries,
         num_kernels=decomp.parts,
         arbiter=arbiter,

@@ -17,8 +17,6 @@ Public API
     The runner (:mod:`repro.lint.runner`).
 :func:`load_spec`, :func:`context_from_spec`
     JSON design-spec ingestion (:mod:`repro.lint.spec`).
-:func:`build_structural_graph`
-    Fig. 2 topology without field data (:mod:`repro.lint.builders`).
 
 This ``__init__`` imports only the leaf modules eagerly; the rule modules
 (which import the rest of :mod:`repro`) load lazily so that low-level
@@ -53,7 +51,6 @@ __all__ = [
     "load_builtin_rules",
     "load_spec",
     "context_from_spec",
-    "build_structural_graph",
 ]
 
 _LAZY = {
@@ -63,7 +60,6 @@ _LAZY = {
     "load_builtin_rules": "repro.lint.runner",
     "load_spec": "repro.lint.spec",
     "context_from_spec": "repro.lint.spec",
-    "build_structural_graph": "repro.lint.builders",
 }
 
 

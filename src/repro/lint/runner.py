@@ -100,7 +100,7 @@ def lint_kernel(config: "KernelConfig",
             f"num_kernels must be >= 1, got {num_kernels}"
         )
     if graph is None:
-        from repro.lint.builders import build_structural_graph
+        from repro.kernel.builder import build_structural_graph
 
         graph = build_structural_graph(config, read_ii=read_ii)
     return run_lint(

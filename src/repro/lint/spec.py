@@ -238,7 +238,7 @@ def context_from_spec(data: Mapping[str, Any], *,
         if graph_spec == "advection":
             if config is None:
                 raise LintError('"graph": "advection" needs a "kernel" spec')
-            from repro.lint.builders import build_structural_graph
+            from repro.kernel.builder import build_structural_graph
 
             graph = build_structural_graph(config, name=name, read_ii=read_ii)
         elif graph_spec is not None:

@@ -228,7 +228,8 @@ class ScenarioKernel:
         raise NotImplementedError
 
     def structural_graph(self, grid: Grid) -> "DataflowGraph":
-        """The data-free dataflow topology for lint and static analysis."""
+        """The graph the kernel's builder wires, on zero data, for lint
+        and static analysis."""
         raise NotImplementedError
 
     def fault_specs(self) -> tuple:

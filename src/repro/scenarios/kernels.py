@@ -15,6 +15,8 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.buoyancy import (
     BUOYANCY_OPS_PER_CELL,
     BUOYANCY_OPS_PER_TOP_CELL,
@@ -34,6 +36,7 @@ from repro.core.reference import advect_reference
 from repro.dataflow.engine import ControlRecord, RunStats
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import ConfigurationError
+from repro.kernel.builder import build_structural_graph
 from repro.kernel.buoyancy import (
     buoyancy_boundary_from_window,
     buoyancy_from_window,
@@ -43,9 +46,13 @@ from repro.kernel.diffusion import (
     diffusion_boundary_from_window,
     diffusion_from_window,
 )
-from repro.kernel.generic import BoundaryFn, InteriorFn, run_stencil_kernel
+from repro.kernel.generic import (
+    BoundaryFn,
+    InteriorFn,
+    build_stencil_graph,
+    run_stencil_kernel,
+)
 from repro.kernel.simulate import simulate_kernel
-from repro.lint.spec import SpecStage
 from repro.scenarios.base import OpModel, ScenarioKernel
 
 if TYPE_CHECKING:
@@ -55,31 +62,7 @@ __all__ = [
     "AdvectionKernel",
     "DiffusionKernel",
     "BuoyancyKernel",
-    "build_stencil_structural_graph",
 ]
-
-
-def build_stencil_structural_graph(grid: Grid, *, name: str,
-                                   stream_depth: int = 4) -> DataflowGraph:
-    """The generic stencil machine's topology, data-free.
-
-    Mirrors :func:`repro.kernel.generic.run_stencil_kernel` stage for
-    stage and stream for stream — same names, same ports, same depths —
-    so lint's graph family and the static analyzer see exactly the
-    shape the simulator runs.  No per-stage FLOP declarations: the
-    63/55 accounting cross-check (AC303) is advection-specific.
-    """
-    graph = DataflowGraph(name)
-    read = graph.add(SpecStage("read", outputs=("out",), ii=1, latency=2))
-    shift = graph.add(SpecStage("shift", inputs=("in",), outputs=("out",),
-                                ii=1, latency=2))
-    compute = graph.add(SpecStage("compute", inputs=("in",),
-                                  outputs=("out",), ii=1, latency=8))
-    write = graph.add(SpecStage("write", inputs=("in",), latency=4))
-    graph.connect(read, "out", shift, "in", depth=stream_depth)
-    graph.connect(shift, "out", compute, "in", depth=stream_depth)
-    graph.connect(compute, "out", write, "in", depth=stream_depth)
-    return graph
 
 
 class AdvectionKernel(ScenarioKernel):
@@ -111,8 +94,6 @@ class AdvectionKernel(ScenarioKernel):
         return result.sources, result.aggregate_stats(), result.total_cycles
 
     def structural_graph(self, grid: Grid) -> DataflowGraph:
-        from repro.lint.builders import build_structural_graph
-
         return build_structural_graph(self.config(grid))
 
     def lint(self, grid: Grid):
@@ -174,8 +155,15 @@ class _StencilKernel(ScenarioKernel):
         return out, RunStats.merge(all_stats), total_cycles
 
     def structural_graph(self, grid: Grid) -> DataflowGraph:
-        return build_stencil_structural_graph(
-            grid, name=self.kind, stream_depth=self.stream_depth)
+        # The machine wired on the smallest block with a window.  Its
+        # stages declare no FLOPs: the 63/55 cross-check (AC303) is
+        # advection-specific.
+        interior, boundary = self.window_fns(grid)
+        graph = build_stencil_graph(
+            np.zeros((3, 3, 3)), interior, boundary, np.zeros((1, 1, 3)),
+            stream_depth=self.stream_depth)
+        graph.name = self.kind
+        return graph
 
     def fault_specs(self) -> tuple:
         # The generic machine has no checkpoint layer: a corrupted feed

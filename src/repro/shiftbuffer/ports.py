@@ -21,7 +21,7 @@ reproduces exactly that conflict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.errors import PortConflictError
 
@@ -144,6 +144,29 @@ class MemoryPortTracker:
                 self._first.setdefault(memory, self._cycles)
         booking.cycles += cycles
         self._cycles += cycles
+
+    @classmethod
+    def merged(cls, trackers: Sequence[MemoryPortTracker]
+               ) -> MemoryPortTracker:
+        """One tracker holding the bookings and conflicts of ``trackers``.
+
+        Each memory keeps the cycle count of the tracker that booked it,
+        so its report equals that tracker's.  The first tracker's port
+        count and enforcement carry over; a lone tracker is returned as
+        it is.
+        """
+        if len(trackers) == 1:
+            return trackers[0]
+        merged = cls(ports=trackers[0].ports, enforce=trackers[0].enforce)
+        merged._cycles = max(tracker._cycles for tracker in trackers)
+        for tracker in trackers:
+            merged.conflicts += tracker.conflicts
+            for memory, before in tracker._first.items():
+                merged._first[memory] = (merged._cycles - tracker._cycles
+                                         + before)
+            for booking in tracker._by_items.values():
+                merged._booking(dict(booking.items)).cycles += booking.cycles
+        return merged
 
     # -- results -----------------------------------------------------------------
 

@@ -24,12 +24,13 @@ from repro.analyze.kernel import static_kernel_cycles
 from repro.analyze.report import AnalysisReport, analyze_graph
 from repro.core.flops import grid_flops
 from repro.core.grid import Grid
+from repro.dataflow.graph import DataflowGraph
 from repro.errors import CapacityError, ConfigurationError, TuneError
 from repro.hardware.device import FPGADevice, InvocationEstimate
 from repro.hardware.resources import ResourceVector
+from repro.kernel.builder import build_structural_graph
 from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import KernelCycleModel
-from repro.lint.builders import build_structural_graph
 from repro.lint.runner import lint_kernel
 from repro.precision.formats import FLOAT64
 from repro.precision.resources import precision_kernel_resources
@@ -44,10 +45,6 @@ OBJECTIVES: dict[str, str] = {
     "end_to_end": "end-to-end GFLOPS including PCIe transfers",
     "efficiency": "end-to-end GFLOPS per watt (Fig. 8 convention)",
 }
-
-#: Inter-stage FIFO streams in the Fig. 2 dataflow graph (three wind
-#: reads, three source writes, plus the two internal stage links).
-_FIFO_STREAMS: int = 8
 
 #: Decimal places kept on every float in reports — byte-stable JSON.
 ROUND_DIGITS: int = 6
@@ -168,7 +165,8 @@ class CostModel:
         # lint inputs, 12 configs, 144 invocations and 288 host
         # schedules); the dicts live and die with this model, so a
         # fresh process still pays every cold call.
-        self._analyses: dict[int, AnalysisReport] = {}
+        self._structures: dict[int, tuple[DataflowGraph,
+                                          AnalysisReport]] = {}
         self._lint_codes: dict[tuple[KernelConfig, int],
                                tuple[str, ...]] = {}
         self._cycles: dict[KernelConfig, tuple[int, int]] = {}
@@ -192,8 +190,9 @@ class CostModel:
             stream_depth=point.stream_depth, word_bytes=8)
         kernel = precision_kernel_resources(config, self.device,
                                             point.format)
+        graph, _ = self._structure(config)
         fifo_bytes = (point.stream_depth * point.word_bytes
-                      * _FIFO_STREAMS * self.grid.nz)
+                      * len(graph.streams) * self.grid.nz)
         if self.device.family == "xilinx":
             return kernel + ResourceVector(bram_bytes=fifo_bytes)
         return kernel + ResourceVector(m20k_bytes=fifo_bytes)
@@ -203,8 +202,9 @@ class CostModel:
         config = point.config(self.grid)
         key = (config, point.num_kernels)
         if key not in self._lint_codes:
+            graph, analysis = self._structure(config)
             report = lint_kernel(config, self.device, point.num_kernels,
-                                 analysis=self._analysis(config))
+                                 graph=graph, analysis=analysis)
             self._lint_codes[key] = tuple(
                 sorted({d.code for d in report.errors}))
         codes = self._lint_codes[key]
@@ -266,19 +266,20 @@ class CostModel:
             static_cycles=static_cycles,
         )
 
-    def _analysis(self, config: KernelConfig) -> AnalysisReport:
-        """The proof of ``config``'s Fig. 2 structural graph.
+    def _structure(self, config: KernelConfig
+                   ) -> tuple[DataflowGraph, AnalysisReport]:
+        """``config``'s Fig. 2 structural graph and its proof.
 
         The graph reads the stream depth, the stage latencies and the
         initiation intervals.  A point's config sets only the depth of
-        those, so one proof per depth serves every chunk width, word
-        width and replica count.
+        those, so one graph and one proof per depth serve every chunk
+        width, word width and replica count.
         """
         depth = config.stream_depth
-        if depth not in self._analyses:
-            self._analyses[depth] = analyze_graph(
-                build_structural_graph(config))
-        return self._analyses[depth]
+        if depth not in self._structures:
+            graph = build_structural_graph(config)
+            self._structures[depth] = (graph, analyze_graph(graph))
+        return self._structures[depth]
 
     def _run(self, point: TunePoint, config: KernelConfig) -> RunResult:
         """The end-to-end session run for ``point``'s host schedule.

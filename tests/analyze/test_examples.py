@@ -3,7 +3,8 @@
 For both paper deployments (``advection_u280.json`` and
 ``advection_stratix10.json``) the analyzer must prove deadlock-freedom
 and predict the total cycle count the exact engine measures on the token
-twin — byte for byte, no tolerance.
+twin — byte for byte, no tolerance.  ``fig2_explicit.json``, the one
+hand-written Fig. 2 left, must declare what the kernel's builder wires.
 """
 
 import pathlib
@@ -11,7 +12,10 @@ import pathlib
 import pytest
 
 from repro.analyze import analyze_graph, build_token_twin
+from repro.core.grid import Grid
 from repro.dataflow.engine import DataflowEngine
+from repro.kernel.builder import build_structural_graph
+from repro.kernel.config import KernelConfig
 from repro.lint.spec import load_spec
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples" / "graphs"
@@ -52,3 +56,20 @@ def test_both_paper_devices_prove_the_same_control_machine():
             == reports[1].schedule.total_cycles)
     assert (reports[0].occupancy.minimal_depths()
             == reports[1].occupancy.minimal_depths())
+
+
+def declared(graph) -> tuple[dict, dict]:
+    """Per stage: ports, II, latency and FLOP declarations; per stream:
+    its depth."""
+    stages = {
+        stage.name: (stage.input_ports, stage.output_ports, stage.ii,
+                     stage.latency, getattr(stage, "flops_per_cell", None),
+                     getattr(stage, "flops_per_cell_top", None))
+        for stage in graph.stages}
+    return stages, {stream.name: stream.depth for stream in graph.streams}
+
+
+def test_explicit_fig2_example_is_the_builders_graph():
+    spec = load_spec(EXAMPLES / "fig2_explicit.json").context.graph
+    built = build_structural_graph(KernelConfig(grid=Grid(64, 64, 64)))
+    assert declared(spec) == declared(built)

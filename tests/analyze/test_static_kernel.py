@@ -6,9 +6,9 @@ from repro.analyze import interpret, static_kernel_cycles
 from repro.analyze.kernel import static_kernel_cycles as direct_import
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
+from repro.kernel.builder import build_structural_graph
 from repro.kernel.config import KernelConfig
 from repro.kernel.simulate import simulate_kernel
-from repro.lint.builders import build_structural_graph
 
 
 class TestStaticKernelCycles:

@@ -10,8 +10,8 @@ end).
 from repro.backend import get_backend
 from repro.core.grid import Grid
 from repro.hardware.devices import ALVEO_U280, STRATIX10_GX2800
+from repro.kernel.builder import build_structural_graph
 from repro.kernel.config import KernelConfig
-from repro.lint.builders import build_structural_graph
 from repro.lint.runner import lint_kernel
 from repro.tune.cost import CostModel
 from repro.tune.space import ParameterSpace, TunePoint

@@ -168,6 +168,29 @@ class TestCoSimulation:
         result = simulate_kernel(unpartitioned, fields, num_kernels=2,
                                  enforce_ports=False)
         assert result.port_tracker.conflicts > 0
+        assert result.port_tracker.worst_case > 2
+
+    @pytest.mark.parametrize("num_kernels", [2, 3])
+    def test_each_replica_reports_its_own_ports(self, setup, num_kernels):
+        """A replica's memories age by its own bookings alone: every
+        ``k{p}.`` memory reports as in a plain run of that replica's
+        sub-grid."""
+        grid, fields, config = setup
+        reports = simulate_kernel(config, fields, num_kernels=num_kernels
+                                  ).port_tracker.reports()
+        decomp = GridDecomposition(grid, num_kernels)
+        names = []
+        for p, (x0, x1) in enumerate(decomp.bounds):
+            sub_grid = decomp.subgrid(p)
+            sub_fields = FieldSet(sub_grid, fields.u[x0:x1 + 2],
+                                  fields.v[x0:x1 + 2], fields.w[x0:x1 + 2])
+            alone = simulate_kernel(config.for_grid(sub_grid), sub_fields
+                                    ).port_tracker.reports()
+            for name, report in alone.items():
+                names.append(f"k{p}.{name}")
+                assert reports[f"k{p}.{name}"] == dataclasses.replace(
+                    report, name=f"k{p}.{name}")
+        assert sorted(reports) == sorted(names)
 
 
 class TestReadII:

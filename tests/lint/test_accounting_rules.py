@@ -3,9 +3,9 @@
 from repro import constants
 from repro.core.grid import Grid
 from repro.dataflow.graph import DataflowGraph
+from repro.kernel.builder import build_structural_graph
 from repro.kernel.config import KernelConfig
 from repro.lint import LintContext, run_lint
-from repro.lint.builders import build_structural_graph
 from repro.lint.spec import SpecStage
 
 PAPER_CONFIG = KernelConfig(grid=Grid.from_cells(2**24))

@@ -9,10 +9,10 @@ from repro.analyze import analyze_graph
 from repro.core.grid import Grid
 from repro.dataflow.graph import DataflowGraph
 from repro.hardware.devices import ALVEO_U280
+from repro.kernel.builder import build_structural_graph
 from repro.kernel.config import KernelConfig
-from repro.lint import (LintContext, Severity, build_structural_graph,
-                        lint_graph, lint_kernel, load_builtin_rules,
-                        run_lint)
+from repro.lint import (LintContext, Severity, lint_graph, lint_kernel,
+                        load_builtin_rules, run_lint)
 from repro.lint.spec import SpecStage
 
 

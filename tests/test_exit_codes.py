@@ -206,7 +206,7 @@ def _rejections():
     from repro.kernel.config import KernelConfig
     from repro.kernel.simulate import simulate_kernel
     from repro.kernel.stages import MemoryArbiter
-    from repro.lint.builders import build_structural_graph
+    from repro.kernel.builder import build_structural_graph
     from repro.observe.opscycle import check_clock_mhz
     from repro.runtime.session import AdvectionSession
     from repro.serve import PoissonLoad
