@@ -15,7 +15,7 @@ from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import FunctionStage, SinkStage, SourceStage
 from repro.kernel.config import KernelConfig
 from repro.kernel.simulate import simulate_kernel
-from repro.kernel.stages import CellInput, ShiftBufferStage
+from repro.kernel.stages import ShiftBufferStage
 from repro.shiftbuffer.buffer3d import ShiftBuffer3D
 
 
@@ -72,8 +72,7 @@ def test_shift_stage_scalar_fire_rate(benchmark):
     """
     rng = np.random.default_rng(0)
     blocks = tuple(rng.normal(size=(6, 34, 64)) for _ in range(3))
-    cells = [CellInput(*map(float, values))
-             for values in zip(*(b.reshape(-1) for b in blocks))]
+    cells = list(zip(*(b.reshape(-1).tolist() for b in blocks)))
 
     def run():
         stage = ShiftBufferStage("shift", 6, 34, 64, backing=blocks)

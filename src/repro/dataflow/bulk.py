@@ -8,10 +8,9 @@ forfeit most of the speedup, so batch data travels between stages as
 real stream items on demand — for the few items that remain inside FIFOs
 and stage pipelines when exact per-cycle simulation resumes.
 
-``ListBulk`` wraps already-materialised items; ``ArrayBulk`` a NumPy
-array's run of items (a source reading an array hands these on);
-``ChainBulk`` concatenates heterogeneous parts (e.g. a FIFO's leftover
-items followed by an array-backed block).  Domain-specific array-backed
+``ListBulk`` wraps already-materialised items; ``ChainBulk``
+concatenates heterogeneous parts (e.g. a FIFO's leftover items followed
+by an array-backed block).  Domain-specific array-backed
 bulks (cell blocks, stencil windows, advection results) live with the
 kernel stages in :mod:`repro.kernel.stages`.
 """
@@ -24,7 +23,7 @@ import numpy as np
 
 from repro.errors import DataflowError
 
-__all__ = ["Bulk", "ListBulk", "ArrayBulk", "ChainBulk", "FireBulkResult",
+__all__ = ["Bulk", "ListBulk", "ChainBulk", "FireBulkResult",
            "ListFireResult", "UniformFireResult", "RaggedFireResult"]
 
 
@@ -69,29 +68,6 @@ class ListBulk(Bulk):
 
     def materialize(self) -> list[Any]:
         return list(self.items)
-
-
-class ArrayBulk(Bulk):
-    """A batch backed by a NumPy array, read in place.
-
-    Its items are the ones iterating the array yields (``numpy.float64``
-    scalars for a one-dimensional float array), and a consumer that can
-    work on the array itself reads :attr:`values` instead of
-    materialising them.
-    """
-
-    def __init__(self, values: np.ndarray) -> None:
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def slice(self, start: int, stop: int) -> "ArrayBulk":
-        self._check_range(start, stop)
-        return ArrayBulk(self.values[start:stop])
-
-    def materialize(self) -> list[Any]:
-        return list(self.values)
 
 
 class ChainBulk(Bulk):

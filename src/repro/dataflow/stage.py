@@ -38,10 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sized
 
-import numpy as np
-
 from repro.dataflow.bulk import (
-    ArrayBulk,
     Bulk,
     FireBulkResult,
     ListBulk,
@@ -557,10 +554,8 @@ class SourceStage(Stage):
     Models the *read data* stage reading from external memory; the memory
     model can impose a larger II via ``ii`` to represent bandwidth limits.
 
-    A NumPy array is read in place: a firing takes the item iteration
-    would yield, and a batched window hands on an :class:`ArrayBulk` of
-    its slice.  Any other iterable is pulled through its iterator in
-    runs (``itertools.islice``), as firings and windows need items.
+    The iterable is pulled through its iterator in runs
+    (``itertools.islice``), as firings and windows need items.
     """
 
     input_ports: tuple[str, ...] = ()
@@ -572,12 +567,8 @@ class SourceStage(Stage):
         #: The item count when ``items`` is sized, for :meth:`ff_structure`.
         self._count = len(items) if isinstance(items, Sized) else None
         # The items not yet fired are ``_pending[_head:]``.
-        self._pending: Any
-        self._iter: Iterator[Any] | None
-        if isinstance(items, np.ndarray):
-            self._pending, self._iter = items, None
-        else:
-            self._pending, self._iter = [], iter(items)
+        self._pending: list[Any] = []
+        self._iter: Iterator[Any] | None = iter(items)
         self._head = 0
 
     def _prefetch(self, count: int) -> None:
@@ -645,10 +636,8 @@ class SourceStage(Stage):
                 f"only {remaining} remain"
             )
         self._head += count
-        run = self._pending[start:self._head]
-        return UniformFireResult({"out": ArrayBulk(run)
-                                  if isinstance(run, np.ndarray)
-                                  else ListBulk(run)})
+        return UniformFireResult(
+            {"out": ListBulk(self._pending[start:self._head])})
 
     def fire(self, cycle: int, inputs: Mapping[str, list[Any]]):  # pragma: no cover
         raise DataflowError("SourceStage.fire should never be called")

@@ -18,7 +18,8 @@ into the paper's actual kernel:
   shift buffer of Fig. 3 (batched or forced-scalar), for one kernel or
   several replicas sharing one memory (Section IV),
 * :mod:`repro.kernel.generic` — the same read -> shift buffer -> compute
-  -> write machine for any radius-1 stencil (diffusion, buoyancy),
+  -> write machine for any radius-1 stencil (diffusion, buoyancy), on
+  the Fig. 2 read and shift stages,
 * :mod:`repro.kernel.cycle_model` — the closed-form cycle count validated
   against the cycle simulator, used for paper-scale problem sizes,
 * :mod:`repro.kernel.multi` — multi-kernel domain decomposition

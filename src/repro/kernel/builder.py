@@ -21,7 +21,18 @@ from repro.kernel.stages import (
 from repro.shiftbuffer.chunking import Chunk, plan_chunks
 from repro.shiftbuffer.ports import MemoryPortTracker
 
-__all__ = ["build_advection_graph", "build_structural_graph"]
+__all__ = [
+    "REPLICATE_LATENCY",
+    "SHIFT_LATENCY",
+    "build_advection_graph",
+    "build_structural_graph",
+]
+
+#: Pipeline latencies of the shift-buffer and replicate stages, which no
+#: configuration parameter sets; the closed-form cycle model
+#: (:class:`~repro.kernel.cycle_model.KernelCycleModel`) reads them too.
+SHIFT_LATENCY = 2
+REPLICATE_LATENCY = 1
 
 #: The smallest grid every kernel configuration accepts: ``nz >= 3``
 #: for the vertical stencil, and two Y cells for one whole chunk.
@@ -89,10 +100,11 @@ def build_advection_graph(config: KernelConfig, fields: FieldSet,
     shift = graph.add(ShiftBufferStage(
         f"{name_prefix}shift_buffer", nx_buf, ny_buf, nz,
         ii=config.shift_buffer_ii,
-        latency=2, partitioned=config.partitioned, tracker=tracker,
-        backing=blocks,
+        latency=SHIFT_LATENCY, partitioned=config.partitioned,
+        tracker=tracker, backing=blocks,
     ))
-    replicate = graph.add(ReplicateStage(f"{name_prefix}replicate"))
+    replicate = graph.add(ReplicateStage(f"{name_prefix}replicate",
+                                         latency=REPLICATE_LATENCY))
     advects = {
         field: graph.add(AdvectStage(
             f"{name_prefix}advect_{field}", field, coeffs, nz,

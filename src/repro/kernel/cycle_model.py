@@ -4,8 +4,9 @@ The dataflow design's whole purpose is that, in steady state, one grid
 cell is consumed per cycle (II = 1).  A kernel invocation therefore costs,
 per chunk, the number of values streamed in times the effective initiation
 interval, plus the pipeline fill (every chunk restarts the pipeline).  The
-cycle-accurate simulator measures exactly this on small grids; the closed
-form below is validated against it in the test suite and then used for the
+fill is derived from the stage latencies, not fitted: the cycle-accurate
+simulator measures exactly this count on small grids at every initiation
+interval (asserted in the test suite), and the closed form serves the
 paper-scale problem sizes where a per-cycle simulation of 10^9 cells is
 pointless.
 
@@ -20,15 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.grid import Grid
+from repro.kernel.builder import REPLICATE_LATENCY, SHIFT_LATENCY
 from repro.kernel.config import KernelConfig
 
 __all__ = ["CycleBreakdown", "KernelCycleModel"]
 
-#: Fixed per-chunk pipeline overhead beyond the read/advect latencies:
-#: shift-buffer stage (2) + replicate (1) + end-of-chunk drain detection (2).
-#: Fitted to, and kept in lock step with, the cycle-accurate simulator —
-#: see tests/kernel/test_cycle_model.py.
-_FIXED_FILL: int = 5
+#: Cycles a run counts from the write stage's last firing on: the
+#: firing's own cycle (cycles count from 0) and the idle cycle in which
+#: the engine finds every stage quiescent (the ``+ 2`` of
+#: :func:`repro.analyze.schedule.analytic_total_cycles`).
+_QUIESCENCE = 2
+
+#: The last feed of a chunk is a column top, which emits two bundles:
+#: the second reaches the write stage one cycle after the first.
+_LAST_TOP_BUNDLE = 1
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,11 @@ class CycleBreakdown:
 class KernelCycleModel:
     """Closed-form performance model of one kernel instance.
 
+    Each chunk costs its feeds times the effective II plus a fill
+    (:attr:`pipeline_depth`) derived from the stage latencies, not
+    fitted; the total equals the cycle-accurate simulator's at every
+    read and shift-buffer II.
+
     Parameters
     ----------
     config:
@@ -81,17 +92,30 @@ class KernelCycleModel:
         return max(self.read_ii, self.config.shift_buffer_ii)
 
     @property
+    def start_cycle(self) -> int:
+        """The cycle the write stage first fires in each chunk: the first
+        cell's path through the read (memory), shift-buffer, replicate
+        and advect latencies (:func:`repro.analyze.start_cycles` proves
+        the same number on the structural graph)."""
+        c = self.config
+        return (c.memory_latency + SHIFT_LATENCY + REPLICATE_LATENCY
+                + c.advect_latency)
+
+    @property
     def pipeline_depth(self) -> int:
         """Per-chunk pipeline fill/drain cost in cycles.
 
-        Empirically (and exactly, across latency sweeps) the simulator
-        charges one memory latency plus the advect latency plus the fixed
-        stage overheads per chunk: the second memory latency and the
-        stream hops overlap with streaming and never appear on the
+        A chunk of ``F`` feeds streams them ``effective_ii`` apart, so its
+        last feed fires ``(F - 1) * effective_ii`` cycles after its first.
+        Its result reaches the write stage :attr:`start_cycle` cycles
+        later, the column top's second bundle one cycle after that, and
+        the engine quiesces two cycles on.  The fill is what the chunk
+        costs beyond ``F * effective_ii``: the second memory latency and
+        the stream hops overlap with streaming and never appear on the
         critical path.
         """
-        c = self.config
-        return c.memory_latency + c.advect_latency + _FIXED_FILL
+        return (self.start_cycle + _LAST_TOP_BUNDLE + _QUIESCENCE
+                - self.effective_ii)
 
     def breakdown(self, grid: Grid | None = None) -> CycleBreakdown:
         """Cycle count decomposition for ``grid`` (default: config grid)."""

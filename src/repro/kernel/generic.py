@@ -4,11 +4,17 @@ The advection kernel's dataflow shape — ``read -> shift buffer ->
 compute -> write`` — is not specific to advection.  This module provides
 that shape for *any* radius-1 stencil evaluated per window, so new
 stencil kernels (the diffusion kernel, or a user's own) get a
-cycle-accurate dataflow simulation for free:
+cycle-accurate dataflow simulation for free.  The front end is the
+advection kernel's own (:mod:`repro.kernel.stages`), over one block:
 
-* :class:`GeneralShiftBufferStage` — streams one value per cycle into a
+* :class:`~repro.kernel.stages.ReadDataStage` — streams the block, one
+  cell per cycle;
+* :class:`~repro.kernel.stages.ShiftBufferStage` — feeds one
   :class:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D` and forwards its
-  full (non-top) windows;
+  full windows only (``tops=False``), as one-window bundles;
+
+and only the back end is this module's:
+
 * :class:`WindowComputeStage` — evaluates one window's own cell, plus
   the one-sided vertical boundary cell a window next to the column edge
   resolves (the burst a downstream FIFO absorbs);
@@ -29,15 +35,15 @@ of a shape the caller's :class:`~repro.dataflow.engine.ControlRecord`
 has seen replays that run as one bulk step.  Each stage
 fires a batched window as a few NumPy calls: the shift stage jumps its
 buffer ahead (:meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
-feed_bulk`) and forwards a lazy :class:`WindowRunBulk`; the compute
-stage evaluates the kernel's own window functions once per box of
-centres (:func:`~repro.shiftbuffer.buffer3d.emission_boxes`) on a
-:class:`~repro.shiftbuffer.window.WindowRun`, whose ``at`` is a
-read-only strided view of the block, and interleaves the boundary cells
-in; the write stage scatters the results with one indexed assignment.
-The advect stages of :mod:`repro.kernel.stages` evaluate their window
-forms on the same run view; this machine forwards no column-top
-windows, so its runs are never ``top``.
+feed_bulk`) and forwards a lazy :class:`~repro.kernel.stages.
+StencilBulk`; the compute stage evaluates the kernel's own window
+functions once per box of centres (:func:`~repro.shiftbuffer.buffer3d.
+emission_boxes`) on a :class:`~repro.shiftbuffer.window.WindowRun`,
+whose ``at`` is a read-only strided view of the block, and interleaves
+the boundary cells in; the write stage scatters the results with one
+indexed assignment.  The advect stages evaluate their window forms on
+the same run view; this machine forwards no column-top windows, so its
+runs are never ``top``.
 
 A window function must therefore be elementwise arithmetic over
 ``window.at(di, dj, dk)``: the same expression serves one
@@ -55,25 +61,19 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 import numpy as np
 
 from repro.dataflow.bulk import (
-    ArrayBulk,
     Bulk,
     ChainBulk,
     FireBulkResult,
     ListBulk,
     ListFireResult,
     RaggedFireResult,
-    UniformFireResult,
 )
 from repro.dataflow.engine import ControlRecord, DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
-from repro.dataflow.stage import SourceStage, Stage
+from repro.dataflow.stage import Stage
 from repro.errors import ConfigurationError
-from repro.shiftbuffer.buffer3d import (
-    Box,
-    ShiftBuffer3D,
-    emission_boxes,
-    same_bits,
-)
+from repro.kernel.stages import ReadDataStage, ShiftBufferStage, StencilBulk
+from repro.shiftbuffer.buffer3d import Box
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow, WindowRun
 
@@ -83,9 +83,7 @@ if TYPE_CHECKING:
     from repro.observe.trace import Tracer
 
 __all__ = [
-    "WindowRunBulk",
     "CellResultBulk",
-    "GeneralShiftBufferStage",
     "WindowComputeStage",
     "ScatterWriteStage",
     "build_stencil_graph",
@@ -101,55 +99,6 @@ InteriorFn = Callable[[StencilWindow | WindowRun], Any]
 #: from the window at ``k = 1`` (``top=False``), ``k = nz - 1`` from the
 #: window at ``k = nz - 2`` (``top=True``).
 BoundaryFn = Callable[..., Any]
-
-
-def _window_emission(window: int, nz: int) -> int:
-    """Flat emission index (:func:`~repro.shiftbuffer.buffer3d.
-    emission_center`) of non-top window ``window``."""
-    column, j = divmod(window, nz - 2)
-    return column * (nz - 1) + j
-
-
-def _windows_before(emission: int, nz: int) -> int:
-    """Non-top windows among the first ``emission`` emissions."""
-    column, j = divmod(emission, nz - 1)
-    return column * (nz - 2) + min(j, nz - 2)
-
-
-class WindowRunBulk(Bulk):
-    """The non-top windows ``[start, stop)`` of one streamed block.
-
-    Windows are numbered in forwarding order, ``nz - 2`` per interior
-    column.  The run stays lazy: the compute stage reads it through a
-    :class:`WindowRun`, and only the few windows left inside FIFOs when
-    exact ticking resumes are cut (:meth:`ShiftBuffer3D.window_at`).
-    """
-
-    def __init__(self, buffer: ShiftBuffer3D, backing: np.ndarray,
-                 start: int, stop: int) -> None:
-        self.buffer = buffer
-        self.backing = backing
-        self.start = start
-        self.stop = stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def slice(self, start: int, stop: int) -> "WindowRunBulk":
-        self._check_range(start, stop)
-        return WindowRunBulk(self.buffer, self.backing, self.start + start,
-                             self.start + stop)
-
-    def materialize(self) -> list[StencilWindow]:
-        nz = self.buffer.nz
-        return [self.buffer.window_at(_window_emission(w, nz), self.backing)
-                for w in range(self.start, self.stop)]
-
-    def boxes(self) -> list[Box]:
-        """The windows of this run as :func:`~repro.shiftbuffer.buffer3d.
-        emission_boxes` boxes of centres, in forwarding order."""
-        return emission_boxes(self.start, self.stop, self.buffer.ny,
-                              self.buffer.nz - 2)
 
 
 class CellResultBulk(Bulk):
@@ -183,15 +132,6 @@ class CellResultBulk(Bulk):
         ]
 
 
-def _run_bytes(run: Bulk) -> bytes:
-    """The float64 bytes of a run of streamed values; array-backed parts
-    (a source reading an array) are read in place, not materialised."""
-    return b"".join(
-        np.asarray(part.values if isinstance(part, ArrayBulk)
-                   else part.materialize(), dtype=float).tobytes()
-        for part in run.parts())
-
-
 def _call_name(fn: Callable, kwargs: Mapping[str, Any]) -> str:
     """``fn``'s call as a readable string, for error messages."""
     inner = fn.func if isinstance(fn, partial) else fn
@@ -214,7 +154,7 @@ def _run_values(fn: Callable, run: WindowRun, **kwargs: Any) -> np.ndarray:
         ) from exc
 
 
-def _check_window_fns(run: WindowRunBulk, interior: InteriorFn,
+def _check_window_fns(run: StencilBulk, interior: InteriorFn,
                       boundary: BoundaryFn) -> None:
     """Reject window functions that are not elementwise over ``at``.
 
@@ -226,8 +166,9 @@ def _check_window_fns(run: WindowRunBulk, interior: InteriorFn,
     or a difference in the bytes, and raises
     :class:`ConfigurationError`.
     """
-    windows = run.materialize()
-    views = [WindowRun(run.backing, box) for box in run.boxes()]
+    windows = [window for (window,) in run.materialize()]
+    (block,) = run.blocks
+    views = [WindowRun(block, box) for box in run.boxes()]
     for fn, kwargs in ((interior, {}), (boundary, {"top": False}),
                        (boundary, {"top": True})):
         together = np.concatenate([_run_values(fn, view, **kwargs).reshape(-1)
@@ -249,113 +190,6 @@ def _check_window_fns(run: WindowRunBulk, interior: InteriorFn,
                 f"window.at() (no branching on values, no reductions over "
                 f"the run, no window.raw)"
             )
-
-
-class GeneralShiftBufferStage(Stage):
-    """Feeds one :class:`ShiftBuffer3D`; forwards its non-top windows.
-
-    ``backing`` (the streamed block) is the stage's data store, as for
-    the advection kernel's ``ShiftBufferStage``: a firing whose value
-    is, bit for bit, the block's value at the buffer's position moves
-    the position (:meth:`ShiftBuffer3D.advance`) and cuts its window
-    from the block (:meth:`ShiftBuffer3D.window_at`), and a batched
-    firing moves it by the whole run and forwards a lazy
-    :class:`WindowRunBulk`.  The first value that differs (only a word
-    a fault dropped makes one) switches the stage to the register model
-    until :meth:`reset`: one gather, then :meth:`ShiftBuffer3D.feed`
-    per value, and batched firings loop :meth:`fire`.  Without
-    ``backing`` the stage runs the register model throughout.
-    """
-
-    input_ports = ("in",)
-    output_ports = ("out",)
-
-    def __init__(self, name: str, nx: int, ny: int, nz: int, *,
-                 ii: int = 1, latency: int = 2,
-                 tracker: MemoryPortTracker | None = None,
-                 backing: np.ndarray | None = None) -> None:
-        super().__init__(name, ii=ii, latency=latency)
-        self.buffer = ShiftBuffer3D(
-            nx, ny, nz,
-            tracker=tracker if tracker is not None
-            else MemoryPortTracker(enforce=False),
-            name=name,
-        )
-        self._backing: np.ndarray | None = None
-        if backing is not None:
-            # A read-only view: window cuts inherit the flag.
-            self._backing = np.ascontiguousarray(backing, dtype=float).view()
-            self._backing.flags.writeable = False
-            self._flat = self._backing.reshape(-1)
-        #: True once a consumed value differed from the block: the
-        #: register model serves the rest of the block.
-        self._diverged = False
-
-    def fire(self, cycle: int, inputs: Mapping[str, list]):
-        (value,) = inputs["in"]
-        value = float(value)
-        buffer = self.buffer
-        backing = self._backing
-        if backing is not None and not self._diverged:
-            fed = buffer.fed
-            if fed < len(self._flat) and same_bits(value,
-                                                   self._flat.item(fed)):
-                first, stop = buffer.next_emissions()
-                buffer.advance(1, backing)
-                # The window at the first index is the feed's full one;
-                # a column top's second is top, and not forwarded.
-                if first == stop:
-                    return {}
-                return {"out": [buffer.window_at(first, backing)]}
-            self._diverged = True
-        windows = [window for window in buffer.feed(value)
-                   if not window.top]
-        return {"out": windows} if windows else {}
-
-    def fire_bulk(self, count: int, inputs: dict[str, Bulk],
-                  cycle: int) -> FireBulkResult:
-        stream = inputs.get("in")
-        if (self._backing is None or self._diverged or stream is None
-                or len(stream) != count):
-            return super().fire_bulk(count, inputs, cycle)
-        # The run must be the block's own next values, bit for bit; a
-        # stream that lost a word to a fault diverges, and the register
-        # model takes the whole run.
-        fed = self.buffer.fed
-        if _run_bytes(stream) != self._flat[fed:fed + count].tobytes():
-            self._diverged = True
-            return super().fire_bulk(count, inputs, cycle)
-        first, stop = self.buffer.feed_bulk(count, self._backing)
-        nz = self.buffer.nz
-        # One non-top window per emitting feed: a uniform result.
-        return UniformFireResult({"out": WindowRunBulk(
-            self.buffer, self._backing, _windows_before(first, nz),
-            _windows_before(stop, nz))})
-
-    def ff_signature(self, cycle: int) -> tuple:
-        return super().ff_signature(cycle) + self.buffer.regime()
-
-    def ff_fire_capacity(self, want: int) -> int:
-        return self.buffer.regime_feeds(want)
-
-    def ff_inner_signature(self, cycle: int, outer: tuple) -> tuple | None:
-        inner = self.buffer.inner_regime()
-        # ``outer`` is the base signature plus the outer regime: swap the
-        # regime, keep the pipeline part it already built.
-        return None if inner is None else outer[:2] + inner
-
-    def ff_inner_capacity(self, want: int) -> int:
-        return self.buffer.inner_regime_feeds(want)
-
-    def ff_structure(self) -> tuple | None:
-        buffer = self.buffer
-        return self._structure(buffer.nx, buffer.ny, buffer.nz,
-                               buffer.partitioned)
-
-    def reset(self) -> None:
-        super().reset()
-        self._diverged = False
-        self.buffer.reset()
 
 
 class WindowComputeStage(Stage):
@@ -384,7 +218,7 @@ class WindowComputeStage(Stage):
         self._boundary = boundary
 
     def fire(self, cycle: int, inputs: Mapping[str, list]):
-        (window,) = inputs["in"]
+        ((window,),) = inputs["in"]
         cx, cy, cz = window.center
         results = [(window.center, self._interior(window))]
         if cz == 1:
@@ -449,15 +283,16 @@ class WindowComputeStage(Stage):
         for part in windows.parts():
             if not len(part):
                 continue
-            if isinstance(part, WindowRunBulk):
+            if isinstance(part, StencilBulk):
+                (block,) = part.blocks
                 for box in part.boxes():
-                    results, per_firing = self._fire_box(part.backing, box)
+                    results, per_firing = self._fire_box(block, box)
                     parts.append(results)
                     counts.append(per_firing)
             else:
                 # Windows a FIFO held when the batched window opened.
-                firings = [self.fire(cycle, {"in": [window]})["out"]
-                           for window in part.materialize()]
+                firings = [self.fire(cycle, {"in": [bundle]})["out"]
+                           for bundle in part.materialize()]
                 parts.append(ListBulk([r for f in firings for r in f]))
                 counts.append([len(f) for f in firings])
         return RaggedFireResult(
@@ -520,11 +355,12 @@ def build_stencil_graph(block: np.ndarray, interior: InteriorFn,
     the structural graph lint and the analyzer read for any block.
     """
     nx, ny, nz = block.shape
+    blocks = (np.ascontiguousarray(block, dtype=float),)
     graph = DataflowGraph("stencil")
-    graph.add(SourceStage("read", block.reshape(-1)))
-    graph.add(GeneralShiftBufferStage(
-        "shift", nx, ny, nz, tracker=tracker,
-        backing=np.ascontiguousarray(block, dtype=float)))
+    graph.add(ReadDataStage("read", block=blocks, latency=1))
+    graph.add(ShiftBufferStage(
+        "shift", nx, ny, nz, buffers=("shift",), tops=False,
+        tracker=tracker, backing=blocks))
     graph.add(WindowComputeStage("compute", nz, interior, boundary))
     graph.add(ScatterWriteStage("write", out))
     graph.connect("read", "out", "shift", "in", depth=stream_depth)
@@ -610,11 +446,9 @@ def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
     graph = build_stencil_graph(block, interior, boundary, out,
                                 stream_depth=stream_depth, tracker=tracker)
     shift = graph.stage("shift")
-    assert isinstance(shift, GeneralShiftBufferStage)
-    assert shift._backing is not None
+    assert isinstance(shift, ShiftBufferStage)
     _check_window_fns(
-        WindowRunBulk(shift.buffer, shift._backing, 0,
-                      min(2, (nx - 2) * (ny - 2) * (nz - 2))),
+        shift.window_run(0, min(2, (nx - 2) * (ny - 2) * (nz - 2))),
         interior, boundary)
     return DataflowEngine(graph, max_cycles=max_cycles, mode=mode,
                           batched=batched, fault_plan=fault_plan,

@@ -8,6 +8,13 @@ functional behaviour lives in :mod:`repro.kernel.compute` and
 :mod:`repro.shiftbuffer.buffer3d` — the same separation the HLS code keeps
 between pragmas and arithmetic.
 
+The front end — :class:`ReadDataStage` and :class:`ShiftBufferStage`,
+with the :class:`CellBlockBulk` and :class:`StencilBulk` runs they hand
+on — streams any number of field blocks, so the generic stencil machine
+(:mod:`repro.kernel.generic`) is built on it too: three blocks here, one
+there.  A cell travels as a tuple of one value per block, a bundle as a
+tuple of one :class:`~repro.shiftbuffer.window.StencilWindow` per block.
+
 Each advect stage calls one window form on both paths: on one bundle's
 windows when it fires scalar, and, batched, on
 :class:`~repro.shiftbuffer.window.WindowRun` box views of the block,
@@ -20,8 +27,7 @@ slice assignment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,14 +47,16 @@ from repro.shiftbuffer.buffer3d import (
     ShiftBuffer3D,
     emission_boxes,
     emission_center,
+    forwarded_before,
+    forwarded_emission,
+    producing_feed,
+    producing_feed_stop,
     same_bits,
 )
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow, WindowRun
 
 __all__ = [
-    "CellInput",
-    "StencilBundle",
     "CellBlockBulk",
     "StencilBulk",
     "AdvectResultBulk",
@@ -61,34 +69,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CellInput:
-    """One grid cell's worth of input data (a 3-field packed word)."""
-
-    u: float
-    v: float
-    w: float
-
-
-@dataclass(frozen=True)
-class StencilBundle:
-    """The three 27-point windows for one output cell."""
-
-    u: StencilWindow
-    v: StencilWindow
-    w: StencilWindow
-    center: tuple[int, int, int]
-
-
 class CellBlockBulk(Bulk):
-    """A run of :class:`CellInput` items backed by flat block arrays.
+    """A run of cells backed by flat block arrays, one per field.
 
-    ``start``/``stop`` index into the streaming order of the chunk block;
-    cells are only built as objects when a FIFO leftover materialises.
+    ``start``/``stop`` index into the streaming order of the blocks;
+    cells (tuples of one float per block) are only built when a FIFO
+    leftover materialises.
     """
 
-    def __init__(self, flats: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 start: int, stop: int) -> None:
+    def __init__(self, flats: tuple[np.ndarray, ...], start: int,
+                 stop: int) -> None:
         self.flats = flats
         self.start = start
         self.stop = stop
@@ -101,12 +91,9 @@ class CellBlockBulk(Bulk):
         return CellBlockBulk(self.flats, self.start + start,
                              self.start + stop)
 
-    def materialize(self) -> list[CellInput]:
-        u, v, w = self.flats
-        return [
-            CellInput(float(u[i]), float(v[i]), float(w[i]))
-            for i in range(self.start, self.stop)
-        ]
+    def materialize(self) -> list[tuple[float, ...]]:
+        return list(zip(*(flat[self.start:self.stop].tolist()
+                          for flat in self.flats)))
 
 
 def _box_lanes(values: np.ndarray, start: int, ny: int,
@@ -123,48 +110,56 @@ def _box_lanes(values: np.ndarray, start: int, ny: int,
         offset += size
 
 
-def _bundle_at(buffers: Mapping[str, ShiftBuffer3D],
-               blocks: Mapping[str, np.ndarray], index: int) -> StencilBundle:
-    """The bundle of flat emission ``index``, its windows cut from the
-    blocks (:meth:`ShiftBuffer3D.window_at`)."""
-    wu = buffers["u"].window_at(index, blocks["u"])
-    wv = buffers["v"].window_at(index, blocks["v"])
-    ww = buffers["w"].window_at(index, blocks["w"])
-    return StencilBundle(u=wu, v=wv, w=ww, center=wu.center)
-
-
 class StencilBulk(Bulk):
-    """A run of :class:`StencilBundle` emissions addressed by flat index.
+    """The forwarded bundles ``[start, stop)`` of a streamed set of blocks.
 
-    Backed by the chunk's block arrays; windows are only cut
-    (:meth:`ShiftBuffer3D.window_at`) for the handful of bundles that end
-    up inside FIFOs or stage pipelines when exact ticking resumes — the
-    bulk of them flow straight into the batched advect compute, which
-    reads them as :func:`~repro.shiftbuffer.buffer3d.emission_boxes` of
-    the block.
+    Bundles are numbered in forwarding order, ``per_column`` per
+    interior column (see :func:`~repro.shiftbuffer.buffer3d.
+    forwarded_emission`).  The run stays lazy: downstream stages read it
+    as :func:`~repro.shiftbuffer.buffer3d.emission_boxes` of the blocks
+    (:meth:`boxes`, through :class:`WindowRun` views), and windows are
+    only cut (:meth:`ShiftBuffer3D.window_at`) for the handful of bundles
+    that end up inside FIFOs or stage pipelines when exact ticking
+    resumes.  ``buffer`` supplies the block geometry.
     """
 
-    def __init__(self, buffers: Mapping[str, ShiftBuffer3D],
-                 blocks: Mapping[str, np.ndarray], start: int,
-                 stop: int) -> None:
-        self.buffers = dict(buffers)
-        self.blocks = dict(blocks)
+    def __init__(self, buffer: ShiftBuffer3D, blocks: tuple[np.ndarray, ...],
+                 start: int, stop: int, per_column: int) -> None:
+        self.buffer = buffer
+        self.blocks = blocks
         self.start = start
         self.stop = stop
+        self.per_column = per_column
+
+    @property
+    def ny(self) -> int:
+        return self.buffer.ny
+
+    @property
+    def nz(self) -> int:
+        return self.buffer.nz
 
     def __len__(self) -> int:
         return self.stop - self.start
 
     def slice(self, start: int, stop: int) -> "StencilBulk":
         self._check_range(start, stop)
-        return StencilBulk(self.buffers, self.blocks, self.start + start,
-                           self.start + stop)
+        return StencilBulk(self.buffer, self.blocks, self.start + start,
+                           self.start + stop, self.per_column)
 
-    def bundle_at(self, index: int) -> StencilBundle:
-        return _bundle_at(self.buffers, self.blocks, index)
+    def bundle_at(self, index: int) -> tuple[StencilWindow, ...]:
+        emission = forwarded_emission(index, self.nz, self.per_column)
+        return tuple(self.buffer.window_at(emission, block)
+                     for block in self.blocks)
 
-    def materialize(self) -> list[StencilBundle]:
+    def materialize(self) -> list[tuple[StencilWindow, ...]]:
         return [self.bundle_at(i) for i in range(self.start, self.stop)]
+
+    def boxes(self) -> list[Box]:
+        """The bundles of this run as boxes of centres, in forwarding
+        order."""
+        return emission_boxes(self.start, self.stop, self.ny,
+                              self.per_column)
 
 
 class AdvectResultBulk(Bulk):
@@ -240,7 +235,7 @@ class MemoryArbiter:
 
 
 class ReadDataStage(SourceStage):
-    """Streams `CellInput` values for one chunk from "external memory".
+    """Streams the cells of one block set from "external memory".
 
     The memory system's sustained throughput is modelled by the ``ii``
     parameter: an external memory that can only supply a cell every other
@@ -250,11 +245,13 @@ class ReadDataStage(SourceStage):
     Parameters
     ----------
     block:
-        The three ``(nx, ny, nz)`` field blocks of the chunk, in streaming
-        layout.  Cells are cut from the arrays on demand, in streaming
-        order (Z fastest, then Y, then X), and batched firings
-        (``fire_bulk``) hand whole runs downstream without building cell
-        objects at all.
+        The field blocks, all of one shape, in streaming layout: the
+        three ``(u, v, w)`` blocks of an advection chunk, or a generic
+        stencil's one block.  A cell is the tuple of the blocks' values
+        at one position, cut on demand in streaming order (Z fastest,
+        then Y, then X); batched firings (``fire_bulk``) hand whole runs
+        downstream as a :class:`CellBlockBulk` without building cells at
+        all.
     arbiter:
         The :class:`MemoryArbiter` of a memory shared with other kernel
         replicas, or ``None`` for a memory of its own.  Each read must
@@ -268,19 +265,17 @@ class ReadDataStage(SourceStage):
         self._flats = tuple(
             np.ascontiguousarray(b, dtype=float).reshape(-1) for b in block
         )
-        if len(self._flats) != 3:
+        if not self._flats:
             raise DataflowError(
-                f"read stage {name!r}: block must hold the three "
-                f"(u, v, w) field arrays, got {len(self._flats)}"
-            )
+                f"read stage {name!r}: block must hold at least one "
+                f"field array")
         self._total = len(self._flats[0])
         self._cursor = 0
         self.arbiter = arbiter
         super().__init__(name, items=(), ii=ii, latency=latency)
 
-    def _cell_at(self, index: int) -> CellInput:
-        u, v, w = self._flats
-        return CellInput(float(u[index]), float(v[index]), float(w[index]))
+    def _cell_at(self, index: int) -> tuple[float, ...]:
+        return tuple([flat.item(index) for flat in self._flats])
 
     def exhausted(self) -> bool:
         return self._cursor >= self._total
@@ -356,45 +351,27 @@ class ReadDataStage(SourceStage):
             self.arbiter.grants += fires
 
 
-def _producing_index(emission: int, nz: int) -> int:
-    """Index of the producing feed that emitted flat emission ``emission``.
-
-    Producing feeds are numbered per interior column: ``nz - 2`` of them,
-    the last of which (the column top) emits two windows — emissions
-    ``nz - 3`` and ``nz - 2`` of its column share one feed.
-    """
-    column, j = divmod(emission, nz - 1)
-    return column * (nz - 2) + min(j, nz - 3)
-
-
-def _emission_stop_of_feed(feed: int, nz: int) -> int:
-    """One past the last flat emission index of producing feed ``feed``."""
-    column, j = divmod(feed, nz - 2)
-    stop = column * (nz - 1) + j + 1
-    if j == nz - 3:
-        stop += 1  # column top: the double emission
-    return stop
-
-
 class _ShiftFireResult(FireBulkResult):
     """Fire-bulk result of the shift-buffer stage.
 
-    Emissions ``[first, stop)`` map to producing feeds by closed-form
-    arithmetic (column tops emit two bundles per feed); bundles are
-    materialised individually only for the tail that re-enters the stage
-    pipeline.
+    The bundles of a :class:`StencilBulk` map to producing feeds by
+    closed-form arithmetic (:func:`~repro.shiftbuffer.buffer3d.
+    producing_feed`: a column top forwards two bundles per feed when its
+    top windows travel); bundles are materialised individually only for
+    the tail that re-enters the stage pipeline.
     """
 
-    def __init__(self, bulk: StencilBulk, nz: int) -> None:
+    def __init__(self, bulk: StencilBulk) -> None:
         self._bulk = bulk
-        self._nz = nz
+        self._geometry = (bulk.nz, bulk.per_column)
         if bulk.stop == bulk.start:
             self.producing_firings = 0
             self._first_feed = 0
         else:
-            self._first_feed = _producing_index(bulk.start, nz)
+            self._first_feed = producing_feed(bulk.start, *self._geometry)
             self.producing_firings = (
-                _producing_index(bulk.stop - 1, nz) - self._first_feed + 1)
+                producing_feed(bulk.stop - 1, *self._geometry)
+                - self._first_feed + 1)
 
     def port_total(self, port: str) -> int:
         return len(self._bulk) if port == "out" else 0
@@ -403,7 +380,8 @@ class _ShiftFireResult(FireBulkResult):
         if count == 0:
             return ListBulk([])
         stop = min(
-            _emission_stop_of_feed(self._first_feed + count - 1, self._nz),
+            producing_feed_stop(self._first_feed + count - 1,
+                                *self._geometry),
             self._bulk.stop,
         )
         return self._bulk.slice(0, stop - self._bulk.start)
@@ -412,9 +390,9 @@ class _ShiftFireResult(FireBulkResult):
         firings: list[dict[str, list[Any]]] = []
         for feed in range(self._first_feed + self.producing_firings - count,
                           self._first_feed + self.producing_firings):
-            stop = min(_emission_stop_of_feed(feed, self._nz),
+            stop = min(producing_feed_stop(feed, *self._geometry),
                        self._bulk.stop)
-            start = max(_emission_stop_of_feed(feed - 1, self._nz)
+            start = max(producing_feed_stop(feed - 1, *self._geometry)
                         if feed > 0 else 0, self._bulk.start)
             firings.append({
                 "out": [self._bulk.bundle_at(e) for e in range(start, stop)]
@@ -423,33 +401,44 @@ class _ShiftFireResult(FireBulkResult):
 
 
 class ShiftBufferStage(Stage):
-    """Feeds the three per-field shift buffers; emits stencil bundles.
+    """Feeds one shift buffer per streamed block; emits window bundles.
 
-    One :class:`CellInput` is consumed per firing; zero, one, or two
-    bundles are produced (two at column tops — the burst the downstream
-    FIFO absorbs, see the shift-buffer docs).
+    One cell (a tuple of one value per block) is consumed per firing,
+    and zero, one or two bundles are produced, each a tuple of one
+    window per block.  A column top's feed completes two windows, its
+    full one and the one-sided top one.  With ``tops`` (the advection
+    kernel) both travel downstream — the burst the downstream FIFO
+    absorbs, see the shift-buffer docs; without it (the generic
+    stencils, which resolve their boundary cells from full windows) only
+    the full one does.  Forwarded bundles are numbered ``per_column``
+    per interior column: ``nz - 1`` with tops, ``nz - 2`` without.
 
-    ``backing`` (the three chunk blocks in streaming layout) makes the
-    blocks the stage's data store: the buffers' registers only ever hold
-    values of these blocks.  A firing whose cell is, bit for bit,
+    ``buffers`` names the buffers, one per block; their memories appear
+    under these names in port reports.  The default is the advection
+    kernel's ``name.u``, ``name.v`` and ``name.w``.
+
+    ``backing`` (the blocks in streaming layout, one per buffer) makes
+    the blocks the stage's data store: the buffers' registers only ever
+    hold values of these blocks.  A firing whose cell is, bit for bit,
     the blocks' cell at the buffers' position moves the position
-    (:meth:`ShiftBuffer3D.advance`, ports booked per buffer in u, v, w
-    order) and cuts its bundles from the blocks
-    (:meth:`ShiftBuffer3D.window_at`): no register shifts, no window
-    copies.  A batched firing moves the position by its whole run
-    (:meth:`ShiftBuffer3D.feed_bulk`), and its emissions travel as a
-    :class:`StencilBulk`.  The first cell that differs from the blocks
-    (only a word a fault dropped makes one) switches the stage to the
-    register model until :meth:`reset`: the buffers gather their
-    registers once and :meth:`ShiftBuffer3D.feed` every later cell, and
-    batched firings loop :meth:`fire`.  A stage built without
-    ``backing`` runs the register model throughout.
+    (:meth:`ShiftBuffer3D.advance`, ports booked per buffer in order)
+    and cuts its bundles from the blocks (:meth:`ShiftBuffer3D.
+    window_at`): no register shifts, no window copies.  A batched firing
+    whose cells are the blocks' own, checked by their position, moves
+    the position by its whole run (:meth:`ShiftBuffer3D.feed_bulk`), and
+    its bundles travel as a :class:`StencilBulk`.  The first cell that
+    differs from the blocks (only a word a fault dropped makes one)
+    switches the stage to the register model until :meth:`reset`: the
+    buffers gather their registers once and :meth:`ShiftBuffer3D.feed`
+    every later cell, and batched firings loop :meth:`fire`.  A stage
+    built without ``backing`` runs the register model throughout.
     """
 
     input_ports = ("in",)
     output_ports = ("out",)
 
     def __init__(self, name: str, nx: int, ny: int, nz: int, *,
+                 buffers: Sequence[str] | None = None, tops: bool = True,
                  ii: int = 1, latency: int = 2, partitioned: bool = True,
                  tracker: MemoryPortTracker | None = None,
                  backing: tuple[np.ndarray, ...] | None = None) -> None:
@@ -457,30 +446,33 @@ class ShiftBufferStage(Stage):
         self.tracker = tracker if tracker is not None else MemoryPortTracker(
             enforce=False
         )
-        self._buffers = {
-            field: ShiftBuffer3D(
-                nx, ny, nz, partitioned=partitioned, tracker=self.tracker,
-                name=f"{name}.{field}",
-            )
-            for field in ("u", "v", "w")
-        }
+        if buffers is None:
+            buffers = [f"{name}.{field}" for field in ("u", "v", "w")]
+        self.buffers = tuple(
+            ShiftBuffer3D(nx, ny, nz, partitioned=partitioned,
+                          tracker=self.tracker, name=buffer)
+            for buffer in buffers
+        )
         self.nz = nz
-        if backing is not None and len(backing) != 3:
+        self.tops = tops
+        #: Bundles forwarded per interior column.
+        self.per_column = nz - 1 if tops else nz - 2
+        if backing is not None and len(backing) != len(self.buffers):
             raise DataflowError(
-                f"shift stage {name!r}: backing must hold the three "
-                f"(u, v, w) field blocks, got {len(backing)}"
+                f"shift stage {name!r}: backing must hold one block per "
+                f"buffer ({len(self.buffers)}), got {len(backing)}"
             )
-        self._backing: dict[str, np.ndarray] | None = None
+        self._blocks: tuple[np.ndarray, ...] | None = None
         self._flats: tuple[np.ndarray, ...] = ()
         if backing is not None:
-            self._backing = {}
-            for field, arr in zip(("u", "v", "w"), backing):
+            blocks = []
+            for arr in backing:
                 # A read-only view: window cuts inherit the flag.
                 block = np.ascontiguousarray(arr, dtype=float).view()
                 block.flags.writeable = False
-                self._backing[field] = block
-            self._flats = tuple(self._backing[f].reshape(-1)
-                                for f in ("u", "v", "w"))
+                blocks.append(block)
+            self._blocks = tuple(blocks)
+            self._flats = tuple(block.reshape(-1) for block in blocks)
         #: True once a consumed cell differed from the blocks: the
         #: register model serves the rest of the block.
         self._diverged = False
@@ -489,44 +481,55 @@ class ShiftBufferStage(Stage):
         #: ``None`` until the buffers first produce (and after reset).
         self.first_emit_cycle: int | None = None
 
-    def _matches(self, cell: CellInput, position: int) -> bool:
+    def window_run(self, start: int, stop: int) -> StencilBulk:
+        """The forwarded bundles ``[start, stop)`` of the blocks, lazily."""
+        if self._blocks is None:
+            raise DataflowError(
+                f"shift stage {self.name!r} has no blocks to cut a run of "
+                f"windows from")
+        return StencilBulk(self.buffers[0], self._blocks, start, stop,
+                           self.per_column)
+
+    def _matches(self, cell: tuple[float, ...], position: int) -> bool:
         """``cell`` is, bit for bit, the blocks' cell at ``position``."""
-        fu, fv, fw = self._flats
-        return (position < len(fu) and same_bits(cell.u, fu.item(position))
-                and same_bits(cell.v, fv.item(position))
-                and same_bits(cell.w, fw.item(position)))
+        if position >= len(self._flats[0]):
+            return False
+        for value, flat in zip(cell, self._flats):
+            if not same_bits(value, flat.item(position)):
+                return False
+        return True
 
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
         (cell,) = inputs["in"]
-        buffers = self._buffers
-        if self._backing is not None and not self._diverged:
-            u = buffers["u"]
-            if self._matches(cell, u.fed):
-                first, stop = u.next_emissions()
-                backing = self._backing
-                u.advance(1, backing["u"])
-                buffers["v"].advance(1, backing["v"])
-                buffers["w"].advance(1, backing["w"])
+        buffers = self.buffers
+        blocks = self._blocks
+        if blocks is not None and not self._diverged:
+            if self._matches(cell, buffers[0].fed):
+                first, stop = buffers[0].next_emissions()
+                for buffer, block in zip(buffers, blocks):
+                    buffer.advance(1, block)
                 if first == stop:
                     return {}
-                bundles = [_bundle_at(buffers, backing, index)
-                           for index in range(first, stop)]
+                if not self.tops:
+                    # The feed's full window comes first; a column top's
+                    # second, the top one, stays in the stage.
+                    stop = first + 1
                 if self.first_emit_cycle is None:
                     self.first_emit_cycle = cycle
-                return {"out": bundles}
+                return {"out": [
+                    tuple([buffer.window_at(index, block)
+                           for buffer, block in zip(buffers, blocks)])
+                    for index in range(first, stop)]}
             self._diverged = True
-        wins_u = buffers["u"].feed(cell.u)
-        wins_v = buffers["v"].feed(cell.v)
-        wins_w = buffers["w"].feed(cell.w)
-        if not (len(wins_u) == len(wins_v) == len(wins_w)):
+        windows = [buffer.feed(value) for buffer, value in zip(buffers, cell)]
+        counts = [len(emitted) for emitted in windows]
+        if len(set(counts)) > 1:
             raise DataflowError(
                 f"shift buffers desynchronised: emitted "
-                f"{len(wins_u)}/{len(wins_v)}/{len(wins_w)} windows"
+                f"{'/'.join(map(str, counts))} windows"
             )
-        bundles = [
-            StencilBundle(u=wu, v=wv, w=ww, center=wu.center)
-            for wu, wv, ww in zip(wins_u, wins_v, wins_w)
-        ]
+        bundles = [bundle for bundle in zip(*windows)
+                   if self.tops or not bundle[0].top]
         if bundles and self.first_emit_cycle is None:
             self.first_emit_cycle = cycle
         return {"out": bundles} if bundles else {}
@@ -535,28 +538,29 @@ class ShiftBufferStage(Stage):
         # Emission control depends on the streaming position only, per
         # regime (ShiftBuffer3D.regime); the capacity below stops every
         # window at the end of its regime.
-        return super().ff_signature(cycle) + self._buffers["u"].regime()
+        return super().ff_signature(cycle) + self.buffers[0].regime()
 
     def ff_fire_capacity(self, want: int) -> int:
-        return self._buffers["u"].regime_feeds(want)
+        return self.buffers[0].regime_feeds(want)
 
     def ff_inner_signature(self, cycle: int, outer: tuple) -> tuple | None:
-        inner = self._buffers["u"].inner_regime()
+        inner = self.buffers[0].inner_regime()
         # ``outer`` is the base signature plus the outer regime: swap the
         # regime, keep the pipeline part it already built.
         return None if inner is None else outer[:2] + inner
 
     def ff_inner_capacity(self, want: int) -> int:
-        return self._buffers["u"].inner_regime_feeds(want)
+        return self.buffers[0].inner_regime_feeds(want)
 
     def ff_structure(self) -> tuple | None:
-        buffer = self._buffers["u"]
+        buffer = self.buffers[0]
         return self._structure(buffer.nx, buffer.ny, buffer.nz,
-                               buffer.partitioned)
+                               buffer.partitioned, self.tops)
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
-        if self._backing is None or self._diverged:
+        blocks = self._blocks
+        if blocks is None or self._diverged:
             return super().fire_bulk(count, inputs, cycle)
         if len(inputs.get("in", ())) != count:
             raise DataflowError(
@@ -567,7 +571,8 @@ class ShiftBufferStage(Stage):
         # order, continuing exactly where the buffers stand.  A cell
         # block that starts elsewhere, or a cell whose bits differ,
         # diverges: the register model takes the whole run.
-        position = self._buffers["u"].fed
+        buffers = self.buffers
+        position = buffers[0].fed
         for part in inputs["in"].parts():
             if isinstance(part, CellBlockBulk):
                 diverged = part.start != position
@@ -579,25 +584,25 @@ class ShiftBufferStage(Stage):
                 self._diverged = True
                 return super().fire_bulk(count, inputs, cycle)
             position += len(part)
-        # Scalar feeding books the three buffers' ports in turn, one feed
-        # each; a run from the block's start books each buffer's first
-        # feed alone, so memories sharing a tracker start their cycle
-        # counts in the same order.
-        steps = ((1, count - 1) if self._buffers["u"].fed == 0 and count > 1
+        # Scalar feeding books the buffers' ports in turn, one feed each;
+        # a run from the block's start books each buffer's first feed
+        # alone, so memories sharing a tracker start their cycle counts
+        # in the same order.
+        steps = ((1, count - 1) if buffers[0].fed == 0 and count > 1
                  else (count,))
-        ranges = [self._buffers[field].feed_bulk(step, self._backing[field])
-                  for step in steps for field in ("u", "v", "w")]
-        first, stop = ranges[0][0], ranges[-1][1]
+        ranges = [buffer.feed_bulk(step, block) for step in steps
+                  for buffer, block in zip(buffers, blocks)]
+        first, stop = (forwarded_before(emission, self.nz, self.per_column)
+                       for emission in (ranges[0][0], ranges[-1][1]))
         if stop > first and self.first_emit_cycle is None:
             self.first_emit_cycle = cycle
-        return _ShiftFireResult(
-            StencilBulk(self._buffers, self._backing, first, stop), self.nz)
+        return _ShiftFireResult(self.window_run(first, stop))
 
     def reset(self) -> None:
         super().reset()
         self.first_emit_cycle = None
         self._diverged = False
-        for buffer in self._buffers.values():
+        for buffer in self.buffers:
             buffer.reset()
 
 
@@ -667,9 +672,8 @@ class AdvectStage(Stage):
         self.flops_per_cell_top = field_flops(top=True, field=field)
 
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
-        (bundle,) = inputs["in"]
-        value = self._fn(bundle.u, bundle.v, bundle.w, self.coeffs)
-        return {"out": [(bundle.center, value)]}
+        ((wu, wv, ww),) = inputs["in"]
+        return {"out": [(wu.center, self._fn(wu, wv, ww, self.coeffs))]}
 
     def ff_structure(self) -> tuple | None:
         return self._structure(self.nz)
@@ -685,28 +689,25 @@ class AdvectStage(Stage):
         out_parts: list[Bulk] = []
         for part in bulk.parts():
             if isinstance(part, StencilBulk):
-                ny = part.buffers["u"].ny
+                bu, bv, bw = part.blocks
                 values = np.empty(len(part))
-                for box, lanes in _box_lanes(values, part.start, ny,
-                                             self.nz - 1):
+                for box, lanes in _box_lanes(values, part.start, part.ny,
+                                             part.per_column):
                     x0, x1, y0, y1, z0, z1 = box
                     # A run's ``top`` is one flag, so a box's full
                     # windows and its column-top layer are two runs.
                     split = min(z1, self.nz - 1)
                     for top, zs in ((False, (z0, split)), (True, (split, z1))):
                         if zs[1] > zs[0]:
-                            u = WindowRun(part.blocks["u"],
-                                          (x0, x1, y0, y1) + zs, top=top)
+                            u = WindowRun(bu, (x0, x1, y0, y1) + zs, top=top)
                             lanes[:, :, zs[0] - z0:zs[1] - z0] = self._fn(
-                                u, u.on(part.blocks["v"]),
-                                u.on(part.blocks["w"]), self.coeffs)
-                out_parts.append(AdvectResultBulk(part.start, values, ny,
-                                                  self.nz))
+                                u, u.on(bv), u.on(bw), self.coeffs)
+                out_parts.append(AdvectResultBulk(part.start, values,
+                                                  part.ny, self.nz))
             elif len(part):
                 out_parts.append(ListBulk([
-                    (bundle.center,
-                     self._fn(bundle.u, bundle.v, bundle.w, self.coeffs))
-                    for bundle in part.materialize()
+                    (wu.center, self._fn(wu, wv, ww, self.coeffs))
+                    for wu, wv, ww in part.materialize()
                 ]))
         return UniformFireResult({"out": ChainBulk(out_parts)})
 

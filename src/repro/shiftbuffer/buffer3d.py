@@ -55,7 +55,16 @@ from repro.errors import ShiftBufferError
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow
 
-__all__ = ["ShiftBuffer3D", "emission_boxes", "emission_center", "same_bits"]
+__all__ = [
+    "ShiftBuffer3D",
+    "emission_boxes",
+    "emission_center",
+    "forwarded_before",
+    "forwarded_emission",
+    "producing_feed",
+    "producing_feed_stop",
+    "same_bits",
+]
 
 #: One box of window centres, ``(x0, x1, y0, y1, z0, z1)``: the centres
 #: ``x0 <= cx < x1``, ``y0 <= cy < y1``, ``z0 <= cz < z1``.
@@ -91,6 +100,41 @@ def emission_center(index: Any, ny: int, nz: int) -> tuple[Any, Any, Any, Any]:
     return cx, cy, cz, cz == nz - 1
 
 
+# A stage that streams the buffer forwards ``per_column`` windows per
+# interior column, numbered in forwarding order: ``nz - 1`` when the
+# column-top windows travel downstream (forwarded numbers are then the
+# emission numbers of :func:`emission_center`), ``nz - 2`` when only the
+# full windows do.  Each column has ``nz - 2`` producing feeds; the last,
+# the column top, forwards its full window and, with ``nz - 1``, the top
+# one too.
+
+
+def forwarded_emission(index: int, nz: int, per_column: int) -> int:
+    """The emission number (:func:`emission_center`) of forwarded window
+    ``index``."""
+    column, j = divmod(index, per_column)
+    return column * (nz - 1) + j
+
+
+def forwarded_before(emission: int, nz: int, per_column: int) -> int:
+    """Forwarded windows among the first ``emission`` emissions."""
+    column, j = divmod(emission, nz - 1)
+    return column * per_column + min(j, per_column)
+
+
+def producing_feed(index: int, nz: int, per_column: int) -> int:
+    """The producing feed, numbered over the whole stream, that forwards
+    window ``index``."""
+    column, j = divmod(index, per_column)
+    return column * (nz - 2) + min(j, nz - 3)
+
+
+def producing_feed_stop(feed: int, nz: int, per_column: int) -> int:
+    """One past the last window producing feed ``feed`` forwards."""
+    column, j = divmod(feed, nz - 2)
+    return column * per_column + (per_column if j == nz - 3 else j + 1)
+
+
 def emission_boxes(first: int, stop: int, ny: int,
                    per_column: int) -> list[Box]:
     """Cut the emissions ``[first, stop)`` into at most five boxes.
@@ -98,7 +142,7 @@ def emission_boxes(first: int, stop: int, ny: int,
     Emissions are numbered as in :func:`emission_center`, with
     ``per_column`` of them per interior column at ``cz = 1 ..
     per_column``: ``nz - 1`` for the advection stream (column tops
-    included), ``nz - 2`` for the generic machine's non-top windows.
+    included), ``nz - 2`` for the generic stencils' full windows.
     The boxes are, in order, the rest of a column, the rest of a plane,
     whole planes, the columns of the last plane and the head of the last
     column; each box's C-order walk (Z fastest, then Y, then X) follows

@@ -245,8 +245,10 @@ class CostModel:
             point.num_kernels)
         by_axis = usage.utilisation(self.device.capacity)
         if config not in self._cycles:
-            self._cycles[config] = (KernelCycleModel(config).cycles(),
-                                    static_kernel_cycles(config))
+            graph, _ = self._structure(config)
+            self._cycles[config] = (
+                KernelCycleModel(config).cycles(),
+                static_kernel_cycles(config, graph=graph))
         analytic_cycles, static_cycles = self._cycles[config]
         return Evaluation(
             point=point,
@@ -273,7 +275,8 @@ class CostModel:
         The graph reads the stream depth, the stage latencies and the
         initiation intervals.  A point's config sets only the depth of
         those, so one graph and one proof per depth serve every chunk
-        width, word width and replica count.
+        width, word width and replica count, and the lint gate and
+        :func:`~repro.analyze.static_kernel_cycles` read that graph.
         """
         depth = config.stream_depth
         if depth not in self._structures:

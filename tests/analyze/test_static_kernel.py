@@ -32,11 +32,25 @@ class TestStaticKernelCycles:
         measured = simulate_kernel(config, fields).total_cycles
         static = static_kernel_cycles(config)
         chunks = len(config.chunk_plan().chunks)
-        # The structural Fig. 2 graph is the control machine the shift
-        # buffer implements; the real kernel pays at most one extra
-        # restart cycle per chunk on top of it.
-        assert 0 <= measured - static <= chunks
+        # The structural Fig. 2 graph is read as a unit-rate control
+        # machine; the real kernel's last column top emits a second
+        # bundle, one more cycle per chunk on top of it.
+        assert measured - static == chunks
         assert abs(measured - static) / measured < 0.01
+
+    def test_a_given_graph_is_read_not_rebuilt(self, monkeypatch):
+        import repro.analyze.kernel as analyze_kernel
+
+        config = KernelConfig(grid=Grid(nx=6, ny=9, nz=5), chunk_width=4)
+        graph = build_structural_graph(config, read_ii=2)
+        expected = static_kernel_cycles(config, read_ii=2)
+
+        def no_build(*_args, **_kwargs):
+            raise AssertionError("built a structural graph")
+
+        monkeypatch.setattr(analyze_kernel, "build_structural_graph",
+                            no_build)
+        assert static_kernel_cycles(config, graph=graph) == expected
 
     def test_grid_override_rescales_the_bound(self):
         config = KernelConfig(grid=Grid(nx=6, ny=9, nz=5), chunk_width=4)

@@ -13,7 +13,7 @@ from repro.dataflow.engine import DataflowEngine
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import SinkStage, SourceStage, Stage
 from repro.errors import DataflowError
-from repro.kernel.stages import CellInput, ShiftBufferStage
+from repro.kernel.stages import ShiftBufferStage
 
 
 class TestUndersizedFifoDeadlock:
@@ -22,7 +22,7 @@ class TestUndersizedFifoDeadlock:
         depth-1 FIFO can never accept them, so the design deadlocks —
         which is exactly why KernelConfig refuses stream_depth < 2."""
         nx = ny = nz = 4
-        cells = [CellInput(float(i), 0.0, 0.0) for i in range(nx * ny * nz)]
+        cells = [(float(i), 0.0, 0.0) for i in range(nx * ny * nz)]
 
         graph = DataflowGraph("broken")
         graph.add(SourceStage("read", iter(cells)))
@@ -36,7 +36,7 @@ class TestUndersizedFifoDeadlock:
 
     def test_depth2_stream_is_sufficient(self):
         nx = ny = nz = 4
-        cells = [CellInput(float(i), 0.0, 0.0) for i in range(nx * ny * nz)]
+        cells = [(float(i), 0.0, 0.0) for i in range(nx * ny * nz)]
         graph = DataflowGraph("ok")
         graph.add(SourceStage("read", iter(cells)))
         shift = graph.add(ShiftBufferStage("shift", nx, ny, nz))
@@ -68,7 +68,7 @@ class TestMisbehavingStages:
         the stage must fail loudly rather than pair mismatched stencils."""
         stage = ShiftBufferStage("s", 4, 4, 4)
         # Feed the u buffer one extra value out of band to desync it.
-        stage._buffers["u"].feed(0.0)
+        stage.buffers[0].feed(0.0)
         from repro.dataflow.stream import Stream
 
         ins = Stream("i", depth=4)
@@ -79,7 +79,7 @@ class TestMisbehavingStages:
         # reaches an emitting position while v/w have not.
         with pytest.raises(DataflowError, match="desynchronised"):
             for i in range(4 * 4 * 4 - 1):
-                ins.push(CellInput(1.0, 2.0, 3.0))
+                ins.push((1.0, 2.0, 3.0))
                 stage.tick(i)
                 while outs.can_pop():
                     outs.pop()

@@ -35,20 +35,19 @@ from repro.core.reference import advect_reference
 from repro.core.wind import random_wind
 from repro.dataflow.engine import ControlRecord, DataflowEngine
 from repro.dataflow.graph import DataflowGraph
-from repro.dataflow.stage import SourceStage
 from repro.errors import PortConflictError, ReproError
 from repro.faults import FaultPlan, FaultSpec
 from repro.kernel import builder
 from repro.kernel.builder import build_advection_graph
 from repro.kernel.config import KernelConfig
 from repro.kernel.generic import (
-    GeneralShiftBufferStage,
     ScatterWriteStage,
     WindowComputeStage,
+    build_stencil_graph,
     run_stencil_kernel,
 )
 from repro.kernel.simulate import simulate_kernel
-from repro.kernel.stages import ShiftBufferStage
+from repro.kernel.stages import ReadDataStage, ShiftBufferStage
 from repro.observe import Tracer
 from repro.scenarios import scenarios
 from repro.scenarios.kernels import DiffusionKernel
@@ -257,17 +256,10 @@ def _probed_advection(grid, chunk_width, read_ii, stride, batched):
 
 def _probed_stencil(grid, depth, stride, batched):
     block = random_wind(grid, seed=3, magnitude=2.0).u
-    nx, ny, nz = block.shape
     interior, boundary = DiffusionKernel().window_fns(grid)
     out = np.zeros(grid.interior_shape)
-    graph = DataflowGraph("stencil")
-    graph.add(SourceStage("read", block.reshape(-1)))
-    graph.add(GeneralShiftBufferStage("shift", nx, ny, nz, backing=block))
-    graph.add(WindowComputeStage("compute", nz, interior, boundary))
-    graph.add(ScatterWriteStage("write", out))
-    graph.connect("read", "out", "shift", "in", depth=depth)
-    graph.connect("shift", "out", "compute", "in", depth=depth)
-    graph.connect("compute", "out", "write", "in", depth=depth)
+    graph = build_stencil_graph(block, interior, boundary, out,
+                                stream_depth=depth)
     run, windows = _probed(graph, stride, batched)
     return (run, out.tobytes()), windows
 
@@ -317,9 +309,10 @@ def _stencil_graph(block, grid, *, blockless):
     interior, boundary = DiffusionKernel().window_fns(grid)
     out = np.zeros(grid.interior_shape)
     graph = DataflowGraph("stencil")
-    graph.add(SourceStage("read", block.reshape(-1)))
-    graph.add(GeneralShiftBufferStage(
-        "shift", nx, ny, nz, backing=None if blockless else block))
+    graph.add(ReadDataStage("read", block=(block,), latency=1))
+    graph.add(ShiftBufferStage(
+        "shift", nx, ny, nz, buffers=("shift",), tops=False,
+        backing=None if blockless else (block,)))
     graph.add(WindowComputeStage("compute", nz, interior, boundary))
     graph.add(ScatterWriteStage("write", out))
     graph.connect("read", "out", "shift", "in", depth=4)

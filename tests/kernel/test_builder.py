@@ -40,9 +40,9 @@ class TestCellStream:
         # First nz cells walk one column of the first (halo) X plane.
         block = fields.u[:, chunk.read_start:chunk.read_stop, :]
         for k in range(nz):
-            assert cells[k].u == block[0, 0, k]
+            assert cells[k][0] == block[0, 0, k]
         # The next column follows in Y.
-        assert cells[nz].u == block[0, 1, 0]
+        assert cells[nz][0] == block[0, 1, 0]
 
     def test_stream_length(self, setup):
         grid, fields, config, chunk = setup
@@ -51,10 +51,10 @@ class TestCellStream:
 
     def test_all_three_fields_packed(self, setup):
         grid, fields, config, chunk = setup
-        cell = read_cells(setup)[0]
-        assert cell.u == fields.u[0, chunk.read_start, 0]
-        assert cell.v == fields.v[0, chunk.read_start, 0]
-        assert cell.w == fields.w[0, chunk.read_start, 0]
+        u, v, w = read_cells(setup)[0]
+        assert u == fields.u[0, chunk.read_start, 0]
+        assert v == fields.v[0, chunk.read_start, 0]
+        assert w == fields.w[0, chunk.read_start, 0]
 
 
 class TestGraphStructure:

@@ -1,9 +1,13 @@
-"""The closed-form cycle model must track the cycle-accurate simulator."""
+"""The closed-form cycle model must equal the cycle-accurate simulator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analyze import start_cycles
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
+from repro.kernel.builder import build_structural_graph
 from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import KernelCycleModel
 from repro.kernel.simulate import simulate_kernel
@@ -33,14 +37,42 @@ class TestAgainstSimulator:
         config = KernelConfig(grid=grid, chunk_width=64, shift_buffer_ii=2)
         sim = simulate_kernel(config, random_wind(grid, seed=1))
         model = KernelCycleModel(config).cycles()
-        assert abs(model - sim.total_cycles) <= 2
+        assert model == sim.total_cycles
 
     def test_read_ii_tracked(self):
         grid = Grid(nx=5, ny=6, nz=4)
         config = KernelConfig(grid=grid, chunk_width=64)
         sim = simulate_kernel(config, random_wind(grid, seed=1), read_ii=2)
         model = KernelCycleModel(config, read_ii=2).cycles()
-        assert abs(model - sim.total_cycles) <= 2
+        assert model == sim.total_cycles
+
+
+@st.composite
+def kernel_configs(draw):
+    ny = draw(st.integers(2, 10))
+    grid = Grid(nx=draw(st.integers(1, 6)), ny=ny, nz=draw(st.integers(3, 7)))
+    config = KernelConfig(
+        grid=grid, chunk_width=draw(st.integers(2, ny + 2)),
+        stream_depth=draw(st.integers(2, 5)),
+        shift_buffer_ii=draw(st.integers(1, 2)),
+        advect_latency=draw(st.integers(1, 30)),
+        memory_latency=draw(st.integers(1, 20)))
+    return config, draw(st.integers(1, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(kernel_configs())
+def test_the_derived_fill_is_exact_at_every_ii(params):
+    """The closed form equals the simulator at every read and
+    shift-buffer II, and its per-chunk start cycle is the write stage's
+    proved start on the structural graph."""
+    config, read_ii = params
+    model = KernelCycleModel(config, read_ii=read_ii)
+    sim = simulate_kernel(config, random_wind(config.grid, seed=1),
+                          read_ii=read_ii)
+    assert model.cycles() == sim.total_cycles
+    graph = build_structural_graph(config, read_ii=read_ii)
+    assert model.start_cycle == start_cycles(graph)["write_data"][1]
 
 
 class TestBreakdown:

@@ -23,12 +23,8 @@ from repro.core.wind import random_wind
 from repro.dataflow.bulk import ListBulk
 from repro.errors import FaultError
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.kernel.generic import (
-    GeneralShiftBufferStage,
-    WindowComputeStage,
-    WindowRunBulk,
-    run_stencil_kernel,
-)
+from repro.kernel.generic import WindowComputeStage, run_stencil_kernel
+from repro.kernel.stages import ShiftBufferStage, StencilBulk
 from repro.scenarios import scenarios
 from repro.scenarios.conformance import STATS_BATCH_KEYS
 from repro.scenarios.kernels import BuoyancyKernel, DiffusionKernel
@@ -79,14 +75,14 @@ class TestGenericKernelModes:
         shift stage's carries its buffer's streaming regime."""
         grid = Grid(nx=4, ny=4, nz=4)
         interior, boundary = kernel.window_fns(grid)
-        shift = GeneralShiftBufferStage("s", 4, 4, 4)
+        shift = ShiftBufferStage("s", 4, 4, 4, buffers=("s",), tops=False)
         compute = WindowComputeStage("c", 4, interior, boundary)
         for stage in (shift, compute):
             for cycle in (0, 10_000):
                 assert isinstance(stage.ff_signature(cycle), tuple)
         assert shift.ff_signature(0)[-1:] == ("prime",)
         for _ in range(2 * 4 * 4):
-            shift.fire(0, {"in": [0.0]})
+            shift.fire(0, {"in": [(0.0,)]})
         assert shift.ff_signature(0)[-3:] == (2, 0, 0)
 
     @settings(max_examples=12, deadline=None)
@@ -179,16 +175,17 @@ class TestVectorisedWindows:
         """With ``backing`` the stage forwards a lazy run; without it, a
         batched window loops fire.  Both hold the same windows."""
         block = np.arange(4 * 5 * 4, dtype=float).reshape(4, 5, 4)
-        plain = GeneralShiftBufferStage("s", 4, 5, 4)
-        backed = GeneralShiftBufferStage("s", 4, 5, 4, backing=block)
-        values = list(block.reshape(-1))
-        looped = plain.fire_bulk(len(values), {"in": ListBulk(values)}, 0)
-        bulk = backed.fire_bulk(len(values), {"in": ListBulk(values)}, 0)
+        plain = ShiftBufferStage("s", 4, 5, 4, buffers=("s",), tops=False)
+        backed = ShiftBufferStage("s", 4, 5, 4, buffers=("s",), tops=False,
+                                  backing=(block,))
+        cells = [(value,) for value in block.reshape(-1).tolist()]
+        looped = plain.fire_bulk(len(cells), {"in": ListBulk(cells)}, 0)
+        bulk = backed.fire_bulk(len(cells), {"in": ListBulk(cells)}, 0)
         windows = 2 * 3 * 2
         assert looped.producing_firings == bulk.producing_firings == windows
         run = bulk.head_bulk("out", windows)
-        assert isinstance(run, WindowRunBulk)
-        for mine, theirs in zip(
+        assert isinstance(run, StencilBulk)
+        for (mine,), (theirs,) in zip(
                 run.materialize(),
                 looped.head_bulk("out", windows).materialize(), strict=True):
             assert mine.center == theirs.center
@@ -209,9 +206,9 @@ class TestRunView:
         give on each window alone."""
         block = np.random.default_rng(seed).normal(size=grid.halo_shape)
         buffer = ShiftBuffer3D(*block.shape)
-        run = WindowRunBulk(buffer, block, 0,
-                            grid.nx * grid.ny * (grid.nz - 2))
-        by_center = {w.center: w for w in run.materialize()}
+        run = StencilBulk(buffer, (block,), 0,
+                          grid.nx * grid.ny * (grid.nz - 2), grid.nz - 2)
+        by_center = {w.center: w for (w,) in run.materialize()}
         views = [WindowRun(block, box) for box in run.boxes()]
         walk = [center for view in views for center in zip(
             *(c.reshape(-1).tolist()
@@ -238,7 +235,8 @@ class TestRunView:
 
     def test_at_is_a_read_only_view_and_checks_offsets(self):
         block = np.arange(5 * 5 * 5, dtype=float).reshape(5, 5, 5)
-        (box,) = WindowRunBulk(ShiftBuffer3D(5, 5, 5), block, 0, 9).boxes()
+        (box,) = StencilBulk(ShiftBuffer3D(5, 5, 5), (block,), 0, 9,
+                             3).boxes()
         view = WindowRun(block, box)
         values = view.at(1, 0, -1)
         with pytest.raises(ValueError):

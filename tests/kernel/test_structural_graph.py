@@ -25,12 +25,10 @@ from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import SourceSet
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
-from repro.dataflow.stage import SourceStage
 from repro.hardware import ALVEO_U280
 from repro.kernel.builder import build_advection_graph, build_structural_graph
 from repro.kernel.config import KernelConfig
 from repro.kernel.generic import (
-    GeneralShiftBufferStage,
     ScatterWriteStage,
     WindowComputeStage,
     build_stencil_graph,
@@ -52,7 +50,7 @@ from repro.tune.space import TunePoint
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples" / "graphs"
 ADVECTION_STAGES = {ReadDataStage, ShiftBufferStage, ReplicateStage,
                     AdvectStage, WriteDataStage}
-STENCIL_STAGES = {SourceStage, GeneralShiftBufferStage, WindowComputeStage,
+STENCIL_STAGES = {ReadDataStage, ShiftBufferStage, WindowComputeStage,
                   ScatterWriteStage}
 GRID = Grid(nx=4, ny=6, nz=4)
 CONFIG = KernelConfig(grid=GRID, chunk_width=3)
@@ -117,6 +115,19 @@ def test_stencil_proof_equals_the_run_graphs_proof(shape, depth, kind,
     structural = kernel.structural_graph(grid)
     assert stage_types(structural) == STENCIL_STAGES
     assert proof(structural, kernel.kind) == proof(run_graph, kernel.kind)
+
+
+def test_both_machines_share_one_front_end():
+    """The advection graph's read and shift stages and the stencil
+    machine's are instances of the same two classes; only the back ends
+    differ."""
+    advection = build_structural_graph(CONFIG)
+    stencil = DiffusionKernel().structural_graph(GRID)
+    for cls, (ours, theirs) in ((ReadDataStage, ("read_data", "read")),
+                                (ShiftBufferStage,
+                                 ("shift_buffer", "shift"))):
+        assert type(advection.stage(ours)) is cls
+        assert type(stencil.stage(theirs)) is cls
 
 
 def spy(monkeypatch, module, name: str, pick) -> list:

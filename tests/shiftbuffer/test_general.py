@@ -1,9 +1,10 @@
 """The paper's shift buffer as a general-purpose radius-1 stencil source.
 
 The generic stencil machine (:mod:`repro.kernel.generic`) streams one
-:class:`ShiftBuffer3D` per field and forwards only its full windows;
-the column-top window is the advection kernel's one-sided special case.
-These tests pin what that shift stage forwards.
+block through the kernel's shift stage built with one buffer and
+``tops=False``, which forwards only full windows; the column-top window
+is the advection kernel's one-sided special case.  These tests pin what
+that shift stage forwards.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.dataflow.bulk import ListBulk
 from repro.errors import ShiftBufferError
-from repro.kernel.generic import GeneralShiftBufferStage
+from repro.kernel.stages import ShiftBufferStage
 from repro.shiftbuffer.buffer3d import ShiftBuffer3D
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow
@@ -23,19 +24,27 @@ def labelled(nx, ny, nz):
     return np.arange(nx * ny * nz, dtype=float).reshape(nx, ny, nz)
 
 
+def stencil_shift(nx, ny, nz, **kwargs):
+    """The shift stage the stencil machine builds: one buffer, full
+    windows only."""
+    return ShiftBufferStage("s", nx, ny, nz, buffers=("s",), tops=False,
+                            **kwargs)
+
+
 def forwarded(block, **kwargs):
     """The shift stage for ``block`` and every window it forwards."""
-    stage = GeneralShiftBufferStage("s", *block.shape, **kwargs)
+    stage = stencil_shift(*block.shape, **kwargs)
     windows = []
-    for value in block.reshape(-1):
-        windows.extend(stage.fire(0, {"in": [value]}).get("out", []))
+    for value in block.reshape(-1).tolist():
+        windows.extend(w for (w,) in stage.fire(0, {"in": [(value,)]})
+                       .get("out", []))
     return stage, windows
 
 
 class TestConstruction:
     def test_rejects_undersized_block(self):
         with pytest.raises(ShiftBufferError):
-            GeneralShiftBufferStage("s", 2, 5, 5)  # needs >= 3 everywhere
+            stencil_shift(2, 5, 5)  # needs >= 3 everywhere
 
     def test_window_shape_validation(self):
         with pytest.raises(ValueError):
@@ -89,12 +98,12 @@ class TestCorrectness:
     def test_overfeed_rejected(self):
         stage, _ = forwarded(np.zeros((3, 3, 3)))
         with pytest.raises(ShiftBufferError):
-            stage.fire(0, {"in": [0.0]})
+            stage.fire(0, {"in": [(0.0,)]})
 
     def test_wrong_block_shape_rejected(self):
-        stage = GeneralShiftBufferStage("s", 3, 3, 3)
+        stage = stencil_shift(3, 3, 3)
         with pytest.raises(ShiftBufferError):
-            stage.buffer.feed_bulk(1, np.zeros((3, 4, 3)))
+            stage.buffers[0].feed_bulk(1, np.zeros((3, 4, 3)))
 
 
 class TestBlockStore:
@@ -120,23 +129,26 @@ class TestBlockStore:
         k = data.draw(st.integers(0, values.size - 1), label="k")
         values[k] = -0.0 if values[k] == 0.0 else values[k] + 1.0
 
+        cells = [(value,) for value in values.tolist()]
+
         def windows(**kwargs):
-            stage = GeneralShiftBufferStage("s", nx, ny, nz, **kwargs)
+            stage = stencil_shift(nx, ny, nz, **kwargs)
             if bulk:
-                result = stage.fire_bulk(len(values),
-                                         {"in": ListBulk(list(values))}, 0)
+                result = stage.fire_bulk(len(cells), {"in": ListBulk(cells)},
+                                         0)
                 got = result.head_bulk(
                     "out", result.producing_firings).materialize()
             else:
-                got = [w for value in values
-                       for w in stage.fire(0, {"in": [value]}).get("out", [])]
-            return [(w.center, w.raw.tobytes()) for w in got]
+                got = [bundle for cell in cells
+                       for bundle in stage.fire(0, {"in": [cell]})
+                       .get("out", [])]
+            return [(w.center, w.raw.tobytes()) for (w,) in got]
 
-        assert windows(backing=block) == windows()
+        assert windows(backing=(block,)) == windows()
 
     def test_matching_values_are_cut_from_the_block(self):
         block = labelled(4, 5, 4)
-        _, windows = forwarded(block, backing=block)
+        _, windows = forwarded(block, backing=(block,))
         assert windows and all(not w.raw.flags.writeable
                                and np.shares_memory(w.raw, block)
                                for w in windows)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.analyze.kernel as analyze_kernel
 import repro.lint.rules_analyze as rules_analyze
 import repro.tune.cost as cost_module
 from repro.core.grid import Grid
@@ -177,7 +178,7 @@ class TestSubModelMemo:
         grid = Grid(16, 64, 16)
         points = list(ParameterSpace.derive(ALVEO_U280, grid).points())
         calls = {"lint_kernel": 0, "static_kernel_cycles": 0,
-                 "analyze_graph": 0, "run": 0}
+                 "analyze_graph": 0, "build_structural_graph": 0, "run": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -193,6 +194,9 @@ class TestSubModelMemo:
         # The SA lint rules would prove the graph themselves if the
         # model did not hand them its proof; count those calls too.
         counted(rules_analyze, "analyze_graph")
+        # static_kernel_cycles reads the model's graph, building none.
+        counted(cost_module, "build_structural_graph")
+        counted(analyze_kernel, "build_structural_graph")
         counted(AdvectionSession, "run")
         model = CostModel(ALVEO_U280, grid)
         assert all(model.evaluate(p).feasible for p in points)
@@ -201,8 +205,10 @@ class TestSubModelMemo:
                                 for p in points}),
             "static_kernel_cycles": len({p.config(grid) for p in points}),
             "analyze_graph": len({p.stream_depth for p in points}),
+            "build_structural_graph": len({p.stream_depth for p in points}),
             "run": len({dataclasses.replace(p, stream_depth=2)
                         for p in points}),
         }
         assert calls == {"lint_kernel": 72, "static_kernel_cycles": 12,
-                         "analyze_graph": 3, "run": 288}
+                         "analyze_graph": 3, "build_structural_graph": 3,
+                         "run": 288}
