@@ -4,15 +4,26 @@ Prices every point of the derived 64^3 Alveo U280 space (864 points) two
 ways: with a fresh :class:`~repro.tune.cost.CostModel` per point and with
 one ``CostModel`` per search.  The legs differ only in whether the
 ``CostModel`` and its per-input sub-model results are shared; the
-runtime session prices each distinct X-chunk subgrid once in both, so
+runtime session prices each distinct X-chunk width once in both, so
 the per-point leg is not the cost of an unmemoised tuner.  It verifies
 both legs produce identical ``Evaluation.to_dict()`` lists, and records
 wall times, the speedup, and how often each leg called ``lint_kernel``,
 ``static_kernel_cycles``, ``analyze_graph``, ``AdvectionSession.run``
 and ``FPGADevice.invocation`` (the last counts the runtime session's
-per-chunk pricing too) to ``benchmarks/BENCH_tune.json``.  No engine
-cycles are simulated: each record's ``cycles`` is 0 and the points
-priced are in its ``extra``.
+per-chunk pricing too) to ``benchmarks/BENCH_tune.json``.  The cost
+legs simulate no engine cycles: their ``cycles`` is 0 and the points
+priced are in their ``extra``.
+
+Count gates hold the per-search leg to one call per distinct input each
+sub-model reads, computed from the space (:func:`distinct_inputs`): a
+memo key that carried an input its sub-model never reads would only
+call it more often, with every evaluation still identical, and fails
+here.
+
+A last record times one whole ``tune("u280", Grid(64, 64, 64), seed=0,
+measure_top_k=2)``, the wall-clock benchmark's tune workload, and keeps
+the sha256 of its ``TuneReport.to_json()`` and the engine cycles its
+measured tier simulated.
 
 Usage::
 
@@ -20,9 +31,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_tune.py --smoke \\
         --output /tmp/bench_tune.json                           # 216 points
 
-``--smoke`` keeps only the narrowest chunk width (216 points, 3
-structural graphs, 18 lint inputs, 3 configs, 72 host schedules).  Exit status is non-zero if the legs disagree or the
-per-search model is less than ``MIN_SPEEDUP`` times faster.
+``--smoke`` keeps only the narrowest chunk width in the cost legs (216
+points, 3 structural graphs, 3 configs, 18 replica-count lint passes,
+48 host schedules).  Exit status is non-zero if the legs disagree, a
+count misses its gate, or the per-search model is less than
+``MIN_SPEEDUP`` times faster.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import platform
 import sys
 import time
@@ -37,15 +51,17 @@ from typing import Any, Callable, Iterator
 
 import repro.lint.rules_analyze as rules_analyze
 import repro.tune.cost as cost_module
-from repro.core.grid import Grid
+from repro.core.grid import Grid, GridDecomposition
 from repro.hardware.device import FPGADevice
 from repro.hardware.devices import ALVEO_U280
 from repro.perf.bench import BenchRecord, BenchSuite
 from repro.runtime.session import AdvectionSession
+from repro.tune import tune
 from repro.tune.space import ParameterSpace
 
 DEFAULT_OUTPUT = "benchmarks/BENCH_tune.json"
-#: About half the typical smoke speedup (17x; runs read 14-22x).
+#: About half the smoke speedup when it was set (17x; runs read 14-22x).
+#: Smoke runs now read about 30x.
 MIN_SPEEDUP = 8.0
 
 #: (owner, attribute, count name) of every sub-model call counted; the
@@ -80,6 +96,38 @@ def counted_calls() -> Iterator[dict[str, int]]:
     finally:
         for owner, attr, original, _ in saved:
             setattr(owner, attr, original)
+
+
+def distinct_inputs(points, grid: Grid) -> dict[str, int]:
+    """Calls one model per search makes: one per distinct input each
+    sub-model reads.
+
+    The lint gate runs the catalogue once per config and the
+    replica-count rules once per (config, replicas); the structural
+    graph and its proof are per depth; a host schedule leaves out the
+    depth, and a sequential one the X chunk count too; an invocation
+    reads chunk width, word width, replicas and memory, and each session
+    run prices one more per distinct X-chunk width (a sequential run
+    prices the whole grid).
+    """
+    configs = {p.config(grid) for p in points}
+    runs = {(p.chunk_width, p.num_kernels, p.precision, p.memory,
+             p.x_chunks if p.overlapped else None, p.overlapped)
+            for p in points}
+    run_widths = sum(
+        len({stop - start for start, stop in GridDecomposition(
+            grid, max(1, min(x_chunks, grid.nx // 2))).bounds})
+        if overlapped else 1
+        for *_, x_chunks, overlapped in runs)
+    return {
+        "lint_kernel": len(configs) + len({(p.config(grid), p.num_kernels)
+                                           for p in points}),
+        "static_kernel_cycles": len(configs),
+        "analyze_graph": len({p.stream_depth for p in points}),
+        "session_run": len(runs),
+        "invocation": len({(p.chunk_width, p.word_bytes, p.num_kernels,
+                            p.memory) for p in points}) + run_widths,
+    }
 
 
 def run_leg(points, grid: Grid, *, shared: bool):
@@ -124,6 +172,10 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
+    start = time.perf_counter()
+    report = tune("u280", grid, seed=0, measure_top_k=2)
+    t_tune = time.perf_counter() - start
+
     suite = BenchSuite(context={
         "device": ALVEO_U280.name,
         "grid": f"{grid.nx}x{grid.ny}x{grid.nz}",
@@ -140,23 +192,43 @@ def main(argv=None) -> int:
             extra={"points": len(points),
                    "points_per_second": round(len(points) / wall, 1),
                    **{f"{name}_calls": n for name, n in counts.items()}}))
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    suite.add(BenchRecord(
+        name=f"tune-{grid.nx}x{grid.ny}x{grid.nz}-seed0", mode="tune",
+        wall_seconds=t_tune, cells=grid.num_cells,
+        cycles=sum(m.measured_cycles for m in report.measured),
+        extra={"points": len(report.evaluations),
+               "measured": len(report.measured),
+               "report_sha256": digest}))
     gain = t_fresh / t_memo
     suite.context["speedup"] = round(gain, 2)
     path = suite.write(args.output)
 
-    for record in suite.records:
+    for record in suite.records[:2]:
         print(f"{record.name}: {record.wall_seconds:.3f} s, "
               f"{record.extra['points_per_second']:.1f} points/s")
     print(f"\nshared cost model speedup: {gain:.2f}x over {len(points)} "
           f"identical evaluations")
+    gates = distinct_inputs(points, grid)
+    missed = [name for name in gates if n_memo[name] != gates[name]]
     for name in n_fresh:
-        print(f"{name} calls: {n_fresh[name]} -> {n_memo[name]}")
+        print(f"{name} calls: {n_fresh[name]} -> {n_memo[name]} "
+              f"(gate {gates[name]})")
+    print(f"whole tune: {t_tune:.3f} s, {len(report.evaluations)} points, "
+          f"report sha256 {digest[:16]}")
     print(f"records written to {path}")
+    status = 0
+    if missed:
+        print("FAIL: the per-search model called "
+              + ", ".join(f"{name} {n_memo[name]} times, not "
+                          f"{gates[name]}" for name in missed),
+              file=sys.stderr)
+        status = 1
     if gain < MIN_SPEEDUP:
         print(f"FAIL: shared cost model speedup {gain:.2f}x below the "
               f"{MIN_SPEEDUP:.1f}x floor", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    return status
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -11,13 +11,15 @@ space provides:
 * :meth:`AxisSpace._make_point` — construct a point from axis keywords.
 
 The tuner's search strategies are written against exactly this surface
-(``size``, ``points``, ``point_at``, ``neighbours`` and ``point.key()``),
-so any backend whose space derives from :class:`AxisSpace` is searchable
-by every registered strategy with no strategy changes.
+(``size``, ``point_at`` and ``neighbour_indices``): they walk indices
+and build a point only to evaluate it.  So any backend whose space
+derives from :class:`AxisSpace` is searchable by every registered
+strategy with no strategy changes.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import Any, Iterator
 
@@ -56,10 +58,7 @@ class AxisSpace:
 
     @property
     def size(self) -> int:
-        total = 1
-        for axis in self.axes().values():
-            total *= len(axis)
-        return total
+        return math.prod(len(axis) for axis in self.axes().values())
 
     def points(self) -> Iterator[Any]:
         """Every point, in deterministic lexicographic axis order."""
@@ -85,24 +84,45 @@ class AxisSpace:
             chosen[name] = axis[digit]
         return self._make_point(**chosen)
 
-    def neighbours(self, point: Any) -> list[Any]:
-        """Points one step away along a single axis (for local search)."""
-        out: list[Any] = []
+    def index_of(self, point: Any) -> int:
+        """The index :meth:`point_at` maps to ``point`` (its inverse)."""
         values = point.to_dict()
+        index = 0
         for name, axis in self.axes().items():
             try:
-                at = axis.index(values[name])
+                digit = axis.index(values[name])
             except ValueError:
                 raise TuneError(
                     f"point {point.key()} is not on the space's "
                     f"{name} axis {axis}"
                 ) from None
-            for step in (-1, 1):
-                if 0 <= at + step < len(axis):
-                    moved = dict(values)
-                    moved[name] = axis[at + step]
-                    out.append(self._make_point(**moved))
+            index = index * len(axis) + digit
+        return index
+
+    def neighbour_indices(self, index: int) -> list[int]:
+        """Indices one step away along a single axis (for local search).
+
+        Axes in point field order, and on each axis the step down before
+        the step up; no point is built.
+        """
+        axes = tuple(self.axes().values())
+        stride = math.prod(len(axis) for axis in axes)
+        if not 0 <= index < stride:
+            raise TuneError(f"point index {index} outside space of {stride}")
+        out: list[int] = []
+        for axis in axes:
+            stride //= len(axis)
+            digit = index // stride % len(axis)
+            if digit > 0:
+                out.append(index - stride)
+            if digit + 1 < len(axis):
+                out.append(index + stride)
         return out
+
+    def neighbours(self, point: Any) -> list[Any]:
+        """Points one step away along a single axis (for local search)."""
+        return [self.point_at(i)
+                for i in self.neighbour_indices(self.index_of(point))]
 
     def to_dict(self) -> dict:
         return {name: list(axis) for name, axis in self.axes().items()}

@@ -122,7 +122,9 @@ class FPGADevice:
         The domain is decomposed along X; each kernel's time is the larger
         of its pipeline time (cycle model at the achieved clock) and its
         share of memory streaming; the invocation additionally respects
-        the memory system's aggregate bandwidth.
+        the memory system's aggregate bandwidth.  Parts of one width cost
+        the same, so each distinct width (one for an even split, two for
+        a ragged one) is priced once.
         """
         if num_kernels < 1:
             raise ConfigurationError(
@@ -141,16 +143,20 @@ class FPGADevice:
         worst_compute = 0.0
         worst_memory = 0.0
         total_traffic = 0.0
-        for part in range(decomp.parts):
-            sub = decomp.subgrid(part)
-            model = KernelCycleModel(config.for_grid(sub))
-            worst_compute = max(worst_compute,
-                                model.cycles() / clock_hz)
-            # Streamed traffic: every fed cell is a three-field read,
-            # every interior cell a three-value write.
-            traffic = (config.in_bytes_per_cell
-                       * model.breakdown().feeds_total
-                       + config.out_bytes_per_cell * sub.num_cells)
+        by_width: dict[int, tuple[int, int]] = {}
+        for start, stop in decomp.bounds:
+            width = stop - start
+            if width not in by_width:
+                sub = grid.with_size(nx=width)
+                breakdown = KernelCycleModel(config.for_grid(sub)).breakdown()
+                # Streamed traffic: every fed cell is a three-field read,
+                # every interior cell a three-value write.
+                by_width[width] = (
+                    breakdown.total,
+                    config.in_bytes_per_cell * breakdown.feeds_total
+                    + config.out_bytes_per_cell * sub.num_cells)
+            cycles, traffic = by_width[width]
+            worst_compute = max(worst_compute, cycles / clock_hz)
             total_traffic += traffic
             worst_memory = max(
                 worst_memory,

@@ -131,11 +131,6 @@ class AdvectionSession:
 
     # -- timing -----------------------------------------------------------------
 
-    def _x_chunk_grids(self, grid: Grid) -> list[Grid]:
-        parts = max(1, min(self.x_chunks, grid.nx // 2))
-        decomp = GridDecomposition(grid, parts)
-        return [decomp.subgrid(p) for p in range(decomp.parts)]
-
     def _chunk_kernel_seconds(self, chunk_grid: Grid, memory: str) -> float:
         if isinstance(self.device, FPGADevice):
             return self.device.invocation(
@@ -160,13 +155,19 @@ class AdvectionSession:
                 f"out_scale must be positive, got {out_scale}"
             )
         memory = self.memory_for(grid)
-        # An even X split yields identical subgrids (a ragged one, at
-        # most two widths): price each distinct subgrid once.
-        kernel_seconds: dict[Grid, float] = {}
+        decomp = GridDecomposition(grid,
+                                   max(1, min(self.x_chunks, grid.nx // 2)))
+        # An even X split has one chunk width (a ragged one, two): build
+        # and price one subgrid per distinct width.
+        by_width: dict[int, tuple[Grid, float]] = {}
         chunks = []
-        for index, cg in enumerate(self._x_chunk_grids(grid)):
-            if cg not in kernel_seconds:
-                kernel_seconds[cg] = self._chunk_kernel_seconds(cg, memory)
+        for index, (start, stop) in enumerate(decomp.bounds):
+            width = stop - start
+            if width not in by_width:
+                sub = grid.with_size(nx=width)
+                by_width[width] = (sub,
+                                   self._chunk_kernel_seconds(sub, memory))
+            cg, seconds = by_width[width]
             # Each X chunk re-reads a one-cell halo plane on each side.
             in_cells = (cg.nx + 2) * cg.ny * cg.nz
             chunks.append(ChunkWork(
@@ -174,7 +175,7 @@ class AdvectionSession:
                 in_bytes=self.config.in_bytes_per_cell * in_cells,
                 out_bytes=(self.config.out_bytes_per_cell * cg.num_cells
                            * out_scale),
-                kernel_seconds=kernel_seconds[cg],
+                kernel_seconds=seconds,
             ))
         return chunks
 

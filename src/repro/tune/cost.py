@@ -31,7 +31,8 @@ from repro.hardware.resources import ResourceVector
 from repro.kernel.builder import build_structural_graph
 from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import KernelCycleModel
-from repro.lint.runner import lint_kernel
+from repro.lint.diagnostics import LintReport
+from repro.lint.runner import lint_kernel, load_builtin_rules
 from repro.precision.formats import FLOAT64
 from repro.precision.resources import precision_kernel_resources
 from repro.runtime.session import AdvectionSession, RunResult
@@ -137,6 +138,10 @@ class Evaluation:
         }
 
 
+def _error_codes(report: LintReport) -> set[str]:
+    return {d.code for d in report.errors}
+
+
 def _infeasible(point: Any, codes: tuple[str, ...],
                 reason: str) -> Evaluation:
     return Evaluation(point=point, feasible=False, reject_codes=codes,
@@ -159,21 +164,32 @@ class CostModel:
         #: GFLOPS axes re-scale by this ratio).
         self.flops_scale = flops_scale
         self._flops = round(grid_flops(grid) * flops_scale)
-        # Each sub-model's result per distinct input, keyed by the
-        # inputs it reads.  A search visits every config many times (at
-        # 64^3 on the U280, 864 points share 3 structural graphs, 72
-        # lint inputs, 12 configs, 144 invocations and 288 host
-        # schedules); the dicts live and die with this model, so a
-        # fresh process still pays every cold call.
+        # Each sub-model's result per distinct input, keyed by only the
+        # inputs it reads.  A search visits every input many times: at
+        # 64^3 on the U280, 864 points share 3 structural graphs, 12
+        # configs (each linted once without a replica count, and priced
+        # by both cycle counts), 72 replica-count lint passes, 12 replica
+        # footprints, 72 utilisations, 48 invocations and 192 host
+        # schedules.  The dicts live and die with this model, so a fresh
+        # process still pays every cold call.
         self._structures: dict[int, tuple[DataflowGraph,
                                           AnalysisReport]] = {}
+        self._config_codes: dict[KernelConfig, set[str]] = {}
         self._lint_codes: dict[tuple[KernelConfig, int],
                                tuple[str, ...]] = {}
         self._cycles: dict[KernelConfig, tuple[int, int]] = {}
-        self._invocations: dict[tuple[KernelConfig, int, str],
+        self._footprints: dict[tuple[int, int, str], ResourceVector] = {}
+        self._usages: dict[tuple[int, int, str, int],
+                           tuple[ResourceVector, dict[str, float]]] = {}
+        self._invocations: dict[tuple[int, int, int, str],
                                 InvocationEstimate] = {}
-        self._runs: dict[tuple[int, int, str, str, int, bool],
+        self._runs: dict[tuple[int, int, str, str, int | None, bool],
                          RunResult] = {}
+        #: Codes of the lint rules that read the replica count; the
+        #: rest of the catalogue is run once per config.
+        self._replica_rules = tuple(
+            rule.code for rule in load_builtin_rules()
+            if "num_kernels" in rule.requires)
 
     # -- feasibility ---------------------------------------------------------
 
@@ -183,38 +199,66 @@ class CostModel:
         The base estimate uses float64 storage words so the precision
         scaling is applied exactly once (``config.buffer_bytes`` already
         tracks ``word_bytes``; feeding a narrow-word config into the
-        precision scaler would shrink the buffers twice).
+        precision scaler would shrink the buffers twice).  It reads the
+        chunk width, the stream depth and the precision.
         """
-        config = KernelConfig(
-            grid=self.grid, chunk_width=point.chunk_width,
-            stream_depth=point.stream_depth, word_bytes=8)
-        kernel = precision_kernel_resources(config, self.device,
-                                            point.format)
-        graph, _ = self._structure(config)
-        fifo_bytes = (point.stream_depth * point.word_bytes
-                      * len(graph.streams) * self.grid.nz)
-        if self.device.family == "xilinx":
-            return kernel + ResourceVector(bram_bytes=fifo_bytes)
-        return kernel + ResourceVector(m20k_bytes=fifo_bytes)
+        key = (point.chunk_width, point.stream_depth, point.precision)
+        if key not in self._footprints:
+            config = KernelConfig(
+                grid=self.grid, chunk_width=point.chunk_width,
+                stream_depth=point.stream_depth, word_bytes=8)
+            kernel = precision_kernel_resources(config, self.device,
+                                                point.format)
+            graph, _ = self._structure(config)
+            fifo_bytes = (point.stream_depth * point.word_bytes
+                          * len(graph.streams) * self.grid.nz)
+            self._footprints[key] = kernel + (
+                ResourceVector(bram_bytes=fifo_bytes)
+                if self.device.family == "xilinx"
+                else ResourceVector(m20k_bytes=fifo_bytes))
+        return self._footprints[key]
+
+    def _usage(self, point: TunePoint
+               ) -> tuple[ResourceVector, dict[str, float]]:
+        """The shell plus ``point.num_kernels`` replicas, and its
+        utilisation of the device per axis."""
+        key = (point.chunk_width, point.stream_depth, point.precision,
+               point.num_kernels)
+        if key not in self._usages:
+            usage = self.device.shell + self._resources(point).scaled(
+                point.num_kernels)
+            self._usages[key] = (usage,
+                                 usage.utilisation(self.device.capacity))
+        return self._usages[key]
 
     def lint_gate(self, point: TunePoint) -> tuple[str, ...]:
-        """Error codes the linter raises for this point (empty = pass)."""
+        """Error codes the linter raises for this point (empty = pass).
+
+        The catalogue runs once per config with no replica count, and
+        the rules that read the replica count run once per (config,
+        replicas); the union of their error codes is what one full
+        ``lint_kernel(config, device, num_kernels)`` run reports.
+        """
         config = point.config(self.grid)
         key = (config, point.num_kernels)
         if key not in self._lint_codes:
             graph, analysis = self._structure(config)
-            report = lint_kernel(config, self.device, point.num_kernels,
-                                 graph=graph, analysis=analysis)
+            if config not in self._config_codes:
+                self._config_codes[config] = _error_codes(lint_kernel(
+                    config, self.device, None, graph=graph,
+                    analysis=analysis))
+            replicas = _error_codes(lint_kernel(
+                config, self.device, point.num_kernels, graph=graph,
+                analysis=analysis, select=self._replica_rules))
             self._lint_codes[key] = tuple(
-                sorted({d.code for d in report.errors}))
+                sorted(self._config_codes[config] | replicas))
         codes = self._lint_codes[key]
         if codes:
             return codes
         if point.precision != "float64":
             # The linter budgets the float64 kernel; re-check the fit
             # with the precision-scaled footprint (never *less* fits).
-            usage = self.device.shell + self._resources(point).scaled(
-                point.num_kernels)
+            usage, _ = self._usage(point)
             if not usage.fits_in(self.device.capacity):
                 return ("RS201",)
         if point.memory not in self.device.memories:
@@ -241,9 +285,7 @@ class CostModel:
         except (CapacityError, ConfigurationError) as error:
             return _infeasible(point, ("TN002",), str(error))
 
-        usage = self.device.shell + self._resources(point).scaled(
-            point.num_kernels)
-        by_axis = usage.utilisation(self.device.capacity)
+        _, by_axis = self._usage(point)
         if config not in self._cycles:
             graph, _ = self._structure(config)
             self._cycles[config] = (
@@ -261,7 +303,8 @@ class CostModel:
             transfer_seconds=run.transfer_seconds,
             watts=run.average_watts,
             utilisation=max(by_axis.values(), default=0.0),
-            utilisation_by_axis=by_axis,
+            # A copy: the memoised dict is shared by every point alike.
+            utilisation_by_axis=dict(by_axis),
             clock_mhz=invocation.clock_hz / 1e6,
             memory_bound=invocation.memory_bound,
             analytic_cycles=analytic_cycles,
@@ -289,23 +332,30 @@ class CostModel:
 
         The session and the invocation model it calls read the chunk
         width and the word width, never the stream depth (pinned by
-        ``tests/runtime/test_session_properties.py``), so points that
-        differ only in depth share one run.  Only successful runs are
-        kept: a failing one raises again for every point that asks.
+        ``tests/runtime/test_session_properties.py``), and a sequential
+        run never reads the X chunk count, so points that differ only in
+        those share one run.  The session is still built for every
+        point, so its own checks (an X chunk count below 1) reject each
+        point that fails them, whatever ran before.  Only successful
+        runs are kept: a failing one raises again for every point that
+        asks.
         """
+        session = AdvectionSession(
+            self.device, config, num_kernels=point.num_kernels,
+            memory=point.memory, x_chunks=point.x_chunks)
         key = (point.chunk_width, point.num_kernels, point.precision,
-               point.memory, point.x_chunks, point.overlapped)
+               point.memory, point.x_chunks if point.overlapped else None,
+               point.overlapped)
         if key not in self._runs:
-            session = AdvectionSession(
-                self.device, config, num_kernels=point.num_kernels,
-                memory=point.memory, x_chunks=point.x_chunks)
             self._runs[key] = session.run(self.grid,
                                           overlapped=point.overlapped)
         return self._runs[key]
 
     def _invocation(self, config: KernelConfig, num_kernels: int,
                     memory: str) -> InvocationEstimate:
-        key = (config, num_kernels, memory)
+        """``device.invocation``, which reads the chunk width, the word
+        width, the replica count and the memory, never the depth."""
+        key = (config.chunk_width, config.word_bytes, num_kernels, memory)
         if key not in self._invocations:
             self._invocations[key] = self.device.invocation(
                 config, self.grid, num_kernels=num_kernels, memory=memory)

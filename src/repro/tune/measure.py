@@ -24,6 +24,7 @@ from typing import Any
 from repro.analyze.kernel import static_kernel_cycles
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
+from repro.dataflow.engine import ControlRecord
 from repro.kernel.cycle_model import KernelCycleModel
 from repro.kernel.simulate import simulate_kernel
 from repro.tune.cost import Evaluation, _rounded
@@ -80,13 +81,22 @@ def proxy_grid(grid: Grid, point: TunePoint) -> Grid:
 
 
 def measure_one(evaluation: Evaluation, grid: Grid, *, seed: int,
-                clock_hz: float) -> MeasuredResult:
-    """Simulate one candidate on its proxy grid (batched exact mode)."""
+                clock_hz: float,
+                record: ControlRecord | None = None) -> MeasuredResult:
+    """Simulate one candidate on its proxy grid (batched exact mode).
+
+    ``record`` is the :class:`~repro.dataflow.engine.ControlRecord` of
+    the enclosing call (a fresh one when ``None``): a candidate whose
+    chunk graphs share a structure with an earlier run in it replays
+    that run's control on its own fields.  Cycles and sources are the
+    same either way.
+    """
     point = evaluation.point
     proxy = proxy_grid(grid, point)
     config = point.config(proxy)
     fields = random_wind(proxy, seed=seed)
-    result = simulate_kernel(config, fields, mode="exact", batched=True)
+    result = simulate_kernel(config, fields, mode="exact", batched=True,
+                             record=record)
     analytic = KernelCycleModel(config).cycles()
     static = static_kernel_cycles(config)
     measured = result.total_cycles
@@ -107,10 +117,11 @@ def measure_one(evaluation: Evaluation, grid: Grid, *, seed: int,
 
 def measure_candidates(candidates: list[Evaluation], grid: Grid, *,
                        seed: int) -> list[MeasuredResult]:
-    """Measure each candidate (deterministic per-candidate seeds)."""
-    out = []
-    for rank, evaluation in enumerate(candidates):
-        out.append(measure_one(
-            evaluation, grid, seed=seed + rank,
-            clock_hz=evaluation.clock_mhz * 1e6))
-    return out
+    """Measure each candidate (deterministic per-candidate seeds).
+
+    The candidates' runs share one control record, scoped to this call.
+    """
+    record = ControlRecord()
+    return [measure_one(evaluation, grid, seed=seed + rank,
+                        clock_hz=evaluation.clock_mhz * 1e6, record=record)
+            for rank, evaluation in enumerate(candidates)]

@@ -62,18 +62,29 @@ class _Rng:
         return min(int(self.uniform() * length), length - 1)
 
 
-class _Tracker:
-    """Shared evaluate-once bookkeeping for the iterative strategies."""
 
-    def __init__(self, evaluate: EvaluateFn, budget: int,
-                 objective: str) -> None:
+
+class _Tracker:
+    """Shared evaluate-once bookkeeping for the iterative strategies.
+
+    Points are named by their index in the space (``space.point_at``):
+    a point is built only when it is evaluated, and its evaluation's
+    sort key is computed once.
+    """
+
+    def __init__(self, space: ParameterSpace, evaluate: EvaluateFn,
+                 budget: int, objective: str) -> None:
         if budget < 1:
             raise TuneError(f"budget must be >= 1, got {budget}")
+        self._space = space
         self._evaluate = evaluate
         self._budget = budget
         self._objective = objective
-        self.seen: dict[str, Evaluation] = {}
+        #: point index -> its evaluation.
+        self.seen: dict[int, Evaluation] = {}
         self.order: list[Evaluation] = []
+        #: point index -> its evaluation's ``sort_key(objective)``.
+        self._keys: dict[int, tuple] = {}
         #: Canonical index below which every point is in ``seen``
         #: (see :func:`_first_unseen`).
         self.cursor = 0
@@ -82,34 +93,34 @@ class _Tracker:
     def exhausted(self) -> bool:
         return len(self.order) >= self._budget
 
-    def evaluate(self, point: TunePoint) -> Evaluation | None:
+    def evaluate(self, index: int) -> Evaluation | None:
         """Evaluate (once) within budget; None when the budget is spent.
 
         Revisiting an already-evaluated point costs nothing — the
         budget counts distinct evaluations, matching what the cache
         makes free in practice.
         """
-        key = point.key()
-        if key in self.seen:
-            return self.seen[key]
+        if index in self.seen:
+            return self.seen[index]
         if self.exhausted:
             return None
-        evaluation = self._evaluate(point)
-        self.seen[key] = evaluation
+        evaluation = self._evaluate(self._space.point_at(index))
+        self.seen[index] = evaluation
+        self._keys[index] = evaluation.sort_key(self._objective)
         self.order.append(evaluation)
         return evaluation
 
-    def score(self, evaluation: Evaluation) -> float:
-        return evaluation.objective(self._objective)
+    def score(self, index: int) -> float:
+        """The objective of the evaluated point at ``index``."""
+        return self._keys[index][0]
 
-    def better(self, a: Evaluation, b: Evaluation) -> bool:
-        """True when ``a`` ranks strictly above ``b``."""
-        return a.sort_key(self._objective) > b.sort_key(self._objective)
+    def better(self, a: int, b: int) -> bool:
+        """True when evaluated point ``a`` ranks strictly above ``b``."""
+        return self._keys[a] > self._keys[b]
 
 
-def _first_unseen(space: ParameterSpace,
-                  tracker: _Tracker) -> TunePoint | None:
-    """The canonically-first point the tracker has not evaluated yet.
+def _first_unseen(space: ParameterSpace, tracker: _Tracker) -> int | None:
+    """The canonically-first point index the tracker has not evaluated.
 
     Revisits are free, so a search stuck in an already-explored
     neighbourhood makes no budget progress; jumping here guarantees
@@ -121,10 +132,10 @@ def _first_unseen(space: ParameterSpace,
     last answer, and all the calls of one search together step through
     the space at most once.  ``None`` means full coverage.
     """
-    while tracker.cursor < space.size:
-        point = space.point_at(tracker.cursor)
-        if point.key() not in tracker.seen:
-            return point
+    size = space.size
+    while tracker.cursor < size:
+        if tracker.cursor not in tracker.seen:
+            return tracker.cursor
         tracker.cursor += 1
     return None
 
@@ -136,9 +147,9 @@ class ExhaustiveSearch:
 
     def run(self, space: ParameterSpace, evaluate: EvaluateFn, *,
             budget: int, seed: int, objective: str) -> list[Evaluation]:
-        tracker = _Tracker(evaluate, budget, objective)
-        for point in space.points():
-            if tracker.evaluate(point) is None:
+        tracker = _Tracker(space, evaluate, budget, objective)
+        for index in range(space.size):
+            if tracker.evaluate(index) is None:
                 break
         return tracker.order
 
@@ -151,23 +162,22 @@ class GreedySearch:
     def run(self, space: ParameterSpace, evaluate: EvaluateFn, *,
             budget: int, seed: int, objective: str) -> list[Evaluation]:
         rng = _Rng(seed)
-        tracker = _Tracker(evaluate, budget, objective)
+        tracker = _Tracker(space, evaluate, budget, objective)
         while not tracker.exhausted:
             spent = len(tracker.order)
-            current = tracker.evaluate(space.point_at(rng.index(space.size)))
-            if current is None:
+            current = rng.index(space.size)
+            if tracker.evaluate(current) is None:
                 break
             improved = True
             while improved and not tracker.exhausted:
                 improved = False
                 best_move = current
-                for neighbour in space.neighbours(current.point):
-                    candidate = tracker.evaluate(neighbour)
-                    if candidate is None:
+                for neighbour in space.neighbour_indices(current):
+                    if tracker.evaluate(neighbour) is None:
                         break
-                    if tracker.better(candidate, best_move):
-                        best_move = candidate
-                if best_move is not current:
+                    if tracker.better(neighbour, best_move):
+                        best_move = neighbour
+                if best_move != current:
                     current = best_move
                     improved = True
             if len(tracker.order) == spent:
@@ -197,28 +207,28 @@ class AnnealingSearch:
     def run(self, space: ParameterSpace, evaluate: EvaluateFn, *,
             budget: int, seed: int, objective: str) -> list[Evaluation]:
         rng = _Rng(seed)
-        tracker = _Tracker(evaluate, budget, objective)
+        tracker = _Tracker(space, evaluate, budget, objective)
 
-        current = tracker.evaluate(space.point_at(rng.index(space.size)))
-        if current is None:
-            return tracker.order
+        current = rng.index(space.size)
+        evaluation = tracker.evaluate(current)
         # Re-seat on a feasible point if the random start is rejected
         # (bounded draws: a space can be entirely infeasible).
         attempts = 0
-        while (current is not None and not current.feasible
+        while (evaluation is not None and not evaluation.feasible
                and attempts < space.size):
-            current = tracker.evaluate(space.point_at(rng.index(space.size)))
+            current = rng.index(space.size)
+            evaluation = tracker.evaluate(current)
             attempts += 1
-        if current is None or not current.feasible:
+        if evaluation is None or not evaluation.feasible:
             return tracker.order
 
         temperature = max(tracker.score(current), 1.0) * self._T0_FRACTION
         stall = 0
         while not tracker.exhausted:
             spent = len(tracker.order)
-            moves = space.neighbours(current.point)
-            proposal = tracker.evaluate(moves[rng.index(len(moves))])
-            if proposal is None:
+            moves = space.neighbour_indices(current)
+            proposal = moves[rng.index(len(moves))]
+            if tracker.evaluate(proposal) is None:
                 break
             delta = tracker.score(proposal) - tracker.score(current)
             if delta >= 0 or (
@@ -236,7 +246,7 @@ class AnnealingSearch:
                     if restart is None:
                         break
                     if restart.feasible:
-                        current = restart
+                        current = fresh
                     stall = 0
             else:
                 stall = 0

@@ -66,6 +66,30 @@ def test_session_invariants(device_key, cells_m, x_chunks, overlapped,
                - result.gflops / result.average_watts) < 1e-12
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    device_key=st.sampled_from(sorted(DEVICES)),
+    cells_m=st.sampled_from([1, 4, 16]),
+    chunk_width=st.sampled_from([16, 64, 256]),
+    word_bytes=st.sampled_from([4, 8]),
+    x_chunks=st.lists(st.integers(1, 256), min_size=1, max_size=4),
+)
+def test_sequential_run_ignores_x_chunks(device_key, cells_m, chunk_width,
+                                         word_bytes, x_chunks):
+    """A sequential run is one transfer in, one kernel and one out: it is
+    equal at every valid X chunk count, so the tuner's cost model prices
+    every count with one run."""
+    device = DEVICES[device_key]
+    grid = Grid.from_cells(cells_m * 1024 * 1024)
+    config = KernelConfig(grid=grid, chunk_width=chunk_width,
+                          word_bytes=word_bytes)
+    once = AdvectionSession(device, config, x_chunks=1).run(
+        grid, overlapped=False)
+    for count in x_chunks:
+        assert AdvectionSession(device, config, x_chunks=count).run(
+            grid, overlapped=False) == once
+
+
 @settings(max_examples=15, deadline=None)
 @given(cells_m=st.sampled_from([4, 16, 67]),
        x_chunks=st.integers(2, 24))

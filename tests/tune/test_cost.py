@@ -9,9 +9,14 @@ from hypothesis import strategies as st
 import repro.analyze.kernel as analyze_kernel
 import repro.lint.rules_analyze as rules_analyze
 import repro.tune.cost as cost_module
+from repro.analyze.report import analyze_graph
 from repro.core.grid import Grid
-from repro.errors import TuneError
+from repro.errors import ConfigurationError, TuneError
+from repro.hardware.device import FPGADevice
 from repro.hardware.devices import ALVEO_U280, STRATIX10_GX2800
+from repro.kernel.builder import build_structural_graph
+from repro.kernel.config import KernelConfig
+from repro.lint.runner import lint_kernel
 from repro.runtime.session import AdvectionSession
 from repro.tune.cost import CostModel, Evaluation, OBJECTIVES
 from repro.tune.space import ParameterSpace, TunePoint
@@ -174,17 +179,48 @@ class TestSubModelMemo:
             assert (shared.evaluate(point).to_dict()
                     == fresh.evaluate(point).to_dict())
 
+    @settings(max_examples=5, deadline=None)
+    @given(device=st.sampled_from([ALVEO_U280, STRATIX10_GX2800]),
+           data=st.data())
+    def test_shared_model_matches_a_fresh_model_on_every_dropped_input(
+            self, device, data):
+        """Each memo key leaves out inputs its sub-model never reads;
+        points that differ only there must still price alike.
+
+        The space holds both schedules (a sequential run never reads
+        the X chunk count), an X chunk count the session rejects (0)
+        beside two it accepts, a replica count past the fabric fit, two
+        depths and two precisions, evaluated in drawn orders.
+        """
+        grid = Grid(6, 16, 4)
+        fit = device.max_kernels(KernelConfig(grid=grid, chunk_width=8))
+        space = ParameterSpace(
+            chunk_widths=(8,), num_kernels=(1, fit + 1),
+            stream_depths=(2, 4), precisions=("float64", "float32"),
+            memories=("ddr",), x_chunks=(0, 1, 3),
+            overlapped=(False, True))
+        order = data.draw(st.permutations(list(space.points())))
+        shared = CostModel(device, grid)
+        for point in order:
+            fresh = CostModel(device, grid)
+            assert (shared.evaluate(point).to_dict()
+                    == fresh.evaluate(point).to_dict())
+
     def test_each_sub_model_runs_once_per_distinct_input(self, monkeypatch):
         grid = Grid(16, 64, 16)
         points = list(ParameterSpace.derive(ALVEO_U280, grid).points())
-        calls = {"lint_kernel": 0, "static_kernel_cycles": 0,
-                 "analyze_graph": 0, "build_structural_graph": 0, "run": 0}
+        calls = {"lint_kernel": 0, "lint_kernel replicas": 0,
+                 "static_kernel_cycles": 0, "analyze_graph": 0,
+                 "build_structural_graph": 0, "run": 0, "invocation": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                # A lint pass restricted to the replica-count rules is
+                # counted apart from the full pass.
+                calls[name + (" replicas" if kwargs.get("select")
+                              else "")] += 1
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
@@ -198,17 +234,65 @@ class TestSubModelMemo:
         counted(cost_module, "build_structural_graph")
         counted(analyze_kernel, "build_structural_graph")
         counted(AdvectionSession, "run")
+        counted(FPGADevice, "invocation")
         model = CostModel(ALVEO_U280, grid)
         assert all(model.evaluate(p).feasible for p in points)
+        runs = {dataclasses.replace(
+            p, stream_depth=2, x_chunks=p.x_chunks if p.overlapped else 0)
+            for p in points}
         assert calls == {
-            "lint_kernel": len({(p.config(grid), p.num_kernels)
-                                for p in points}),
+            "lint_kernel": len({p.config(grid) for p in points}),
+            "lint_kernel replicas": len({(p.config(grid), p.num_kernels)
+                                         for p in points}),
             "static_kernel_cycles": len({p.config(grid) for p in points}),
             "analyze_graph": len({p.stream_depth for p in points}),
             "build_structural_graph": len({p.stream_depth for p in points}),
-            "run": len({dataclasses.replace(p, stream_depth=2)
-                        for p in points}),
+            "run": len(runs),
+            # The model's own invocations, and one per run: every X
+            # split of nx=16 here is even, so each run prices one width.
+            "invocation": len({(p.chunk_width, p.word_bytes,
+                                p.num_kernels, p.memory)
+                               for p in points}) + len(runs),
         }
-        assert calls == {"lint_kernel": 72, "static_kernel_cycles": 12,
-                         "analyze_graph": 3, "build_structural_graph": 3,
-                         "run": 288}
+        assert calls == {"lint_kernel": 12, "lint_kernel replicas": 72,
+                         "static_kernel_cycles": 12, "analyze_graph": 3,
+                         "build_structural_graph": 3, "run": 192,
+                         "invocation": 240}
+
+
+class TestLintSplit:
+    """The gate lints each config once without a replica count, then
+    runs only the rules that read the count; together they must report
+    what one full ``lint_kernel(config, device, num_kernels)`` run does."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(device=st.sampled_from([ALVEO_U280, STRATIX10_GX2800]),
+           ny=st.integers(4, 40), chunk_width=st.integers(1, 48),
+           stream_depth=st.integers(2, 8), data=st.data())
+    def test_union_of_the_two_passes_is_the_full_run(
+            self, device, ny, chunk_width, stream_depth, data):
+        grid = Grid(4, ny, 4)
+        config = KernelConfig(grid=grid, chunk_width=chunk_width,
+                              stream_depth=stream_depth)
+        graph = build_structural_graph(config)
+        analysis = analyze_graph(graph)
+        model = CostModel(device, grid)
+        fit = device.max_kernels(config)
+        replicas = data.draw(st.permutations(range(1, fit + 3)))
+        for num_kernels in replicas:
+            full = lint_kernel(config, device, num_kernels, graph=graph,
+                               analysis=analysis)
+            gated = model.lint_gate(point(
+                chunk_width=chunk_width, num_kernels=num_kernels,
+                stream_depth=stream_depth, memory="ddr"))
+            assert gated == tuple(sorted({d.code for d in full.errors}))
+        assert "RS201" in model.lint_gate(point(
+            chunk_width=chunk_width, num_kernels=fit + 1,
+            stream_depth=stream_depth, memory="ddr"))
+
+    @pytest.mark.parametrize("num_kernels", [0, -1])
+    def test_replica_count_below_one_is_rejected(self, model, num_kernels):
+        with pytest.raises(ConfigurationError, match="num_kernels"):
+            lint_kernel(point().config(GRID), ALVEO_U280, num_kernels)
+        with pytest.raises(ConfigurationError, match="num_kernels"):
+            model.lint_gate(point(num_kernels=num_kernels))

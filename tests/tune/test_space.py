@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend.versal_aie import VersalAieBackend, VersalSpace
 from repro.core.grid import Grid
 from repro.errors import TuneError
 from repro.hardware.devices import ALVEO_U280, STRATIX10_GX2800
@@ -149,3 +150,47 @@ class TestDerive:
         space = ParameterSpace.derive(ALVEO_U280, tiny)
         assert len(space.chunk_widths) == 1
         assert space.chunk_widths[0] > HALO
+
+
+def value_neighbours(space, point) -> list:
+    """Single-axis moves built from axis values: axes in field order,
+    the step down before the step up (the reference for index walks)."""
+    out = []
+    values = point.to_dict()
+    for name, axis in space.axes().items():
+        at = axis.index(values[name])
+        for step in (-1, 1):
+            if 0 <= at + step < len(axis):
+                out.append(space._make_point(**{**values,
+                                                name: axis[at + step]}))
+    return out
+
+
+class TestIndexWalk:
+    @pytest.mark.parametrize("space", [
+        small_space(),
+        ParameterSpace.derive(ALVEO_U280, GRID),
+        ParameterSpace.derive(STRATIX10_GX2800, GRID, wide_precision=True),
+        VersalSpace.derive(VersalAieBackend().resolve_device(), GRID),
+    ], ids=["small", "u280", "stratix10-wide", "versal"])
+    def test_indices_name_the_value_walk(self, space):
+        for index in range(space.size):
+            point = space.point_at(index)
+            assert space.index_of(point) == index
+            moves = space.neighbour_indices(index)
+            assert [space.point_at(i) for i in moves] == (
+                value_neighbours(space, point))
+            assert space.neighbours(point) == value_neighbours(space, point)
+
+    def test_foreign_point_has_no_index(self):
+        foreign = TunePoint(chunk_width=128, num_kernels=1, stream_depth=2,
+                            precision="float64", memory="hbm2", x_chunks=8,
+                            overlapped=True)
+        with pytest.raises(TuneError, match="chunk_width axis"):
+            small_space().index_of(foreign)
+
+    def test_index_outside_the_space_has_no_neighbours(self):
+        space = small_space()
+        for index in (-1, space.size):
+            with pytest.raises(TuneError, match="outside space"):
+                space.neighbour_indices(index)

@@ -118,18 +118,21 @@ class TestFirstUnseen:
     @given(data=st.data())
     def test_cursor_matches_a_full_rescan(self, data):
         """After any evaluation order, the cursor answers as a rescan."""
-        points = list(space().points())
-        order = data.draw(st.permutations(points))
-        tracker = _Tracker(lambda p: Evaluation(point=p, feasible=False),
-                           budget=len(points), objective="kernel")
+        indices = range(space().size)
+        order = data.draw(st.permutations(list(indices)))
+        tracker = _Tracker(space(),
+                           lambda p: Evaluation(point=p, feasible=False),
+                           budget=len(indices), objective="kernel")
 
         def rescan():
-            return next((p for p in points if p.key() not in tracker.seen),
+            return next((i for i in indices if i not in tracker.seen),
                         None)
 
-        for point in order:
+        for index in order:
             for _ in range(data.draw(st.integers(0, 2))):
                 assert _first_unseen(space(), tracker) == rescan()
-            tracker.evaluate(point)
+            tracker.evaluate(index)
+            # The tracker builds the point its index names.
+            assert tracker.order[-1].point == space().point_at(index)
         assert _first_unseen(space(), tracker) is None
         assert _first_unseen(space(), tracker) is None
