@@ -1,11 +1,12 @@
 """Validation benchmark: cycle-accurate co-simulation vs the analytic model.
 
-The Figs. 5-8 numbers at paper scale come from the closed-form cycle
-model plus the bandwidth roofline.  This benchmark cross-validates that
-pipeline at cycle level on a small grid: with ample memory the co-
-simulated multi-kernel cycle count must equal the analytic model
+The Figs. 5-8 numbers at paper scale come from
+``FPGADevice.invocation``: the closed-form cycle count of the slowest
+replica plus the memory-bandwidth bound.  This benchmark cross-validates
+that pricing at cycle level on a small grid: with ample memory the co-
+simulated multi-kernel cycle count must equal ``invocation(...).cycles``
 *exactly*, and starving the shared memory must produce the slowdown the
-roofline predicts.
+bandwidth bound predicts.
 """
 
 import pytest
@@ -13,8 +14,8 @@ import pytest
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
 from repro.experiments.report import text_table
+from repro.hardware import ALVEO_U280
 from repro.kernel.config import KernelConfig
-from repro.kernel.multi import MultiKernel
 from repro.kernel.simulate import simulate_kernel
 
 
@@ -27,7 +28,8 @@ def test_cosim_vs_analytic_model(benchmark, save_result):
         rows = []
         for kernels in (1, 2, 3):
             sim = simulate_kernel(config, fields, num_kernels=kernels)
-            model = MultiKernel(config, kernels).cycles()
+            model = ALVEO_U280.invocation(config, grid,
+                                          num_kernels=kernels).cycles
             rows.append((kernels, sim.total_cycles, model,
                          sim.total_cycles == model))
         return rows

@@ -108,19 +108,14 @@ class ChainBulk(Bulk):
 class FireBulkResult:
     """Outcome of a stage's batched firing run.
 
-    The engine needs three views of the batch: per-port item totals (to
-    route the flow downstream), the *tail* — the last few producing
-    firings, individually materialised, which re-enter the stage's
-    pipeline — and the *head* — everything before the tail, as a lazy
-    bulk per port.
+    The engine needs two views of the batch: the *tail* — the last few
+    producing firings, individually materialised, which re-enter the
+    stage's pipeline — and the *head* — everything before the tail, as a
+    lazy bulk per port.
     """
 
     #: Number of firings that produced at least one output item.
     producing_firings: int = 0
-
-    def port_total(self, port: str) -> int:
-        """Total items emitted on ``port`` across all firings."""
-        raise NotImplementedError
 
     def tail_firings(self, count: int) -> list[dict[str, list[Any]]]:
         """Materialised outputs of the last ``count`` producing firings."""
@@ -143,9 +138,6 @@ class ListFireResult(FireBulkResult):
         #: Only firings that produced something enter a stage pipeline.
         self.producing = [dict(f) for f in firings if f]
         self.producing_firings = len(self.producing)
-
-    def port_total(self, port: str) -> int:
-        return sum(len(f.get(port, ())) for f in self.producing)
 
     def tail_firings(self, count: int) -> list[dict[str, list[Any]]]:
         if count == 0:
@@ -173,9 +165,6 @@ class UniformFireResult(FireBulkResult):
                 f"{ {p: len(b) for p, b in self.outputs.items()} }"
             )
         self.producing_firings = lengths.pop() if lengths else 0
-
-    def port_total(self, port: str) -> int:
-        return len(self.outputs[port])
 
     def tail_firings(self, count: int) -> list[dict[str, list[Any]]]:
         n = self.producing_firings
@@ -217,9 +206,6 @@ class RaggedFireResult(FireBulkResult):
                 f"hold { {p: len(b) for p, b in self.outputs.items()} }"
             )
         self.producing_firings = len(per_firing)
-
-    def port_total(self, port: str) -> int:
-        return len(self.outputs[port])
 
     def tail_firings(self, count: int) -> list[dict[str, list[Any]]]:
         if count == 0:

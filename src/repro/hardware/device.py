@@ -36,6 +36,8 @@ class InvocationEstimate:
     """Timing decomposition of one kernel invocation on a device."""
 
     seconds: float
+    #: Pipeline cycles of the slowest replica (the widest X part).
+    cycles: int
     compute_seconds: float
     memory_seconds: float
     num_kernels: int
@@ -124,7 +126,10 @@ class FPGADevice:
         share of memory streaming; the invocation additionally respects
         the memory system's aggregate bandwidth.  Parts of one width cost
         the same, so each distinct width (one for an even split, two for
-        a ragged one) is priced once.
+        a ragged one) is priced once.  ``cycles`` is the widest part's
+        pipeline count, which a co-simulation of ``num_kernels`` replicas
+        with ample memory (:func:`~repro.kernel.simulate.simulate_kernel`)
+        measures exactly.
         """
         if num_kernels < 1:
             raise ConfigurationError(
@@ -140,7 +145,7 @@ class FPGADevice:
         )
 
         decomp = GridDecomposition(grid, min(num_kernels, grid.nx))
-        worst_compute = 0.0
+        worst_cycles = 0
         worst_memory = 0.0
         total_traffic = 0.0
         by_width: dict[int, tuple[int, int]] = {}
@@ -156,7 +161,7 @@ class FPGADevice:
                     config.in_bytes_per_cell * breakdown.feeds_total
                     + config.out_bytes_per_cell * sub.num_cells)
             cycles, traffic = by_width[width]
-            worst_compute = max(worst_compute, cycles / clock_hz)
+            worst_cycles = max(worst_cycles, cycles)
             total_traffic += traffic
             worst_memory = max(
                 worst_memory,
@@ -166,9 +171,12 @@ class FPGADevice:
             decomp.parts, burst_bytes=burst
         )
         memory_seconds = max(worst_memory, aggregate_time)
+        compute_seconds = worst_cycles / clock_hz
         return InvocationEstimate(
-            seconds=max(worst_compute, memory_seconds) + self.launch_overhead_s,
-            compute_seconds=worst_compute,
+            seconds=max(compute_seconds, memory_seconds)
+            + self.launch_overhead_s,
+            cycles=worst_cycles,
+            compute_seconds=compute_seconds,
             memory_seconds=memory_seconds,
             num_kernels=decomp.parts,
             memory=mem_name,

@@ -112,16 +112,6 @@ class StreamingMemoryModel:
             self.spec.aggregate_bandwidth,
         ) * eff
 
-    def streaming_time(self, total_bytes: float, num_kernels: int = 1, *,
-                       burst_bytes: float | None = None) -> float:
-        """Seconds to move ``total_bytes`` of kernel traffic."""
-        if total_bytes < 0:
-            raise ConfigurationError(
-                f"total_bytes must be >= 0, got {total_bytes}"
-            )
-        bw = self.effective_aggregate(num_kernels, burst_bytes=burst_bytes)
-        return total_bytes / bw
-
     def fits(self, bytes_needed: int) -> bool:
         """True if an allocation of ``bytes_needed`` fits in this space."""
         return bytes_needed <= self.spec.capacity_bytes

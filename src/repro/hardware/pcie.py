@@ -17,12 +17,8 @@ device here; the *schedules* decide whether they actually do).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.faults.retry import RetryPolicy
 
 __all__ = ["PCIeLink"]
 
@@ -67,33 +63,3 @@ class PCIeLink:
         bandwidth = (self.streamed_bandwidth if streamed
                      else self.synchronous_bandwidth)
         return self.latency + nbytes / bandwidth
-
-    def transfer_time_with_retries(self, nbytes: float, *, streamed: bool,
-                                   failures: int,
-                                   policy: "RetryPolicy") -> float:
-        """Seconds for one transfer that failed ``failures`` times first.
-
-        Each failed attempt occupies the link for the full transfer time
-        (the DMA does not know it is doomed), then the retry policy's
-        backoff elapses before the re-drive — the closed-form twin of
-        what the schedule simulator charges for injected transfer fails.
-        """
-        if failures < 0:
-            raise ConfigurationError(
-                f"failures must be >= 0, got {failures}"
-            )
-        once = self.transfer_time(nbytes, streamed=streamed)
-        return (failures + 1) * once + policy.total_delay(failures)
-
-    def round_trip_time(self, in_bytes: float, out_bytes: float, *,
-                        streamed: bool, concurrent: bool) -> float:
-        """Seconds to move ``in_bytes`` down and ``out_bytes`` back.
-
-        ``concurrent`` requires a duplex link *and* a schedule that issues
-        both directions together (the overlapped schedules do).
-        """
-        t_in = self.transfer_time(in_bytes, streamed=streamed)
-        t_out = self.transfer_time(out_bytes, streamed=streamed)
-        if concurrent and self.duplex:
-            return max(t_in, t_out)
-        return t_in + t_out

@@ -11,8 +11,9 @@ model reproduces:
   Stratix/Alveo gap is *not* the memory technology.
 
 The model is a static board power plus a dynamic term per active kernel
-plus a memory-system activity term, time-averaged over a run profile in
-which compute and transfer phases can overlap.
+plus a memory-system activity term and a PCIe term while transfers run.
+:class:`~repro.runtime.session.AdvectionSession` reports the active draw
+of each run (Figs. 7 and 8).
 """
 
 from __future__ import annotations
@@ -21,16 +22,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-__all__ = ["PowerModel", "PowerSample"]
-
-
-@dataclass(frozen=True)
-class PowerSample:
-    """Average power and energy for one run."""
-
-    average_watts: float
-    energy_joules: float
-    runtime_seconds: float
+__all__ = ["PowerModel"]
 
 
 @dataclass(frozen=True)
@@ -85,33 +77,4 @@ class PowerModel:
             + num_kernels * self.dynamic_watts_per_kernel
             + mem_watts
             + (self.transfer_watts if transferring else 0.0)
-        )
-
-    def profile(self, *, runtime: float, compute_time: float,
-                transfer_time: float, num_kernels: int, memory: str,
-                ) -> PowerSample:
-        """Time-averaged power over a run.
-
-        ``compute_time`` and ``transfer_time`` are the *busy* durations of
-        the kernel and DMA engines within ``runtime``; with overlap they
-        sum to more than the runtime and the phases stack.
-        """
-        if runtime <= 0:
-            raise ConfigurationError(f"runtime must be positive, got {runtime}")
-        compute_time = min(compute_time, runtime)
-        transfer_time = min(transfer_time, runtime)
-        compute_frac = compute_time / runtime
-        transfer_frac = transfer_time / runtime
-        mem_watts = self.memory_watts.get(memory, 0.0)
-        average = (
-            self.static_watts
-            + compute_frac * (
-                num_kernels * self.dynamic_watts_per_kernel + mem_watts
-            )
-            + transfer_frac * self.transfer_watts
-        )
-        return PowerSample(
-            average_watts=average,
-            energy_joules=average * runtime,
-            runtime_seconds=runtime,
         )

@@ -21,9 +21,9 @@ into the paper's actual kernel:
   -> write machine for any radius-1 stencil (diffusion, buoyancy), on
   the Fig. 2 read and shift stages,
 * :mod:`repro.kernel.cycle_model` — the closed-form cycle count validated
-  against the cycle simulator, used for paper-scale problem sizes,
-* :mod:`repro.kernel.multi` — multi-kernel domain decomposition
-  (Section IV).
+  against the cycle simulator, used for paper-scale problem sizes (the
+  multi-kernel decomposition of Section IV is priced by
+  :meth:`repro.hardware.device.FPGADevice.invocation`).
 """
 
 from repro.kernel.builder import (build_advection_graph,
@@ -31,8 +31,6 @@ from repro.kernel.builder import (build_advection_graph,
 from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import CycleBreakdown, KernelCycleModel
 from repro.kernel.functional import execute_chunked
-from repro.kernel.multi import MultiKernel
-from repro.kernel.report import synthesis_report
 from repro.kernel.simulate import simulate_kernel
 
 __all__ = [
@@ -43,6 +41,4 @@ __all__ = [
     "execute_chunked",
     "KernelCycleModel",
     "CycleBreakdown",
-    "MultiKernel",
-    "synthesis_report",
 ]

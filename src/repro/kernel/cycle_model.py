@@ -135,19 +135,3 @@ class KernelCycleModel:
     def cycles(self, grid: Grid | None = None) -> int:
         """Total cycles of one kernel invocation."""
         return self.breakdown(grid).total
-
-    def runtime_seconds(self, clock_hz: float, grid: Grid | None = None) -> float:
-        """Invocation wall time at a given kernel clock."""
-        if clock_hz <= 0:
-            raise ValueError(f"clock must be positive, got {clock_hz}")
-        return self.cycles(grid) / clock_hz
-
-    def efficiency(self, grid: Grid | None = None) -> float:
-        """Achieved fraction of the ideal one-cell-per-cycle rate.
-
-        Ideal cycles = interior cells of the grid; the model's overheads
-        (halo feeds, chunk overlap, pipeline fill, II > 1) push the real
-        count above that.
-        """
-        grid = grid or self.config.grid
-        return grid.num_cells / self.cycles(grid)

@@ -373,9 +373,6 @@ class _ShiftFireResult(FireBulkResult):
                 producing_feed(bulk.stop - 1, *self._geometry)
                 - self._first_feed + 1)
 
-    def port_total(self, port: str) -> int:
-        return len(self._bulk) if port == "out" else 0
-
     def head_bulk(self, port: str, count: int) -> Bulk:
         if count == 0:
             return ListBulk([])

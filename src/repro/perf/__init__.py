@@ -1,4 +1,4 @@
-"""Performance metrics, theoretical peaks, rooflines and calibration.
+"""Performance metrics, theoretical peaks and calibration.
 
 The paper's central methodological tool is the *theoretical performance*
 of a dataflow design — operations per cycle times clock frequency — used
@@ -12,7 +12,6 @@ numerically.
 from repro.perf.bench import BenchRecord, BenchSuite, load_suite, speedup
 from repro.perf.calibration import CALIBRATION, CalibrationEntry
 from repro.perf.metrics import KernelMetrics, compare_to_paper
-from repro.perf.roofline import RooflinePoint, arithmetic_intensity, roofline_gflops
 from repro.perf.theoretical import (
     percent_of_theoretical,
     theoretical_gflops,
@@ -25,9 +24,6 @@ __all__ = [
     "compare_to_paper",
     "CALIBRATION",
     "CalibrationEntry",
-    "arithmetic_intensity",
-    "roofline_gflops",
-    "RooflinePoint",
     "BenchRecord",
     "BenchSuite",
     "load_suite",

@@ -15,7 +15,7 @@ from repro.hardware.device import FPGADevice
 from repro.hardware.resources import ResourceVector, fit_kernels
 from repro.kernel.config import KernelConfig
 from repro.perf.theoretical import theoretical_gflops
-from repro.precision.formats import FLOAT64, NumberFormat
+from repro.precision.formats import NumberFormat
 
 __all__ = ["precision_kernel_resources", "precision_fit_report",
            "PrecisionFitReport"]
@@ -98,8 +98,3 @@ def precision_fit_report(config: KernelConfig, device: FPGADevice,
             num_kernels=max(1, fmt_fit)),
     )
 
-
-def sanity_check_float64(config: KernelConfig, device: FPGADevice) -> bool:
-    """float64 must reproduce the baseline footprint (identity scaling)."""
-    return precision_kernel_resources(config, device, FLOAT64) == \
-        device.kernel_resources(config)

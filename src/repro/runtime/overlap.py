@@ -40,28 +40,22 @@ class ChunkWork:
 
 def build_sequential_schedule(in_bytes: float, out_bytes: float,
                               kernel_seconds: float,
-                              pcie: PCIeLink, *,
-                              name_prefix: str = "") -> CommandQueue:
+                              pcie: PCIeLink) -> CommandQueue:
     """Whole-problem write -> execute -> read with synchronisation.
 
     Every step waits on the previous one and the two transfers share one
     link resource: nothing overlaps, matching how the paper measured
-    Fig. 5.  ``name_prefix`` is prepended to every command name so
-    multi-device callers (the fleet scheduler) get per-lane
-    fault-injection namespaces ("u280-0:h2d[all]").
+    Fig. 5.
     """
-    queue = CommandQueue(f"{name_prefix}sequential")
+    queue = CommandQueue("sequential")
     ev_in = queue.enqueue_write(
-        f"{name_prefix}h2d[all]",
-        pcie.transfer_time(in_bytes, streamed=False),
+        "h2d[all]", pcie.transfer_time(in_bytes, streamed=False),
         resource="pcie",
     )
-    ev_k = queue.enqueue_kernel(
-        f"{name_prefix}kernel[all]", kernel_seconds, wait_for=[ev_in],
-    )
+    ev_k = queue.enqueue_kernel("kernel[all]", kernel_seconds,
+                                wait_for=[ev_in])
     queue.enqueue_read(
-        f"{name_prefix}d2h[all]",
-        pcie.transfer_time(out_bytes, streamed=False),
+        "d2h[all]", pcie.transfer_time(out_bytes, streamed=False),
         wait_for=[ev_k], resource="pcie",
     )
     return queue
@@ -69,14 +63,13 @@ def build_sequential_schedule(in_bytes: float, out_bytes: float,
 
 def build_overlapped_schedule(chunks: list[ChunkWork],
                               pcie: PCIeLink, *,
-                              kernel_banks: int = 1,
                               name_prefix: str = "") -> CommandQueue:
     """Chunked, event-chained schedule that overlaps transfer and compute.
 
     Dependencies per chunk ``i``:
 
     * ``kernel[i]`` waits for ``h2d[i]`` (data must be present) — kernel
-      executions serialise on the kernel bank resource;
+      executions serialise on the one ``kernel`` resource;
     * ``d2h[i]`` waits for ``kernel[i]``.
 
     The H2D engine streams chunk after chunk without further waits (bulk
@@ -84,10 +77,9 @@ def build_overlapped_schedule(chunks: list[ChunkWork],
     chunks compute.  On a duplex link the D2H engine is a second resource;
     otherwise both directions serialise on one link.
 
-    ``kernel_banks`` > 1 round-robins chunk kernels across independent
-    bank resources (``kernel0`` .. ``kernel{N-1}``), so chunk executions
-    themselves overlap — the multi-kernel device regime.  The default of
-    one bank keeps the single serial ``kernel`` resource.
+    A device with several kernel replicas splits each chunk between
+    them, so its regime is priced inside each chunk's ``kernel_seconds``
+    (:meth:`~repro.hardware.device.FPGADevice.invocation`).
 
     ``name_prefix`` is prepended to every command name (and the queue
     name), giving each fleet lane a private fault-injection namespace so
@@ -96,10 +88,6 @@ def build_overlapped_schedule(chunks: list[ChunkWork],
     """
     if not chunks:
         raise ScheduleError("overlapped schedule needs at least one chunk")
-    if kernel_banks < 1:
-        raise ScheduleError(
-            f"kernel_banks must be >= 1, got {kernel_banks}"
-        )
     queue = CommandQueue(f"{name_prefix}overlapped")
     h2d_res = "pcie_h2d"
     d2h_res = "pcie_d2h" if pcie.duplex else "pcie_h2d"
@@ -109,11 +97,9 @@ def build_overlapped_schedule(chunks: list[ChunkWork],
             pcie.transfer_time(chunk.in_bytes, streamed=True),
             resource=h2d_res,
         )
-        kernel_res = ("kernel" if kernel_banks == 1
-                      else f"kernel{chunk.index % kernel_banks}")
         ev_k = queue.enqueue_kernel(
             f"{name_prefix}kernel[{chunk.index}]", chunk.kernel_seconds,
-            wait_for=[ev_in], resource=kernel_res,
+            wait_for=[ev_in],
         )
         queue.enqueue_read(
             f"{name_prefix}d2h[{chunk.index}]",

@@ -7,13 +7,14 @@ device model, one :class:`~repro.serve.breaker.CircuitBreaker`, and its
 availability state — ``lost_until`` is the modelled time a blipped
 device comes back (``inf`` for a permanent loss).
 
-Lanes bill jobs with the *same* machinery the admission controller
-quotes with: :func:`~repro.tune.admission.serve_session` chunking plus
-the Fig. 6 overlapped schedule, run through the discrete-event
-simulator so injected transfer faults occupy the PCIe engines for their
-retries.  Every command in a lane's queue is namespaced with the lane
-name (``"u280-0:h2d[3]"``), so a fault plan's ``transfer`` specs can
-glob one device without striking its siblings.
+Lanes bill jobs through the *same* pricer the admission controller
+quotes with (:mod:`repro.tune.admission`):
+:func:`~repro.tune.admission.serve_session` chunking plus the Fig. 6
+overlapped schedule, run through the discrete-event simulator so
+injected transfer faults occupy the PCIe engines for their retries.
+Every command in a lane's queue is namespaced with the lane name
+(``"u280-0:h2d[3]"``), so a fault plan's ``transfer`` specs can glob one
+device without striking its siblings.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.grid import Grid
 from repro.errors import ConfigurationError
-from repro.hardware import CPUModel, device_by_name
-from repro.runtime.overlap import build_overlapped_schedule
+from repro.hardware import device_by_name
 from repro.runtime.session import AdvectionSession
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.job import JobSpec
-from repro.tune.admission import SERVE_X_CHUNKS, out_scale_for_mode, serve_session
+from repro.tune.admission import _price_job, serve_session
 
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
@@ -73,11 +73,9 @@ class DeviceLane:
 
     def __init__(self, name: str, device: Any, *,
                  failure_threshold: int = 3,
-                 cooldown_seconds: float = 0.005,
-                 x_chunks: int = SERVE_X_CHUNKS) -> None:
+                 cooldown_seconds: float = 0.005) -> None:
         self.name = name
         self.device = device
-        self.x_chunks = x_chunks
         self.breaker = CircuitBreaker(
             name, failure_threshold=failure_threshold,
             cooldown_seconds=cooldown_seconds,
@@ -90,10 +88,6 @@ class DeviceLane:
         self._sessions: dict[tuple[int, int, int], AdvectionSession] = {}
 
     # -- availability -------------------------------------------------------
-
-    @property
-    def is_cpu(self) -> bool:
-        return isinstance(self.device, CPUModel)
 
     def lost(self, now: float) -> bool:
         """Is the device down at modelled time ``now``?
@@ -120,8 +114,7 @@ class DeviceLane:
         key = (grid.nx, grid.ny, grid.nz)
         session = self._sessions.get(key)
         if session is None:
-            session = serve_session(self.device, grid,
-                                    x_chunks=self.x_chunks)
+            session = serve_session(self.device, grid)
             self._sessions[key] = session
         return session
 
@@ -132,38 +125,21 @@ class DeviceLane:
                         ) -> tuple[float, int]:
         """Bill one job: (modelled seconds, transfer redrives performed).
 
-        Runs the lane's overlapped schedule through the discrete-event
-        simulator.  Typed fault errors
-        (:class:`~repro.errors.RetryExhaustedError`,
+        Prices the job exactly as :func:`~repro.tune.admission.quote_job`
+        does, with this lane's command names, fault plan, retry policy
+        and watchdog, on the lane's cached per-grid session.  Typed fault
+        errors (:class:`~repro.errors.RetryExhaustedError`,
         :class:`~repro.errors.WatchdogTimeout`) propagate to the
         scheduler, which turns them into breaker evidence and reshards
         or fails the job.
         """
         grid = spec.grid()
-        # Scenario jobs stretch kernel-busy time by the scenario's
-        # operation intensity — the same scaling the admission quote
-        # applied, so quote == bill fault-free.
-        scale = spec.flops_scale()
-        if self.is_cpu:
-            return self.device.kernel_time(grid) * scale, 0
-        from repro.runtime.simulator import simulate_schedule
-
-        session = self.session_for(grid)
-        chunks = session.chunk_work(grid, out_scale=out_scale_for_mode(mode))
-        queue = build_overlapped_schedule(
-            chunks, self.device.pcie, name_prefix=f"{self.name}:",
+        bill, redrives = _price_job(
+            self.session_for(grid), grid, mode, spec.flops_scale(),
+            name_prefix=f"{self.name}:", fault_plan=fault_plan,
+            retry=retry, watchdog_seconds=watchdog_seconds,
         )
-        schedule = simulate_schedule(
-            queue, fault_plan=fault_plan, retry=retry,
-            watchdog_seconds=watchdog_seconds,
-        )
-        kernel_busy = sum(seconds for resource, seconds
-                          in schedule.busy.items()
-                          if resource.split(":")[-1].startswith("kernel"))
-        seconds = (schedule.makespan
-                   + getattr(self.device, "setup_seconds", 0.0)
-                   + kernel_busy * (scale - 1.0))
-        return seconds, len(schedule.retries)
+        return bill.service_seconds, redrives
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -190,8 +166,7 @@ class Fleet:
     @classmethod
     def from_spec(cls, spec: str = DEFAULT_FLEET_SPEC, *,
                   failure_threshold: int = 3,
-                  cooldown_seconds: float = 0.005,
-                  x_chunks: int = SERVE_X_CHUNKS) -> "Fleet":
+                  cooldown_seconds: float = 0.005) -> "Fleet":
         counters: dict[str, int] = {}
         lanes = []
         for device_name in parse_fleet_spec(spec):
@@ -202,7 +177,6 @@ class Fleet:
                 f"{device_name}-{ordinal}", device,
                 failure_threshold=failure_threshold,
                 cooldown_seconds=cooldown_seconds,
-                x_chunks=x_chunks,
             ))
         return cls(lanes)
 

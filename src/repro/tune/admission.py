@@ -8,7 +8,8 @@ service time is exactly what the lane will later bill for it
 (fault-free).  This module is that hook: a pure function from a device
 model, a grid and a service mode to modelled seconds, built on
 :class:`~repro.runtime.session.AdvectionSession` chunking and the
-Fig. 6 overlapped schedule.
+Fig. 6 overlapped schedule.  The fleet's lanes bill through the same
+private pricer, so the quote and the bill are one computation.
 
 Service modes
 -------------
@@ -29,7 +30,7 @@ Service modes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.grid import Grid
 from repro.errors import ConfigurationError, TuneError
@@ -38,6 +39,10 @@ from repro.kernel.config import KernelConfig
 from repro.runtime.overlap import build_overlapped_schedule
 from repro.runtime.session import AdvectionSession
 from repro.runtime.simulator import simulate_schedule
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
+    from repro.faults.retry import RetryPolicy
 
 __all__ = ["JobQuote", "quote_job", "serve_session", "serve_config",
            "out_scale_for_mode", "EXACT_TELEMETRY_OUT_SCALE", "SERVE_MODES",
@@ -113,11 +118,12 @@ def quote_job(device: Any, grid: Grid, *, mode: str = "functional",
     """Price one job on one device model, fault-free.
 
     CPU baselines run host-resident (no transfers); accelerator quotes
-    simulate the overlapped schedule the lane will actually execute, so
-    quote and bill agree to the float.  ``flops_scale`` is the served
-    kernel's operation intensity relative to advection (scenario jobs
-    pass ``scenario.flops_scale``): kernel-busy time stretches by it,
-    transfer time does not — data movement is per-cell, not per-op.
+    simulate the overlapped schedule the lane will actually execute —
+    the lane bills through the same pricer, so quote and bill agree to
+    the bit.  ``flops_scale`` is the served kernel's operation intensity
+    relative to advection (scenario jobs pass ``scenario.flops_scale``):
+    kernel-busy time stretches by it, transfer time does not — data
+    movement is per-cell, not per-op.
     """
     if mode not in SERVE_MODES:
         raise TuneError(
@@ -125,16 +131,37 @@ def quote_job(device: Any, grid: Grid, *, mode: str = "functional",
         )
     if not flops_scale > 0:
         raise TuneError(f"flops_scale must be > 0, got {flops_scale}")
+    quote, _ = _price_job(serve_session(device, grid, x_chunks=x_chunks),
+                          grid, mode, flops_scale)
+    return quote
+
+
+def _price_job(session: AdvectionSession, grid: Grid, mode: str,
+               flops_scale: float, *, name_prefix: str = "",
+               fault_plan: "FaultPlan | None" = None,
+               retry: "RetryPolicy | None" = None,
+               watchdog_seconds: float | None = None,
+               ) -> tuple[JobQuote, int]:
+    """The one serve price: (quote, transfer redrives performed).
+
+    :func:`quote_job` calls it fault-free; a fleet lane calls it with its
+    command-name prefix and the run's fault plan, retry policy and
+    watchdog, whose typed errors propagate to the scheduler.
+    """
+    device = session.device
     if isinstance(device, CPUModel):
         # Host-resident: the whole service time is kernel time.
         seconds = device.kernel_time(grid) * flops_scale
         return JobQuote(device=device.name, mode=mode,
                         service_seconds=seconds, transfer_seconds=0.0,
-                        kernel_seconds=seconds)
-    session = serve_session(device, grid, x_chunks=x_chunks)
+                        kernel_seconds=seconds), 0
     chunks = session.chunk_work(grid, out_scale=out_scale_for_mode(mode))
-    schedule = simulate_schedule(build_overlapped_schedule(
-        chunks, device.pcie))
+    schedule = simulate_schedule(
+        build_overlapped_schedule(chunks, device.pcie,
+                                  name_prefix=name_prefix),
+        fault_plan=fault_plan, retry=retry,
+        watchdog_seconds=watchdog_seconds,
+    )
     kernel_busy = sum(seconds for resource, seconds in schedule.busy.items()
                       if resource.startswith("kernel"))
     transfer_busy = sum(seconds for resource, seconds in schedule.busy.items()
@@ -144,4 +171,5 @@ def quote_job(device: Any, grid: Grid, *, mode: str = "functional",
                     service_seconds=(schedule.makespan + setup
                                      + kernel_busy * (flops_scale - 1.0)),
                     transfer_seconds=transfer_busy,
-                    kernel_seconds=kernel_busy * flops_scale)
+                    kernel_seconds=kernel_busy * flops_scale,
+                    ), len(schedule.retries)

@@ -25,6 +25,7 @@ from repro.analyze.kernel import static_kernel_cycles
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
 from repro.dataflow.engine import ControlRecord
+from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import KernelCycleModel
 from repro.kernel.simulate import simulate_kernel
 from repro.tune.cost import Evaluation, _rounded
@@ -80,25 +81,20 @@ def proxy_grid(grid: Grid, point: TunePoint) -> Grid:
                 nz=min(grid.nz, _PROXY_NZ))
 
 
-def measure_one(evaluation: Evaluation, grid: Grid, *, seed: int,
-                clock_hz: float,
-                record: ControlRecord | None = None) -> MeasuredResult:
-    """Simulate one candidate on its proxy grid (batched exact mode).
-
-    ``record`` is the :class:`~repro.dataflow.engine.ControlRecord` of
-    the enclosing call (a fresh one when ``None``): a candidate whose
-    chunk graphs share a structure with an earlier run in it replays
-    that run's control on its own fields.  Cycles and sources are the
-    same either way.
-    """
+def _measure(evaluation: Evaluation, grid: Grid, seed: int,
+             record: ControlRecord,
+             counts: dict[KernelConfig, tuple[int, int]]) -> MeasuredResult:
+    """One candidate's run; its fields and sources die with the call."""
     point = evaluation.point
     proxy = proxy_grid(grid, point)
     config = point.config(proxy)
     fields = random_wind(proxy, seed=seed)
     result = simulate_kernel(config, fields, mode="exact", batched=True,
                              record=record)
-    analytic = KernelCycleModel(config).cycles()
-    static = static_kernel_cycles(config)
+    if config not in counts:
+        counts[config] = (KernelCycleModel(config).cycles(),
+                          static_kernel_cycles(config))
+    analytic, static = counts[config]
     measured = result.total_cycles
     error = (abs(analytic - measured) / measured) if measured else float("inf")
     static_error = (abs(static - measured) / measured) if measured \
@@ -109,7 +105,7 @@ def measure_one(evaluation: Evaluation, grid: Grid, *, seed: int,
         analytic_cycles=analytic,
         measured_cycles=measured,
         relative_error=error,
-        measured_seconds=result.runtime_seconds(clock_hz),
+        measured_seconds=result.runtime_seconds(evaluation.clock_mhz * 1e6),
         static_cycles=static,
         static_error=static_error,
     )
@@ -117,11 +113,17 @@ def measure_one(evaluation: Evaluation, grid: Grid, *, seed: int,
 
 def measure_candidates(candidates: list[Evaluation], grid: Grid, *,
                        seed: int) -> list[MeasuredResult]:
-    """Measure each candidate (deterministic per-candidate seeds).
+    """Simulate each candidate on its proxy grid (batched exact mode).
 
-    The candidates' runs share one control record, scoped to this call.
+    Candidate ``rank`` draws its fields from seed ``seed + rank``.  The
+    runs share one :class:`~repro.dataflow.engine.ControlRecord`, scoped
+    to this call: a candidate whose chunk graphs share a structure with
+    an earlier run replays that run's control on its own fields.
+    Candidates that share a proxy config share its closed-form and
+    proved cycle counts, each derived once per call.  Cycles and sources
+    are the same either way.
     """
     record = ControlRecord()
-    return [measure_one(evaluation, grid, seed=seed + rank,
-                        clock_hz=evaluation.clock_mhz * 1e6, record=record)
+    counts: dict[KernelConfig, tuple[int, int]] = {}
+    return [_measure(evaluation, grid, seed + rank, record, counts)
             for rank, evaluation in enumerate(candidates)]

@@ -3,7 +3,7 @@
 A fail with no retry policy is a typed TransferError; with a policy the
 link is charged for every doomed attempt plus backoff; a stall delays
 the one attempt; a hang (stall with no duration) trips the schedule
-watchdog.  Multi-bank kernels spread chunk compute across resources.
+watchdog.
 """
 
 import pytest
@@ -109,37 +109,27 @@ class TestScheduleWatchdog:
                               watchdog_seconds=0.0)
 
 
-class TestKernelBanks:
-    def test_banks_split_the_kernel_resource(self, link):
-        queue = build_overlapped_schedule(chunks(4), link, kernel_banks=2)
-        result = simulate_schedule(queue)
-        assert "kernel0" in result.busy and "kernel1" in result.busy
-        assert "kernel" not in result.busy
-
-    def test_two_banks_never_slower(self, link):
-        one = simulate_schedule(build_overlapped_schedule(chunks(6), link))
-        two = simulate_schedule(build_overlapped_schedule(
-            chunks(6), link, kernel_banks=2))
-        assert two.makespan <= one.makespan + 1e-12
-
-    def test_invalid_bank_count_rejected(self, link):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises((ConfigurationError, ScheduleError)):
-            build_overlapped_schedule(chunks(2), link, kernel_banks=0)
-
-
 class TestClosedFormRetryCost:
+    """What the simulator charges a failing transfer, in closed form:
+    every attempt occupies the link for the whole transfer, and the
+    policy's backoff elapses before each re-drive."""
+
     def test_link_model_matches_simulator_charging(self, link):
-        policy = RetryPolicy(max_attempts=4, base_delay=0.01, jitter=0.0)
         once = link.transfer_time(1e9, streamed=False)
-        expected = 3 * once + policy.total_delay(2)
-        assert link.transfer_time_with_retries(
-            1e9, streamed=False, failures=2, policy=policy,
-        ) == pytest.approx(expected)
+        queue = CommandQueue("one")
+        queue.enqueue_write("h2d[0]", once)
+        plan = FaultPlan([FaultSpec("transfer", "fail", match="h2d*",
+                                    count=2)])
+        policy = RetryPolicy(max_attempts=4, base_delay=0.01, jitter=0.0)
+        result = simulate_schedule(queue, fault_plan=plan, retry=policy)
+        assert result.retries == {"h2d[0]": 2}
+        assert result.makespan == pytest.approx(
+            3 * once + policy.total_delay(2))
 
     def test_zero_failures_is_plain_transfer(self, link):
-        policy = RetryPolicy()
-        assert link.transfer_time_with_retries(
-            1e9, streamed=False, failures=0, policy=policy,
-        ) == pytest.approx(link.transfer_time(1e9, streamed=False))
+        once = link.transfer_time(1e9, streamed=False)
+        queue = CommandQueue("one")
+        queue.enqueue_write("h2d[0]", once)
+        result = simulate_schedule(queue, retry=RetryPolicy())
+        assert result.retries == {}
+        assert result.makespan == once

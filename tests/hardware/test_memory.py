@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.core.grid import Grid
 from repro.errors import ConfigurationError
+from repro.hardware import ALVEO_U280
 from repro.hardware.memory import BURST_GAP_BYTES, MemorySpec, StreamingMemoryModel
+from repro.kernel.config import KernelConfig
+from repro.kernel.cycle_model import KernelCycleModel
 
 
 def model(per_kernel=10e9, aggregate=40e9, capacity=8 * 2**30):
@@ -84,16 +88,18 @@ class TestBandwidthSharing:
 
 class TestStreamingTime:
     def test_time_is_bytes_over_bandwidth(self):
-        m = model(per_kernel=10e9, aggregate=40e9)
-        assert m.streaming_time(20e9, 1) == pytest.approx(2.0)
-        assert m.streaming_time(20e9, 4) == pytest.approx(0.5)
-
-    def test_zero_bytes(self):
-        assert model().streaming_time(0.0) == 0.0
-
-    def test_rejects_negative_bytes(self):
-        with pytest.raises(ConfigurationError):
-            model().streaming_time(-1.0)
+        """An invocation's memory time: a 24-byte read per fed cell and a
+        24-byte write per interior cell, over the sustained rate at the
+        chunk's burst length."""
+        grid = Grid(nx=32, ny=64, nz=16)
+        config = KernelConfig(grid=grid, chunk_width=64)
+        feeds = KernelCycleModel(config).breakdown().feeds_total
+        traffic = 24 * feeds + 24 * grid.num_cells
+        hbm = ALVEO_U280.memory_model("hbm2")
+        rate = hbm.effective_per_kernel(
+            burst_bytes=hbm.chunk_burst_bytes(64, 16))
+        estimate = ALVEO_U280.invocation(config, grid, memory="hbm2")
+        assert estimate.memory_seconds == pytest.approx(traffic / rate)
 
 
 class TestCapacity:

@@ -6,6 +6,21 @@ from repro.errors import ConfigurationError
 from repro.hardware.clock import ClockModel
 from repro.hardware.pcie import PCIeLink
 from repro.hardware.power import PowerModel
+from repro.runtime.overlap import (ChunkWork, build_overlapped_schedule,
+                                   build_sequential_schedule)
+from repro.runtime.simulator import simulate_schedule
+
+
+def round_trip(link, *, overlapped):
+    """Makespan of 2 GB down and 2 GB back, in two chunks when
+    overlapped, with no kernel time."""
+    if overlapped:
+        queue = build_overlapped_schedule(
+            [ChunkWork(index=i, in_bytes=1e9, out_bytes=1e9,
+                       kernel_seconds=0.0) for i in range(2)], link)
+    else:
+        queue = build_sequential_schedule(2e9, 2e9, 0.0, link)
+    return simulate_schedule(queue).makespan
 
 
 class TestPCIeLink:
@@ -27,22 +42,23 @@ class TestPCIeLink:
         assert link.transfer_time(0.0, streamed=True) == 0.0
 
     def test_round_trip_duplex_concurrent(self):
+        """On a duplex link the overlapped schedule reads chunk 0 back
+        while chunk 1 is still going down: 3 s, not 4."""
         link = PCIeLink(streamed_bandwidth=1e9, synchronous_bandwidth=1e9,
                         latency=0.0, duplex=True)
-        t = link.round_trip_time(2e9, 1e9, streamed=True, concurrent=True)
-        assert t == pytest.approx(2.0)  # max, not sum
+        assert round_trip(link, overlapped=True) == pytest.approx(3.0)
 
     def test_round_trip_serial(self):
+        """The sequential schedule synchronises between the whole write
+        and the whole read: their times add."""
         link = PCIeLink(streamed_bandwidth=1e9, synchronous_bandwidth=1e9,
                         latency=0.0, duplex=True)
-        t = link.round_trip_time(2e9, 1e9, streamed=True, concurrent=False)
-        assert t == pytest.approx(3.0)
+        assert round_trip(link, overlapped=False) == pytest.approx(4.0)
 
     def test_non_duplex_never_concurrent(self):
         link = PCIeLink(streamed_bandwidth=1e9, synchronous_bandwidth=1e9,
                         latency=0.0, duplex=False)
-        t = link.round_trip_time(1e9, 1e9, streamed=True, concurrent=True)
-        assert t == pytest.approx(2.0)
+        assert round_trip(link, overlapped=True) == pytest.approx(4.0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -111,25 +127,6 @@ class TestPowerModel:
     def test_unknown_memory_rejected(self, power):
         with pytest.raises(ConfigurationError):
             power.active_watts(1, "optane")
-
-    def test_profile_time_weighting(self, power):
-        sample = power.profile(runtime=10.0, compute_time=5.0,
-                               transfer_time=10.0, num_kernels=2,
-                               memory="hbm2")
-        expected = 30.0 + 0.5 * (10.0 + 6.0) + 1.0 * 4.0
-        assert sample.average_watts == pytest.approx(expected)
-        assert sample.energy_joules == pytest.approx(expected * 10.0)
-
-    def test_profile_clamps_busy_times(self, power):
-        sample = power.profile(runtime=1.0, compute_time=5.0,
-                               transfer_time=0.0, num_kernels=1,
-                               memory="ddr")
-        assert sample.average_watts == pytest.approx(30.0 + 5.0 + 18.0)
-
-    def test_profile_rejects_bad_runtime(self, power):
-        with pytest.raises(ConfigurationError):
-            power.profile(runtime=0.0, compute_time=0.0, transfer_time=0.0,
-                          num_kernels=1, memory="hbm2")
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.analyze import start_cycles
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
+from repro.hardware import ALVEO_U280, STRATIX10_GX2800
 from repro.kernel.builder import build_structural_graph
 from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import KernelCycleModel
@@ -94,27 +95,29 @@ class TestBreakdown:
             KernelCycleModel(config, read_ii=0)
 
     def test_runtime_scales_with_clock(self):
-        config = KernelConfig(grid=Grid(nx=8, ny=8, nz=8))
-        model = KernelCycleModel(config)
-        assert model.runtime_seconds(400e6) == pytest.approx(
-            model.runtime_seconds(200e6) / 2)
-        with pytest.raises(ValueError):
-            model.runtime_seconds(-1.0)
+        """A device prices the model's cycles at its achieved clock."""
+        grid = Grid(nx=8, ny=8, nz=8)
+        config = KernelConfig(grid=grid)
+        for device in (ALVEO_U280, STRATIX10_GX2800):
+            estimate = device.invocation(config, grid)
+            assert estimate.compute_seconds == \
+                KernelCycleModel(config).cycles() / estimate.clock_hz
+
+
+def cells_per_cycle(grid: Grid) -> float:
+    """Interior cells per modelled cycle (1 is the II=1 ideal)."""
+    return grid.num_cells / KernelCycleModel(KernelConfig(grid=grid)).cycles()
 
 
 class TestEfficiency:
     def test_large_grid_efficiency_near_one(self):
         """Paper-scale grids run at >95% of one cell per cycle: the whole
         point of the II=1 shift-buffer design."""
-        grid = Grid.from_cells(16 * 1024 * 1024)
-        model = KernelCycleModel(KernelConfig(grid=grid))
-        assert model.efficiency() > 0.95
+        assert cells_per_cycle(Grid.from_cells(16 * 1024 * 1024)) > 0.95
 
     def test_small_grid_efficiency_lower(self):
-        small = KernelCycleModel(KernelConfig(grid=Grid(nx=4, ny=4, nz=4)))
-        large = KernelCycleModel(
-            KernelConfig(grid=Grid(nx=64, ny=64, nz=64)))
-        assert small.efficiency() < large.efficiency()
+        assert cells_per_cycle(Grid(nx=4, ny=4, nz=4)) < \
+            cells_per_cycle(Grid(nx=64, ny=64, nz=64))
 
     def test_narrow_chunks_cost_efficiency(self):
         grid = Grid(nx=32, ny=64, nz=16)

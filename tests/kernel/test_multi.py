@@ -1,12 +1,17 @@
-"""Multi-kernel decomposition behaviour (Section IV)."""
+"""Multi-kernel decomposition (Section IV), as the device model prices it.
+
+``FPGADevice.invocation`` splits the domain along X between identical
+replicas; its ``cycles`` is the slowest replica's count, the number the
+Figs. 5-8 sweeps and the tuner price with.
+"""
 
 import pytest
 
-from repro.core.grid import Grid
+from repro.core.grid import Grid, GridDecomposition
 from repro.errors import ConfigurationError
+from repro.hardware import ALVEO_U280
 from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import KernelCycleModel
-from repro.kernel.multi import MultiKernel
 
 
 @pytest.fixture
@@ -14,57 +19,55 @@ def config():
     return KernelConfig(grid=Grid(nx=48, ny=32, nz=16), chunk_width=8)
 
 
+def invocation(config, num_kernels):
+    return ALVEO_U280.invocation(config, config.grid,
+                                 num_kernels=num_kernels)
+
+
+def speedup(config, num_kernels):
+    return invocation(config, 1).cycles / invocation(config,
+                                                     num_kernels).cycles
+
+
 class TestDecomposition:
     def test_parts_capped_by_nx(self):
         config = KernelConfig(grid=Grid(nx=3, ny=8, nz=8))
-        mk = MultiKernel(config, num_kernels=6)
-        assert mk.decomposition().parts == 3
+        assert invocation(config, 6).num_kernels == 3
 
     def test_rejects_zero_kernels(self, config):
         with pytest.raises(ConfigurationError):
-            MultiKernel(config, num_kernels=0)
+            invocation(config, 0)
 
 
 class TestScaling:
     def test_more_kernels_fewer_cycles(self, config):
-        one = MultiKernel(config, 1).cycles()
-        six = MultiKernel(config, 6).cycles()
-        assert six < one
+        assert invocation(config, 6).cycles < invocation(config, 1).cycles
 
     def test_single_kernel_equals_cycle_model(self, config):
-        assert MultiKernel(config, 1).cycles() == KernelCycleModel(
+        assert invocation(config, 1).cycles == KernelCycleModel(
             config).cycles()
 
     def test_speedup_sublinear(self, config):
         """Halo re-reads and per-part pipeline fills keep the speedup
         strictly below the kernel count."""
-        mk = MultiKernel(config, 6)
-        speedup = mk.speedup_over_single()
-        assert 4.0 < speedup < 6.0
+        assert 4.0 < speedup(config, 6) < 6.0
 
     def test_speedup_monotone_in_kernels(self, config):
-        s2 = MultiKernel(config, 2).speedup_over_single()
-        s4 = MultiKernel(config, 4).speedup_over_single()
-        assert s4 > s2 > 1.0
+        assert speedup(config, 4) > speedup(config, 2) > 1.0
 
     def test_cycles_is_worst_part(self, config):
         """An uneven split is dominated by the widest part."""
         grid = Grid(nx=7, ny=8, nz=8)  # 7 into 3 -> parts of 3,2,2
-        mk = MultiKernel(config.for_grid(grid), 3)
-        decomp = mk.decomposition()
+        decomp = GridDecomposition(grid, 3)
         worst = max(
             KernelCycleModel(config.for_grid(decomp.subgrid(p))).cycles()
             for p in range(3)
         )
-        assert mk.cycles() == worst
+        assert invocation(config.for_grid(grid), 3).cycles == worst
 
     def test_runtime_scaling_with_clock(self, config):
-        mk = MultiKernel(config, 4)
-        assert mk.runtime_seconds(250e6) == pytest.approx(
-            mk.cycles() / 250e6)
-        with pytest.raises(ValueError):
-            mk.runtime_seconds(0.0)
-
-    def test_read_ii_propagates(self, config):
-        mk = MultiKernel(config, 2)
-        assert mk.cycles(read_ii=2) > 1.8 * mk.cycles(read_ii=1)
+        """Compute time is the slowest replica's cycles at the clock the
+        device closes with that many replicas."""
+        estimate = invocation(config, 4)
+        assert estimate.clock_hz == ALVEO_U280.clock.frequency_hz(4)
+        assert estimate.compute_seconds == estimate.cycles / estimate.clock_hz

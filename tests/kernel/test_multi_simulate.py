@@ -11,8 +11,8 @@ from repro.core.reference import advect_reference
 from repro.core.wind import random_wind
 from repro.errors import ConfigurationError, PortConflictError
 from repro.faults import FaultPlan, FaultSpec
+from repro.hardware import ALVEO_U280
 from repro.kernel.config import KernelConfig
-from repro.kernel.multi import MultiKernel
 from repro.kernel.simulate import KernelSimResult, simulate_kernel
 from repro.kernel.stages import MemoryArbiter
 
@@ -64,11 +64,12 @@ class TestCoSimulation:
             advect_reference(fields)) == 0.0
 
     def test_ample_bandwidth_matches_analytic_model(self, setup):
-        """With one read grant per kernel per cycle the co-simulation and
-        the closed-form multi-kernel model agree exactly."""
+        """With one read grant per kernel per cycle the co-simulation
+        measures exactly the cycles the device model prices."""
         grid, fields, config = setup
         result = simulate_kernel(config, fields, num_kernels=2)
-        assert result.total_cycles == MultiKernel(config, 2).cycles()
+        assert result.total_cycles == ALVEO_U280.invocation(
+            config, grid, num_kernels=2).cycles
         assert result.read_starvation_fraction == 0.0
 
     def test_starved_memory_slows_and_still_correct(self, setup):

@@ -1,10 +1,18 @@
-"""Metric containers, paper comparisons, and the roofline helpers."""
+"""Metric containers, paper comparisons, and the roofline reasoning."""
+
+import dataclasses
 
 import pytest
 
+from repro.backend import VERSAL_VC1902, AIEngineProjection
+from repro.constants import PAPER_GRID_LABELS, average_ops_per_cycle
+from repro.core.flops import grid_flops
+from repro.core.grid import Grid
 from repro.errors import ConfigurationError
+from repro.hardware import ALVEO_U280, STRATIX10_GX2800, TESLA_V100
+from repro.kernel.config import KernelConfig
 from repro.perf.metrics import KernelMetrics, compare_to_paper
-from repro.perf.roofline import RooflinePoint, arithmetic_intensity, roofline_gflops
+from repro.runtime.session import AdvectionSession
 
 
 class TestKernelMetrics:
@@ -42,39 +50,63 @@ class TestPaperComparison:
 
 
 class TestRoofline:
-    def test_advection_intensity_is_low(self):
-        """~1.3 FLOP/byte end-to-end: transfer-bound on every device."""
-        assert arithmetic_intensity() == pytest.approx(62.875 / 48.0)
+    """The roofline reasoning of Figs. 5 and 6, read from the priced
+    models: the session's PCIe traffic and the §V projection's two
+    ceilings."""
 
-    def test_one_directional_intensity(self):
-        assert arithmetic_intensity(bytes_per_cell=24.0) == pytest.approx(
-            62.875 / 24.0)
+    @pytest.fixture
+    def grid(self):
+        return Grid.from_cells(PAPER_GRID_LABELS["16M"])
+
+    def test_advection_intensity_is_low(self, grid):
+        """~1.3 FLOP/byte end-to-end: 48 B/cell over PCIe, plus the
+        chunks' halo re-reads, for ~63 FLOPs a cell."""
+        chunks = AdvectionSession(ALVEO_U280, KernelConfig(grid=grid)
+                                  ).chunk_work(grid)
+        traffic = sum(c.in_bytes + c.out_bytes for c in chunks)
+        intensity = grid_flops(grid) / traffic
+        assert 1.2 < intensity < average_ops_per_cycle(grid.nz) / 48.0
+
+    def test_one_directional_intensity(self, grid):
+        chunks = AdvectionSession(ALVEO_U280, KernelConfig(grid=grid)
+                                  ).chunk_work(grid)
+        assert grid_flops(grid) / sum(c.out_bytes for c in chunks) == \
+            pytest.approx(average_ops_per_cycle(grid.nz) / 24.0)
 
     def test_roofline_min(self):
-        assert roofline_gflops(compute_peak_gflops=100.0, bandwidth_gbs=10.0,
-                               intensity=1.3) == pytest.approx(13.0)
-        assert roofline_gflops(compute_peak_gflops=5.0, bandwidth_gbs=10.0,
-                               intensity=1.3) == pytest.approx(5.0)
+        fed = AIEngineProjection(name="fed", engines=10, clock_ghz=1.0,
+                                 flops_per_engine_cycle=1,
+                                 fabric_feed_bandwidth=1e12)
+        starved = dataclasses.replace(fed, fabric_feed_bandwidth=12e7)
+        # 10 GFLOPS of engines; a 1e7 cells/s feed caps the starved one.
+        assert fed.attainable_gflops() == pytest.approx(10.0)
+        assert starved.attainable_gflops() == pytest.approx(
+            1e7 * average_ops_per_cycle(64) / 1e9)
 
     def test_point_bandwidth_bound_detection(self):
-        point = RooflinePoint(device="x", compute_peak_gflops=100.0,
-                              bandwidth_gbs=10.0, intensity=1.3)
-        assert point.bandwidth_bound
-        assert point.attainable_gflops == pytest.approx(13.0)
+        """§V: keeping the Versal's engines fed is the limit."""
+        assert VERSAL_VC1902.feed_bound
+        assert VERSAL_VC1902.attainable_gflops() == pytest.approx(
+            VERSAL_VC1902.cells_per_second_feed()
+            * average_ops_per_cycle(64) / 1e9)
+        assert VERSAL_VC1902.attainable_gflops() < \
+            VERSAL_VC1902.compute_peak_gflops
 
     def test_every_paper_device_is_pcie_bound_end_to_end(self):
         """The structural conclusion of Figs. 5/6: with 48 B/cell over
-        PCIe, even ~13 GB/s caps out below any device's kernel rate."""
-        intensity = arithmetic_intensity()
-        for peak, pcie_gbs in [(87.0, 13.0), (60.0, 12.0), (367.2, 15.0)]:
-            point = RooflinePoint(device="d", compute_peak_gflops=peak,
-                                  bandwidth_gbs=pcie_gbs,
-                                  intensity=intensity)
-            assert point.bandwidth_bound
+        PCIe, an overlapped run keeps the link busier than the kernel on
+        every paper accelerator (at 268M the U280 spills to DDR and turns
+        kernel-bound, as in Fig. 6)."""
+        for label in ("16M", "67M"):
+            grid = Grid.from_cells(PAPER_GRID_LABELS[label])
+            for device in (ALVEO_U280, STRATIX10_GX2800, TESLA_V100):
+                run = AdvectionSession(device, KernelConfig(grid=grid)).run(
+                    grid, overlapped=True)
+                assert run.transfer_seconds > run.kernel_seconds, \
+                    (label, device.name)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            arithmetic_intensity(bytes_per_cell=0.0)
+            VERSAL_VC1902.cells_per_second_feed(bytes_per_cell=0.0)
         with pytest.raises(ConfigurationError):
-            roofline_gflops(compute_peak_gflops=0.0, bandwidth_gbs=1.0,
-                            intensity=1.0)
+            dataclasses.replace(VERSAL_VC1902, clock_ghz=0.0)

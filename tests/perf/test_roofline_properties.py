@@ -1,100 +1,107 @@
 """Property tests: the roofline identity and the calibration registry.
 
-The roofline model has one defining identity — attainable performance is
-``min(compute peak, intensity x bandwidth)`` — and one structural
-consequence: the bound classification flips exactly at the ridge point
-``peak / bandwidth``.  Example-based tests check a few handpicked
-devices; these properties check the identity over the whole input space.
+The roofline has one defining identity — attainable performance is
+``min(compute peak, feed rate x intensity)`` — and one structural
+consequence: the bound classification flips exactly at the ridge point.
+:class:`~repro.backend.AIEngineProjection`, which the ``versal_aie``
+backend's roofline cross-checks against, carries both; these properties
+check them over drawn projections.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import AIEngineProjection
+from repro.constants import average_ops_per_cycle
 from repro.errors import ConfigurationError
 from repro.perf.calibration import CALIBRATION, paper_value
-from repro.perf.roofline import (RooflinePoint, arithmetic_intensity,
-                                 roofline_gflops)
 
 positive = st.floats(min_value=1e-3, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
 
 
+@st.composite
+def projections(draw):
+    """An engine array and its feed: ceilings from 1e-3 to 1e6 GFLOPS."""
+    return AIEngineProjection(
+        name="p",
+        engines=draw(st.integers(1, 1000)),
+        clock_ghz=draw(positive),
+        flops_per_engine_cycle=draw(st.integers(1, 16)),
+        fabric_feed_bandwidth=draw(positive) * 1e9,
+    )
+
+
+def ceilings(projection, column_height=64):
+    """(compute, feed) ceilings in GFLOPS at 12 bytes a cell."""
+    ops = average_ops_per_cycle(column_height)
+    return (projection.cells_per_second_compute(column_height) * ops / 1e9,
+            projection.cells_per_second_feed() * ops / 1e9)
+
+
 class TestRooflineIdentity:
     @settings(max_examples=200, deadline=None)
-    @given(peak=positive, bandwidth=positive, intensity=positive)
-    def test_attainable_is_min_of_ceilings(self, peak, bandwidth,
-                                           intensity):
-        point = RooflinePoint(device="p", compute_peak_gflops=peak,
-                              bandwidth_gbs=bandwidth, intensity=intensity)
-        assert point.attainable_gflops == min(peak, intensity * bandwidth)
-        assert point.attainable_gflops == roofline_gflops(
-            compute_peak_gflops=peak, bandwidth_gbs=bandwidth,
-            intensity=intensity)
+    @given(projection=projections())
+    def test_attainable_is_min_of_ceilings(self, projection):
+        assert projection.attainable_gflops() == min(ceilings(projection))
 
     @settings(max_examples=200, deadline=None)
-    @given(peak=positive, bandwidth=positive, intensity=positive)
-    def test_attainable_never_exceeds_either_ceiling(self, peak, bandwidth,
-                                                     intensity):
-        attainable = roofline_gflops(compute_peak_gflops=peak,
-                                     bandwidth_gbs=bandwidth,
-                                     intensity=intensity)
-        assert 0 < attainable <= peak
-        assert attainable <= intensity * bandwidth
+    @given(projection=projections())
+    def test_attainable_never_exceeds_either_ceiling(self, projection):
+        compute, feed = ceilings(projection)
+        attainable = projection.attainable_gflops()
+        assert 0 < attainable <= compute
+        assert attainable <= feed
+        assert attainable <= projection.compute_peak_gflops * (1 + 1e-12)
 
     @settings(max_examples=200, deadline=None)
-    @given(peak=positive, bandwidth=positive, intensity=positive)
-    def test_classification_flips_at_ridge_point(self, peak, bandwidth,
-                                                 intensity):
-        point = RooflinePoint(device="p", compute_peak_gflops=peak,
-                              bandwidth_gbs=bandwidth, intensity=intensity)
-        ridge = peak / bandwidth
-        if intensity < ridge:
-            assert point.bandwidth_bound
-            assert point.attainable_gflops == intensity * bandwidth
+    @given(projection=projections())
+    def test_classification_flips_at_ridge_point(self, projection):
+        compute, feed = ceilings(projection)
+        if feed < compute:
+            assert projection.feed_bound
+            assert projection.attainable_gflops() == feed
         else:
-            assert not point.bandwidth_bound
-            assert point.attainable_gflops == peak
+            assert not projection.feed_bound
+            assert projection.attainable_gflops() == compute
 
     @settings(max_examples=100, deadline=None)
-    @given(peak=positive, bandwidth=positive,
-           low=positive, high=positive)
-    def test_attainable_monotone_in_intensity(self, peak, bandwidth,
-                                              low, high):
+    @given(projection=projections(), low=positive, high=positive)
+    def test_attainable_monotone_in_intensity(self, projection, low, high):
+        """Fewer bytes a cell is a higher intensity: never slower."""
         lo, hi = sorted((low, high))
-        assert roofline_gflops(
-            compute_peak_gflops=peak, bandwidth_gbs=bandwidth,
-            intensity=lo,
-        ) <= roofline_gflops(
-            compute_peak_gflops=peak, bandwidth_gbs=bandwidth,
-            intensity=hi,
-        )
+        assert projection.attainable_gflops(bytes_per_cell=hi) <= \
+            projection.attainable_gflops(bytes_per_cell=lo)
 
     @settings(max_examples=100, deadline=None)
-    @given(column_height=st.integers(min_value=2, max_value=4096),
+    @given(projection=projections(),
+           column_height=st.integers(min_value=2, max_value=4096),
            low=positive, high=positive)
-    def test_intensity_monotone_in_traffic(self, column_height, low, high):
+    def test_intensity_monotone_in_traffic(self, projection, column_height,
+                                           low, high):
         lo, hi = sorted((low, high))
-        assert arithmetic_intensity(
-            column_height=column_height, bytes_per_cell=hi,
-        ) <= arithmetic_intensity(
-            column_height=column_height, bytes_per_cell=lo,
-        )
+        assert projection.cells_per_second_feed(bytes_per_cell=hi) <= \
+            projection.cells_per_second_feed(bytes_per_cell=lo)
+        assert projection.attainable_gflops(
+            column_height, bytes_per_cell=hi,
+        ) <= projection.attainable_gflops(column_height, bytes_per_cell=lo)
 
     @settings(max_examples=60, deadline=None)
     @given(bad=st.floats(max_value=0.0, allow_nan=False))
     def test_non_positive_inputs_rejected(self, bad):
+        good = dict(name="p", engines=1, clock_ghz=1.0,
+                    flops_per_engine_cycle=1, fabric_feed_bandwidth=1.0)
         with pytest.raises(ConfigurationError):
-            arithmetic_intensity(bytes_per_cell=bad)
+            AIEngineProjection(**{**good, "clock_ghz": bad})
         with pytest.raises(ConfigurationError):
-            roofline_gflops(compute_peak_gflops=bad, bandwidth_gbs=1.0,
-                            intensity=1.0)
+            AIEngineProjection(**{**good, "fabric_feed_bandwidth": bad})
         with pytest.raises(ConfigurationError):
-            roofline_gflops(compute_peak_gflops=1.0, bandwidth_gbs=bad,
-                            intensity=1.0)
+            AIEngineProjection(**good).cells_per_second_feed(
+                bytes_per_cell=bad)
         with pytest.raises(ConfigurationError):
-            roofline_gflops(compute_peak_gflops=1.0, bandwidth_gbs=1.0,
-                            intensity=bad)
+            AIEngineProjection(**good).attainable_gflops(
+                bytes_per_cell=bad)
 
 
 class TestCalibrationRegistry:

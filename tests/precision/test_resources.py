@@ -12,7 +12,7 @@ from repro.precision import (
     precision_fit_report,
     precision_kernel_resources,
 )
-from repro.precision.resources import sanity_check_float64
+from repro.tune.cost import CostModel, point_identity_check
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +22,11 @@ def config():
 
 class TestResourceScaling:
     def test_float64_is_identity(self, config):
-        assert sanity_check_float64(config, ALVEO_U280)
-        assert sanity_check_float64(config, STRATIX10_GX2800)
+        for device in (ALVEO_U280, STRATIX10_GX2800):
+            assert precision_kernel_resources(config, device, FLOAT64) == \
+                device.kernel_resources(config)
+            # The anchor every tuning report's context carries.
+            assert point_identity_check(CostModel(device, config.grid))
 
     def test_narrower_formats_shrink_everything(self, config):
         base = precision_kernel_resources(config, ALVEO_U280, FLOAT64)

@@ -1,13 +1,16 @@
 """Fleet parsing, lane namespacing, and quote==bill consistency."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.grid import Grid
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RetryExhaustedError
+from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.hardware import CPUModel
-from repro.runtime.overlap import build_overlapped_schedule
+from repro.scenarios import names as scenario_names
 from repro.serve import DEFAULT_FLEET_SPEC, Fleet, JobSpec, parse_fleet_spec
-from repro.tune import out_scale_for_mode, quote_job, serve_session
+from repro.tune import SERVE_MODES, out_scale_for_mode, quote_job, serve_session
 
 
 class TestParse:
@@ -47,7 +50,6 @@ class TestFleet:
 
     def test_cpu_lane_flagged(self):
         fleet = Fleet.from_spec("cpu")
-        assert fleet.lanes[0].is_cpu
         assert isinstance(fleet.lanes[0].device, CPUModel)
 
     def test_dispatchable_excludes_lost_lanes(self):
@@ -73,27 +75,35 @@ class TestFleet:
 
 class TestLaneBilling:
     def test_commands_are_lane_namespaced(self):
+        """A transfer fault aimed at one lane's commands ("u280-0:*")
+        strikes that lane's bill and never its sibling's."""
         fleet = Fleet.from_spec("2xu280")
-        lane = fleet.lanes[1]
-        grid = Grid(8, 9, 8)
-        session = lane.session_for(grid)
-        queue = build_overlapped_schedule(
-            session.chunk_work(grid), lane.device.pcie,
-            name_prefix=f"{lane.name}:",
-        )
-        assert all(cmd.name.startswith("u280-1:") for cmd in queue.commands)
-
-    def test_bill_matches_quote_fault_free(self):
-        """The admission quote and the lane's bill must agree exactly."""
-        fleet = Fleet.from_spec("1xu280+1xstratix10")
         spec = JobSpec(job_id="j", nx=8, ny=9, nz=8)
-        for lane in fleet.lanes:
-            for mode in ("functional", "exact"):
-                quote = quote_job(lane.device, spec.grid(), mode=mode)
-                billed, redrives = lane.service_seconds(spec, mode)
-                assert billed == pytest.approx(quote.service_seconds,
-                                               rel=1e-12)
-                assert redrives == 0
+        plan = FaultPlan([FaultSpec("transfer", "fail", match="u280-0:*",
+                                    count=None)])
+        retry = RetryPolicy(max_attempts=2)
+        clean = fleet.lanes[1].service_seconds(spec, "functional")
+        assert fleet.lanes[1].service_seconds(
+            spec, "functional", fault_plan=plan, retry=retry) == clean
+        with pytest.raises(RetryExhaustedError):
+            fleet.lanes[0].service_seconds(spec, "functional",
+                                           fault_plan=plan, retry=retry)
+
+    @settings(max_examples=30, deadline=None)
+    @given(nx=st.integers(2, 24), ny=st.integers(3, 24),
+           nz=st.integers(3, 12), mode=st.sampled_from(SERVE_MODES),
+           scenario=st.sampled_from((None, *scenario_names())))
+    def test_bill_matches_quote_fault_free(self, nx, ny, nz, mode,
+                                           scenario):
+        """The admission quote and the lane's bill are one price: equal
+        to the bit on every lane, the CPU baseline included."""
+        spec = JobSpec(job_id="j", nx=nx, ny=ny, nz=nz, scenario=scenario)
+        for lane in Fleet.from_spec("1xu280+1xstratix10+cpu").lanes:
+            quote = quote_job(lane.device, spec.grid(), mode=mode,
+                              flops_scale=spec.flops_scale())
+            billed, redrives = lane.service_seconds(spec, mode)
+            assert billed == quote.service_seconds, lane.name
+            assert redrives == 0
 
     def test_exact_mode_bills_at_least_fast(self):
         fleet = Fleet.from_spec("1xu280")

@@ -103,7 +103,8 @@ print(" ".join(sorted({m.split(".")[1] for m in sys.modules
 
 def test_simulate_loads_only_the_packages_it_runs():
     """Cold start: ``repro simulate`` loads no verifier, tuner, server,
-    scenario, fault, observability or host-runtime package."""
+    scenario, fault, observability, performance-model or host-runtime
+    package."""
     result = subprocess.run(
         [sys.executable, "-c", SIMULATE_ONLY],
         capture_output=True, text=True,
@@ -111,7 +112,7 @@ def test_simulate_loads_only_the_packages_it_runs():
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == [
         "cli", "constants", "core", "dataflow", "errors", "kernel", "lint",
-        "perf", "shiftbuffer"]
+        "shiftbuffer"]
 
 
 def test_public_api_surface():
