@@ -8,8 +8,8 @@ runtime session prices each distinct X-chunk width once in both, so
 the per-point leg is not the cost of an unmemoised tuner.  It verifies
 both legs produce identical ``Evaluation.to_dict()`` lists, and records
 wall times, the speedup, and how often each leg called ``lint_kernel``,
-``static_kernel_cycles``, ``analyze_graph``, ``AdvectionSession.run``
-and ``FPGADevice.invocation`` (the last counts the runtime session's
+``analyze_graph``, ``AdvectionSession.run`` and
+``FPGADevice.invocation`` (the last counts the runtime session's
 per-chunk pricing too) to ``benchmarks/BENCH_tune.json``.  The cost
 legs simulate no engine cycles: their ``cycles`` is 0 and the points
 priced are in their ``extra``.
@@ -68,7 +68,6 @@ MIN_SPEEDUP = 8.0
 #: SA lint rules prove the graph themselves when not handed a proof.
 _COUNTED: tuple[tuple[Any, str, str], ...] = (
     (cost_module, "lint_kernel", "lint_kernel"),
-    (cost_module, "static_kernel_cycles", "static_kernel_cycles"),
     (cost_module, "analyze_graph", "analyze_graph"),
     (rules_analyze, "analyze_graph", "analyze_graph"),
     (AdvectionSession, "run", "session_run"),
@@ -122,7 +121,6 @@ def distinct_inputs(points, grid: Grid) -> dict[str, int]:
     return {
         "lint_kernel": len(configs) + len({(p.config(grid), p.num_kernels)
                                            for p in points}),
-        "static_kernel_cycles": len(configs),
         "analyze_graph": len({p.stream_depth for p in points}),
         "session_run": len(runs),
         "invocation": len({(p.chunk_width, p.word_bytes, p.num_kernels,

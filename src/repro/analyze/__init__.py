@@ -1,10 +1,11 @@
 """Static dataflow verification: proofs about a graph without running it.
 
 The package abstract-interprets a :class:`~repro.dataflow.graph.DataflowGraph`
-over its control plane (:mod:`repro.analyze.interp`), proves FIFO
-occupancy bounds, minimal stall-free depths and deadlock-freedom
+over its control plane, reading each stage's declared emission
+schedule (:mod:`repro.analyze.interp`), proves FIFO occupancy bounds,
+minimal stall-free depths and deadlock-freedom
 (:mod:`repro.analyze.occupancy`), derives the static schedule — start
-cycles, prime latency, steady-state period, total-cycle bounds
+cycles, prime latency, steady-state period, the exact total
 (:mod:`repro.analyze.schedule`) — and bundles everything into one
 :class:`~repro.analyze.report.AnalysisReport` consumed by the SA lint
 rules, the ``repro analyze`` CLI and the tuner's cost model.

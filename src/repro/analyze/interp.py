@@ -1,33 +1,43 @@
 """Abstract interpretation of a dataflow graph over its control plane.
 
 The cycle engine (:mod:`repro.dataflow.engine`) simulates *data*: every
-firing calls ``Stage.fire`` and items physically traverse the FIFOs.  For
-the class of graphs the paper builds — unit-rate stages whose firing
-counts never depend on data values — the *control* trajectory (pipeline
-fill, II timers, FIFO occupancies) is fully determined by the graph's
-structure.  This module executes exactly that trajectory, token by token,
-without touching a single data value:
+firing calls ``Stage.fire`` and items physically traverse the FIFOs.
+For the graphs the paper builds, every firing count is fixed by the
+stream position alone, never by a data value, so the *control*
+trajectory (pipeline fill, II timers, FIFO occupancies) is determined
+by the graph's structure.  This module executes exactly that
+trajectory, token by token, without touching a single data value:
 
-* every input-less stage is a **token source** emitting ``tokens`` items;
-* every other stage is a **unit-rate relay**: one item consumed per input
-  port, one produced per output port (none for sinks), after ``latency``
-  cycles and at most once per ``ii`` cycles;
+* every input-less stage is a **token source** firing ``tokens`` times;
+* every other stage consumes one item per input port per firing, at
+  most once per ``ii`` cycles;
+* each firing's results retire ``latency`` cycles later, as many items
+  per output port as the stage's declared emission schedule says for
+  that firing (:meth:`~repro.dataflow.stage.Stage.emits`: one per port
+  unless the stage declares otherwise, two bundles at a shift buffer's
+  column top, up to three results per stencil window), and only when
+  every destination FIFO has room for all of them;
 * retire-then-fire ordering, stall attribution, deadlock grace, and the
-  quiescence rule mirror the engine's semantics statement for statement,
-  so on such graphs the cycle counts agree **byte for byte** (asserted in
+  quiescence rule mirror the engine's semantics statement for
+  statement, so the cycle counts agree **byte for byte** (asserted in
   the test suite against :class:`~repro.dataflow.engine.DataflowEngine`
-  exact mode).
+  on the token twin, :mod:`repro.analyze.twin`, and on the kernels'
+  own runs).
 
-Periodicity makes this *static* rather than merely cheap: the interpreter
-fingerprints its control state each cycle, and when a fingerprint recurs
+Periodicity makes this *static* rather than merely cheap: the
+interpreter fingerprints its control state each cycle (every stage's II
+wait, its in-flight results with their item counts, its schedule's
+regime key, and every FIFO occupancy), and when a fingerprint recurs
 ``P`` cycles later the system is provably periodic (a deterministic
 machine revisiting a state replays it exactly).  Whole periods are then
-advanced analytically, so the cost is O(transient + period + drain) —
-independent of the token count.  The same mechanism yields the
-steady-state period proof consumed by :mod:`repro.analyze.schedule` and
-the worst-case occupancy bound consumed by :mod:`repro.analyze.occupancy`
-(run with ``bounded=False`` the FIFOs are treated as infinite and the
-per-stream high-water mark *is* the minimal stall-free depth).
+advanced analytically, never past the end of any stage's regime
+(:meth:`~repro.dataflow.stage.Stage.regime_left`), so the cost is
+O(transient + period + drain) per regime — independent of the token
+count.  The same mechanism yields the steady-state period proof
+consumed by :mod:`repro.analyze.schedule` and the worst-case occupancy
+bound consumed by :mod:`repro.analyze.occupancy` (run with
+``bounded=False`` the FIFOs are treated as infinite and the per-stream
+high-water mark *is* the minimal stall-free depth).
 """
 
 from __future__ import annotations
@@ -93,7 +103,8 @@ class PeriodProof:
 
     Between ``start_cycle`` and ``start_cycle + cycles`` the machine's
     complete control state repeated exactly; ``fires`` records each
-    stage's firings per period.
+    stage's firings per period.  Of a run's recurrences (one per
+    regime it advanced through) this is the one it advanced furthest.
     """
 
     start_cycle: int
@@ -184,27 +195,29 @@ class _StreamState:
         self.empty_stalls = 0
         self.high_water = 0
 
-    def can_push(self) -> bool:
-        return self.depth is None or self.occupancy < self.depth
+    def can_push(self, count: int) -> bool:
+        return self.depth is None or self.occupancy + count <= self.depth
 
-    def push(self) -> None:
-        self.occupancy += 1
-        self.pushes += 1
+    def push(self, count: int) -> None:
+        self.occupancy += count
+        self.pushes += count
         if self.occupancy > self.high_water:
             self.high_water = self.occupancy
 
 
 class _StageState:
-    """Control state of one stage under the unit-rate relay abstraction."""
+    """Control state of one stage, firing on its declared schedule."""
 
-    __slots__ = ("name", "ii", "latency", "is_source", "inputs", "outputs",
-                 "pipeline", "next_fire", "remaining", "fires", "retired",
-                 "input_stalls", "output_stalls", "ii_waits",
+    __slots__ = ("name", "stage", "ii", "latency", "is_source", "inputs",
+                 "outputs", "pipeline", "next_fire", "remaining", "fires",
+                 "retired", "input_stalls", "output_stalls", "ii_waits",
                  "pipeline_full_stalls", "first_fire")
 
     def __init__(self, stage: Stage, tokens: int,
                  streams: dict[str, _StreamState]) -> None:
         self.name = stage.name
+        #: The stage itself, read only for its emission schedule.
+        self.stage = stage
         self.ii = stage.ii
         self.latency = stage.latency
         self.is_source = not stage.input_ports
@@ -212,8 +225,9 @@ class _StageState:
                        for port in stage.input_ports]
         self.outputs = [streams[stage.outputs[port].name]
                         for port in stage.output_ports]
-        #: Ready cycles of in-flight results, oldest first.
-        self.pipeline: deque[int] = deque()
+        #: In-flight results, oldest first: ``(ready cycle, items per
+        #: output port)``.
+        self.pipeline: deque[tuple[int, tuple[int, ...]]] = deque()
         self.next_fire = 0
         # An input-less stage with no outputs can never move a token; it
         # fires nothing (the engine's exhausted-and-portless guard).
@@ -226,24 +240,42 @@ class _StageState:
         self.pipeline_full_stalls = 0
         self.first_fire: int | None = None
 
+    def _fire(self, cycle: int) -> None:
+        counts = self.stage.emits(self.fires)
+        self.fires += 1
+        if self.first_fire is None:
+            self.first_fire = cycle
+        self.next_fire = cycle + self.ii
+        if any(counts):
+            # A firing that produces nothing never enters the pipeline
+            # (Stage._try_fire's `if produced:`): sinks, priming feeds.
+            self.pipeline.append((cycle + self.latency, counts))
+
+    def _blocking(self, counts: tuple[int, ...]
+                  ) -> tuple[_StreamState, int] | None:
+        """The first output stream without room for its items, and how
+        many they are."""
+        for stream, count in zip(self.outputs, counts):
+            if count and not stream.can_push(count):
+                return stream, count
+        return None
+
     # Mirrors Stage._retire + Stage._try_fire (and the SourceStage /
     # ConstStage fire override): same check order, same stall attribution,
     # so cycle counts and stall counters agree with the engine exactly.
     def tick(self, cycle: int) -> bool:
         progressed = False
         pipe = self.pipeline
-        if pipe and pipe[0] <= cycle:
-            full = None
-            for stream in self.outputs:
-                if not stream.can_push():
-                    full = stream
-                    break
-            if full is not None:
-                full.full_stalls += 1
+        if pipe and pipe[0][0] <= cycle:
+            counts = pipe[0][1]
+            blocked = self._blocking(counts)
+            if blocked is not None:
+                blocked[0].full_stalls += 1
                 self.output_stalls += 1
             else:
-                for stream in self.outputs:
-                    stream.push()
+                for stream, count in zip(self.outputs, counts):
+                    if count:
+                        stream.push(count)
                 pipe.popleft()
                 self.retired += 1
                 progressed = True
@@ -254,11 +286,7 @@ class _StageState:
         elif self.is_source:
             if self.remaining > 0:
                 self.remaining -= 1
-                self.fires += 1
-                if self.first_fire is None:
-                    self.first_fire = cycle
-                self.next_fire = cycle + self.ii
-                pipe.append(cycle + self.latency)
+                self._fire(cycle)
                 progressed = True
         else:
             empty = None
@@ -273,25 +301,20 @@ class _StageState:
                 for stream in self.inputs:
                     stream.occupancy -= 1
                     stream.pops += 1
-                self.fires += 1
-                if self.first_fire is None:
-                    self.first_fire = cycle
-                self.next_fire = cycle + self.ii
-                if self.outputs:
-                    # Sinks produce nothing; their firings never enter
-                    # the pipeline (Stage._try_fire's `if produced:`).
-                    pipe.append(cycle + self.latency)
+                self._fire(cycle)
                 progressed = True
         return progressed
 
     def blocked_reason(self, cycle: int) -> str | None:
         """Why this stage makes no progress at ``cycle`` (None: idle)."""
         pipe = self.pipeline
-        if pipe and pipe[0] <= cycle:
-            for stream in self.outputs:
-                if not stream.can_push():
-                    return (f"cannot retire: stream {stream.name!r} full "
-                            f"({stream.occupancy}/{stream.depth})")
+        blocked = (self._blocking(pipe[0][1])
+                   if pipe and pipe[0][0] <= cycle else None)
+        if blocked is not None:
+            full, count = blocked
+            return (f"cannot retire {count} item{'s' if count > 1 else ''}"
+                    f": stream {full.name!r} holds "
+                    f"{full.occupancy}/{full.depth}")
         if cycle < self.next_fire:
             return None
         if pipe and len(pipe) >= self.latency:
@@ -304,12 +327,14 @@ class _StageState:
         return None
 
     def signature(self, at_cycle: int) -> tuple[Any, ...]:
-        """Clamped-offset control fingerprint (Stage.ff_signature's twin)."""
+        """Clamped-offset control fingerprint (Stage.ff_signature's twin),
+        with the schedule's regime key at the next firing."""
         wait = self.next_fire - at_cycle
         sig: tuple[Any, ...] = (
             wait if wait > 0 else 0,
-            tuple(ready - at_cycle if ready > at_cycle else 0
-                  for ready in self.pipeline),
+            tuple((ready - at_cycle if ready > at_cycle else 0, counts)
+                  for ready, counts in self.pipeline),
+            self.stage.regime(self.fires),
         )
         if self.is_source:
             sig += (self.remaining > 0,)
@@ -321,14 +346,17 @@ class _StageState:
 
 
 def start_cycles(graph: DataflowGraph) -> dict[str, tuple[int, int]]:
-    """Exact first-fire cycle and topological level per stage.
+    """Latency-path first-fire cycle and topological level per stage.
 
     A longest-path DP over the DAG: a stage first fires the cycle its
     slowest predecessor's first result lands in the connecting FIFO, so
     ``start[s] = max over preds p of (start[p] + latency[p])``.  FIFOs
-    start empty, so the first token never meets backpressure and the DP
-    is exact.  Returns ``name -> (level, start_cycle)``; sources sit at
-    level 0, cycle 0.
+    start empty, so the first token never meets backpressure, and the DP
+    is exact wherever every stage emits on its first firing.  A stage
+    whose first firings emit nothing (a shift buffer priming its first
+    planes) starts its consumers later than this path; the interpreter's
+    ``first_fire`` is the observed cycle.  Returns ``name -> (level,
+    start_cycle)``; sources sit at level 0, cycle 0.
     """
     order = graph.topological_order()
     level = {stage.name: 0 for stage in order}
@@ -380,8 +408,9 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
     ----------
     graph:
         Any structurally valid :class:`DataflowGraph`; only names, port
-        order, ``ii``, ``latency`` and stream depths are read — the graph
-        is never mutated and its stages are never fired.
+        order, ``ii``, ``latency``, the stages' emission schedules and
+        stream depths are read — the graph is never mutated and its
+        stages are never fired.
     tokens:
         Items each source emits (default: :func:`default_tokens`).
     bounded:
@@ -417,8 +446,8 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
                  + max(st.latency for st in states) + 1)
 
     seen: dict[tuple[Any, ...], tuple[int, tuple[Any, ...]]] = {}
-    accel_on = accelerate
     period_proof: PeriodProof | None = None
+    longest = 0
     advances = 0
     advanced_cycles = 0
     deadlock: StallWitness | None = None
@@ -442,8 +471,9 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
     def advance(sig_cycle: int, period: int,
                 snap: tuple[Any, ...]) -> int:
         """Jump whole periods; returns skipped cycles (0: parked phase,
-        -1: sources cannot feed even one more period)."""
-        nonlocal period_proof
+        -1: a source's supply or a stage's regime ends within one
+        period)."""
+        nonlocal period_proof, longest
         snap_stages, snap_streams = snap
         d_stage = [
             tuple(now - then for now, then in zip(st.counters(), before))
@@ -453,8 +483,13 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
             return 0
         n = (max_cycles - sig_cycle - 1) // period
         for st, d in zip(states, d_stage):
-            if st.is_source and d[0] and n > 0:
+            if not d[0]:
+                continue
+            if st.is_source:
                 n = min(n, st.remaining // d[0])
+            left = st.stage.regime_left(st.fires)
+            if left is not None:
+                n = min(n, left // d[0])
         if n < 1:
             return -1
         shift = n * period
@@ -467,7 +502,8 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
             st.pipeline_full_stalls += d[5] * n
             st.next_fire += shift
             if st.pipeline:
-                st.pipeline = deque(ready + shift for ready in st.pipeline)
+                st.pipeline = deque((ready + shift, counts)
+                                    for ready, counts in st.pipeline)
             if st.is_source:
                 st.remaining -= d[0] * n
         for s, before in zip(stream_list, snap_streams):
@@ -475,7 +511,10 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
             s.pops += (s.pops - before[1]) * n
             s.full_stalls += (s.full_stalls - before[2]) * n
             s.empty_stalls += (s.empty_stalls - before[3]) * n
-        if period_proof is None:
+        if shift > longest:
+            # The steady state is the regime the run spends longest in
+            # (a shift buffer primes before its planes recur).
+            longest = shift
             period_proof = PeriodProof(
                 start_cycle=sig_cycle - period, cycles=period,
                 fires={st.name: d[0] for st, d in zip(states, d_stage)})
@@ -523,7 +562,7 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
                                  for s in stream_list},
                         blocked=blocked,
                     )
-        if accel_on:
+        if accelerate:
             sig = machine_signature(cycle + 1)
             hit = seen.get(sig)
             if hit is None:
@@ -538,9 +577,11 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
                     advanced_cycles += skipped
                     cycle += skipped
                     last_progress = cycle
-                    seen.clear()
-                elif skipped < 0:
-                    accel_on = False
+                if skipped:
+                    # After a jump, or where a supply or a regime ends
+                    # within one period, the stored snapshots are stale:
+                    # hunt afresh.  0 (a parked zero-fire period) keeps
+                    # them.
                     seen.clear()
         cycle += 1
     else:

@@ -14,13 +14,18 @@ prove everything this module claims:
   then tells whether the stalls merely cost transient cycles or collapse
   the sustained rate below the graph's ideal period (``max`` stage II).
 
-For unit-rate graphs a structurally valid DAG can never hard-deadlock:
+A structurally valid DAG of unit-rate stages can never hard-deadlock:
 every dependency cycle closes through a FIFO's free slots or a stage
 pipeline's slack, each carrying at least one token of marking (the
-marked-graph liveness condition).  The prover therefore returns either a
-constructive completion proof — the bounded run quiesces — or, should the
-engine's no-progress guard ever trip, a concrete
-:class:`~repro.analyze.interp.StallWitness`.
+marked-graph liveness condition).  A multi-rate graph can: a firing
+whose burst is larger than its FIFO's depth never retires.  The
+stencil machine over a 4 x 4 x 3 interior does so at depths 1 and 2,
+where each window yields three results; the proof's witnesses fall at
+cycles 99 and 103, the cycles the engine raises at.  The prover
+therefore returns either a constructive completion proof — the bounded
+run quiesces — or, where the engine's no-progress guard trips, a
+concrete :class:`~repro.analyze.interp.StallWitness` naming the burst
+that does not fit.
 """
 
 from __future__ import annotations

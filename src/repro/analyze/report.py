@@ -69,11 +69,7 @@ class AnalysisReport:
                 f"  proved period: {occ.period.cycles} cycle(s) / "
                 f"{occ.period.tokens_per_period} token(s)"
             )
-        lines.append(
-            f"  total cycles {sched.total_cycles} "
-            f"(analytic {sched.analytic_total}, "
-            f"stall overhead {sched.stall_overhead})"
-        )
+        lines.append(f"  total cycles {sched.total_cycles}")
         witness = occ.witness
         if witness is not None and (not self.ok or not occ.stall_free):
             lines.append(f"  witness: {witness.describe()}")

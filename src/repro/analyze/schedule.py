@@ -1,21 +1,18 @@
 """Static schedule analyzer: start cycles, prime latency, period, totals.
 
 Start cycles come from :func:`repro.analyze.interp.start_cycles`, a
-longest-path DP over the DAG that is exact, not a bound (it equals the
-interpreter's observed first-fire cycles on every graph,
-property-tested).
+longest-path DP over the DAG (it equals the interpreter's observed
+first-fire cycles wherever every stage emits on its first firing,
+property-tested).  The prime latency is the latest start cycle (the
+first result's path to the drain stage) and the ideal period the
+largest stage II.
 
-From there the closed form for a stall-free run is::
-
-    total = prime_latency + (tokens - 1) * ideal_period + 2
-
-where ``prime_latency`` is the latest start cycle (the drain stage's
-first fire), ``ideal_period`` is the largest stage II, and the ``+2``
-covers the engine's quiescence handshake (one silent cycle to observe no
-progress, one to account the final cycle).  The proved total from the
-bounded abstract run is authoritative: it equals the closed form exactly
-when no FIFO ever fills, and exceeds it by the proved stall overhead
-otherwise.
+The total is the bounded abstract run's proved count, which the engine
+reproduces byte for byte.  No closed form stands beside it: a stage
+that emits other than one item per firing (a shift buffer's column-top
+pair) moves the total off any unit-rate formula without a single stall,
+so ``stall_free`` is read from the run itself, not from a gap between
+two totals.
 """
 
 from __future__ import annotations
@@ -54,8 +51,8 @@ class StaticSchedule:
     """Derived schedule of a graph for a given token count.
 
     ``total_cycles`` is the proved total (bounded abstract run);
-    ``analytic_total`` the stall-free closed form.  They agree exactly
-    iff ``stall_free`` — the gap is the proved backpressure overhead.
+    ``stall_free`` says no producer of that run ever blocked on a full
+    FIFO.
     """
 
     graph_name: str
@@ -63,14 +60,9 @@ class StaticSchedule:
     prime_latency: int
     ideal_period: int
     total_cycles: int
-    analytic_total: int
     stall_free: bool
     period: PeriodProof | None = None
     stages: dict[str, StageTiming] = field(default_factory=dict)
-
-    @property
-    def stall_overhead(self) -> int:
-        return self.total_cycles - self.analytic_total
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -79,22 +71,11 @@ class StaticSchedule:
             "prime_latency": self.prime_latency,
             "ideal_period": self.ideal_period,
             "total_cycles": self.total_cycles,
-            "analytic_total": self.analytic_total,
             "stall_free": self.stall_free,
-            "stall_overhead": self.stall_overhead,
             "period": self.period.to_dict() if self.period else None,
             "stages": {name: self.stages[name].to_dict()
                        for name in sorted(self.stages)},
         }
-
-
-def analytic_total_cycles(prime_latency: int, ideal_period: int,
-                          tokens: int) -> int:
-    """The stall-free closed form (1 for an empty run: the engine's
-    immediate-quiescence cycle)."""
-    if tokens <= 0:
-        return 1
-    return prime_latency + (tokens - 1) * ideal_period + 2
 
 
 def build_schedule(graph: DataflowGraph, bounded: InterpRun
@@ -111,16 +92,12 @@ def build_schedule(graph: DataflowGraph, bounded: InterpRun
         )
         for stage in graph.stages
     }
-    prime = max((t[1] for t in timing.values()), default=0)
-    ideal = max((stage.ii for stage in graph.stages), default=1)
-    analytic = analytic_total_cycles(prime, ideal, bounded.tokens)
     return StaticSchedule(
         graph_name=graph.name,
         tokens=bounded.tokens,
-        prime_latency=prime,
-        ideal_period=ideal,
+        prime_latency=max((t[1] for t in timing.values()), default=0),
+        ideal_period=max((stage.ii for stage in graph.stages), default=1),
         total_cycles=bounded.cycles,
-        analytic_total=analytic,
         stall_free=all(n == 0 for n in bounded.stream_full_stalls.values()),
         period=bounded.period,
         stages=stages,

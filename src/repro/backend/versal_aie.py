@@ -426,7 +426,6 @@ class VersalCostModel:
             clock_mhz=point.clock_mhz(self.device),
             memory_bound=self.feed_bound(point),
             analytic_cycles=math.ceil(kernel_seconds * self.device.clock_hz),
-            static_cycles=0,
         )
 
     def describe(self) -> dict[str, Any]:

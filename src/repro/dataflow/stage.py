@@ -18,9 +18,18 @@ behaviour captured here:
 Subclasses implement :meth:`Stage.fire`, a pure function from consumed
 input items to produced output items, keeping the timing model strictly
 separated from the functional behaviour.  Every input port takes one
-item per firing.  The ``ff_*`` hooks and :meth:`Stage.fire_bulk` let the
-engine's batched execution advance whole steady-state periods at once
-(see :mod:`repro.dataflow.engine`).
+item per firing.  What a firing emits is declared once, as the stage's
+*emission schedule*: :meth:`Stage.emits` gives the items each output
+port gets on the stage's i-th firing, :meth:`Stage.regime` the key that
+makes that count periodic, and :meth:`Stage.regime_left` the firings
+left before the key stops describing it.  The base stage emits one
+item per port in a single regime; a stage that emits otherwise (the
+shift buffer's column-top pair, a stencil window's boundary results)
+declares its own, and the static analyzer (:mod:`repro.analyze`) and
+its token twin read the declaration instead of the data.  The ``ff_*``
+hooks and :meth:`Stage.fire_bulk` let the engine's batched execution
+advance whole steady-state periods at once (see
+:mod:`repro.dataflow.engine`).
 
 A stage fires from a plan fixed when its ports are bound: the bound
 input streams in port order, and the set of declared output ports a
@@ -301,6 +310,34 @@ class Stage:
         construction (they only react to input).
         """
         return True
+
+    # -- emission schedule -------------------------------------------------------
+
+    def emits(self, firing: int) -> tuple[int, ...]:
+        """Items each output port gets on firing ``firing`` (from 0).
+
+        One count per port, in :attr:`output_ports` order; a firing that
+        emits nothing on every port produces no pipeline entry.  The
+        count must be what :meth:`fire` returns on that firing, whatever
+        the data: the proof and the token twin read this, never
+        :meth:`fire`.  The base stage emits one item per port.
+        """
+        return (1,) * len(self.output_ports)
+
+    def regime(self, firing: int) -> tuple:
+        """The schedule's regime key at firing ``firing``.
+
+        Two firings with one key emit alike, firing for firing, until
+        the regime ends (:meth:`regime_left`), so the key, beside the
+        stage's timing state, is what a proof of periodicity compares.
+        The base stage has a single regime.
+        """
+        return ()
+
+    def regime_left(self, firing: int) -> int | None:
+        """Firings from ``firing`` on that stay in its regime (``None``:
+        the regime never ends)."""
+        return None
 
     # -- simulation ----------------------------------------------------------------
 

@@ -27,6 +27,7 @@ into the paper's actual kernel:
 """
 
 from repro.kernel.builder import (build_advection_graph,
+                                  build_chunk_graph,
                                   build_structural_graph)
 from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import CycleBreakdown, KernelCycleModel
@@ -36,6 +37,7 @@ from repro.kernel.simulate import simulate_kernel
 __all__ = [
     "KernelConfig",
     "build_advection_graph",
+    "build_chunk_graph",
     "build_structural_graph",
     "simulate_kernel",
     "execute_chunked",

@@ -25,6 +25,7 @@ __all__ = [
     "REPLICATE_LATENCY",
     "SHIFT_LATENCY",
     "build_advection_graph",
+    "build_chunk_graph",
     "build_structural_graph",
 ]
 
@@ -127,6 +128,25 @@ def build_advection_graph(config: KernelConfig, fields: FieldSet,
     return graph
 
 
+def build_chunk_graph(config: KernelConfig, *,
+                      read_ii: int = 1) -> DataflowGraph:
+    """The graph :func:`build_advection_graph` wires for ``config``'s
+    grid streamed as one chunk, over zero fields.
+
+    No stage's control reads a field value, so this is the machine a
+    chunk of that geometry runs, with the data left out: the static
+    analyzer proves it (:func:`repro.analyze.static_kernel_cycles`).
+    """
+    if read_ii < 1:
+        raise ConfigurationError(f"read_ii must be >= 1, got {read_ii}")
+    grid = config.grid
+    (chunk,) = plan_chunks(grid.ny, max(2, grid.ny)).chunks
+    return build_advection_graph(
+        config, FieldSet.zeros(grid), chunk,
+        AdvectionCoefficients.uniform(grid), SourceSet.zeros(grid),
+        read_ii=read_ii)
+
+
 def build_structural_graph(config: KernelConfig, *, name: str = "advection",
                            read_ii: int = 1) -> DataflowGraph:
     """The graph :func:`build_advection_graph` wires for ``config``.
@@ -135,16 +155,12 @@ def build_structural_graph(config: KernelConfig, *, name: str = "advection",
     stages' FLOP declarations depend on the configuration and
     ``read_ii`` alone, never on the grid or the field values, so the
     graph is wired as one chunk over zero fields on the smallest grid a
-    configuration accepts, and renamed ``name``.  Lint, the static
-    analyzer and the tuner read it; nothing runs it.
+    configuration accepts (:func:`build_chunk_graph`), and renamed
+    ``name``.  Its shift buffer is 3 x 4 x 3, so every emitting feed is
+    a column top and every burst the kernel makes shows.  Lint, the
+    static analyzer and the tuner read it; nothing runs it.
     """
-    if read_ii < 1:
-        raise ConfigurationError(f"read_ii must be >= 1, got {read_ii}")
-    grid = _STRUCTURAL_GRID
-    (chunk,) = plan_chunks(grid.ny, grid.ny).chunks
-    graph = build_advection_graph(
-        config.for_grid(grid), FieldSet.zeros(grid), chunk,
-        AdvectionCoefficients.uniform(grid), SourceSet.zeros(grid),
-        read_ii=read_ii)
+    graph = build_chunk_graph(config.for_grid(_STRUCTURAL_GRID),
+                              read_ii=read_ii)
     graph.name = name
     return graph

@@ -44,9 +44,11 @@ class KernelConfig:
         Interior Y cells per chunk; the shift buffers hold
         ``chunk_width + 2`` Y positions.
     stream_depth:
-        FIFO depth of inter-stage streams.  Must be >= 2 so the double
-        emission at each column top can be absorbed (see
-        :meth:`repro.shiftbuffer.buffer3d.ShiftBuffer3D.feed`).
+        FIFO depth of inter-stage streams.  Must be >= 2: the shift
+        buffer forwards two bundles at each column top (see
+        :meth:`repro.shiftbuffer.buffer3d.ShiftBuffer3D.feed`), and the
+        static verifier proves the minimal depth of its output stream
+        is 2 (``repro analyze``); at depth 1 the pair never retires.
     shift_buffer_ii:
         Initiation interval of the shift-buffer stage.  1 with correctly
         partitioned BRAM; 2 models the URAM experiment of section III-A.
@@ -79,8 +81,10 @@ class KernelConfig:
             )
         if self.stream_depth < 2:
             raise ConfigurationError(
-                f"stream_depth must be >= 2 to absorb column-top double "
-                f"emissions, got {self.stream_depth}"
+                f"stream_depth must be >= 2: the shift buffer forwards two "
+                f"bundles at each column top, and repro analyze proves "
+                f"the minimal depth of its output stream is 2, got "
+                f"{self.stream_depth}"
             )
         if self.shift_buffer_ii < 1:
             raise ConfigurationError(

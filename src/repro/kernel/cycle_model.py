@@ -28,8 +28,7 @@ __all__ = ["CycleBreakdown", "KernelCycleModel"]
 
 #: Cycles a run counts from the write stage's last firing on: the
 #: firing's own cycle (cycles count from 0) and the idle cycle in which
-#: the engine finds every stage quiescent (the ``+ 2`` of
-#: :func:`repro.analyze.schedule.analytic_total_cycles`).
+#: the engine finds every stage quiescent.
 _QUIESCENCE = 2
 
 #: The last feed of a chunk is a column top, which emits two bundles:
@@ -68,8 +67,11 @@ class KernelCycleModel:
 
     Each chunk costs its feeds times the effective II plus a fill
     (:attr:`pipeline_depth`) derived from the stage latencies, not
-    fitted; the total equals the cycle-accurate simulator's at every
-    read and shift-buffer II.
+    fitted; the total equals the cycle-accurate simulator's, and the
+    static verifier's proved count
+    (:func:`repro.analyze.static_kernel_cycles`), at every read and
+    shift-buffer II.  It is the O(1) count for paper-scale grids, where
+    a proof takes about a second per chunk width.
 
     Parameters
     ----------

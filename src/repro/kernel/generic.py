@@ -192,14 +192,24 @@ def _check_window_fns(run: StencilBulk, interior: InteriorFn,
             )
 
 
+def window_results(cz: int, nz: int) -> int:
+    """Results the window centred at height ``cz`` yields: its own cell,
+    plus ``k = 0`` when ``cz == 1`` and ``k = nz - 1`` when
+    ``cz == nz - 2`` (both at ``nz == 3``)."""
+    return 1 + (cz == 1) + (cz == nz - 2)
+
+
 class WindowComputeStage(Stage):
     """Evaluates each window's cell and the boundary cells it resolves.
 
     A window centred at ``cz`` yields ``(center, interior(window))``,
     then ``k = 0`` when ``cz == 1`` and ``k = nz - 1`` when
-    ``cz == nz - 2`` (both at ``nz == 3``).  The output count depends on
-    the window centre alone, which the upstream streaming position
-    fixes, so the base control signature describes this stage exactly.
+    ``cz == nz - 2`` (both at ``nz == 3``): :func:`window_results` many.
+    The windows arrive ``nz - 2`` per column, so the stage's emission
+    schedule reads firing ``i``'s centre as ``i % (nz - 2) + 1`` and
+    keys its regime on that phase.  The output count depends on the
+    window centre alone, which the upstream streaming position fixes,
+    so the base control signature describes this stage exactly.
 
     A batched window evaluates ``interior`` once per box of centres on
     a :class:`WindowRun`, and each boundary once on the box's layer it
@@ -228,6 +238,12 @@ class WindowComputeStage(Stage):
                             self._boundary(window, top=True)))
         return {"out": results}
 
+    def emits(self, firing: int) -> tuple[int, ...]:
+        return (window_results(firing % (self.nz - 2) + 1, self.nz),)
+
+    def regime(self, firing: int) -> tuple:
+        return (firing % (self.nz - 2),)
+
     def ff_structure(self) -> tuple | None:
         return self._structure(self.nz)
 
@@ -245,13 +261,12 @@ class WindowComputeStage(Stage):
         z0, z1 = box[4:]
         bottom, top = z0 == 1, z1 == self.nz - 1
         layout = list(range(z0, z1))
-        per_firing = np.ones(len(layout), dtype=np.int64)
+        per_firing = np.array([window_results(z, self.nz) for z in layout],
+                              dtype=np.int64)
         if bottom:
             layout.insert(1, 0)
-            per_firing[0] += 1
         if top:
             layout.append(self.nz - 1)
-            per_firing[-1] += 1
         run = WindowRun(block, box)
         values = np.empty(run.shape[:2] + (len(layout),))
         cells = _run_values(self._interior, run)
@@ -397,9 +412,11 @@ def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
         the block's first two windows (see the module docstring) and
         raises :class:`ConfigurationError` otherwise, also for a
         function that writes into an operand.
-        A window may yield three results at ``nz == 3``, so
-        ``stream_depth`` must be >= 4 for the downstream FIFO to absorb
-        the burst.
+        A window's results retire together, three at ``nz == 3`` and
+        up to two above, so ``stream_depth`` must hold the burst: the
+        proof (``repro analyze``) finds the machine deadlocks at depths
+        1 and 2 when ``nz == 3`` and completes from depth 3, and needs
+        depth 2 on the ``nz >= 4`` blocks checked.
     out:
         Writeable float64 interior output array, shape
         ``(nx - 2, ny - 2, nz)`` for a real-valued block of shape

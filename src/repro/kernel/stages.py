@@ -47,10 +47,14 @@ from repro.shiftbuffer.buffer3d import (
     ShiftBuffer3D,
     emission_boxes,
     emission_center,
+    feed_emissions,
+    feed_position,
+    feed_regime,
     forwarded_before,
     forwarded_emission,
     producing_feed,
     producing_feed_stop,
+    regime_stop,
     same_bits,
 )
 from repro.shiftbuffer.ports import MemoryPortTracker
@@ -410,6 +414,14 @@ class ShiftBufferStage(Stage):
     the full one does.  Forwarded bundles are numbered ``per_column``
     per interior column: ``nz - 1`` with tops, ``nz - 2`` without.
 
+    Its emission schedule (:meth:`emits`, :meth:`regime`,
+    :meth:`regime_left`) reads the buffer's own position arithmetic at
+    feed ``i`` (:func:`~repro.shiftbuffer.buffer3d.feed_emissions`,
+    :func:`~repro.shiftbuffer.buffer3d.feed_regime`,
+    :func:`~repro.shiftbuffer.buffer3d.regime_stop`), the functions
+    :meth:`fire`, :meth:`ff_signature` and :meth:`ff_fire_capacity` call
+    at the live position.
+
     ``buffers`` names the buffers, one per block; their memories appear
     under these names in port reports.  The default is the advection
     kernel's ``name.u``, ``name.v`` and ``name.w``.
@@ -478,6 +490,25 @@ class ShiftBufferStage(Stage):
         #: ``None`` until the buffers first produce (and after reset).
         self.first_emit_cycle: int | None = None
 
+    def _forwarded_stop(self, first: int, stop: int) -> int:
+        """One past the last of one feed's emissions ``[first, stop)``
+        the stage forwards: the feed's full window comes first, and a
+        column top's second, the top one, travels only with ``tops``."""
+        return stop if self.tops else min(stop, first + 1)
+
+    def emits(self, firing: int) -> tuple[int, ...]:
+        ny, nz = self.buffers[0].ny, self.nz
+        first, stop = feed_emissions(*feed_position(firing, ny, nz), ny, nz)
+        return (self._forwarded_stop(first, stop) - first,)
+
+    def regime(self, firing: int) -> tuple:
+        return feed_regime(*feed_position(firing, self.buffers[0].ny,
+                                          self.nz))
+
+    def regime_left(self, firing: int) -> int | None:
+        stop = regime_stop(firing, self.buffers[0].ny, self.nz)
+        return None if stop is None else stop - firing
+
     def window_run(self, start: int, stop: int) -> StencilBulk:
         """The forwarded bundles ``[start, stop)`` of the blocks, lazily."""
         if self._blocks is None:
@@ -507,10 +538,7 @@ class ShiftBufferStage(Stage):
                     buffer.advance(1, block)
                 if first == stop:
                     return {}
-                if not self.tops:
-                    # The feed's full window comes first; a column top's
-                    # second, the top one, stays in the stage.
-                    stop = first + 1
+                stop = self._forwarded_stop(first, stop)
                 if self.first_emit_cycle is None:
                     self.first_emit_cycle = cycle
                 return {"out": [

@@ -1,9 +1,9 @@
 """Analysis-family lint rules (``SA``): proved dataflow properties.
 
-Where the ``DF`` family reasons about structure (and ``DF004`` about a
-*sufficient* condition for backpressure), the ``SA`` rules consume the
-static verifier's proof objects (:mod:`repro.analyze`): the diagnostics
-below are facts about the abstract machine's exact trajectory, each
+Where the ``DF`` family reasons about structure, the ``SA`` rules
+consume the static verifier's proof objects (:mod:`repro.analyze`): the
+diagnostics below are facts about the abstract machine's exact
+trajectory, read off every stage's declared emission schedule, each
 carrying a concrete witness, not heuristics.
 
 The analysis runs once per lint pass and is shared between the rules via

@@ -1,28 +1,24 @@
 """Graph-family lint rules (``DF``): dataflow-region structure.
 
 These are the properties the HLS tools verify when they elaborate a
-dataflow region: every port wired, acyclic topology, and FIFO sizing that
-cannot deadlock.  ``DF001``–``DF003`` delegate to
+dataflow region: every port wired, acyclic topology, and no isolated or
+lock-stepped stage.  ``DF001``–``DF003`` delegate to
 :meth:`repro.dataflow.graph.DataflowGraph.structural_diagnostics`, which
 owns the structural pass (so :meth:`~repro.dataflow.graph.DataflowGraph.validate`
-and the linter can never disagree); ``DF004``–``DF006`` are lint-only
-analyses.
+and the linter can never disagree); ``DF005``–``DF006`` are lint-only
+checks.  FIFO sizing is not guessed from structure here: the ``SA``
+rules (:mod:`repro.lint.rules_analyze`) prove it on the stages' declared
+emission schedules.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from repro.dataflow.graph import Connection, DataflowGraph
-from repro.dataflow.stage import Stage
 from repro.lint.diagnostics import Diagnostic, Location, Severity
 from repro.lint.registry import LintContext, rule
 
-__all__ = ["reconvergent_paths"]
-
-#: Cap on enumerated fork/join paths; real kernel graphs are tiny, this
-#: only guards against pathological inputs.
-_MAX_PATHS = 64
+__all__ = []  # rules register themselves; nothing to re-export
 
 
 def _structural(context: LintContext, code: str) -> Iterable[Diagnostic]:
@@ -51,202 +47,6 @@ def check_empty_graph(context: LintContext) -> Iterable[Diagnostic]:
       requires=("graph",))
 def check_cycles(context: LintContext) -> Iterable[Diagnostic]:
     return _structural(context, "DF003")
-
-
-def _reachable(edges: dict[str, list[str]], start: str) -> set[str]:
-    """Nodes reachable from ``start`` (excluding ``start`` unless cyclic)."""
-    seen: set[str] = set()
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for nxt in edges.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def _simple_paths(edges: dict[str, list[Connection]], src: str, dst: str,
-                  ) -> Iterator[tuple[Connection, ...]]:
-    """Simple stream paths from ``src`` to ``dst`` (DFS, bounded).
-
-    The walk is pruned to nodes that can still reach ``dst``, so every
-    DFS branch terminates in an emitted path: the work is bounded by
-    ``_MAX_PATHS`` times the path length, not by the (exponential) number
-    of partial paths in the downstream cone.
-    """
-    back: dict[str, list[str]] = {}
-    for conns in edges.values():
-        for conn in conns:
-            back.setdefault(conn.dst.name, []).append(conn.src.name)
-    reaches_dst = _reachable(back, dst) | {dst}
-    emitted = 0
-    stack: list[tuple[str, tuple[Connection, ...]]] = [(src, ())]
-    while stack and emitted < _MAX_PATHS:
-        node, path = stack.pop()
-        if node == dst and path:
-            emitted += 1
-            yield path
-            continue
-        for conn in edges.get(node, ()):
-            if conn.dst.name not in reaches_dst:
-                continue
-            if any(c.dst.name == conn.dst.name for c in path):
-                continue  # already visited on this path
-            stack.append((conn.dst.name, path + (conn,)))
-
-
-def _path_latency(path: tuple[Connection, ...]) -> int:
-    """Cycles a token spends in the stages *between* fork and join."""
-    return sum(conn.dst.latency for conn in path[:-1])
-
-
-def _path_capacity(path: tuple[Connection, ...]) -> int:
-    """Tokens the path can buffer: FIFO slots plus in-flight pipeline."""
-    fifo = sum(conn.stream.depth for conn in path)
-    in_flight = sum(conn.dst.latency for conn in path[:-1])
-    return fifo + in_flight
-
-
-def _reconvergent_pairs(graph: DataflowGraph,
-                        edges: dict[str, list[Connection]],
-                        ) -> Iterator[tuple[Stage, Stage]]:
-    """(fork, join) pairs joined by two or more distinct paths.
-
-    Path *counts* come from a topological DP saturated at 2 — no
-    enumeration, so dense fork–join lattices (where the true count is
-    exponential) cost O(forks * edges).
-    """
-    indegree: dict[str, int] = {}
-    for conns in edges.values():
-        for conn in conns:
-            indegree[conn.dst.name] = indegree.get(conn.dst.name, 0) + 1
-    forks = [s for s in graph.stages if len(edges.get(s.name, ())) >= 2]
-    joins = [s for s in graph.stages if indegree.get(s.name, 0) >= 2]
-    if not forks or not joins:
-        return
-    order = graph.topological_order()
-    for fork in forks:
-        counts = {fork.name: 1}
-        for stage in order:
-            here = counts.get(stage.name, 0)
-            if not here:
-                continue
-            for conn in edges.get(stage.name, ()):
-                dst = conn.dst.name
-                counts[dst] = min(2, counts.get(dst, 0) + here)
-        for join in joins:
-            if join.name != fork.name and counts.get(join.name, 0) >= 2:
-                yield fork, join
-
-
-def reconvergent_paths(graph: DataflowGraph,
-                       ) -> Iterator[tuple[Stage, Stage,
-                                           list[tuple[Connection, ...]]]]:
-    """Yield (fork, join, paths) triples with two or more parallel paths.
-
-    Path lists are capped at ``_MAX_PATHS``; use the DP aggregates in
-    :func:`check_reconvergent_depths` when only extremal latencies or
-    capacities are needed.
-    """
-    edges: dict[str, list[Connection]] = {}
-    for conn in graph.connections():
-        edges.setdefault(conn.src.name, []).append(conn)
-    for fork, join in _reconvergent_pairs(graph, edges):
-        paths = list(_simple_paths(edges, fork.name, join.name))
-        if len(paths) >= 2:
-            yield fork, join, paths
-
-
-def _worst_branch(graph: DataflowGraph, edges: dict[str, list[Connection]],
-                  fork: Stage, join: Stage,
-                  ) -> tuple[int, tuple[Connection, ...]] | None:
-    """Max branch latency and the min-(latency+capacity) path, by DP.
-
-    Restricted to the fork→join cone, one topological pass computes the
-    slowest branch latency and — with backpointers — the concrete branch
-    whose latency-plus-capacity is smallest, i.e. the one least able to
-    absorb the skew.  Replaces enumerating every simple path (exponential
-    on fork–join lattices) with O(edges) work per pair.
-    """
-    back: dict[str, list[str]] = {}
-    succ: dict[str, list[str]] = {}
-    for conns in edges.values():
-        for conn in conns:
-            succ.setdefault(conn.src.name, []).append(conn.dst.name)
-            back.setdefault(conn.dst.name, []).append(conn.src.name)
-    on_path = ((_reachable(succ, fork.name) | {fork.name})
-               & (_reachable(back, join.name) | {join.name}))
-    max_lat = {fork.name: 0}
-    min_lat_cap = {fork.name: 0}
-    backptr: dict[str, Connection] = {}
-    for stage in graph.topological_order():
-        name = stage.name
-        if name not in on_path or name not in max_lat or name == join.name:
-            continue
-        for conn in edges.get(name, ()):
-            dst = conn.dst.name
-            if dst not in on_path:
-                continue
-            # Tokens spend conn.dst.latency cycles inside every stage
-            # *between* fork and join; the join itself is outside the
-            # buffered region (it consumes, it does not delay siblings).
-            step = conn.dst.latency if dst != join.name else 0
-            lat = max_lat[name] + step
-            if lat > max_lat.get(dst, -1):
-                max_lat[dst] = lat
-            # latency+capacity telescopes to per-edge weights: the FIFO's
-            # slots plus the intermediate stage's latency counted twice
-            # (once as lag, once as in-flight buffering).
-            lat_cap = min_lat_cap[name] + conn.stream.depth + 2 * step
-            if dst not in min_lat_cap or lat_cap < min_lat_cap[dst]:
-                min_lat_cap[dst] = lat_cap
-                backptr[dst] = conn
-    if join.name not in max_lat or max_lat[join.name] <= min_lat_cap[join.name]:
-        return None
-    path: list[Connection] = []
-    node = join.name
-    while node != fork.name:
-        conn = backptr[node]
-        path.append(conn)
-        node = conn.src.name
-    return max_lat[join.name], tuple(reversed(path))
-
-
-@rule("DF004", name="reconvergent-depth-mismatch", family="graph",
-      description="on fork/join (reconvergent) paths, the latency skew "
-                  "between branches must fit in the shallower branch's "
-                  "FIFO capacity, or the fork stalls the whole region",
-      requires=("graph",), severity=Severity.WARNING)
-def check_reconvergent_depths(context: LintContext) -> Iterable[Diagnostic]:
-    assert context.graph is not None
-    graph = context.graph
-    edges: dict[str, list[Connection]] = {}
-    for conn in graph.connections():
-        edges.setdefault(conn.src.name, []).append(conn)
-    for fork, join in _reconvergent_pairs(graph, edges):
-        worst = _worst_branch(graph, edges, fork, join)
-        if worst is None:
-            continue
-        slowest, path = worst
-        latency = _path_latency(path)
-        capacity = _path_capacity(path)
-        skew = slowest - latency
-        via = " -> ".join([fork.name] + [c.dst.name for c in path])
-        yield Diagnostic(
-            code="DF004", severity=Severity.WARNING,
-            message=(
-                f"reconvergent paths {fork.name!r} -> {join.name!r}: "
-                f"branch via {via!r} buffers at most {capacity} "
-                f"tokens but the slowest sibling branch lags by "
-                f"{skew} cycles; the join will backpressure the "
-                f"fork (deadlock risk with data-dependent rates)"
-            ),
-            location=Location("stage", fork.name),
-            hint=f"deepen the branch FIFOs by at least "
-                 f"{skew - capacity} slots (stream depth= in "
-                 f"DataflowGraph.connect)",
-        )
 
 
 @rule("DF005", name="isolated-stage", family="graph",

@@ -59,10 +59,14 @@ __all__ = [
     "ShiftBuffer3D",
     "emission_boxes",
     "emission_center",
+    "feed_emissions",
+    "feed_position",
+    "feed_regime",
     "forwarded_before",
     "forwarded_emission",
     "producing_feed",
     "producing_feed_stop",
+    "regime_stop",
     "same_bits",
 ]
 
@@ -80,6 +84,48 @@ def same_bits(a: float, b: float) -> bool:
     model, which is slower but exact.
     """
     return a == b and (a != 0.0 or copysign(1.0, a) == copysign(1.0, b))
+
+
+# Feeds are numbered over the stream, Z fastest, then Y, then X.  The
+# functions below read a feed's position alone, so a buffer calls them
+# at its live position and a stage's emission schedule at any feed; the
+# stream may run past the block's last plane (planes ``x >= 2`` all
+# behave alike), as a proof over more feeds than one block holds does.
+
+
+def feed_position(fed: int, ny: int, nz: int) -> tuple[int, int, int]:
+    """``(x, y, z)`` of feed ``fed`` in a stream of ``ny`` by ``nz``
+    planes."""
+    x, rest = divmod(fed, ny * nz)
+    y, z = divmod(rest, nz)
+    return x, y, z
+
+
+def feed_emissions(x: int, y: int, z: int, ny: int,
+                   nz: int) -> tuple[int, int]:
+    """``(first, stop)``, the flat emission indices (see
+    :func:`emission_center`) the feed at ``(x, y, z)`` emits: none until
+    the position reaches ``x, y, z >= 2``, two at a column top."""
+    if x < 2 or y < 2 or z < 2:
+        return 0, 0
+    first = ((x - 2) * (ny - 2) + y - 2) * (nz - 1) + z - 2
+    return first, first + (2 if z == nz - 1 else 1)
+
+
+def feed_regime(x: int, y: int, z: int) -> tuple:
+    """The part of the position ``(x, y, z)`` that still decides emission
+    (see :meth:`ShiftBuffer3D.regime`)."""
+    if x < 2:
+        return ("prime",)
+    return (2, y, z)
+
+
+def regime_stop(fed: int, ny: int, nz: int) -> int | None:
+    """The feed that ends feed ``fed``'s :func:`feed_regime`: the prime
+    planes end where emission starts, the steady planes run on
+    (``None``)."""
+    prime = 2 * ny * nz
+    return prime if fed < prime else None
 
 
 def emission_center(index: Any, ny: int, nz: int) -> tuple[Any, Any, Any, Any]:
@@ -290,19 +336,18 @@ class ShiftBuffer3D:
         window by :meth:`regime_feeds`; :meth:`inner_regime` refines the
         steady planes to silent feeds and single columns.
         """
-        if self._x < 2:
-            return ("prime",)
-        return (2, self._y, self._z)
+        return feed_regime(self._x, self._y, self._z)
 
     def regime_feeds(self, want: int) -> int:
         """How many of ``want`` feeds stay inside the current regime.
 
-        The prime regime ends where emission starts (two full planes);
-        the steady regime runs to the end of the block.
+        The prime regime ends where emission starts (two full planes,
+        :func:`regime_stop`); the steady regime runs to the end of the
+        block.
         """
-        if self._x < 2:
-            return min(want, 2 * self.ny * self.nz - self._fed)
-        return min(want, self.expected_feeds - self._fed)
+        stop = regime_stop(self._fed, self.ny, self.nz)
+        return min(want, (self._total if stop is None else stop)
+                   - self._fed)
 
     def inner_regime(self) -> tuple | None:
         """The finer regime inside one steady plane, or ``None``.
@@ -443,8 +488,7 @@ class ShiftBuffer3D:
     def _emissions_before(self, feeds: int) -> int:
         """Windows emitted by the first ``feeds`` values of the block."""
         ny, nz = self.ny, self.nz
-        x, rest = divmod(feeds, ny * nz)
-        y, z = divmod(rest, nz)
+        x, y, z = feed_position(feeds, ny, nz)
         total = max(x - 2, 0) * (ny - 2) * (nz - 1)
         if x >= 2:
             total += max(y - 2, 0) * (nz - 1)
@@ -453,14 +497,9 @@ class ShiftBuffer3D:
         return total
 
     def next_emissions(self) -> tuple[int, int]:
-        """``(first, stop)``, the flat emission indices (see
-        :func:`emission_center`) the next feed emits: none until the
-        position reaches ``x, y, z >= 2``, two at a column top."""
-        x, y, z = self._x, self._y, self._z
-        if x < 2 or y < 2 or z < 2:
-            return 0, 0
-        first = ((x - 2) * (self.ny - 2) + y - 2) * (self.nz - 1) + z - 2
-        return first, first + (2 if z == self.nz - 1 else 1)
+        """``(first, stop)``, the flat emission indices the next feed
+        emits (:func:`feed_emissions` at the buffer's position)."""
+        return feed_emissions(self._x, self._y, self._z, self.ny, self.nz)
 
     def advance(self, count: int, backing: np.ndarray) -> None:
         """Move the position over the next ``count`` values of ``backing``.

@@ -78,15 +78,16 @@ def serve_config(grid: Grid) -> KernelConfig:
     return KernelConfig(grid=grid, chunk_width=max(2, grid.ny // 3))
 
 
-def serve_session(device: Any, grid: Grid, *,
-                  x_chunks: int = SERVE_X_CHUNKS) -> AdvectionSession:
+def serve_session(device: Any, grid: Grid) -> AdvectionSession:
     """The session every serving-layer price and schedule derives from.
 
     One constructor so the admission quote, the lane's live schedule and
-    the benchmark all chunk identically — a quote that chunked
-    differently from the lane would misprice deadlines.
+    the benchmark all chunk identically, at :data:`SERVE_X_CHUNKS` — a
+    quote that chunked differently from the lane would misprice
+    deadlines.
     """
-    return AdvectionSession(device, serve_config(grid), x_chunks=x_chunks)
+    return AdvectionSession(device, serve_config(grid),
+                            x_chunks=SERVE_X_CHUNKS)
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,6 @@ class JobQuote:
 
 
 def quote_job(device: Any, grid: Grid, *, mode: str = "functional",
-              x_chunks: int = SERVE_X_CHUNKS,
               flops_scale: float = 1.0) -> JobQuote:
     """Price one job on one device model, fault-free.
 
@@ -131,8 +131,8 @@ def quote_job(device: Any, grid: Grid, *, mode: str = "functional",
         )
     if not flops_scale > 0:
         raise TuneError(f"flops_scale must be > 0, got {flops_scale}")
-    quote, _ = _price_job(serve_session(device, grid, x_chunks=x_chunks),
-                          grid, mode, flops_scale)
+    quote, _ = _price_job(serve_session(device, grid), grid, mode,
+                          flops_scale)
     return quote
 
 

@@ -59,7 +59,6 @@ def _evaluation_from_dict(data: dict,
         clock_mhz=float(data.get("clock_mhz", 0.0)),
         memory_bound=bool(data.get("memory_bound", False)),
         analytic_cycles=int(data.get("analytic_cycles", 0)),
-        static_cycles=int(data.get("static_cycles", 0)),
     )
 
 

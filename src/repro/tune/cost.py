@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.analyze.kernel import static_kernel_cycles
 from repro.analyze.report import AnalysisReport, analyze_graph
 from repro.core.flops import grid_flops
 from repro.core.grid import Grid
@@ -79,10 +78,10 @@ class Evaluation:
     utilisation_by_axis: dict[str, float] = field(default_factory=dict)
     clock_mhz: float = 0.0
     memory_bound: bool = False
+    #: Invocation cycles; on the FPGA backend the
+    #: :class:`~repro.kernel.cycle_model.KernelCycleModel` count, which
+    #: equals the proved one.  0 when infeasible.
     analytic_cycles: int = 0
-    #: Proved invocation cycle bound from the static verifier
-    #: (:func:`repro.analyze.static_kernel_cycles`); 0 when infeasible.
-    static_cycles: int = 0
 
     def objective(self, name: str) -> float:
         """Scalar score under ``name`` (``-inf`` when infeasible)."""
@@ -134,7 +133,6 @@ class Evaluation:
             "clock_mhz": _rounded(self.clock_mhz),
             "memory_bound": self.memory_bound,
             "analytic_cycles": self.analytic_cycles,
-            "static_cycles": self.static_cycles,
         }
 
 
@@ -167,17 +165,17 @@ class CostModel:
         # Each sub-model's result per distinct input, keyed by only the
         # inputs it reads.  A search visits every input many times: at
         # 64^3 on the U280, 864 points share 3 structural graphs, 12
-        # configs (each linted once without a replica count, and priced
-        # by both cycle counts), 72 replica-count lint passes, 12 replica
-        # footprints, 72 utilisations, 48 invocations and 192 host
-        # schedules.  The dicts live and die with this model, so a fresh
+        # configs (each linted once without a replica count, and
+        # counted in cycles once), 72 replica-count lint passes, 12
+        # replica footprints, 72 utilisations, 48 invocations and 192
+        # host schedules.  The dicts live and die with this model, so a fresh
         # process still pays every cold call.
         self._structures: dict[int, tuple[DataflowGraph,
                                           AnalysisReport]] = {}
         self._config_codes: dict[KernelConfig, set[str]] = {}
         self._lint_codes: dict[tuple[KernelConfig, int],
                                tuple[str, ...]] = {}
-        self._cycles: dict[KernelConfig, tuple[int, int]] = {}
+        self._cycles: dict[KernelConfig, int] = {}
         self._footprints: dict[tuple[int, int, str], ResourceVector] = {}
         self._usages: dict[tuple[int, int, str, int],
                            tuple[ResourceVector, dict[str, float]]] = {}
@@ -287,11 +285,7 @@ class CostModel:
 
         _, by_axis = self._usage(point)
         if config not in self._cycles:
-            graph, _ = self._structure(config)
-            self._cycles[config] = (
-                KernelCycleModel(config).cycles(),
-                static_kernel_cycles(config, graph=graph))
-        analytic_cycles, static_cycles = self._cycles[config]
+            self._cycles[config] = KernelCycleModel(config).cycles()
         return Evaluation(
             point=point,
             feasible=True,
@@ -307,8 +301,7 @@ class CostModel:
             utilisation_by_axis=dict(by_axis),
             clock_mhz=invocation.clock_hz / 1e6,
             memory_bound=invocation.memory_bound,
-            analytic_cycles=analytic_cycles,
-            static_cycles=static_cycles,
+            analytic_cycles=self._cycles[config],
         )
 
     def _structure(self, config: KernelConfig
@@ -318,8 +311,8 @@ class CostModel:
         The graph reads the stream depth, the stage latencies and the
         initiation intervals.  A point's config sets only the depth of
         those, so one graph and one proof per depth serve every chunk
-        width, word width and replica count, and the lint gate and
-        :func:`~repro.analyze.static_kernel_cycles` read that graph.
+        width, word width and replica count, and the lint gate reads
+        that graph.
         """
         depth = config.stream_depth
         if depth not in self._structures:

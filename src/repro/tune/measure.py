@@ -21,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.analyze.kernel import static_kernel_cycles
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
 from repro.dataflow.engine import ControlRecord
-from repro.kernel.config import KernelConfig
 from repro.kernel.cycle_model import KernelCycleModel
 from repro.kernel.simulate import simulate_kernel
 from repro.tune.cost import Evaluation, _rounded
@@ -53,12 +51,6 @@ class MeasuredResult:
     measured_cycles: int
     relative_error: float
     measured_seconds: float
-    #: Proved cycle bound from the static verifier on the proxy config.
-    static_cycles: int = 0
-    #: |static - measured| / measured — asserted tiny in the tests: the
-    #: static bound is a proof about the control machine, so any gap is
-    #: data-path behaviour the unit-rate abstraction cannot see.
-    static_error: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -69,8 +61,6 @@ class MeasuredResult:
             "measured_cycles": self.measured_cycles,
             "relative_error": _rounded(self.relative_error),
             "measured_seconds": _rounded(self.measured_seconds),
-            "static_cycles": self.static_cycles,
-            "static_error": _rounded(self.static_error),
         }
 
 
@@ -82,8 +72,7 @@ def proxy_grid(grid: Grid, point: TunePoint) -> Grid:
 
 
 def _measure(evaluation: Evaluation, grid: Grid, seed: int,
-             record: ControlRecord,
-             counts: dict[KernelConfig, tuple[int, int]]) -> MeasuredResult:
+             record: ControlRecord) -> MeasuredResult:
     """One candidate's run; its fields and sources die with the call."""
     point = evaluation.point
     proxy = proxy_grid(grid, point)
@@ -91,14 +80,9 @@ def _measure(evaluation: Evaluation, grid: Grid, seed: int,
     fields = random_wind(proxy, seed=seed)
     result = simulate_kernel(config, fields, mode="exact", batched=True,
                              record=record)
-    if config not in counts:
-        counts[config] = (KernelCycleModel(config).cycles(),
-                          static_kernel_cycles(config))
-    analytic, static = counts[config]
+    analytic = KernelCycleModel(config).cycles()
     measured = result.total_cycles
     error = (abs(analytic - measured) / measured) if measured else float("inf")
-    static_error = (abs(static - measured) / measured) if measured \
-        else float("inf")
     return MeasuredResult(
         point=point,
         proxy_cells=proxy.num_cells,
@@ -106,8 +90,6 @@ def _measure(evaluation: Evaluation, grid: Grid, seed: int,
         measured_cycles=measured,
         relative_error=error,
         measured_seconds=result.runtime_seconds(evaluation.clock_mhz * 1e6),
-        static_cycles=static,
-        static_error=static_error,
     )
 
 
@@ -118,12 +100,9 @@ def measure_candidates(candidates: list[Evaluation], grid: Grid, *,
     Candidate ``rank`` draws its fields from seed ``seed + rank``.  The
     runs share one :class:`~repro.dataflow.engine.ControlRecord`, scoped
     to this call: a candidate whose chunk graphs share a structure with
-    an earlier run replays that run's control on its own fields.
-    Candidates that share a proxy config share its closed-form and
-    proved cycle counts, each derived once per call.  Cycles and sources
-    are the same either way.
+    an earlier run replays that run's control on its own fields.  Cycles
+    and sources are the same either way.
     """
     record = ControlRecord()
-    counts: dict[KernelConfig, tuple[int, int]] = {}
-    return [_measure(evaluation, grid, seed + rank, record, counts)
+    return [_measure(evaluation, grid, seed + rank, record)
             for rank, evaluation in enumerate(candidates)]

@@ -1,7 +1,21 @@
 """Shared structural graphs for the static-verifier tests."""
 
+from repro.analyze import StaticSchedule
 from repro.dataflow.graph import DataflowGraph
 from repro.lint.spec import SpecStage
+
+
+def unit_rate_total(schedule: StaticSchedule) -> int:
+    """The stall-free total of a graph of unit-rate stages, in closed
+    form: the drain stage's first fire, one ideal period per further
+    token, and the engine's two quiescence cycles (1 for an empty run:
+    the immediate-quiescence cycle).  An oracle for spec graphs only:
+    a stage that emits other than one item per firing moves the total
+    off it without a stall."""
+    if schedule.tokens <= 0:
+        return 1
+    return (schedule.prime_latency
+            + (schedule.tokens - 1) * schedule.ideal_period + 2)
 
 
 def chain_graph(n_stages: int = 3, *, latency: int = 2, ii: int = 1,

@@ -4,7 +4,7 @@ from repro.analyze import analyze_graph, interpret, start_cycles
 from repro.dataflow.graph import DataflowGraph
 from repro.lint.spec import SpecStage
 
-from .conftest import chain_graph, fork_join_graph
+from .conftest import chain_graph, fork_join_graph, unit_rate_total
 
 
 class TestStartCycleDP:
@@ -34,28 +34,24 @@ class TestTotals:
     def test_stall_free_total_matches_the_closed_form(self):
         sched = analyze_graph(chain_graph(3, latency=3), 50).schedule
         assert sched.stall_free
-        assert sched.total_cycles == sched.analytic_total
-        assert sched.analytic_total == (sched.prime_latency
-                                        + 49 * sched.ideal_period + 2)
-        assert sched.stall_overhead == 0
+        assert sched.total_cycles == unit_rate_total(sched)
+        assert sched.total_cycles == (sched.prime_latency
+                                      + 49 * sched.ideal_period + 2)
 
     def test_backpressure_shows_as_proved_overhead(self):
         sched = analyze_graph(
             fork_join_graph(fast_depth=2, slow_latency=20), 50).schedule
         assert not sched.stall_free
-        assert sched.total_cycles > sched.analytic_total
-        assert sched.stall_overhead == (sched.total_cycles
-                                        - sched.analytic_total)
+        assert sched.total_cycles > unit_rate_total(sched)
 
     def test_ii_sets_the_ideal_period(self):
         sched = analyze_graph(chain_graph(2, ii=3), 30).schedule
         assert sched.ideal_period == 3
-        assert sched.total_cycles == sched.analytic_total
+        assert sched.total_cycles == unit_rate_total(sched)
 
     def test_zero_tokens_is_the_quiescence_cycle(self):
         sched = analyze_graph(chain_graph(2), 0).schedule
-        assert sched.analytic_total == 1
-        assert sched.total_cycles == 1
+        assert sched.total_cycles == unit_rate_total(sched) == 1
 
 
 class TestSchema:
@@ -63,6 +59,9 @@ class TestSchema:
         graph = fork_join_graph()
         sched = analyze_graph(graph, 20).schedule
         data = sched.to_dict()
+        assert set(data) == {"graph", "tokens", "prime_latency",
+                             "ideal_period", "total_cycles", "stall_free",
+                             "period", "stages"}
         assert set(data["stages"]) == {s.name for s in graph.stages}
         for record in data["stages"].values():
             assert set(record) == {"name", "level", "start_cycle", "ii",

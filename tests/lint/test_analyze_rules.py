@@ -63,11 +63,13 @@ class TestSA401:
         assert "SA401" not in report.codes
         assert "SA402" not in report.codes
 
-    def test_sa401_complements_heuristic_df004(self):
-        """DF004 flags the *risk* structurally; SA401 proves the loss."""
+    def test_sa401_and_sa402_name_the_under_depth_branch(self):
+        """The proof both rejects the design and sizes the fix."""
         report = lint_graph(fork_join_graph(fast_depth=2))
-        assert "DF004" in report.codes  # heuristic, WARNING
         assert "SA401" in report.codes  # proved, ERROR
+        (under,) = [d for d in report.diagnostics if d.code == "SA402"]
+        assert str(under.location) == "stream:fork.a->join.a"
+        assert "set depth >= 21" in under.hint
 
 
 class TestSA402:

@@ -1,4 +1,5 @@
-"""Graph-family lint rules (DF001-DF006) and the collect-all refactor."""
+"""Graph-family lint rules (DF001-DF003, DF005, DF006) and the
+collect-all refactor."""
 
 import pytest
 
@@ -6,8 +7,7 @@ from repro.dataflow.engine import DataflowEngine
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import SinkStage, SourceStage
 from repro.errors import GraphError, LintError
-from repro.lint import Severity, lint_graph
-from repro.lint.rules_graph import reconvergent_paths
+from repro.lint import lint_graph
 from repro.lint.spec import SpecStage
 
 
@@ -17,19 +17,6 @@ def two_stage_graph(*, connect: bool = True) -> DataflowGraph:
     graph.add(SpecStage("dst", inputs=("in",)))
     if connect:
         graph.connect("src", "out", "dst", "in")
-    return graph
-
-
-def fork_join_graph(*, fast_depth: int, slow_latency: int) -> DataflowGraph:
-    """A reconvergent pair of branches with a configurable latency skew."""
-    graph = DataflowGraph("forkjoin")
-    graph.add(SpecStage("fork", outputs=("a", "b")))
-    graph.add(SpecStage("slow", inputs=("in",), outputs=("out",),
-                        latency=slow_latency))
-    graph.add(SpecStage("join", inputs=("a", "b")))
-    graph.connect("fork", "a", "join", "a", depth=fast_depth)
-    graph.connect("fork", "b", "slow", "in", depth=2)
-    graph.connect("slow", "out", "join", "b", depth=2)
     return graph
 
 
@@ -79,24 +66,6 @@ class TestGraphRules:
         assert not report.ok
         assert len(report.errors) == 2
         assert all(d.code == "DF001" for d in report.errors)
-
-    def test_skewed_fork_join_warns_df004(self):
-        # Fast branch buffers 2 tokens; the sibling lags by 100 cycles.
-        report = lint_graph(fork_join_graph(fast_depth=2, slow_latency=100))
-        assert "DF004" in report.codes
-        (diag,) = [d for d in report.diagnostics if d.code == "DF004"]
-        assert diag.severity is Severity.WARNING
-        assert "deepen the branch FIFOs" in diag.hint
-
-    def test_deep_fifo_absorbs_the_skew(self):
-        report = lint_graph(fork_join_graph(fast_depth=128, slow_latency=100))
-        assert "DF004" not in report.codes
-
-    def test_reconvergent_paths_found(self):
-        graph = fork_join_graph(fast_depth=2, slow_latency=100)
-        ((fork, join, paths),) = list(reconvergent_paths(graph))
-        assert fork.name == "fork" and join.name == "join"
-        assert len(paths) == 2
 
     def test_isolated_stage_warns_df005(self):
         graph = two_stage_graph()

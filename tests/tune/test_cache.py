@@ -126,6 +126,27 @@ class TestPersistence:
                                  device="u280", grid_key="g")
         assert len(versal) == 0
 
+    def test_schema3_file_with_the_proved_count_still_loads(self, tmp_path,
+                                                           model):
+        """A schema-3 entry with a ``static_cycles`` key (a proved count
+        equal to ``analytic_cycles``) loads as a fresh evaluation, and
+        saving drops the key."""
+        path = tmp_path / "cache.json"
+        evaluation = model.evaluate(point())
+        entry = dict(evaluation.to_dict(),
+                     static_cycles=evaluation.analytic_cycles)
+        path.write_text(json.dumps({
+            "schema": 3,
+            "scopes": {"fpga_shiftbuffer/u280/g": {
+                evaluation.point.key(): entry}},
+        }))
+        loaded = EvaluationCache(path, device="u280", grid_key="g")
+        assert loaded.get(evaluation.point).to_dict() == evaluation.to_dict()
+        loaded.save()
+        (saved,) = json.loads(path.read_text())["scopes"][
+            "fpga_shiftbuffer/u280/g"].values()
+        assert "static_cycles" not in saved
+
     def test_schema_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text(json.dumps(

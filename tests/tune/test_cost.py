@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.analyze.kernel as analyze_kernel
 import repro.lint.rules_analyze as rules_analyze
 import repro.tune.cost as cost_module
 from repro.analyze.report import analyze_graph
@@ -210,8 +209,8 @@ class TestSubModelMemo:
         grid = Grid(16, 64, 16)
         points = list(ParameterSpace.derive(ALVEO_U280, grid).points())
         calls = {"lint_kernel": 0, "lint_kernel replicas": 0,
-                 "static_kernel_cycles": 0, "analyze_graph": 0,
-                 "build_structural_graph": 0, "run": 0, "invocation": 0}
+                 "analyze_graph": 0, "build_structural_graph": 0,
+                 "run": 0, "invocation": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -224,15 +223,12 @@ class TestSubModelMemo:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("lint_kernel", "static_kernel_cycles",
-                     "analyze_graph"):
+        for name in ("lint_kernel", "analyze_graph"):
             counted(cost_module, name)
         # The SA lint rules would prove the graph themselves if the
         # model did not hand them its proof; count those calls too.
         counted(rules_analyze, "analyze_graph")
-        # static_kernel_cycles reads the model's graph, building none.
         counted(cost_module, "build_structural_graph")
-        counted(analyze_kernel, "build_structural_graph")
         counted(AdvectionSession, "run")
         counted(FPGADevice, "invocation")
         model = CostModel(ALVEO_U280, grid)
@@ -244,7 +240,6 @@ class TestSubModelMemo:
             "lint_kernel": len({p.config(grid) for p in points}),
             "lint_kernel replicas": len({(p.config(grid), p.num_kernels)
                                          for p in points}),
-            "static_kernel_cycles": len({p.config(grid) for p in points}),
             "analyze_graph": len({p.stream_depth for p in points}),
             "build_structural_graph": len({p.stream_depth for p in points}),
             "run": len(runs),
@@ -255,9 +250,8 @@ class TestSubModelMemo:
                                for p in points}) + len(runs),
         }
         assert calls == {"lint_kernel": 12, "lint_kernel replicas": 72,
-                         "static_kernel_cycles": 12, "analyze_graph": 3,
-                         "build_structural_graph": 3, "run": 192,
-                         "invocation": 240}
+                         "analyze_graph": 3, "build_structural_graph": 3,
+                         "run": 192, "invocation": 240}
 
 
 class TestLintSplit:
