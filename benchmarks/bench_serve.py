@@ -13,7 +13,11 @@ blips another, and batters a third with transfer faults — then gates:
 * the chaos leg replays deterministically (identical report dicts for
   identical seeds),
 * modelled p99 latency on the fault-free leg stays under
-  ``--max-p99-ms`` of modelled time.
+  ``--max-p99-ms`` of modelled time,
+* neither leg runs the cycle engine: the exact tier reads its count
+  from the closed form and the stencil proofs, so each leg's
+  ``DataflowEngine.run`` call count (``engine_runs`` in its record)
+  must read 0.
 
 Wall times and modelled latencies for both legs are recorded to
 ``benchmarks/BENCH_serve.json`` (scratch path + relaxed gates with
@@ -34,7 +38,9 @@ import argparse
 import platform
 import sys
 import time
+from unittest import mock
 
+from repro.dataflow.engine import DataflowEngine
 from repro.errors import ReproError
 from repro.faults import FaultPlan, FaultSpec
 from repro.perf.bench import BenchRecord, BenchSuite, render_table
@@ -58,15 +64,19 @@ def chaos_plan(seed: int) -> FaultPlan:
 
 
 def timed_run(load: PoissonLoad, plan: FaultPlan | None):
+    """One leg: its report, wall seconds and engine run count."""
     scheduler = FleetScheduler(Fleet.from_spec(FLEET_SPEC),
                                fault_plan=plan, watchdog_seconds=60.0)
-    start = time.perf_counter()
-    report = run_load(scheduler, load)
-    return report, time.perf_counter() - start
+    with mock.patch.object(DataflowEngine, "run", autospec=True,
+                           side_effect=DataflowEngine.run) as engine_run:
+        start = time.perf_counter()
+        report = run_load(scheduler, load)
+        wall = time.perf_counter() - start
+    return report, wall, engine_run.call_count
 
 
-def leg_record(name: str, report, wall: float, load: PoissonLoad,
-               mode: str) -> BenchRecord:
+def leg_record(name: str, report, wall: float, engine_runs: int,
+               load: PoissonLoad, mode: str) -> BenchRecord:
     latencies = report.latencies
     counters = report.counters()
     return BenchRecord(
@@ -83,6 +93,7 @@ def leg_record(name: str, report, wall: float, load: PoissonLoad,
             "redrives": counters["redrives"],
             "degraded": counters["degraded"],
             "cache_hits": counters["cache_hits"],
+            "engine_runs": engine_runs,
         })
 
 
@@ -113,9 +124,9 @@ def main(argv=None) -> int:
                        exact_fraction=0.25, distinct_inputs=8)
     label = f"{args.jobs}jobs-{args.nx}x{args.ny}x{args.nz}"
 
-    clean, t_clean = timed_run(load, None)
-    chaos, t_chaos = timed_run(load, chaos_plan(args.chaos_seed))
-    replay, _ = timed_run(load, chaos_plan(args.chaos_seed))
+    clean, t_clean, runs_clean = timed_run(load, None)
+    chaos, t_chaos, runs_chaos = timed_run(load, chaos_plan(args.chaos_seed))
+    replay, _, _ = timed_run(load, chaos_plan(args.chaos_seed))
 
     errors = []
     if clean.failed:
@@ -149,6 +160,11 @@ def main(argv=None) -> int:
         errors.append("chaos leg is nondeterministic: identical seeds "
                       "produced different reports")
 
+    for leg, runs in (("fault-free", runs_clean), ("chaos", runs_chaos)):
+        if runs:
+            errors.append(f"{leg} leg ran the cycle engine {runs} time(s); "
+                          "the exact tier must read its count without a run")
+
     p99_ms = 1e3 * percentile(clean.latencies, 0.99)
     if p99_ms > args.max_p99_ms:
         errors.append(f"fault-free p99 {p99_ms:.2f} ms exceeds the "
@@ -165,13 +181,15 @@ def main(argv=None) -> int:
         "chaos_failed": len(chaos.failed),
         "invariant_ok": not errors,
     })
-    suite.add(leg_record(f"serve-{label}-clean", clean, t_clean, load,
-                         "fault-free"))
-    suite.add(leg_record(f"serve-{label}-chaos", chaos, t_chaos, load,
-                         "chaos"))
+    suite.add(leg_record(f"serve-{label}-clean", clean, t_clean, runs_clean,
+                         load, "fault-free"))
+    suite.add(leg_record(f"serve-{label}-chaos", chaos, t_chaos, runs_chaos,
+                         load, "chaos"))
 
     print(render_table(suite.records))
     print(f"\nfault-free p99: {p99_ms:.3f} ms  (gate {args.max_p99_ms} ms)")
+    print(f"engine runs: {runs_clean} fault-free, {runs_chaos} chaos "
+          f"(gate 0)")
     print(f"chaos leg: {len(chaos.completed)}/{load.jobs} completed, "
           f"{counters['reshards']} reshard(s), "
           f"{counters['redrives']} redrive(s), "

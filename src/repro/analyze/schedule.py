@@ -1,11 +1,10 @@
 """Static schedule analyzer: start cycles, prime latency, period, totals.
 
-Start cycles come from :func:`repro.analyze.interp.start_cycles`, a
-longest-path DP over the DAG (it equals the interpreter's observed
-first-fire cycles wherever every stage emits on its first firing,
-property-tested).  The prime latency is the latest start cycle (the
-first result's path to the drain stage) and the ideal period the
-largest stage II.
+Start cycles are the bounded abstract run's observed first fires (None
+for a stage that never fired), so a shift buffer's silent priming
+feeds delay its consumers; levels come from the latency-path DP,
+:func:`repro.analyze.interp.start_cycles`.  The prime latency is the
+latest start cycle and the ideal period the largest stage II.
 
 The total is the bounded abstract run's proved count, which the engine
 reproduces byte for byte.  No closed form stands beside it: a stage
@@ -32,7 +31,7 @@ class StageTiming:
 
     name: str
     level: int
-    start_cycle: int
+    start_cycle: int | None
     ii: int
     latency: int
 
@@ -80,13 +79,13 @@ class StaticSchedule:
 
 def build_schedule(graph: DataflowGraph, bounded: InterpRun
                    ) -> StaticSchedule:
-    """Assemble the schedule from the DP and one bounded run."""
+    """Assemble the schedule from one bounded run and the DP's levels."""
     timing = start_cycles(graph)
     stages = {
         stage.name: StageTiming(
             name=stage.name,
             level=timing[stage.name][0],
-            start_cycle=timing[stage.name][1],
+            start_cycle=bounded.first_fire[stage.name],
             ii=stage.ii,
             latency=stage.latency,
         )
@@ -95,7 +94,8 @@ def build_schedule(graph: DataflowGraph, bounded: InterpRun
     return StaticSchedule(
         graph_name=graph.name,
         tokens=bounded.tokens,
-        prime_latency=max((t[1] for t in timing.values()), default=0),
+        prime_latency=max((start for start in bounded.first_fire.values()
+                           if start is not None), default=0),
         ideal_period=max((stage.ii for stage in graph.stages), default=1),
         total_cycles=bounded.cycles,
         stall_free=all(n == 0 for n in bounded.stream_full_stalls.values()),

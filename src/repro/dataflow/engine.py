@@ -111,7 +111,7 @@ from repro.dataflow.compiled import (CompiledGraph, EventCalendar,
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import Stage
 from repro.dataflow.stream import Stream
-from repro.errors import DataflowError, FaultError, LintError, WatchdogTimeout
+from repro.errors import DataflowError, FaultError, WatchdogTimeout
 
 if TYPE_CHECKING:  # imported lazily to keep dataflow import-cycle free
     from repro.faults.plan import FaultPlan
@@ -309,13 +309,6 @@ class DataflowEngine:
         per-cycle scalar ticking.  Results are bit-identical either
         way — only wall-clock time and the ``batched_*`` counters
         change.
-    lint:
-        When True, run the full graph-family lint pass
-        (:func:`repro.lint.lint_graph`) before the first cycle and raise
-        :class:`~repro.errors.LintError` on any error diagnostic — the
-        synthesis-time pre-flight the HLS tools would perform.  Off by
-        default: :meth:`DataflowGraph.validate` already covers the hard
-        structural errors, and tests deliberately run odd graphs.
     watchdog:
         Optional cycle budget for the whole run.  Where ``max_cycles``
         models the simulator's own runaway guard, the watchdog models the
@@ -359,8 +352,7 @@ class DataflowEngine:
 
     def __init__(self, graph: DataflowGraph, *, max_cycles: int = 10_000_000,
                  stall_grace: int | None = None, mode: str = "exact",
-                 batched: bool = True,
-                 lint: bool = False, watchdog: int | None = None,
+                 batched: bool = True, watchdog: int | None = None,
                  fault_plan: "FaultPlan | None" = None,
                  tracer: "Tracer | None" = None,
                  metrics: "MetricRegistry | None" = None,
@@ -391,7 +383,6 @@ class DataflowEngine:
         self.stall_grace = stall_grace
         self.mode = mode
         self.batched = batched
-        self.lint = lint
         self.watchdog = watchdog
         self.fault_plan = fault_plan
         self.tracer = tracer
@@ -400,15 +391,6 @@ class DataflowEngine:
 
     def run(self) -> RunStats:
         """Simulate until quiescence and return run statistics."""
-        if self.lint:
-            from repro.lint import lint_graph
-
-            report = lint_graph(self.graph)
-            if not report.ok:
-                raise LintError(
-                    f"lint pre-flight failed for graph "
-                    f"{self.graph.name!r}:\n{report.render_text()}"
-                )
         self.graph.validate()
         compiled = compile_graph(self.graph)
         order = compiled.order

@@ -388,7 +388,6 @@ def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
                        boundary: BoundaryFn, out: np.ndarray, *,
                        stream_depth: int = 4,
                        tracker: MemoryPortTracker | None = None,
-                       max_cycles: int = 10_000_000,
                        mode: str = "exact", batched: bool = True,
                        fault_plan: "FaultPlan | None" = None,
                        watchdog: int | None = None,
@@ -467,7 +466,7 @@ def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
     _check_window_fns(
         shift.window_run(0, min(2, (nx - 2) * (ny - 2) * (nz - 2))),
         interior, boundary)
-    return DataflowEngine(graph, max_cycles=max_cycles, mode=mode,
-                          batched=batched, fault_plan=fault_plan,
-                          watchdog=watchdog, tracer=tracer,
-                          metrics=metrics, record=record).run()
+    return DataflowEngine(graph, mode=mode, batched=batched,
+                          fault_plan=fault_plan, watchdog=watchdog,
+                          tracer=tracer, metrics=metrics,
+                          record=record).run()

@@ -136,7 +136,6 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
                     num_kernels: int = 1,
                     memory_cells_per_cycle: float | None = None,
                     read_ii: int = 1, enforce_ports: bool = True,
-                    max_cycles_per_chunk: int = 10_000_000,
                     mode: str = "exact",
                     batched: bool = True,
                     fault_plan: "FaultPlan | None" = None,
@@ -308,8 +307,7 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
                       f"replica {p}, chunk {chunk.index}" if shared
                       else f"chunk {chunk.index}") for p in members],
             start=start, fault_plan=fault_plan, retry=retry, tracer=tracer,
-            metrics=metrics, max_cycles=max_cycles_per_chunk,
-            stall_grace=grace, mode=mode, batched=batched,
+            metrics=metrics, stall_grace=grace, mode=mode, batched=batched,
             watchdog=watchdog, record=record,
         )
 

@@ -37,67 +37,6 @@ class CommandQueue:
         self.commands.append(command)
         return command.event
 
-    def validate(self) -> None:
-        """Fail fast on schedules the simulator could never complete.
-
-        Two defect classes are caught before any timing is computed:
-
-        * waits on *phantom events* — events no command in this queue
-          produces and that are not already complete (e.g. from a
-          previously simulated queue), which would block their waiter
-          forever;
-        * dependency cycles, combining the explicit event edges with the
-          implicit in-order edge between consecutive commands on the
-          same resource — the classic enqueue-order deadlock.
-
-        Raises :class:`~repro.errors.ScheduleError` in both cases.
-        """
-        producer: dict[int, int] = {
-            id(command.event): index
-            for index, command in enumerate(self.commands)
-        }
-        edges: dict[int, list[int]] = {i: [] for i in range(len(self.commands))}
-        indegree = [0] * len(self.commands)
-        for index, command in enumerate(self.commands):
-            for ev in command.wait_for:
-                source = producer.get(id(ev))
-                if source is None:
-                    if ev.complete:
-                        continue  # satisfied before this queue starts
-                    raise ScheduleError(
-                        f"command {command.name!r} waits on event "
-                        f"{ev.name!r} which no command in queue "
-                        f"{self.name!r} produces and which is not "
-                        f"complete — it would never become runnable"
-                    )
-                edges[source].append(index)
-                indegree[index] += 1
-        last_on_resource: dict[str, int] = {}
-        for index, command in enumerate(self.commands):
-            previous = last_on_resource.get(command.resource)
-            if previous is not None:
-                edges[previous].append(index)
-                indegree[index] += 1
-            last_on_resource[command.resource] = index
-
-        ready = [i for i, degree in enumerate(indegree) if degree == 0]
-        visited = 0
-        while ready:
-            node = ready.pop()
-            visited += 1
-            for succ in edges[node]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-        if visited != len(self.commands):
-            stuck = [command.name for index, command
-                     in enumerate(self.commands) if indegree[index] > 0]
-            raise ScheduleError(
-                f"dependency cycle would deadlock queue {self.name!r}: "
-                f"{len(stuck)} commands can never start "
-                f"(e.g. {stuck[:5]})"
-            )
-
     # -- OpenCL-flavoured helpers ---------------------------------------------
 
     def enqueue_write(self, name: str, seconds: float, *,

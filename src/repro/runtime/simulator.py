@@ -106,6 +106,37 @@ def _transfer_occupancy(command: Command, fault_plan: "FaultPlan",
         occupancy += command.duration + retry.delay(failures - 1)
 
 
+def _stall_error(queue: CommandQueue,
+                 pending: list[Command]) -> ScheduleError:
+    """Why no command in ``pending`` can start.
+
+    Each resource's first pending command must go next, and it waits on
+    an incomplete event.  Following that event to its producer's
+    resource, and on, ends at an event no queued command produces, or
+    back at a command already visited: a cycle.
+    """
+    producers = {id(command.event): command for command in queue.commands}
+    heads: dict[str, Command] = {}
+    for command in pending:
+        heads.setdefault(command.resource, command)
+    visited: set[int] = set()
+    command = pending[0]
+    while command.uid not in visited:
+        visited.add(command.uid)
+        event = next(ev for ev in command.wait_for if not ev.complete)
+        producer = producers.get(id(event))
+        if producer is None:
+            return ScheduleError(
+                f"command {command.name!r} waits on event {event.name!r} "
+                f"which no command in queue {queue.name!r} produces and "
+                f"which is not complete — it would never become runnable")
+        blocked, command = command, heads[producer.resource]
+    return ScheduleError(
+        f"dependency cycle would deadlock queue {queue.name!r}: command "
+        f"{blocked.name!r} waits on event {event.name!r}, which completes "
+        f"only after {blocked.name!r} starts")
+
+
 def simulate_schedule(queue: CommandQueue, *,
                       fault_plan: "FaultPlan | None" = None,
                       retry: "RetryPolicy | None" = None,
@@ -116,9 +147,13 @@ def simulate_schedule(queue: CommandQueue, *,
     Parameters
     ----------
     queue:
-        The command queue; :meth:`~repro.runtime.queue.CommandQueue.validate`
-        runs first, so phantom waits and dependency cycles raise a typed
-        :class:`~repro.errors.ScheduleError` before any timing is computed.
+        The command queue.  When no pending command can start, the run
+        raises a typed :class:`~repro.errors.ScheduleError` naming one
+        blocked command and the event it waits on: an event no command
+        in the queue produces (a phantom wait), or one that completes
+        only after the blocked command starts (a dependency cycle, a
+        deadlock).  Commands that ran before the stall keep their times
+        and the faults they drew.
     fault_plan:
         Optional fault-injection plan; ``transfer`` faults strike
         commands on ``pcie*`` resources (see module docstring).
@@ -131,7 +166,6 @@ def simulate_schedule(queue: CommandQueue, *,
         command to finish past it raises
         :class:`~repro.errors.WatchdogTimeout`.
     """
-    queue.validate()
     if watchdog_seconds is not None and watchdog_seconds <= 0:
         raise ScheduleError(
             f"watchdog_seconds must be positive, got {watchdog_seconds}"
@@ -183,12 +217,7 @@ def simulate_schedule(queue: CommandQueue, *,
             progressed = True
             break
         if not progressed:
-            blocked = [c.name for c in pending[:5]]
-            raise ScheduleError(
-                f"schedule deadlock: no runnable command among "
-                f"{len(pending)} pending (head: {blocked}); check for "
-                f"event dependency cycles"
-            )
+            raise _stall_error(queue, pending)
 
     timeline.sort(key=lambda item: item[3])
     return ScheduleResult(makespan=makespan, busy=busy, timeline=timeline,

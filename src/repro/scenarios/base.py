@@ -195,9 +195,10 @@ class ScenarioKernel:
     Concrete kernels (:mod:`repro.scenarios.kernels`) wrap the repo's
     existing execution paths — ``simulate_kernel`` for PW advection,
     ``run_stencil_kernel`` over shift-buffer windows for diffusion and
-    buoyancy — behind one uniform surface the conformance harness and
-    the CLI drive.  Every kernel's control depends on the streaming
-    position only, so each one runs batched windows.
+    buoyancy — behind one uniform surface the conformance harness, the
+    CLI and the serving fleet drive.  Every kernel's control depends on
+    the streaming position only, so each one runs batched windows, and
+    :meth:`cycles` gives a fault-free run's count without running it.
     """
 
     #: Kernel kind tag ("advection", "diffusion", "buoyancy").
@@ -225,6 +226,11 @@ class ScenarioKernel:
         by every engine run of the pass; a kernel scopes its own when
         it is ``None``.
         """
+        raise NotImplementedError
+
+    def cycles(self, grid: Grid) -> int:
+        """``run(fields)[2]`` of any fault-free pass on ``grid``, without
+        data or an engine run; rejects what :meth:`run` rejects."""
         raise NotImplementedError
 
     def structural_graph(self, grid: Grid) -> "DataflowGraph":

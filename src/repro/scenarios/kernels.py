@@ -12,6 +12,7 @@ conformance harness can drive every kernel identically.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -42,6 +43,7 @@ from repro.kernel.buoyancy import (
     buoyancy_from_window,
 )
 from repro.kernel.config import KernelConfig
+from repro.kernel.cycle_model import KernelCycleModel
 from repro.kernel.diffusion import (
     diffusion_boundary_from_window,
     diffusion_from_window,
@@ -93,6 +95,9 @@ class AdvectionKernel(ScenarioKernel):
             fault_plan=fault_plan, record=record)
         return result.sources, result.aggregate_stats(), result.total_cycles
 
+    def cycles(self, grid: Grid) -> int:
+        return KernelCycleModel(self.config(grid)).cycles()
+
     def structural_graph(self, grid: Grid) -> DataflowGraph:
         return build_structural_graph(self.config(grid))
 
@@ -129,16 +134,19 @@ class _StencilKernel(ScenarioKernel):
         """The ``(interior, boundary)`` window arithmetic on ``grid``."""
         raise NotImplementedError
 
+    def _check_grid(self, grid: Grid) -> None:
+        if grid.nz < 3:
+            raise ConfigurationError(
+                f"{self.kind} kernel needs nz >= 3 for its vertical "
+                f"stencil, got {grid.nz}")
+
     def run(self, fields: FieldSet, *, mode: str = "exact",
             batched: bool = True,
             fault_plan: "FaultPlan | None" = None,
             record: ControlRecord | None = None,
             ) -> tuple[SourceSet, RunStats, int]:
         grid = fields.grid
-        if grid.nz < 3:
-            raise ConfigurationError(
-                f"{self.kind} kernel needs nz >= 3 for its vertical "
-                f"stencil, got {grid.nz}")
+        self._check_grid(grid)
         out = SourceSet.zeros(grid)
         interior, boundary = self.window_fns(grid)
         if record is None:
@@ -154,16 +162,31 @@ class _StencilKernel(ScenarioKernel):
             total_cycles += stats.cycles
         return out, RunStats.merge(all_stats), total_cycles
 
-    def structural_graph(self, grid: Grid) -> DataflowGraph:
-        # The machine wired on the smallest block with a window.  Its
-        # stages declare no FLOPs: the 63/55 cross-check (AC303) is
+    def _machine(self, grid: Grid, shape: tuple[int, int, int],
+                 ) -> DataflowGraph:
+        # One field pass wired on a zero block of ``shape``.  Its stages
+        # declare no FLOPs: the 63/55 cross-check (AC303) is
         # advection-specific.
         interior, boundary = self.window_fns(grid)
+        nx, ny, nz = shape
         graph = build_stencil_graph(
-            np.zeros((3, 3, 3)), interior, boundary, np.zeros((1, 1, 3)),
-            stream_depth=self.stream_depth)
+            np.zeros(shape), interior, boundary,
+            np.zeros((nx - 2, ny - 2, nz)), stream_depth=self.stream_depth)
         graph.name = self.kind
         return graph
+
+    def cycles(self, grid: Grid) -> int:
+        # The three field passes are control-identical: one proof of
+        # the pass over the grid's block, fed its cells, counts each.
+        from repro.analyze import interpret
+
+        self._check_grid(grid)
+        return 3 * interpret(self._machine(grid, grid.halo_shape),
+                             math.prod(grid.halo_shape)).cycles
+
+    def structural_graph(self, grid: Grid) -> DataflowGraph:
+        # The smallest block with a window.
+        return self._machine(grid, (3, 3, 3))
 
     def fault_specs(self) -> tuple:
         # The generic machine has no checkpoint layer: a corrupted feed

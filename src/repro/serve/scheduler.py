@@ -25,11 +25,11 @@ them across the simulated device fleet under deterministic virtual time
 5. **Answer** — the numeric sources are computed on the *host* by the
    device-independent functional path, so where a job ran — or how
    often it was resharded — can never change its bytes.  Exact-tier
-   jobs additionally carry the cycle-accurate engine's count, with one
-   engine run per configuration per scheduler: a fault-free run's
-   count is control, never data (``tests/serve/test_exact_cycles.py``
-   pins that premise).  The checksum over the sources is the
-   bit-identity witness the chaos gate compares across legs.
+   jobs additionally carry the cycle-accurate engine's count, read
+   without a run: a fault-free run's count is control, never data
+   (``tests/serve/test_exact_cycles.py`` pins that premise).  The
+   checksum over the sources is the bit-identity witness the chaos
+   gate compares across legs.
 
 Recovery: a worker whose breaker is open sleeps until the half-open
 probe is due, probes the device, and either re-closes the breaker
@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import RetryExhaustedError, WatchdogTimeout
 from repro.faults.retry import RetryPolicy
+from repro.kernel.cycle_model import KernelCycleModel
 from repro.kernel.functional import execute_chunked
 from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.cache import CacheEntry, ResultCache
@@ -60,6 +61,7 @@ from repro.tune.admission import serve_config
 
 if TYPE_CHECKING:
     from repro.core.fields import FieldSet, SourceSet
+    from repro.core.grid import Grid
     from repro.faults.plan import FaultPlan
     from repro.observe.metrics import MetricRegistry
     from repro.observe.trace import Tracer
@@ -170,8 +172,8 @@ class FleetScheduler:
         self._backlog_seconds = 0.0
         self._workers: list["asyncio.Task[None]"] = []
         self._started = False
-        #: exact-tier cycle count per configuration (see _exact_cycles).
-        self._cycles_by_config: dict[Any, int] = {}
+        #: scenario jobs' cycle counts (see _exact_cycles).
+        self._scenario_cycles: dict[tuple[str, Grid], int] = {}
         #: distinct inputs by JobSpec.input_key (see _input).
         self._inputs: dict[tuple[Any, ...], _Input] = {}
 
@@ -506,9 +508,7 @@ class FleetScheduler:
         by construction.  They are computed once per distinct input and
         reused for the other tier and after a cache eviction.  Scenario
         jobs take the scenario kernel's reference numerics.  Exact-tier
-        cycles come from :meth:`_exact_cycles`: one engine run per
-        configuration per scheduler (``tests/serve/test_exact_cycles.py``
-        pins the premise).
+        cycles come from :meth:`_exact_cycles`, which runs no engine.
         """
         job_input = record.job_input
         sources = job_input.sources
@@ -523,7 +523,7 @@ class FleetScheduler:
                     serve_config(record.spec.grid()), job_input.fields)
             job_input.sources = sources
             job_input.checksum = checksum_sources(sources)
-        stats_cycles = self._exact_cycles(record) if mode == "exact" \
+        stats_cycles = self._exact_cycles(record.spec) if mode == "exact" \
             else None
         self.cache.put(job_input.fingerprint, mode,
                        CacheEntry(checksum=job_input.checksum,
@@ -531,35 +531,25 @@ class FleetScheduler:
                                   stats_cycles=stats_cycles))
         return job_input.checksum, stats_cycles
 
-    def _exact_cycles(self, record: _JobRecord) -> int:
-        """Cycle-accurate total of one exact-tier job.
+    def _exact_cycles(self, spec: JobSpec) -> int:
+        """Cycle-accurate total of one exact-tier job, without a run.
 
-        One engine run per configuration per scheduler: the first exact
-        job of a configuration runs the engine, later ones reuse its
-        count.  Plain jobs key on their frozen ``serve_config``;
-        scenario jobs on ``(scenario, grid)``, since the scenario kernel
-        derives its whole configuration from the grid.  The run never
-        takes this scheduler's fault plan or tracer, so it is
-        always fault-free and its count is control only, never a
-        function of the wind values (``tests/serve/test_exact_cycles.py``
-        pins that premise).
+        A plain job reads the closed form on its ``serve_config``; a
+        scenario job its kernel's
+        :meth:`~repro.scenarios.base.ScenarioKernel.cycles`, kept per
+        (scenario, grid), since a stencil kernel's is a proof of a few
+        milliseconds.  Both equal the engine's fault-free count.
         """
-        spec = record.spec
-        key: Any = (serve_config(spec.grid()) if spec.scenario is None
-                    else (spec.scenario, spec.grid()))
-        cycles = self._cycles_by_config.get(key)
+        grid = spec.grid()
+        if spec.scenario is None:
+            return KernelCycleModel(serve_config(grid)).cycles()
+        key = (spec.scenario, grid)
+        cycles = self._scenario_cycles.get(key)
         if cycles is None:
-            if spec.scenario is None:
-                from repro.kernel.simulate import simulate_kernel
+            from repro.scenarios import get as get_scenario
 
-                cycles = simulate_kernel(key, record.job_input.fields,
-                                         mode="exact").total_cycles
-            else:
-                from repro.scenarios import get as get_scenario
-
-                cycles = get_scenario(spec.scenario).kernel.run(
-                    record.job_input.fields, mode="exact")[2]
-            self._cycles_by_config[key] = cycles
+            cycles = self._scenario_cycles[key] = get_scenario(
+                spec.scenario).kernel.cycles(grid)
         return cycles
 
     # -- batch entry points -------------------------------------------------

@@ -132,7 +132,7 @@ def tune(device: "FPGADevice | str | None", grid: Grid, *,
          wide_precision: bool = False,
          flops_scale: float = 1.0,
          cache_path: "str | pathlib.Path | None" = None,
-         measure_top_k: int = 0, measure_seed: int | None = None,
+         measure_top_k: int = 0,
          tracer: "Tracer | None" = None,
          metrics: "MetricRegistry | None" = None) -> TuneReport:
     """Run one design-space exploration and return its report.
@@ -171,9 +171,8 @@ def tune(device: "FPGADevice | str | None", grid: Grid, *,
         Persistent JSON evaluation cache (loaded before, saved after).
     measure_top_k:
         Re-score this many top candidates with the batched exact
-        simulation tier (0 = analytic only).
-    measure_seed:
-        Seed for the measured tier's wind fields (default: ``seed``).
+        simulation tier (0 = analytic only), on wind fields drawn from
+        ``seed``.
     tracer / metrics:
         Optional observability sinks (see module docstring).
     """
@@ -273,10 +272,8 @@ def tune(device: "FPGADevice | str | None", grid: Grid, *,
 
     ranked = sorted(feasible, key=lambda e: e.sort_key(objective),
                     reverse=True)
-    measured = measure_candidates(
-        ranked[:measure_top_k], grid,
-        seed=seed if measure_seed is None else measure_seed,
-    ) if measure_top_k else []
+    measured = (measure_candidates(ranked[:measure_top_k], grid, seed=seed)
+                if measure_top_k else [])
     if metrics_on and measured:
         assert metrics is not None
         for result in measured:

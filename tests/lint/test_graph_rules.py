@@ -6,7 +6,7 @@ import pytest
 from repro.dataflow.engine import DataflowEngine
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import SinkStage, SourceStage
-from repro.errors import GraphError, LintError
+from repro.errors import GraphError
 from repro.lint import lint_graph
 from repro.lint.spec import SpecStage
 
@@ -84,11 +84,6 @@ class TestGraphRules:
 
 
 class TestEnginePreflight:
-    def test_lint_preflight_raises_on_broken_graph(self):
-        engine = DataflowEngine(two_stage_graph(connect=False), lint=True)
-        with pytest.raises(LintError, match="DF001"):
-            engine.run()
-
     def test_lint_off_still_raises_graph_error(self):
         engine = DataflowEngine(two_stage_graph(connect=False))
         with pytest.raises(GraphError):
@@ -99,6 +94,7 @@ class TestEnginePreflight:
         graph.add(SourceStage("src", items=iter(range(4))))
         sink = graph.add(SinkStage("sink"))
         graph.connect("src", "out", "sink", "in", depth=4)
-        stats = DataflowEngine(graph, lint=True).run()
+        assert lint_graph(graph).ok
+        stats = DataflowEngine(graph).run()
         assert sink.collected == [0, 1, 2, 3]
         assert stats.fires["src"] == 4

@@ -1,9 +1,9 @@
-"""Property tests for CommandQueue.validate().
+"""Property tests for the simulator's deadlock check.
 
-The queue must reject, before any timing is computed, the two schedule
-shapes the simulator could never complete: waits on events no enqueued
-command produces, and dependency cycles (explicit event edges combined
-with the implicit per-resource in-order edges).
+``simulate_schedule`` must reject, with a typed error, the two schedule
+shapes it could never complete: waits on events no enqueued command
+produces, and dependency cycles (explicit event edges combined with the
+implicit per-resource in-order edges).
 """
 
 import pytest
@@ -42,12 +42,11 @@ class TestValidQueues:
     @settings(max_examples=60, deadline=None)
     @given(valid_queue())
     def test_forward_dags_always_validate(self, queue):
-        queue.validate()  # must not raise
         result = simulate_schedule(queue)
         assert result.makespan > 0
 
     def test_empty_queue_validates(self):
-        CommandQueue().validate()
+        simulate_schedule(CommandQueue())
 
 
 class TestPhantomEvents:
@@ -58,8 +57,6 @@ class TestPhantomEvents:
         queue.enqueue(Command("waiter", "kernel", 0.1,
                               wait_for=[phantom]))
         with pytest.raises(ScheduleError, match="produces"):
-            queue.validate()
-        with pytest.raises(ScheduleError):
             simulate_schedule(queue)
 
     def test_wait_on_unenqueued_command_event_raises(self):
@@ -68,13 +65,13 @@ class TestPhantomEvents:
         queue.enqueue(Command("waiter", "kernel", 0.1,
                               wait_for=[orphan.event]))
         with pytest.raises(ScheduleError, match="produces"):
-            queue.validate()
+            simulate_schedule(queue)
 
     def test_already_complete_foreign_event_is_fine(self):
         done = Event(name="earlier.done", time=1.0)
         queue = CommandQueue()
         queue.enqueue(Command("waiter", "kernel", 0.1, wait_for=[done]))
-        queue.validate()  # satisfied before this queue starts
+        simulate_schedule(queue)  # satisfied before this queue starts
 
 
 class TestCycles:
@@ -89,7 +86,7 @@ class TestCycles:
         for command in commands:
             queue.enqueue(command)
         with pytest.raises(ScheduleError, match="deadlock"):
-            queue.validate()
+            simulate_schedule(queue)
 
     def test_resource_order_closes_the_cycle(self):
         """First-on-resource waits on second-on-resource: the implicit
@@ -101,7 +98,7 @@ class TestCycles:
         queue.enqueue(first)
         queue.enqueue(second)
         with pytest.raises(ScheduleError, match="deadlock"):
-            queue.validate()
+            simulate_schedule(queue)
 
     def test_self_wait_deadlocks(self):
         command = Command("selfie", "kernel", 0.1)
@@ -109,7 +106,7 @@ class TestCycles:
         queue = CommandQueue()
         queue.enqueue(command)
         with pytest.raises(ScheduleError, match="deadlock"):
-            queue.validate()
+            simulate_schedule(queue)
 
     @settings(max_examples=30, deadline=None)
     @given(valid_queue())
@@ -121,4 +118,4 @@ class TestCycles:
         head.wait_for.append(tail.event)
         queue.enqueue(tail)
         with pytest.raises(ScheduleError, match="deadlock"):
-            queue.validate()
+            simulate_schedule(queue)
