@@ -6,48 +6,53 @@ For the graphs the paper builds, every firing count is fixed by the
 stream position alone, never by a data value, so the *control*
 trajectory (pipeline fill, II timers, FIFO occupancies) is determined
 by the graph's structure.  This module executes exactly that
-trajectory, token by token, without touching a single data value:
+trajectory on the graph's token twin (:mod:`repro.analyze.twin`), whose
+stages move opaque tokens on each original stage's declared emission
+schedule (:meth:`~repro.dataflow.stage.Stage.emits`): every input-less
+stage is a **token source** firing ``tokens`` times, and every stage
+fires, retires and stalls by the library's own
+:meth:`~repro.dataflow.stage.Stage.tick`, in the engine's tick order,
+under the engine's deadlock grace
+(:func:`~repro.dataflow.engine.default_stall_grace`).  Fires, stalls,
+pushes, pops and high-water marks are the twin's own
+:class:`~repro.dataflow.stage.StageStats` and
+:class:`~repro.dataflow.stream.StreamStats`.
 
-* every input-less stage is a **token source** firing ``tokens`` times;
-* every other stage consumes one item per input port per firing, at
-  most once per ``ii`` cycles;
-* each firing's results retire ``latency`` cycles later, as many items
-  per output port as the stage's declared emission schedule says for
-  that firing (:meth:`~repro.dataflow.stage.Stage.emits`: one per port
-  unless the stage declares otherwise, two bundles at a shift buffer's
-  column top, up to three results per stencil window), and only when
-  every destination FIFO has room for all of them;
-* retire-then-fire ordering, stall attribution, deadlock grace, and the
-  quiescence rule mirror the engine's semantics statement for
-  statement, so the cycle counts agree **byte for byte** (asserted in
-  the test suite against :class:`~repro.dataflow.engine.DataflowEngine`
-  on the token twin, :mod:`repro.analyze.twin`, and on the kernels'
-  own runs).
-
-Periodicity makes this *static* rather than merely cheap: the
-interpreter fingerprints its control state each cycle (every stage's II
-wait, its in-flight results with their item counts, its schedule's
-regime key, and every FIFO occupancy), and when a fingerprint recurs
-``P`` cycles later the system is provably periodic (a deterministic
-machine revisiting a state replays it exactly).  Whole periods are then
-advanced analytically, never past the end of any stage's regime
+What this module adds is the proof.  It records each stage's first
+firing, and when the machine stops progressing it builds a
+:class:`StallWitness` from each stage's
+:meth:`~repro.dataflow.stage.Stage.blocked_reason`: at the deadlock
+guard, and at the first cycle a producer blocks on a full FIFO.
+Periodicity makes the run *static* rather than merely cheap: the
+interpreter fingerprints the twin's control state each cycle (every
+stage's :meth:`~repro.dataflow.stage.Stage.ff_signature`, which holds
+its II wait, its pipeline key, its schedule's regime key and a
+source's remaining supply, and every FIFO occupancy), and when a
+fingerprint recurs ``P`` cycles later the system is provably periodic
+(a deterministic machine revisiting a state replays it exactly).
+Whole periods are then advanced analytically with
+:meth:`~repro.dataflow.stage.Stage.ff_commit`, never past a source's
+supply or the end of any stage's regime
 (:meth:`~repro.dataflow.stage.Stage.regime_left`), so the cost is
 O(transient + period + drain) per regime — independent of the token
 count.  The same mechanism yields the steady-state period proof
 consumed by :mod:`repro.analyze.schedule` and the worst-case occupancy
 bound consumed by :mod:`repro.analyze.occupancy` (run with
 ``bounded=False`` the FIFOs are treated as infinite and the per-stream
-high-water mark *is* the minimal stall-free depth).
+high-water mark *is* the minimal stall-free depth).  The proof never
+runs :class:`~repro.dataflow.engine.DataflowEngine`; ``repro analyze
+--check`` runs the engine on the same twin and compares.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import sys
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, cast
 
+from repro.analyze.twin import TwinStage, build_token_twin
+from repro.dataflow.engine import default_stall_grace
 from repro.dataflow.graph import DataflowGraph
-from repro.dataflow.stage import Stage
 from repro.errors import AnalyzeError
 from repro.lint.diagnostics import Severity
 
@@ -57,6 +62,17 @@ __all__ = ["StallWitness", "PeriodProof", "InterpRun", "interpret",
 #: Distinct control states kept for periodicity detection; mirrors the
 #: engine's ``_FF_TABLE_CAP`` rationale (bound memory on aperiodic runs).
 _TABLE_CAP: int = 65_536
+
+#: Runaway guard: a proof that has not quiesced by this cycle raises.
+_MAX_CYCLES: int = 10_000_000
+
+#: The depth an unbounded run gives every FIFO: no push ever waits.
+_UNBOUNDED: int = sys.maxsize
+
+#: The twin's counters at one cycle: per stage (fires, retired, input,
+#: output, II and pipeline stalls), per stream (pushes, pops, full and
+#: empty stalls).
+_Counters = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
 @dataclass(frozen=True)
@@ -178,173 +194,6 @@ class InterpRun:
         }
 
 
-class _StreamState:
-    """Occupancy counter standing in for one FIFO (no data)."""
-
-    __slots__ = ("name", "depth", "occupancy", "pushes", "pops",
-                 "full_stalls", "empty_stalls", "high_water")
-
-    def __init__(self, name: str, depth: int | None) -> None:
-        self.name = name
-        #: None models an unbounded FIFO (occupancy-bound analysis).
-        self.depth = depth
-        self.occupancy = 0
-        self.pushes = 0
-        self.pops = 0
-        self.full_stalls = 0
-        self.empty_stalls = 0
-        self.high_water = 0
-
-    def can_push(self, count: int) -> bool:
-        return self.depth is None or self.occupancy + count <= self.depth
-
-    def push(self, count: int) -> None:
-        self.occupancy += count
-        self.pushes += count
-        if self.occupancy > self.high_water:
-            self.high_water = self.occupancy
-
-
-class _StageState:
-    """Control state of one stage, firing on its declared schedule."""
-
-    __slots__ = ("name", "stage", "ii", "latency", "is_source", "inputs",
-                 "outputs", "pipeline", "next_fire", "remaining", "fires",
-                 "retired", "input_stalls", "output_stalls", "ii_waits",
-                 "pipeline_full_stalls", "first_fire")
-
-    def __init__(self, stage: Stage, tokens: int,
-                 streams: dict[str, _StreamState]) -> None:
-        self.name = stage.name
-        #: The stage itself, read only for its emission schedule.
-        self.stage = stage
-        self.ii = stage.ii
-        self.latency = stage.latency
-        self.is_source = not stage.input_ports
-        self.inputs = [streams[stage.inputs[port].name]
-                       for port in stage.input_ports]
-        self.outputs = [streams[stage.outputs[port].name]
-                        for port in stage.output_ports]
-        #: In-flight results, oldest first: ``(ready cycle, items per
-        #: output port)``.
-        self.pipeline: deque[tuple[int, tuple[int, ...]]] = deque()
-        self.next_fire = 0
-        # An input-less stage with no outputs can never move a token; it
-        # fires nothing (the engine's exhausted-and-portless guard).
-        self.remaining = tokens if self.is_source and self.outputs else 0
-        self.fires = 0
-        self.retired = 0
-        self.input_stalls = 0
-        self.output_stalls = 0
-        self.ii_waits = 0
-        self.pipeline_full_stalls = 0
-        self.first_fire: int | None = None
-
-    def _fire(self, cycle: int) -> None:
-        counts = self.stage.emits(self.fires)
-        self.fires += 1
-        if self.first_fire is None:
-            self.first_fire = cycle
-        self.next_fire = cycle + self.ii
-        if any(counts):
-            # A firing that produces nothing never enters the pipeline
-            # (Stage._try_fire's `if produced:`): sinks, priming feeds.
-            self.pipeline.append((cycle + self.latency, counts))
-
-    def _blocking(self, counts: tuple[int, ...]
-                  ) -> tuple[_StreamState, int] | None:
-        """The first output stream without room for its items, and how
-        many they are."""
-        for stream, count in zip(self.outputs, counts):
-            if count and not stream.can_push(count):
-                return stream, count
-        return None
-
-    # Mirrors Stage._retire + Stage._try_fire (and the SourceStage /
-    # ConstStage fire override): same check order, same stall attribution,
-    # so cycle counts and stall counters agree with the engine exactly.
-    def tick(self, cycle: int) -> bool:
-        progressed = False
-        pipe = self.pipeline
-        if pipe and pipe[0][0] <= cycle:
-            counts = pipe[0][1]
-            blocked = self._blocking(counts)
-            if blocked is not None:
-                blocked[0].full_stalls += 1
-                self.output_stalls += 1
-            else:
-                for stream, count in zip(self.outputs, counts):
-                    if count:
-                        stream.push(count)
-                pipe.popleft()
-                self.retired += 1
-                progressed = True
-        if cycle < self.next_fire:
-            self.ii_waits += 1
-        elif len(pipe) >= self.latency:
-            self.pipeline_full_stalls += 1
-        elif self.is_source:
-            if self.remaining > 0:
-                self.remaining -= 1
-                self._fire(cycle)
-                progressed = True
-        else:
-            empty = None
-            for stream in self.inputs:
-                if stream.occupancy < 1:
-                    empty = stream
-                    break
-            if empty is not None:
-                empty.empty_stalls += 1
-                self.input_stalls += 1
-            else:
-                for stream in self.inputs:
-                    stream.occupancy -= 1
-                    stream.pops += 1
-                self._fire(cycle)
-                progressed = True
-        return progressed
-
-    def blocked_reason(self, cycle: int) -> str | None:
-        """Why this stage makes no progress at ``cycle`` (None: idle)."""
-        pipe = self.pipeline
-        blocked = (self._blocking(pipe[0][1])
-                   if pipe and pipe[0][0] <= cycle else None)
-        if blocked is not None:
-            full, count = blocked
-            return (f"cannot retire {count} item{'s' if count > 1 else ''}"
-                    f": stream {full.name!r} holds "
-                    f"{full.occupancy}/{full.depth}")
-        if cycle < self.next_fire:
-            return None
-        if pipe and len(pipe) >= self.latency:
-            return "pipeline full behind a blocked exit"
-        if self.is_source:
-            return None
-        for stream in self.inputs:
-            if stream.occupancy < 1:
-                return f"starved: stream {stream.name!r} empty"
-        return None
-
-    def signature(self, at_cycle: int) -> tuple[Any, ...]:
-        """Clamped-offset control fingerprint (Stage.ff_signature's twin),
-        with the schedule's regime key at the next firing."""
-        wait = self.next_fire - at_cycle
-        sig: tuple[Any, ...] = (
-            wait if wait > 0 else 0,
-            tuple((ready - at_cycle if ready > at_cycle else 0, counts)
-                  for ready, counts in self.pipeline),
-            self.stage.regime(self.fires),
-        )
-        if self.is_source:
-            sig += (self.remaining > 0,)
-        return sig
-
-    def counters(self) -> tuple[int, int, int, int, int, int]:
-        return (self.fires, self.retired, self.input_stalls,
-                self.output_stalls, self.ii_waits, self.pipeline_full_stalls)
-
-
 def start_cycles(graph: DataflowGraph) -> dict[str, tuple[int, int]]:
     """Latency-path first-fire cycle and topological level per stage.
 
@@ -399,9 +248,7 @@ def _structural_guard(graph: DataflowGraph) -> None:
 
 
 def interpret(graph: DataflowGraph, tokens: int | None = None, *,
-              bounded: bool = True, accelerate: bool = True,
-              stall_grace: int | None = None,
-              max_cycles: int = 10_000_000) -> InterpRun:
+              bounded: bool = True, accelerate: bool = True) -> InterpRun:
     """Abstract-interpret ``graph`` feeding ``tokens`` items per source.
 
     Parameters
@@ -410,7 +257,7 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
         Any structurally valid :class:`DataflowGraph`; only names, port
         order, ``ii``, ``latency``, the stages' emission schedules and
         stream depths are read — the graph is never mutated and its
-        stages are never fired.
+        stages are never fired (its token twin's are).
     tokens:
         Items each source emits (default: :func:`default_tokens`).
     bounded:
@@ -420,32 +267,23 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
     accelerate:
         Periodicity acceleration (identical results either way; the
         exact-vs-accelerated equivalence is property-tested).
-    stall_grace:
-        Silent cycles tolerated before declaring deadlock, mirroring
-        ``DataflowEngine(stall_grace=...)``; the default is the engine's
-        (``max ii + max latency + 1``).
     """
     _structural_guard(graph)
     if tokens is None:
         tokens = default_tokens(graph)
     if tokens < 0:
         raise AnalyzeError(f"tokens must be >= 0, got {tokens}")
-    order = graph.topological_order()
-    streams = {
-        stream.name: _StreamState(stream.name,
-                                  stream.depth if bounded else None)
-        for stream in graph.streams
-    }
-    states = [_StageState(stage, tokens, streams) for stage in order]
-    stream_list = list(streams.values())
-    sources = [st for st in states if st.is_source]
-    if stall_grace is not None:
-        grace = stall_grace
-    else:
-        grace = (max(st.ii for st in states)
-                 + max(st.latency for st in states) + 1)
+    twin = build_token_twin(graph, tokens)
+    stages = cast(list[TwinStage], twin.topological_order())
+    streams = twin.streams
+    if not bounded:
+        for stream in streams:
+            stream.depth = _UNBOUNDED
+    stage_stats = [stage.stats for stage in stages]
+    stream_stats = [stream.stats for stream in streams]
+    grace = default_stall_grace(stages)
 
-    seen: dict[tuple[Any, ...], tuple[int, tuple[Any, ...]]] = {}
+    seen: dict[tuple[Any, ...], tuple[int, _Counters]] = {}
     period_proof: PeriodProof | None = None
     longest = 0
     advances = 0
@@ -453,115 +291,111 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
     deadlock: StallWitness | None = None
     first_stall: StallWitness | None = None
     full_stalls_seen = 0
+    first_fire: dict[str, int | None] = {stage.name: None
+                                         for stage in stages}
+    unfired = list(stages)
 
     def quiescent() -> bool:
-        return (all(not st.pipeline for st in states)
-                and all(s.occupancy == 0 for s in stream_list)
-                and all(st.remaining <= 0 for st in sources))
+        return (all(stage.is_idle() for stage in stages)
+                and all(stream.is_empty for stream in streams))
+
+    def witness(kind: str, cycle: int, stuck_since: int,
+                blocked: dict[str, str]) -> StallWitness:
+        # An unbounded FIFO snapshots with depth 0.
+        return StallWitness(
+            kind=kind, cycle=cycle, stuck_since=stuck_since,
+            streams={s.name: (s.occupancy, s.depth if bounded else 0)
+                     for s in streams},
+            blocked=blocked)
+
+    def blocked_at(cycle: int) -> dict[str, str]:
+        return {stage.name: reason for stage in stages
+                if (reason := stage.blocked_reason(cycle)) is not None}
 
     def machine_signature(at_cycle: int) -> tuple[Any, ...]:
-        return (tuple(st.signature(at_cycle) for st in states),
-                tuple(s.occupancy for s in stream_list))
+        return (tuple([stage.ff_signature(at_cycle) for stage in stages]),
+                tuple([len(stream) for stream in streams]))
 
-    def snapshot() -> tuple[Any, ...]:
-        return (tuple(st.counters() for st in states),
-                tuple((s.pushes, s.pops, s.full_stalls, s.empty_stalls)
-                      for s in stream_list))
+    def snapshot() -> _Counters:
+        return (tuple([(st.fires, st.retired, st.input_stalls,
+                        st.output_stalls, st.ii_waits,
+                        st.pipeline_full_stalls) for st in stage_stats]),
+                tuple([(st.pushes, st.pops, st.full_stalls, st.empty_stalls)
+                       for st in stream_stats]))
 
-    def advance(sig_cycle: int, period: int,
-                snap: tuple[Any, ...]) -> int:
+    def advance(sig_cycle: int, period: int, snap: _Counters) -> int:
         """Jump whole periods; returns skipped cycles (0: parked phase,
         -1: a source's supply or a stage's regime ends within one
         period)."""
         nonlocal period_proof, longest
-        snap_stages, snap_streams = snap
-        d_stage = [
-            tuple(now - then for now, then in zip(st.counters(), before))
-            for st, before in zip(states, snap_stages)
-        ]
-        if sum(d[0] for d in d_stage) == 0:
+        now_stages, now_streams = snapshot()
+        d_stage = [tuple([now - then for now, then in zip(after, before)])
+                   for after, before in zip(now_stages, snap[0])]
+        if not any(d[0] for d in d_stage):
             return 0
-        n = (max_cycles - sig_cycle - 1) // period
-        for st, d in zip(states, d_stage):
-            if not d[0]:
-                continue
-            if st.is_source:
-                n = min(n, st.remaining // d[0])
-            left = st.stage.regime_left(st.fires)
-            if left is not None:
-                n = min(n, left // d[0])
+        n = (_MAX_CYCLES - sig_cycle - 1) // period
+        for stage, d in zip(stages, d_stage):
+            if d[0]:
+                n = min(n, stage.ff_fire_capacity(n * d[0]) // d[0])
         if n < 1:
             return -1
         shift = n * period
-        for st, d in zip(states, d_stage):
-            st.fires += d[0] * n
-            st.retired += d[1] * n
+        for stage, st, d in zip(stages, stage_stats, d_stage):
+            stage.skip(d[0] * n)
+            stage.ff_commit(sig_cycle, sig_cycle + shift, fires=d[0] * n,
+                            retired=d[1] * n,
+                            tail_outputs=stage.ff_pipeline_entries())
             st.input_stalls += d[2] * n
             st.output_stalls += d[3] * n
             st.ii_waits += d[4] * n
             st.pipeline_full_stalls += d[5] * n
-            st.next_fire += shift
-            if st.pipeline:
-                st.pipeline = deque((ready + shift, counts)
-                                    for ready, counts in st.pipeline)
-            if st.is_source:
-                st.remaining -= d[0] * n
-        for s, before in zip(stream_list, snap_streams):
-            s.pushes += (s.pushes - before[0]) * n
-            s.pops += (s.pops - before[1]) * n
-            s.full_stalls += (s.full_stalls - before[2]) * n
-            s.empty_stalls += (s.empty_stalls - before[3]) * n
+        for st, after, before in zip(stream_stats, now_streams, snap[1]):
+            st.pushes += (after[0] - before[0]) * n
+            st.pops += (after[1] - before[1]) * n
+            st.full_stalls += (after[2] - before[2]) * n
+            st.empty_stalls += (after[3] - before[3]) * n
         if shift > longest:
             # The steady state is the regime the run spends longest in
             # (a shift buffer primes before its planes recur).
             longest = shift
             period_proof = PeriodProof(
                 start_cycle=sig_cycle - period, cycles=period,
-                fires={st.name: d[0] for st, d in zip(states, d_stage)})
+                fires={stage.name: d[0]
+                       for stage, d in zip(stages, d_stage)})
         return shift
 
     cycle = 0
     last_progress = 0
-    while cycle < max_cycles:
+    while cycle < _MAX_CYCLES:
         progressed = False
-        for st in states:
-            progressed |= st.tick(cycle)
+        for stage in stages:
+            progressed |= stage.tick(cycle)
         if progressed:
             last_progress = cycle
+            if unfired:
+                for stage in unfired:
+                    if stage.stats.fires:
+                        first_fire[stage.name] = cycle
+                unfired = [stage for stage in unfired
+                           if not stage.stats.fires]
         else:
             if quiescent():
                 cycle += 1
                 break
             if cycle - last_progress > grace:
-                blocked = {}
-                for st in states:
-                    reason = st.blocked_reason(cycle)
-                    if reason is not None:
-                        blocked[st.name] = reason
-                deadlock = StallWitness(
-                    kind="deadlock", cycle=cycle,
-                    stuck_since=last_progress + 1,
-                    streams={s.name: (s.occupancy, s.depth or 0)
-                             for s in stream_list},
-                    blocked=blocked,
-                )
+                deadlock = witness("deadlock", cycle, last_progress + 1,
+                                   blocked_at(cycle))
                 break
         if first_stall is None:
-            total_full = sum(s.full_stalls for s in stream_list)
+            total_full = sum([st.full_stalls for st in stream_stats])
             if total_full > full_stalls_seen:
                 full_stalls_seen = total_full
-                blocked = {
-                    st.name: reason for st in states
-                    if (reason := st.blocked_reason(cycle)) is not None
-                    and "cannot retire" in reason
-                }
+                blocked = {name: reason
+                           for name, reason in blocked_at(cycle).items()
+                           if reason.startswith("cannot retire")}
                 if blocked:
-                    first_stall = StallWitness(
-                        kind="backpressure", cycle=cycle, stuck_since=cycle,
-                        streams={s.name: (s.occupancy, s.depth or 0)
-                                 for s in stream_list},
-                        blocked=blocked,
-                    )
+                    first_stall = witness("backpressure", cycle, cycle,
+                                          blocked)
         if accelerate:
             sig = machine_signature(cycle + 1)
             hit = seen.get(sig)
@@ -586,7 +420,7 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
         cycle += 1
     else:
         raise AnalyzeError(
-            f"graph {graph.name!r} did not quiesce within {max_cycles} "
+            f"graph {graph.name!r} did not quiesce within {_MAX_CYCLES} "
             f"abstract cycles"
         )
 
@@ -596,19 +430,19 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
         bounded=bounded,
         cycles=cycle,
         deadlock=deadlock,
-        fires={st.name: st.fires for st in states},
+        fires={stage.name: stage.stats.fires for stage in stages},
         stalls={
-            st.name: {
-                "input": st.input_stalls,
-                "output": st.output_stalls,
-                "ii": st.ii_waits,
-                "pipeline": st.pipeline_full_stalls,
+            stage.name: {
+                "input": stage.stats.input_stalls,
+                "output": stage.stats.output_stalls,
+                "ii": stage.stats.ii_waits,
+                "pipeline": stage.stats.pipeline_full_stalls,
             }
-            for st in states
+            for stage in stages
         },
-        stream_high_water={s.name: s.high_water for s in stream_list},
-        stream_full_stalls={s.name: s.full_stalls for s in stream_list},
-        first_fire={st.name: st.first_fire for st in states},
+        stream_high_water={s.name: s.stats.max_occupancy for s in streams},
+        stream_full_stalls={s.name: s.stats.full_stalls for s in streams},
+        first_fire=first_fire,
         period=period_proof,
         first_stall=first_stall,
         advances=advances,

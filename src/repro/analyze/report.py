@@ -85,13 +85,13 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def analyze_graph(graph: DataflowGraph, tokens: int | None = None, *,
-                  stall_grace: int | None = None) -> AnalysisReport:
+def analyze_graph(graph: DataflowGraph,
+                  tokens: int | None = None) -> AnalysisReport:
     """Statically analyze ``graph``: occupancy proof + schedule."""
     if tokens is None:
         tokens = default_tokens(graph)
     unbounded = interpret(graph, tokens, bounded=False)
-    bounded = interpret(graph, tokens, stall_grace=stall_grace)
+    bounded = interpret(graph, tokens)
     return AnalysisReport(
         graph_name=graph.name,
         tokens=tokens,

@@ -1,18 +1,22 @@
-"""Executable token twin of a structural graph.
+"""The token twin of a structural graph: the machine the proof ticks.
 
-The analyzer's claims are only worth anything if they can be checked
-against the machine they model.  :func:`build_token_twin` turns any
-structural :class:`~repro.dataflow.graph.DataflowGraph` (the kernels'
-own graphs, or the :class:`~repro.lint.spec.SpecStage` graphs loaded
-from design specs) into a *runnable* graph with identical names, port
-order, IIs, latencies and FIFO depths, whose stages move opaque tokens
-on each original stage's declared emission schedule
-(:meth:`~repro.dataflow.stage.Stage.emits`), exactly as the interpreter
-reads it.  Running it through :class:`~repro.dataflow.engine.
-DataflowEngine` in exact mode must then reproduce the interpreter's
-cycle counts byte for byte, multi-rate stages included — the
-cross-verification behind ``repro analyze --check`` and the golden
-tests.
+:func:`build_token_twin` turns any structural
+:class:`~repro.dataflow.graph.DataflowGraph` (the kernels' own graphs,
+or the :class:`~repro.lint.spec.SpecStage` graphs loaded from design
+specs) into a *runnable* graph with identical names, port order, IIs,
+latencies and FIFO depths, whose stages move opaque tokens on each
+original stage's declared emission schedule
+(:meth:`~repro.dataflow.stage.Stage.emits`).  Its stages are library
+:class:`~repro.dataflow.stage.Stage` objects, so they fire, retire and
+stall by the library's own rules.
+
+:func:`~repro.analyze.interp.interpret` ticks the twin cycle by cycle
+and jumps its proved periods; ``repro analyze --check`` and the test
+suite run the same twin through
+:class:`~repro.dataflow.engine.DataflowEngine` in exact mode, whose
+batched windows and recurrence hunting are the engine's own, and its
+cycle counts must equal the proof's byte for byte, multi-rate stages
+included.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ class TwinStage(Stage):
     """Moves tokens on the emission schedule of ``stage``.
 
     One token is consumed per input port per firing; firing ``i`` emits
-    ``stage.emits(i)`` tokens per output port.  An input-less stage is a
+    ``stage.emits(i)`` tokens per output port, in one read-only mapping
+    shared by every firing that emits alike.  An input-less stage is a
     source firing ``count`` times (never, without output ports: the
     engine's exhausted-and-portless guard).  The schedule's regime key
     joins the batched-window signature, and its regime end caps each
@@ -46,6 +51,7 @@ class TwinStage(Stage):
         self._schedule = stage
         self._fired = 0
         self._remaining = count if stage.output_ports else 0
+        self._produced: dict[tuple[int, ...], dict[str, list[Any]]] = {}
 
     def exhausted(self) -> bool:
         return bool(self.input_ports) or self._remaining <= 0
@@ -56,10 +62,23 @@ class TwinStage(Stage):
         self._fired += 1
         if not self.input_ports:
             self._remaining -= 1
-        return {port: [_TOKEN] * count
+        produced = self._produced.get(counts)
+        if produced is None:
+            produced = self._produced[counts] = {
+                port: [_TOKEN] * count
                 for port, count in zip(self.output_ports, counts) if count}
+        return produced
 
-    def ff_signature(self, cycle: int) -> tuple | None:
+    def skip(self, firings: int) -> None:
+        """Move the schedule's firing index, and a source's supply, past
+        ``firings`` firings that a proved period jump of the static
+        analyzer makes without calling :meth:`fire`, which moves them
+        itself."""
+        self._fired += firings
+        if not self.input_ports:
+            self._remaining -= firings
+
+    def ff_signature(self, cycle: int) -> tuple[Any, ...] | None:
         base = super().ff_signature(cycle)
         if base is None:
             return None
@@ -76,7 +95,7 @@ class TwinStage(Stage):
 
 
 def build_token_twin(graph: DataflowGraph, tokens: int) -> DataflowGraph:
-    """An engine-runnable twin of ``graph`` feeding ``tokens`` per source.
+    """A runnable twin of ``graph`` feeding ``tokens`` per source.
 
     Same stage names, port order, IIs, latencies, stream names and
     depths; every stage becomes a :class:`TwinStage` on the original's

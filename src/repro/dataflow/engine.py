@@ -101,7 +101,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 import numpy as np
 
@@ -118,12 +118,26 @@ if TYPE_CHECKING:  # imported lazily to keep dataflow import-cycle free
     from repro.observe.metrics import MetricRegistry
     from repro.observe.trace import Tracer
 
-__all__ = ["ControlRecord", "DataflowEngine", "RecordedRun", "RunStats"]
+__all__ = ["ControlRecord", "DataflowEngine", "RecordedRun", "RunStats",
+           "default_stall_grace"]
 
 #: Signature table cap: beyond this many distinct control states the run
 #: is clearly not periodic at a useful scale; the table is cleared to
 #: bound memory and detection re-arms from scratch.
 _FF_TABLE_CAP = 65_536
+
+
+def default_stall_grace(stages: Sequence[Stage]) -> int:
+    """Silent cycles a machine of ``stages`` may spend before it counts
+    as deadlocked: the largest II plus the largest latency, plus one.
+
+    A machine can legitimately make no visible progress while it waits
+    out an interval or fills a pipeline; anything longer without
+    progress while non-idle is a deadlock (an undersized FIFO, say).
+    The engine and the static analyzer both default to it.
+    """
+    return (max(stage.ii for stage in stages)
+            + max(stage.latency for stage in stages) + 1)
 
 
 class _Key:
@@ -413,14 +427,11 @@ class DataflowEngine:
                 window = plan.freeze_window(stage.name)
                 if window is not None:
                     freeze[stage.name] = window
-        # A machine can legitimately make no visible progress for up to the
-        # largest II (waiting out the interval); anything longer without
-        # progress while non-idle is a deadlock (e.g. an undersized FIFO).
         # Stages gated by external resources (a starved memory arbiter)
-        # may stall longer — callers model that via ``stall_grace``.
-        grace = self.stall_grace if self.stall_grace is not None else (
-            max(s.ii for s in order) + max(s.latency for s in order) + 1
-        )
+        # may stall longer than the default grace — callers model that
+        # via ``stall_grace``.
+        grace = (self.stall_grace if self.stall_grace is not None
+                 else default_stall_grace(order))
         # Activity tracking (stage name -> [first, last] progressing cycle)
         # and strided samples only run with an *enabled* tracer: the flag
         # is hoisted here so a compiled-in-but-disabled tracer costs

@@ -423,6 +423,34 @@ class Stage:
             ))
         return True
 
+    def blocked_reason(self, cycle: int) -> str | None:
+        """Why this stage cannot progress at ``cycle``, or ``None``.
+
+        Read in :meth:`_retire` then :meth:`_try_fire` order, after the
+        cycle's ticks: a matured result that a full stream refuses, a
+        pipeline as deep as it is long behind it, or an empty input
+        stream.  A stage that is idle or waiting out its II is not
+        blocked.  The static analyzer's stall witnesses quote it.
+        """
+        pipeline = self._pipeline
+        if pipeline and pipeline[0][0] <= cycle:
+            for port, items in pipeline[0][1].items():
+                stream = self.outputs[port]
+                count = len(items)
+                if not stream.can_push(count):
+                    return (f"cannot retire {count} item"
+                            f"{'s' if count > 1 else ''}: stream "
+                            f"{stream.name!r} holds "
+                            f"{stream.occupancy}/{stream.depth}")
+        if cycle < self._next_fire_cycle:
+            return None
+        if len(pipeline) >= self.latency:
+            return "pipeline full behind a blocked exit"
+        for _port, stream in self._in_plan:
+            if not stream.can_pop():
+                return f"starved: stream {stream.name!r} empty"
+        return None
+
     def tick(self, cycle: int) -> bool:
         """Advance one cycle: retire then fire.  Returns True on progress."""
         progressed = self._retire(cycle)

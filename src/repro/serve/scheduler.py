@@ -172,8 +172,8 @@ class FleetScheduler:
         self._backlog_seconds = 0.0
         self._workers: list["asyncio.Task[None]"] = []
         self._started = False
-        #: scenario jobs' cycle counts (see _exact_cycles).
-        self._scenario_cycles: dict[tuple[str, Grid], int] = {}
+        #: exact-tier cycle counts by (scenario, grid) (see _exact_cycles).
+        self._exact_counts: dict[tuple[str | None, Grid], int] = {}
         #: distinct inputs by JobSpec.input_key (see _input).
         self._inputs: dict[tuple[Any, ...], _Input] = {}
 
@@ -534,22 +534,24 @@ class FleetScheduler:
     def _exact_cycles(self, spec: JobSpec) -> int:
         """Cycle-accurate total of one exact-tier job, without a run.
 
-        A plain job reads the closed form on its ``serve_config``; a
-        scenario job its kernel's
-        :meth:`~repro.scenarios.base.ScenarioKernel.cycles`, kept per
-        (scenario, grid), since a stencil kernel's is a proof of a few
-        milliseconds.  Both equal the engine's fault-free count.
+        A plain job reads the closed form on its ``serve_config``, which
+        plans the grid's chunks; a scenario job its kernel's
+        :meth:`~repro.scenarios.base.ScenarioKernel.cycles`, which for a
+        stencil kernel is a proof of a few milliseconds.  Either is kept
+        per (scenario, grid), and both equal the engine's fault-free
+        count.
         """
         grid = spec.grid()
-        if spec.scenario is None:
-            return KernelCycleModel(serve_config(grid)).cycles()
         key = (spec.scenario, grid)
-        cycles = self._scenario_cycles.get(key)
+        cycles = self._exact_counts.get(key)
         if cycles is None:
-            from repro.scenarios import get as get_scenario
+            if spec.scenario is None:
+                cycles = KernelCycleModel(serve_config(grid)).cycles()
+            else:
+                from repro.scenarios import get as get_scenario
 
-            cycles = self._scenario_cycles[key] = get_scenario(
-                spec.scenario).kernel.cycles(grid)
+                cycles = get_scenario(spec.scenario).kernel.cycles(grid)
+            self._exact_counts[key] = cycles
         return cycles
 
     # -- batch entry points -------------------------------------------------

@@ -227,3 +227,79 @@ class TestMisbehavingStage:
                 stage.tick(cycle)
             assert list(out) == [3]
             assert stage.is_idle()
+
+
+class _Pair(Stage):
+    """Emits each consumed item twice: a two-item retirement."""
+
+    input_ports = ("in",)
+    output_ports = ("out",)
+
+    def fire(self, cycle, inputs):
+        return {"out": inputs["in"] * 2}
+
+
+def blocked_machine(emitter: Stage, *, sink_ii: int) -> DataflowGraph:
+    """src -> emitter -> sink over depth-2 streams, ticked up to (and
+    including) cycle 3 by :meth:`TestBlockedReason.tick`."""
+    g = DataflowGraph("blocked")
+    for stage in (SourceStage("src", range(4)), emitter,
+                  SinkStage("sink", ii=sink_ii)):
+        g.add(stage)
+    g.connect("src", "out", emitter.name, "in", depth=2)
+    g.connect(emitter.name, "out", "sink", "in", depth=2)
+    return g
+
+
+class TestBlockedReason:
+    """One answer per rule of ``_retire`` then ``_try_fire``, read after
+    the cycle's ticks."""
+
+    @staticmethod
+    def tick(graph: DataflowGraph, last_cycle: int) -> None:
+        order = graph.topological_order()
+        for cycle in range(last_cycle + 1):
+            for stage in order:
+                stage.tick(cycle)
+
+    def test_an_empty_input_starves(self):
+        g = blocked_machine(_Pair("pair"), sink_ii=1)
+        self.tick(g, 0)
+        assert (g.stage("pair").blocked_reason(0)
+                == "starved: stream 'src.out->pair.in' empty")
+        assert (g.stage("sink").blocked_reason(0)
+                == "starved: stream 'pair.out->sink.in' empty")
+
+    @pytest.mark.parametrize("emitter, cycle, want", [
+        (_Pair("pair"), 3, "cannot retire 2 items: stream "
+                           "'pair.out->sink.in' holds 1/2"),
+        (FunctionStage("pair", lambda x: x, latency=2), 6,
+         "cannot retire 1 item: stream 'pair.out->sink.in' holds 2/2"),
+    ])
+    def test_a_full_stream_refuses_the_matured_result(self, emitter, cycle,
+                                                      want):
+        # The sink fires once, then waits out its II.
+        g = blocked_machine(emitter, sink_ii=100)
+        self.tick(g, cycle)
+        assert g.stage("pair").blocked_reason(cycle) == want
+        assert g.stage("sink").blocked_reason(cycle) is None
+
+    def test_a_full_pipeline_waits_behind_an_exit_blocked_this_cycle(self):
+        # At cycle 3 the pair result meets a stream holding 1/2 and
+        # stays; the sink then pops, so the exit has room after the
+        # cycle's ticks, but the pipeline was full and nothing fired.
+        g = blocked_machine(_Pair("pair"), sink_ii=1)
+        self.tick(g, 3)
+        pair = g.stage("pair")
+        assert pair.stats.output_stalls == 1
+        assert pair.blocked_reason(3) == "pipeline full behind a blocked exit"
+
+    def test_a_stage_waiting_out_its_ii_or_idle_is_not_blocked(self):
+        g = blocked_machine(_Pair("pair"), sink_ii=1)
+        src = g.stage("src")
+        self.tick(g, 0)
+        # The source fired at cycle 0: its II ends at cycle 1.
+        assert src.blocked_reason(0) is None
+        self.tick(g, 40)
+        # Drained and exhausted: idle.
+        assert src.is_idle() and src.blocked_reason(40) is None

@@ -9,6 +9,8 @@ no engine for it: a plain job reads the closed form
 kernel's ``ScenarioKernel.cycles``, and both equal the engine.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -195,6 +197,21 @@ class TestMemoScope:
         assert first != second
         assert [result.stats_cycles for result in results] == \
             [first, first, second, second]
+
+    def test_plain_jobs_read_the_closed_form_once_per_grid(self):
+        """Several exact jobs on each of two grids read
+        ``KernelCycleModel.cycles`` once per grid, and every job still
+        carries its grid's count."""
+        specs = [exact_job(f"a{seed}", seed) for seed in range(3)] \
+            + [exact_job(f"b{seed}", seed, dims=OTHER_DIMS)
+               for seed in range(3)]
+        with mock.patch.object(KernelCycleModel, "cycles", autospec=True,
+                               side_effect=KernelCycleModel.cycles) as count:
+            results = serve_exact(fleet_scheduler(), specs)
+        assert count.call_count == 2
+        first, second = plain_cycles(specs[0]), plain_cycles(specs[3])
+        assert [result.stats_cycles for result in results] == \
+            [first] * 3 + [second] * 3
 
     def test_scenario_jobs_run_no_engine(self, serve_without_engine):
         specs = [exact_job(f"s-{name}", 0, scenario=name,
