@@ -26,7 +26,15 @@ Quick start::
     sources = advect_reference(thermal_bubble(grid))
 
 See README.md for the full tour and DESIGN.md for the architecture.
+
+Every subpackage loads its exports on first use: ``repro.tune.tune``
+imports :mod:`repro.tune.tuner` the first time it is read, so importing
+one submodule never loads its siblings (:class:`LazyExports`).
 """
+
+import importlib
+import sys
+from typing import Any, Iterable, Mapping
 
 from repro import constants
 from repro.errors import ReproError
@@ -34,3 +42,59 @@ from repro.errors import ReproError
 __version__ = "1.0.0"
 
 __all__ = ["constants", "ReproError", "__version__"]
+
+
+class LazyExports:
+    """One subpackage's exports, each loaded on first access (PEP 562).
+
+    A subpackage names its public API in ``__all__``, maps each name to
+    the submodule that defines it in one of these tables, and hands the
+    table its module-level ``__getattr__`` and ``__dir__``, spelled out
+    so that type checkers see them::
+
+        _EXPORTS = LazyExports(__name__, {
+            "repro.pkg.mod": ("Name", "function"),
+        })
+
+
+        def __getattr__(name: str) -> Any:
+            return _EXPORTS.resolve(name)
+
+
+        def __dir__() -> list[str]:
+            return _EXPORTS.names(globals())
+
+    Parameters
+    ----------
+    package:
+        The subpackage's ``__name__``.
+    modules:
+        Absolute submodule name -> the exported names it defines.
+    """
+
+    def __init__(self, package: str,
+                 modules: Mapping[str, Iterable[str]]) -> None:
+        self.package = package
+        #: exported name -> absolute name of the module that defines it.
+        self.table = {name: module for module, names in modules.items()
+                      for name in names}
+
+    def resolve(self, name: str) -> Any:
+        """The value of ``package.name``, bound in the package once read.
+
+        An error raised while importing the submodule propagates as it
+        is; a name the table does not hold raises :class:`AttributeError`.
+        """
+        try:
+            module = self.table[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {self.package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[self.package], name, value)
+        return value
+
+    def names(self, namespace: Iterable[str]) -> list[str]:
+        """``dir(package)``: what the package holds plus every export."""
+        return sorted({*namespace, *self.table})

@@ -13,16 +13,9 @@ rules, the ``repro analyze`` CLI and the tuner's cost model.
 cross-check every claim against the exact engine.
 """
 
-from repro.analyze.interp import (InterpRun, PeriodProof, StallWitness,
-                                  default_tokens, interpret, start_cycles)
-from repro.analyze.kernel import static_kernel_cycles
-from repro.analyze.occupancy import (OccupancyProof, StreamProof,
-                                     build_occupancy_proof)
-from repro.analyze.report import (AnalysisReport, analyze_graph,
-                                  patch_spec_depths)
-from repro.analyze.schedule import (StageTiming, StaticSchedule,
-                                    build_schedule)
-from repro.analyze.twin import build_token_twin
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "AnalysisReport",
@@ -43,3 +36,24 @@ __all__ = [
     "start_cycles",
     "static_kernel_cycles",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.analyze.interp": ("InterpRun", "PeriodProof", "StallWitness",
+                             "default_tokens", "interpret", "start_cycles"),
+    "repro.analyze.kernel": ("static_kernel_cycles",),
+    "repro.analyze.occupancy": ("OccupancyProof", "StreamProof",
+                                "build_occupancy_proof"),
+    "repro.analyze.report": ("AnalysisReport", "analyze_graph",
+                             "patch_spec_depths"),
+    "repro.analyze.schedule": ("StageTiming", "StaticSchedule",
+                               "build_schedule"),
+    "repro.analyze.twin": ("build_token_twin",),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

@@ -38,16 +38,9 @@ backend folds it into its roofline as a consistency cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
-from repro import constants
-from repro.backend.base import (
-    DEFAULT_BACKEND,
-    Backend,
-    backend_names,
-    get_backend,
-    register_backend,
-)
-from repro.backend.space import AxisSpace
+from repro import LazyExports, constants
 from repro.errors import BackendError, ConfigurationError
 
 __all__ = [
@@ -62,6 +55,20 @@ __all__ = [
     "get_backend",
     "register_backend",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.backend.base": ("DEFAULT_BACKEND", "Backend", "backend_names",
+                           "get_backend", "register_backend"),
+    "repro.backend.space": ("AxisSpace",),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())
 
 
 @dataclass(frozen=True)

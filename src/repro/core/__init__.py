@@ -10,35 +10,9 @@ advected fields by their physics: divergence, vorticity, kinetic energy,
 CFL headroom and horizontal energy spectra.
 """
 
-from repro.core.coefficients import AdvectionCoefficients
-from repro.core.diagnostics import (
-    cfl_field,
-    divergence,
-    kinetic_energy,
-    vorticity_z,
-)
-from repro.core.fields import FieldSet, SourceSet
-from repro.core.flops import (
-    cell_flops,
-    column_flops,
-    field_flops,
-    grid_flops,
-    strict_grid_flops,
-)
-from repro.core.golden import advect_golden
-from repro.core.grid import Grid
-from repro.core.reference import advect_reference
-from repro.core.spectra import energy_spectrum
-from repro.core.timestepping import AdvectionIntegrator
-from repro.core.wind import (
-    constant_wind,
-    gravity_current,
-    random_wind,
-    shear_layer,
-    solid_body_rotation,
-    taylor_green,
-    thermal_bubble,
-)
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "AdvectionCoefficients",
@@ -66,3 +40,28 @@ __all__ = [
     "cfl_field",
     "energy_spectrum",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.core.coefficients": ("AdvectionCoefficients",),
+    "repro.core.diagnostics": ("cfl_field", "divergence", "kinetic_energy",
+                               "vorticity_z"),
+    "repro.core.fields": ("FieldSet", "SourceSet"),
+    "repro.core.flops": ("cell_flops", "column_flops", "field_flops",
+                         "grid_flops", "strict_grid_flops"),
+    "repro.core.golden": ("advect_golden",),
+    "repro.core.grid": ("Grid",),
+    "repro.core.reference": ("advect_reference",),
+    "repro.core.spectra": ("energy_spectrum",),
+    "repro.core.timestepping": ("AdvectionIntegrator",),
+    "repro.core.wind": ("constant_wind", "gravity_current", "random_wind",
+                        "shear_layer", "solid_body_rotation", "taylor_green",
+                        "thermal_bubble"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

@@ -21,11 +21,9 @@ implements exactly that abstraction:
   fingerprint recurs, and advances it in one Python-level step.
 """
 
-from repro.dataflow.compiled import CompiledGraph, compile_graph
-from repro.dataflow.engine import ControlRecord, DataflowEngine, RunStats
-from repro.dataflow.graph import DataflowGraph
-from repro.dataflow.stage import ConstStage, FunctionStage, SinkStage, SourceStage, Stage
-from repro.dataflow.stream import Stream
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "Stream",
@@ -41,3 +39,20 @@ __all__ = [
     "CompiledGraph",
     "compile_graph",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.dataflow.compiled": ("CompiledGraph", "compile_graph"),
+    "repro.dataflow.engine": ("ControlRecord", "DataflowEngine", "RunStats"),
+    "repro.dataflow.graph": ("DataflowGraph",),
+    "repro.dataflow.stage": ("ConstStage", "FunctionStage", "SinkStage",
+                             "SourceStage", "Stage"),
+    "repro.dataflow.stream": ("Stream",),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

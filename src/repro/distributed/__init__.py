@@ -20,9 +20,9 @@ deterministic while exercising exactly the halo logic a distributed MONC
 needs.
 """
 
-from repro.distributed.comm import CommCostModel, LocalCluster
-from repro.distributed.driver import DistributedAdvection, DistributedStepReport
-from repro.distributed.topology import ProcessGrid, RankDomain
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "ProcessGrid",
@@ -32,3 +32,18 @@ __all__ = [
     "DistributedAdvection",
     "DistributedStepReport",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.distributed.comm": ("CommCostModel", "LocalCluster"),
+    "repro.distributed.driver": ("DistributedAdvection",
+                                 "DistributedStepReport"),
+    "repro.distributed.topology": ("ProcessGrid", "RankDomain"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

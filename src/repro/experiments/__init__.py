@@ -14,6 +14,21 @@ and schedules (never by echoing stored results):
 :data:`repro.experiments.registry.EXPERIMENTS` maps ids to runners.
 """
 
-from repro.experiments.registry import EXPERIMENTS, ExperimentResult, run_experiment
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = ["EXPERIMENTS", "ExperimentResult", "run_experiment"]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.experiments.registry": ("EXPERIMENTS", "ExperimentResult",
+                                   "run_experiment"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

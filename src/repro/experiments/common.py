@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.grid import Grid
-from repro.hardware import (
+from repro.hardware.devices import (
     ALVEO_U280,
     STRATIX10_GX2800,
     TESLA_V100,

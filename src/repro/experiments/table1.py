@@ -13,7 +13,8 @@ from repro.core.flops import grid_flops
 from repro.experiments.common import paper_grid, standard_config
 from repro.experiments.registry import ExperimentResult, register
 from repro.experiments.report import text_table
-from repro.hardware import ALVEO_U280, STRATIX10_GX2800, TESLA_V100, XEON_8260M
+from repro.hardware.devices import (ALVEO_U280, STRATIX10_GX2800,
+                                    TESLA_V100, XEON_8260M)
 from repro.perf.calibration import paper_value
 from repro.perf.metrics import compare_to_paper
 from repro.perf.theoretical import percent_of_theoretical

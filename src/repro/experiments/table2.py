@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.experiments.common import TABLE2_SIZES, paper_grid, standard_config
 from repro.experiments.registry import ExperimentResult, register
 from repro.experiments.report import text_table
-from repro.hardware import ALVEO_U280
+from repro.hardware.devices import ALVEO_U280
 from repro.perf.calibration import paper_value
 from repro.perf.metrics import compare_to_paper
 

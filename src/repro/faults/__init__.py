@@ -21,7 +21,21 @@ The package has three layers:
 See ``docs/resilience.md`` for the fault model and recovery semantics.
 """
 
-from repro.faults.plan import FaultEvent, FaultPlan, FaultSpec
-from repro.faults.retry import RetryPolicy
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = ["FaultSpec", "FaultPlan", "FaultEvent", "RetryPolicy"]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.faults.plan": ("FaultEvent", "FaultPlan", "FaultSpec"),
+    "repro.faults.retry": ("RetryPolicy",),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

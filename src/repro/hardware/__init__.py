@@ -10,21 +10,9 @@ experiment harness flows through these models — nothing is a hard-coded
 result.
 """
 
-from repro.hardware.clock import ClockModel
-from repro.hardware.cpu import CPUModel
-from repro.hardware.device import FPGADevice
-from repro.hardware.devices import (
-    ALVEO_U280,
-    STRATIX10_GX2800,
-    TESLA_V100,
-    XEON_8260M,
-    device_by_name,
-)
-from repro.hardware.gpu import GPUModel
-from repro.hardware.memory import MemorySpec, StreamingMemoryModel
-from repro.hardware.pcie import PCIeLink
-from repro.hardware.power import PowerModel
-from repro.hardware.resources import ResourceVector, estimate_kernel_resources
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "ClockModel",
@@ -43,3 +31,25 @@ __all__ = [
     "TESLA_V100",
     "device_by_name",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.hardware.clock": ("ClockModel",),
+    "repro.hardware.cpu": ("CPUModel",),
+    "repro.hardware.device": ("FPGADevice",),
+    "repro.hardware.devices": ("ALVEO_U280", "STRATIX10_GX2800", "TESLA_V100",
+                               "XEON_8260M", "device_by_name"),
+    "repro.hardware.gpu": ("GPUModel",),
+    "repro.hardware.memory": ("MemorySpec", "StreamingMemoryModel"),
+    "repro.hardware.pcie": ("PCIeLink",),
+    "repro.hardware.power": ("PowerModel",),
+    "repro.hardware.resources": ("ResourceVector",
+                                 "estimate_kernel_resources"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

@@ -26,13 +26,9 @@ into the paper's actual kernel:
   :meth:`repro.hardware.device.FPGADevice.invocation`).
 """
 
-from repro.kernel.builder import (build_advection_graph,
-                                  build_chunk_graph,
-                                  build_structural_graph)
-from repro.kernel.config import KernelConfig
-from repro.kernel.cycle_model import CycleBreakdown, KernelCycleModel
-from repro.kernel.functional import execute_chunked
-from repro.kernel.simulate import simulate_kernel
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "KernelConfig",
@@ -44,3 +40,20 @@ __all__ = [
     "KernelCycleModel",
     "CycleBreakdown",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.kernel.builder": ("build_advection_graph", "build_chunk_graph",
+                             "build_structural_graph"),
+    "repro.kernel.config": ("KernelConfig",),
+    "repro.kernel.cycle_model": ("CycleBreakdown", "KernelCycleModel"),
+    "repro.kernel.functional": ("execute_chunked",),
+    "repro.kernel.simulate": ("simulate_kernel",),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

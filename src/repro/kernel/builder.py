@@ -9,7 +9,7 @@ from repro.core.fields import FieldSet, SourceSet
 from repro.core.grid import Grid
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import ConfigurationError
-from repro.kernel.config import KernelConfig
+from repro.kernel.config import REPLICATE_LATENCY, SHIFT_LATENCY, KernelConfig
 from repro.kernel.stages import (
     AdvectStage,
     MemoryArbiter,
@@ -28,12 +28,6 @@ __all__ = [
     "build_chunk_graph",
     "build_structural_graph",
 ]
-
-#: Pipeline latencies of the shift-buffer and replicate stages, which no
-#: configuration parameter sets; the closed-form cycle model
-#: (:class:`~repro.kernel.cycle_model.KernelCycleModel`) reads them too.
-SHIFT_LATENCY = 2
-REPLICATE_LATENCY = 1
 
 #: The smallest grid every kernel configuration accepts: ``nz >= 3``
 #: for the vertical stencil, and two Y cells for one whole chunk.

@@ -31,6 +31,13 @@ DEFAULT_ADVECT_LATENCY: int = 28
 #: Latency of external memory read/write stages (burst setup + AXI depth).
 DEFAULT_MEMORY_LATENCY: int = 16
 
+#: Pipeline latencies of the shift-buffer and replicate stages, which no
+#: configuration parameter sets: the graph builder wires them, and the
+#: closed-form cycle model
+#: (:class:`~repro.kernel.cycle_model.KernelCycleModel`) reads them.
+SHIFT_LATENCY: int = 2
+REPLICATE_LATENCY: int = 1
+
 
 @dataclass(frozen=True)
 class KernelConfig:

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.grid import Grid
-from repro.kernel.builder import REPLICATE_LATENCY, SHIFT_LATENCY
-from repro.kernel.config import KernelConfig
+from repro.kernel.config import REPLICATE_LATENCY, SHIFT_LATENCY, KernelConfig
 
 __all__ = ["CycleBreakdown", "KernelCycleModel"]
 

@@ -13,27 +13,25 @@ Public API
 :class:`Rule`, :class:`RuleRegistry`, :class:`LintContext`,
 :data:`DEFAULT_REGISTRY`, :func:`rule`
     The rule machinery (:mod:`repro.lint.registry`).
-:func:`run_lint`, :func:`lint_graph`, :func:`lint_kernel`
+:func:`run_lint`, :func:`lint_graph`, :func:`lint_kernel`,
+:func:`load_builtin_rules`
     The runner (:mod:`repro.lint.runner`).
 :func:`load_spec`, :func:`context_from_spec`
     JSON design-spec ingestion (:mod:`repro.lint.spec`).
 
-This ``__init__`` imports only the leaf modules eagerly; the rule modules
-(which import the rest of :mod:`repro`) load lazily so that low-level
-modules such as :mod:`repro.dataflow.graph` can emit diagnostics without
-import cycles.
+Like every ``repro`` package, this one loads each name on first access
+(:class:`repro.LazyExports`).  Low-level modules such as
+:mod:`repro.dataflow.graph` import :mod:`repro.lint.diagnostics` to emit
+diagnostics; that runs this ``__init__`` without loading the runner or
+the rule modules, which import the rest of :mod:`repro`, so there is no
+import cycle.
 """
 
 from __future__ import annotations
 
-from repro.lint.diagnostics import Diagnostic, LintReport, Location, Severity
-from repro.lint.registry import (
-    DEFAULT_REGISTRY,
-    LintContext,
-    Rule,
-    RuleRegistry,
-    rule,
-)
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "Diagnostic",
@@ -53,27 +51,20 @@ __all__ = [
     "context_from_spec",
 ]
 
-_LAZY = {
-    "run_lint": "repro.lint.runner",
-    "lint_graph": "repro.lint.runner",
-    "lint_kernel": "repro.lint.runner",
-    "load_builtin_rules": "repro.lint.runner",
-    "load_spec": "repro.lint.spec",
-    "context_from_spec": "repro.lint.spec",
-}
+_EXPORTS = LazyExports(__name__, {
+    "repro.lint.diagnostics": ("Diagnostic", "LintReport", "Location",
+                               "Severity"),
+    "repro.lint.registry": ("DEFAULT_REGISTRY", "LintContext", "Rule",
+                            "RuleRegistry", "rule"),
+    "repro.lint.runner": ("run_lint", "lint_graph", "lint_kernel",
+                          "load_builtin_rules"),
+    "repro.lint.spec": ("load_spec", "context_from_spec"),
+})
 
 
-def __getattr__(name: str):
-    try:
-        module_name = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+    return _EXPORTS.names(globals())

@@ -18,21 +18,9 @@ and this package gives the reproduction the same instruments:
 the whole plane at <= 3%.
 """
 
-from repro.observe.export import build_trace, tracer_to_events, write_trace
-from repro.observe.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramValue,
-    MetricRegistry,
-)
-from repro.observe.opscycle import (
-    OpsPerCycleReport,
-    flops_from_stats,
-    ops_per_cycle_report,
-)
-from repro.observe.trace import CounterSample, Instant, Span, Tracer
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "Tracer",
@@ -52,3 +40,20 @@ __all__ = [
     "tracer_to_events",
     "write_trace",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.observe.export": ("build_trace", "tracer_to_events", "write_trace"),
+    "repro.observe.metrics": ("DEFAULT_BUCKETS", "Counter", "Gauge",
+                              "Histogram", "HistogramValue", "MetricRegistry"),
+    "repro.observe.opscycle": ("OpsPerCycleReport", "flops_from_stats",
+                               "ops_per_cycle_report"),
+    "repro.observe.trace": ("CounterSample", "Instant", "Span", "Tracer"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

@@ -9,13 +9,9 @@ from the paper's published measurements, and verifies the derivations
 numerically.
 """
 
-from repro.perf.bench import BenchRecord, BenchSuite, load_suite, speedup
-from repro.perf.calibration import CALIBRATION, CalibrationEntry
-from repro.perf.metrics import KernelMetrics, compare_to_paper
-from repro.perf.theoretical import (
-    percent_of_theoretical,
-    theoretical_gflops,
-)
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "theoretical_gflops",
@@ -29,3 +25,18 @@ __all__ = [
     "load_suite",
     "speedup",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.perf.bench": ("BenchRecord", "BenchSuite", "load_suite", "speedup"),
+    "repro.perf.calibration": ("CALIBRATION", "CalibrationEntry"),
+    "repro.perf.metrics": ("KernelMetrics", "compare_to_paper"),
+    "repro.perf.theoretical": ("percent_of_theoretical", "theoretical_gflops"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

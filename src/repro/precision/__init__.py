@@ -18,20 +18,9 @@ This subpackage makes that exploration runnable:
   buffer costs, so the device models answer "how many kernels would fit".
 """
 
-from repro.precision.analysis import PrecisionErrorReport, precision_error_study
-from repro.precision.formats import (
-    BFLOAT16,
-    FLOAT32,
-    FLOAT64,
-    FixedPointFormat,
-    FloatFormat,
-    NumberFormat,
-)
-from repro.precision.kernel import advect_quantised
-from repro.precision.resources import (
-    precision_kernel_resources,
-    precision_fit_report,
-)
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "NumberFormat",
@@ -46,3 +35,22 @@ __all__ = [
     "precision_kernel_resources",
     "precision_fit_report",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.precision.analysis": ("PrecisionErrorReport",
+                                 "precision_error_study"),
+    "repro.precision.formats": ("BFLOAT16", "FLOAT32", "FLOAT64",
+                                "FixedPointFormat", "FloatFormat",
+                                "NumberFormat"),
+    "repro.precision.kernel": ("advect_quantised",),
+    "repro.precision.resources": ("precision_kernel_resources",
+                                  "precision_fit_report"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

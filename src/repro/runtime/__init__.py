@@ -18,12 +18,9 @@ reproduces that machinery as a discrete-event simulation:
   returning time, power, and energy.
 """
 
-from repro.runtime.buffer import BufferAllocator, DeviceBuffer
-from repro.runtime.event import Command, Event
-from repro.runtime.overlap import build_overlapped_schedule, build_sequential_schedule
-from repro.runtime.queue import CommandQueue
-from repro.runtime.session import AdvectionSession, RunResult
-from repro.runtime.simulator import ScheduleResult, simulate_schedule
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "Event",
@@ -38,3 +35,21 @@ __all__ = [
     "AdvectionSession",
     "RunResult",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.runtime.buffer": ("BufferAllocator", "DeviceBuffer"),
+    "repro.runtime.event": ("Command", "Event"),
+    "repro.runtime.overlap": ("build_overlapped_schedule",
+                              "build_sequential_schedule"),
+    "repro.runtime.queue": ("CommandQueue",),
+    "repro.runtime.session": ("AdvectionSession", "RunResult"),
+    "repro.runtime.simulator": ("ScheduleResult", "simulate_schedule"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

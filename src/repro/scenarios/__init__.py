@@ -13,31 +13,9 @@ execution modes, including under injected faults.
 See ``docs/scenarios.md``.
 """
 
-from repro.scenarios.base import (
-    GridFamily,
-    OpModel,
-    Scenario,
-    ScenarioKernel,
-    ScenarioResult,
-)
-from repro.scenarios.conformance import (
-    ConformanceReport,
-    ScenarioConformance,
-    run_conformance,
-    run_suite,
-)
-from repro.scenarios.kernels import (
-    AdvectionKernel,
-    BuoyancyKernel,
-    DiffusionKernel,
-)
-from repro.scenarios.registry import (
-    get,
-    names,
-    register,
-    scenarios,
-    unregistered_cli_kernels,
-)
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "OpModel",
@@ -58,3 +36,22 @@ __all__ = [
     "ConformanceReport",
     "ScenarioConformance",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.scenarios.base": ("GridFamily", "OpModel", "Scenario",
+                             "ScenarioKernel", "ScenarioResult"),
+    "repro.scenarios.conformance": ("ConformanceReport", "ScenarioConformance",
+                                    "run_conformance", "run_suite"),
+    "repro.scenarios.kernels": ("AdvectionKernel", "BuoyancyKernel",
+                                "DiffusionKernel"),
+    "repro.scenarios.registry": ("get", "names", "register", "scenarios",
+                                 "unregistered_cli_kernels"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

@@ -2,9 +2,11 @@
 
 The serving layer turns the repository's device models into a
 *simulated fleet* behind an asyncio scheduler: concurrent jobs are
-priced for admission with the :mod:`repro.tune` cost model, sharded
-across named device lanes, and answered bit-identically even while the
-fault plane (:mod:`repro.faults`) kills devices under them.  See
+priced for admission by :mod:`repro.tune.admission` (the device
+invocation plus the Fig. 6 discrete-event host schedule, the pricer
+that also bills each lane), sharded across named device lanes, and
+answered bit-identically even while the fault plane
+(:mod:`repro.faults`) kills devices under them.  See
 :mod:`repro.serve.scheduler` for the job lifecycle,
 :mod:`repro.serve.breaker` for per-device circuit breaking,
 :mod:`repro.serve.admission` for the degrade-or-shed ladder,
@@ -12,21 +14,9 @@ fault plane (:mod:`repro.faults`) kills devices under them.  See
 ``docs/serving.md`` for the architecture tour.
 """
 
-from repro.serve.admission import AdmissionController, AdmissionDecision
-from repro.serve.breaker import BreakerState, BreakerTransition, CircuitBreaker
-from repro.serve.cache import CacheEntry, ResultCache
-from repro.serve.clock import VirtualClock, run_virtual
-from repro.serve.driver import (PoissonLoad, ServeReport, build_arrivals,
-                                percentile, run_load)
-from repro.serve.errors import (AdmissionError, DeadlineExceededError,
-                                FleetDownError, OverloadError,
-                                ReshardExhaustedError, SchedulerStallError,
-                                ServeError)
-from repro.serve.fleet import (DEFAULT_FLEET_SPEC, DeviceLane, Fleet,
-                               parse_fleet_spec)
-from repro.serve.job import (JobResult, JobSpec, checksum_sources,
-                             fingerprint_fields)
-from repro.serve.scheduler import FleetScheduler, JobOutcome
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "AdmissionController",
@@ -61,3 +51,30 @@ __all__ = [
     "run_load",
     "run_virtual",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.serve.admission": ("AdmissionController", "AdmissionDecision"),
+    "repro.serve.breaker": ("BreakerState", "BreakerTransition",
+                            "CircuitBreaker"),
+    "repro.serve.cache": ("CacheEntry", "ResultCache"),
+    "repro.serve.clock": ("VirtualClock", "run_virtual"),
+    "repro.serve.driver": ("PoissonLoad", "ServeReport", "build_arrivals",
+                           "percentile", "run_load"),
+    "repro.serve.errors": ("AdmissionError", "DeadlineExceededError",
+                           "FleetDownError", "OverloadError",
+                           "ReshardExhaustedError", "SchedulerStallError",
+                           "ServeError"),
+    "repro.serve.fleet": ("DEFAULT_FLEET_SPEC", "DeviceLane", "Fleet",
+                          "parse_fleet_spec"),
+    "repro.serve.job": ("JobResult", "JobSpec", "checksum_sources",
+                        "fingerprint_fields"),
+    "repro.serve.scheduler": ("FleetScheduler", "JobOutcome"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

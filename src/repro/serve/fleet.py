@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.grid import Grid
 from repro.errors import ConfigurationError
-from repro.hardware import device_by_name
+from repro.hardware.devices import device_by_name
 from repro.runtime.session import AdvectionSession
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.job import JobSpec

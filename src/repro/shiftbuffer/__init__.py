@@ -15,10 +15,9 @@ claim, and :mod:`repro.shiftbuffer.chunking` implements the Y-dimension
 chunking with one-cell halo overlap from Fig. 4.
 """
 
-from repro.shiftbuffer.buffer3d import ShiftBuffer3D
-from repro.shiftbuffer.chunking import ChunkPlan, plan_chunks
-from repro.shiftbuffer.ports import MemoryPortTracker
-from repro.shiftbuffer.window import StencilWindow, WindowRun
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "ShiftBuffer3D",
@@ -28,3 +27,18 @@ __all__ = [
     "ChunkPlan",
     "plan_chunks",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.shiftbuffer.buffer3d": ("ShiftBuffer3D",),
+    "repro.shiftbuffer.chunking": ("ChunkPlan", "plan_chunks"),
+    "repro.shiftbuffer.ports": ("MemoryPortTracker",),
+    "repro.shiftbuffer.window": ("StencilWindow", "WindowRun"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())

@@ -13,19 +13,9 @@ cost model, :mod:`repro.tune.strategies` for the seeded searches,
 admission controller prices deadlines with.
 """
 
-from repro.tune.admission import (EXACT_TELEMETRY_OUT_SCALE, JobQuote,
-                                  SERVE_MODES, out_scale_for_mode, quote_job,
-                                  serve_config, serve_session)
-from repro.tune.cache import EvaluationCache
-from repro.tune.cost import OBJECTIVES, CostModel, Evaluation
-from repro.tune.measure import MeasuredResult, measure_candidates
-from repro.tune.pareto import (dominates, efficiency_ratio,
-                               improvement_ratio, pareto_front)
-from repro.tune.space import PRECISION_FORMATS, ParameterSpace, TunePoint
-from repro.tune.strategies import (STRATEGIES, AnnealingSearch,
-                                   ExhaustiveSearch, GreedySearch,
-                                   SearchStrategy, make_strategy)
-from repro.tune.tuner import TuneReport, render_text, tune
+from typing import Any
+
+from repro import LazyExports
 
 __all__ = [
     "AnnealingSearch",
@@ -58,3 +48,27 @@ __all__ = [
     "serve_session",
     "tune",
 ]
+
+_EXPORTS = LazyExports(__name__, {
+    "repro.tune.admission": ("EXACT_TELEMETRY_OUT_SCALE", "JobQuote",
+                             "SERVE_MODES", "out_scale_for_mode", "quote_job",
+                             "serve_config", "serve_session"),
+    "repro.tune.cache": ("EvaluationCache",),
+    "repro.tune.cost": ("OBJECTIVES", "CostModel", "Evaluation"),
+    "repro.tune.measure": ("MeasuredResult", "measure_candidates"),
+    "repro.tune.pareto": ("dominates", "efficiency_ratio", "improvement_ratio",
+                          "pareto_front"),
+    "repro.tune.space": ("PRECISION_FORMATS", "ParameterSpace", "TunePoint"),
+    "repro.tune.strategies": ("STRATEGIES", "AnnealingSearch",
+                              "ExhaustiveSearch", "GreedySearch",
+                              "SearchStrategy", "make_strategy"),
+    "repro.tune.tuner": ("TuneReport", "render_text", "tune"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names(globals())
