@@ -10,15 +10,20 @@ both legs produce identical ``Evaluation.to_dict()`` lists, and records
 wall times, the speedup, and how often each leg called ``lint_kernel``,
 ``analyze_graph``, ``AdvectionSession.run`` and
 ``FPGADevice.invocation`` (the last counts the runtime session's
-per-chunk pricing too) to ``benchmarks/BENCH_tune.json``.  The cost
-legs simulate no engine cycles: their ``cycles`` is 0 and the points
-priced are in their ``extra``.
+per-chunk pricing too), how many abstract runs the proofs interpreted
+and how many host-schedule command queues were built, to
+``benchmarks/BENCH_tune.json``.  The cost legs simulate no engine
+cycles: their ``cycles`` is 0 and the points priced are in their
+``extra``.
 
 Count gates hold the per-search leg to one call per distinct input each
 sub-model reads, computed from the space (:func:`distinct_inputs`): a
 memo key that carried an input its sub-model never reads would only
 call it more often, with every evaluation still identical, and fails
-here.
+here.  The same gates hold the leg to one queue per schedule shape (4:
+sequential, and overlapped over 8, 16 and 32 X chunks) and to one
+interpretation per proof (3: no FIFO of the structural graph ever
+fills, so the bounded run is the unbounded one).
 
 A last record times one whole ``tune("u280", Grid(64, 64, 64), seed=0,
 measure_top_k=2)``, the wall-clock benchmark's tune workload, and keeps
@@ -33,9 +38,9 @@ Usage::
 
 ``--smoke`` keeps only the narrowest chunk width in the cost legs (216
 points, 3 structural graphs, 3 configs, 18 replica-count lint passes,
-48 host schedules).  Exit status is non-zero if the legs disagree, a
-count misses its gate, or the per-search model is less than
-``MIN_SPEEDUP`` times faster.
+48 session runs over 4 queues).  Exit status is non-zero if the legs
+disagree, a count misses its gate, or the per-search model is less
+than ``MIN_SPEEDUP`` times faster.
 """
 
 from __future__ import annotations
@@ -49,7 +54,9 @@ import sys
 import time
 from typing import Any, Callable, Iterator
 
+import repro.analyze.report as report_module
 import repro.lint.rules_analyze as rules_analyze
+import repro.runtime.overlap as overlap_module
 import repro.tune.cost as cost_module
 from repro.core.grid import Grid, GridDecomposition
 from repro.hardware.device import FPGADevice
@@ -66,12 +73,16 @@ MIN_SPEEDUP = 8.0
 
 #: (owner, attribute, count name) of every sub-model call counted; the
 #: SA lint rules prove the graph themselves when not handed a proof.
+#: ``interpret`` counts the proofs' abstract runs and ``queue`` the
+#: command queues the schedule builders construct.
 _COUNTED: tuple[tuple[Any, str, str], ...] = (
     (cost_module, "lint_kernel", "lint_kernel"),
     (cost_module, "analyze_graph", "analyze_graph"),
     (rules_analyze, "analyze_graph", "analyze_graph"),
     (AdvectionSession, "run", "session_run"),
     (FPGADevice, "invocation", "invocation"),
+    (report_module, "interpret", "interpret"),
+    (overlap_module, "CommandQueue", "queue"),
 )
 
 
@@ -107,7 +118,10 @@ def distinct_inputs(points, grid: Grid) -> dict[str, int]:
     depth, and a sequential one the X chunk count too; an invocation
     reads chunk width, word width, replicas and memory, and each session
     run prices one more per distinct X-chunk width (a sequential run
-    prices the whole grid).
+    prices the whole grid).  A proof interprets one run: the structural
+    graph's FIFOs never fill (high-water 2, and no depth is below 2).
+    A command queue is built per schedule shape: sequential, or
+    overlapped over one count of X chunks.
     """
     configs = {p.config(grid) for p in points}
     runs = {(p.chunk_width, p.num_kernels, p.precision, p.memory,
@@ -118,6 +132,9 @@ def distinct_inputs(points, grid: Grid) -> dict[str, int]:
             grid, max(1, min(x_chunks, grid.nx // 2))).bounds})
         if overlapped else 1
         for *_, x_chunks, overlapped in runs)
+    shapes = {len(GridDecomposition(
+        grid, max(1, min(x_chunks, grid.nx // 2))).bounds)
+        if overlapped else 0 for *_, x_chunks, overlapped in runs}
     return {
         "lint_kernel": len(configs) + len({(p.config(grid), p.num_kernels)
                                            for p in points}),
@@ -125,6 +142,8 @@ def distinct_inputs(points, grid: Grid) -> dict[str, int]:
         "session_run": len(runs),
         "invocation": len({(p.chunk_width, p.word_bytes, p.num_kernels,
                             p.memory) for p in points}) + run_widths,
+        "interpret": len({p.stream_depth for p in points}),
+        "queue": len(shapes),
     }
 
 

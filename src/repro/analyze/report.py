@@ -1,15 +1,16 @@
 """Top-level analysis report: one object per graph, shared proof runs.
 
 :func:`analyze_graph` performs the two abstract runs (bounded and
-unbounded) exactly once and feeds both the occupancy prover and the
-schedule analyzer from them; the SA lint rules, the ``repro analyze``
-CLI and ``repro.tune``'s cost model all consume this one report.
+unbounded) at most once each and feeds both the occupancy prover and
+the schedule analyzer from them; the SA lint rules, the ``repro
+analyze`` CLI and ``repro.tune``'s cost model all consume this one
+report.  Where no FIFO ever fills, the two runs are one.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from repro.dataflow.graph import DataflowGraph
@@ -87,11 +88,24 @@ class AnalysisReport:
 
 def analyze_graph(graph: DataflowGraph,
                   tokens: int | None = None) -> AnalysisReport:
-    """Statically analyze ``graph``: occupancy proof + schedule."""
+    """Statically analyze ``graph``: occupancy proof + schedule.
+
+    The bounded run is interpreted only when it can differ from the
+    unbounded one.  If the unbounded run is deadlock-free and no
+    stream's high-water mark exceeds its depth, no push is ever
+    refused, so the bounded machine takes the unbounded one's every
+    step (the induction in :mod:`repro.analyze.occupancy`): its run is
+    the unbounded run, marked bounded.
+    """
     if tokens is None:
         tokens = default_tokens(graph)
     unbounded = interpret(graph, tokens, bounded=False)
-    bounded = interpret(graph, tokens)
+    if unbounded.safe and all(
+            unbounded.stream_high_water[stream.name] <= stream.depth
+            for stream in graph.streams):
+        bounded = replace(unbounded, bounded=True)
+    else:
+        bounded = interpret(graph, tokens)
     return AnalysisReport(
         graph_name=graph.name,
         tokens=tokens,

@@ -1183,8 +1183,6 @@ def _cmd_tune(args) -> int:
 def _cmd_serve(args) -> int:
     import json as json_module
 
-    from repro.faults.plan import FaultPlan, FaultSpec
-    from repro.observe import MetricRegistry, Tracer, write_trace
     from repro.serve import (DEFAULT_FLEET_SPEC, Fleet, FleetScheduler,
                              PoissonLoad, run_load)
 
@@ -1198,8 +1196,11 @@ def _cmd_serve(args) -> int:
         scenario=args.scenario,
     )
 
+    # The fault plane and the observers load only under their flags.
     fault_plan = None
     if args.chaos:
+        from repro.faults.plan import FaultPlan, FaultSpec
+
         lanes = Fleet.from_spec(fleet_spec).lanes
         first = lanes[0].name
         fault_plan = FaultPlan([
@@ -1211,8 +1212,15 @@ def _cmd_serve(args) -> int:
                       count=4),
         ], seed=args.chaos_seed)
 
-    tracer = Tracer() if args.trace else None
-    metrics = MetricRegistry() if args.metrics else None
+    tracer = metrics = None
+    if args.trace:
+        from repro.observe.trace import Tracer
+
+        tracer = Tracer()
+    if args.metrics:
+        from repro.observe.metrics import MetricRegistry
+
+        metrics = MetricRegistry()
     scheduler = FleetScheduler(Fleet.from_spec(fleet_spec),
                                fault_plan=fault_plan, tracer=tracer,
                                metrics=metrics)
@@ -1246,7 +1254,9 @@ def _cmd_serve(args) -> int:
     if metrics is not None:
         print()
         print(metrics.render_text())
-    if tracer is not None and args.trace:
+    if tracer is not None:
+        from repro.observe.export import write_trace
+
         path = write_trace(args.trace, serve_tracer=tracer,
                            process_name="serve")
         print(f"fleet trace written to {path}")

@@ -9,7 +9,7 @@ reproduces that machinery as a discrete-event simulation:
   dependencies, and in-order resources (the DMA engines and the kernel
   bank),
 * :mod:`repro.runtime.simulator` — list-scheduling executor producing a
-  timeline,
+  timeline: a start order fixed once per queue, timed per run,
 * :mod:`repro.runtime.overlap` — builders for the Fig. 5 (sequential) and
   Fig. 6 (overlapped) schedules,
 * :mod:`repro.runtime.buffer` — device-buffer allocation against memory
@@ -29,11 +29,14 @@ __all__ = [
     "DeviceBuffer",
     "BufferAllocator",
     "simulate_schedule",
+    "schedule_order",
+    "ScheduleOrder",
     "ScheduleResult",
     "build_sequential_schedule",
     "build_overlapped_schedule",
     "AdvectionSession",
     "RunResult",
+    "SessionMemo",
 ]
 
 _EXPORTS = LazyExports(__name__, {
@@ -42,8 +45,10 @@ _EXPORTS = LazyExports(__name__, {
     "repro.runtime.overlap": ("build_overlapped_schedule",
                               "build_sequential_schedule"),
     "repro.runtime.queue": ("CommandQueue",),
-    "repro.runtime.session": ("AdvectionSession", "RunResult"),
-    "repro.runtime.simulator": ("ScheduleResult", "simulate_schedule"),
+    "repro.runtime.session": ("AdvectionSession", "RunResult",
+                              "SessionMemo"),
+    "repro.runtime.simulator": ("ScheduleOrder", "ScheduleResult",
+                                "schedule_order", "simulate_schedule"),
 })
 
 

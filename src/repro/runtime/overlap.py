@@ -19,7 +19,9 @@ from repro.errors import ScheduleError
 from repro.hardware.pcie import PCIeLink
 from repro.runtime.queue import CommandQueue
 
-__all__ = ["ChunkWork", "build_sequential_schedule", "build_overlapped_schedule"]
+__all__ = ["ChunkWork", "build_sequential_schedule",
+           "build_overlapped_schedule", "sequential_durations",
+           "overlapped_durations"]
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,15 @@ class ChunkWork:
             raise ScheduleError("chunk kernel time must be >= 0")
 
 
+def sequential_durations(in_bytes: float, out_bytes: float,
+                         kernel_seconds: float,
+                         pcie: PCIeLink) -> list[float]:
+    """Seconds of each command :func:`build_sequential_schedule`
+    enqueues, in enqueue order."""
+    return [pcie.transfer_time(in_bytes, streamed=False), kernel_seconds,
+            pcie.transfer_time(out_bytes, streamed=False)]
+
+
 def build_sequential_schedule(in_bytes: float, out_bytes: float,
                               kernel_seconds: float,
                               pcie: PCIeLink) -> CommandQueue:
@@ -47,18 +58,26 @@ def build_sequential_schedule(in_bytes: float, out_bytes: float,
     link resource: nothing overlaps, matching how the paper measured
     Fig. 5.
     """
+    h2d, kernel, d2h = sequential_durations(in_bytes, out_bytes,
+                                            kernel_seconds, pcie)
     queue = CommandQueue("sequential")
-    ev_in = queue.enqueue_write(
-        "h2d[all]", pcie.transfer_time(in_bytes, streamed=False),
-        resource="pcie",
-    )
-    ev_k = queue.enqueue_kernel("kernel[all]", kernel_seconds,
-                                wait_for=[ev_in])
-    queue.enqueue_read(
-        "d2h[all]", pcie.transfer_time(out_bytes, streamed=False),
-        wait_for=[ev_k], resource="pcie",
-    )
+    ev_in = queue.enqueue_write("h2d[all]", h2d, resource="pcie")
+    ev_k = queue.enqueue_kernel("kernel[all]", kernel, wait_for=[ev_in])
+    queue.enqueue_read("d2h[all]", d2h, wait_for=[ev_k], resource="pcie")
     return queue
+
+
+def overlapped_durations(chunks: list[ChunkWork],
+                         pcie: PCIeLink) -> list[float]:
+    """Seconds of each command :func:`build_overlapped_schedule`
+    enqueues, in enqueue order: per chunk, its input transfer, its
+    kernel and its output transfer."""
+    durations = []
+    for chunk in chunks:
+        durations += (pcie.transfer_time(chunk.in_bytes, streamed=True),
+                      chunk.kernel_seconds,
+                      pcie.transfer_time(chunk.out_bytes, streamed=True))
+    return durations
 
 
 def build_overlapped_schedule(chunks: list[ChunkWork],
@@ -91,19 +110,18 @@ def build_overlapped_schedule(chunks: list[ChunkWork],
     queue = CommandQueue(f"{name_prefix}overlapped")
     h2d_res = "pcie_h2d"
     d2h_res = "pcie_d2h" if pcie.duplex else "pcie_h2d"
+    durations = iter(overlapped_durations(chunks, pcie))
     for chunk in chunks:
         ev_in = queue.enqueue_write(
-            f"{name_prefix}h2d[{chunk.index}]",
-            pcie.transfer_time(chunk.in_bytes, streamed=True),
+            f"{name_prefix}h2d[{chunk.index}]", next(durations),
             resource=h2d_res,
         )
         ev_k = queue.enqueue_kernel(
-            f"{name_prefix}kernel[{chunk.index}]", chunk.kernel_seconds,
+            f"{name_prefix}kernel[{chunk.index}]", next(durations),
             wait_for=[ev_in],
         )
         queue.enqueue_read(
-            f"{name_prefix}d2h[{chunk.index}]",
-            pcie.transfer_time(chunk.out_bytes, streamed=True),
+            f"{name_prefix}d2h[{chunk.index}]", next(durations),
             wait_for=[ev_k], resource=d2h_res,
         )
     return queue

@@ -13,8 +13,8 @@ time steps "on the device".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import FieldSet, SourceSet
@@ -31,14 +31,18 @@ from repro.runtime.overlap import (
     ChunkWork,
     build_overlapped_schedule,
     build_sequential_schedule,
+    overlapped_durations,
+    sequential_durations,
 )
-from repro.runtime.simulator import ScheduleResult, simulate_schedule
+from repro.runtime.simulator import ScheduleResult, schedule_order
 
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
     from repro.faults.retry import RetryPolicy
 
-__all__ = ["AdvectionSession", "RunResult"]
+__all__ = ["AdvectionSession", "RunResult", "SessionMemo"]
+
+_T = TypeVar("_T")
 
 #: Default number of X chunks for the overlapped schedule.
 DEFAULT_X_CHUNKS: int = 16
@@ -67,19 +71,61 @@ class RunResult:
         return self.gflops / self.average_watts
 
 
+def _number(widths: list[int], work: dict[int, ChunkWork]) -> list[ChunkWork]:
+    """One work item per chunk, numbered in X order, from the work of
+    one chunk per width."""
+    return [replace(work[width], index=index)
+            for index, width in enumerate(widths)]
+
+
+class SessionMemo:
+    """Results the runs of several sessions share, computed once per key.
+
+    A run reads three results that most of its inputs leave alone: the
+    grid's FLOP count (keyed by the grid), the buffer-capacity check (by
+    the device, memory, word width and cell count) and its host
+    schedule's start order (:class:`~repro.runtime.simulator.ScheduleOrder`,
+    by the schedule's shape: sequential, or overlapped over some number
+    of X chunks).  Each run still prices its own durations along that
+    order.  A session keeps a memo of its own unless it is handed one;
+    :class:`~repro.tune.cost.CostModel` hands one to every session it
+    builds.  A computation that raises is not kept.
+    """
+
+    def __init__(self) -> None:
+        self._results: dict[tuple[object, ...], Any] = {}
+
+    def get(self, key: tuple[object, ...], compute: Callable[[], _T]) -> _T:
+        """``compute()``, run the first time ``key`` is asked for."""
+        if key not in self._results:
+            self._results[key] = compute()
+        return self._results[key]
+
+    def flops(self, grid: Grid) -> int:
+        """:func:`~repro.core.flops.grid_flops` of ``grid``."""
+        return self.get(("flops", grid), lambda: grid_flops(grid))
+
+
 class AdvectionSession:
-    """One device + configuration, ready to run grids through it."""
+    """One device + configuration, ready to run grids through it.
+
+    ``memo`` shares FLOP counts, capacity checks and schedule orders
+    with other sessions (:class:`SessionMemo`); by default the session
+    keeps its own.
+    """
 
     def __init__(self, device: FPGADevice | GPUModel | CPUModel,
                  config: KernelConfig, *, num_kernels: int | None = None,
                  memory: str | None = None,
-                 x_chunks: int = DEFAULT_X_CHUNKS) -> None:
+                 x_chunks: int = DEFAULT_X_CHUNKS,
+                 memo: SessionMemo | None = None) -> None:
         if x_chunks < 1:
             raise ConfigurationError(f"x_chunks must be >= 1, got {x_chunks}")
         self.device = device
         self.config = config
         self.x_chunks = x_chunks
         self._memory_override = memory
+        self.memo = SessionMemo() if memo is None else memo
         if isinstance(device, FPGADevice):
             self.num_kernels = (device.max_kernels(config)
                                 if num_kernels is None else num_kernels)
@@ -150,6 +196,17 @@ class AdvectionSession:
         (data movement is the dominant cost, so the factor is applied to
         the D2H payload rather than as an opaque latency).
         """
+        widths, work = self._chunk_widths(grid, out_scale)
+        return _number(widths, work)
+
+    def _chunk_widths(self, grid: Grid, out_scale: float
+                      ) -> tuple[list[int], dict[int, ChunkWork]]:
+        """Each X chunk's width, and the work of one chunk per width.
+
+        An even X split has one chunk width (a ragged one, two), and
+        chunks of one width do the same work: one subgrid per distinct
+        width is built and priced.
+        """
         if out_scale <= 0:
             raise ConfigurationError(
                 f"out_scale must be positive, got {out_scale}"
@@ -157,27 +214,65 @@ class AdvectionSession:
         memory = self.memory_for(grid)
         decomp = GridDecomposition(grid,
                                    max(1, min(self.x_chunks, grid.nx // 2)))
-        # An even X split has one chunk width (a ragged one, two): build
-        # and price one subgrid per distinct width.
-        by_width: dict[int, tuple[Grid, float]] = {}
-        chunks = []
-        for index, (start, stop) in enumerate(decomp.bounds):
-            width = stop - start
-            if width not in by_width:
+        widths = [stop - start for start, stop in decomp.bounds]
+        work: dict[int, ChunkWork] = {}
+        for index, width in enumerate(widths):
+            if width not in work:
                 sub = grid.with_size(nx=width)
-                by_width[width] = (sub,
-                                   self._chunk_kernel_seconds(sub, memory))
-            cg, seconds = by_width[width]
-            # Each X chunk re-reads a one-cell halo plane on each side.
-            in_cells = (cg.nx + 2) * cg.ny * cg.nz
-            chunks.append(ChunkWork(
-                index=index,
-                in_bytes=self.config.in_bytes_per_cell * in_cells,
-                out_bytes=(self.config.out_bytes_per_cell * cg.num_cells
-                           * out_scale),
-                kernel_seconds=seconds,
-            ))
-        return chunks
+                # Each X chunk re-reads a one-cell halo plane on each side.
+                in_cells = (sub.nx + 2) * sub.ny * sub.nz
+                work[width] = ChunkWork(
+                    index=index,
+                    in_bytes=self.config.in_bytes_per_cell * in_cells,
+                    out_bytes=(self.config.out_bytes_per_cell
+                               * sub.num_cells * out_scale),
+                    kernel_seconds=self._chunk_kernel_seconds(sub, memory),
+                )
+        return widths, work
+
+    def schedule(self, grid: Grid, *, overlapped: bool,
+                 out_scale: float = 1.0, name_prefix: str = "",
+                 fault_plan: "FaultPlan | None" = None,
+                 retry: "RetryPolicy | None" = None,
+                 watchdog_seconds: float | None = None) -> ScheduleResult:
+        """Simulate ``grid``'s host schedule: its shape's start order
+        (:attr:`memo`), priced with this run's own command durations.
+
+        The overlapped schedule moves the :meth:`chunk_work` items
+        (``out_scale`` as there) and prefixes every command name with
+        ``name_prefix``, as
+        :func:`~repro.runtime.overlap.build_overlapped_schedule` does; the
+        sequential one moves the whole grid.  ``fault_plan``, ``retry``
+        and ``watchdog_seconds`` act as in
+        :func:`~repro.runtime.simulator.simulate_schedule`.
+        """
+        if overlapped:
+            widths, work = self._chunk_widths(grid, out_scale)
+            pcie = self.device.pcie
+            # Chunks of one width take the same seconds.
+            seconds = {width: overlapped_durations([chunk], pcie)
+                       for width, chunk in work.items()}
+            durations = [duration for width in widths
+                         for duration in seconds[width]]
+            order = self.memo.get(
+                ("overlapped", len(widths), pcie.duplex, name_prefix),
+                lambda: schedule_order(build_overlapped_schedule(
+                    _number(widths, work), pcie, name_prefix=name_prefix)))
+        else:
+            in_bytes = (self.config.in_bytes_per_cell
+                        * (grid.nx + 2) * grid.ny * grid.nz)
+            out_bytes = self.config.out_bytes_per_cell * grid.num_cells
+            kernel_seconds = self._chunk_kernel_seconds(
+                grid, self.memory_for(grid))
+            pcie = self.device.pcie
+            durations = sequential_durations(in_bytes, out_bytes,
+                                             kernel_seconds, pcie)
+            order = self.memo.get(
+                ("sequential",),
+                lambda: schedule_order(build_sequential_schedule(
+                    in_bytes, out_bytes, kernel_seconds, pcie)))
+        return order.price(durations, fault_plan=fault_plan, retry=retry,
+                           watchdog_seconds=watchdog_seconds)
 
     def run(self, grid: Grid, *, overlapped: bool,
             fault_plan: "FaultPlan | None" = None,
@@ -190,7 +285,7 @@ class AdvectionSession:
         engines for their retries, and the whole schedule is bounded by
         the watchdog (see :func:`repro.runtime.simulator.simulate_schedule`).
         """
-        flops = grid_flops(grid)
+        flops = self.memo.flops(grid)
 
         # ---- CPU: host-resident data, no transfers ------------------------
         if isinstance(self.device, CPUModel):
@@ -211,23 +306,13 @@ class AdvectionSession:
             )
 
         memory = self.memory_for(grid)
-        self.allocate_buffers(grid)  # capacity check (raises if too large)
-        pcie = self.device.pcie
-
-        if overlapped:
-            queue = build_overlapped_schedule(self.chunk_work(grid), pcie)
-        else:
-            in_bytes = (self.config.in_bytes_per_cell
-                        * (grid.nx + 2) * grid.ny * grid.nz)
-            out_bytes = self.config.out_bytes_per_cell * grid.num_cells
-            queue = build_sequential_schedule(
-                in_bytes, out_bytes,
-                self._chunk_kernel_seconds(grid, memory), pcie,
-            )
-
-        schedule = simulate_schedule(queue, fault_plan=fault_plan,
-                                     retry=retry,
-                                     watchdog_seconds=watchdog_seconds)
+        # Capacity check (raises if too large).
+        self.memo.get(("fits", self.device.name, memory,
+                       self.config.word_bytes, grid.num_cells),
+                      lambda: self.allocate_buffers(grid))
+        schedule = self.schedule(grid, overlapped=overlapped,
+                                 fault_plan=fault_plan, retry=retry,
+                                 watchdog_seconds=watchdog_seconds)
         kernel_busy = sum(
             seconds for resource, seconds in schedule.busy.items()
             if resource.startswith("kernel")

@@ -36,9 +36,7 @@ from repro.core.grid import Grid
 from repro.errors import ConfigurationError, TuneError
 from repro.hardware.cpu import CPUModel
 from repro.kernel.config import KernelConfig
-from repro.runtime.overlap import build_overlapped_schedule
 from repro.runtime.session import AdvectionSession
-from repro.runtime.simulator import simulate_schedule
 
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
@@ -155,11 +153,9 @@ def _price_job(session: AdvectionSession, grid: Grid, mode: str,
         return JobQuote(device=device.name, mode=mode,
                         service_seconds=seconds, transfer_seconds=0.0,
                         kernel_seconds=seconds), 0
-    chunks = session.chunk_work(grid, out_scale=out_scale_for_mode(mode))
-    schedule = simulate_schedule(
-        build_overlapped_schedule(chunks, device.pcie,
-                                  name_prefix=name_prefix),
-        fault_plan=fault_plan, retry=retry,
+    schedule = session.schedule(
+        grid, overlapped=True, out_scale=out_scale_for_mode(mode),
+        name_prefix=name_prefix, fault_plan=fault_plan, retry=retry,
         watchdog_seconds=watchdog_seconds,
     )
     kernel_busy = sum(seconds for resource, seconds in schedule.busy.items()

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analyze.report import AnalysisReport, analyze_graph
-from repro.core.flops import grid_flops
 from repro.core.grid import Grid
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import CapacityError, ConfigurationError, TuneError
@@ -34,7 +33,7 @@ from repro.lint.diagnostics import LintReport
 from repro.lint.runner import lint_kernel, load_builtin_rules
 from repro.precision.formats import FLOAT64
 from repro.precision.resources import precision_kernel_resources
-from repro.runtime.session import AdvectionSession, RunResult
+from repro.runtime.session import AdvectionSession, RunResult, SessionMemo
 from repro.tune.space import TunePoint
 
 __all__ = ["Evaluation", "CostModel", "OBJECTIVES"]
@@ -161,15 +160,20 @@ class CostModel:
         #: same rate but issue a different per-cell op count, so their
         #: GFLOPS axes re-scale by this ratio).
         self.flops_scale = flops_scale
-        self._flops = round(grid_flops(grid) * flops_scale)
         # Each sub-model's result per distinct input, keyed by only the
         # inputs it reads.  A search visits every input many times: at
         # 64^3 on the U280, 864 points share 3 structural graphs, 12
         # configs (each linted once without a replica count, and
         # counted in cycles once), 72 replica-count lint passes, 12
         # replica footprints, 72 utilisations, 48 invocations and 192
-        # host schedules.  The dicts live and die with this model, so a fresh
-        # process still pays every cold call.
+        # session runs.  Those runs share one FLOP count, 2 capacity
+        # checks and 4 host-schedule queues (sequential, and overlapped
+        # over 8, 16 and 32 X chunks) through one session memo.  The
+        # memos live and die with this model, so a fresh process still
+        # pays every cold call.
+        self._session_memo = SessionMemo()
+        self._grid_flops = self._session_memo.flops(grid)
+        self._flops = round(self._grid_flops * flops_scale)
         self._structures: dict[int, tuple[DataflowGraph,
                                           AnalysisReport]] = {}
         self._config_codes: dict[KernelConfig, set[str]] = {}
@@ -289,7 +293,9 @@ class CostModel:
         return Evaluation(
             point=point,
             feasible=True,
-            kernel_gflops=invocation.gflops(self.grid) * self.flops_scale,
+            # InvocationEstimate.gflops, on the memoised FLOP count.
+            kernel_gflops=(self._grid_flops / invocation.seconds / 1e9
+                           * self.flops_scale),
             end_to_end_gflops=run.gflops * self.flops_scale,
             gflops_per_watt=run.gflops_per_watt * self.flops_scale,
             kernel_seconds=invocation.seconds,
@@ -335,7 +341,8 @@ class CostModel:
         """
         session = AdvectionSession(
             self.device, config, num_kernels=point.num_kernels,
-            memory=point.memory, x_chunks=point.x_chunks)
+            memory=point.memory, x_chunks=point.x_chunks,
+            memo=self._session_memo)
         key = (point.chunk_width, point.num_kernels, point.precision,
                point.memory, point.x_chunks if point.overlapped else None,
                point.overlapped)

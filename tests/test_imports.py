@@ -207,18 +207,41 @@ NOT_SERVED_MODULES = (
 )
 
 
-def test_serve_loads_only_what_it_serves():
-    """Cold start: ``repro serve`` prices with ``repro.tune.admission``
-    and reads fault words from ``repro.dataflow.stream`` without loading
-    the rest of either package."""
+#: Modules only ``repro serve``'s flags use: the observers (``--trace``,
+#: ``--metrics``) and the fault plan with the stream words it reads
+#: (``--chaos``).
+FLAG_ONLY_MODULES = (
+    "repro.observe", "repro.observe.metrics", "repro.observe.trace",
+    "repro.observe.export", "repro.faults.plan", "repro.dataflow",
+    "repro.dataflow.stream",
+)
+
+
+@pytest.fixture(scope="module")
+def served_modules() -> list[str]:
+    """Every ``repro.*`` module a plain ``repro serve`` run loads."""
     result = _run(SERVE_ONLY)
     assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_serve_loads_only_what_it_serves(served_modules):
+    """Cold start: ``repro serve`` prices with ``repro.tune.admission``
+    without loading the rest of the tuner."""
     unexpected = [
-        module for module in result.stdout.split()
+        module for module in served_modules
         if module in NOT_SERVED_MODULES
         or module.startswith(tuple(f"{package}." for package
                                    in NOT_SERVED_PACKAGES))
         or module in NOT_SERVED_PACKAGES]
+    assert not unexpected, unexpected
+
+
+def test_plain_serve_loads_no_flag_only_module(served_modules):
+    """Cold start: without ``--trace``, ``--metrics`` or ``--chaos``,
+    ``repro serve`` imports no observer and no fault plan."""
+    unexpected = [module for module in served_modules
+                  if module in FLAG_ONLY_MODULES]
     assert not unexpected, unexpected
 
 

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.analyze.report as report_module
 import repro.lint.rules_analyze as rules_analyze
+import repro.runtime.overlap as overlap_module
+import repro.runtime.session as session_module
 import repro.tune.cost as cost_module
 from repro.analyze.report import analyze_graph
-from repro.core.grid import Grid
+from repro.core.grid import Grid, GridDecomposition
 from repro.errors import ConfigurationError, TuneError
 from repro.hardware.device import FPGADevice
 from repro.hardware.devices import ALVEO_U280, STRATIX10_GX2800
@@ -210,7 +213,8 @@ class TestSubModelMemo:
         points = list(ParameterSpace.derive(ALVEO_U280, grid).points())
         calls = {"lint_kernel": 0, "lint_kernel replicas": 0,
                  "analyze_graph": 0, "build_structural_graph": 0,
-                 "run": 0, "invocation": 0}
+                 "run": 0, "invocation": 0, "interpret": 0,
+                 "CommandQueue": 0, "grid_flops": 0, "allocate_buffers": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -231,10 +235,19 @@ class TestSubModelMemo:
         counted(cost_module, "build_structural_graph")
         counted(AdvectionSession, "run")
         counted(FPGADevice, "invocation")
+        # Below the session runs: the proof's interpretations, the
+        # schedule queues built, the FLOP count and the capacity check.
+        counted(report_module, "interpret")
+        counted(overlap_module, "CommandQueue")
+        counted(session_module, "grid_flops")
+        counted(AdvectionSession, "allocate_buffers")
         model = CostModel(ALVEO_U280, grid)
         assert all(model.evaluate(p).feasible for p in points)
         runs = {dataclasses.replace(
             p, stream_depth=2, x_chunks=p.x_chunks if p.overlapped else 0)
+            for p in points}
+        shapes = {len(GridDecomposition(grid, max(1, min(
+            p.x_chunks, grid.nx // 2))).bounds) if p.overlapped else 0
             for p in points}
         assert calls == {
             "lint_kernel": len({p.config(grid) for p in points}),
@@ -248,10 +261,21 @@ class TestSubModelMemo:
             "invocation": len({(p.chunk_width, p.word_bytes,
                                 p.num_kernels, p.memory)
                                for p in points}) + len(runs),
+            # One interpretation per proof: no FIFO of the structural
+            # graph fills at any depth the space offers.
+            "interpret": len({p.stream_depth for p in points}),
+            # Sequential, and overlapped over each distinct chunk count
+            # (nx // 2 = 8 caps every X chunk count here).
+            "CommandQueue": len(shapes),
+            "grid_flops": 1,
+            "allocate_buffers": len({(p.word_bytes, p.memory)
+                                     for p in points}),
         }
         assert calls == {"lint_kernel": 12, "lint_kernel replicas": 72,
                          "analyze_graph": 3, "build_structural_graph": 3,
-                         "run": 192, "invocation": 240}
+                         "run": 192, "invocation": 240, "interpret": 3,
+                         "CommandQueue": 2, "grid_flops": 1,
+                         "allocate_buffers": 2}
 
 
 class TestLintSplit:
