@@ -129,6 +129,19 @@ class TestSharedShape:
         assert again.timeline == simulate_schedule(
             build_overlapped_schedule(fast, link)).timeline
 
+    def test_a_queue_simulated_again_reads_no_stale_event_time(self):
+        """``reader`` is enqueued first and waits on ``writer``: a second
+        run must not start it on the event time the first run left."""
+        writer = Command("writer", "r1", 1.0)
+        reader = Command("reader", "r2", 1.0, wait_for=[writer.event])
+        queue = CommandQueue()
+        queue.enqueue(reader)
+        queue.enqueue(writer)
+        simulate_schedule(queue)
+        writer.duration = 5.0
+        assert simulate_schedule(queue).timeline == [
+            ("writer", "r1", 0.0, 5.0), ("reader", "r2", 5.0, 6.0)]
+
     @pytest.mark.parametrize("duplex", [True, False])
     @pytest.mark.parametrize("overlapped", [True, False])
     def test_faults_strike_every_transfer_lane(self, duplex, overlapped):
