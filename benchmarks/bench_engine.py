@@ -48,6 +48,15 @@ and fails here; other grids (or a ``--chunk-width``) print the counts
 ungated.  Like the replay gate these are counts, so they are
 deterministic.
 
+A cut gate counts the windows ``ShiftBuffer3D.window_at`` cuts while
+an engine run is in progress, over the fault-free kernel and stencil
+legs, forced scalar, batched and replayed alike, and fails unless both
+counts are 0: the data path hands runs of the blocks from the shift
+buffer to the write stage, which evaluates them on ``WindowRun`` views,
+so no scalar tick cuts a window (``window_cuts`` in the kernel and
+stencil records).  ``run_stencil_kernel`` checks its window functions
+on two windows cut before its engine run starts; those are not counted.
+
 A fingerprint leg runs the batched kernel once more with the engine's
 two signature methods (``DataflowEngine._ff_machine_signature`` and
 ``_ff_inner_signature``) timed, and records ``fingerprint_us`` in the
@@ -93,6 +102,7 @@ on record too.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import platform
 import statistics
 import sys
@@ -112,6 +122,7 @@ from repro.kernel.simulate import simulate_kernel
 from repro.observe import MetricRegistry, Tracer
 from repro.perf.bench import BenchRecord, BenchSuite, render_table, speedup
 from repro.scenarios.kernels import DiffusionKernel
+from repro.shiftbuffer.buffer3d import ShiftBuffer3D
 from repro.shiftbuffer.ports import MemoryPortTracker
 
 DEFAULT_OUTPUT = "benchmarks/BENCH_dataflow.json"
@@ -178,6 +189,30 @@ def traced_peak(config, fields):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def counting_window_cuts():
+    """Count the windows ``ShiftBuffer3D.window_at`` cuts while a
+    ``DataflowEngine.run`` is in progress; yields a one-entry list."""
+    cuts = [0]
+    running = [0]
+    run, window_at = DataflowEngine.run, ShiftBuffer3D.window_at
+
+    def counted_run(engine):
+        running[0] += 1
+        try:
+            return run(engine)
+        finally:
+            running[0] -= 1
+
+    def counted_window_at(buffer, index, backing):
+        cuts[0] += running[0] > 0
+        return window_at(buffer, index, backing)
+
+    with mock.patch.object(DataflowEngine, "run", counted_run), \
+            mock.patch.object(ShiftBuffer3D, "window_at", counted_window_at):
+        yield cuts
 
 
 def fingerprint_us(config, fields):
@@ -282,8 +317,9 @@ def main(argv=None) -> int:
               if args.chunk_width else KernelConfig(grid=grid))
     label = f"{args.nx}x{args.ny}x{args.nz}"
 
-    scalar, t_scalar = run_once(config, fields, batched=False)
-    batched, t_batched = run_once(config, fields)
+    with counting_window_cuts() as kernel_cuts:
+        scalar, t_scalar = run_once(config, fields, batched=False)
+        batched, t_batched = run_once(config, fields)
 
     def resilient_kwargs():
         return {"fault_plan": FaultPlan([]), "retry": RetryPolicy()}
@@ -300,12 +336,14 @@ def main(argv=None) -> int:
     resilient, _ = run_once(config, fields, **resilient_kwargs())
     observed, _ = run_once(config, fields, **observed_kwargs())
     sampled, _ = run_once(config, fields, **sampled_kwargs())
-    st_scalar, st_scalar_stats, st_scalar_ports, t_st_scalar = \
-        run_stencil_once(grid, fields.u, batched=False)
-    st_batched, st_batched_stats, st_batched_ports, t_st_batched = \
-        run_stencil_once(grid, fields.u, batched=True)
-    replays = replay_leg(grid, fields, (st_scalar, st_scalar_stats,
-                                        st_scalar_ports, t_st_scalar))
+    with counting_window_cuts() as stencil_cuts:
+        st_scalar, st_scalar_stats, st_scalar_ports, t_st_scalar = \
+            run_stencil_once(grid, fields.u, batched=False)
+        st_batched, st_batched_stats, st_batched_ports, t_st_batched = \
+            run_stencil_once(grid, fields.u, batched=True)
+        replays = replay_leg(grid, fields, (st_scalar, st_scalar_stats,
+                                            st_scalar_ports, t_st_scalar))
+    cuts = {"kernel": kernel_cuts[0], "stencil": stencil_cuts[0]}
     # The overhead gates chase few-percent effects buried under
     # comparable wall-time noise: each tuple's ratios cancel the host's
     # drift between tuples, and the median drops the tuples a burst of
@@ -393,7 +431,8 @@ def main(argv=None) -> int:
         name=f"kernel-{label}-scalar", wall_seconds=t_scalar,
         cycles=scalar.total_cycles, cells=grid.num_cells, mode="exact",
         extra={"batched": False,
-               "us_per_cycle": us_per_cycle(t_scalar, scalar.total_cycles)})
+               "us_per_cycle": us_per_cycle(t_scalar, scalar.total_cycles),
+               "window_cuts": cuts["kernel"]})
     rec_batched = BenchRecord(
         name=f"kernel-{label}-batched", wall_seconds=t_batched,
         cycles=batched.total_cycles, cells=grid.num_cells, mode="exact",
@@ -433,7 +472,8 @@ def main(argv=None) -> int:
         cycles=st_scalar_stats.cycles, cells=grid.num_cells, mode="exact",
         extra={"batched": False,
                "us_per_cycle": us_per_cycle(t_st_scalar,
-                                            st_scalar_stats.cycles)})
+                                            st_scalar_stats.cycles),
+               "window_cuts": cuts["stencil"]})
     rec_st_batched = BenchRecord(
         name=f"stencil-diffusion-{label}-batched",
         wall_seconds=t_st_batched, cycles=st_batched_stats.cycles,
@@ -490,6 +530,8 @@ def main(argv=None) -> int:
         print(f"batched {leg}: {scalar_cycles} scalar cycles, {windows} "
               f"windows" + (f" (ceiling {ceiling[0]}/{ceiling[1]})"
                             if ceiling else " (ungated)"))
+    print(f"windows cut on the data path: kernel {cuts['kernel']}, "
+          f"stencil {cuts['stencil']} (gate 0)")
     print(f"machine fingerprint: {fp_us:.1f} us per scalar cycle")
     for name, (_, stats, _, wall), _scalar in replays:
         print(f"replay leg, field {name}: {wall * 1e3:.1f} ms, "
@@ -524,6 +566,12 @@ def main(argv=None) -> int:
                   f"cycles in {windows} windows, above the "
                   f"{ceiling[0]}/{ceiling[1]} ceiling at {label}",
                   file=sys.stderr)
+            failed = True
+    for leg, count in cuts.items():
+        if count:
+            print(f"FAIL: the fault-free {leg} legs cut {count} windows "
+                  f"while the engine ran; the data path must hand on "
+                  f"runs of the blocks", file=sys.stderr)
             failed = True
     for name, (_, stats, _, _), _scalar in replays[1:]:
         if stats.batched_cycles != stats.cycles \

@@ -116,9 +116,11 @@ def distinct_inputs(points, grid: Grid) -> dict[str, int]:
     replica-count rules once per (config, replicas); the structural
     graph and its proof are per depth; a host schedule leaves out the
     depth, and a sequential one the X chunk count too; an invocation
-    reads chunk width, word width, replicas and memory, and each session
-    run prices one more per distinct X-chunk width (a sequential run
-    prices the whole grid).  A proof interprets one run: the structural
+    reads chunk width, word width, replicas, memory and the grid it
+    prices, and the model and its sessions share one price per input
+    through the session memo: the whole grid, which the model and every
+    sequential run price, and each distinct X-chunk width of an
+    overlapped run.  A proof interprets one run: the structural
     graph's FIFOs never fill (high-water 2, and no depth is below 2).
     A command queue is built per schedule shape: sequential, or
     overlapped over one count of X chunks.
@@ -127,11 +129,13 @@ def distinct_inputs(points, grid: Grid) -> dict[str, int]:
     runs = {(p.chunk_width, p.num_kernels, p.precision, p.memory,
              p.x_chunks if p.overlapped else None, p.overlapped)
             for p in points}
-    run_widths = sum(
-        len({stop - start for start, stop in GridDecomposition(
-            grid, max(1, min(x_chunks, grid.nx // 2))).bounds})
-        if overlapped else 1
-        for *_, x_chunks, overlapped in runs)
+    invocations = {(p.chunk_width, p.word_bytes, p.num_kernels, p.memory,
+                    width)
+                   for p in points
+                   for width in ({stop - start for start, stop in
+                                  GridDecomposition(grid, max(1, min(
+                                      p.x_chunks, grid.nx // 2))).bounds}
+                                 if p.overlapped else {grid.nx})}
     shapes = {len(GridDecomposition(
         grid, max(1, min(x_chunks, grid.nx // 2))).bounds)
         if overlapped else 0 for *_, x_chunks, overlapped in runs}
@@ -140,8 +144,7 @@ def distinct_inputs(points, grid: Grid) -> dict[str, int]:
                                            for p in points}),
         "analyze_graph": len({p.stream_depth for p in points}),
         "session_run": len(runs),
-        "invocation": len({(p.chunk_width, p.word_bytes, p.num_kernels,
-                            p.memory) for p in points}) + run_widths,
+        "invocation": len(invocations),
         "interpret": len({p.stream_depth for p in points}),
         "queue": len(shapes),
     }

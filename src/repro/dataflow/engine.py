@@ -93,6 +93,14 @@ reported on :attr:`RunStats.batched_windows` /
 cycle) and any fallback reason on
 :attr:`RunStats.batch_fallback_reason`.
 
+Every run ends with one call of each stage's
+:meth:`~repro.dataflow.stage.Stage.finish`, on every exit path:
+quiescence, a replay, or an error on its way out.  The kernels' write
+stages evaluate there the runs of results they stored, so a scalar
+cycle moves control and run bounds, never data, and a run's outputs are
+complete when :meth:`DataflowEngine.run` returns, or hold what the
+machine wrote when it raises.
+
 ``mode="fast"`` is a deprecated alias: it warns and runs
 ``mode="exact", batched=True``.
 """
@@ -404,9 +412,23 @@ class DataflowEngine:
         self.record = record
 
     def run(self) -> RunStats:
-        """Simulate until quiescence and return run statistics."""
+        """Simulate until quiescence and return run statistics.
+
+        However the run ends (quiescence, a replay, or an error on its
+        way out), every stage's :meth:`~repro.dataflow.stage.Stage.
+        finish` runs before this returns or raises, so a write stage's
+        outputs are complete.
+        """
         self.graph.validate()
         compiled = compile_graph(self.graph)
+        try:
+            return self._simulate(compiled)
+        finally:
+            for stage in compiled.order:
+                stage.finish()
+
+    def _simulate(self, compiled: CompiledGraph) -> RunStats:
+        """The run itself: ticks, windows or a replay, then the stats."""
         order = compiled.order
         streams = compiled.streams
         # The stages that may report an inner regime: only they are

@@ -97,10 +97,10 @@ class Pipeline(deque):
 
     Entries are ``(ready_cycle, produced, shape)`` tuples: the cycle the
     result may retire, the produced items per output port, and the
-    per-port item counts ``((port, count), ...)``, computed once at fire
-    time.  A firing appends a new entry and retirement pops the oldest,
-    both plain C-level deque operations, so forced-scalar ticking pays
-    nothing for the key.  Ready cycles never decrease: a stage's latency
+    per-port item counts ``((port, count), ...)``, one shared tuple per
+    distinct emission of the stage.  A firing appends a new entry and
+    retirement pops the oldest, both plain C-level deque operations, so
+    forced-scalar ticking pays nothing for the key.  Ready cycles never decrease: a stage's latency
     is fixed, and :meth:`Stage.ff_commit` clamps overdue entries to one
     cycle, which leaves gaps of 0.
 
@@ -246,6 +246,9 @@ class Stage:
         # ports after this constructor, so nothing is fixed here.
         self._in_plan: list[tuple[str, Stream]] = []
         self._out_ports: frozenset[str] = frozenset()
+        #: ``(ports..., counts...)`` -> the pipeline entry shape of a
+        #: firing that emits so, built on its first firing.
+        self._shapes: dict[tuple, tuple] = {}
 
     # -- wiring (called by DataflowGraph) --------------------------------------
 
@@ -310,6 +313,19 @@ class Stage:
         construction (they only react to input).
         """
         return True
+
+    def finish(self) -> None:
+        """End-of-run hook: complete any work this stage deferred.
+
+        :meth:`DataflowEngine.run <repro.dataflow.engine.DataflowEngine.
+        run>` calls it on every stage once a run ends, however it ends:
+        at quiescence, after a :class:`~repro.dataflow.engine.
+        ControlRecord` replay, or with an error on its way out.  The
+        kernels' write stages evaluate the result runs they stored here,
+        so their output arrays are complete when the run returns, and
+        hold what the stage wrote when it raises.  Timing never depends
+        on it.  The base stage defers nothing.
+        """
 
     # -- emission schedule -------------------------------------------------------
 
@@ -404,23 +420,34 @@ class Stage:
                 stream.note_empty_stall()
                 self.stats.input_stalls += 1
                 return False
-        produced = self.fire(cycle, {port: [stream.pop()]
-                                     for port, stream in in_plan})
+        if len(in_plan) == 1:
+            ((port, stream),) = in_plan
+            inputs = {port: [stream.pop()]}
+        else:
+            inputs = {port: [stream.pop()] for port, stream in in_plan}
+        produced = self.fire(cycle, inputs)
         if type(produced) is not dict:
             produced = dict(produced)
-        for port in produced:
-            if port not in self._out_ports:
-                raise DataflowError(
-                    f"stage {self.name!r} produced on undeclared ports "
-                    f"{sorted(set(produced) - self._out_ports)}"
-                )
+        if not produced.keys() <= self._out_ports:
+            raise DataflowError(
+                f"stage {self.name!r} produced on undeclared ports "
+                f"{sorted(produced.keys() - self._out_ports)}"
+            )
         self.stats.fires += 1
         self._next_fire_cycle = cycle + self.ii
         if produced:
-            self._pipeline.append((
-                cycle + self.latency, produced,
-                tuple([(p, len(v)) for p, v in produced.items()]),
-            ))
+            # Ports in firing order, then their item counts; one port,
+            # the usual case, unpacks faster.
+            if len(produced) == 1:
+                [(out_port, items)] = produced.items()
+                key = (out_port, len(items))
+            else:
+                key = (*produced, *map(len, produced.values()))
+            shape = self._shapes.get(key)
+            if shape is None:
+                shape = self._shapes[key] = tuple(
+                    [(p, len(v)) for p, v in produced.items()])
+            self._pipeline.append((cycle + self.latency, produced, shape))
         return True
 
     def blocked_reason(self, cycle: int) -> str | None:

@@ -32,18 +32,22 @@ bit-identical to forced-scalar ticking.  For the same reason every
 stage declares its static control parameters
 (:meth:`~repro.dataflow.stage.Stage.ff_structure`): a pass over a block
 of a shape the caller's :class:`~repro.dataflow.engine.ControlRecord`
-has seen replays that run as one bulk step.  Each stage
-fires a batched window as a few NumPy calls: the shift stage jumps its
-buffer ahead (:meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
-feed_bulk`) and forwards a lazy :class:`~repro.kernel.stages.
-StencilBulk`; the compute stage evaluates the kernel's own window
+has seen replays that run as one bulk step.
+
+The data path is lazy, as in the advection machine: the shift stage
+hands on runs of the block (a one-bundle :class:`~repro.kernel.stages.
+StencilBulk` per scalar emission, or, batched, one run after a jump of
+its buffer with :meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
+feed_bulk`), the compute stage hands on the range of results its
+windows yield (:class:`CellResultBulk`, with no arithmetic), and the
+write stage stores the ranges and, when the engine run ends, evaluates
+each once (:meth:`WindowComputeStage.evaluate`): the kernel's own window
 functions once per box of centres (:func:`~repro.shiftbuffer.buffer3d.
 emission_boxes`) on a :class:`~repro.shiftbuffer.window.WindowRun`,
-whose ``at`` is a read-only strided view of the block, and interleaves
-the boundary cells in; the write stage scatters the results with one
-indexed assignment.  The advect stages evaluate their window forms on
-the same run view; this machine forwards no column-top windows, so its
-runs are never ``top``.
+whose ``at`` is a read-only strided view of the block, and each
+boundary once on its layer, straight into the output.  The advect
+forms run on the same run view; this machine forwards no column-top
+windows, so its runs are never ``top``.
 
 A window function must therefore be elementwise arithmetic over
 ``window.at(di, dj, dk)``: the same expression serves one
@@ -73,7 +77,7 @@ from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import Stage
 from repro.errors import ConfigurationError
 from repro.kernel.stages import ReadDataStage, ShiftBufferStage, StencilBulk
-from repro.shiftbuffer.buffer3d import Box
+from repro.shiftbuffer.buffer3d import emission_boxes
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow, WindowRun
 
@@ -84,6 +88,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CellResultBulk",
+    "results_before",
     "WindowComputeStage",
     "ScatterWriteStage",
     "build_stencil_graph",
@@ -101,35 +106,47 @@ InteriorFn = Callable[[StencilWindow | WindowRun], Any]
 BoundaryFn = Callable[..., Any]
 
 
-class CellResultBulk(Bulk):
-    """A run of ``(center, value)`` results backed by coordinate arrays.
+def results_before(window: int, nz: int) -> int:
+    """Results the windows before forwarded window ``window`` yield.
 
-    The compute stage's results interleave boundary cells with window
-    centres, so they are not in centre order; the write stage scatters
-    them with one indexed assignment.
+    A compute stage's results are numbered over its block's stream,
+    ``nz`` per interior column in firing order: the cell ``k = 1``, the
+    boundary cell ``k = 0``, then ``k = 2 .. nz - 1``, the last of them
+    the top boundary cell.  The first window of a column starts the
+    column; window ``j > 0`` of it starts at result ``j + 1``.
+    """
+    column, j = divmod(window, nz - 2)
+    return column * nz + (j + 1 if j else 0)
+
+
+class CellResultBulk(Bulk):
+    """A compute stage's results ``[start, stop)`` over one block, not yet
+    evaluated.
+
+    Results are numbered as :func:`results_before` counts them.  The
+    write stage stores them and evaluates them once, as whole runs
+    (:meth:`WindowComputeStage.evaluate`); a result that travels alone, in
+    a FIFO or a stage pipeline, is a one-result run.
     """
 
-    def __init__(self, cx: np.ndarray, cy: np.ndarray, cz: np.ndarray,
-                 values: np.ndarray) -> None:
-        self.cx = cx
-        self.cy = cy
-        self.cz = cz
-        self.values = values
+    def __init__(self, stage: "WindowComputeStage", block: np.ndarray,
+                 start: int, stop: int) -> None:
+        self.stage = stage
+        self.block = block
+        self.start = start
+        self.stop = stop
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.stop - self.start
 
     def slice(self, start: int, stop: int) -> "CellResultBulk":
         self._check_range(start, stop)
-        return CellResultBulk(self.cx[start:stop], self.cy[start:stop],
-                              self.cz[start:stop], self.values[start:stop])
+        return CellResultBulk(self.stage, self.block, self.start + start,
+                              self.start + stop)
 
-    def materialize(self) -> list[tuple[tuple[int, int, int], float]]:
-        return [
-            ((int(self.cx[i]), int(self.cy[i]), int(self.cz[i])),
-             float(self.values[i]))
-            for i in range(len(self.values))
-        ]
+    def materialize(self) -> list["CellResultBulk"]:
+        return [CellResultBulk(self.stage, self.block, index, index + 1)
+                for index in range(self.start, self.stop)]
 
 
 def _call_name(fn: Callable, kwargs: Mapping[str, Any]) -> str:
@@ -211,9 +228,12 @@ class WindowComputeStage(Stage):
     window centre alone, which the upstream streaming position fixes,
     so the base control signature describes this stage exactly.
 
-    A batched window evaluates ``interior`` once per box of centres on
-    a :class:`WindowRun`, and each boundary once on the box's layer it
-    applies to, then interleaves the results in firing order.
+    A firing on a run of the block (a one-bundle
+    :class:`~repro.kernel.stages.StencilBulk`, or a batched window's
+    whole run) hands on its results as a :class:`CellResultBulk`, with
+    no arithmetic; the write stage calls :meth:`evaluate` once per stored
+    run.  Only the register model's windows are evaluated here, one at a
+    time, into ``(center, value)`` results.
     """
 
     input_ports = ("in",)
@@ -227,8 +247,17 @@ class WindowComputeStage(Stage):
         self._interior = interior
         self._boundary = boundary
 
+    def _results(self, run: StencilBulk) -> CellResultBulk:
+        """The results of the windows of ``run``, lazily."""
+        (block,) = run.blocks
+        return CellResultBulk(self, block, results_before(run.start, self.nz),
+                              results_before(run.stop, self.nz))
+
     def fire(self, cycle: int, inputs: Mapping[str, list]):
-        ((window,),) = inputs["in"]
+        (bundle,) = inputs["in"]
+        if type(bundle) is StencilBulk:
+            return {"out": self._results(bundle).materialize()}
+        (window,) = bundle
         cx, cy, cz = window.center
         results = [(window.center, self._interior(window))]
         if cz == 1:
@@ -238,6 +267,40 @@ class WindowComputeStage(Stage):
                             self._boundary(window, top=True)))
         return {"out": results}
 
+    def evaluate(self, block: np.ndarray, first: int, stop: int,
+                 out: np.ndarray) -> None:
+        """Evaluate the results ``[first, stop)`` of ``block``'s windows
+        into ``out``, each cell ``(cx, cy, k)`` at ``[cx - 1, cy - 1,
+        k]``.
+
+        ``interior`` runs once per :func:`~repro.shiftbuffer.buffer3d.
+        emission_boxes` box of the windows whose own cell is among the
+        results, and each boundary once per box of the columns whose
+        boundary cell is, on the one layer of windows it reads
+        (``cz == 1``, or ``cz == nz - 2``), all on
+        :class:`WindowRun` views.
+        """
+        nz = self.nz
+        ny = block.shape[1]
+        (c0, p0), (c1, p1) = divmod(first, nz), divmod(stop, nz)
+        # Per column, positions 0 and 2 .. nz - 2 are window cells,
+        # position 1 the bottom cell and nz - 1 the top cell.
+        windows = [column * (nz - 2) + (p > 0) + max(p - 2, 0)
+                   for column, p in ((c0, p0), (c1, p1))]
+        for box in emission_boxes(*windows, ny, nz - 2):
+            x0, x1, y0, y1, z0, z1 = box
+            out[x0 - 1:x1 - 1, y0 - 1:y1 - 1, z0:z1] = _run_values(
+                self._interior, WindowRun(block, box))
+        for top, columns, layer in (
+                (False, (c0 + (p0 > 1), c1 + (p1 > 1)), (1, 2)),
+                (True, (c0, c1), (nz - 2, nz - 1))):
+            cell = nz - 1 if top else 0
+            for x0, x1, y0, y1, _z0, _z1 in emission_boxes(*columns, ny, 1):
+                out[x0 - 1:x1 - 1, y0 - 1:y1 - 1, cell:cell + 1] = \
+                    _run_values(self._boundary,
+                                WindowRun(block, (x0, x1, y0, y1) + layer),
+                                top=top)
+
     def emits(self, firing: int) -> tuple[int, ...]:
         return (window_results(firing % (self.nz - 2) + 1, self.nz),)
 
@@ -246,47 +309,6 @@ class WindowComputeStage(Stage):
 
     def ff_structure(self) -> tuple | None:
         return self._structure(self.nz)
-
-    def _fire_box(self, block: np.ndarray,
-                  box: Box) -> tuple[CellResultBulk, np.ndarray]:
-        """Results of the windows of ``box`` in firing order, and the
-        count per firing.
-
-        Every column of the box fires alike: the cell of each window,
-        with ``k = 0`` after the window at ``cz == 1`` and ``k = nz - 1``
-        after the window at ``cz == nz - 2``.  So one per-column layout
-        of ``z`` places the interior values of the whole box and each
-        boundary's values of its one layer.
-        """
-        z0, z1 = box[4:]
-        bottom, top = z0 == 1, z1 == self.nz - 1
-        layout = list(range(z0, z1))
-        per_firing = np.array([window_results(z, self.nz) for z in layout],
-                              dtype=np.int64)
-        if bottom:
-            layout.insert(1, 0)
-        if top:
-            layout.append(self.nz - 1)
-        run = WindowRun(block, box)
-        values = np.empty(run.shape[:2] + (len(layout),))
-        cells = _run_values(self._interior, run)
-        if bottom:
-            values[:, :, :1] = cells[:, :, :1]
-            values[:, :, 1:2] = _run_values(
-                self._boundary, WindowRun(block, box[:4] + (1, 2)),
-                top=False)
-            values[:, :, 2:z1 - z0 + 1] = cells[:, :, 1:]
-        else:
-            values[:, :, :z1 - z0] = cells
-        if top:
-            values[:, :, -1:] = _run_values(
-                self._boundary, WindowRun(block, box[:4] + (z1 - 1, z1)),
-                top=True)
-        coords = np.empty((3,) + values.shape, dtype=np.int64)
-        coords[0], coords[1] = run.center[:2]
-        coords[2] = layout
-        results = CellResultBulk(*coords.reshape(3, -1), values.reshape(-1))
-        return results, np.tile(per_firing, run.shape[0] * run.shape[1])
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
@@ -299,11 +321,10 @@ class WindowComputeStage(Stage):
             if not len(part):
                 continue
             if isinstance(part, StencilBulk):
-                (block,) = part.blocks
-                for box in part.boxes():
-                    results, per_firing = self._fire_box(block, box)
-                    parts.append(results)
-                    counts.append(per_firing)
+                parts.append(self._results(part))
+                counts.append(window_results(
+                    np.arange(part.start, part.stop) % (self.nz - 2) + 1,
+                    self.nz))
             else:
                 # Windows a FIFO held when the batched window opened.
                 firings = [self.fire(cycle, {"in": [bundle]})["out"]
@@ -319,7 +340,12 @@ class ScatterWriteStage(Stage):
     """Writes (center, value) results into an interior output array.
 
     Centres arrive in the streamed block's halo coordinates; the stage
-    shifts them by the one-cell halo before scattering.
+    shifts them by the one-cell halo before scattering.  A
+    :class:`CellResultBulk` is stored, joined with the last stored run
+    when the two are contiguous, and evaluated once, by
+    :meth:`WindowComputeStage.evaluate` straight into the array, when the
+    run ends (:meth:`finish`).  A register-model result, ``(center,
+    value)``, is written at once, after the stored runs.
     """
 
     input_ports = ("in",)
@@ -330,13 +356,35 @@ class ScatterWriteStage(Stage):
         super().__init__(name, ii=ii, latency=latency)
         self._out = out
         self.cells_written = 0
+        #: The runs stored and not yet evaluated, in write order:
+        #: ``[stage, block, start, stop]``.
+        self._stored: list[list[Any]] = []
+
+    def _write(self, item: Any) -> None:
+        if type(item) is CellResultBulk:
+            stored = self._stored
+            if stored:
+                last = stored[-1]
+                if last[3] == item.start and last[0] is item.stage \
+                        and last[1] is item.block:
+                    last[3] = item.stop
+                    return
+            stored.append([item.stage, item.block, item.start, item.stop])
+            return
+        self.finish()
+        (cx, cy, cz), value = item
+        self._out[cx - 1, cy - 1, cz] = value
 
     def fire(self, cycle: int, inputs: Mapping[str, list]):
-        ((center, value),) = inputs["in"]
-        cx, cy, cz = center
-        self._out[cx - 1, cy - 1, cz] = value
+        (item,) = inputs["in"]
+        self._write(item)
         self.cells_written += 1
         return {}
+
+    def finish(self) -> None:
+        for stage, block, start, stop in self._stored:
+            stage.evaluate(block, start, stop, self._out)
+        self._stored.clear()
 
     def ff_structure(self) -> tuple | None:
         return self._structure()
@@ -348,13 +396,17 @@ class ScatterWriteStage(Stage):
             return super().fire_bulk(count, inputs, cycle)
         for part in results.parts():
             if isinstance(part, CellResultBulk):
-                self._out[part.cx - 1, part.cy - 1, part.cz] = part.values
-                self.cells_written += len(part)
+                self._write(part)
             else:
                 for result in part.materialize():
-                    self.fire(cycle, {"in": [result]})
+                    self._write(result)
+        self.cells_written += count
         # A write firing produces nothing: it never enters the pipeline.
         return ListFireResult([])
+
+    def reset(self) -> None:
+        super().reset()
+        self._stored.clear()
 
 
 def build_stencil_graph(block: np.ndarray, interior: InteriorFn,
@@ -405,8 +457,9 @@ def run_stencil_kernel(block: np.ndarray, interior: InteriorFn,
         cell's value, and the one-sided vertical boundary cell's value
         (called as ``boundary(window, top=...)``).  Each must be
         elementwise arithmetic over ``window.at(di, dj, dk)``, because
-        batched windows call it on a :class:`WindowRun`, whose ``at``
-        returns a read-only view of the block; a constant return
+        the write stage calls it on :class:`WindowRun` views, on scalar
+        and batched paths alike, whose ``at`` returns a read-only view of
+        the block; a constant return
         broadcasts.  Before the first cycle, every path checks that on
         the block's first two windows (see the module docstring) and
         raises :class:`ConfigurationError` otherwise, also for a

@@ -12,16 +12,26 @@ The front end — :class:`ReadDataStage` and :class:`ShiftBufferStage`,
 with the :class:`CellBlockBulk` and :class:`StencilBulk` runs they hand
 on — streams any number of field blocks, so the generic stencil machine
 (:mod:`repro.kernel.generic`) is built on it too: three blocks here, one
-there.  A cell travels as a tuple of one value per block, a bundle as a
-tuple of one :class:`~repro.shiftbuffer.window.StencilWindow` per block.
+there.  A cell travels as a tuple of one value per block.
 
-Each advect stage calls one window form on both paths: on one bundle's
-windows when it fires scalar, and, batched, on
-:class:`~repro.shiftbuffer.window.WindowRun` box views of the block,
-once per :func:`~repro.shiftbuffer.buffer3d.emission_boxes` box for its
-full windows and once for its column-top layer.  A batched run travels
-as an emission range, and the write stage stores each box with one
-slice assignment.
+The data path is lazy from the shift buffer to the write stage.  A shift
+stage built with its blocks hands on runs of the blocks, not windows: a
+one-bundle :class:`StencilBulk` per scalar emission, one run per batched
+window.  Replicate copies the run to the advect stages, which time the
+21 operations and hand on ``(stage, run)`` with no arithmetic
+(:class:`AdvectResultBulk` when batched).  The write stage stores those
+runs per port, joins contiguous ones, and when the run ends
+(:meth:`~repro.dataflow.stage.Stage.finish`) evaluates each once with
+its advect stage's window form, on
+:class:`~repro.shiftbuffer.window.WindowRun` box views of the blocks,
+straight into its output arrays: one call per
+:func:`~repro.shiftbuffer.buffer3d.emission_boxes` box for its full
+windows and one for its column-top layer.  A scalar cycle therefore
+moves control and run bounds only.  Only the register model cuts
+windows: a stage built without blocks, or a shift stage whose stream
+diverged from them after a dropped word, forwards tuples of one
+:class:`~repro.shiftbuffer.window.StencilWindow` per block, which the
+advect stages evaluate one at a time.
 """
 
 from __future__ import annotations
@@ -46,7 +56,6 @@ from repro.shiftbuffer.buffer3d import (
     Box,
     ShiftBuffer3D,
     emission_boxes,
-    emission_center,
     feed_emissions,
     feed_position,
     feed_regime,
@@ -100,31 +109,21 @@ class CellBlockBulk(Bulk):
                           for flat in self.flats)))
 
 
-def _box_lanes(values: np.ndarray, start: int, ny: int,
-               per_column: int) -> Iterator[tuple[Box, np.ndarray]]:
-    """Each :func:`emission_boxes` box of the emissions ``[start, start +
-    len(values))``, with its part of ``values`` (one entry per emission,
-    in emission order) as a view of the box's shape."""
-    offset = 0
-    for box in emission_boxes(start, start + len(values), ny, per_column):
-        x0, x1, y0, y1, z0, z1 = box
-        shape = (x1 - x0, y1 - y0, z1 - z0)
-        size = shape[0] * shape[1] * shape[2]
-        yield box, values[offset:offset + size].reshape(shape)
-        offset += size
-
-
 class StencilBulk(Bulk):
     """The forwarded bundles ``[start, stop)`` of a streamed set of blocks.
 
     Bundles are numbered in forwarding order, ``per_column`` per
     interior column (see :func:`~repro.shiftbuffer.buffer3d.
-    forwarded_emission`).  The run stays lazy: downstream stages read it
-    as :func:`~repro.shiftbuffer.buffer3d.emission_boxes` of the blocks
-    (:meth:`boxes`, through :class:`WindowRun` views), and windows are
-    only cut (:meth:`ShiftBuffer3D.window_at`) for the handful of bundles
-    that end up inside FIFOs or stage pipelines when exact ticking
-    resumes.  ``buffer`` supplies the block geometry.
+    forwarded_emission`).  The run stays lazy all the way to the write
+    stage, which reads it as :func:`~repro.shiftbuffer.buffer3d.
+    emission_boxes` of the blocks (:meth:`boxes`, through
+    :class:`WindowRun` views).  A bundle travels alone, in a FIFO or a
+    stage pipeline, as a one-bundle run (:meth:`materialize`), which is
+    also what a backed shift stage's scalar firing hands on.  A
+    one-bundle run unpacks as the bundle it stands for, one
+    :class:`StencilWindow` per block cut on demand
+    (:meth:`ShiftBuffer3D.window_at`); no stage of a fault-free run
+    unpacks one.  ``buffer`` supplies the block geometry.
     """
 
     def __init__(self, buffer: ShiftBuffer3D, blocks: tuple[np.ndarray, ...],
@@ -146,18 +145,28 @@ class StencilBulk(Bulk):
     def __len__(self) -> int:
         return self.stop - self.start
 
+    def __iter__(self) -> Iterator[StencilWindow]:
+        if self.stop - self.start != 1:
+            raise DataflowError(
+                f"a run of {len(self)} bundles does not unpack as one "
+                f"bundle")
+        emission = forwarded_emission(self.start, self.nz, self.per_column)
+        return iter([self.buffer.window_at(emission, block)
+                     for block in self.blocks])
+
+    def span(self, start: int, stop: int) -> "StencilBulk":
+        """The bundles ``[start, stop)`` of the same blocks, numbered as
+        this run's."""
+        return StencilBulk(self.buffer, self.blocks, start, stop,
+                           self.per_column)
+
     def slice(self, start: int, stop: int) -> "StencilBulk":
         self._check_range(start, stop)
-        return StencilBulk(self.buffer, self.blocks, self.start + start,
-                           self.start + stop, self.per_column)
+        return self.span(self.start + start, self.start + stop)
 
-    def bundle_at(self, index: int) -> tuple[StencilWindow, ...]:
-        emission = forwarded_emission(index, self.nz, self.per_column)
-        return tuple(self.buffer.window_at(emission, block)
-                     for block in self.blocks)
-
-    def materialize(self) -> list[tuple[StencilWindow, ...]]:
-        return [self.bundle_at(i) for i in range(self.start, self.stop)]
+    def materialize(self) -> list["StencilBulk"]:
+        return [self.span(index, index + 1)
+                for index in range(self.start, self.stop)]
 
     def boxes(self) -> list[Box]:
         """The bundles of this run as boxes of centres, in forwarding
@@ -167,38 +176,27 @@ class StencilBulk(Bulk):
 
 
 class AdvectResultBulk(Bulk):
-    """The advect results of the emissions ``[start, start + len)``.
+    """One advect stage's results for a run of bundles, not yet evaluated.
 
-    ``values[i]`` belongs to flat emission ``start + i``
-    (:func:`~repro.shiftbuffer.buffer3d.emission_center` over a block of
-    ``ny`` by ``nz``); centres are only computed for the few results that
-    :meth:`materialize` cuts.
+    Its items are ``(stage, bundle)`` pairs, ``bundle`` a one-bundle
+    :class:`StencilBulk`: the write stage stores them and evaluates the
+    stage's window form on them once, as whole runs
+    (:meth:`AdvectStage.evaluate`).
     """
 
-    def __init__(self, start: int, values: np.ndarray, ny: int,
-                 nz: int) -> None:
-        self.start = start
-        self.values = values
-        self.ny = ny
-        self.nz = nz
-
-    @property
-    def stop(self) -> int:
-        return self.start + len(self.values)
+    def __init__(self, stage: "AdvectStage", run: StencilBulk) -> None:
+        self.stage = stage
+        self.run = run
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.run)
 
     def slice(self, start: int, stop: int) -> "AdvectResultBulk":
-        self._check_range(start, stop)
-        return AdvectResultBulk(self.start + start, self.values[start:stop],
-                                self.ny, self.nz)
+        return AdvectResultBulk(self.stage, self.run.slice(start, stop))
 
-    def materialize(self) -> list[tuple[tuple[int, int, int], float]]:
-        cx, cy, cz, _top = emission_center(
-            np.arange(self.start, self.stop), self.ny, self.nz)
-        return [((x, y, z), value) for x, y, z, value in zip(
-            cx.tolist(), cy.tolist(), cz.tolist(), self.values.tolist())]
+    def materialize(self) -> list[tuple["AdvectStage", StencilBulk]]:
+        stage = self.stage
+        return [(stage, bundle) for bundle in self.run.materialize()]
 
 
 class MemoryArbiter:
@@ -361,8 +359,8 @@ class _ShiftFireResult(FireBulkResult):
     The bundles of a :class:`StencilBulk` map to producing feeds by
     closed-form arithmetic (:func:`~repro.shiftbuffer.buffer3d.
     producing_feed`: a column top forwards two bundles per feed when its
-    top windows travel); bundles are materialised individually only for
-    the tail that re-enters the stage pipeline.
+    top windows travel); the tail that re-enters the stage pipeline
+    holds one-bundle runs.
     """
 
     def __init__(self, bulk: StencilBulk) -> None:
@@ -395,9 +393,7 @@ class _ShiftFireResult(FireBulkResult):
                        self._bulk.stop)
             start = max(producing_feed_stop(feed - 1, *self._geometry)
                         if feed > 0 else 0, self._bulk.start)
-            firings.append({
-                "out": [self._bulk.bundle_at(e) for e in range(start, stop)]
-            })
+            firings.append({"out": self._bulk.span(start, stop).materialize()})
         return firings
 
 
@@ -431,11 +427,11 @@ class ShiftBufferStage(Stage):
     hold values of these blocks.  A firing whose cell is, bit for bit,
     the blocks' cell at the buffers' position moves the position
     (:meth:`ShiftBuffer3D.advance`, ports booked per buffer in order)
-    and cuts its bundles from the blocks (:meth:`ShiftBuffer3D.
-    window_at`): no register shifts, no window copies.  A batched firing
-    whose cells are the blocks' own, checked by their position, moves
-    the position by its whole run (:meth:`ShiftBuffer3D.feed_bulk`), and
-    its bundles travel as a :class:`StencilBulk`.  The first cell that
+    and hands on each bundle as a one-bundle :class:`StencilBulk`: no
+    register shifts, no window cut.  A batched firing whose cells are
+    the blocks' own, checked by their position, moves the position by
+    its whole run (:meth:`ShiftBuffer3D.feed_bulk`), and its bundles
+    travel as one :class:`StencilBulk`.  The first cell that
     differs from the blocks (only a word a fault dropped makes one)
     switches the stage to the register model until :meth:`reset`: the
     buffers gather their registers once and :meth:`ShiftBuffer3D.feed`
@@ -538,13 +534,12 @@ class ShiftBufferStage(Stage):
                     buffer.advance(1, block)
                 if first == stop:
                     return {}
-                stop = self._forwarded_stop(first, stop)
+                count = self._forwarded_stop(first, stop) - first
                 if self.first_emit_cycle is None:
                     self.first_emit_cycle = cycle
-                return {"out": [
-                    tuple([buffer.window_at(index, block)
-                           for buffer, block in zip(buffers, blocks)])
-                    for index in range(first, stop)]}
+                index = forwarded_before(first, self.nz, self.per_column)
+                run = self.window_run(index, index + count)
+                return {"out": [run] if count == 1 else run.materialize()}
             self._diverged = True
         windows = [buffer.feed(value) for buffer, value in zip(buffers, cell)]
         counts = [len(emitted) for emitted in windows]
@@ -667,6 +662,12 @@ class AdvectStage(Stage):
 
     This stage is where the 21 double-precision operations per cycle live;
     ``latency`` models the depth of the scheduled floating-point pipeline.
+    It times them and leaves the arithmetic to the write stage: a firing
+    on a run of the blocks (a one-bundle :class:`StencilBulk`, or a
+    batched window's whole run) hands on ``(stage, run)`` untouched, and
+    the write stage calls :meth:`evaluate` once per stored run.  Only the
+    register model's bundles, :class:`StencilWindow` tuples cut after a
+    dropped word, are evaluated here, one window at a time.
     """
 
     input_ports = ("in",)
@@ -697,8 +698,34 @@ class AdvectStage(Stage):
         self.flops_per_cell_top = field_flops(top=True, field=field)
 
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
-        ((wu, wv, ww),) = inputs["in"]
+        (bundle,) = inputs["in"]
+        if type(bundle) is StencilBulk:
+            return {"out": [(self, bundle)]}
+        wu, wv, ww = bundle
         return {"out": [(wu.center, self._fn(wu, wv, ww, self.coeffs))]}
+
+    def evaluate(self, run: StencilBulk, array: np.ndarray, x_offset: int,
+                 y_offset: int) -> None:
+        """Evaluate this stage's form on every bundle of ``run`` into
+        ``array``, each centre ``(cx, cy, cz)`` at ``[cx - 1 + x_offset,
+        cy - 1 + y_offset, cz]``.
+
+        One call per :func:`~repro.shiftbuffer.buffer3d.emission_boxes`
+        box for its full windows and one for its column-top layer, each
+        on :class:`WindowRun` views of the three blocks.
+        """
+        bu, bv, bw = run.blocks
+        for x0, x1, y0, y1, z0, z1 in run.boxes():
+            xs = slice(x0 - 1 + x_offset, x1 - 1 + x_offset)
+            ys = slice(y0 - 1 + y_offset, y1 - 1 + y_offset)
+            # A run's ``top`` is one flag, so a box's full windows and
+            # its column-top layer are two runs.
+            split = min(z1, self.nz - 1)
+            for top, zs in ((False, (z0, split)), (True, (split, z1))):
+                if zs[1] > zs[0]:
+                    u = WindowRun(bu, (x0, x1, y0, y1) + zs, top=top)
+                    array[xs, ys, zs[0]:zs[1]] = self._fn(
+                        u, u.on(bv), u.on(bw), self.coeffs)
 
     def ff_structure(self) -> tuple | None:
         return self._structure(self.nz)
@@ -714,25 +741,11 @@ class AdvectStage(Stage):
         out_parts: list[Bulk] = []
         for part in bulk.parts():
             if isinstance(part, StencilBulk):
-                bu, bv, bw = part.blocks
-                values = np.empty(len(part))
-                for box, lanes in _box_lanes(values, part.start, part.ny,
-                                             part.per_column):
-                    x0, x1, y0, y1, z0, z1 = box
-                    # A run's ``top`` is one flag, so a box's full
-                    # windows and its column-top layer are two runs.
-                    split = min(z1, self.nz - 1)
-                    for top, zs in ((False, (z0, split)), (True, (split, z1))):
-                        if zs[1] > zs[0]:
-                            u = WindowRun(bu, (x0, x1, y0, y1) + zs, top=top)
-                            lanes[:, :, zs[0] - z0:zs[1] - z0] = self._fn(
-                                u, u.on(bv), u.on(bw), self.coeffs)
-                out_parts.append(AdvectResultBulk(part.start, values,
-                                                  part.ny, self.nz))
+                out_parts.append(AdvectResultBulk(self, part))
             elif len(part):
                 out_parts.append(ListBulk([
-                    (wu.center, self._fn(wu, wv, ww, self.coeffs))
-                    for wu, wv, ww in part.materialize()
+                    self.fire(cycle, {"in": [bundle]})["out"][0]
+                    for bundle in part.materialize()
                 ]))
         return UniformFireResult({"out": ChainBulk(out_parts)})
 
@@ -742,8 +755,17 @@ class WriteDataStage(Stage):
 
     Results for one cell arrive on the three ports in lock step (the
     advect stages share II and latency); the stage consumes one result per
-    port per firing and scatters them into the output arrays at the
-    chunk's global offset.
+    port per firing and writes it into its output array at the chunk's
+    global offset.
+
+    A result of a run of the blocks, ``(advect stage, run)`` from a
+    scalar firing or an :class:`AdvectResultBulk` from a batched one, is
+    stored per port, joined with the port's last stored run when the two
+    are contiguous, and evaluated once, by :meth:`AdvectStage.evaluate`
+    straight into the array, when the run ends (:meth:`finish`).  A
+    register-model result, ``((cx, cy, cz), value)``, is written at
+    once, after the port's stored runs: each port writes its cells in
+    the order it consumed them.
     """
 
     input_ports = ("su", "sv", "sw")
@@ -757,16 +779,52 @@ class WriteDataStage(Stage):
         self.x_offset = x_offset
         self.y_offset = y_offset
         self.cells_written = 0
+        #: Per port, the runs stored and not yet evaluated, in write
+        #: order: ``[stage, run, stop]``, the bundles ``[run.start,
+        #: stop)`` of ``run``'s blocks.
+        self._stored: dict[str, list[list[Any]]] = {
+            port: [] for port in self.input_ports}
+
+    def _store(self, port: str, stage: AdvectStage,
+               run: StencilBulk) -> None:
+        stored = self._stored[port]
+        if stored:
+            last = stored[-1]
+            if last[2] == run.start and last[0] is stage \
+                    and last[1].blocks is run.blocks:
+                last[2] = run.stop
+                return
+        stored.append([stage, run, run.stop])
+
+    def _write(self, port: str, item: tuple) -> None:
+        key, value = item
+        if type(value) is StencilBulk:
+            self._store(port, key, value)
+            return
+        self._flush(port)
+        cx, cy, cz = key
+        self._arrays[port][
+            cx - 1 + self.x_offset, cy - 1 + self.y_offset, cz
+        ] = value
+
+    def _flush(self, port: str) -> None:
+        """Evaluate ``port``'s stored runs into its array, in order."""
+        stored = self._stored[port]
+        for stage, run, stop in stored:
+            stage.evaluate(run.span(run.start, stop), self._arrays[port],
+                        self.x_offset, self.y_offset)
+        stored.clear()
 
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
         for port in ("su", "sv", "sw"):
-            ((center, value),) = inputs[port]
-            cx, cy, cz = center
-            self._arrays[port][
-                cx - 1 + self.x_offset, cy - 1 + self.y_offset, cz
-            ] = value
+            (item,) = inputs[port]
+            self._write(port, item)
         self.cells_written += 1
         return {}
+
+    def finish(self) -> None:
+        for port in self.input_ports:
+            self._flush(port)
 
     def ff_structure(self) -> tuple | None:
         return self._structure()
@@ -780,19 +838,18 @@ class WriteDataStage(Stage):
                     f"write {self.name!r}: batched window consumed "
                     f"{len(bulk)} results on {port!r} for {count} firings"
                 )
-            array = self._arrays[port]
             for part in bulk.parts():
                 if isinstance(part, AdvectResultBulk):
-                    for (x0, x1, y0, y1, z0, z1), lanes in _box_lanes(
-                            part.values, part.start, part.ny, part.nz - 1):
-                        array[x0 - 1 + self.x_offset:x1 - 1 + self.x_offset,
-                              y0 - 1 + self.y_offset:y1 - 1 + self.y_offset,
-                              z0:z1] = lanes
-                elif len(part):
-                    for (cx, cy, cz), value in part.materialize():
-                        array[cx - 1 + self.x_offset,
-                              cy - 1 + self.y_offset, cz] = value
+                    self._store(port, part.stage, part.run)
+                else:
+                    for item in part.materialize():
+                        self._write(port, item)
         self.cells_written += count
         # A write firing produces nothing: it never enters the pipeline
         # (side effects land at fire time), matching the exact path.
         return ListFireResult([])
+
+    def reset(self) -> None:
+        super().reset()
+        for stored in self._stored.values():
+            stored.clear()

@@ -22,7 +22,7 @@ from repro.core.flops import grid_flops
 from repro.core.grid import Grid, GridDecomposition
 from repro.errors import ConfigurationError
 from repro.hardware.cpu import CPUModel
-from repro.hardware.device import FPGADevice
+from repro.hardware.device import FPGADevice, InvocationEstimate
 from repro.hardware.gpu import GPUModel
 from repro.kernel.config import KernelConfig
 from repro.kernel.functional import execute_chunked
@@ -81,15 +81,18 @@ def _number(widths: list[int], work: dict[int, ChunkWork]) -> list[ChunkWork]:
 class SessionMemo:
     """Results the runs of several sessions share, computed once per key.
 
-    A run reads three results that most of its inputs leave alone: the
+    A run reads four results that most of its inputs leave alone: the
     grid's FLOP count (keyed by the grid), the buffer-capacity check (by
-    the device, memory, word width and cell count) and its host
-    schedule's start order (:class:`~repro.runtime.simulator.ScheduleOrder`,
-    by the schedule's shape: sequential, or overlapped over some number
-    of X chunks).  Each run still prices its own durations along that
-    order.  A session keeps a memo of its own unless it is handed one;
+    the device, memory, word width and cell count), each kernel
+    invocation's price (:meth:`invocation`, by its whole input) and its
+    host schedule's start order
+    (:class:`~repro.runtime.simulator.ScheduleOrder`, by the schedule's
+    shape: sequential, or overlapped over some number of X chunks).
+    Each run still prices its own durations along that order.  A session
+    keeps a memo of its own unless it is handed one;
     :class:`~repro.tune.cost.CostModel` hands one to every session it
-    builds.  A computation that raises is not kept.
+    builds, and prices its own invocations through it too.  A
+    computation that raises is not kept.
     """
 
     def __init__(self) -> None:
@@ -105,13 +108,27 @@ class SessionMemo:
         """:func:`~repro.core.flops.grid_flops` of ``grid``."""
         return self.get(("flops", grid), lambda: grid_flops(grid))
 
+    def invocation(self, device: FPGADevice, config: KernelConfig,
+                   grid: Grid, *, num_kernels: int,
+                   memory: str) -> InvocationEstimate:
+        """``device.invocation(config, grid, ...)``, once per input.
+
+        A device holds unhashable parts, so it is keyed by identity; the
+        memo keeps the device with its price, so that identity stays its
+        own while the memo lives.
+        """
+        return self.get(
+            ("invocation", id(device), config, grid, num_kernels, memory),
+            lambda: (device, device.invocation(
+                config, grid, num_kernels=num_kernels, memory=memory)))[1]
+
 
 class AdvectionSession:
     """One device + configuration, ready to run grids through it.
 
-    ``memo`` shares FLOP counts, capacity checks and schedule orders
-    with other sessions (:class:`SessionMemo`); by default the session
-    keeps its own.
+    ``memo`` shares FLOP counts, capacity checks, invocation prices and
+    schedule orders with other sessions (:class:`SessionMemo`); by
+    default the session keeps its own.
     """
 
     def __init__(self, device: FPGADevice | GPUModel | CPUModel,
@@ -179,8 +196,8 @@ class AdvectionSession:
 
     def _chunk_kernel_seconds(self, chunk_grid: Grid, memory: str) -> float:
         if isinstance(self.device, FPGADevice):
-            return self.device.invocation(
-                self.config.for_grid(chunk_grid), chunk_grid,
+            return self.memo.invocation(
+                self.device, self.config.for_grid(chunk_grid), chunk_grid,
                 num_kernels=self.num_kernels, memory=memory,
             ).seconds
         if isinstance(self.device, GPUModel):

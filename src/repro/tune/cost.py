@@ -167,8 +167,10 @@ class CostModel:
         # counted in cycles once), 72 replica-count lint passes, 12
         # replica footprints, 72 utilisations, 48 invocations and 192
         # session runs.  Those runs share one FLOP count, 2 capacity
-        # checks and 4 host-schedule queues (sequential, and overlapped
-        # over 8, 16 and 32 X chunks) through one session memo.  The
+        # checks, one price per distinct invocation input (the model's
+        # own 48 among them: 195 in all) and 4 host-schedule queues
+        # (sequential, and overlapped over 8, 16 and 32 X chunks)
+        # through one session memo.  The
         # memos live and die with this model, so a fresh process still
         # pays every cold call.
         self._session_memo = SessionMemo()
@@ -357,8 +359,11 @@ class CostModel:
         width, the replica count and the memory, never the depth."""
         key = (config.chunk_width, config.word_bytes, num_kernels, memory)
         if key not in self._invocations:
-            self._invocations[key] = self.device.invocation(
-                config, self.grid, num_kernels=num_kernels, memory=memory)
+            # Through the sessions' memo: a sequential session run of
+            # this config prices the same input.
+            self._invocations[key] = self._session_memo.invocation(
+                self.device, config, self.grid, num_kernels=num_kernels,
+                memory=memory)
         return self._invocations[key]
 
     def describe(self) -> dict[str, Any]:

@@ -1,8 +1,9 @@
 """Window-based advection arithmetic vs the scalar specification.
 
-One expression per field serves both execution paths: a scalar firing
-evaluates it on three :class:`StencilWindow` objects, a batched firing on
-three :class:`WindowRun` views.  Both must give the golden bytes.
+One expression per field serves both evaluation shapes: the register
+model's windows evaluate it on three :class:`StencilWindow` objects,
+and the write stage evaluates every run of the blocks on three
+:class:`WindowRun` views.  Both must give the golden bytes.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.core.coefficients import AdvectionCoefficients
 from repro.core.golden import advect_cell
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
+from repro.faults import FaultPlan, FaultSpec
 from repro.kernel import compute, stages
 from repro.kernel.compute import advect_u, advect_v, advect_w
 from repro.kernel.config import KernelConfig
@@ -201,8 +203,9 @@ class TestRunForms:
 
 class TestAdvectStages:
     def test_scalar_and_batched_firings_call_one_form(self, monkeypatch):
-        """``fire`` passes single windows and ``fire_bulk`` full and top
-        runs, all to the same form."""
+        """Fault-free runs, batched and forced scalar, pass each form
+        full and top :class:`WindowRun` views only; after a dropped word
+        the register model passes it single windows, full and top."""
         seen = set()
         for form in FORMS:
             def spy(u, v, w, coeffs, form=form):
@@ -210,17 +213,29 @@ class TestAdvectStages:
                 return form(u, v, w, coeffs)
             monkeypatch.setattr(compute, form.__name__, spy)
         grid = Grid(nx=6, ny=6, nz=8)
-        simulate_kernel(KernelConfig(grid=grid),
-                        random_wind(grid, seed=3, magnitude=2.0))
+        fields = random_wind(grid, seed=3, magnitude=2.0)
+        for batched in (True, False):
+            simulate_kernel(KernelConfig(grid=grid), fields, batched=batched)
+        assert seen == {(form.__name__, "WindowRun", top) for form in FORMS
+                        for top in (False, True)}
+        seen.clear()
+        # The first cell is dropped, so the first attempt runs the
+        # register model throughout; its retry runs healthy.
+        plan = FaultPlan([FaultSpec(site="fifo", kind="drop",
+                                    match="read_data.out->shift_buffer.in",
+                                    probability=1.0, count=1)])
+        result = simulate_kernel(KernelConfig(grid=grid), fields,
+                                 fault_plan=plan)
+        assert result.chunk_retries == 1
         assert seen == {(form.__name__, kind, top) for form in FORMS
                         for kind in ("StencilWindow", "WindowRun")
                         for top in (False, True)}
 
     def test_advect_results_carry_an_emission_range(self, monkeypatch):
-        """A batched window's advect results are an emission range and
-        its values, with no coordinate arrays; u, v and w of one window
-        cover the same range, and the centres cut from it are the
-        emissions' own."""
+        """A batched window's advect results are the stage and its run
+        of bundles, with no values and no coordinate arrays; u, v and w
+        of one window cover the same range, and the centres cut from it
+        are the emissions' own."""
         fired = {}
         original = stages.AdvectStage.fire_bulk
 
@@ -240,15 +255,20 @@ class TestAdvectStages:
         for by_field in fired.values():
             for u, v, w in zip(by_field["u"], by_field["v"],
                                by_field["w"], strict=True):
-                for part in (u, v, w):
-                    assert not any(hasattr(part, axis)
-                                   for axis in ("cx", "cy", "cz", "center"))
-                    assert len(part.values) == part.stop - part.start
-                assert (u.start, u.stop) == (v.start, v.stop) == (
-                    w.start, w.stop)
+                for field, part in zip("uvw", (u, v, w)):
+                    assert not any(hasattr(part, name) for name in
+                                   ("values", "cx", "cy", "cz", "center"))
+                    assert part.stage.field == field
+                    assert len(part) == part.run.stop - part.run.start
+                assert (u.run.start, u.run.stop) == (v.run.start, v.run.stop) \
+                    == (w.run.start, w.run.stop)
                 head = u.slice(0, min(len(u), 3)).materialize()
-                assert [center for center, _value in head] == [
-                    emission_center(e, u.ny, u.nz)[:3]
-                    for e in range(u.start, u.start + len(head))]
+                assert all(stage is u.stage for stage, _bundle in head)
+                assert [bundle.start for _stage, bundle in head] == list(
+                    range(u.run.start, u.run.start + len(head)))
+                assert [next(iter(bundle)).center
+                        for _stage, bundle in head] == [
+                    emission_center(e, u.run.ny, u.run.nz)[:3]
+                    for e in range(u.run.start, u.run.start + len(head))]
                 ranges += 1
         assert ranges > 0

@@ -256,11 +256,14 @@ class TestSubModelMemo:
             "analyze_graph": len({p.stream_depth for p in points}),
             "build_structural_graph": len({p.stream_depth for p in points}),
             "run": len(runs),
-            # The model's own invocations, and one per run: every X
-            # split of nx=16 here is even, so each run prices one width.
-            "invocation": len({(p.chunk_width, p.word_bytes,
-                                p.num_kernels, p.memory)
-                               for p in points}) + len(runs),
+            # One price per distinct input, shared through the session
+            # memo: the model's own, which its sequential runs price
+            # again, and one sub-grid per (config, replicas, memory) for
+            # the overlapped runs, since nx // 2 = 8 caps every X chunk
+            # count here and splits nx=16 into chunks of width 2.
+            "invocation": 2 * len({(p.chunk_width, p.word_bytes,
+                                    p.num_kernels, p.memory)
+                                   for p in points}),
             # One interpretation per proof: no FIFO of the structural
             # graph fills at any depth the space offers.
             "interpret": len({p.stream_depth for p in points}),
@@ -273,7 +276,7 @@ class TestSubModelMemo:
         }
         assert calls == {"lint_kernel": 12, "lint_kernel replicas": 72,
                          "analyze_graph": 3, "build_structural_graph": 3,
-                         "run": 192, "invocation": 240, "interpret": 3,
+                         "run": 192, "invocation": 96, "interpret": 3,
                          "CommandQueue": 2, "grid_flops": 1,
                          "allocate_buffers": 2}
 
