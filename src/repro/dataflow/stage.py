@@ -97,10 +97,10 @@ class Pipeline(deque):
 
     Entries are ``(ready_cycle, produced, shape)`` tuples: the cycle the
     result may retire, the produced items per output port, and the
-    per-port item counts ``((port, count), ...)``, one shared tuple per
-    distinct emission of the stage.  A firing appends a new entry and
-    retirement pops the oldest, both plain C-level deque operations, so
-    forced-scalar ticking pays nothing for the key.  Ready cycles never decrease: a stage's latency
+    per-port item counts ``((port, count), ...)``, computed once at fire
+    time.  A firing appends a new entry and retirement pops the oldest,
+    both plain C-level deque operations, so forced-scalar ticking pays
+    nothing for the key.  Ready cycles never decrease: a stage's latency
     is fixed, and :meth:`Stage.ff_commit` clamps overdue entries to one
     cycle, which leaves gaps of 0.
 
@@ -246,9 +246,6 @@ class Stage:
         # ports after this constructor, so nothing is fixed here.
         self._in_plan: list[tuple[str, Stream]] = []
         self._out_ports: frozenset[str] = frozenset()
-        #: ``(ports..., counts...)`` -> the pipeline entry shape of a
-        #: firing that emits so, built on its first firing.
-        self._shapes: dict[tuple, tuple] = {}
 
     # -- wiring (called by DataflowGraph) --------------------------------------
 
@@ -420,34 +417,23 @@ class Stage:
                 stream.note_empty_stall()
                 self.stats.input_stalls += 1
                 return False
-        if len(in_plan) == 1:
-            ((port, stream),) = in_plan
-            inputs = {port: [stream.pop()]}
-        else:
-            inputs = {port: [stream.pop()] for port, stream in in_plan}
-        produced = self.fire(cycle, inputs)
+        produced = self.fire(cycle, {port: [stream.pop()]
+                                     for port, stream in in_plan})
         if type(produced) is not dict:
             produced = dict(produced)
-        if not produced.keys() <= self._out_ports:
-            raise DataflowError(
-                f"stage {self.name!r} produced on undeclared ports "
-                f"{sorted(produced.keys() - self._out_ports)}"
-            )
+        for port in produced:
+            if port not in self._out_ports:
+                raise DataflowError(
+                    f"stage {self.name!r} produced on undeclared ports "
+                    f"{sorted(set(produced) - self._out_ports)}"
+                )
         self.stats.fires += 1
         self._next_fire_cycle = cycle + self.ii
         if produced:
-            # Ports in firing order, then their item counts; one port,
-            # the usual case, unpacks faster.
-            if len(produced) == 1:
-                [(out_port, items)] = produced.items()
-                key = (out_port, len(items))
-            else:
-                key = (*produced, *map(len, produced.values()))
-            shape = self._shapes.get(key)
-            if shape is None:
-                shape = self._shapes[key] = tuple(
-                    [(p, len(v)) for p, v in produced.items()])
-            self._pipeline.append((cycle + self.latency, produced, shape))
+            self._pipeline.append((
+                cycle + self.latency, produced,
+                tuple([(p, len(v)) for p, v in produced.items()]),
+            ))
         return True
 
     def blocked_reason(self, cycle: int) -> str | None:

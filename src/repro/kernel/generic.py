@@ -40,8 +40,9 @@ StencilBulk` per scalar emission, or, batched, one run after a jump of
 its buffer with :meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
 feed_bulk`), the compute stage hands on the range of results its
 windows yield (:class:`CellResultBulk`, with no arithmetic), and the
-write stage stores the ranges and, when the engine run ends, evaluates
-each once (:meth:`WindowComputeStage.evaluate`): the kernel's own window
+write stage stores the ranges in the advection machine's
+:class:`~repro.kernel.stages.ResultSink` and, when the engine run ends,
+evaluates each once (:meth:`WindowComputeStage.evaluate`): the kernel's own window
 functions once per box of centres (:func:`~repro.shiftbuffer.buffer3d.
 emission_boxes`) on a :class:`~repro.shiftbuffer.window.WindowRun`,
 whose ``at`` is a read-only strided view of the block, and each
@@ -76,7 +77,13 @@ from repro.dataflow.engine import ControlRecord, DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import Stage
 from repro.errors import ConfigurationError
-from repro.kernel.stages import ReadDataStage, ShiftBufferStage, StencilBulk
+from repro.kernel.stages import (
+    ReadDataStage,
+    ResultRun,
+    ResultSink,
+    ShiftBufferStage,
+    StencilBulk,
+)
 from repro.shiftbuffer.buffer3d import emission_boxes
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow, WindowRun
@@ -119,34 +126,15 @@ def results_before(window: int, nz: int) -> int:
     return column * nz + (j + 1 if j else 0)
 
 
-class CellResultBulk(Bulk):
-    """A compute stage's results ``[start, stop)`` over one block, not yet
-    evaluated.
+class CellResultBulk(ResultRun):
+    """A compute stage's results ``[start, stop)`` over one block, its
+    source, not yet evaluated.
 
-    Results are numbered as :func:`results_before` counts them.  The
-    write stage stores them and evaluates them once, as whole runs
-    (:meth:`WindowComputeStage.evaluate`); a result that travels alone, in
-    a FIFO or a stage pipeline, is a one-result run.
+    Results are numbered as :func:`results_before` counts them.
     """
 
-    def __init__(self, stage: "WindowComputeStage", block: np.ndarray,
-                 start: int, stop: int) -> None:
-        self.stage = stage
-        self.block = block
-        self.start = start
-        self.stop = stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def slice(self, start: int, stop: int) -> "CellResultBulk":
-        self._check_range(start, stop)
-        return CellResultBulk(self.stage, self.block, self.start + start,
-                              self.start + stop)
-
-    def materialize(self) -> list["CellResultBulk"]:
-        return [CellResultBulk(self.stage, self.block, index, index + 1)
-                for index in range(self.start, self.stop)]
+    def evaluate(self, out: np.ndarray) -> None:
+        self.stage.evaluate(self.source, self.start, self.stop, out)
 
 
 def _call_name(fn: Callable, kwargs: Mapping[str, Any]) -> str:
@@ -183,7 +171,8 @@ def _check_window_fns(run: StencilBulk, interior: InteriorFn,
     or a difference in the bytes, and raises
     :class:`ConfigurationError`.
     """
-    windows = [window for (window,) in run.materialize()]
+    windows = [run.bundle_at(index)[0]
+               for index in range(run.start, run.stop)]
     (block,) = run.blocks
     views = [WindowRun(block, box) for box in run.boxes()]
     for fn, kwargs in ((interior, {}), (boundary, {"top": False}),
@@ -340,12 +329,10 @@ class ScatterWriteStage(Stage):
     """Writes (center, value) results into an interior output array.
 
     Centres arrive in the streamed block's halo coordinates; the stage
-    shifts them by the one-cell halo before scattering.  A
-    :class:`CellResultBulk` is stored, joined with the last stored run
-    when the two are contiguous, and evaluated once, by
-    :meth:`WindowComputeStage.evaluate` straight into the array, when the
-    run ends (:meth:`finish`).  A register-model result, ``(center,
-    value)``, is written at once, after the stored runs.
+    shifts them by the one-cell halo before scattering, through a
+    :class:`~repro.kernel.stages.ResultSink`: a :class:`CellResultBulk`
+    is stored and evaluated once when the run ends (:meth:`finish`), a
+    register-model result, ``(center, value)``, is written at once.
     """
 
     input_ports = ("in",)
@@ -354,37 +341,17 @@ class ScatterWriteStage(Stage):
     def __init__(self, name: str, out: np.ndarray, *, ii: int = 1,
                  latency: int = 4) -> None:
         super().__init__(name, ii=ii, latency=latency)
-        self._out = out
         self.cells_written = 0
-        #: The runs stored and not yet evaluated, in write order:
-        #: ``[stage, block, start, stop]``.
-        self._stored: list[list[Any]] = []
-
-    def _write(self, item: Any) -> None:
-        if type(item) is CellResultBulk:
-            stored = self._stored
-            if stored:
-                last = stored[-1]
-                if last[3] == item.start and last[0] is item.stage \
-                        and last[1] is item.block:
-                    last[3] = item.stop
-                    return
-            stored.append([item.stage, item.block, item.start, item.stop])
-            return
-        self.finish()
-        (cx, cy, cz), value = item
-        self._out[cx - 1, cy - 1, cz] = value
+        self._sink = ResultSink(out)
 
     def fire(self, cycle: int, inputs: Mapping[str, list]):
         (item,) = inputs["in"]
-        self._write(item)
+        self._sink.write(item)
         self.cells_written += 1
         return {}
 
     def finish(self) -> None:
-        for stage, block, start, stop in self._stored:
-            stage.evaluate(block, start, stop, self._out)
-        self._stored.clear()
+        self._sink.flush()
 
     def ff_structure(self) -> tuple | None:
         return self._structure()
@@ -394,19 +361,14 @@ class ScatterWriteStage(Stage):
         results = inputs.get("in")
         if results is None or len(results) != count:
             return super().fire_bulk(count, inputs, cycle)
-        for part in results.parts():
-            if isinstance(part, CellResultBulk):
-                self._write(part)
-            else:
-                for result in part.materialize():
-                    self._write(result)
+        self._sink.write_bulk(results)
         self.cells_written += count
         # A write firing produces nothing: it never enters the pipeline.
         return ListFireResult([])
 
     def reset(self) -> None:
         super().reset()
-        self._stored.clear()
+        self._sink.clear()
 
 
 def build_stencil_graph(block: np.ndarray, interior: InteriorFn,

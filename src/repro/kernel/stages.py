@@ -18,26 +18,28 @@ The data path is lazy from the shift buffer to the write stage.  A shift
 stage built with its blocks hands on runs of the blocks, not windows: a
 one-bundle :class:`StencilBulk` per scalar emission, one run per batched
 window.  Replicate copies the run to the advect stages, which time the
-21 operations and hand on ``(stage, run)`` with no arithmetic
-(:class:`AdvectResultBulk` when batched).  The write stage stores those
-runs per port, joins contiguous ones, and when the run ends
-(:meth:`~repro.dataflow.stage.Stage.finish`) evaluates each once with
-its advect stage's window form, on
+21 operations and hand on their results as an
+:class:`AdvectResultBulk` of the same bundles, with no arithmetic.  The
+write stage keeps one :class:`ResultSink` per port, which stores those
+runs of results (:class:`ResultRun`), joins contiguous ones, and when
+the run ends (:meth:`~repro.dataflow.stage.Stage.finish`) evaluates
+each once with its advect stage's window form, on
 :class:`~repro.shiftbuffer.window.WindowRun` box views of the blocks,
 straight into its output arrays: one call per
 :func:`~repro.shiftbuffer.buffer3d.emission_boxes` box for its full
-windows and one for its column-top layer.  A scalar cycle therefore
-moves control and run bounds only.  Only the register model cuts
-windows: a stage built without blocks, or a shift stage whose stream
-diverged from them after a dropped word, forwards tuples of one
-:class:`~repro.shiftbuffer.window.StencilWindow` per block, which the
-advect stages evaluate one at a time.
+windows and one for its column-top layer.  The generic stencil
+machine's back end stores and evaluates its results the same way.  A
+scalar cycle therefore moves control and run bounds only.  Only the
+register model cuts windows: a stage built without blocks, or a shift
+stage whose stream diverged from them after a dropped word, forwards
+tuples of one :class:`~repro.shiftbuffer.window.StencilWindow` per
+block, which the advect stages evaluate one at a time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -72,7 +74,9 @@ from repro.shiftbuffer.window import StencilWindow, WindowRun
 __all__ = [
     "CellBlockBulk",
     "StencilBulk",
+    "ResultRun",
     "AdvectResultBulk",
+    "ResultSink",
     "MemoryArbiter",
     "ReadDataStage",
     "ShiftBufferStage",
@@ -119,11 +123,9 @@ class StencilBulk(Bulk):
     emission_boxes` of the blocks (:meth:`boxes`, through
     :class:`WindowRun` views).  A bundle travels alone, in a FIFO or a
     stage pipeline, as a one-bundle run (:meth:`materialize`), which is
-    also what a backed shift stage's scalar firing hands on.  A
-    one-bundle run unpacks as the bundle it stands for, one
-    :class:`StencilWindow` per block cut on demand
-    (:meth:`ShiftBuffer3D.window_at`); no stage of a fault-free run
-    unpacks one.  ``buffer`` supplies the block geometry.
+    also what a backed shift stage's scalar firing hands on.
+    :meth:`bundle_at` cuts one bundle's windows; no stage of a
+    fault-free run calls it.  ``buffer`` supplies the block geometry.
     """
 
     def __init__(self, buffer: ShiftBuffer3D, blocks: tuple[np.ndarray, ...],
@@ -145,15 +147,6 @@ class StencilBulk(Bulk):
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def __iter__(self) -> Iterator[StencilWindow]:
-        if self.stop - self.start != 1:
-            raise DataflowError(
-                f"a run of {len(self)} bundles does not unpack as one "
-                f"bundle")
-        emission = forwarded_emission(self.start, self.nz, self.per_column)
-        return iter([self.buffer.window_at(emission, block)
-                     for block in self.blocks])
-
     def span(self, start: int, stop: int) -> "StencilBulk":
         """The bundles ``[start, stop)`` of the same blocks, numbered as
         this run's."""
@@ -168,6 +161,13 @@ class StencilBulk(Bulk):
         return [self.span(index, index + 1)
                 for index in range(self.start, self.stop)]
 
+    def bundle_at(self, index: int) -> tuple[StencilWindow, ...]:
+        """Bundle ``index`` of the blocks: one :class:`StencilWindow` per
+        block, cut with :meth:`ShiftBuffer3D.window_at`."""
+        emission = forwarded_emission(index, self.nz, self.per_column)
+        return tuple(self.buffer.window_at(emission, block)
+                     for block in self.blocks)
+
     def boxes(self) -> list[Box]:
         """The bundles of this run as boxes of centres, in forwarding
         order."""
@@ -175,28 +175,117 @@ class StencilBulk(Bulk):
                               self.per_column)
 
 
-class AdvectResultBulk(Bulk):
-    """One advect stage's results for a run of bundles, not yet evaluated.
+class ResultRun(Bulk):
+    """A compute stage's results ``[start, stop)`` over one source, not
+    yet evaluated.
 
-    Its items are ``(stage, bundle)`` pairs, ``bundle`` a one-bundle
-    :class:`StencilBulk`: the write stage stores them and evaluates the
-    stage's window form on them once, as whole runs
-    (:meth:`AdvectStage.evaluate`).
+    The back ends' compute stages hand these on instead of values, and a
+    write stage's :class:`ResultSink` stores them and evaluates each
+    joined run once.  A result that travels alone, in a FIFO or a stage
+    pipeline, is a one-result run (:meth:`materialize`).  ``source`` is
+    what the results are numbered over: two runs of one stage and one
+    source whose ranges meet are one run.
     """
 
-    def __init__(self, stage: "AdvectStage", run: StencilBulk) -> None:
+    def __init__(self, stage: Stage, source: Any, start: int,
+                 stop: int) -> None:
         self.stage = stage
-        self.run = run
+        self.source = source
+        self.start = start
+        self.stop = stop
 
     def __len__(self) -> int:
-        return len(self.run)
+        return self.stop - self.start
 
-    def slice(self, start: int, stop: int) -> "AdvectResultBulk":
-        return AdvectResultBulk(self.stage, self.run.slice(start, stop))
+    def span(self, start: int, stop: int) -> "ResultRun":
+        """The results ``[start, stop)`` of the same stage and source."""
+        return type(self)(self.stage, self.source, start, stop)
 
-    def materialize(self) -> list[tuple["AdvectStage", StencilBulk]]:
-        stage = self.stage
-        return [(stage, bundle) for bundle in self.run.materialize()]
+    def slice(self, start: int, stop: int) -> "ResultRun":
+        self._check_range(start, stop)
+        return self.span(self.start + start, self.start + stop)
+
+    def materialize(self) -> list["ResultRun"]:
+        return [self.span(index, index + 1)
+                for index in range(self.start, self.stop)]
+
+    def evaluate(self, out: np.ndarray) -> None:
+        """Evaluate every result into ``out``, the cell ``(cx, cy, cz)``
+        at ``[cx - 1, cy - 1, cz]``."""
+        raise NotImplementedError
+
+
+class AdvectResultBulk(ResultRun):
+    """One advect stage's results for the bundles of ``run``, numbered as
+    its bundles: its source is the run's blocks."""
+
+    def __init__(self, stage: "AdvectStage", run: StencilBulk) -> None:
+        super().__init__(stage, run.blocks, run.start, run.stop)
+        self.run = run
+
+    def span(self, start: int, stop: int) -> "AdvectResultBulk":
+        return AdvectResultBulk(self.stage, self.run.span(start, stop))
+
+    def evaluate(self, out: np.ndarray) -> None:
+        self.stage.evaluate(self.run, out)
+
+
+class ResultSink:
+    """One output array of a write stage, and the result runs stored
+    for it.
+
+    :meth:`write` stores a :class:`ResultRun`, joined with the last
+    stored run when it continues it, and :meth:`flush` evaluates each
+    stored run once, in order, straight into the array; the write stages
+    flush in :meth:`~repro.dataflow.stage.Stage.finish`.  A
+    register-model result, ``((cx, cy, cz), value)``, flushes the stored
+    runs first, so the array receives its cells in the order they came.
+    A cell ``(cx, cy, cz)`` lands at ``[cx - 1 + x_offset, cy - 1 +
+    y_offset, cz]``.
+    """
+
+    def __init__(self, array: np.ndarray, x_offset: int = 0,
+                 y_offset: int = 0) -> None:
+        self._out = array[x_offset:, y_offset:]
+        #: ``[run, stop]`` per stored run, in write order: the results
+        #: ``[run.start, stop)`` of ``run``'s stage and source.
+        self._runs: list[list[Any]] = []
+
+    def write(self, item: Any) -> None:
+        """Store a result run, or write a register-model result."""
+        if isinstance(item, ResultRun):
+            runs = self._runs
+            if runs:
+                last = runs[-1]
+                run = last[0]
+                if last[1] == item.start and run.stage is item.stage \
+                        and run.source is item.source:
+                    last[1] = item.stop
+                    return
+            runs.append([item, item.stop])
+            return
+        self.flush()
+        (cx, cy, cz), value = item
+        self._out[cx - 1, cy - 1, cz] = value
+
+    def write_bulk(self, bulk: Bulk) -> None:
+        """:meth:`write` every result of ``bulk``, its runs whole."""
+        for part in bulk.parts():
+            if isinstance(part, ResultRun):
+                self.write(part)
+            else:
+                for item in part.materialize():
+                    self.write(item)
+
+    def flush(self) -> None:
+        """Evaluate the stored runs into the array, in write order."""
+        for run, stop in self._runs:
+            run.span(run.start, stop).evaluate(self._out)
+        self._runs.clear()
+
+    def clear(self) -> None:
+        """Drop the stored runs unevaluated."""
+        self._runs.clear()
 
 
 class MemoryArbiter:
@@ -664,10 +753,11 @@ class AdvectStage(Stage):
     ``latency`` models the depth of the scheduled floating-point pipeline.
     It times them and leaves the arithmetic to the write stage: a firing
     on a run of the blocks (a one-bundle :class:`StencilBulk`, or a
-    batched window's whole run) hands on ``(stage, run)`` untouched, and
-    the write stage calls :meth:`evaluate` once per stored run.  Only the
-    register model's bundles, :class:`StencilWindow` tuples cut after a
-    dropped word, are evaluated here, one window at a time.
+    batched window's whole run) hands on an :class:`AdvectResultBulk` of
+    the same bundles, and the write stage calls :meth:`evaluate` once per
+    stored run.  Only the register model's bundles,
+    :class:`StencilWindow` tuples cut after a dropped word, are evaluated
+    here, one window at a time.
     """
 
     input_ports = ("in",)
@@ -700,15 +790,14 @@ class AdvectStage(Stage):
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
         (bundle,) = inputs["in"]
         if type(bundle) is StencilBulk:
-            return {"out": [(self, bundle)]}
+            return {"out": [AdvectResultBulk(self, bundle)]}
         wu, wv, ww = bundle
         return {"out": [(wu.center, self._fn(wu, wv, ww, self.coeffs))]}
 
-    def evaluate(self, run: StencilBulk, array: np.ndarray, x_offset: int,
-                 y_offset: int) -> None:
+    def evaluate(self, run: StencilBulk, out: np.ndarray) -> None:
         """Evaluate this stage's form on every bundle of ``run`` into
-        ``array``, each centre ``(cx, cy, cz)`` at ``[cx - 1 + x_offset,
-        cy - 1 + y_offset, cz]``.
+        ``out``, each centre ``(cx, cy, cz)`` at ``[cx - 1, cy - 1,
+        cz]``.
 
         One call per :func:`~repro.shiftbuffer.buffer3d.emission_boxes`
         box for its full windows and one for its column-top layer, each
@@ -716,16 +805,14 @@ class AdvectStage(Stage):
         """
         bu, bv, bw = run.blocks
         for x0, x1, y0, y1, z0, z1 in run.boxes():
-            xs = slice(x0 - 1 + x_offset, x1 - 1 + x_offset)
-            ys = slice(y0 - 1 + y_offset, y1 - 1 + y_offset)
             # A run's ``top`` is one flag, so a box's full windows and
             # its column-top layer are two runs.
             split = min(z1, self.nz - 1)
             for top, zs in ((False, (z0, split)), (True, (split, z1))):
                 if zs[1] > zs[0]:
                     u = WindowRun(bu, (x0, x1, y0, y1) + zs, top=top)
-                    array[xs, ys, zs[0]:zs[1]] = self._fn(
-                        u, u.on(bv), u.on(bw), self.coeffs)
+                    out[x0 - 1:x1 - 1, y0 - 1:y1 - 1, zs[0]:zs[1]] = \
+                        self._fn(u, u.on(bv), u.on(bw), self.coeffs)
 
     def ff_structure(self) -> tuple | None:
         return self._structure(self.nz)
@@ -756,16 +843,9 @@ class WriteDataStage(Stage):
     Results for one cell arrive on the three ports in lock step (the
     advect stages share II and latency); the stage consumes one result per
     port per firing and writes it into its output array at the chunk's
-    global offset.
-
-    A result of a run of the blocks, ``(advect stage, run)`` from a
-    scalar firing or an :class:`AdvectResultBulk` from a batched one, is
-    stored per port, joined with the port's last stored run when the two
-    are contiguous, and evaluated once, by :meth:`AdvectStage.evaluate`
-    straight into the array, when the run ends (:meth:`finish`).  A
-    register-model result, ``((cx, cy, cz), value)``, is written at
-    once, after the port's stored runs: each port writes its cells in
-    the order it consumed them.
+    global offset, through one :class:`ResultSink` per port: a run's
+    results are stored and evaluated once when the run ends
+    (:meth:`finish`), a register-model result is written at once.
     """
 
     input_ports = ("su", "sv", "sw")
@@ -775,75 +855,37 @@ class WriteDataStage(Stage):
                  sw: np.ndarray, *, x_offset: int = 0, y_offset: int = 0,
                  ii: int = 1, latency: int = 16) -> None:
         super().__init__(name, ii=ii, latency=latency)
-        self._arrays = {"su": su, "sv": sv, "sw": sw}
         self.x_offset = x_offset
         self.y_offset = y_offset
         self.cells_written = 0
-        #: Per port, the runs stored and not yet evaluated, in write
-        #: order: ``[stage, run, stop]``, the bundles ``[run.start,
-        #: stop)`` of ``run``'s blocks.
-        self._stored: dict[str, list[list[Any]]] = {
-            port: [] for port in self.input_ports}
-
-    def _store(self, port: str, stage: AdvectStage,
-               run: StencilBulk) -> None:
-        stored = self._stored[port]
-        if stored:
-            last = stored[-1]
-            if last[2] == run.start and last[0] is stage \
-                    and last[1].blocks is run.blocks:
-                last[2] = run.stop
-                return
-        stored.append([stage, run, run.stop])
-
-    def _write(self, port: str, item: tuple) -> None:
-        key, value = item
-        if type(value) is StencilBulk:
-            self._store(port, key, value)
-            return
-        self._flush(port)
-        cx, cy, cz = key
-        self._arrays[port][
-            cx - 1 + self.x_offset, cy - 1 + self.y_offset, cz
-        ] = value
-
-    def _flush(self, port: str) -> None:
-        """Evaluate ``port``'s stored runs into its array, in order."""
-        stored = self._stored[port]
-        for stage, run, stop in stored:
-            stage.evaluate(run.span(run.start, stop), self._arrays[port],
-                        self.x_offset, self.y_offset)
-        stored.clear()
+        self._sinks = {port: ResultSink(array, x_offset, y_offset)
+                       for port, array in zip(self.input_ports,
+                                              (su, sv, sw))}
 
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
-        for port in ("su", "sv", "sw"):
+        for port, sink in self._sinks.items():
             (item,) = inputs[port]
-            self._write(port, item)
+            sink.write(item)
         self.cells_written += 1
         return {}
 
     def finish(self) -> None:
-        for port in self.input_ports:
-            self._flush(port)
+        for sink in self._sinks.values():
+            sink.flush()
 
     def ff_structure(self) -> tuple | None:
         return self._structure()
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
-        for port in ("su", "sv", "sw"):
+        for port, sink in self._sinks.items():
             bulk = inputs[port]
             if len(bulk) != count:
                 raise DataflowError(
                     f"write {self.name!r}: batched window consumed "
                     f"{len(bulk)} results on {port!r} for {count} firings"
                 )
-            for part in bulk.parts():
-                if isinstance(part, AdvectResultBulk):
-                    self._store(port, part.stage, part.run)
-                else:
-                    for item in part.materialize():
-                        self._write(port, item)
+            sink.write_bulk(bulk)
         self.cells_written += count
         # A write firing produces nothing: it never enters the pipeline
         # (side effects land at fire time), matching the exact path.
@@ -851,5 +893,5 @@ class WriteDataStage(Stage):
 
     def reset(self) -> None:
         super().reset()
-        for stored in self._stored.values():
-            stored.clear()
+        for sink in self._sinks.values():
+            sink.clear()

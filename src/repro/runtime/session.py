@@ -111,16 +111,22 @@ class SessionMemo:
     def invocation(self, device: FPGADevice, config: KernelConfig,
                    grid: Grid, *, num_kernels: int,
                    memory: str) -> InvocationEstimate:
-        """``device.invocation(config, grid, ...)``, once per input.
+        """``device.invocation(config, grid, ...)``, once per input it
+        reads.
 
+        The price reads the configuration's chunk width, word width,
+        shift-buffer II and latencies, never its stream depth or its own
+        grid, so configurations that differ only there share one price.
         A device holds unhashable parts, so it is keyed by identity; the
         memo keeps the device with its price, so that identity stays its
         own while the memo lives.
         """
-        return self.get(
-            ("invocation", id(device), config, grid, num_kernels, memory),
-            lambda: (device, device.invocation(
-                config, grid, num_kernels=num_kernels, memory=memory)))[1]
+        key = ("invocation", id(device), config.chunk_width,
+               config.word_bytes, config.shift_buffer_ii,
+               config.memory_latency, config.advect_latency, grid,
+               num_kernels, memory)
+        return self.get(key, lambda: (device, device.invocation(
+            config, grid, num_kernels=num_kernels, memory=memory)))[1]
 
 
 class AdvectionSession:

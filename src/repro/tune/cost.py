@@ -24,7 +24,7 @@ from repro.analyze.report import AnalysisReport, analyze_graph
 from repro.core.grid import Grid
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import CapacityError, ConfigurationError, TuneError
-from repro.hardware.device import FPGADevice, InvocationEstimate
+from repro.hardware.device import FPGADevice
 from repro.hardware.resources import ResourceVector
 from repro.kernel.builder import build_structural_graph
 from repro.kernel.config import KernelConfig
@@ -168,11 +168,10 @@ class CostModel:
         # replica footprints, 72 utilisations, 48 invocations and 192
         # session runs.  Those runs share one FLOP count, 2 capacity
         # checks, one price per distinct invocation input (the model's
-        # own 48 among them: 195 in all) and 4 host-schedule queues
+        # own 48 among them: 192 in all) and 4 host-schedule queues
         # (sequential, and overlapped over 8, 16 and 32 X chunks)
-        # through one session memo.  The
-        # memos live and die with this model, so a fresh process still
-        # pays every cold call.
+        # through one session memo.  The memos live and die with this
+        # model, so a fresh process still pays every cold call.
         self._session_memo = SessionMemo()
         self._grid_flops = self._session_memo.flops(grid)
         self._flops = round(self._grid_flops * flops_scale)
@@ -185,8 +184,6 @@ class CostModel:
         self._footprints: dict[tuple[int, int, str], ResourceVector] = {}
         self._usages: dict[tuple[int, int, str, int],
                            tuple[ResourceVector, dict[str, float]]] = {}
-        self._invocations: dict[tuple[int, int, int, str],
-                                InvocationEstimate] = {}
         self._runs: dict[tuple[int, int, str, str, int | None, bool],
                          RunResult] = {}
         #: Codes of the lint rules that read the replica count; the
@@ -283,8 +280,11 @@ class CostModel:
                 f"rejected by lint gate ({', '.join(codes)})")
         config = point.config(self.grid)
         try:
-            invocation = self._invocation(config, point.num_kernels,
-                                          point.memory)
+            # Through the sessions' memo: a sequential session run of
+            # this config prices the same input.
+            invocation = self._session_memo.invocation(
+                self.device, config, self.grid,
+                num_kernels=point.num_kernels, memory=point.memory)
             run = self._run(point, config)
         except (CapacityError, ConfigurationError) as error:
             return _infeasible(point, ("TN002",), str(error))
@@ -352,19 +352,6 @@ class CostModel:
             self._runs[key] = session.run(self.grid,
                                           overlapped=point.overlapped)
         return self._runs[key]
-
-    def _invocation(self, config: KernelConfig, num_kernels: int,
-                    memory: str) -> InvocationEstimate:
-        """``device.invocation``, which reads the chunk width, the word
-        width, the replica count and the memory, never the depth."""
-        key = (config.chunk_width, config.word_bytes, num_kernels, memory)
-        if key not in self._invocations:
-            # Through the sessions' memo: a sequential session run of
-            # this config prices the same input.
-            self._invocations[key] = self._session_memo.invocation(
-                self.device, config, self.grid, num_kernels=num_kernels,
-                memory=memory)
-        return self._invocations[key]
 
     def describe(self) -> dict[str, Any]:
         """Context block for reports (device, grid, model constants)."""

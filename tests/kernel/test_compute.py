@@ -263,11 +263,13 @@ class TestAdvectStages:
                 assert (u.run.start, u.run.stop) == (v.run.start, v.run.stop) \
                     == (w.run.start, w.run.stop)
                 head = u.slice(0, min(len(u), 3)).materialize()
-                assert all(stage is u.stage for stage, _bundle in head)
-                assert [bundle.start for _stage, bundle in head] == list(
-                    range(u.run.start, u.run.start + len(head)))
-                assert [next(iter(bundle)).center
-                        for _stage, bundle in head] == [
+                assert all(type(one) is stages.AdvectResultBulk
+                           and one.stage is u.stage for one in head)
+                assert [(one.run.start, len(one)) for one in head] == [
+                    (e, 1)
+                    for e in range(u.run.start, u.run.start + len(head))]
+                assert [one.run.bundle_at(one.run.start)[0].center
+                        for one in head] == [
                     emission_center(e, u.run.ny, u.run.nz)[:3]
                     for e in range(u.run.start, u.run.start + len(head))]
                 ranges += 1

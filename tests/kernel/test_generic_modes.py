@@ -186,7 +186,7 @@ class TestVectorisedWindows:
         run = bulk.head_bulk("out", windows)
         assert isinstance(run, StencilBulk)
         for (mine,), (theirs,) in zip(
-                run.materialize(),
+                map(run.bundle_at, range(run.start, run.stop)),
                 looped.head_bulk("out", windows).materialize(), strict=True):
             assert mine.center == theirs.center
             np.testing.assert_array_equal(mine.raw, theirs.raw)
@@ -208,7 +208,8 @@ class TestRunView:
         buffer = ShiftBuffer3D(*block.shape)
         run = StencilBulk(buffer, (block,), 0,
                           grid.nx * grid.ny * (grid.nz - 2), grid.nz - 2)
-        by_center = {w.center: w for (w,) in run.materialize()}
+        by_center = {w.center: w for (w,) in map(
+            run.bundle_at, range(run.start, run.stop))}
         views = [WindowRun(block, box) for box in run.boxes()]
         walk = [center for view in views for center in zip(
             *(c.reshape(-1).tolist()

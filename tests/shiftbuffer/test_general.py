@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.dataflow.bulk import ListBulk
 from repro.errors import ShiftBufferError
-from repro.kernel.stages import ShiftBufferStage
+from repro.kernel.stages import ShiftBufferStage, StencilBulk
 from repro.shiftbuffer.buffer3d import ShiftBuffer3D
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow
@@ -31,13 +31,22 @@ def stencil_shift(nx, ny, nz, **kwargs):
                             **kwargs)
 
 
+def cut(items):
+    """The window bundles ``items`` stand for: a register-model bundle as
+    it is, and each bundle of a run of the blocks cut with
+    :meth:`StencilBulk.bundle_at`."""
+    return [bundle for item in items for bundle in (
+        [item.bundle_at(index) for index in range(item.start, item.stop)]
+        if isinstance(item, StencilBulk) else [item])]
+
+
 def forwarded(block, **kwargs):
     """The shift stage for ``block`` and every window it forwards."""
     stage = stencil_shift(*block.shape, **kwargs)
     windows = []
     for value in block.reshape(-1).tolist():
-        windows.extend(w for (w,) in stage.fire(0, {"in": [(value,)]})
-                       .get("out", []))
+        windows.extend(w for (w,) in cut(
+            stage.fire(0, {"in": [(value,)]}).get("out", [])))
     return stage, windows
 
 
@@ -142,7 +151,7 @@ class TestBlockStore:
                 got = [bundle for cell in cells
                        for bundle in stage.fire(0, {"in": [cell]})
                        .get("out", [])]
-            return [(w.center, w.raw.tobytes()) for (w,) in got]
+            return [(w.center, w.raw.tobytes()) for (w,) in cut(got)]
 
         assert windows(backing=(block,)) == windows()
 
