@@ -39,9 +39,9 @@ class TwinStage(Stage):
     ``stage.emits(i)`` tokens per output port, in one read-only mapping
     shared by every firing that emits alike.  An input-less stage is a
     source firing ``count`` times (never, without output ports: the
-    engine's exhausted-and-portless guard).  The schedule's regime key
-    joins the batched-window signature, and its regime end caps each
-    window, as the library stages' own hooks do.
+    engine's exhausted-and-portless guard).  :meth:`regime` and
+    :meth:`regime_left` are ``stage``'s, which the base ``ff_*`` hooks
+    read; a source adds only its remaining supply.
     """
 
     def __init__(self, stage: Stage, count: int) -> None:
@@ -78,20 +78,22 @@ class TwinStage(Stage):
         if not self.input_ports:
             self._remaining -= firings
 
+    def regime(self, firing: int) -> tuple[Any, ...]:
+        return self._schedule.regime(firing)
+
+    def regime_left(self, firing: int) -> int | None:
+        return self._schedule.regime_left(firing)
+
     def ff_signature(self, cycle: int) -> tuple[Any, ...] | None:
-        base = super().ff_signature(cycle)
-        if base is None:
-            return None
-        signature = base + self._schedule.regime(self._fired)
-        if self.input_ports:
+        signature = super().ff_signature(cycle)
+        if self.input_ports or signature is None:
             return signature
         return signature + (self._remaining > 0,)
 
     def ff_fire_capacity(self, want: int) -> int:
         if not self.input_ports:
             want = min(want, self._remaining)
-        left = self._schedule.regime_left(self._fired)
-        return want if left is None else min(want, left)
+        return super().ff_fire_capacity(want)
 
 
 def build_token_twin(graph: DataflowGraph, tokens: int) -> DataflowGraph:

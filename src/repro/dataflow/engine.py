@@ -34,11 +34,13 @@ state replays it exactly — and ``N`` whole periods run in one step:
   previewed FIFO fault strikes bound each window and always run on the
   scalar path, so sampled and faulted runs accelerate too.
 
-A stage signature may summarise its control state per *regime* — the
-shift buffer's prime planes recur every feed, its steady planes every
-plane — because the capacity ends every window where the stage leaves
-the regime its signature describes.  A stage may also describe a
-shorter-period *inner* regime nested inside its outer one
+A stage signature summarises its control state per *regime*, the one
+its emission schedule declares (:meth:`~repro.dataflow.stage.Stage.
+regime` at its firing count: the shift buffer's prime planes recur
+every feed, its steady planes every plane), and its capacity ends every
+window where that regime ends, so the run reads the declaration the
+proof reads.  A stage may also describe a shorter-period *inner* regime
+nested inside its outer one, which only the engine reads
 (:meth:`~repro.dataflow.stage.Stage.ff_inner_signature`: the shift
 buffer's silent columns recur every feed, its emitting columns every
 column).  The engine keeps one fingerprint table per level.  It looks

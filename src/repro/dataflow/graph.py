@@ -170,7 +170,7 @@ class DataflowGraph:
                             hint="connect the port or remove it from the "
                                  "stage's declaration",
                         ))
-        cyclic = self._cycle_members()
+        _order, cyclic = self._kahn()
         if cyclic:
             diagnostics.append(Diagnostic(
                 code="DF003", severity=Severity.ERROR,
@@ -196,34 +196,11 @@ class DataflowGraph:
         if errors:
             raise GraphError("; ".join(d.message for d in errors))
 
-    def _cycle_members(self) -> list[str]:
-        """Stage names on cycles (empty list for a DAG); never raises."""
-        indegree = {name: 0 for name in self._stages}
-        edges: dict[str, list[str]] = {name: [] for name in self._stages}
-        for stream_name, (src, _) in self._producers.items():
-            dst, _ = self._consumers[stream_name]
-            edges[src].append(dst)
-            indegree[dst] += 1
-        ready = [name for name, deg in indegree.items() if deg == 0]
-        visited = 0
-        while ready:
-            name = ready.pop()
-            visited += 1
-            for succ in edges[name]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-        if visited == len(self._stages):
-            return []
-        return sorted(n for n, d in indegree.items() if d > 0)
-
-    def topological_order(self) -> list[Stage]:
-        """Stages ordered so producers come before consumers.
-
-        The simulation engine ticks stages in this order, which lets a value
-        flow at most one stage per cycle boundary while keeping the
-        single-pass-per-cycle engine simple.
-        """
+    def _kahn(self) -> tuple[list[Stage], list[str]]:
+        """Kahn's algorithm: the tick order, and the sorted names of the
+        stages left on or behind a cycle (none for a DAG).  A sorted
+        ready queue and sorted successors fix the order by name alone:
+        it decides which replica wins arbiter grants first."""
         indegree = {name: 0 for name in self._stages}
         edges: dict[str, list[str]] = {name: [] for name in self._stages}
         for stream_name, (src, _) in self._producers.items():
@@ -239,8 +216,17 @@ class DataflowGraph:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     ready.append(succ)
-        if len(order) != len(self._stages):
-            cyclic = sorted(n for n, d in indegree.items() if d > 0)
+        return order, sorted(n for n, d in indegree.items() if d > 0)
+
+    def topological_order(self) -> list[Stage]:
+        """Stages ordered so producers come before consumers.
+
+        The simulation engine ticks stages in this order, which lets a value
+        flow at most one stage per cycle boundary while keeping the
+        single-pass-per-cycle engine simple.
+        """
+        order, cyclic = self._kahn()
+        if cyclic:
             raise GraphError(
                 f"graph {self.name!r} contains a cycle involving {cyclic}"
             )

@@ -26,10 +26,11 @@ left before the key stops describing it.  The base stage emits one
 item per port in a single regime; a stage that emits otherwise (the
 shift buffer's column-top pair, a stencil window's boundary results)
 declares its own, and the static analyzer (:mod:`repro.analyze`) and
-its token twin read the declaration instead of the data.  The ``ff_*``
-hooks and :meth:`Stage.fire_bulk` let the engine's batched execution
-advance whole steady-state periods at once (see
-:mod:`repro.dataflow.engine`).
+its token twin read the declaration instead of the data; so does the
+engine, through the base ``ff_*`` hooks, which read the regime at the
+firing count.  The ``ff_*`` hooks and :meth:`Stage.fire_bulk` let the
+engine's batched execution advance whole steady-state periods at once
+(see :mod:`repro.dataflow.engine`).
 
 A stage fires from a plan fixed when its ports are bound: the bound
 input streams in port order, and the set of declared output ports a
@@ -246,6 +247,8 @@ class Stage:
         # ports after this constructor, so nothing is fixed here.
         self._in_plan: list[tuple[str, Stream]] = []
         self._out_ports: frozenset[str] = frozenset()
+        # Only a class that declares a regime pays for its key.
+        self._declares_regime = type(self).regime is not Stage.regime
 
     # -- wiring (called by DataflowGraph) --------------------------------------
 
@@ -280,16 +283,6 @@ class Stage:
         self._in_plan = [(port, self.inputs[port])
                          for port in self.input_ports if port in self.inputs]
         self._out_ports = frozenset(self.output_ports)
-
-    def check_wired(self) -> None:
-        """Raise :class:`GraphError` if any declared port is unconnected."""
-        missing_in = set(self.input_ports) - set(self.inputs)
-        missing_out = set(self.output_ports) - set(self.outputs)
-        if missing_in or missing_out:
-            raise GraphError(
-                f"stage {self.name!r} has unconnected ports: "
-                f"inputs {sorted(missing_in)}, outputs {sorted(missing_out)}"
-            )
 
     # -- behaviour hooks --------------------------------------------------------
 
@@ -342,8 +335,8 @@ class Stage:
 
         Two firings with one key emit alike, firing for firing, until
         the regime ends (:meth:`regime_left`), so the key, beside the
-        stage's timing state, is what a proof of periodicity compares.
-        The base stage has a single regime.
+        stage's timing state, is what a proof of periodicity compares
+        (:meth:`ff_signature`).  The base stage has a single regime.
         """
         return ()
 
@@ -486,16 +479,20 @@ class Stage:
         must override this to return ``None`` (vetoing batched windows
         for the rest of the run).
 
-        The base signature is ``(II wait, pipeline key)``.  The II wait
-        is clamped at zero, and so are ready ages: an overdue pipeline
-        entry behaves identically however long it has been due.  The
-        pipeline records its key's parts for each entry once
-        (:meth:`Pipeline.key`: the head's age, the age steps and the
-        entry shape ids), so this builds no tuple per entry, although it
-        runs once per scalar cycle of a batched run.
+        The base signature is ``(II wait, pipeline key)``, plus the
+        :meth:`regime` at the firing count if the class declares one.
+        The II wait is clamped at zero, and so are ready ages: an
+        overdue pipeline entry behaves identically however long it has
+        been due.  The pipeline records its key's parts for each entry
+        once (:meth:`Pipeline.key`: the head's age, the age steps and
+        the entry shape ids), so this builds no tuple per entry, although
+        it runs once per scalar cycle of a batched run.
         """
         wait = self._next_fire_cycle - cycle
-        return (wait if wait > 0 else 0, self._pipeline.key(cycle))
+        signature = (wait if wait > 0 else 0, self._pipeline.key(cycle))
+        if self._declares_regime:
+            return signature + self.regime(self.stats.fires)
+        return signature
 
     def ff_fire_capacity(self, want: int) -> int:
         """How many of ``want`` firings may run before a regime change.
@@ -507,11 +504,11 @@ class Stage:
         signature may omit state (a source's position, the shift
         buffer's X plane) as long as every firing up to this bound
         behaves alike.  Sources bound it by their remaining items, the
-        shift buffer by the end of its current regime; stages fed purely
-        by streams have no cap of their own (the engine already bounds
-        them by upstream supply).
+        base stage by :meth:`regime_left` at its firing count (none in
+        a single regime: the engine bounds it by upstream supply).
         """
-        return want
+        left = self.regime_left(self.stats.fires)
+        return want if left is None else min(want, left)
 
     def ff_inner_signature(self, cycle: int, outer: tuple) -> tuple | None:
         """Control summary in a finer *inner* regime, or ``None``.

@@ -19,7 +19,7 @@ into the paper's actual kernel:
   several replicas sharing one memory (Section IV),
 * :mod:`repro.kernel.generic` — the same read -> shift buffer -> compute
   -> write machine for any radius-1 stencil (diffusion, buoyancy), on
-  the Fig. 2 read and shift stages,
+  the Fig. 2 read, shift and write stages,
 * :mod:`repro.kernel.cycle_model` — the closed-form cycle count validated
   against the cycle simulator, used for paper-scale problem sizes (the
   multi-kernel decomposition of Section IV is priced by

@@ -108,7 +108,7 @@ def build_advection_graph(config: KernelConfig, fields: FieldSet,
         for field in ("u", "v", "w")
     }
     write = graph.add(WriteDataStage(
-        f"{name_prefix}write_data", out.su, out.sv, out.sw,
+        f"{name_prefix}write_data", {"su": out.su, "sv": out.sv, "sw": out.sw},
         x_offset=x_offset, y_offset=chunk.write_start - 1,
         latency=config.memory_latency,
     ))

@@ -4,48 +4,54 @@ The advection kernel's dataflow shape — ``read -> shift buffer ->
 compute -> write`` — is not specific to advection.  This module provides
 that shape for *any* radius-1 stencil evaluated per window, so new
 stencil kernels (the diffusion kernel, or a user's own) get a
-cycle-accurate dataflow simulation for free.  The front end is the
-advection kernel's own (:mod:`repro.kernel.stages`), over one block:
+cycle-accurate dataflow simulation for free.  The front end and
+the write stage are the advection kernel's own
+(:mod:`repro.kernel.stages`), over one block:
 
 * :class:`~repro.kernel.stages.ReadDataStage` — streams the block, one
   cell per cycle;
 * :class:`~repro.kernel.stages.ShiftBufferStage` — feeds one
   :class:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D` and forwards its
   full windows only (``tops=False``), as one-window bundles;
+* :class:`~repro.kernel.stages.WriteDataStage` — with one ``in`` port,
+  writes results into the output array;
 
-and only the back end is this module's:
+and only the compute stage and the wiring are this module's:
 
 * :class:`WindowComputeStage` — evaluates one window's own cell, plus
   the one-sided vertical boundary cell a window next to the column edge
   resolves (the burst a downstream FIFO absorbs);
-* :class:`ScatterWriteStage` — scatters results into an output array;
 * :func:`build_stencil_graph` — wires the whole machine, for the engine
   to run and, on a zero block, for lint and the analyzer to read;
 * :func:`run_stencil_kernel` — builds and runs it.
 
 Every firing count depends on the streaming position alone — the shift
-buffer's regimes (:meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
-regime`, and inside a steady plane its silent and column regimes,
-:meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.inner_regime`) and the
-window centre — so the engine runs this machine in batched windows,
-bit-identical to forced-scalar ticking.  For the same reason every
-stage declares its static control parameters
-(:meth:`~repro.dataflow.stage.Stage.ff_structure`): a pass over a block
-of a shape the caller's :class:`~repro.dataflow.engine.ControlRecord`
-has seen replays that run as one bulk step.
+buffer's regimes (:func:`~repro.shiftbuffer.buffer3d.feed_regime`, and
+inside a steady plane its silent and column regimes,
+:func:`~repro.shiftbuffer.buffer3d.feed_inner_regime`) and the window
+centre — and each stage declares that schedule once
+(:meth:`~repro.dataflow.stage.Stage.emits`, ``regime``), which the
+proof and the engine's batched windows both read, so the engine runs
+this machine in batched windows, bit-identical to forced-scalar
+ticking.  For the same reason every stage declares its static control
+parameters (:meth:`~repro.dataflow.stage.Stage.ff_structure`): a pass
+over a block of a shape the caller's
+:class:`~repro.dataflow.engine.ControlRecord` has seen replays that run
+as one bulk step.
 
 The data path is lazy, as in the advection machine: the shift stage
 hands on runs of the block (a one-bundle :class:`~repro.kernel.stages.
 StencilBulk` per scalar emission, or, batched, one run after a jump of
 its buffer with :meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
 feed_bulk`), the compute stage hands on the range of results its
-windows yield (:class:`CellResultBulk`, with no arithmetic), and the
-write stage stores the ranges in the advection machine's
+windows yield (a :class:`~repro.kernel.stages.ResultRun`, with no
+arithmetic), and the write stage stores the ranges in its
 :class:`~repro.kernel.stages.ResultSink` and, when the engine run ends,
-evaluates each once (:meth:`WindowComputeStage.evaluate`): the kernel's own window
-functions once per box of centres (:func:`~repro.shiftbuffer.buffer3d.
-emission_boxes`) on a :class:`~repro.shiftbuffer.window.WindowRun`,
-whose ``at`` is a read-only strided view of the block, and each
+has each evaluated once (:meth:`WindowComputeStage.evaluate`): the
+kernel's own window functions once per box of centres
+(:func:`~repro.shiftbuffer.buffer3d.emission_boxes`) on a
+:class:`~repro.shiftbuffer.window.WindowRun`, whose ``at`` is a
+read-only strided view of the block, and each
 boundary once on its layer, straight into the output.  The advect
 forms run on the same run view; this machine forwards no column-top
 windows, so its runs are never ``top``.
@@ -70,19 +76,18 @@ from repro.dataflow.bulk import (
     ChainBulk,
     FireBulkResult,
     ListBulk,
-    ListFireResult,
     RaggedFireResult,
 )
 from repro.dataflow.engine import ControlRecord, DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import Stage
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DataflowError
 from repro.kernel.stages import (
     ReadDataStage,
     ResultRun,
-    ResultSink,
     ShiftBufferStage,
     StencilBulk,
+    WriteDataStage,
 )
 from repro.shiftbuffer.buffer3d import emission_boxes
 from repro.shiftbuffer.ports import MemoryPortTracker
@@ -94,10 +99,8 @@ if TYPE_CHECKING:
     from repro.observe.trace import Tracer
 
 __all__ = [
-    "CellResultBulk",
     "results_before",
     "WindowComputeStage",
-    "ScatterWriteStage",
     "build_stencil_graph",
     "run_stencil_kernel",
 ]
@@ -124,17 +127,6 @@ def results_before(window: int, nz: int) -> int:
     """
     column, j = divmod(window, nz - 2)
     return column * nz + (j + 1 if j else 0)
-
-
-class CellResultBulk(ResultRun):
-    """A compute stage's results ``[start, stop)`` over one block, its
-    source, not yet evaluated.
-
-    Results are numbered as :func:`results_before` counts them.
-    """
-
-    def evaluate(self, out: np.ndarray) -> None:
-        self.stage.evaluate(self.source, self.start, self.stop, out)
 
 
 def _call_name(fn: Callable, kwargs: Mapping[str, Any]) -> str:
@@ -213,15 +205,16 @@ class WindowComputeStage(Stage):
     ``cz == nz - 2`` (both at ``nz == 3``): :func:`window_results` many.
     The windows arrive ``nz - 2`` per column, so the stage's emission
     schedule reads firing ``i``'s centre as ``i % (nz - 2) + 1`` and
-    keys its regime on that phase.  The output count depends on the
-    window centre alone, which the upstream streaming position fixes,
-    so the base control signature describes this stage exactly.
+    keys its regime on that phase, which the base control signature
+    appends: the output count depends on the window centre alone.
 
     A firing on a run of the block (a one-bundle
     :class:`~repro.kernel.stages.StencilBulk`, or a batched window's
-    whole run) hands on its results as a :class:`CellResultBulk`, with
-    no arithmetic; the write stage calls :meth:`evaluate` once per stored
-    run.  Only the register model's windows are evaluated here, one at a
+    whole run) hands on its results as a
+    :class:`~repro.kernel.stages.ResultRun` over the same block,
+    numbered as :func:`results_before` counts them, with no arithmetic;
+    the write stage has it call :meth:`evaluate` once per stored run.
+    Only the register model's windows are evaluated here, one at a
     time, into ``(center, value)`` results.
     """
 
@@ -236,11 +229,10 @@ class WindowComputeStage(Stage):
         self._interior = interior
         self._boundary = boundary
 
-    def _results(self, run: StencilBulk) -> CellResultBulk:
+    def _results(self, run: StencilBulk) -> ResultRun:
         """The results of the windows of ``run``, lazily."""
-        (block,) = run.blocks
-        return CellResultBulk(self, block, results_before(run.start, self.nz),
-                              results_before(run.stop, self.nz))
+        return ResultRun(self, run.blocks, results_before(run.start, self.nz),
+                         results_before(run.stop, self.nz))
 
     def fire(self, cycle: int, inputs: Mapping[str, list]):
         (bundle,) = inputs["in"]
@@ -256,11 +248,10 @@ class WindowComputeStage(Stage):
                             self._boundary(window, top=True)))
         return {"out": results}
 
-    def evaluate(self, block: np.ndarray, first: int, stop: int,
-                 out: np.ndarray) -> None:
-        """Evaluate the results ``[first, stop)`` of ``block``'s windows
-        into ``out``, each cell ``(cx, cy, k)`` at ``[cx - 1, cy - 1,
-        k]``.
+    def evaluate(self, run: ResultRun, out: np.ndarray) -> None:
+        """Evaluate the results ``[run.start, run.stop)`` of the windows
+        of ``run.source``, the one block, into ``out``, each cell
+        ``(cx, cy, k)`` at ``[cx - 1, cy - 1, k]``.
 
         ``interior`` runs once per :func:`~repro.shiftbuffer.buffer3d.
         emission_boxes` box of the windows whose own cell is among the
@@ -270,8 +261,9 @@ class WindowComputeStage(Stage):
         :class:`WindowRun` views.
         """
         nz = self.nz
+        (block,) = run.source
         ny = block.shape[1]
-        (c0, p0), (c1, p1) = divmod(first, nz), divmod(stop, nz)
+        (c0, p0), (c1, p1) = divmod(run.start, nz), divmod(run.stop, nz)
         # Per column, positions 0 and 2 .. nz - 2 are window cells,
         # position 1 the bottom cell and nz - 1 the top cell.
         windows = [column * (nz - 2) + (p > 0) + max(p - 2, 0)
@@ -301,9 +293,12 @@ class WindowComputeStage(Stage):
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
-        windows = inputs.get("in")
-        if windows is None or len(windows) != count:
-            return super().fire_bulk(count, inputs, cycle)
+        windows = inputs["in"]
+        if len(windows) != count:
+            raise DataflowError(
+                f"compute {self.name!r}: batched window consumed "
+                f"{len(windows)} windows for {count} firings"
+            )
         parts: list[Bulk] = []
         counts: list[Any] = []
         for part in windows.parts():
@@ -323,52 +318,6 @@ class WindowComputeStage(Stage):
         return RaggedFireResult(
             {"out": ChainBulk(parts)},
             np.concatenate(counts) if counts else [])
-
-
-class ScatterWriteStage(Stage):
-    """Writes (center, value) results into an interior output array.
-
-    Centres arrive in the streamed block's halo coordinates; the stage
-    shifts them by the one-cell halo before scattering, through a
-    :class:`~repro.kernel.stages.ResultSink`: a :class:`CellResultBulk`
-    is stored and evaluated once when the run ends (:meth:`finish`), a
-    register-model result, ``(center, value)``, is written at once.
-    """
-
-    input_ports = ("in",)
-    output_ports: tuple[str, ...] = ()
-
-    def __init__(self, name: str, out: np.ndarray, *, ii: int = 1,
-                 latency: int = 4) -> None:
-        super().__init__(name, ii=ii, latency=latency)
-        self.cells_written = 0
-        self._sink = ResultSink(out)
-
-    def fire(self, cycle: int, inputs: Mapping[str, list]):
-        (item,) = inputs["in"]
-        self._sink.write(item)
-        self.cells_written += 1
-        return {}
-
-    def finish(self) -> None:
-        self._sink.flush()
-
-    def ff_structure(self) -> tuple | None:
-        return self._structure()
-
-    def fire_bulk(self, count: int, inputs: dict[str, Bulk],
-                  cycle: int) -> FireBulkResult:
-        results = inputs.get("in")
-        if results is None or len(results) != count:
-            return super().fire_bulk(count, inputs, cycle)
-        self._sink.write_bulk(results)
-        self.cells_written += count
-        # A write firing produces nothing: it never enters the pipeline.
-        return ListFireResult([])
-
-    def reset(self) -> None:
-        super().reset()
-        self._sink.clear()
 
 
 def build_stencil_graph(block: np.ndarray, interior: InteriorFn,
@@ -391,7 +340,7 @@ def build_stencil_graph(block: np.ndarray, interior: InteriorFn,
         "shift", nx, ny, nz, buffers=("shift",), tops=False,
         tracker=tracker, backing=blocks))
     graph.add(WindowComputeStage("compute", nz, interior, boundary))
-    graph.add(ScatterWriteStage("write", out))
+    graph.add(WriteDataStage("write", {"in": out}, latency=4))
     graph.connect("read", "out", "shift", "in", depth=stream_depth)
     graph.connect("shift", "out", "compute", "in", depth=stream_depth)
     graph.connect("compute", "out", "write", "in", depth=stream_depth)

@@ -14,26 +14,30 @@ on — streams any number of field blocks, so the generic stencil machine
 (:mod:`repro.kernel.generic`) is built on it too: three blocks here, one
 there.  A cell travels as a tuple of one value per block.
 
+The shift stage declares its control once, as its emission schedule,
+which the static analyzer and the engine's batched windows both read.
+
 The data path is lazy from the shift buffer to the write stage.  A shift
 stage built with its blocks hands on runs of the blocks, not windows: a
 one-bundle :class:`StencilBulk` per scalar emission, one run per batched
 window.  Replicate copies the run to the advect stages, which time the
-21 operations and hand on their results as an
-:class:`AdvectResultBulk` of the same bundles, with no arithmetic.  The
-write stage keeps one :class:`ResultSink` per port, which stores those
-runs of results (:class:`ResultRun`), joins contiguous ones, and when
-the run ends (:meth:`~repro.dataflow.stage.Stage.finish`) evaluates
-each once with its advect stage's window form, on
+21 operations and hand on their results as a :class:`ResultRun` of the
+same bundles, with no arithmetic.  The write stage, which both machines
+share, keeps one :class:`ResultSink` per port, which stores those runs
+of results, joins contiguous ones, and when the run ends
+(:meth:`~repro.dataflow.stage.Stage.finish`) has each evaluated once by
+the stage that produced it (:meth:`ResultRun.evaluate`): here, the
+advect stage's window form on
 :class:`~repro.shiftbuffer.window.WindowRun` box views of the blocks,
-straight into its output arrays: one call per
+straight into the output arrays, one call per
 :func:`~repro.shiftbuffer.buffer3d.emission_boxes` box for its full
 windows and one for its column-top layer.  The generic stencil
-machine's back end stores and evaluates its results the same way.  A
-scalar cycle therefore moves control and run bounds only.  Only the
-register model cuts windows: a stage built without blocks, or a shift
-stage whose stream diverged from them after a dropped word, forwards
-tuples of one :class:`~repro.shiftbuffer.window.StencilWindow` per
-block, which the advect stages evaluate one at a time.
+machine's compute stage hands on and evaluates its results the same
+way.  A scalar cycle therefore moves control and run bounds only.  Only
+the register model cuts windows: a stage built without blocks, or a
+shift stage whose stream diverged from them after a dropped word,
+forwards tuples of one :class:`~repro.shiftbuffer.window.StencilWindow`
+per block, which the compute stages evaluate one at a time.
 """
 
 from __future__ import annotations
@@ -59,10 +63,12 @@ from repro.shiftbuffer.buffer3d import (
     ShiftBuffer3D,
     emission_boxes,
     feed_emissions,
+    feed_inner_regime,
     feed_position,
     feed_regime,
     forwarded_before,
     forwarded_emission,
+    inner_regime_stop,
     producing_feed,
     producing_feed_stop,
     regime_stop,
@@ -75,7 +81,6 @@ __all__ = [
     "CellBlockBulk",
     "StencilBulk",
     "ResultRun",
-    "AdvectResultBulk",
     "ResultSink",
     "MemoryArbiter",
     "ReadDataStage",
@@ -119,9 +124,9 @@ class StencilBulk(Bulk):
     Bundles are numbered in forwarding order, ``per_column`` per
     interior column (see :func:`~repro.shiftbuffer.buffer3d.
     forwarded_emission`).  The run stays lazy all the way to the write
-    stage, which reads it as :func:`~repro.shiftbuffer.buffer3d.
-    emission_boxes` of the blocks (:meth:`boxes`, through
-    :class:`WindowRun` views).  A bundle travels alone, in a FIFO or a
+    stage, where its results (a :class:`ResultRun`) are evaluated on
+    :func:`~repro.shiftbuffer.buffer3d.emission_boxes` of the blocks,
+    through :class:`WindowRun` views.  A bundle travels alone, in a FIFO or a
     stage pipeline, as a one-bundle run (:meth:`materialize`), which is
     also what a backed shift stage's scalar firing hands on.
     :meth:`bundle_at` cuts one bundle's windows; no stage of a
@@ -179,15 +184,17 @@ class ResultRun(Bulk):
     """A compute stage's results ``[start, stop)`` over one source, not
     yet evaluated.
 
-    The back ends' compute stages hand these on instead of values, and a
-    write stage's :class:`ResultSink` stores them and evaluates each
+    The back ends' compute stages hand these on instead of values, and
+    the write stage's :class:`ResultSink` stores them and evaluates each
     joined run once.  A result that travels alone, in a FIFO or a stage
     pipeline, is a one-result run (:meth:`materialize`).  ``source`` is
-    what the results are numbered over: two runs of one stage and one
-    source whose ranges meet are one run.
+    what the results are numbered over, the streamed blocks: two runs of
+    one stage and one source whose ranges meet are one run.  ``stage`` is
+    the compute stage that numbers them, and evaluates them with its
+    ``evaluate(run, out)``.
     """
 
-    def __init__(self, stage: Stage, source: Any, start: int,
+    def __init__(self, stage: Any, source: Any, start: int,
                  stop: int) -> None:
         self.stage = stage
         self.source = source
@@ -199,7 +206,7 @@ class ResultRun(Bulk):
 
     def span(self, start: int, stop: int) -> "ResultRun":
         """The results ``[start, stop)`` of the same stage and source."""
-        return type(self)(self.stage, self.source, start, stop)
+        return ResultRun(self.stage, self.source, start, stop)
 
     def slice(self, start: int, stop: int) -> "ResultRun":
         self._check_range(start, stop)
@@ -211,23 +218,8 @@ class ResultRun(Bulk):
 
     def evaluate(self, out: np.ndarray) -> None:
         """Evaluate every result into ``out``, the cell ``(cx, cy, cz)``
-        at ``[cx - 1, cy - 1, cz]``."""
-        raise NotImplementedError
-
-
-class AdvectResultBulk(ResultRun):
-    """One advect stage's results for the bundles of ``run``, numbered as
-    its bundles: its source is the run's blocks."""
-
-    def __init__(self, stage: "AdvectStage", run: StencilBulk) -> None:
-        super().__init__(stage, run.blocks, run.start, run.stop)
-        self.run = run
-
-    def span(self, start: int, stop: int) -> "AdvectResultBulk":
-        return AdvectResultBulk(self.stage, self.run.span(start, stop))
-
-    def evaluate(self, out: np.ndarray) -> None:
-        self.stage.evaluate(self.run, out)
+        at ``[cx - 1, cy - 1, cz]``, as the stage numbers them."""
+        self.stage.evaluate(self, out)
 
 
 class ResultSink:
@@ -236,8 +228,8 @@ class ResultSink:
 
     :meth:`write` stores a :class:`ResultRun`, joined with the last
     stored run when it continues it, and :meth:`flush` evaluates each
-    stored run once, in order, straight into the array; the write stages
-    flush in :meth:`~repro.dataflow.stage.Stage.finish`.  A
+    stored run once, in order, straight into the array; the write stage
+    flushes in :meth:`~repro.dataflow.stage.Stage.finish`.  A
     register-model result, ``((cx, cy, cz), value)``, flushes the stored
     runs first, so the array receives its cells in the order they came.
     A cell ``(cx, cy, cz)`` lands at ``[cx - 1 + x_offset, cy - 1 +
@@ -503,9 +495,9 @@ class ShiftBufferStage(Stage):
     :meth:`regime_left`) reads the buffer's own position arithmetic at
     feed ``i`` (:func:`~repro.shiftbuffer.buffer3d.feed_emissions`,
     :func:`~repro.shiftbuffer.buffer3d.feed_regime`,
-    :func:`~repro.shiftbuffer.buffer3d.regime_stop`), the functions
-    :meth:`fire`, :meth:`ff_signature` and :meth:`ff_fire_capacity` call
-    at the live position.
+    :func:`~repro.shiftbuffer.buffer3d.regime_stop`), which the base
+    ``ff_signature`` and ``ff_fire_capacity`` read at the firing count;
+    the engine's inner regime reads ``feed_inner_regime`` there too.
 
     ``buffers`` names the buffers, one per block; their memories appear
     under these names in port reports.  The default is the advection
@@ -643,23 +635,17 @@ class ShiftBufferStage(Stage):
             self.first_emit_cycle = cycle
         return {"out": bundles} if bundles else {}
 
-    def ff_signature(self, cycle: int) -> tuple:
-        # Emission control depends on the streaming position only, per
-        # regime (ShiftBuffer3D.regime); the capacity below stops every
-        # window at the end of its regime.
-        return super().ff_signature(cycle) + self.buffers[0].regime()
-
-    def ff_fire_capacity(self, want: int) -> int:
-        return self.buffers[0].regime_feeds(want)
-
     def ff_inner_signature(self, cycle: int, outer: tuple) -> tuple | None:
-        inner = self.buffers[0].inner_regime()
+        inner = feed_inner_regime(*feed_position(
+            self.stats.fires, self.buffers[0].ny, self.nz))
         # ``outer`` is the base signature plus the outer regime: swap the
         # regime, keep the pipeline part it already built.
         return None if inner is None else outer[:2] + inner
 
     def ff_inner_capacity(self, want: int) -> int:
-        return self.buffers[0].inner_regime_feeds(want)
+        fired = self.stats.fires
+        return min(want, inner_regime_stop(fired, self.buffers[0].ny,
+                                           self.nz) - fired)
 
     def ff_structure(self) -> tuple | None:
         buffer = self.buffers[0]
@@ -753,9 +739,10 @@ class AdvectStage(Stage):
     ``latency`` models the depth of the scheduled floating-point pipeline.
     It times them and leaves the arithmetic to the write stage: a firing
     on a run of the blocks (a one-bundle :class:`StencilBulk`, or a
-    batched window's whole run) hands on an :class:`AdvectResultBulk` of
-    the same bundles, and the write stage calls :meth:`evaluate` once per
-    stored run.  Only the register model's bundles,
+    batched window's whole run) hands on a :class:`ResultRun` of the same
+    bundles, numbered as a stream with its column tops forwards them,
+    and the write stage has it call :meth:`evaluate` once per stored
+    run.  Only the register model's bundles,
     :class:`StencilWindow` tuples cut after a dropped word, are evaluated
     here, one window at a time.
     """
@@ -790,21 +777,24 @@ class AdvectStage(Stage):
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
         (bundle,) = inputs["in"]
         if type(bundle) is StencilBulk:
-            return {"out": [AdvectResultBulk(self, bundle)]}
+            return {"out": [ResultRun(self, bundle.blocks, bundle.start,
+                                      bundle.stop)]}
         wu, wv, ww = bundle
         return {"out": [(wu.center, self._fn(wu, wv, ww, self.coeffs))]}
 
-    def evaluate(self, run: StencilBulk, out: np.ndarray) -> None:
-        """Evaluate this stage's form on every bundle of ``run`` into
-        ``out``, each centre ``(cx, cy, cz)`` at ``[cx - 1, cy - 1,
-        cz]``.
+    def evaluate(self, run: ResultRun, out: np.ndarray) -> None:
+        """Evaluate this stage's form on the bundles ``[run.start,
+        run.stop)`` of ``run.source``, the three blocks, into ``out``,
+        each centre ``(cx, cy, cz)`` at ``[cx - 1, cy - 1, cz]``.
 
         One call per :func:`~repro.shiftbuffer.buffer3d.emission_boxes`
-        box for its full windows and one for its column-top layer, each
-        on :class:`WindowRun` views of the three blocks.
+        box (``nz - 1`` bundles per column, tops included) for its full
+        windows and one for its column-top layer, each on
+        :class:`WindowRun` views.
         """
-        bu, bv, bw = run.blocks
-        for x0, x1, y0, y1, z0, z1 in run.boxes():
+        bu, bv, bw = run.source
+        for x0, x1, y0, y1, z0, z1 in emission_boxes(
+                run.start, run.stop, bu.shape[1], self.nz - 1):
             # A run's ``top`` is one flag, so a box's full windows and
             # its column-top layer are two runs.
             split = min(z1, self.nz - 1)
@@ -828,7 +818,8 @@ class AdvectStage(Stage):
         out_parts: list[Bulk] = []
         for part in bulk.parts():
             if isinstance(part, StencilBulk):
-                out_parts.append(AdvectResultBulk(self, part))
+                out_parts.append(ResultRun(self, part.blocks, part.start,
+                                           part.stop))
             elif len(part):
                 out_parts.append(ListBulk([
                     self.fire(cycle, {"in": [bundle]})["out"][0]
@@ -838,29 +829,27 @@ class AdvectStage(Stage):
 
 
 class WriteDataStage(Stage):
-    """Collects the three source streams and writes them to "external memory".
+    """Collects result streams and writes them to "external memory".
 
-    Results for one cell arrive on the three ports in lock step (the
-    advect stages share II and latency); the stage consumes one result per
-    port per firing and writes it into its output array at the chunk's
-    global offset, through one :class:`ResultSink` per port: a run's
-    results are stored and evaluated once when the run ends
-    (:meth:`finish`), a register-model result is written at once.
+    ``outputs`` maps each input port to its array: Fig. 2's ``su``,
+    ``sv`` and ``sw``, or a generic stencil's one ``in``.  Results for
+    one cell arrive on the ports in lock step; the stage consumes one
+    result per port per firing and writes it at the chunk's global
+    offset, through one :class:`ResultSink` per port: a run's results
+    are stored and evaluated once when the run ends (:meth:`finish`), a
+    register-model result is written at once.
     """
 
-    input_ports = ("su", "sv", "sw")
     output_ports: tuple[str, ...] = ()
 
-    def __init__(self, name: str, su: np.ndarray, sv: np.ndarray,
-                 sw: np.ndarray, *, x_offset: int = 0, y_offset: int = 0,
-                 ii: int = 1, latency: int = 16) -> None:
+    def __init__(self, name: str, outputs: Mapping[str, np.ndarray], *,
+                 x_offset: int = 0, y_offset: int = 0, ii: int = 1,
+                 latency: int = 16) -> None:
         super().__init__(name, ii=ii, latency=latency)
-        self.x_offset = x_offset
-        self.y_offset = y_offset
+        self.input_ports = tuple(outputs)
         self.cells_written = 0
         self._sinks = {port: ResultSink(array, x_offset, y_offset)
-                       for port, array in zip(self.input_ports,
-                                              (su, sv, sw))}
+                       for port, array in outputs.items()}
 
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
         for port, sink in self._sinks.items():

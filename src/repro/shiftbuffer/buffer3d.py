@@ -36,6 +36,11 @@ one cycle per fed value — whether the value moves the registers
 (:meth:`ShiftBuffer3D.feed`) or only the streaming position
 (:meth:`ShiftBuffer3D.advance` and :meth:`ShiftBuffer3D.feed_bulk`).
 
+A stream's control is arithmetic on a feed's position, in module
+functions (:func:`feed_emissions`, :func:`feed_regime`,
+:func:`feed_inner_regime` and their stops), which a stage streaming the
+buffer reads at its firing index; the buffer keeps no regime state.
+
 The registers only ever hold values of the streamed block, so a caller
 that has the block needs no register shifts: it advances the position
 and cuts each window from the block (:meth:`ShiftBuffer3D.window_at`, a
@@ -60,10 +65,12 @@ __all__ = [
     "emission_boxes",
     "emission_center",
     "feed_emissions",
+    "feed_inner_regime",
     "feed_position",
     "feed_regime",
     "forwarded_before",
     "forwarded_emission",
+    "inner_regime_stop",
     "producing_feed",
     "producing_feed_stop",
     "regime_stop",
@@ -113,8 +120,11 @@ def feed_emissions(x: int, y: int, z: int, ny: int,
 
 
 def feed_regime(x: int, y: int, z: int) -> tuple:
-    """The part of the position ``(x, y, z)`` that still decides emission
-    (see :meth:`ShiftBuffer3D.regime`)."""
+    """The part of the position ``(x, y, z)`` that still decides emission:
+    ``("prime",)`` while no feed can emit (``x < 2``, a one-feed
+    period), else ``(2, y, z)``, since planes ``x >= 2`` all behave
+    alike (a one-plane period).  :func:`feed_inner_regime` refines the
+    steady planes."""
     if x < 2:
         return ("prime",)
     return (2, y, z)
@@ -126,6 +136,32 @@ def regime_stop(fed: int, ny: int, nz: int) -> int | None:
     (``None``)."""
     prime = 2 * ny * nz
     return prime if fed < prime else None
+
+
+def feed_inner_regime(x: int, y: int, z: int) -> tuple | None:
+    """The finer regime of ``(x, y, z)`` inside a steady plane: ``None``
+    in the prime planes, ``("silent",)`` in a steady plane's silent
+    columns (``y < 2``, a one-feed period), ``("column", z)`` in its
+    emitting columns (a one-column period).
+
+    No key holds X, so a period proved in one plane serves the next and
+    the final one; two feeds with one key emit alike for the fewer of
+    the feeds each has left before its :func:`inner_regime_stop`.
+    """
+    if x < 2:
+        return None
+    if y < 2:
+        return ("silent",)
+    return ("column", z)
+
+
+def inner_regime_stop(fed: int, ny: int, nz: int) -> int:
+    """The feed that ends feed ``fed``'s :func:`feed_inner_regime`: a
+    steady plane's silent columns end at its first emitting column, and
+    its emitting columns (like a prime plane) at the end of the plane."""
+    x, y, _z = feed_position(fed, ny, nz)
+    silent = x >= 2 and y < 2
+    return (x * ny + (2 if silent else ny)) * nz
 
 
 def emission_center(index: Any, ny: int, nz: int) -> tuple[Any, Any, Any, Any]:
@@ -317,73 +353,6 @@ class ShiftBuffer3D:
     def expected_emissions(self) -> int:
         """Stencils a full streaming pass emits: interior columns x (nz-1)."""
         return (self.nx - 2) * (self.ny - 2) * (self.nz - 1)
-
-    # -- control regimes ----------------------------------------------------------
-
-    def regime(self) -> tuple:
-        """The part of the streaming position that still decides emission.
-
-        How many windows the next feeds emit depends on the position
-        only, and each regime keeps just the part of it that matters:
-
-        * prime (``x < 2``): no feed can emit, so every feed behaves
-          alike and the period is one feed;
-        * steady: planes ``x >= 2`` all behave alike, so clamping X makes
-          them comparable and the period one full ``ny * nz`` plane.
-
-        This is the *outer* regime.  A stage streaming this buffer
-        appends it to its control signature and bounds every batched
-        window by :meth:`regime_feeds`; :meth:`inner_regime` refines the
-        steady planes to silent feeds and single columns.
-        """
-        return feed_regime(self._x, self._y, self._z)
-
-    def regime_feeds(self, want: int) -> int:
-        """How many of ``want`` feeds stay inside the current regime.
-
-        The prime regime ends where emission starts (two full planes,
-        :func:`regime_stop`); the steady regime runs to the end of the
-        block.
-        """
-        stop = regime_stop(self._fed, self.ny, self.nz)
-        return min(want, (self._total if stop is None else stop)
-                   - self._fed)
-
-    def inner_regime(self) -> tuple | None:
-        """The finer regime inside one steady plane, or ``None``.
-
-        * ``None`` in the prime planes (``x < 2``), where the outer
-          ``("prime",)`` regime already has a one-feed period;
-        * ``("silent",)`` in a steady plane's silent columns (``y < 2``):
-          no feed emits, so every feed behaves alike;
-        * ``("column", z)`` in its emitting columns (``y >= 2``): every
-          column behaves alike, so the period is one column of ``nz``
-          feeds.
-
-        Neither key holds X, so one key recurs in every steady plane:
-        a period proved in one plane serves the same regime of the
-        next.  Two positions with one key emit alike for the smaller of
-        their two :meth:`inner_regime_feeds`, which is what a window
-        proved at one of them and run from the other needs.  That lets
-        silent columns and a plane's columns batch where the plane
-        period of :meth:`regime` cannot: in the plane that proves that
-        period, and in the final plane, where fewer feeds remain than
-        one plane.
-        """
-        if self._x < 2:
-            return None
-        if self._y < 2:
-            return ("silent",)
-        return ("column", self._z)
-
-    def inner_regime_feeds(self, want: int) -> int:
-        """How many of ``want`` feeds stay inside the current inner
-        regime: a steady plane's silent columns end at its first
-        emitting column, and its emitting columns (like a prime plane)
-        at the end of the plane."""
-        silent = self._x >= 2 and self._y < 2
-        end = self._x * self.ny + (2 if silent else self.ny)
-        return min(want, end * self.nz - self._fed)
 
     # -- the update ---------------------------------------------------------------
 

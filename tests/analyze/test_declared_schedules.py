@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from repro.analyze import analyze_graph, interpret, static_kernel_cycles
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
+from repro.dataflow.engine import DataflowEngine
+from repro.dataflow.graph import DataflowGraph
+from repro.dataflow.stage import SinkStage, SourceStage, Stage
 from repro.errors import DataflowError
 from repro.kernel.builder import build_chunk_graph, build_structural_graph
 from repro.kernel.config import KernelConfig
@@ -20,6 +23,7 @@ from repro.kernel.generic import build_stencil_graph, run_stencil_kernel
 from repro.kernel.simulate import simulate_kernel
 from repro.lint.registry import LintContext
 from repro.lint.runner import run_lint
+from repro.scenarios.conformance import STATS_BATCH_KEYS
 
 SHIFT_OUT = "shift_buffer.out->replicate.in"
 
@@ -157,3 +161,55 @@ def test_the_4x4x3_interior(depth, expected):
                 f"'compute.out->write.in' holds 0/{depth}") in message
     else:
         assert not deadlocks
+
+
+class EveryFifth(Stage):
+    """Forwards every fifth item, from the first.  It declares its
+    emission schedule and nothing else: no ``ff_*`` hook of its own."""
+
+    input_ports = ("in",)
+    output_ports = ("out",)
+
+    def __init__(self) -> None:
+        super().__init__("dec", latency=1)
+        self._fired = 0
+
+    def fire(self, cycle, inputs):
+        (item,) = inputs["in"]
+        firing, self._fired = self._fired, self._fired + 1
+        return {"out": [item]} if firing % 5 == 0 else {}
+
+    def emits(self, firing):
+        return (int(firing % 5 == 0),)
+
+    def regime(self, firing):
+        return (firing % 5,)
+
+
+def every_fifth_graph() -> DataflowGraph:
+    graph = DataflowGraph("dec")
+    graph.add(SourceStage("src", range(400)))
+    graph.add(EveryFifth())
+    graph.add(SinkStage("sink"))
+    graph.connect("src", "out", "dec", "in")
+    graph.connect("dec", "out", "sink", "in")
+    return graph
+
+
+def test_a_stage_that_only_declares_its_schedule_batches():
+    """The engine reads the schedule the proof reads: the batched run
+    equals forced scalar and the proof, where a copy of the regime in
+    ``ff_*`` overrides was once the only thing the engine read."""
+    runs = {}
+    for batched in (False, True):
+        graph = every_fifth_graph()
+        stats = DataflowEngine(graph, batched=batched).run()
+        runs[batched] = (graph.stage("sink").collected, {
+            key: value for key, value in stats.to_dict().items()
+            if key not in STATS_BATCH_KEYS}, stats)
+    assert runs[True][:2] == runs[False][:2]
+    assert runs[True][0] == list(range(0, 400, 5))
+    assert runs[True][2].batched_cycles > 0
+    assert analyze_graph(every_fifth_graph()).ok
+    assert interpret(every_fifth_graph(), 400).cycles \
+        == runs[False][2].cycles == 402

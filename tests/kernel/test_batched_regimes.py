@@ -41,13 +41,12 @@ from repro.kernel import builder
 from repro.kernel.builder import build_advection_graph
 from repro.kernel.config import KernelConfig
 from repro.kernel.generic import (
-    ScatterWriteStage,
     WindowComputeStage,
     build_stencil_graph,
     run_stencil_kernel,
 )
 from repro.kernel.simulate import simulate_kernel
-from repro.kernel.stages import ReadDataStage, ShiftBufferStage
+from repro.kernel.stages import ReadDataStage, ShiftBufferStage, WriteDataStage
 from repro.observe import Tracer
 from repro.scenarios import scenarios
 from repro.scenarios.kernels import DiffusionKernel
@@ -314,7 +313,7 @@ def _stencil_graph(block, grid, *, blockless):
         "shift", nx, ny, nz, buffers=("shift",), tops=False,
         backing=None if blockless else (block,)))
     graph.add(WindowComputeStage("compute", nz, interior, boundary))
-    graph.add(ScatterWriteStage("write", out))
+    graph.add(WriteDataStage("write", {"in": out}, latency=4))
     graph.connect("read", "out", "shift", "in", depth=4)
     graph.connect("shift", "out", "compute", "in", depth=4)
     graph.connect("compute", "out", "write", "in", depth=4)

@@ -232,10 +232,11 @@ class TestAdvectStages:
                         for top in (False, True)}
 
     def test_advect_results_carry_an_emission_range(self, monkeypatch):
-        """A batched window's advect results are the stage and its run
-        of bundles, with no values and no coordinate arrays; u, v and w
-        of one window cover the same range, and the centres cut from it
-        are the emissions' own."""
+        """A batched window's advect results are the stage and a range
+        of its bundles over the blocks, with no values and no coordinate
+        arrays; u, v and w of one window cover the same range, and each
+        one-result run evaluates exactly the cell at its emission's
+        centre."""
         fired = {}
         original = stages.AdvectStage.fire_bulk
 
@@ -243,7 +244,7 @@ class TestAdvectStages:
             result = original(self, count, inputs, cycle)
             fired.setdefault(cycle, {})[self.field] = [
                 part for part in result.outputs["out"].parts()
-                if isinstance(part, stages.AdvectResultBulk)]
+                if isinstance(part, stages.ResultRun)]
             return result
 
         monkeypatch.setattr(stages.AdvectStage, "fire_bulk", recording)
@@ -259,18 +260,22 @@ class TestAdvectStages:
                     assert not any(hasattr(part, name) for name in
                                    ("values", "cx", "cy", "cz", "center"))
                     assert part.stage.field == field
-                    assert len(part) == part.run.stop - part.run.start
-                assert (u.run.start, u.run.stop) == (v.run.start, v.run.stop) \
-                    == (w.run.start, w.run.stop)
+                    assert len(part) == part.stop - part.start
+                    assert part.source is u.source
+                assert (u.start, u.stop) == (v.start, v.stop) \
+                    == (w.start, w.stop)
                 head = u.slice(0, min(len(u), 3)).materialize()
-                assert all(type(one) is stages.AdvectResultBulk
+                assert all(type(one) is stages.ResultRun
                            and one.stage is u.stage for one in head)
-                assert [(one.run.start, len(one)) for one in head] == [
-                    (e, 1)
-                    for e in range(u.run.start, u.run.start + len(head))]
-                assert [one.run.bundle_at(one.run.start)[0].center
-                        for one in head] == [
-                    emission_center(e, u.run.ny, u.run.nz)[:3]
-                    for e in range(u.run.start, u.run.start + len(head))]
+                assert [(one.start, len(one)) for one in head] == [
+                    (e, 1) for e in range(u.start, u.start + len(head))]
+                block = u.source[0]
+                nx, ny, nz = block.shape
+                for one in head:
+                    out = np.full((nx - 2, ny - 2, nz), np.nan)
+                    one.evaluate(out)
+                    cx, cy, cz, _top = emission_center(one.start, ny, nz)
+                    assert np.argwhere(~np.isnan(out)).tolist() == [
+                        [cx - 1, cy - 1, cz]]
                 ranges += 1
         assert ranges > 0

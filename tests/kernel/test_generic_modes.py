@@ -21,6 +21,7 @@ from repro.core.diffusion import diffuse_reference
 from repro.core.grid import Grid
 from repro.core.wind import random_wind
 from repro.dataflow.bulk import ListBulk
+from repro.dataflow.stream import Stream
 from repro.errors import FaultError
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.kernel.generic import WindowComputeStage, run_stencil_kernel
@@ -81,8 +82,13 @@ class TestGenericKernelModes:
             for cycle in (0, 10_000):
                 assert isinstance(stage.ff_signature(cycle), tuple)
         assert shift.ff_signature(0)[-1:] == ("prime",)
-        for _ in range(2 * 4 * 4):
-            shift.fire(0, {"in": [(0.0,)]})
+        # The key follows the firing count, which only ticks (and
+        # batched commits) move.
+        shift.bind_input("in", Stream("in", depth=2 * 4 * 4))
+        shift.bind_output("out", Stream("out", depth=2 * 4 * 4))
+        for cycle in range(2 * 4 * 4):
+            shift.inputs["in"].push((0.0,))
+            shift.tick(cycle)
         assert shift.ff_signature(0)[-3:] == (2, 0, 0)
 
     @settings(max_examples=12, deadline=None)

@@ -33,11 +33,7 @@ from repro.kernel.builder import (
     build_structural_graph,
 )
 from repro.kernel.config import KernelConfig
-from repro.kernel.generic import (
-    ScatterWriteStage,
-    WindowComputeStage,
-    build_stencil_graph,
-)
+from repro.kernel.generic import WindowComputeStage, build_stencil_graph
 from repro.kernel.stages import (
     AdvectStage,
     ReadDataStage,
@@ -56,7 +52,7 @@ EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples" / "graphs"
 ADVECTION_STAGES = {ReadDataStage, ShiftBufferStage, ReplicateStage,
                     AdvectStage, WriteDataStage}
 STENCIL_STAGES = {ReadDataStage, ShiftBufferStage, WindowComputeStage,
-                  ScatterWriteStage}
+                  WriteDataStage}
 GRID = Grid(nx=4, ny=6, nz=4)
 CONFIG = KernelConfig(grid=GRID, chunk_width=3)
 
@@ -127,14 +123,15 @@ def test_stencil_proof_equals_the_run_graphs_proof(shape, depth, kind,
 
 
 def test_both_machines_share_one_front_end():
-    """The advection graph's read and shift stages and the stencil
-    machine's are instances of the same two classes; only the back ends
-    differ."""
+    """The advection graph's read, shift and write stages and the
+    stencil machine's are instances of the same three classes; only the
+    compute stages differ."""
     advection = build_structural_graph(CONFIG)
     stencil = DiffusionKernel().structural_graph(GRID)
     for cls, (ours, theirs) in ((ReadDataStage, ("read_data", "read")),
                                 (ShiftBufferStage,
-                                 ("shift_buffer", "shift"))):
+                                 ("shift_buffer", "shift")),
+                                (WriteDataStage, ("write_data", "write"))):
         assert type(advection.stage(ours)) is cls
         assert type(stencil.stage(theirs)) is cls
 

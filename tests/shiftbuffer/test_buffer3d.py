@@ -12,6 +12,11 @@ from repro.shiftbuffer.buffer3d import (
     ShiftBuffer3D,
     emission_boxes,
     emission_center,
+    feed_inner_regime,
+    feed_position,
+    feed_regime,
+    inner_regime_stop,
+    regime_stop,
     same_bits,
 )
 from repro.shiftbuffer.ports import MemoryPortTracker
@@ -165,17 +170,23 @@ class TestStreamingProtocol:
 
 
 class TestControlRegimes:
-    """Each regime key, bounded by its capacity, fixes the emissions."""
+    """Each regime key, bounded by its stop, fixes the emissions."""
 
     @staticmethod
     def walk(nx, ny, nz):
         """Per feed: (outer key, outer feeds, inner key, inner feeds,
-        windows emitted)."""
+        windows emitted), with the feeds left before each regime's stop
+        (the steady planes' at the block's end)."""
         buf = ShiftBuffer3D(nx, ny, nz)
+        total = buf.expected_feeds
         rows = []
-        for _ in range(buf.expected_feeds):
-            rows.append((buf.regime(), buf.regime_feeds(10**9),
-                         buf.inner_regime(), buf.inner_regime_feeds(10**9),
+        for fed in range(total):
+            position = feed_position(fed, ny, nz)
+            stop = regime_stop(fed, ny, nz)
+            rows.append((feed_regime(*position),
+                         (total if stop is None else stop) - fed,
+                         feed_inner_regime(*position),
+                         inner_regime_stop(fed, ny, nz) - fed,
                          len(buf.feed(0.0))))
         return rows
 
