@@ -197,9 +197,9 @@ def every_fifth_graph() -> DataflowGraph:
 
 
 def test_a_stage_that_only_declares_its_schedule_batches():
-    """The engine reads the schedule the proof reads: the batched run
-    equals forced scalar and the proof, where a copy of the regime in
-    ``ff_*`` overrides was once the only thing the engine read."""
+    """The engine reads the schedule the proof reads, so a stage that
+    declares its schedule and no ``ff_*`` hook batches: the batched run
+    equals forced scalar, and the proof counts the same cycles."""
     runs = {}
     for batched in (False, True):
         graph = every_fifth_graph()
