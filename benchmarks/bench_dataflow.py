@@ -40,10 +40,11 @@ def test_shift_buffer_feed_rate(benchmark):
     """Values per second through one ShiftBuffer3D's scalar ``feed``.
 
     This is the register model (Fig. 3): slab, line buffers and 3x3
-    windows shifted value by value, port bookkeeping included.  The
-    engine's shift stages run it only for a stream that lost a word, or
-    when built without their block; ``test_shift_stage_scalar_fire_rate``
-    times the per-tick path they drive otherwise.
+    windows shifted value by value, port bookkeeping included.  No
+    engine stage runs ``feed``: the shift stage moves its buffers'
+    position and cuts runs from the values it was fed, the tests'
+    oracle checks those against this model, and
+    ``test_shift_stage_scalar_fire_rate`` times the per-tick path.
     """
     block = np.random.default_rng(0).normal(size=(6, 34, 64))
     values = [float(v) for v in block.reshape(-1)]
@@ -66,16 +67,16 @@ def test_shift_stage_scalar_fire_rate(benchmark):
     """Cells per second through ``ShiftBufferStage.fire``.
 
     This is the per-tick path the cycle-accurate engine drives: a stage
-    built with its three blocks takes each block cell in turn, books its
-    ports, moves the buffers' position and cuts its bundles from the
-    blocks.
+    holding its three blocks takes each cell's position in turn, books
+    its ports, moves the buffers' position and hands on its bundles as
+    runs of the blocks.
     """
     rng = np.random.default_rng(0)
     blocks = tuple(rng.normal(size=(6, 34, 64)) for _ in range(3))
-    cells = list(zip(*(b.reshape(-1).tolist() for b in blocks)))
+    cells = range(blocks[0].size)
 
     def run():
-        stage = ShiftBufferStage("shift", 6, 34, 64, backing=blocks)
+        stage = ShiftBufferStage("shift", blocks)
         bundles = []
         for cell in cells:
             bundles.extend(stage.fire(0, {"in": [cell]}).get("out", ()))

@@ -72,16 +72,12 @@ def build_advection_graph(config: KernelConfig, fields: FieldSet,
         Arbiter of an external memory shared with other replicas; the
         read stage must win one of its grants per cell.
     """
-    grid = config.grid
-    nx_buf = grid.nx + 2  # full halo-extended X extent
-    ny_buf = chunk.read_width
-    nz = grid.nz
-
+    nz = config.grid.nz
     graph = DataflowGraph(f"{name_prefix}advection[chunk={chunk.index}]")
 
-    # The chunk's field blocks in streaming layout, shared by the read
-    # stage (cells cut on demand) and the shift stage (batched feeds and
-    # window reconstruction inside batched windows).
+    # The chunk's field blocks in streaming layout, halo-extended in X:
+    # the read stage streams their cell positions, the shift stage holds
+    # them.
     blocks = tuple(
         np.ascontiguousarray(
             arr[:, chunk.read_start:chunk.read_stop, :], dtype=float)
@@ -89,14 +85,13 @@ def build_advection_graph(config: KernelConfig, fields: FieldSet,
     )
 
     read = graph.add(ReadDataStage(
-        f"{name_prefix}read_data", block=blocks, ii=read_ii,
+        f"{name_prefix}read_data", cells=blocks[0].size, ii=read_ii,
         latency=config.memory_latency, arbiter=arbiter,
     ))
     shift = graph.add(ShiftBufferStage(
-        f"{name_prefix}shift_buffer", nx_buf, ny_buf, nz,
-        ii=config.shift_buffer_ii,
+        f"{name_prefix}shift_buffer", blocks, ii=config.shift_buffer_ii,
         latency=SHIFT_LATENCY, partitioned=config.partitioned,
-        tracker=tracker, backing=blocks,
+        tracker=tracker,
     ))
     replicate = graph.add(ReplicateStage(f"{name_prefix}replicate",
                                          latency=REPLICATE_LATENCY))

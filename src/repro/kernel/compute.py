@@ -5,11 +5,12 @@ three field windows for one cell and produces that cell's source term.
 The expression trees are kept *identical* to the scalar specification in
 :mod:`repro.core.golden` (same association, same evaluation order) so the
 dataflow simulation reproduces the reference bit-for-bit — the test suite
-enforces this.  Each form serves both firing paths: on three
-:class:`~repro.shiftbuffer.window.StencilWindow` objects it returns a
-float, on three :class:`~repro.shiftbuffer.window.WindowRun` box views
-(all full windows, or all column tops) one float64 array of the box's
-shape.  A run's ``at`` is a read-only view of the block and its
+enforces this.  Each form serves both evaluation shapes: on three
+:class:`~repro.shiftbuffer.window.StencilWindow` objects (one window, as
+the register model emits it) it returns a float, on three
+:class:`~repro.shiftbuffer.window.WindowRun` box views (all full windows,
+or all column tops, as the engine's write stage evaluates them) one
+float64 array of the box's shape.  A run's ``at`` is a read-only view of the block and its
 ``center`` broadcasts over the box, so ``coeffs.tzc1[k]`` picks one
 coefficient per level without a copy of the run's centres.
 

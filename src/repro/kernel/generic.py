@@ -8,11 +8,12 @@ cycle-accurate dataflow simulation for free.  The front end and
 the write stage are the advection kernel's own
 (:mod:`repro.kernel.stages`), over one block:
 
-* :class:`~repro.kernel.stages.ReadDataStage` — streams the block, one
-  cell per cycle;
-* :class:`~repro.kernel.stages.ShiftBufferStage` — feeds one
-  :class:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D` and forwards its
-  full windows only (``tops=False``), as one-window bundles;
+* :class:`~repro.kernel.stages.ReadDataStage` — streams the block's
+  cells, one position per cycle;
+* :class:`~repro.kernel.stages.ShiftBufferStage` — holds the block,
+  moves one :class:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D` and
+  forwards its full windows only (``tops=False``), as one-window
+  bundles;
 * :class:`~repro.kernel.stages.WriteDataStage` — with one ``in`` port,
   writes results into the output array;
 
@@ -39,8 +40,9 @@ over a block of a shape the caller's
 :class:`~repro.dataflow.engine.ControlRecord` has seen replays that run
 as one bulk step.
 
-The data path is lazy, as in the advection machine: the shift stage
-hands on runs of the block (a one-bundle :class:`~repro.kernel.stages.
+The data path is the advection machine's one lazy path: the shift
+stage hands on runs of the values it was fed, the block's own unless a
+fault dropped a cell (a one-bundle :class:`~repro.kernel.stages.
 StencilBulk` per scalar emission, or, batched, one run after a jump of
 its buffer with :meth:`~repro.shiftbuffer.buffer3d.ShiftBuffer3D.
 feed_bulk`), the compute stage hands on the range of results its
@@ -75,7 +77,6 @@ from repro.dataflow.bulk import (
     Bulk,
     ChainBulk,
     FireBulkResult,
-    ListBulk,
     RaggedFireResult,
 )
 from repro.dataflow.engine import ControlRecord, DataflowEngine, RunStats
@@ -88,6 +89,7 @@ from repro.kernel.stages import (
     ShiftBufferStage,
     StencilBulk,
     WriteDataStage,
+    runs_of,
 )
 from repro.shiftbuffer.buffer3d import emission_boxes
 from repro.shiftbuffer.ports import MemoryPortTracker
@@ -208,14 +210,12 @@ class WindowComputeStage(Stage):
     keys its regime on that phase, which the base control signature
     appends: the output count depends on the window centre alone.
 
-    A firing on a run of the block (a one-bundle
+    A firing on a run of windows (a one-bundle
     :class:`~repro.kernel.stages.StencilBulk`, or a batched window's
     whole run) hands on its results as a
     :class:`~repro.kernel.stages.ResultRun` over the same block,
     numbered as :func:`results_before` counts them, with no arithmetic;
     the write stage has it call :meth:`evaluate` once per stored run.
-    Only the register model's windows are evaluated here, one at a
-    time, into ``(center, value)`` results.
     """
 
     input_ports = ("in",)
@@ -235,18 +235,8 @@ class WindowComputeStage(Stage):
                          results_before(run.stop, self.nz))
 
     def fire(self, cycle: int, inputs: Mapping[str, list]):
-        (bundle,) = inputs["in"]
-        if type(bundle) is StencilBulk:
-            return {"out": self._results(bundle).materialize()}
-        (window,) = bundle
-        cx, cy, cz = window.center
-        results = [(window.center, self._interior(window))]
-        if cz == 1:
-            results.append(((cx, cy, 0), self._boundary(window, top=False)))
-        if cz == self.nz - 2:
-            results.append(((cx, cy, self.nz - 1),
-                            self._boundary(window, top=True)))
-        return {"out": results}
+        (run,) = inputs["in"]
+        return {"out": self._results(run).materialize()}
 
     def evaluate(self, run: ResultRun, out: np.ndarray) -> None:
         """Evaluate the results ``[run.start, run.stop)`` of the windows
@@ -299,24 +289,12 @@ class WindowComputeStage(Stage):
                 f"compute {self.name!r}: batched window consumed "
                 f"{len(windows)} windows for {count} firings"
             )
-        parts: list[Bulk] = []
-        counts: list[Any] = []
-        for part in windows.parts():
-            if not len(part):
-                continue
-            if isinstance(part, StencilBulk):
-                parts.append(self._results(part))
-                counts.append(window_results(
-                    np.arange(part.start, part.stop) % (self.nz - 2) + 1,
-                    self.nz))
-            else:
-                # Windows a FIFO held when the batched window opened.
-                firings = [self.fire(cycle, {"in": [bundle]})["out"]
-                           for bundle in part.materialize()]
-                parts.append(ListBulk([r for f in firings for r in f]))
-                counts.append([len(f) for f in firings])
+        runs = list(runs_of(windows, StencilBulk))
+        counts = [window_results(
+            np.arange(run.start, run.stop) % (self.nz - 2) + 1, self.nz)
+            for run in runs]
         return RaggedFireResult(
-            {"out": ChainBulk(parts)},
+            {"out": ChainBulk([self._results(run) for run in runs])},
             np.concatenate(counts) if counts else [])
 
 
@@ -332,14 +310,12 @@ def build_stencil_graph(block: np.ndarray, interior: InteriorFn,
     ``stream_depth`` alone, so the graph wired on a zero 3×3×3 block is
     the structural graph lint and the analyzer read for any block.
     """
-    nx, ny, nz = block.shape
-    blocks = (np.ascontiguousarray(block, dtype=float),)
     graph = DataflowGraph("stencil")
-    graph.add(ReadDataStage("read", block=blocks, latency=1))
-    graph.add(ShiftBufferStage(
-        "shift", nx, ny, nz, buffers=("shift",), tops=False,
-        tracker=tracker, backing=blocks))
-    graph.add(WindowComputeStage("compute", nz, interior, boundary))
+    graph.add(ReadDataStage("read", cells=block.size, latency=1))
+    graph.add(ShiftBufferStage("shift", (block,), buffers=("shift",),
+                               tops=False, tracker=tracker))
+    graph.add(WindowComputeStage("compute", block.shape[2], interior,
+                                 boundary))
     graph.add(WriteDataStage("write", {"in": out}, latency=4))
     graph.connect("read", "out", "shift", "in", depth=stream_depth)
     graph.connect("shift", "out", "compute", "in", depth=stream_depth)

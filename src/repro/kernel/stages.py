@@ -12,15 +12,20 @@ The front end — :class:`ReadDataStage` and :class:`ShiftBufferStage`,
 with the :class:`CellBlockBulk` and :class:`StencilBulk` runs they hand
 on — streams any number of field blocks, so the generic stencil machine
 (:mod:`repro.kernel.generic`) is built on it too: three blocks here, one
-there.  A cell travels as a tuple of one value per block.
+there.  A cell travels as its position in the blocks' streaming order.
 
 The shift stage declares its control once, as its emission schedule,
 which the static analyzer and the engine's batched windows both read.
 
-The data path is lazy from the shift buffer to the write stage.  A shift
-stage built with its blocks hands on runs of the blocks, not windows: a
-one-bundle :class:`StencilBulk` per scalar emission, one run per batched
-window.  Replicate copies the run to the advect stages, which time the
+The data path is one path, lazy from the read stage to the write stage.
+The shift stage holds the blocks, and hands on runs of the values it was
+fed, not windows: a one-bundle :class:`StencilBulk` per scalar emission,
+one run per batched window.  While every cell it takes is its buffers'
+position, the runs are runs of the blocks; a cell that is not (only a
+word a fault dropped makes one) is stored at its feed position in a copy
+of the blocks, which the runs are cut from from then on.  The Fig. 3
+buffer is a delay line, so these are the windows its registers would
+hold.  Replicate copies the run to the advect stages, which time the
 21 operations and hand on their results as a :class:`ResultRun` of the
 same bundles, with no arithmetic.  The write stage, which both machines
 share, keeps one :class:`ResultSink` per port, which stores those runs
@@ -33,17 +38,14 @@ straight into the output arrays, one call per
 :func:`~repro.shiftbuffer.buffer3d.emission_boxes` box for its full
 windows and one for its column-top layer.  The generic stencil
 machine's compute stage hands on and evaluates its results the same
-way.  A scalar cycle therefore moves control and run bounds only.  Only
-the register model cuts windows: a stage built without blocks, or a
-shift stage whose stream diverged from them after a dropped word,
-forwards tuples of one :class:`~repro.shiftbuffer.window.StencilWindow`
-per block, which the compute stages evaluate one at a time.
+way.  A scalar cycle therefore moves control and run bounds only, and
+no stage cuts a :class:`~repro.shiftbuffer.window.StencilWindow`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from repro.dataflow.bulk import (
     ListFireResult,
     UniformFireResult,
 )
-from repro.dataflow.stage import SourceStage, Stage
+from repro.dataflow.stage import Stage
 from repro.errors import ConfigurationError, DataflowError
 from repro.shiftbuffer.buffer3d import (
     Box,
@@ -72,7 +74,6 @@ from repro.shiftbuffer.buffer3d import (
     producing_feed,
     producing_feed_stop,
     regime_stop,
-    same_bits,
 )
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow, WindowRun
@@ -91,17 +92,33 @@ __all__ = [
 ]
 
 
-class CellBlockBulk(Bulk):
-    """A run of cells backed by flat block arrays, one per field.
+def runs_of(bulk: Bulk, kind: type) -> Iterator[Any]:
+    """The runs of ``kind`` that ``bulk`` holds, in order: its ``kind``
+    parts whole, and the one-item runs of its other parts, the items a
+    FIFO held when a batched window opened."""
+    for part in bulk.parts():
+        if isinstance(part, kind):
+            yield part
+        else:
+            yield from part.materialize()
 
-    ``start``/``stop`` index into the streaming order of the blocks;
-    cells (tuples of one float per block) are only built when a FIFO
-    leftover materialises.
+
+def _read_only(block: np.ndarray) -> np.ndarray:
+    """A read-only view of ``block``: window cuts inherit the flag."""
+    view = block.view()
+    view.flags.writeable = False
+    return view
+
+
+class CellBlockBulk(Bulk):
+    """The cells ``[start, stop)`` of the streamed blocks.
+
+    A cell is its position in the blocks' streaming order, so a run is
+    two ints, and a FIFO leftover materialises as
+    ``list(range(start, stop))``.
     """
 
-    def __init__(self, flats: tuple[np.ndarray, ...], start: int,
-                 stop: int) -> None:
-        self.flats = flats
+    def __init__(self, start: int, stop: int) -> None:
         self.start = start
         self.stop = stop
 
@@ -110,12 +127,10 @@ class CellBlockBulk(Bulk):
 
     def slice(self, start: int, stop: int) -> "CellBlockBulk":
         self._check_range(start, stop)
-        return CellBlockBulk(self.flats, self.start + start,
-                             self.start + stop)
+        return CellBlockBulk(self.start + start, self.start + stop)
 
-    def materialize(self) -> list[tuple[float, ...]]:
-        return list(zip(*(flat[self.start:self.stop].tolist()
-                          for flat in self.flats)))
+    def materialize(self) -> list[int]:
+        return list(range(self.start, self.stop))
 
 
 class StencilBulk(Bulk):
@@ -128,9 +143,9 @@ class StencilBulk(Bulk):
     :func:`~repro.shiftbuffer.buffer3d.emission_boxes` of the blocks,
     through :class:`WindowRun` views.  A bundle travels alone, in a FIFO or a
     stage pipeline, as a one-bundle run (:meth:`materialize`), which is
-    also what a backed shift stage's scalar firing hands on.
-    :meth:`bundle_at` cuts one bundle's windows; no stage of a
-    fault-free run calls it.  ``buffer`` supplies the block geometry.
+    also what the shift stage's scalar firing hands on.
+    :meth:`bundle_at` cuts one bundle's windows; no engine stage calls
+    it.  ``buffer`` supplies the block geometry.
     """
 
     def __init__(self, buffer: ShiftBuffer3D, blocks: tuple[np.ndarray, ...],
@@ -229,11 +244,9 @@ class ResultSink:
     :meth:`write` stores a :class:`ResultRun`, joined with the last
     stored run when it continues it, and :meth:`flush` evaluates each
     stored run once, in order, straight into the array; the write stage
-    flushes in :meth:`~repro.dataflow.stage.Stage.finish`.  A
-    register-model result, ``((cx, cy, cz), value)``, flushes the stored
-    runs first, so the array receives its cells in the order they came.
-    A cell ``(cx, cy, cz)`` lands at ``[cx - 1 + x_offset, cy - 1 +
-    y_offset, cz]``.
+    flushes in :meth:`~repro.dataflow.stage.Stage.finish`.  A cell
+    ``(cx, cy, cz)`` lands at ``[cx - 1 + x_offset, cy - 1 + y_offset,
+    cz]``.
     """
 
     def __init__(self, array: np.ndarray, x_offset: int = 0,
@@ -243,31 +256,22 @@ class ResultSink:
         #: ``[run.start, stop)`` of ``run``'s stage and source.
         self._runs: list[list[Any]] = []
 
-    def write(self, item: Any) -> None:
-        """Store a result run, or write a register-model result."""
-        if isinstance(item, ResultRun):
-            runs = self._runs
-            if runs:
-                last = runs[-1]
-                run = last[0]
-                if last[1] == item.start and run.stage is item.stage \
-                        and run.source is item.source:
-                    last[1] = item.stop
-                    return
-            runs.append([item, item.stop])
-            return
-        self.flush()
-        (cx, cy, cz), value = item
-        self._out[cx - 1, cy - 1, cz] = value
+    def write(self, run: ResultRun) -> None:
+        """Store a result run."""
+        runs = self._runs
+        if runs:
+            last = runs[-1]
+            stored = last[0]
+            if last[1] == run.start and stored.stage is run.stage \
+                    and stored.source is run.source:
+                last[1] = run.stop
+                return
+        runs.append([run, run.stop])
 
     def write_bulk(self, bulk: Bulk) -> None:
         """:meth:`write` every result of ``bulk``, its runs whole."""
-        for part in bulk.parts():
-            if isinstance(part, ResultRun):
-                self.write(part)
-            else:
-                for item in part.materialize():
-                    self.write(item)
+        for run in runs_of(bulk, ResultRun):
+            self.write(run)
 
     def flush(self) -> None:
         """Evaluate the stored runs into the array, in write order."""
@@ -317,7 +321,7 @@ class MemoryArbiter:
         return False
 
 
-class ReadDataStage(SourceStage):
+class ReadDataStage(Stage):
     """Streams the cells of one block set from "external memory".
 
     The memory system's sustained throughput is modelled by the ``ii``
@@ -327,14 +331,13 @@ class ReadDataStage(SourceStage):
 
     Parameters
     ----------
-    block:
-        The field blocks, all of one shape, in streaming layout: the
-        three ``(u, v, w)`` blocks of an advection chunk, or a generic
-        stencil's one block.  A cell is the tuple of the blocks' values
-        at one position, cut on demand in streaming order (Z fastest,
-        then Y, then X); batched firings (``fire_bulk``) hand whole runs
-        downstream as a :class:`CellBlockBulk` without building cells at
-        all.
+    cells:
+        The number of cells the blocks hold.  A cell travels as its
+        position in the blocks' streaming order (Z fastest, then Y, then
+        X), which the shift stage that holds the blocks reads: a scalar
+        firing hands on its cursor, a batched firing (``fire_bulk``) its
+        whole run as a :class:`CellBlockBulk`.  The stage reads no field
+        value.
     arbiter:
         The :class:`MemoryArbiter` of a memory shared with other kernel
         replicas, or ``None`` for a memory of its own.  Each read must
@@ -342,23 +345,19 @@ class ReadDataStage(SourceStage):
         for the cycle.
     """
 
-    def __init__(self, name: str, *, block: tuple[np.ndarray, ...],
-                 ii: int = 1, latency: int = 16,
+    input_ports: tuple[str, ...] = ()
+    output_ports = ("out",)
+
+    def __init__(self, name: str, *, cells: int, ii: int = 1,
+                 latency: int = 16,
                  arbiter: MemoryArbiter | None = None) -> None:
-        self._flats = tuple(
-            np.ascontiguousarray(b, dtype=float).reshape(-1) for b in block
-        )
-        if not self._flats:
+        super().__init__(name, ii=ii, latency=latency)
+        if cells < 1:
             raise DataflowError(
-                f"read stage {name!r}: block must hold at least one "
-                f"field array")
-        self._total = len(self._flats[0])
+                f"read stage {name!r}: cells must be >= 1, got {cells}")
+        self._total = cells
         self._cursor = 0
         self.arbiter = arbiter
-        super().__init__(name, items=(), ii=ii, latency=latency)
-
-    def _cell_at(self, index: int) -> tuple[float, ...]:
-        return tuple([flat.item(index) for flat in self._flats])
 
     def exhausted(self) -> bool:
         return self._cursor >= self._total
@@ -378,16 +377,16 @@ class ReadDataStage(SourceStage):
         if arbiter is not None and not arbiter.request():
             self.stats.input_stalls += 1  # starved by the memory system
             return False
-        item = self._cell_at(self._cursor)
+        cell = self._cursor
         self._cursor += 1
         self.stats.fires += 1
         self._next_fire_cycle = cycle + self.ii
         self._pipeline.append(
-            (cycle + self.latency, {"out": [item]}, (("out", 1),)))
+            (cycle + self.latency, {"out": [cell]}, (("out", 1),)))
         return True
 
     def ff_signature(self, cycle: int) -> tuple | None:
-        signature = Stage.ff_signature(self, cycle) + (
+        signature = super().ff_signature(cycle) + (
             self._cursor < self._total,)
         arbiter = self.arbiter
         if arbiter is None:
@@ -421,8 +420,7 @@ class ReadDataStage(SourceStage):
             )
         start = self._cursor
         self._cursor += count
-        return UniformFireResult(
-            {"out": CellBlockBulk(self._flats, start, self._cursor)})
+        return UniformFireResult({"out": CellBlockBulk(start, self._cursor)})
 
     def ff_commit(self, old_cycle: int, new_cycle: int, *, fires: int,
                   retired: int,
@@ -479,17 +477,17 @@ class _ShiftFireResult(FireBulkResult):
 
 
 class ShiftBufferStage(Stage):
-    """Feeds one shift buffer per streamed block; emits window bundles.
+    """Moves one shift buffer per streamed block; emits window bundles.
 
-    One cell (a tuple of one value per block) is consumed per firing,
-    and zero, one or two bundles are produced, each a tuple of one
-    window per block.  A column top's feed completes two windows, its
-    full one and the one-sided top one.  With ``tops`` (the advection
-    kernel) both travel downstream — the burst the downstream FIFO
-    absorbs, see the shift-buffer docs; without it (the generic
-    stencils, which resolve their boundary cells from full windows) only
-    the full one does.  Forwarded bundles are numbered ``per_column``
-    per interior column: ``nz - 1`` with tops, ``nz - 2`` without.
+    One cell (its position in the blocks) is consumed per firing, and
+    zero, one or two bundles are produced, each one window per block.  A
+    column top's feed completes two windows, its full one and the
+    one-sided top one.  With ``tops`` (the advection kernel) both travel
+    downstream — the burst the downstream FIFO absorbs, see the
+    shift-buffer docs; without it (the generic stencils, which resolve
+    their boundary cells from full windows) only the full one does.
+    Forwarded bundles are numbered ``per_column`` per interior column:
+    ``nz - 1`` with tops, ``nz - 2`` without.
 
     Its emission schedule (:meth:`emits`, :meth:`regime`,
     :meth:`regime_left`) reads the buffer's own position arithmetic at
@@ -499,41 +497,51 @@ class ShiftBufferStage(Stage):
     ``ff_signature`` and ``ff_fire_capacity`` read at the firing count;
     the engine's inner regime reads ``feed_inner_regime`` there too.
 
-    ``buffers`` names the buffers, one per block; their memories appear
-    under these names in port reports.  The default is the advection
-    kernel's ``name.u``, ``name.v`` and ``name.w``.
+    ``blocks`` are the streamed blocks, all of one shape, which gives
+    the buffers' extents; ``buffers`` names the buffers, one per block,
+    whose memories appear under these names in port reports.  The
+    default is the advection kernel's ``name.u``, ``name.v`` and
+    ``name.w``.
 
-    ``backing`` (the blocks in streaming layout, one per buffer) makes
-    the blocks the stage's data store: the buffers' registers only ever
-    hold values of these blocks.  A firing whose cell is, bit for bit,
-    the blocks' cell at the buffers' position moves the position
-    (:meth:`ShiftBuffer3D.advance`, ports booked per buffer in order)
-    and hands on each bundle as a one-bundle :class:`StencilBulk`: no
-    register shifts, no window cut.  A batched firing whose cells are
-    the blocks' own, checked by their position, moves the position by
-    its whole run (:meth:`ShiftBuffer3D.feed_bulk`), and its bundles
-    travel as one :class:`StencilBulk`.  The first cell that
-    differs from the blocks (only a word a fault dropped makes one)
-    switches the stage to the register model until :meth:`reset`: the
-    buffers gather their registers once and :meth:`ShiftBuffer3D.feed`
-    every later cell, and batched firings loop :meth:`fire`.  A stage
-    built without ``backing`` runs the register model throughout.
+    A firing moves the buffers' position (:meth:`ShiftBuffer3D.advance`,
+    ports booked per buffer in order) and hands on each bundle as a
+    one-bundle :class:`StencilBulk`; a batched firing moves it by its
+    whole run (:meth:`ShiftBuffer3D.feed_bulk`), and its bundles travel
+    as one :class:`StencilBulk`.  No register shifts and no window is
+    cut.  The runs hold the values the stage was fed: while each cell
+    is the buffers' position (an int compare), they are runs of the
+    blocks.  From the first cell that is not (only a word a fault
+    dropped makes one) until :meth:`reset`, the stage keeps a copy of
+    the blocks, stores each such cell's values at its feed position
+    there, and cuts its runs from read-only views of the copy.  The
+    Fig. 3 buffer is a delay line, so these are the windows its
+    registers (:meth:`ShiftBuffer3D.feed`) would hold.
     """
 
     input_ports = ("in",)
     output_ports = ("out",)
 
-    def __init__(self, name: str, nx: int, ny: int, nz: int, *,
+    def __init__(self, name: str, blocks: Sequence[np.ndarray], *,
                  buffers: Sequence[str] | None = None, tops: bool = True,
                  ii: int = 1, latency: int = 2, partitioned: bool = True,
-                 tracker: MemoryPortTracker | None = None,
-                 backing: tuple[np.ndarray, ...] | None = None) -> None:
+                 tracker: MemoryPortTracker | None = None) -> None:
         super().__init__(name, ii=ii, latency=latency)
         self.tracker = tracker if tracker is not None else MemoryPortTracker(
             enforce=False
         )
         if buffers is None:
             buffers = [f"{name}.{field}" for field in ("u", "v", "w")]
+        shapes = {np.shape(block) for block in blocks}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 3:
+            raise DataflowError(
+                f"shift stage {name!r}: blocks must be 3-D arrays of one "
+                f"shape, got shapes {sorted(shapes)}")
+        if len(blocks) != len(buffers):
+            raise DataflowError(
+                f"shift stage {name!r}: blocks must hold one block per "
+                f"buffer ({len(buffers)}), got {len(blocks)}"
+            )
+        nx, ny, nz = shapes.pop()
         self.buffers = tuple(
             ShiftBuffer3D(nx, ny, nz, partitioned=partitioned,
                           tracker=self.tracker, name=buffer)
@@ -543,25 +551,15 @@ class ShiftBufferStage(Stage):
         self.tops = tops
         #: Bundles forwarded per interior column.
         self.per_column = nz - 1 if tops else nz - 2
-        if backing is not None and len(backing) != len(self.buffers):
-            raise DataflowError(
-                f"shift stage {name!r}: backing must hold one block per "
-                f"buffer ({len(self.buffers)}), got {len(backing)}"
-            )
-        self._blocks: tuple[np.ndarray, ...] | None = None
-        self._flats: tuple[np.ndarray, ...] = ()
-        if backing is not None:
-            blocks = []
-            for arr in backing:
-                # A read-only view: window cuts inherit the flag.
-                block = np.ascontiguousarray(arr, dtype=float).view()
-                block.flags.writeable = False
-                blocks.append(block)
-            self._blocks = tuple(blocks)
-            self._flats = tuple(block.reshape(-1) for block in blocks)
-        #: True once a consumed cell differed from the blocks: the
-        #: register model serves the rest of the block.
-        self._diverged = False
+        self._blocks = tuple(_read_only(np.ascontiguousarray(block,
+                                                             dtype=float))
+                             for block in blocks)
+        #: What the runs are cut from: the blocks, or read-only views of
+        #: ``_fed`` once a cell was not its feed position.
+        self._source = self._blocks
+        #: The values fed, in streaming layout: a copy of the blocks made
+        #: at the first cell that was not its feed position.
+        self._fed: tuple[np.ndarray, ...] | None = None
         #: Cycle of the first window emission — the prime/steady boundary
         #: the observability plane splits this stage's activity span at.
         #: ``None`` until the buffers first produce (and after reset).
@@ -587,53 +585,39 @@ class ShiftBufferStage(Stage):
         return None if stop is None else stop - firing
 
     def window_run(self, start: int, stop: int) -> StencilBulk:
-        """The forwarded bundles ``[start, stop)`` of the blocks, lazily."""
-        if self._blocks is None:
-            raise DataflowError(
-                f"shift stage {self.name!r} has no blocks to cut a run of "
-                f"windows from")
-        return StencilBulk(self.buffers[0], self._blocks, start, stop,
+        """The forwarded bundles ``[start, stop)`` of the values fed,
+        lazily."""
+        return StencilBulk(self.buffers[0], self._source, start, stop,
                            self.per_column)
 
-    def _matches(self, cell: tuple[float, ...], position: int) -> bool:
-        """``cell`` is, bit for bit, the blocks' cell at ``position``."""
-        if position >= len(self._flats[0]):
-            return False
-        for value, flat in zip(cell, self._flats):
-            if not same_bits(value, flat.item(position)):
-                return False
-        return True
+    def _store(self, fed: int, cells: slice | list[int]) -> None:
+        """Store the values of ``cells`` at the feed positions from
+        ``fed`` on, in the copy of the blocks, which the first call
+        makes."""
+        if self._fed is None:
+            self._fed = tuple(block.copy() for block in self._blocks)
+            self._source = tuple(_read_only(copy) for copy in self._fed)
+        for copy, block in zip(self._fed, self._blocks):
+            values = block.reshape(-1)[cells]
+            copy.reshape(-1)[fed:fed + len(values)] = values
 
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
         (cell,) = inputs["in"]
         buffers = self.buffers
-        blocks = self._blocks
-        if blocks is not None and not self._diverged:
-            if self._matches(cell, buffers[0].fed):
-                first, stop = buffers[0].next_emissions()
-                for buffer, block in zip(buffers, blocks):
-                    buffer.advance(1, block)
-                if first == stop:
-                    return {}
-                count = self._forwarded_stop(first, stop) - first
-                if self.first_emit_cycle is None:
-                    self.first_emit_cycle = cycle
-                index = forwarded_before(first, self.nz, self.per_column)
-                run = self.window_run(index, index + count)
-                return {"out": [run] if count == 1 else run.materialize()}
-            self._diverged = True
-        windows = [buffer.feed(value) for buffer, value in zip(buffers, cell)]
-        counts = [len(emitted) for emitted in windows]
-        if len(set(counts)) > 1:
-            raise DataflowError(
-                f"shift buffers desynchronised: emitted "
-                f"{'/'.join(map(str, counts))} windows"
-            )
-        bundles = [bundle for bundle in zip(*windows)
-                   if self.tops or not bundle[0].top]
-        if bundles and self.first_emit_cycle is None:
+        fed = buffers[0].fed
+        first, stop = buffers[0].next_emissions()
+        for buffer in buffers:
+            buffer.advance(1)
+        if cell != fed:
+            self._store(fed, slice(cell, cell + 1))
+        if first == stop:
+            return {}
+        count = self._forwarded_stop(first, stop) - first
+        if self.first_emit_cycle is None:
             self.first_emit_cycle = cycle
-        return {"out": bundles} if bundles else {}
+        index = forwarded_before(first, self.nz, self.per_column)
+        run = self.window_run(index, index + count)
+        return {"out": [run] if count == 1 else run.materialize()}
 
     def ff_inner_signature(self, cycle: int, outer: tuple) -> tuple | None:
         inner = feed_inner_regime(*feed_position(
@@ -654,39 +638,33 @@ class ShiftBufferStage(Stage):
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
-        blocks = self._blocks
-        if blocks is None or self._diverged:
-            return super().fire_bulk(count, inputs, cycle)
-        if len(inputs.get("in", ())) != count:
+        cells = inputs.get("in", ListBulk([]))
+        if len(cells) != count:
             raise DataflowError(
                 f"shift stage {self.name!r}: batched window consumed "
-                f"{len(inputs.get('in', ()))} cells for {count} firings"
+                f"{len(cells)} cells for {count} firings"
             )
-        # The input run must be the blocks' own cells, in streaming
-        # order, continuing exactly where the buffers stand.  A cell
-        # block that starts elsewhere, or a cell whose bits differ,
-        # diverges: the register model takes the whole run.
         buffers = self.buffers
-        position = buffers[0].fed
-        for part in inputs["in"].parts():
-            if isinstance(part, CellBlockBulk):
-                diverged = part.start != position
-            else:
-                diverged = not all(
-                    self._matches(cell, position + offset)
-                    for offset, cell in enumerate(part.materialize()))
-            if diverged:
-                self._diverged = True
-                return super().fire_bulk(count, inputs, cycle)
-            position += len(part)
+        fed = buffers[0].fed
         # Scalar feeding books the buffers' ports in turn, one feed each;
         # a run from the block's start books each buffer's first feed
         # alone, so memories sharing a tracker start their cycle counts
         # in the same order.
-        steps = ((1, count - 1) if buffers[0].fed == 0 and count > 1
-                 else (count,))
-        ranges = [buffer.feed_bulk(step, block) for step in steps
-                  for buffer, block in zip(buffers, blocks)]
+        steps = ((1, count - 1) if fed == 0 and count > 1 else (count,))
+        ranges = [buffer.feed_bulk(step) for step in steps
+                  for buffer in buffers]
+        # A run of cells that continues exactly where the buffers stood
+        # is the blocks' own; any other part is stored at its feed
+        # positions.
+        for part in cells.parts():
+            if isinstance(part, CellBlockBulk):
+                if part.start != fed:
+                    self._store(fed, slice(part.start, part.stop))
+            else:
+                items = part.materialize()
+                if items != list(range(fed, fed + len(items))):
+                    self._store(fed, items)
+            fed += len(part)
         first, stop = (forwarded_before(emission, self.nz, self.per_column)
                        for emission in (ranges[0][0], ranges[-1][1]))
         if stop > first and self.first_emit_cycle is None:
@@ -696,7 +674,8 @@ class ShiftBufferStage(Stage):
     def reset(self) -> None:
         super().reset()
         self.first_emit_cycle = None
-        self._diverged = False
+        self._source = self._blocks
+        self._fed = None
         for buffer in self.buffers:
             buffer.reset()
 
@@ -738,13 +717,11 @@ class AdvectStage(Stage):
     This stage is where the 21 double-precision operations per cycle live;
     ``latency`` models the depth of the scheduled floating-point pipeline.
     It times them and leaves the arithmetic to the write stage: a firing
-    on a run of the blocks (a one-bundle :class:`StencilBulk`, or a
-    batched window's whole run) hands on a :class:`ResultRun` of the same
+    on a run of bundles (a one-bundle :class:`StencilBulk`, or a batched
+    window's whole run) hands on a :class:`ResultRun` of the same
     bundles, numbered as a stream with its column tops forwards them,
     and the write stage has it call :meth:`evaluate` once per stored
-    run.  Only the register model's bundles,
-    :class:`StencilWindow` tuples cut after a dropped word, are evaluated
-    here, one window at a time.
+    run.
     """
 
     input_ports = ("in",)
@@ -775,12 +752,8 @@ class AdvectStage(Stage):
         self.flops_per_cell_top = field_flops(top=True, field=field)
 
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
-        (bundle,) = inputs["in"]
-        if type(bundle) is StencilBulk:
-            return {"out": [ResultRun(self, bundle.blocks, bundle.start,
-                                      bundle.stop)]}
-        wu, wv, ww = bundle
-        return {"out": [(wu.center, self._fn(wu, wv, ww, self.coeffs))]}
+        (run,) = inputs["in"]
+        return {"out": [ResultRun(self, run.blocks, run.start, run.stop)]}
 
     def evaluate(self, run: ResultRun, out: np.ndarray) -> None:
         """Evaluate this stage's form on the bundles ``[run.start,
@@ -815,17 +788,9 @@ class AdvectStage(Stage):
                 f"advect {self.name!r}: batched window consumed "
                 f"{len(bulk)} bundles for {count} firings"
             )
-        out_parts: list[Bulk] = []
-        for part in bulk.parts():
-            if isinstance(part, StencilBulk):
-                out_parts.append(ResultRun(self, part.blocks, part.start,
-                                           part.stop))
-            elif len(part):
-                out_parts.append(ListBulk([
-                    self.fire(cycle, {"in": [bundle]})["out"][0]
-                    for bundle in part.materialize()
-                ]))
-        return UniformFireResult({"out": ChainBulk(out_parts)})
+        return UniformFireResult({"out": ChainBulk([
+            ResultRun(self, run.blocks, run.start, run.stop)
+            for run in runs_of(bulk, StencilBulk)])})
 
 
 class WriteDataStage(Stage):
@@ -836,8 +801,7 @@ class WriteDataStage(Stage):
     one cell arrive on the ports in lock step; the stage consumes one
     result per port per firing and writes it at the chunk's global
     offset, through one :class:`ResultSink` per port: a run's results
-    are stored and evaluated once when the run ends (:meth:`finish`), a
-    register-model result is written at once.
+    are stored and evaluated once when the run ends (:meth:`finish`).
     """
 
     output_ports: tuple[str, ...] = ()

@@ -41,17 +41,21 @@ functions (:func:`feed_emissions`, :func:`feed_regime`,
 :func:`feed_inner_regime` and their stops), which a stage streaming the
 buffer reads at its firing index; the buffer keeps no regime state.
 
-The registers only ever hold values of the streamed block, so a caller
-that has the block needs no register shifts: it advances the position
-and cuts each window from the block (:meth:`ShiftBuffer3D.window_at`, a
-read-only view).  The registers then lag the position, and the next
-:meth:`ShiftBuffer3D.feed` gathers them from the block first — the
-register model runs only for a stream that no longer matches the block.
+The buffer is a delay line: after each feed its windows hold a fixed
+neighbourhood of the values already fed.  A caller that keeps the fed
+values in streaming layout therefore needs no register shifts: it moves
+the position (:meth:`ShiftBuffer3D.advance`,
+:meth:`ShiftBuffer3D.feed_bulk`) and cuts each window from those values
+(:meth:`ShiftBuffer3D.window_at`, a read-only view), as the kernels'
+shift stage does.  The registers then no longer follow the stream, so
+:meth:`ShiftBuffer3D.feed` refuses to run after either until
+:meth:`ShiftBuffer3D.reset`.  :meth:`ShiftBuffer3D.feed` is the Fig. 3
+model itself, register for register, and the tests' oracle for the cut
+windows.
 """
 
 from __future__ import annotations
 
-from math import copysign
 from typing import Any
 
 import numpy as np
@@ -74,23 +78,11 @@ __all__ = [
     "producing_feed",
     "producing_feed_stop",
     "regime_stop",
-    "same_bits",
 ]
 
 #: One box of window centres, ``(x0, x1, y0, y1, z0, z1)``: the centres
 #: ``x0 <= cx < x1``, ``y0 <= cy < y1``, ``z0 <= cz < z1``.
 Box = tuple[int, int, int, int, int, int]
-
-
-def same_bits(a: float, b: float) -> bool:
-    """True when ``a`` and ``b`` are one double bit for bit.
-
-    Equal values are equal bits except for zeros, so ``-0.0`` never
-    matches ``0.0``.  A NaN never matches, not even itself: a shift stage
-    that compares its stream with its block then runs the register
-    model, which is slower but exact.
-    """
-    return a == b and (a != 0.0 or copysign(1.0, a) == copysign(1.0, b))
 
 
 # Feeds are numbered over the stream, Z fastest, then Y, then X.  The
@@ -319,9 +311,9 @@ class ShiftBuffer3D:
         self._z = 0
         self._fed = 0
         self._total = nx * ny * nz
-        # The block the position last advanced over without the registers
-        # (advance, feed_bulk); feed gathers them from it first.
-        self._lagging: np.ndarray | None = None
+        # True once advance or feed_bulk moved the position past values
+        # the registers never took: feed refuses until reset.
+        self._skipped = False
 
     # -- sizing ---------------------------------------------------------------
 
@@ -374,8 +366,12 @@ class ShiftBuffer3D:
                 f"buffer {self.name!r} already consumed its full block of "
                 f"{self._total} values"
             )
-        if self._lagging is not None:
-            self._gather(self._lagging)
+        if self._skipped:
+            raise ShiftBufferError(
+                f"buffer {self.name!r}: feed after advance or feed_bulk; "
+                f"the registers did not take the values the position moved "
+                f"over (reset the buffer first)"
+            )
         # Book the ports first: an enforced conflict raises before any
         # array moves.
         self.tracker.record(self._access_pattern, 1)
@@ -438,22 +434,6 @@ class ShiftBuffer3D:
                 self._x += 1
         return emitted
 
-    def _check_block_shape(self, block: np.ndarray) -> None:
-        shape = tuple(block.shape) if hasattr(block, "shape") else None
-        if shape != (self.nx, self.ny, self.nz):
-            hint = ""
-            if shape is not None and sorted(shape) == sorted(
-                    (self.nx, self.ny, self.nz)):
-                hint = (
-                    " — the extents match but the axes are permuted; the "
-                    "buffer streams Z fastest, then Y, then X, so transpose "
-                    "the block to (nx, ny, nz) order before feeding"
-                )
-            raise ShiftBufferError(
-                f"buffer {self.name!r}: block shape {shape} does not match "
-                f"buffer extents ({self.nx}, {self.ny}, {self.nz}){hint}"
-            )
-
     def _emissions_before(self, feeds: int) -> int:
         """Windows emitted by the first ``feeds`` values of the block."""
         ny, nz = self.ny, self.nz
@@ -470,16 +450,15 @@ class ShiftBuffer3D:
         emits (:func:`feed_emissions` at the buffer's position)."""
         return feed_emissions(self._x, self._y, self._z, self.ny, self.nz)
 
-    def advance(self, count: int, backing: np.ndarray) -> None:
-        """Move the position over the next ``count`` values of ``backing``.
+    def advance(self, count: int) -> None:
+        """Move the position over the next ``count`` values.
 
         The registers stay as they are: the per-feed port pattern is
         booked ``count`` times (an enforced conflict raises before the
-        position moves), and the next :meth:`feed` gathers the registers
-        from ``backing`` before it shifts, checking its shape then.  This
-        is the scalar step of a caller that cuts its windows from the
-        block itself (:meth:`window_at`); :meth:`feed_bulk` is the
-        checked batched form.
+        position moves), and :meth:`feed` refuses to run after this until
+        :meth:`reset`.  This is the scalar step of a caller that cuts its
+        windows from the values it fed (:meth:`window_at`);
+        :meth:`feed_bulk` is the batched form.
         """
         fed = self._fed + count
         if fed > self._total:
@@ -488,99 +467,41 @@ class ShiftBuffer3D:
                 f"the block ({self._fed} of {self._total} already consumed)"
             )
         self.tracker.record(self._access_pattern, count)
-        self._lagging = backing
+        self._skipped = True
         self._fed = fed
         self._x, rest = divmod(fed, self.ny * self.nz)
         self._y, self._z = divmod(rest, self.nz)
 
-    def feed_bulk(self, count: int, backing: np.ndarray) -> tuple[int, int]:
+    def feed_bulk(self, count: int) -> tuple[int, int]:
         """Advance ``count`` feeds analytically; return the emission range.
 
-        ``backing`` must be the full ``(nx, ny, nz)`` block whose values
-        are being streamed — the *same* values previous :meth:`feed` calls
-        supplied, in streaming order.  The buffer moves its position and
-        books the per-feed port pattern ``count`` times
-        (:meth:`advance`); it does not touch the registers, which only
-        :meth:`feed` reads, and which it gathers from ``backing`` when it
-        next runs.
+        The buffer moves its position and books the per-feed port
+        pattern ``count`` times (:meth:`advance`); it does not touch the
+        registers, so :meth:`feed` refuses to run after it.
 
         Returns ``(first, stop)``, the half-open range of flat emission
         indices (see :func:`emission_center`) the skipped feeds produced;
-        callers cut any windows they need from the backing block
+        callers cut any windows they need from the values they fed
         (:meth:`window_at`).
         """
-        self._check_block_shape(backing)
         if count < 1:
             raise ShiftBufferError(
                 f"buffer {self.name!r}: feed_bulk count must be >= 1, "
                 f"got {count}"
             )
         first = self._emissions_before(self._fed)
-        self.advance(count, backing)
+        self.advance(count)
         return first, self._emissions_before(self._fed)
-
-    def _gather(self, backing: np.ndarray) -> None:
-        """Load the registers for the current position from ``backing``.
-
-        Every shift-register slot holds a value at a closed-form position
-        of the block the stream has walked, so the state after any number
-        of feeds is gathered rather than simulated; slots the stream
-        never reached keep their prior (reset) contents.
-        """
-        self._check_block_shape(backing)
-        self._lagging = None
-        nx, ny, nz = self.nx, self.ny, self.nz
-        fed, x, y, z = self._fed, self._x, self._y, self._z
-
-        # Slab slice s holds, at each (y', z'), the value of plane
-        # (x - s) where the streaming front has passed this plane and
-        # (x - 1 - s) where it has not.
-        yy, zz = np.meshgrid(np.arange(ny), np.arange(nz), indexing="ij")
-        passed = (yy * nz + zz) < (y * nz + z)
-        for s in range(3):
-            plane = np.where(passed, x - s, x - 1 - s)
-            valid = (plane >= 0) & (plane < nx)
-            self._slab[s][valid] = backing[plane[valid], yy[valid], zz[valid]]
-
-        # Line buffers slide over global row index g = plane * ny + row,
-        # independently per height: depth dy holds the value that entered
-        # dy feeds-at-this-height ago, i.e. row g - dy (wrapping into the
-        # previous plane's last rows at plane seams).
-        heights = np.arange(nz)
-        last_row = np.where(heights < z, x * ny + y,
-                            x * ny + y - 1)  # last feed at each height
-        for s in range(3):
-            for dy in range(3):
-                g = last_row - dy
-                plane_idx, row_idx = np.divmod(g, ny)
-                src_plane = plane_idx - s
-                valid = (g >= 0) & (src_plane >= 0) & (src_plane < nx)
-                self._lines[s, dy, valid] = backing[
-                    src_plane[valid], row_idx[valid], heights[valid]]
-
-        # Register windows: column dz was loaded by the feed dz steps ago.
-        for dz in range(3):
-            f = fed - 1 - dz
-            if f < 0:
-                continue
-            fx, frest = divmod(f, ny * nz)
-            fy, fz = divmod(frest, nz)
-            for s in range(3):
-                for dy in range(3):
-                    g = fx * ny + fy - dy
-                    if g < 0:
-                        continue
-                    gx, gy = divmod(g, ny)
-                    if 0 <= gx - s < nx:
-                        self._windows[s, dy, dz] = backing[gx - s, gy, fz]
 
     def window_at(self, index: int, backing: np.ndarray) -> StencilWindow:
         """The window of one flat emission index, cut from ``backing``.
 
-        Bit-identical to the window :meth:`feed` emits at that point of
-        the stream: the registers hold the 3x3x3 neighbourhood of the feed
-        position reversed on every axis (newest value at raw index 0).
-        ``raw`` is a read-only view of ``backing``, never a copy.
+        ``backing`` holds the values fed, in the ``(nx, ny, nz)``
+        streaming layout.  The cut is bit-identical to the window
+        :meth:`feed` emits at that point of the stream: the registers
+        hold the 3x3x3 neighbourhood of the feed position reversed on
+        every axis (newest value at raw index 0).  ``raw`` is a
+        read-only view of ``backing``, never a copy.
         """
         cx, cy, cz, top = emission_center(index, self.ny, self.nz)
         z0 = self.nz - 3 if top else cz - 1
@@ -596,7 +517,7 @@ class ShiftBuffer3D:
         self._windows.fill(0.0)
         self._x = self._y = self._z = 0
         self._fed = 0
-        self._lagging = None
+        self._skipped = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

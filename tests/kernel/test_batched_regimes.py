@@ -12,15 +12,17 @@ on the aggregate statistics (minus the engine's own batching
 accounting), the source arrays byte for byte, and the memory-port
 reports.
 
-Both ticking paths read windows from the streamed block, so the last
-tests reach one level further down, to the register model: the same
-graph with its shift stage built without a block.  A fault-free run
-never touches the registers, and matches the register model's ports,
-bytes and cycles; a run whose stream lost a word matches its error
-text, bytes and fault trace on both paths.
+Both ticking paths hand on runs of the values the shift stage was fed,
+so the last tests reach one level further down, to the register model
+(:meth:`ShiftBuffer3D.feed`), which no engine stage runs: a checking
+shim of the shift stage feeds it every consumed cell's values and
+asserts that every bundle the stage hands on holds its windows, on
+fault-free runs and on runs whose stream lost a word, and that the
+stage books its ports.
 """
 
 import itertools
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -34,23 +36,19 @@ from repro.core.grid import Grid
 from repro.core.reference import advect_reference
 from repro.core.wind import random_wind
 from repro.dataflow.engine import ControlRecord, DataflowEngine
-from repro.dataflow.graph import DataflowGraph
 from repro.errors import PortConflictError, ReproError
 from repro.faults import FaultPlan, FaultSpec
-from repro.kernel import builder
+from repro.kernel import builder, generic
 from repro.kernel.builder import build_advection_graph
 from repro.kernel.config import KernelConfig
-from repro.kernel.generic import (
-    WindowComputeStage,
-    build_stencil_graph,
-    run_stencil_kernel,
-)
+from repro.kernel.generic import build_stencil_graph, run_stencil_kernel
 from repro.kernel.simulate import simulate_kernel
-from repro.kernel.stages import ReadDataStage, ShiftBufferStage, WriteDataStage
+from repro.kernel.stages import ShiftBufferStage, StencilBulk, runs_of
 from repro.observe import Tracer
 from repro.scenarios import scenarios
 from repro.scenarios.kernels import DiffusionKernel
 from repro.shiftbuffer.buffer3d import ShiftBuffer3D
+from repro.shiftbuffer.ports import MemoryPortTracker
 from tests.dataflow.test_batched_exact import assert_windows_between_samples
 
 
@@ -290,46 +288,99 @@ def test_monitored_stencil_runs_match_scalar(stride, depth):
 # -- the register model as the oracle ---------------------------------------
 
 
-def _register_model_stage(*args, backing=None, **kwargs):
-    """The advection shift stage built without its blocks."""
-    return ShiftBufferStage(*args, **kwargs)
+def _bundle_bytes(bundle):
+    return tuple((window.center, window.top, window.raw.tobytes())
+                 for window in bundle)
 
 
-def register_model():
-    """Build advection graphs whose shift stage runs the register model."""
-    return mock.patch.object(builder, "ShiftBufferStage",
-                             _register_model_stage)
+class RegisterModelCheck(ShiftBufferStage):
+    """The shift stage, checked against the register model.
+
+    It feeds a private :class:`ShiftBuffer3D` per block, on the
+    :attr:`ledger` tracker, the values of every cell it consumes, before
+    the stage itself fires, and asserts that every bundle the stage
+    hands on equals the windows :meth:`ShiftBuffer3D.feed` emits, in
+    centre, ``top`` and raw bytes, cut with :meth:`StencilBulk.bundle_at`
+    over its runs.  An enforced port conflict therefore raises from the
+    register model first.
+    """
+
+    #: The register model's port ledger, shared by every check one
+    #: :func:`register_model_check` builds.
+    ledger: MemoryPortTracker
+
+    def __init__(self, name, blocks, **kwargs):
+        super().__init__(name, blocks, **kwargs)
+        self._values = tuple(np.asarray(block, dtype=float).reshape(-1)
+                             for block in blocks)
+        self.model = tuple(
+            ShiftBuffer3D(buffer.nx, buffer.ny, buffer.nz,
+                          partitioned=buffer.partitioned,
+                          tracker=self.ledger, name=buffer.name)
+            for buffer in self.buffers)
+
+    def _model_bundles(self, cells):
+        """Feed the model ``cells``; return the bundles it forwards."""
+        bundles = []
+        for cell in cells:
+            emitted = [buffer.feed(values.item(cell))
+                       for buffer, values in zip(self.model, self._values)]
+            bundles.extend(_bundle_bytes(bundle) for bundle in zip(*emitted)
+                           if self.tops or not bundle[0].top)
+        return bundles
+
+    @staticmethod
+    def _check(want, runs):
+        got = [_bundle_bytes(run.bundle_at(index)) for run in runs
+               for index in range(run.start, run.stop)]
+        assert got == want, "a bundle differs from the register model's"
+
+    def fire(self, cycle, inputs):
+        want = self._model_bundles(inputs["in"])
+        produced = super().fire(cycle, inputs)
+        self._check(want, produced.get("out", []))
+        return produced
+
+    def fire_bulk(self, count, inputs, cycle):
+        want = self._model_bundles(inputs["in"].materialize())
+        result = super().fire_bulk(count, inputs, cycle)
+        self._check(want, runs_of(result.head_bulk(
+            "out", result.producing_firings), StencilBulk))
+        return result
+
+    def reset(self):
+        super().reset()
+        for buffer in self.model:
+            buffer.reset()
 
 
-def _stencil_graph(block, grid, *, blockless):
-    """The stencil machine of ``run_stencil_kernel`` on ``block``, with
-    or without the block as the shift stage's data store."""
-    nx, ny, nz = block.shape
+@contextmanager
+def register_model_check(*, enforce=False):
+    """Build both machines' shift stages as :class:`RegisterModelCheck`;
+    yield the register model's port ledger."""
+    ledger = MemoryPortTracker(enforce=enforce)
+    check = type("RegisterModelCheck", (RegisterModelCheck,),
+                 {"ledger": ledger})
+    with mock.patch.object(builder, "ShiftBufferStage", check), \
+            mock.patch.object(generic, "ShiftBufferStage", check):
+        yield ledger
+
+
+def _stencil_graph(block, grid):
+    """The stencil machine of ``run_stencil_kernel`` on ``block``."""
     interior, boundary = DiffusionKernel().window_fns(grid)
     out = np.zeros(grid.interior_shape)
-    graph = DataflowGraph("stencil")
-    graph.add(ReadDataStage("read", block=(block,), latency=1))
-    graph.add(ShiftBufferStage(
-        "shift", nx, ny, nz, buffers=("shift",), tops=False,
-        backing=None if blockless else (block,)))
-    graph.add(WindowComputeStage("compute", nz, interior, boundary))
-    graph.add(WriteDataStage("write", {"in": out}, latency=4))
-    graph.connect("read", "out", "shift", "in", depth=4)
-    graph.connect("shift", "out", "compute", "in", depth=4)
-    graph.connect("compute", "out", "write", "in", depth=4)
-    return graph, (out,)
+    return build_stencil_graph(block, interior, boundary, out), (out,)
 
 
-def _advection_graph(fields, *, blockless):
+def _advection_graph(fields):
     grid = fields.grid
     config = KernelConfig(grid=grid)
     chunk = config.chunk_plan().chunks[0]
     out = SourceSet.zeros(grid)
-    args = (config, fields, chunk, AdvectionCoefficients.uniform(grid), out)
-    if blockless:
-        with register_model():
-            return build_advection_graph(*args), out.as_tuple()
-    return build_advection_graph(*args), out.as_tuple()
+    return build_advection_graph(
+        config, fields, chunk, AdvectionCoefficients.uniform(grid),
+        out), out.as_tuple()
 
 
 def _dropped_word_run(build, *, batched, probability, seed, stream):
@@ -347,6 +398,22 @@ def _dropped_word_run(build, *, batched, probability, seed, stream):
     return error, [out.tobytes() for out in outs], plan.trace_key()
 
 
+def _machines(grid, periodic, seed):
+    """Both machines on one case's data: ``(build, stream)`` each."""
+    rng = np.random.default_rng(seed)
+    shape = grid.interior_shape
+    fields = FieldSet.from_interior(
+        grid, rng.normal(size=shape), rng.normal(size=shape),
+        rng.normal(size=shape), periodic=periodic)
+    block = np.zeros(grid.halo_shape)
+    grid.interior(block)[...] = rng.normal(size=shape)
+    if periodic:
+        grid.fill_periodic_halo(block)
+    return ((lambda: _advection_graph(fields),
+             "read_data.out->shift_buffer.in"),
+            (lambda: _stencil_graph(block, grid), "read.out->shift.in"))
+
+
 @st.composite
 def dropped_word_cases(draw):
     nx = draw(st.integers(1, 6))
@@ -361,46 +428,51 @@ def dropped_word_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(dropped_word_cases())
 def test_a_dropped_word_runs_the_register_model(case):
-    """A word dropped on a shift stage's input diverges its stream from
-    the block: batched and forced-scalar runs must both end like the
-    register model, with the same error text, output bytes and fault
-    trace, on both machines.  Open halos are zero faces, whose values a
-    shifted stream can match by accident; the stage must not switch
-    back to the block on such a match."""
+    """A word dropped on a shift stage's input shifts its stream off the
+    block: every bundle of batched and forced-scalar runs must still
+    hold the register model's windows on the values fed, and both runs
+    end alike, with the same error text, output bytes and fault trace,
+    on both machines.  Open halos are zero faces, whose values a shifted
+    stream can match by accident."""
     grid, periodic, seed, probability = case
-    rng = np.random.default_rng(seed)
-    shape = grid.interior_shape
-    fields = FieldSet.from_interior(
-        grid, rng.normal(size=shape), rng.normal(size=shape),
-        rng.normal(size=shape), periodic=periodic)
-    block = np.zeros(grid.halo_shape)
-    grid.interior(block)[...] = rng.normal(size=shape)
-    if periodic:
-        grid.fill_periodic_halo(block)
-    machines = (
-        (lambda blockless: lambda: _advection_graph(
-            fields, blockless=blockless),
-         "read_data.out->shift_buffer.in"),
-        (lambda blockless: lambda: _stencil_graph(
-            block, grid, blockless=blockless),
-         "read.out->shift.in"),
-    )
-    for machine, stream in machines:
+    for build, stream in _machines(grid, periodic, seed):
         kwargs = dict(probability=probability, seed=seed, stream=stream)
-        oracle = _dropped_word_run(machine(True), batched=False, **kwargs)
+        outcomes = []
         for batched in (True, False):
-            assert _dropped_word_run(machine(False), batched=batched,
-                                     **kwargs) == oracle, (stream, batched)
+            with register_model_check():
+                outcomes.append(_dropped_word_run(build, batched=batched,
+                                                  **kwargs))
+        assert outcomes[0] == outcomes[1], stream
 
 
-def test_fault_free_runs_never_touch_the_register_model(monkeypatch):
-    """Every fault-free path of both machines reads windows from the
-    block: batched, forced scalar, and a scenario's replayed batches."""
+def test_no_engine_run_touches_the_register_model(monkeypatch):
+    """Every path of both machines, fault-free or after a dropped word,
+    cuts its windows lazily: batched, forced scalar and a scenario's
+    replayed batches call no :meth:`ShiftBuffer3D.feed`, and no
+    :meth:`ShiftBuffer3D.window_at` while an engine run is in
+    progress."""
     def forbidden(self, *args, **kwargs):
-        raise AssertionError("the register model ran on a fault-free run")
+        raise AssertionError("the register model ran in an engine run")
 
+    running = []
+    run = DataflowEngine.run
+
+    def tracked_run(engine):
+        running.append(engine)
+        try:
+            return run(engine)
+        finally:
+            running.pop()
+
+    window_at = ShiftBuffer3D.window_at
+
+    def checked_window_at(buffer, index, backing):
+        assert not running, "a window was cut in an engine run"
+        return window_at(buffer, index, backing)
+
+    monkeypatch.setattr(DataflowEngine, "run", tracked_run)
     monkeypatch.setattr(ShiftBuffer3D, "feed", forbidden)
-    monkeypatch.setattr(ShiftBuffer3D, "_gather", forbidden)
+    monkeypatch.setattr(ShiftBuffer3D, "window_at", checked_window_at)
     grid = Grid(nx=6, ny=9, nz=5)
     fields = random_wind(grid, seed=5, magnitude=2.0)
     config = KernelConfig(grid=grid, chunk_width=4)
@@ -424,6 +496,37 @@ def test_fault_free_runs_never_touch_the_register_model(monkeypatch):
                              scenario.reference(small, seed=1), strict=True):
             assert got.same_bits(want), scenario.name
     assert replays > 0
+    dropped = 0
+    for build, stream in _machines(Grid(nx=4, ny=5, nz=5), False, 3):
+        for batched in (True, False):
+            _error, _outs, trace = _dropped_word_run(
+                build, batched=batched, probability=0.02, seed=3,
+                stream=stream)
+            dropped += len(trace)
+    assert dropped == 4
+
+
+def test_a_nan_stays_on_the_one_path(monkeypatch):
+    """A NaN among the first streamed cells is a value like any other:
+    the run calls :meth:`ShiftBuffer3D.feed` not once, and its bytes
+    are forced scalar's."""
+    calls = []
+    feed = ShiftBuffer3D.feed
+
+    def counted_feed(buffer, value):
+        calls.append(value)
+        return feed(buffer, value)
+
+    monkeypatch.setattr(ShiftBuffer3D, "feed", counted_feed)
+    grid = Grid(nx=24, ny=24, nz=24)
+    fields = random_wind(grid, seed=0, magnitude=2.0)
+    fields.u[0, 0, 1] = np.nan
+    config = KernelConfig(grid=grid)
+    runs = [simulate_kernel(config, fields, batched=batched)
+            for batched in (True, False)]
+    assert len(calls) == 0
+    assert [a.tobytes() for a in runs[0].sources.as_tuple()] \
+        == [a.tobytes() for a in runs[1].sources.as_tuple()]
 
 
 @pytest.mark.parametrize(("shape", "chunk_width", "kwargs"), [
@@ -432,26 +535,26 @@ def test_fault_free_runs_never_touch_the_register_model(monkeypatch):
     ((16, 16, 16), None, {}),
 ], ids=["6x9x5-chunk4", "5x11x6-unpartitioned-ii2", "16-cubed"])
 def test_ports_match_the_register_model(shape, chunk_width, kwargs):
-    """Booking each buffer's feed on the block path leaves the port
-    reports, the bytes and the cycles of the register model."""
+    """Booking each buffer's feed on the stage's path leaves the port
+    reports of the register model the checking shim feeds, and batched
+    and forced-scalar runs leave the same bytes and cycles."""
     grid = Grid(*shape)
     fields = random_wind(grid, seed=2, magnitude=2.0)
     partitioned = "enforce_ports" not in kwargs
     config = KernelConfig(
         grid=grid, partitioned=partitioned,
         **({} if chunk_width is None else {"chunk_width": chunk_width}))
-
-    def observed(result):
-        return (result.port_tracker.reports(), result.port_tracker.conflicts,
-                [a.tobytes() for a in result.sources.as_tuple()],
-                result.total_cycles)
-
-    with register_model():
-        oracle = observed(simulate_kernel(config, fields, batched=False,
-                                          **kwargs))
+    observed = []
     for batched in (True, False):
-        assert observed(simulate_kernel(config, fields, batched=batched,
-                                        **kwargs)) == oracle
+        with register_model_check() as ledger:
+            result = simulate_kernel(config, fields, batched=batched,
+                                     **kwargs)
+        assert (result.port_tracker.reports(),
+                result.port_tracker.conflicts) \
+            == (ledger.reports(), ledger.conflicts)
+        observed.append(([a.tobytes() for a in result.sources.as_tuple()],
+                         result.total_cycles))
+    assert observed[0] == observed[1]
 
 
 def test_an_enforced_port_conflict_raises_like_the_register_model():
@@ -459,10 +562,13 @@ def test_an_enforced_port_conflict_raises_like_the_register_model():
     fields = random_wind(grid, seed=2, magnitude=2.0)
     config = KernelConfig(grid=grid, chunk_width=3, partitioned=False)
     messages = []
-    for blockless, batched in ((True, False), (False, True), (False, False)):
-        with register_model() if blockless else mock.patch.object(
-                builder, "ShiftBufferStage", ShiftBufferStage):
-            with pytest.raises(PortConflictError) as info:
-                simulate_kernel(config, fields, batched=batched)
+    with register_model_check(enforce=True):
+        with pytest.raises(PortConflictError) as info:
+            simulate_kernel(config, fields, batched=False)
+    messages.append(str(info.value))
+    assert any(entry.name == "feed" for entry in info.traceback)
+    for batched in (True, False):
+        with pytest.raises(PortConflictError) as info:
+            simulate_kernel(config, fields, batched=batched)
         messages.append(str(info.value))
     assert messages[0] == messages[1] == messages[2]

@@ -22,39 +22,45 @@ def setup():
 
 
 def read_cells(setup):
-    """Every cell the graph's read stage streams, in stream order."""
+    """Every cell the graph's read stage streams, in stream order, and
+    the first bundle its shift stage hands on for them."""
     grid, fields, config, chunk = setup
     graph = build_advection_graph(
         config, fields, chunk, AdvectionCoefficients.uniform(grid),
         SourceSet.zeros(grid))
-    read = graph.stage("read_data")
+    read, shift = graph.stage("read_data"), graph.stage("shift_buffer")
     count = read.ff_fire_capacity(sys.maxsize)
-    return read.fire_bulk(count, {}, 0).head_bulk("out", count).materialize()
+    cells = read.fire_bulk(count, {}, 0).head_bulk("out", count)
+    fired = shift.fire_bulk(count, {"in": cells}, 0)
+    run = fired.head_bulk("out", fired.producing_firings)
+    return cells.materialize(), run.bundle_at(run.start)
 
 
 class TestCellStream:
     def test_streaming_order_z_fastest(self, setup):
         grid, fields, config, chunk = setup
-        cells = read_cells(setup)
-        nz = grid.nz
-        # First nz cells walk one column of the first (halo) X plane.
+        cells, (first, _v, _w) = read_cells(setup)
+        assert cells == list(range(len(cells)))
+        # The first window, centred on (1, 1, 1), holds the first three
+        # cells, the foot of one column of the first (halo) X plane, at
+        # dk = -1..1.
         block = fields.u[:, chunk.read_start:chunk.read_stop, :]
-        for k in range(nz):
-            assert cells[k][0] == block[0, 0, k]
+        for k in range(3):
+            assert first.at(-1, -1, k - 1) == block[0, 0, k]
         # The next column follows in Y.
-        assert cells[nz][0] == block[0, 1, 0]
+        assert first.at(-1, 0, -1) == block[0, 1, 0]
 
     def test_stream_length(self, setup):
         grid, fields, config, chunk = setup
-        cells = read_cells(setup)
+        cells, _first = read_cells(setup)
         assert len(cells) == (grid.nx + 2) * chunk.read_width * grid.nz
 
     def test_all_three_fields_packed(self, setup):
         grid, fields, config, chunk = setup
-        u, v, w = read_cells(setup)[0]
-        assert u == fields.u[0, chunk.read_start, 0]
-        assert v == fields.v[0, chunk.read_start, 0]
-        assert w == fields.w[0, chunk.read_start, 0]
+        _cells, (wu, wv, ww) = read_cells(setup)
+        assert wu.at(-1, -1, -1) == fields.u[0, chunk.read_start, 0]
+        assert wv.at(-1, -1, -1) == fields.v[0, chunk.read_start, 0]
+        assert ww.at(-1, -1, -1) == fields.w[0, chunk.read_start, 0]
 
 
 class TestGraphStructure:

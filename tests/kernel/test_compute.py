@@ -1,9 +1,10 @@
 """Window-based advection arithmetic vs the scalar specification.
 
-One expression per field serves both evaluation shapes: the register
-model's windows evaluate it on three :class:`StencilWindow` objects,
-and the write stage evaluates every run of the blocks on three
-:class:`WindowRun` views.  Both must give the golden bytes.
+One expression per field serves both evaluation shapes: single
+windows, the register model's or cut from a block, evaluate it on three
+:class:`StencilWindow` objects, and the write stage evaluates every run
+of the values fed on three :class:`WindowRun` views.  Both must give the
+golden bytes.
 """
 
 import numpy as np
@@ -203,9 +204,9 @@ class TestRunForms:
 
 class TestAdvectStages:
     def test_scalar_and_batched_firings_call_one_form(self, monkeypatch):
-        """Fault-free runs, batched and forced scalar, pass each form
-        full and top :class:`WindowRun` views only; after a dropped word
-        the register model passes it single windows, full and top."""
+        """Batched and forced-scalar runs pass each form full and top
+        :class:`WindowRun` views only, fault-free and after a dropped
+        word."""
         seen = set()
         for form in FORMS:
             def spy(u, v, w, coeffs, form=form):
@@ -219,16 +220,15 @@ class TestAdvectStages:
         assert seen == {(form.__name__, "WindowRun", top) for form in FORMS
                         for top in (False, True)}
         seen.clear()
-        # The first cell is dropped, so the first attempt runs the
-        # register model throughout; its retry runs healthy.
+        # The first cell is dropped, so the first attempt's runs are
+        # cut from the values fed; its retry runs healthy.
         plan = FaultPlan([FaultSpec(site="fifo", kind="drop",
                                     match="read_data.out->shift_buffer.in",
                                     probability=1.0, count=1)])
         result = simulate_kernel(KernelConfig(grid=grid), fields,
                                  fault_plan=plan)
         assert result.chunk_retries == 1
-        assert seen == {(form.__name__, kind, top) for form in FORMS
-                        for kind in ("StencilWindow", "WindowRun")
+        assert seen == {(form.__name__, "WindowRun", top) for form in FORMS
                         for top in (False, True)}
 
     def test_advect_results_carry_an_emission_range(self, monkeypatch):

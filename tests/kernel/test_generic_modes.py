@@ -76,7 +76,8 @@ class TestGenericKernelModes:
         shift stage's carries its buffer's streaming regime."""
         grid = Grid(nx=4, ny=4, nz=4)
         interior, boundary = kernel.window_fns(grid)
-        shift = ShiftBufferStage("s", 4, 4, 4, buffers=("s",), tops=False)
+        shift = ShiftBufferStage("s", (np.zeros((4, 4, 4)),), buffers=("s",),
+                                 tops=False)
         compute = WindowComputeStage("c", 4, interior, boundary)
         for stage in (shift, compute):
             for cycle in (0, 10_000):
@@ -87,7 +88,7 @@ class TestGenericKernelModes:
         shift.bind_input("in", Stream("in", depth=2 * 4 * 4))
         shift.bind_output("out", Stream("out", depth=2 * 4 * 4))
         for cycle in range(2 * 4 * 4):
-            shift.inputs["in"].push((0.0,))
+            shift.inputs["in"].push(cycle)
             shift.tick(cycle)
         assert shift.ff_signature(0)[-3:] == (2, 0, 0)
 
@@ -142,9 +143,9 @@ class TestVectorisedWindows:
                                         BuoyancyKernel()])
     def test_batched_windows_feed_no_scalar_values(self, kernel,
                                                    monkeypatch):
-        """Only scalar cycles call ShiftBuffer3D.feed: a batched window
-        jumps the buffer ahead with feed_bulk instead of firing the
-        shift stage once per value."""
+        """A batched window jumps the buffer ahead with feed_bulk
+        instead of firing the shift stage once per value, and no cycle
+        calls ShiftBuffer3D.feed."""
         calls = []
         feed = ShiftBuffer3D.feed
 
@@ -160,8 +161,8 @@ class TestVectorisedWindows:
         assert len(calls) <= stats.cycles - stats.batched_cycles
 
     def test_a_stream_that_lost_a_word_takes_the_per_item_path(self):
-        """A dropped feed word shifts the stream off the backing block;
-        batched and forced-scalar runs still fail alike."""
+        """A dropped feed word shifts the stream off the block; batched
+        and forced-scalar runs still fail alike."""
         grid = Grid(nx=6, ny=6, nz=6)
         fields = random_wind(grid, seed=3)
         interior, boundary = DiffusionKernel().window_fns(grid)
@@ -178,22 +179,23 @@ class TestVectorisedWindows:
         assert outcomes[0] == outcomes[1]
 
     def test_backed_stage_forwards_the_windows_fire_forwards(self):
-        """With ``backing`` the stage forwards a lazy run; without it, a
-        batched window loops fire.  Both hold the same windows."""
+        """A batched firing forwards one lazy run; a second stage's
+        scalar firings forward one-bundle runs.  Both hold the same
+        windows."""
         block = np.arange(4 * 5 * 4, dtype=float).reshape(4, 5, 4)
-        plain = ShiftBufferStage("s", 4, 5, 4, buffers=("s",), tops=False)
-        backed = ShiftBufferStage("s", 4, 5, 4, buffers=("s",), tops=False,
-                                  backing=(block,))
-        cells = [(value,) for value in block.reshape(-1).tolist()]
-        looped = plain.fire_bulk(len(cells), {"in": ListBulk(cells)}, 0)
-        bulk = backed.fire_bulk(len(cells), {"in": ListBulk(cells)}, 0)
+        scalar = ShiftBufferStage("s", (block,), buffers=("s",), tops=False)
+        batched = ShiftBufferStage("s", (block,), buffers=("s",), tops=False)
+        cells = list(range(block.size))
+        looped = [run for cell in cells
+                  for run in scalar.fire(0, {"in": [cell]}).get("out", [])]
+        bulk = batched.fire_bulk(len(cells), {"in": ListBulk(cells)}, 0)
         windows = 2 * 3 * 2
-        assert looped.producing_firings == bulk.producing_firings == windows
+        assert len(looped) == bulk.producing_firings == windows
         run = bulk.head_bulk("out", windows)
         assert isinstance(run, StencilBulk)
         for (mine,), (theirs,) in zip(
                 map(run.bundle_at, range(run.start, run.stop)),
-                looped.head_bulk("out", windows).materialize(), strict=True):
+                [one.bundle_at(one.start) for one in looped], strict=True):
             assert mine.center == theirs.center
             np.testing.assert_array_equal(mine.raw, theirs.raw)
 

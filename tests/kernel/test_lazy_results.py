@@ -8,9 +8,9 @@ ends.  Forced-scalar runs take the same path.  These tests pin that the
 bytes are the reference's on both paths, that no window is cut and no
 form sees a single window while the engine runs, and that the outputs
 are complete when :meth:`DataflowEngine.run` returns, also for a graph
-built by hand.  The register model, the one path that still cuts
-windows, is checked against a dropped word in
-``tests/kernel/test_batched_regimes.py``.
+built by hand.  The register model, which no engine stage runs, is
+the oracle of ``tests/kernel/test_batched_regimes.py``, on fault-free
+runs and after a dropped word.
 """
 
 import numpy as np

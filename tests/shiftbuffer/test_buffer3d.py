@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DataflowError, PortConflictError, ShiftBufferError
+from repro.errors import PortConflictError, ShiftBufferError
 from repro.shiftbuffer.buffer3d import (
     ShiftBuffer3D,
     emission_boxes,
@@ -17,7 +17,6 @@ from repro.shiftbuffer.buffer3d import (
     feed_regime,
     inner_regime_stop,
     regime_stop,
-    same_bits,
 )
 from repro.shiftbuffer.ports import MemoryPortTracker
 
@@ -150,14 +149,9 @@ class TestStreamingProtocol:
 
     def test_overfeeding_rejected(self):
         buf = ShiftBuffer3D(3, 3, 3)
-        buf.feed_bulk(buf.expected_feeds, np.zeros((3, 3, 3)))
+        buf.feed_bulk(buf.expected_feeds)
         with pytest.raises(ShiftBufferError):
             buf.feed(1.0)
-
-    def test_wrong_block_shape_rejected(self):
-        buf = ShiftBuffer3D(3, 3, 3)
-        with pytest.raises(ShiftBufferError):
-            buf.feed_bulk(1, np.zeros((3, 3, 4)))
 
     def test_reset_allows_reuse(self):
         block = labelled_block(3, 4, 3)
@@ -290,17 +284,6 @@ def closed_form_pattern(name, partitioned):
     return pattern
 
 
-class TestSameBits:
-    def test_equal_doubles_match(self):
-        assert same_bits(1.5, 1.5) and same_bits(0.0, 0.0)
-        assert same_bits(-0.0, -0.0) and same_bits(np.float64(2.0), 2.0)
-
-    def test_signed_zeros_and_nans_do_not(self):
-        assert not same_bits(-0.0, 0.0) and not same_bits(0.0, -0.0)
-        assert not same_bits(float("nan"), float("nan"))
-        assert not same_bits(1.0, 1.0 + 2**-52)
-
-
 class TestPortLedger:
     """Scalar and batched feeds book one per-feed access pattern."""
 
@@ -318,11 +301,11 @@ class TestPortLedger:
             stream(buf, block)
 
         def bulk(buf):
-            buf.feed_bulk(feeds, block)
+            buf.feed_bulk(feeds)
 
         def scalar_then_bulk(buf):
             stream(buf, block.reshape(-1)[:split])
-            buf.feed_bulk(feeds - split, block)
+            buf.feed_bulk(feeds - split)
 
         for full_pass in (scalar, bulk, scalar_then_bulk):
             tracker = MemoryPortTracker(enforce=False)
@@ -345,7 +328,7 @@ class TestPortLedger:
     def test_enforced_conflict_raises_on_the_first_feed(self, nx, ny, nz):
         block = labelled_block(nx, ny, nz)
         for first_feed in (lambda buf: buf.feed(1.0),
-                           lambda buf: buf.feed_bulk(block.size, block)):
+                           lambda buf: buf.feed_bulk(block.size)):
             tracker = MemoryPortTracker(enforce=True)
             buf = ShiftBuffer3D(nx, ny, nz, partitioned=False,
                                 tracker=tracker, name="f")
@@ -363,7 +346,7 @@ class TestPortLedger:
         block = labelled_block(4, 5, 3)
         ledgers = []
         for step in (lambda buf: stream(buf, block),
-                     lambda buf: [buf.advance(1, block)
+                     lambda buf: [buf.advance(1)
                                   for _ in range(block.size)]):
             tracker = MemoryPortTracker(enforce=False)
             step(ShiftBuffer3D(4, 5, 3, partitioned=False, tracker=tracker,
@@ -374,7 +357,7 @@ class TestPortLedger:
         buf = ShiftBuffer3D(4, 5, 3, partitioned=False, tracker=tracker,
                             name="f")
         with pytest.raises(PortConflictError, match=r"'f\.slab'"):
-            buf.advance(1, block)
+            buf.advance(1)
         assert buf.fed == 0 and buf.position == (0, 0, 0)
         assert tracker.reports() == {}
 
@@ -393,10 +376,10 @@ class TestBatchedFeed:
         """The engine's two block forms up to a split point: batched,
         ``feed_bulk`` then ``window_at`` over its emission range, or
         ``stepwise``, the scalar fire's ``advance`` one value at a time
-        with each value's ``next_emissions`` cut.  Scalar feeds then
-        resume, gathering the registers.  Both halves must equal scalar
-        ``feed``'s windows raw for raw, and every cut is a read-only
-        view of the block."""
+        with each value's ``next_emissions`` cut.  A batched jump then
+        takes the rest.  Both halves must equal a second buffer's scalar
+        ``feed`` windows raw for raw, and every cut is a read-only view
+        of the block."""
         block = self.block(nx, ny, nz, seed)
         flat = block.reshape(-1)
         split = data.draw(st.integers(1, block.size), label="split")
@@ -410,23 +393,26 @@ class TestBatchedFeed:
             for _ in range(split):
                 first, stop = cut.next_emissions()
                 indices.extend(range(first, stop))
-                cut.advance(1, block)
+                cut.advance(1)
             assert indices == list(range(len(head)))
         else:
-            first, stop = cut.feed_bulk(split, block)
+            first, stop = cut.feed_bulk(split)
             assert (first, stop) == (0, len(head))
             indices = list(range(first, stop))
         cuts = [cut.window_at(i, block) for i in indices]
         assert_same_windows(cuts, head)
         assert all(not w.raw.flags.writeable
                    and np.shares_memory(w.raw, block) for w in cuts)
-        assert_same_windows(stream(cut, flat[split:]), tail)
+        if split < block.size:
+            first, stop = cut.feed_bulk(block.size - split)
+            assert_same_windows([cut.window_at(i, block)
+                                 for i in range(first, stop)], tail)
 
     def test_window_cuts_are_read_only_views(self):
         block = self.block()
         before = block.copy()
         buf = ShiftBuffer3D(*block.shape, name="b")
-        first, stop = buf.feed_bulk(buf.expected_feeds, block)
+        first, stop = buf.feed_bulk(buf.expected_feeds)
         for index in (first, stop - 1):  # a full window, a column top
             window = buf.window_at(index, block)
             with pytest.raises(ValueError, match="read-only"):
@@ -434,25 +420,23 @@ class TestBatchedFeed:
         assert block.tobytes() == before.tobytes()
         assert block.flags.writeable  # the caller's array keeps its flag
 
-    def test_feed_bulk_leaves_the_registers_to_the_next_feed(self,
-                                                            monkeypatch):
-        """``feed_bulk`` and ``advance`` only move the position; the
-        registers are gathered once, by the next ``feed``."""
-        gathers = []
-        gather = ShiftBuffer3D._gather
-        monkeypatch.setattr(
-            ShiftBuffer3D, "_gather",
-            lambda buf, backing: gathers.append(buf.fed) or gather(buf,
-                                                                  backing))
+    def test_feed_refuses_after_advance_or_feed_bulk(self):
+        """Moving the position without the registers leaves them behind
+        the stream: ``feed`` refuses until ``reset``."""
         block = self.block()
-        flat = block.reshape(-1)
-        buf = ShiftBuffer3D(*block.shape, name="b")
-        buf.feed_bulk(40, block)
-        buf.advance(3, block)
-        assert gathers == []
-        buf.feed(float(flat[43]))
-        buf.feed(float(flat[44]))
-        assert gathers == [43]
+        value = float(block.reshape(-1)[0])
+        for skip in (lambda buf: buf.advance(3),
+                     lambda buf: buf.feed_bulk(40)):
+            buf = ShiftBuffer3D(*block.shape, name="b")
+            buf.feed(value)
+            skip(buf)
+            fed = buf.fed
+            with pytest.raises(ShiftBufferError,
+                               match="feed after advance or feed_bulk"):
+                buf.feed(value)
+            assert buf.fed == fed
+            buf.reset()
+            assert buf.feed(value) == []
 
     def test_feed_bulk_matches_scalar_state(self):
         block = self.block()
@@ -461,7 +445,7 @@ class TestBatchedFeed:
         flat = block.reshape(-1)
         count = 37
         emitted = sum(len(scalar.feed(float(v))) for v in flat[:count])
-        first, stop = bulk.feed_bulk(count, block)
+        first, stop = bulk.feed_bulk(count)
         assert (first, stop) == (0, emitted)
         assert bulk.position == scalar.position
         assert bulk.fed == scalar.fed
@@ -473,7 +457,7 @@ class TestBatchedFeed:
         buf = ShiftBuffer3D(*block.shape, name="b")
         buf.feed(float(block.reshape(-1)[0]))
         with pytest.raises(ShiftBufferError, match="overruns the block"):
-            buf.feed_bulk(buf.expected_feeds, block)
+            buf.feed_bulk(buf.expected_feeds)
         assert buf.fed == 1
         assert buf.position == (0, 0, 1)
 
@@ -481,25 +465,10 @@ class TestBatchedFeed:
         block = self.block()
         buf = ShiftBuffer3D(*block.shape, name="b")
         full = (0, buf.expected_emissions)
-        assert buf.feed_bulk(buf.expected_feeds, block) == full
+        assert buf.feed_bulk(buf.expected_feeds) == full
         buf.reset()
         assert buf.fed == 0 and buf.position == (0, 0, 0)
-        assert buf.feed_bulk(buf.expected_feeds, block) == full
-
-    def test_transposed_block_raises_with_hint(self):
-        block = self.block(nx=5, ny=6, nz=4)
-        buf = ShiftBuffer3D(5, 6, 4, name="b")
-        with pytest.raises(ShiftBufferError, match="axes are permuted"):
-            buf.feed_bulk(1, block.transpose(2, 0, 1))
-        # ShiftBufferError is a DataflowError: one except clause catches
-        # every machine-model failure.
-        with pytest.raises(DataflowError):
-            buf.feed_bulk(1, block.transpose(2, 0, 1))
-
-    def test_wrong_shape_raises_without_hint(self):
-        buf = ShiftBuffer3D(5, 6, 4, name="b")
-        with pytest.raises(ShiftBufferError, match="does not match"):
-            buf.feed_bulk(1, np.zeros((5, 6, 5)))
+        assert buf.feed_bulk(buf.expected_feeds) == full
 
 
 class TestEmissionBoxes:

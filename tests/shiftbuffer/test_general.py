@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.bulk import ListBulk
-from repro.errors import ShiftBufferError
-from repro.kernel.stages import ShiftBufferStage, StencilBulk
+from repro.dataflow.bulk import ChainBulk, ListBulk
+from repro.errors import DataflowError, ShiftBufferError
+from repro.kernel.stages import CellBlockBulk, ShiftBufferStage
 from repro.shiftbuffer.buffer3d import ShiftBuffer3D
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow
@@ -24,36 +24,35 @@ def labelled(nx, ny, nz):
     return np.arange(nx * ny * nz, dtype=float).reshape(nx, ny, nz)
 
 
-def stencil_shift(nx, ny, nz, **kwargs):
-    """The shift stage the stencil machine builds: one buffer, full
-    windows only."""
-    return ShiftBufferStage("s", nx, ny, nz, buffers=("s",), tops=False,
+def stencil_shift(block, **kwargs):
+    """The shift stage the stencil machine builds over ``block``: one
+    buffer, full windows only."""
+    return ShiftBufferStage("s", (block,), buffers=("s",), tops=False,
                             **kwargs)
 
 
-def cut(items):
-    """The window bundles ``items`` stand for: a register-model bundle as
-    it is, and each bundle of a run of the blocks cut with
+def cut(runs):
+    """The windows ``runs`` of bundles stand for, each bundle cut with
     :meth:`StencilBulk.bundle_at`."""
-    return [bundle for item in items for bundle in (
-        [item.bundle_at(index) for index in range(item.start, item.stop)]
-        if isinstance(item, StencilBulk) else [item])]
+    return [window for run in runs
+            for index in range(run.start, run.stop)
+            for window in run.bundle_at(index)]
 
 
 def forwarded(block, **kwargs):
-    """The shift stage for ``block`` and every window it forwards."""
-    stage = stencil_shift(*block.shape, **kwargs)
+    """The shift stage for ``block`` and every window it forwards when
+    fed the block's cells in streaming order."""
+    stage = stencil_shift(block, **kwargs)
     windows = []
-    for value in block.reshape(-1).tolist():
-        windows.extend(w for (w,) in cut(
-            stage.fire(0, {"in": [(value,)]}).get("out", [])))
+    for cell in range(block.size):
+        windows.extend(cut(stage.fire(0, {"in": [cell]}).get("out", [])))
     return stage, windows
 
 
 class TestConstruction:
     def test_rejects_undersized_block(self):
         with pytest.raises(ShiftBufferError):
-            stencil_shift(2, 5, 5)  # needs >= 3 everywhere
+            stencil_shift(np.zeros((2, 5, 5)))  # needs >= 3 everywhere
 
     def test_window_shape_validation(self):
         with pytest.raises(ValueError):
@@ -107,62 +106,84 @@ class TestCorrectness:
     def test_overfeed_rejected(self):
         stage, _ = forwarded(np.zeros((3, 3, 3)))
         with pytest.raises(ShiftBufferError):
-            stage.fire(0, {"in": [(0.0,)]})
+            stage.fire(0, {"in": [27]})
 
     def test_wrong_block_shape_rejected(self):
-        stage = stencil_shift(3, 3, 3)
-        with pytest.raises(ShiftBufferError):
-            stage.buffers[0].feed_bulk(1, np.zeros((3, 4, 3)))
+        with pytest.raises(DataflowError, match="one shape"):
+            ShiftBufferStage("s", (np.zeros((3, 3, 3)), np.zeros((3, 4, 3))),
+                             buffers=("a", "b"))
+
+
+def fed_stream(draw, size):
+    """A stream of the ``size`` cells of a block with up to three drawn
+    cells dropped, and the same stream as batched firings: per firing a
+    FIFO's leftovers (a list of positions), then one contiguous
+    :class:`CellBlockBulk`."""
+    dropped = draw(st.sets(st.integers(0, size - 1), max_size=3),
+                   label="dropped")
+    cells = [cell for cell in range(size) if cell not in dropped]
+    firings = []
+    start = 0
+    while start < len(cells):
+        stop = draw(st.integers(start + 1, len(cells)), label="stop")
+        part = cells[start:stop]
+        # The longest contiguous tail travels as one cell block.
+        run = len(part) - 1
+        while run > 0 and part[run - 1] == part[run] - 1:
+            run -= 1
+        run = max(run, draw(st.integers(0, len(part)), label="leftovers"))
+        firings.append(ChainBulk([
+            ListBulk(part[:run]),
+            CellBlockBulk(part[run], part[-1] + 1) if run < len(part)
+            else ListBulk([])]))
+        start = stop
+    return cells, firings
 
 
 class TestBlockStore:
-    """With ``backing`` the stage cuts its windows from the block while
-    the stream matches it bit for bit, and runs the register model from
-    the first value that does not, for the rest of the block."""
+    """The stage holds the block, and its windows hold the values it was
+    fed: the block's while each cell is its feed position, and after a
+    cell that is not (a dropped word), the values of the cells that
+    arrived, at their feed positions, as the register model's."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(nx=st.integers(3, 5), ny=st.integers(3, 5), nz=st.integers(3, 5),
            seed=st.integers(0, 2**16), bulk=st.booleans(), data=st.data())
-    def test_a_diverging_value_switches_to_the_register_model(
+    def test_windows_are_the_register_models_on_the_values_fed(
             self, nx, ny, nz, seed, bulk, data):
-        """The stream differs from the block at one value: ``-0.0``
-        where the block holds ``0.0`` (equal, but other bits), or another
-        number.  Every later value matches the block again, and the
-        windows must still equal the blockless stage's, byte for byte;
-        a stage that switched back to the block would forward ``+0.0``
-        where the registers hold ``-0.0``."""
+        """Open halos make zero faces, so a shifted stream can carry
+        the value the block holds at its feed position by accident; the
+        windows must still be the ones of the values fed."""
         rng = np.random.default_rng(seed)
         block = np.where(rng.random((nx, ny, nz)) < 0.5, 0.0,
                          rng.normal(size=(nx, ny, nz)))
-        values = block.reshape(-1).copy()
-        k = data.draw(st.integers(0, values.size - 1), label="k")
-        values[k] = -0.0 if values[k] == 0.0 else values[k] + 1.0
-
-        cells = [(value,) for value in values.tolist()]
-
-        def windows(**kwargs):
-            stage = stencil_shift(nx, ny, nz, **kwargs)
-            if bulk:
-                result = stage.fire_bulk(len(cells), {"in": ListBulk(cells)},
-                                         0)
-                got = result.head_bulk(
-                    "out", result.producing_firings).materialize()
-            else:
-                got = [bundle for cell in cells
-                       for bundle in stage.fire(0, {"in": [cell]})
-                       .get("out", [])]
-            return [(w.center, w.raw.tobytes()) for (w,) in cut(got)]
-
-        assert windows(backing=(block,)) == windows()
+        cells, firings = fed_stream(data.draw, block.size)
+        stage = stencil_shift(block)
+        if bulk:
+            results = [stage.fire_bulk(len(firing), {"in": firing}, 0)
+                       for firing in firings]
+            runs = [result.head_bulk("out", result.producing_firings)
+                    for result in results if result.producing_firings]
+        else:
+            runs = [run for cell in cells
+                    for run in stage.fire(0, {"in": [cell]}).get("out", [])]
+        model = ShiftBuffer3D(nx, ny, nz)
+        flat = block.reshape(-1)
+        want = [window for cell in cells
+                for window in model.feed(float(flat[cell])) if not window.top]
+        assert [(w.center, w.top, w.raw.tobytes()) for w in cut(runs)] \
+            == [(w.center, w.top, w.raw.tobytes()) for w in want]
 
     def test_matching_values_are_cut_from_the_block(self):
         block = labelled(4, 5, 4)
-        _, windows = forwarded(block, backing=(block,))
+        _, windows = forwarded(block)
         assert windows and all(not w.raw.flags.writeable
                                and np.shares_memory(w.raw, block)
                                for w in windows)
-        _, copies = forwarded(block)
-        assert all(w.raw.flags.writeable for w in copies)
+        model = ShiftBuffer3D(*block.shape)
+        copies = [w for value in block.reshape(-1).tolist()
+                  for w in model.feed(value)]
+        assert copies and all(w.raw.flags.writeable for w in copies)
 
 
 class TestPortPressure:
