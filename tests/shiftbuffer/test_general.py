@@ -151,9 +151,9 @@ class TestBlockStore:
            seed=st.integers(0, 2**16), bulk=st.booleans(), data=st.data())
     def test_windows_are_the_register_models_on_the_values_fed(
             self, nx, ny, nz, seed, bulk, data):
-        """Open halos make zero faces, so a shifted stream can carry
-        the value the block holds at its feed position by accident; the
-        windows must still be the ones of the values fed."""
+        """Half the block is zeros, as open halos make, so a shifted
+        stream often carries the value the block holds at its feed
+        position; the windows must still be those of the values fed."""
         rng = np.random.default_rng(seed)
         block = np.where(rng.random((nx, ny, nz)) < 0.5, 0.0,
                          rng.normal(size=(nx, ny, nz)))
